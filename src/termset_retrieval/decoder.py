@@ -63,59 +63,49 @@ def constrained_beam_search(
     """Run N constrained decoding steps and return the completed hypotheses.
 
     `searchable` is an index-like object exposing root(), n, doc_ids and a
-    dictionary; beam_size=None keeps every valid extension (exhaustive).
-    With dedupe_sets, order variants of the same prefix set collapse to
-    their best-scoring member before the top-K cut; by default they stay
-    distinct because position-aware scorers rate them differently.
+    dictionary, whose nodes expose expansion() and extend(); beam_size=None
+    keeps every valid extension (exhaustive). With dedupe_sets, order
+    variants of the same prefix set collapse to their best-scoring member
+    before the top-K cut; by default they stay distinct because
+    position-aware scorers rate them differently.
+
+    Each step scores the whole beam at once and ranks its extensions with
+    one lexsort. The tie rule is likelihood desc, then leading child doc,
+    then the extended sequence: doc positions follow sorted doc ids and
+    term ids follow sorted terms, so positions and ids order exactly as the
+    strings do.
     """
     if beam_size is not None and beam_size < 1:
         raise DataError(f"beam size must be >= 1, got {beam_size}")
-    beam = [Hypothesis((), 0.0, searchable.root())]
+    nodes = [searchable.root()]
+    seqs = np.empty((1, 0), dtype=np.int64)  # one row of term ids per hypothesis
+    lls = np.zeros(1)
+    rank = np.zeros(1, dtype=np.int64)  # place of each sequence in lexicographic order
     for _ in range(searchable.n):
-        extensions = []
-        for hyp in beam:
-            candidates = hyp.node.feasible_terms()
-            logprobs = scorer.step_logprob(query, hyp.node, candidates)
-            for term_id, lp in zip(candidates, logprobs):
-                extensions.append((hyp, int(term_id), hyp.logprob + float(lp)))
-        extensions.sort(key=_extension_order(searchable))
+        expansions = [node.expansion() for node in nodes]
+        counts = [len(exp.terms) for exp in expansions]
+        parents = np.repeat(np.arange(len(nodes)), counts)
+        terms = np.concatenate([exp.terms for exp in expansions])
+        leads = np.concatenate([exp.leads for exp in expansions])
+        step_ll = lls[parents] + scorer.step_logprobs(query, nodes, expansions)
+        parent_rank = rank[parents]
+        order = np.lexsort((terms, parent_rank, leads, -step_ll))
         if dedupe_sets:
-            extensions = _dedupe_by_set(extensions)
+            sets = np.sort(np.column_stack([seqs[parents[order]], terms[order]]), axis=1)
+            _, first = np.unique(sets, axis=0, return_index=True)
+            order = order[np.sort(first)]
         if beam_size is not None:
-            extensions = extensions[:beam_size]
-        beam = [
-            Hypothesis(hyp.term_ids + (term_id,), ll, hyp.node.extend(term_id))
-            for hyp, term_id, ll in extensions
-        ]
-    return beam
-
-
-def _extension_order(searchable):
-    """Deterministic tie rule: likelihood desc, then leading posting doc, then sequence.
-
-    Term ids are assigned in sorted term order, so comparing id tuples is
-    the same as comparing the term strings lexicographically.
-    """
-    doc_ids = searchable.doc_ids
-
-    def key(ext):
-        hyp, term_id, ll = ext
-        child = hyp.node.child_postings(term_id)
-        return (-ll, doc_ids[int(child[0])], hyp.term_ids + (term_id,))
-
-    return key
-
-
-def _dedupe_by_set(extensions):
-    seen: set[frozenset] = set()
-    kept = []
-    for ext in extensions:
-        hyp, term_id, _ = ext
-        key = frozenset(hyp.term_ids) | {term_id}
-        if key not in seen:
-            seen.add(key)
-            kept.append(ext)
-    return kept
+            order = order[:beam_size]
+        kept_parents, kept_terms = parents[order], terms[order]
+        nodes = [nodes[p].extend(int(t)) for p, t in zip(kept_parents, kept_terms)]
+        seqs = np.column_stack([seqs[kept_parents], kept_terms])
+        lls = step_ll[order]
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[np.lexsort((kept_terms, parent_rank[order]))] = np.arange(len(order))
+    return [
+        Hypothesis(tuple(int(t) for t in seq), float(ll), node)
+        for seq, ll, node in zip(seqs, lls, nodes)
+    ]
 
 
 def rank_documents(

@@ -9,6 +9,8 @@ remaining identifier terms.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import DataError, InvariantError
@@ -39,30 +41,54 @@ class TermDictionary:
         return self.terms[term_id]
 
 
+class Expansion(NamedTuple):
+    """Every one-term extension of a prefix, aligned by position.
+
+    terms: feasible term ids, ascending. sizes: documents left after
+    appending each term. leads: the first (lowest) such document position.
+    """
+
+    terms: np.ndarray
+    sizes: np.ndarray
+    leads: np.ndarray
+
+
 class Index:
-    """Built once from an IdentifierTable; shared read-only across queries."""
+    """Built once from an IdentifierTable; shared read-only across queries.
+
+    doc_ids must be strictly ascending: document positions then order
+    documents exactly as their ids do, which the decoder's tie rule uses.
+    """
 
     def __init__(self, dictionary: TermDictionary, doc_ids: list[str], order: np.ndarray):
+        if not _strictly_ascending(doc_ids):
+            raise InvariantError("document ids must be unique and in sorted order")
         self.dictionary = dictionary
         self.doc_ids = doc_ids
         self._doc_index = {d: i for i, d in enumerate(doc_ids)}
         self.order = order  # (docs, n) term ids, importance-descending
         self.sets = np.sort(order, axis=1)  # row-sorted set view
         self.n = order.shape[1]
-        for row, doc_id in zip(self.sets, doc_ids):
-            if len(np.unique(row)) != self.n:
-                raise InvariantError(f"identifier of {doc_id} repeats a term")
-        # term-level postings: term_id -> sorted array of doc positions
+        repeats = np.flatnonzero((self.sets[:, 1:] == self.sets[:, :-1]).any(axis=1))
+        if len(repeats):
+            raise InvariantError(f"identifier of {doc_ids[repeats[0]]} repeats a term")
+        # term-level postings: term_id -> sorted array of doc positions; the
+        # stable sort keeps each term's documents in position order
         self.postings: list[np.ndarray] = []
         ids = np.repeat(np.arange(len(doc_ids), dtype=np.int32), self.n)
         flat = self.sets.ravel()
         sort = np.argsort(flat, kind="stable")
         bounds = np.searchsorted(flat[sort], np.arange(len(dictionary) + 1))
         for t in range(len(dictionary)):
-            self.postings.append(np.sort(ids[sort[bounds[t] : bounds[t + 1]]]))
-        self.posting_sizes = np.array([len(p) for p in self.postings])
+            self.postings.append(ids[sort[bounds[t] : bounds[t + 1]]])
+        self.posting_sizes = np.diff(bounds)
         self.all_docs = np.arange(len(doc_ids), dtype=np.int32)
         self.root_feasible = np.flatnonzero(self.posting_sizes > 0).astype(np.int32)
+        self.root_expansion = Expansion(
+            self.root_feasible,
+            self.posting_sizes[self.root_feasible],
+            ids[sort[bounds[self.root_feasible]]],
+        )
 
     def __len__(self):
         return len(self.doc_ids)
@@ -94,23 +120,37 @@ class PrefixNode:
         self.index = index
         self.prefix_ids = prefix_ids
         self.postings = postings
-        self._feasible: np.ndarray | None = None
+        self._expansion: Expansion | None = None
         self._children: dict[int, np.ndarray] = {}
 
     @property
     def depth(self) -> int:
         return len(self.prefix_ids)
 
+    def expansion(self) -> Expansion:
+        """Feasible terms with their child sizes and leading docs, from one unique pass."""
+        if self._expansion is None:
+            if self.depth == 0:
+                self._expansion = self.index.root_expansion
+            else:
+                n = self.index.n
+                terms, first, sizes = np.unique(
+                    self.index.sets[self.postings], return_index=True, return_counts=True
+                )
+                # every surviving document holds every prefix term
+                keep = np.ones(len(terms), dtype=bool)
+                keep[np.searchsorted(terms, self.prefix_ids)] = False
+                self._expansion = Expansion(
+                    terms[keep], sizes[keep], self.postings[first[keep] // n]
+                )
+        return self._expansion
+
     def feasible_terms(self) -> np.ndarray:
         """Terms extending this prefix inside at least one identifier, repeats excluded."""
-        if self._feasible is None:
-            if self.depth == 0:
-                self._feasible = self.index.root_feasible
-            else:
-                union = np.unique(self.index.sets[self.postings])
-                prefix = np.sort(np.array(self.prefix_ids, dtype=union.dtype))
-                self._feasible = np.setdiff1d(union, prefix, assume_unique=True)
-        return self._feasible
+        return self.expansion().terms
+
+    def child_sizes(self, candidates: np.ndarray) -> np.ndarray:
+        return _lookup_sizes(self, candidates)
 
     def child_postings(self, term_id: int) -> np.ndarray:
         if term_id not in self._children:
@@ -122,11 +162,6 @@ class PrefixNode:
                     self.postings, term_docs, assume_unique=True
                 )
         return self._children[term_id]
-
-    def child_sizes(self, candidates: np.ndarray) -> np.ndarray:
-        if self.depth == 0:
-            return self.index.posting_sizes[candidates]
-        return np.array([len(self.child_postings(int(t))) for t in candidates])
 
     def extend(self, term_id: int) -> "PrefixNode":
         if term_id in self.prefix_ids:
@@ -145,6 +180,23 @@ class PrefixNode:
                 f"full-length prefix maps to {len(self.postings)} documents, expected 1"
             )
         return self.index.doc_ids[int(self.postings[0])]
+
+
+def _lookup_sizes(node, candidates) -> np.ndarray:
+    """Child sizes of `candidates`, each of which must be feasible at `node`."""
+    terms, sizes, _ = node.expansion()
+    candidates = np.asarray(candidates)
+    pos = np.searchsorted(terms, candidates)
+    found = pos < len(terms)
+    found[found] = terms[pos[found]] == candidates[found]
+    if not found.all():
+        bad = int(candidates[np.argmin(found)])
+        raise DataError(f"term id {bad} is not feasible after prefix {node.prefix_ids}")
+    return sizes[pos]
+
+
+def _strictly_ascending(items) -> bool:
+    return all(a < b for a, b in zip(items, items[1:]))
 
 
 def build_index(table: IdentifierTable) -> Index:
@@ -203,24 +255,32 @@ class SequenceNode:
         self.index = view.index
         self.prefix_ids = prefix_ids
         self.postings = postings
+        self._expansion: Expansion | None = None
         self._children: dict[int, np.ndarray] = {}
 
     @property
     def depth(self) -> int:
         return len(self.prefix_ids)
 
+    def expansion(self) -> Expansion:
+        if self._expansion is None:
+            terms, first, sizes = np.unique(
+                self.index.order[self.postings, self.depth], return_index=True, return_counts=True
+            )
+            self._expansion = Expansion(terms, sizes, self.postings[first])
+        return self._expansion
+
     def feasible_terms(self) -> np.ndarray:
-        return np.unique(self.index.order[self.postings, self.depth])
+        return self.expansion().terms
+
+    def child_sizes(self, candidates: np.ndarray) -> np.ndarray:
+        return _lookup_sizes(self, candidates)
 
     def child_postings(self, term_id: int) -> np.ndarray:
         if term_id not in self._children:
             mask = self.index.order[self.postings, self.depth] == term_id
             self._children[term_id] = self.postings[mask]
         return self._children[term_id]
-
-    def child_sizes(self, candidates: np.ndarray) -> np.ndarray:
-        step_terms = self.index.order[self.postings, self.depth]
-        return (step_terms[:, None] == np.asarray(candidates)[None, :]).sum(axis=0)
 
     def extend(self, term_id: int) -> "SequenceNode":
         child = self.child_postings(term_id)
@@ -293,8 +353,8 @@ def load_index(path) -> Index:
     if dictionary.terms != terms:
         raise DataError(f"{path}: term dictionary not in sorted order")
     doc_ids = [d for d, _ in doc_rows]
-    if doc_ids != sorted(doc_ids):
-        raise DataError(f"{path}: documents not in sorted order")
+    if not _strictly_ascending(doc_ids):
+        raise DataError(f"{path}: documents not unique and in sorted order")
     order = np.array([row for _, row in doc_rows], dtype=np.int32)
     if order.shape != (num_docs, n):
         raise DataError(f"{path}: identifier rows are not uniformly length {n}")

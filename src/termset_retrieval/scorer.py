@@ -45,6 +45,20 @@ class Scorer(ABC):
     def step_logprob(self, query: Query, node, candidates: np.ndarray) -> np.ndarray:
         """Return one log-probability per candidate term id."""
 
+    def step_logprobs(self, query: Query, nodes, expansions) -> np.ndarray:
+        """Score one decoding step of a whole beam.
+
+        `expansions[i]` is `nodes[i].expansion()`; the result concatenates,
+        node by node, one log-probability per `expansions[i].terms`. The
+        default calls step_logprob once per node; override it to batch.
+        """
+        return np.concatenate(
+            [
+                np.asarray(self.step_logprob(query, node, exp.terms), dtype=float)
+                for node, exp in zip(nodes, expansions)
+            ]
+        )
+
 
 class UniformScorer(Scorer):
     """Every feasible candidate equally likely; handy for oracles and ties."""
@@ -94,13 +108,21 @@ class FeatureScorer(Scorer):
 
     def step_features(self, query: Query, node, candidates: np.ndarray) -> np.ndarray:
         candidates = np.asarray(candidates, dtype=np.int64)
-        exact_ids, prefix_ids = self._query_term_ids(query)
+        return self._features(
+            self._query_term_ids(query),
+            candidates,
+            node.child_sizes(candidates),
+            (node.depth + 1) / node.index.n,
+        )
+
+    def _features(self, query_ids, candidates, sizes, position) -> np.ndarray:
+        exact_ids, prefix_ids = query_ids
         feats = np.empty((len(candidates), len(STEP_FEATURES)))
         feats[:, 0] = np.isin(candidates, exact_ids)
         feats[:, 1] = np.isin(candidates, prefix_ids)
         feats[:, 2] = self.term_weights[candidates]
-        feats[:, 3] = np.log1p(node.child_sizes(candidates))
-        feats[:, 4] = (node.depth + 1) / node.index.n
+        feats[:, 3] = np.log1p(sizes)
+        feats[:, 4] = position
         feats[:, 5] = 1.0
         return feats
 
@@ -109,6 +131,31 @@ class FeatureScorer(Scorer):
             raise DataError("empty candidate set")
         scores = self.step_features(query, node, candidates) @ self.weights
         return scores - _logsumexp(scores)
+
+    def step_logprobs(self, query, nodes, expansions):
+        """One feature matrix for the whole beam, normalized node by node."""
+        counts = [len(exp.terms) for exp in expansions]
+        if 0 in counts:
+            raise DataError("empty candidate set")
+        positions = [(node.depth + 1) / node.index.n for node in nodes]
+        feats = self._features(
+            self._query_term_ids(query),
+            np.concatenate([exp.terms for exp in expansions]).astype(np.int64),
+            np.concatenate([exp.sizes for exp in expansions]),
+            np.repeat(positions, counts),
+        )
+        scores = feats @ self.weights
+        # Normalize each node's segment with the float operations of
+        # step_logprob, so the batch is bit-identical to scoring node by node.
+        # A one-row matmul may round a score differently from the same row in
+        # a larger matrix, but a one-candidate segment normalizes to exactly 0.
+        out = np.empty_like(scores)
+        end = 0
+        for count in counts:
+            start, end = end, end + count
+            segment = scores[start:end]
+            out[start:end] = segment - _logsumexp(segment)
+        return out
 
     # -- training -----------------------------------------------------------
 
@@ -201,21 +248,41 @@ def load_scorer(path) -> FeatureScorer:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _SCORER_FORMAT:
         raise DataError(f"{path}: not a {_SCORER_FORMAT} file")
-    fields = dict(line.split("\t", 1) for line in lines[1:4])
-    if fields.get("features") != " ".join(STEP_FEATURES):
-        raise DataError(f"{path}: unexpected step-feature schema")
-    weights = np.array([float(x) for x in fields["weights"].split(" ")])
-    count = int(fields["terms"])
+    header: dict[str, tuple[int, str]] = {}
+    for lineno, line in enumerate(lines[1:4], start=2):
+        key, tab, value = line.partition("\t")
+        if not tab:
+            raise DataError(f"{path}:{lineno}: header line is not 'key<TAB>value'")
+        header[key] = (lineno, value)
+    for key in ("features", "weights", "terms"):
+        if key not in header:
+            raise DataError(f"{path}: missing {key!r} header line")
+    lineno, value = header["features"]
+    if value != " ".join(STEP_FEATURES):
+        raise DataError(f"{path}:{lineno}: unexpected step-feature schema")
+    lineno, value = header["weights"]
+    weights = np.array(_parse(float, value.split(" "), f"{path}:{lineno}: step weights"))
+    lineno, value = header["terms"]
+    (count,) = _parse(int, [value], f"{path}:{lineno}: term count")
     terms, term_weights = [], []
-    for line in lines[4:]:
+    for lineno, line in enumerate(lines[4:], start=5):
         if not line:
             continue
-        term, _, weight = line.rpartition("\t")
+        term, tab, weight = line.rpartition("\t")
+        if not tab:
+            raise DataError(f"{path}:{lineno}: term line is not 'term<TAB>weight'")
         terms.append(term)
-        term_weights.append(float(weight))
+        term_weights.extend(_parse(float, [weight], f"{path}:{lineno}: term weight"))
     if len(terms) != count:
         raise DataError(f"{path}: vocabulary count mismatch")
     return FeatureScorer(weights, terms, np.array(term_weights))
+
+
+def _parse(convert, texts, what: str) -> list:
+    try:
+        return [convert(text) for text in texts]
+    except ValueError as exc:
+        raise DataError(f"{what} {' '.join(texts)!r} is not a valid {convert.__name__}") from exc
 
 
 def check_compatible(scorer: FeatureScorer, index: Index) -> None:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import (
@@ -17,8 +19,14 @@ from termset_retrieval.decoder import (
 from termset_retrieval.errors import DataError
 from termset_retrieval.evaluation import read_run, recall_at_k
 from termset_retrieval.importance import IdentifierTable
-from termset_retrieval.index import build_index
-from termset_retrieval.scorer import STEP_FEATURES, FeatureScorer, UniformScorer, sequence_logprob
+from termset_retrieval.index import SequenceView, build_index
+from termset_retrieval.scorer import (
+    STEP_FEATURES,
+    FeatureScorer,
+    Scorer,
+    UniformScorer,
+    sequence_logprob,
+)
 from termset_retrieval.synthetic import make_random_identifiers
 
 
@@ -33,6 +41,99 @@ def random_scorer(index, seed=0, spread=1.0):
         index.dictionary.terms,
         rng.uniform(0, 2, size=len(index.dictionary)),
     )
+
+
+def reference_beam_search(query, searchable, scorer, beam_size, dedupe_sets=False):
+    """The per-extension decoding loop, kept as the oracle for the batched step."""
+    beam = [Hypothesis((), 0.0, searchable.root())]
+    for _ in range(searchable.n):
+        extensions = []
+        for hyp in beam:
+            candidates = hyp.node.feasible_terms()
+            logprobs = scorer.step_logprob(query, hyp.node, candidates)
+            for term_id, lp in zip(candidates, logprobs):
+                extensions.append((hyp, int(term_id), hyp.logprob + float(lp)))
+        extensions.sort(key=_extension_order(searchable))
+        if dedupe_sets:
+            extensions = _dedupe_by_set(extensions)
+        if beam_size is not None:
+            extensions = extensions[:beam_size]
+        beam = [
+            Hypothesis(hyp.term_ids + (term_id,), ll, hyp.node.extend(term_id))
+            for hyp, term_id, ll in extensions
+        ]
+    return beam
+
+
+def _extension_order(searchable):
+    """Likelihood desc, then the leading child doc's id, then the term-id sequence."""
+    doc_ids = searchable.doc_ids
+
+    def key(ext):
+        hyp, term_id, ll = ext
+        child = hyp.node.child_postings(term_id)
+        return (-ll, doc_ids[int(child[0])], hyp.term_ids + (term_id,))
+
+    return key
+
+
+def _dedupe_by_set(extensions):
+    seen: set[frozenset] = set()
+    kept = []
+    for ext in extensions:
+        hyp, term_id, _ = ext
+        key = frozenset(hyp.term_ids) | {term_id}
+        if key not in seen:
+            seen.add(key)
+            kept.append(ext)
+    return kept
+
+
+class DepthScorer(Scorer):
+    """Implements only step_logprob, so the beam goes through the default step_logprobs."""
+
+    def step_logprob(self, query, node, candidates):
+        scores = np.cos(np.asarray(candidates) * (node.depth + 1.7))
+        return scores - np.log(np.exp(scores).sum())
+
+
+@st.composite
+def search_cases(draw):
+    """A small random registry, a searchable view of it, a scorer and a query."""
+    n = draw(st.integers(1, 4))
+    vocab = draw(st.integers(n + 1, 16))
+    docs = draw(st.integers(1, min(25, math.comb(vocab, n))))
+    index = build_index(make_random_identifiers(docs, vocab, n, seed=draw(st.integers(0, 999))))
+    searchable = SequenceView(index) if draw(st.booleans()) else index
+    if draw(st.booleans()):
+        scorer = random_scorer(index, seed=draw(st.integers(0, 999)), spread=2.0)
+    else:
+        scorer = UniformScorer()
+    words = draw(st.lists(st.sampled_from(index.dictionary.terms + ["zz"]), max_size=3))
+    return searchable, scorer, Query.from_text("q", " ".join(words))
+
+
+class TestBatchedStepOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases())
+    def test_matches_the_per_extension_loop(self, case):
+        searchable, scorer, q = case
+        for beam in (1, 3, 10, None):
+            for dedupe in (False, True):
+                got = rank_documents(constrained_beam_search(q, searchable, scorer, beam, dedupe))
+                want = rank_documents(reference_beam_search(q, searchable, scorer, beam, dedupe))
+                assert got.canonical() == want.canonical(), (beam, dedupe)
+
+    def test_scorer_with_only_step_logprob(self):
+        index = build_index(make_random_identifiers(40, 30, 4, seed=5))
+        q = query("t03")
+        for beam in (1, 5, None):
+            got = search(q, index, DepthScorer(), beam_size=beam)
+            want = rank_documents(reference_beam_search(q, index, DepthScorer(), beam), "q", beam)
+            assert got.canonical() == want.canonical()
+            for entry in got.entries:
+                ids = [index.dictionary.id_of(t) for t in entry.permutation]
+                assert entry.score == pytest.approx(sequence_logprob(DepthScorer(), q, ids, index))
 
 
 class TestBeamSearch:

@@ -1,14 +1,19 @@
 """Prefix-postings index: feasible sets, pruning, persistence."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termset_retrieval.errors import DataError, InvariantError
 from termset_retrieval.importance import IdentifierTable
 from termset_retrieval.index import (
+    Index,
     SequenceView,
+    TermDictionary,
     build_index,
     load_index,
     naive_feasible_terms,
@@ -41,6 +46,13 @@ class TestBuild:
     def test_term_postings(self, tiny_index):
         docs = {tiny_index.doc_ids[i] for i in tiny_index.postings[tiny_index.dictionary.id_of("a")]}
         assert docs == {"D1", "D2"}
+
+    @pytest.mark.parametrize("doc_ids", [["D2", "D1"], ["D1", "D1"]], ids=["unsorted", "repeated"])
+    def test_doc_ids_must_ascend_strictly(self, doc_ids):
+        dictionary = TermDictionary(["a", "b", "c", "d"])
+        order = np.array([[0, 1], [2, 3]], dtype=np.int32)
+        with pytest.raises(InvariantError, match="sorted order"):
+            Index(dictionary, doc_ids, order)
 
 
 class TestExtend:
@@ -98,6 +110,47 @@ class TestFeasibleOracle:
                 node = node.extend(index.dictionary.id_of(term))
             assert len(node.feasible_terms()) == 0
             assert node.complete_doc() == doc_id
+
+
+@st.composite
+def registry_and_prefix(draw):
+    """A small random registry and a prefix drawn from one of its identifiers."""
+    n = draw(st.integers(1, 4))
+    vocab = draw(st.integers(n + 1, 20))
+    docs = draw(st.integers(1, min(30, math.comb(vocab, n))))
+    table = make_random_identifiers(docs, vocab, n, seed=draw(st.integers(0, 99)))
+    index = build_index(table)
+    row = index.sets[draw(st.integers(0, len(index) - 1))]
+    prefix = draw(st.permutations([int(t) for t in row]))[: draw(st.integers(0, n))]
+    return index, prefix
+
+
+class TestExpansion:
+    @settings(max_examples=60, deadline=None)
+    @given(registry_and_prefix())
+    def test_matches_brute_force_over_sets(self, case):
+        index, prefix = case
+        node = index.root()
+        for t in prefix:
+            node = node.extend(t)
+        terms, sizes, leads = node.expansion()
+        assert np.array_equal(terms, naive_feasible_terms(index, prefix))
+        survivors = np.flatnonzero(np.isin(index.sets, prefix).sum(axis=1) == len(prefix))
+        for term, size, lead in zip(terms, sizes, leads):
+            holders = survivors[(index.sets[survivors] == term).any(axis=1)]
+            assert size == len(holders)
+            assert lead == holders.min()
+        assert np.array_equal(node.child_sizes(terms[::-1]), sizes[::-1])
+
+    def test_child_sizes_rejects_an_infeasible_candidate(self, tiny_index):
+        a, b, e = term_ids(tiny_index, "a", "b", "e")
+        node = tiny_index.root().extend(a)
+        with pytest.raises(DataError, match="not feasible"):
+            node.child_sizes(np.array([b, e]))
+        with pytest.raises(DataError, match="not feasible"):
+            node.child_sizes(np.array([a]))  # already in the prefix
+        with pytest.raises(DataError, match="not feasible"):
+            SequenceView(tiny_index).root().child_sizes(np.array([b]))
 
 
 class TestCompleteAndPruning:

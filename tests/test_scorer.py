@@ -223,6 +223,33 @@ class TestPersistence:
         with pytest.raises(DataError, match="not a termset-scorer"):
             load_scorer(path)
 
+    @pytest.mark.parametrize(
+        "lineno, text, message",
+        [
+            (2, "features in_query query_prefix4", ":2: header line"),
+            (3, "weights\t1.0 x 0 0 0 0", ":3: step weights"),
+            (4, "terms\tseven", ":4: term count"),
+            (5, "a 0.5", ":5: term line"),
+            (5, "a\theavy", ":5: term weight"),
+        ],
+        ids=["features-no-tab", "weight-not-float", "count-not-int", "term-no-tab",
+             "term-weight-not-float"],
+    )
+    def test_malformed_line_is_data_error(self, tmp_path, tiny_index, lineno, text, message):
+        path = tmp_path / "scorer.txt"
+        save_scorer(FeatureScorer.zeros(tiny_index), path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        lines[lineno - 1] = text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DataError, match=message):
+            load_scorer(path)
+
+    def test_missing_header_line_is_data_error(self, tmp_path):
+        path = tmp_path / "scorer.txt"
+        path.write_text("termset-scorer/1\nterms\t0\n", encoding="utf-8")
+        with pytest.raises(DataError, match="missing 'features'"):
+            load_scorer(path)
+
     def test_vocabulary_compatibility(self, tiny_index):
         scorer = FeatureScorer.zeros(tiny_index)
         check_compatible(scorer, tiny_index)
