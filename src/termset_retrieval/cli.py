@@ -11,17 +11,17 @@ Exit codes: 0 success, 1 usage, 2 data error, 3 internal invariant violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import __version__
 from .corpus import Query, load_corpus, load_judgments, load_queries, sample_negatives
 from .decoder import search, write_run_file
-from .errors import DataError, InvariantError
+from .errors import DataError, InvariantError, parse_values
 from .evaluation import (
     ablate_identifier_scheme,
     efficiency_report,
@@ -74,14 +74,14 @@ def parse_config_file(path) -> dict[str, str]:
 
 def _settings(args, defaults: dict) -> dict:
     """Resolve option values: explicit flag > config file > default."""
-    config = parse_config_file(args.config) if getattr(args, "config", None) else {}
+    config = parse_config_file(args.config) if args.config else {}
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
         if flag is not None:
             resolved[key] = flag
         elif key in config:
-            resolved[key] = type(default)(config[key])
+            (resolved[key],) = parse_values(type(default), [config[key]], f"{args.config}: {key}")
         else:
             resolved[key] = default
     return resolved
@@ -199,20 +199,8 @@ def cmd_build_index(args) -> int:
 
 def cmd_train(args) -> int:
     started = time.perf_counter()
-    settings = _settings(
-        args,
-        {
-            "iterations": 2,
-            "samples": 4,
-            "topk_sampling": 4,
-            "init": "importance",
-            "epochs": 10,
-            "lr": 0.5,
-            "seed": 0,
-            "beam_eval": 10,
-            "val_fraction": 0.2,
-        },
-    )
+    defaults = {f.name: f.default for f in dataclasses.fields(TrainingConfig)}
+    settings = _settings(args, {**defaults, "val_fraction": 0.2})
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries)
     judgments = load_judgments(args.qrels, corpus)
@@ -277,22 +265,14 @@ def cmd_search(args) -> int:
     check_compatible(scorer, index)
     queries = load_queries(args.queries)
     beam = args.beam if args.beam is not None else 100
-
-    def run_one(query):
-        return search(query, index, scorer, beam)
-
-    if args.threads and args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            results = list(pool.map(run_one, queries))
-    else:
-        results = [run_one(q) for q in queries]
+    results = [search(q, index, scorer, beam) for q in queries]
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_run_file(results, out_path, tag=args.tag)
     _write_manifest(
         "search",
         args,
-        {"beam": beam, "tag": args.tag, "threads": args.threads or 1},
+        {"beam": beam, "tag": args.tag},
         [args.index, args.scorer, args.queries],
         [out_path],
         started,
@@ -378,13 +358,12 @@ def _build_parser() -> _Parser:
                      description="Generative retrieval with term-set identifiers")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def seeded(p):
         p.add_argument("--config", help="flat key = value config file")
         p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--threads", type=int, default=1)
 
     p = sub.add_parser("build-terms", help="train term importance and emit identifiers")
-    common(p)
+    seeded(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
@@ -398,13 +377,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_build_terms)
 
     p = sub.add_parser("build-index", help="build the prefix-postings index")
-    common(p)
     p.add_argument("--identifiers", required=True)
     p.add_argument("--output", required=True)
     p.set_defaults(func=cmd_build_index)
 
     p = sub.add_parser("train", help="likelihood-adapted scorer training")
-    common(p)
+    seeded(p)
     p.add_argument("--corpus", required=True)
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
@@ -424,7 +402,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("search", help="decode queries into a ranked run file")
-    common(p)
     p.add_argument("--index", required=True)
     p.add_argument("--scorer", required=True)
     p.add_argument("--queries", required=True)
@@ -434,7 +411,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("evaluate", help="score a run file against judgments")
-    common(p)
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--cutoffs", default="1,10,100")
@@ -442,7 +418,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_evaluate)
 
     p = sub.add_parser("ablate", help="term-set vs fixed-sequence identifier comparison")
-    common(p)
     p.add_argument("--index", required=True)
     p.add_argument("--scorer", required=True)
     p.add_argument("--queries", required=True)
@@ -453,7 +428,6 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=cmd_ablate)
 
     p = sub.add_parser("bench", help="memory and latency per beam size")
-    common(p)
     p.add_argument("--index", required=True)
     p.add_argument("--scorer", required=True)
     p.add_argument("--queries", required=True)
@@ -471,7 +445,7 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except DataError as exc:
+    except (DataError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

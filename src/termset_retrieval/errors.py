@@ -7,3 +7,11 @@ class DataError(ValueError):
 
 class InvariantError(RuntimeError):
     """An internal invariant was violated; indicates a bug, not bad input."""
+
+
+def parse_values(convert, texts, what: str) -> list:
+    """Apply `convert` to each text, reporting a failure as DataError about `what`."""
+    try:
+        return [convert(text) for text in texts]
+    except ValueError as exc:
+        raise DataError(f"{what} {' '.join(texts)!r} is not a valid {convert.__name__}") from exc

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .corpus import Corpus, CorpusStats, Document, Query, TrainingPair
-from .errors import DataError, InvariantError
+from .errors import DataError, InvariantError, parse_values
 
 PLACEHOLDER_MARK = "⟂"  # prepended to synthetic per-document filler terms
 
@@ -415,17 +415,26 @@ def save_model(model: ImportanceModel, path) -> None:
 
 def load_model(path, embedding_table: dict[str, np.ndarray] | None = None) -> ImportanceModel:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = fh.read().splitlines()
     if not lines or lines[0] != _MODEL_FORMAT:
         raise DataError(f"{path}: not a {_MODEL_FORMAT} file")
     fields = {}
     features: list[tuple[str, float]] = []
-    for line in lines[1:]:
-        parts = line.split("\t")
-        if parts[0] == "feature":
-            features.append((parts[1], float(parts[2])))
+    tau = None
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        key, tab, value = line.partition("\t")
+        if not tab:
+            raise DataError(f"{path}:{lineno}: model line is not 'key<TAB>value'")
+        if key == "feature":
+            name, _, weight = value.partition("\t")
+            (weight,) = parse_values(float, [weight], f"{path}:{lineno}: feature weight")
+            features.append((name, weight))
+        elif key == "tau":
+            (tau,) = parse_values(float, [value], f"{path}:{lineno}: tau")
         else:
-            fields[parts[0]] = parts[1]
+            fields[key] = value
     schema = fields.get("schema", "")
     if schema == TfidfFeaturizer.schema:
         featurizer = TfidfFeaturizer()
@@ -437,8 +446,10 @@ def load_model(path, embedding_table: dict[str, np.ndarray] | None = None) -> Im
         raise DataError(f"{path}: unknown feature schema {schema!r}")
     if tuple(name for name, _ in features) != tuple(featurizer.names):
         raise DataError(f"{path}: feature names do not match schema {schema}")
+    if tau is None:
+        raise DataError(f"{path}: missing 'tau' line")
     weights = np.array([value for _, value in features])
-    return ImportanceModel(weights, float(fields["tau"]), featurizer)
+    return ImportanceModel(weights, tau, featurizer)
 
 
 def write_identifier_file(table: IdentifierTable, path) -> None:
@@ -451,15 +462,17 @@ def write_identifier_file(table: IdentifierTable, path) -> None:
 
 def read_identifier_file(path) -> IdentifierTable:
     with open(path, encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
+        lines = fh.read().splitlines()
     if not lines or not lines[0].startswith(_IDENTIFIER_FORMAT):
         raise DataError(f"{path}: not a {_IDENTIFIER_FORMAT} file")
     header = lines[0].split("\t")
     if len(header) != 2:
         raise DataError(f"{path}: malformed identifier header")
-    n = int(header[1])
+    (n,) = parse_values(int, [header[1]], f"{path}:1: identifier size")
     terms_by_doc: dict[str, list[str]] = {}
     for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
         parts = line.split("\t")
         if len(parts) != 2:
             raise DataError(f"{path}: malformed identifier line {lineno}")

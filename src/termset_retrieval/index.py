@@ -114,14 +114,13 @@ class Index:
 
 
 class PrefixNode:
-    """One generated prefix: its surviving postings and cached child extensions."""
+    """One generated prefix and the documents whose identifiers contain it."""
 
     def __init__(self, index: Index, prefix_ids: tuple[int, ...], postings: np.ndarray):
         self.index = index
         self.prefix_ids = prefix_ids
         self.postings = postings
         self._expansion: Expansion | None = None
-        self._children: dict[int, np.ndarray] = {}
 
     @property
     def depth(self) -> int:
@@ -150,23 +149,23 @@ class PrefixNode:
         return self.expansion().terms
 
     def child_sizes(self, candidates: np.ndarray) -> np.ndarray:
-        return _lookup_sizes(self, candidates)
-
-    def child_postings(self, term_id: int) -> np.ndarray:
-        if term_id not in self._children:
-            term_docs = self.index.postings[term_id]
-            if self.depth == 0:
-                self._children[term_id] = term_docs
-            else:
-                self._children[term_id] = np.intersect1d(
-                    self.postings, term_docs, assume_unique=True
-                )
-        return self._children[term_id]
+        """Child sizes of `candidates`, each of which must be feasible here."""
+        terms, sizes, _ = self.expansion()
+        candidates = np.asarray(candidates)
+        pos = np.searchsorted(terms, candidates)
+        found = pos < len(terms)
+        found[found] = terms[pos[found]] == candidates[found]
+        if not found.all():
+            bad = int(candidates[np.argmin(found)])
+            raise DataError(f"term id {bad} is not feasible after prefix {self.prefix_ids}")
+        return sizes[pos]
 
     def extend(self, term_id: int) -> "PrefixNode":
         if term_id in self.prefix_ids:
             raise DataError(f"term id {term_id} already generated in this prefix")
-        child = self.child_postings(term_id)
+        child = self.index.postings[term_id]
+        if self.depth > 0:
+            child = np.intersect1d(self.postings, child, assume_unique=True)
         if len(child) == 0:
             term = self.index.dictionary.term_of(term_id)
             raise DataError(f"term {term!r} is not feasible after prefix {self.prefix_ids}")
@@ -180,19 +179,6 @@ class PrefixNode:
                 f"full-length prefix maps to {len(self.postings)} documents, expected 1"
             )
         return self.index.doc_ids[int(self.postings[0])]
-
-
-def _lookup_sizes(node, candidates) -> np.ndarray:
-    """Child sizes of `candidates`, each of which must be feasible at `node`."""
-    terms, sizes, _ = node.expansion()
-    candidates = np.asarray(candidates)
-    pos = np.searchsorted(terms, candidates)
-    found = pos < len(terms)
-    found[found] = terms[pos[found]] == candidates[found]
-    if not found.all():
-        bad = int(candidates[np.argmin(found)])
-        raise DataError(f"term id {bad} is not feasible after prefix {node.prefix_ids}")
-    return sizes[pos]
 
 
 def _strictly_ascending(items) -> bool:
@@ -249,18 +235,12 @@ class SequenceView:
         return SequenceNode(self, (), self.index.all_docs)
 
 
-class SequenceNode:
-    def __init__(self, view: SequenceView, prefix_ids: tuple[int, ...], postings: np.ndarray):
-        self.view = view
-        self.index = view.index
-        self.prefix_ids = prefix_ids
-        self.postings = postings
-        self._expansion: Expansion | None = None
-        self._children: dict[int, np.ndarray] = {}
+class SequenceNode(PrefixNode):
+    """A prefix of the stored sequences: only the next stored term may follow."""
 
-    @property
-    def depth(self) -> int:
-        return len(self.prefix_ids)
+    def __init__(self, view: SequenceView, prefix_ids: tuple[int, ...], postings: np.ndarray):
+        super().__init__(view.index, prefix_ids, postings)
+        self.view = view
 
     def expansion(self) -> Expansion:
         if self._expansion is None:
@@ -270,33 +250,12 @@ class SequenceNode:
             self._expansion = Expansion(terms, sizes, self.postings[first])
         return self._expansion
 
-    def feasible_terms(self) -> np.ndarray:
-        return self.expansion().terms
-
-    def child_sizes(self, candidates: np.ndarray) -> np.ndarray:
-        return _lookup_sizes(self, candidates)
-
-    def child_postings(self, term_id: int) -> np.ndarray:
-        if term_id not in self._children:
-            mask = self.index.order[self.postings, self.depth] == term_id
-            self._children[term_id] = self.postings[mask]
-        return self._children[term_id]
-
     def extend(self, term_id: int) -> "SequenceNode":
-        child = self.child_postings(term_id)
+        child = self.postings[self.index.order[self.postings, self.depth] == term_id]
         if len(child) == 0:
             term = self.index.dictionary.term_of(term_id)
             raise DataError(f"term {term!r} does not continue any stored sequence")
         return SequenceNode(self.view, self.prefix_ids + (term_id,), child)
-
-    def complete_doc(self) -> str | None:
-        if self.depth < self.index.n:
-            return None
-        if len(self.postings) != 1:
-            raise InvariantError(
-                f"full-length sequence maps to {len(self.postings)} documents, expected 1"
-            )
-        return self.index.doc_ids[int(self.postings[0])]
 
 
 # ---------------------------------------------------------------------------

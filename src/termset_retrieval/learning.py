@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,20 +45,9 @@ class TrainingConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "TrainingConfig":
-        kwargs = {}
-        for key, cast in (
-            ("iterations", int),
-            ("samples", int),
-            ("topk_sampling", int),
-            ("init", str),
-            ("epochs", int),
-            ("lr", float),
-            ("seed", int),
-            ("beam_eval", int),
-        ):
-            if key in mapping:
-                kwargs[key] = cast(mapping[key])
-        return cls(**kwargs)
+        return cls(
+            **{f.name: type(f.default)(mapping[f.name]) for f in fields(cls) if f.name in mapping}
+        )
 
 
 @dataclass
@@ -146,9 +135,9 @@ def init_permutation(
     """Initial target ordering of a document's identifier terms.
 
     importance: the stored importance-descending order. random: a seeded
-    shuffle (stable per document). likelihood: greedy argmax rollout of the
-    supplied scorer over the remaining identifier terms, ties falling back
-    to the stored order.
+    shuffle (stable per document). likelihood: the greedy rollout of
+    sample_permutations with topk=1 under the supplied scorer, ties falling
+    back to the stored order.
     """
     ordered = [int(t) for t in index.identifier_ids(doc_id, ordered=True)]
     if policy == "importance":
@@ -159,17 +148,7 @@ def init_permutation(
     if policy == "likelihood":
         if scorer is None:
             raise DataError("likelihood initialization requires a scorer")
-        query = query or Query("", "", [])
-        node = index.root()
-        remaining = list(ordered)
-        out = []
-        while remaining:
-            logprobs = scorer.step_logprob(query, node, np.array(remaining))
-            pick = remaining[int(np.argmax(logprobs))]
-            out.append(pick)
-            remaining.remove(pick)
-            node = node.extend(pick)
-        return tuple(out)
+        return sample_permutations(query or Query("", "", []), doc_id, index, scorer, 1, 1)[0]
     raise DataError(f"unknown init policy {policy!r}")
 
 

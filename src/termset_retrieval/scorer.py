@@ -15,7 +15,7 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .corpus import Corpus, CorpusStats, Query
-from .errors import DataError
+from .errors import DataError, parse_values
 from .importance import ImportanceModel, score_terms
 from .index import Index
 
@@ -171,21 +171,13 @@ class FeatureScorer(Scorer):
         total_loss = 0.0
         grad = np.zeros_like(self.weights)
         for query, target in batch:
-            node = searchable.root()
-            for term_id in target:
-                candidates = node.feasible_terms()
-                pos = int(np.searchsorted(candidates, term_id))
-                if pos >= len(candidates) or candidates[pos] != term_id:
-                    raise DataError(
-                        f"target term id {term_id} infeasible at prefix {node.prefix_ids}"
-                    )
+            for node, candidates, pos in _teacher_walk(searchable, target):
                 feats = self.step_features(query, node, candidates)
                 scores = feats @ self.weights
                 logprobs = scores - _logsumexp(scores)
                 total_loss -= logprobs[pos]
                 probs = np.exp(logprobs)
                 grad += probs @ feats - feats[pos]
-                node = node.extend(int(term_id))
         return total_loss / len(batch), grad / len(batch)
 
     def train_step(self, batch, searchable, lr: float) -> float:
@@ -202,17 +194,27 @@ def _logsumexp(scores: np.ndarray) -> float:
     return m + math.log(np.exp(scores - m).sum())
 
 
-def sequence_logprob(scorer: Scorer, query: Query, term_ids, searchable) -> float:
-    """Sum of step log-probabilities along a valid identifier prefix."""
+def _teacher_walk(searchable, term_ids):
+    """Walk `term_ids` from the root, yielding each step before taking it.
+
+    Yields (node, feasible terms at node, position of the next term among
+    them); a term that is not feasible raises DataError.
+    """
     node = searchable.root()
-    total = 0.0
     for term_id in term_ids:
         candidates = node.feasible_terms()
         pos = int(np.searchsorted(candidates, term_id))
         if pos >= len(candidates) or candidates[pos] != term_id:
             raise DataError(f"term id {int(term_id)} infeasible at prefix {node.prefix_ids}")
-        total += float(scorer.step_logprob(query, node, candidates)[pos])
+        yield node, candidates, pos
         node = node.extend(int(term_id))
+
+
+def sequence_logprob(scorer: Scorer, query: Query, term_ids, searchable) -> float:
+    """Sum of step log-probabilities along a valid identifier prefix."""
+    total = 0.0
+    for node, candidates, pos in _teacher_walk(searchable, term_ids):
+        total += float(scorer.step_logprob(query, node, candidates)[pos])
     return total
 
 
@@ -261,9 +263,9 @@ def load_scorer(path) -> FeatureScorer:
     if value != " ".join(STEP_FEATURES):
         raise DataError(f"{path}:{lineno}: unexpected step-feature schema")
     lineno, value = header["weights"]
-    weights = np.array(_parse(float, value.split(" "), f"{path}:{lineno}: step weights"))
+    weights = np.array(parse_values(float, value.split(" "), f"{path}:{lineno}: step weights"))
     lineno, value = header["terms"]
-    (count,) = _parse(int, [value], f"{path}:{lineno}: term count")
+    (count,) = parse_values(int, [value], f"{path}:{lineno}: term count")
     terms, term_weights = [], []
     for lineno, line in enumerate(lines[4:], start=5):
         if not line:
@@ -272,17 +274,10 @@ def load_scorer(path) -> FeatureScorer:
         if not tab:
             raise DataError(f"{path}:{lineno}: term line is not 'term<TAB>weight'")
         terms.append(term)
-        term_weights.extend(_parse(float, [weight], f"{path}:{lineno}: term weight"))
+        term_weights.extend(parse_values(float, [weight], f"{path}:{lineno}: term weight"))
     if len(terms) != count:
         raise DataError(f"{path}: vocabulary count mismatch")
     return FeatureScorer(weights, terms, np.array(term_weights))
-
-
-def _parse(convert, texts, what: str) -> list:
-    try:
-        return [convert(text) for text in texts]
-    except ValueError as exc:
-        raise DataError(f"{what} {' '.join(texts)!r} is not a valid {convert.__name__}") from exc
 
 
 def check_compatible(scorer: FeatureScorer, index: Index) -> None:

@@ -9,6 +9,8 @@ registries for index/decoder oracles at any scale.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .corpus import Corpus, Document, Judgments, Query
@@ -103,6 +105,12 @@ def make_random_identifiers(
     """Random registry of unique n-term identifiers over a synthetic vocabulary."""
     if vocab_size < n:
         raise DataError(f"vocabulary of {vocab_size} cannot fill identifiers of size {n}")
+    capacity = math.comb(vocab_size, n)
+    if num_docs > capacity:
+        raise DataError(
+            f"only {capacity} distinct {n}-term identifiers exist over {vocab_size} terms, "
+            f"{num_docs} requested"
+        )
     rng = np.random.default_rng(seed)
     width = len(str(vocab_size - 1))
     terms_by_doc: dict[str, list[str]] = {}

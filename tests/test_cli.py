@@ -10,6 +10,10 @@ from termset_retrieval.cli import main, parse_config_file, rerun_from_manifest
 DATA = Path(__file__).resolve().parent.parent / "src" / "termset_retrieval" / "data"
 
 
+TRAIN = ["train", "--corpus", DATA / "toy_corpus.jsonl", "--queries", DATA / "toy_queries.jsonl",
+         "--qrels", DATA / "toy_qrels.tsv"]
+
+
 def invoke(*argv):
     return main([str(a) for a in argv])
 
@@ -107,17 +111,6 @@ class TestPipeline:
         n_queries = len((DATA / "toy_queries.jsonl").read_text(encoding="utf-8").splitlines())
         assert len(lines) == n_queries
 
-    def test_threaded_search_matches_serial(self, pipeline, tmp_path):
-        serial = tmp_path / "serial.txt"
-        threaded = tmp_path / "threaded.txt"
-        for out, threads in ((serial, "1"), (threaded, "4")):
-            rc = invoke("search", "--index", pipeline / "index.txt",
-                        "--scorer", pipeline / "train/scorer.txt",
-                        "--queries", DATA / "toy_queries.jsonl",
-                        "--output", out, "--beam", "5", "--threads", threads)
-            assert rc == 0
-        assert serial.read_bytes() == threaded.read_bytes()
-
 
 class TestErrors:
     def test_usage_error_exit_code(self, capsys):
@@ -154,6 +147,35 @@ class TestErrors:
                     "--scorer", pipeline / "train/scorer.txt",
                     "--queries", DATA / "toy_queries.jsonl", "--output", tmp_path / "r.txt")
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "name, text, argv, where",
+        [
+            ("ids.tsv", "termset-identifiers/1\tx\n",
+             ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
+             "ids.tsv:1: identifier size 'x'"),
+            ("bad.model", "termset-importance/1\nschema\n",
+             [*TRAIN, "--index", "{index}", "--model", "{file}", "--output-dir", "{tmp}/out"],
+             "bad.model:2: model line"),
+            ("bad.cfg", "iterations = abc\n",
+             [*TRAIN, "--index", "{index}", "--config", "{file}", "--output-dir", "{tmp}/out"],
+             "bad.cfg: iterations 'abc' is not a valid int"),
+            ("absent.txt", None,
+             ["evaluate", "--run", "{file}", "--qrels", DATA / "toy_qrels.tsv",
+              "--output-dir", "{tmp}/out"],
+             "absent.txt"),
+        ],
+        ids=["identifier-size", "model-line", "config-value", "missing-run"],
+    )
+    def test_malformed_input_is_data_error(self, tmp_path, capsys, name, text, argv, where):
+        ids = tmp_path / "index-ids.tsv"
+        ids.write_text("termset-identifiers/1\t2\nzz\talpha,omega\n", encoding="utf-8")
+        assert invoke("build-index", "--identifiers", ids, "--output", tmp_path / "index.txt") == 0
+        if text is not None:
+            (tmp_path / name).write_text(text, encoding="utf-8")
+        paths = {"file": tmp_path / name, "tmp": tmp_path, "index": tmp_path / "index.txt"}
+        assert invoke(*(str(a).format(**paths) for a in argv)) == 2
+        assert where in capsys.readouterr().err
 
     def test_duplicate_docs_warning_and_placeholder(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"

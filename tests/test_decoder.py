@@ -71,7 +71,7 @@ def _extension_order(searchable):
 
     def key(ext):
         hyp, term_id, ll = ext
-        child = hyp.node.child_postings(term_id)
+        child = hyp.node.extend(term_id).postings
         return (-ll, doc_ids[int(child[0])], hyp.term_ids + (term_id,))
 
     return key

@@ -111,6 +111,11 @@ class TestFeasibleOracle:
             assert len(node.feasible_terms()) == 0
             assert node.complete_doc() == doc_id
 
+    def test_random_registry_refuses_more_docs_than_distinct_sets(self):
+        assert len(make_random_identifiers(10, 5, 3).terms_by_doc) == math.comb(5, 3)
+        with pytest.raises(DataError, match="only 10 distinct"):
+            make_random_identifiers(11, 5, 3)
+
 
 @st.composite
 def registry_and_prefix(draw):
