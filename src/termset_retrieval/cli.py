@@ -18,7 +18,7 @@ import sys
 import time
 from pathlib import Path
 
-from . import __version__
+from . import __version__, atomic
 from .corpus import Query, load_corpus, load_judgments, load_queries, sample_negatives
 from .decoder import search, write_run_file
 from .errors import DataError, InvariantError, parse_values
@@ -47,6 +47,16 @@ class _Parser(argparse.ArgumentParser):
         self.print_usage(sys.stderr)
         print(f"error: {message}", file=sys.stderr)
         raise SystemExit(1)
+
+
+def _int_list(text: str) -> tuple[int, ...]:
+    """Parse a comma-separated list of integers, such as "1,10,100"."""
+    try:
+        return tuple(int(item) for item in text.split(","))
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected comma-separated integers, got {text!r}"
+        ) from None
 
 
 def _sha256(path) -> str:
@@ -98,9 +108,7 @@ def _write_manifest(command: str, args, settings: dict, inputs, outputs, started
         "outputs": {str(p): _sha256(p) for p in outputs},
         "wall_time_s": round(time.perf_counter() - started, 6),
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    atomic.write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
     return manifest
 
 
@@ -114,9 +122,7 @@ def rerun_from_manifest(manifest_path):
 
 
 def _write_records(records: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    atomic.write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
 # ---------------------------------------------------------------------------
@@ -248,12 +254,15 @@ def _load_pseudo_pairs(path) -> list[tuple[Query, str]]:
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: pseudo pair is not valid JSON") from exc
+            if not isinstance(rec, dict):
+                raise DataError(f"{path}:{lineno}: pseudo pair is not a JSON object")
             missing = [k for k in ("query_id", "text", "doc_id") if k not in rec]
             if missing:
-                raise DataError(
-                    f"{path}: pseudo pair at line {lineno} missing {', '.join(missing)}"
-                )
+                raise DataError(f"{path}:{lineno}: pseudo pair missing {', '.join(missing)}")
             pairs.append((Query.from_text(str(rec["query_id"]), str(rec["text"])), str(rec["doc_id"])))
     return pairs
 
@@ -285,8 +294,7 @@ def cmd_search(args) -> int:
 def cmd_evaluate(args) -> int:
     started = time.perf_counter()
     judgments = load_judgments(args.qrels)
-    cutoffs = tuple(int(k) for k in args.cutoffs.split(","))
-    report = evaluate_run(args.run, judgments, cutoffs)
+    report = evaluate_run(args.run, judgments, args.cutoffs)
     if report.unknown_run_queries:
         print(f"warning: skipped {report.unknown_run_queries} run query id(s) "
               "absent from the judgments", file=sys.stderr)
@@ -297,9 +305,9 @@ def cmd_evaluate(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "report.txt"
     records_path = out_dir / "report.jsonl"
-    table_path.write_text(report.format_table() + "\n", encoding="utf-8")
+    atomic.write_text(table_path, report.format_table() + "\n")
     _write_records(report.to_records(), records_path)
-    _write_manifest("evaluate", args, {"cutoffs": list(cutoffs)}, [args.run, args.qrels],
+    _write_manifest("evaluate", args, {"cutoffs": list(args.cutoffs)}, [args.run, args.qrels],
                     [table_path, records_path], started, out_dir / "evaluate.manifest.json")
     print(report.format_table())
     return 0
@@ -312,15 +320,14 @@ def cmd_ablate(args) -> int:
     check_compatible(scorer, index)
     queries = load_queries(args.queries)
     judgments = load_judgments(args.qrels)
-    cutoffs = tuple(int(k) for k in args.cutoffs.split(","))
-    report = ablate_identifier_scheme(index, scorer, queries, judgments, args.beam, cutoffs)
+    report = ablate_identifier_scheme(index, scorer, queries, judgments, args.beam, args.cutoffs)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "ablation.txt"
     records_path = out_dir / "ablation.jsonl"
-    table_path.write_text(report.format_table() + "\n", encoding="utf-8")
+    atomic.write_text(table_path, report.format_table() + "\n")
     _write_records(report.to_records(), records_path)
-    _write_manifest("ablate", args, {"beam": args.beam, "cutoffs": list(cutoffs)},
+    _write_manifest("ablate", args, {"beam": args.beam, "cutoffs": list(args.cutoffs)},
                     [args.index, args.scorer, args.queries, args.qrels],
                     [table_path, records_path], started, out_dir / "ablate.manifest.json")
     print(report.format_table())
@@ -333,15 +340,14 @@ def cmd_bench(args) -> int:
     scorer = load_scorer(args.scorer)
     check_compatible(scorer, index)
     queries = load_queries(args.queries)
-    beams = tuple(int(b) for b in args.beams.split(","))
-    report = efficiency_report(index, scorer, queries, beams)
+    report = efficiency_report(index, scorer, queries, args.beams)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     table_path = out_dir / "efficiency.txt"
     records_path = out_dir / "efficiency.jsonl"
-    table_path.write_text(report.format_table() + "\n", encoding="utf-8")
+    atomic.write_text(table_path, report.format_table() + "\n")
     _write_records(report.to_records(), records_path)
-    _write_manifest("bench", args, {"beams": list(beams)},
+    _write_manifest("bench", args, {"beams": list(args.beams)},
                     [args.index, args.scorer, args.queries],
                     [table_path, records_path], started, out_dir / "bench.manifest.json")
     print(report.format_table())
@@ -413,7 +419,7 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("evaluate", help="score a run file against judgments")
     p.add_argument("--run", required=True)
     p.add_argument("--qrels", required=True)
-    p.add_argument("--cutoffs", default="1,10,100")
+    p.add_argument("--cutoffs", type=_int_list, default="1,10,100")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_evaluate)
 
@@ -423,7 +429,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--queries", required=True)
     p.add_argument("--qrels", required=True)
     p.add_argument("--beam", type=int, default=10)
-    p.add_argument("--cutoffs", default="10")
+    p.add_argument("--cutoffs", type=_int_list, default="10")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_ablate)
 
@@ -431,7 +437,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--index", required=True)
     p.add_argument("--scorer", required=True)
     p.add_argument("--queries", required=True)
-    p.add_argument("--beams", default="10,100")
+    p.add_argument("--beams", type=_int_list, default="10,100")
     p.add_argument("--output-dir", required=True)
     p.set_defaults(func=cmd_bench)
 

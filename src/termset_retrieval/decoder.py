@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import atomic
 from .corpus import Query
 from .errors import DataError, InvariantError
 from .scorer import Scorer, sequence_logprob
@@ -62,34 +63,34 @@ def constrained_beam_search(
 ) -> list[Hypothesis]:
     """Run N constrained decoding steps and return the completed hypotheses.
 
-    `searchable` is an index-like object exposing root(), n, doc_ids and a
-    dictionary, whose nodes expose expansion() and extend(); beam_size=None
-    keeps every valid extension (exhaustive). With dedupe_sets, order
-    variants of the same prefix set collapse to their best-scoring member
-    before the top-K cut; by default they stay distinct because
-    position-aware scorers rate them differently.
+    `searchable` is an index-like object exposing root(), node(), expand(),
+    n, doc_ids and a dictionary; beam_size=None keeps every valid extension
+    (exhaustive). With dedupe_sets, order variants of the same prefix set
+    collapse to their best-scoring member before the top-K cut; by default
+    they stay distinct because position-aware scorers rate them differently.
 
-    Each step scores the whole beam at once and ranks its extensions with
-    one lexsort. The tie rule is likelihood desc, then leading child doc,
-    then the extended sequence: doc positions follow sorted doc ids and
-    term ids follow sorted terms, so positions and ids order exactly as the
-    strings do.
+    The beam is held as arrays: one row of term ids per hypothesis and its
+    postings as CSR (flat doc positions plus offsets). Each step expands
+    the whole beam with one sort (`expand`), scores it with one
+    `step_logprobs` call and ranks its extensions with one lexsort. The tie
+    rule is likelihood desc, then leading child doc, then the extended
+    sequence: doc positions follow sorted doc ids and term ids follow
+    sorted terms, so positions and ids order exactly as the strings do.
+    Prefix nodes are built for the completed hypotheses only.
     """
     if beam_size is not None and beam_size < 1:
         raise DataError(f"beam size must be >= 1, got {beam_size}")
-    nodes = [searchable.root()]
+    docs = searchable.root().postings
+    ptr = np.array([0, len(docs)])
     seqs = np.empty((1, 0), dtype=np.int64)  # one row of term ids per hypothesis
     lls = np.zeros(1)
     rank = np.zeros(1, dtype=np.int64)  # place of each sequence in lexicographic order
     for _ in range(searchable.n):
-        expansions = [node.expansion() for node in nodes]
-        counts = [len(exp.terms) for exp in expansions]
-        parents = np.repeat(np.arange(len(nodes)), counts)
-        terms = np.concatenate([exp.terms for exp in expansions])
-        leads = np.concatenate([exp.leads for exp in expansions])
-        step_ll = lls[parents] + scorer.step_logprobs(query, nodes, expansions)
+        step = searchable.expand(seqs, docs, ptr)
+        parents, terms = step.parents, step.terms
+        step_ll = lls[parents] + scorer.step_logprobs(query, step)
         parent_rank = rank[parents]
-        order = np.lexsort((terms, parent_rank, leads, -step_ll))
+        order = np.lexsort((terms, parent_rank, step.leads, -step_ll))
         if dedupe_sets:
             sets = np.sort(np.column_stack([seqs[parents[order]], terms[order]]), axis=1)
             _, first = np.unique(sets, axis=0, return_index=True)
@@ -97,14 +98,14 @@ def constrained_beam_search(
         if beam_size is not None:
             order = order[:beam_size]
         kept_parents, kept_terms = parents[order], terms[order]
-        nodes = [nodes[p].extend(int(t)) for p, t in zip(kept_parents, kept_terms)]
+        docs, ptr = step.children(order)
         seqs = np.column_stack([seqs[kept_parents], kept_terms])
         lls = step_ll[order]
         rank = np.empty(len(order), dtype=np.int64)
         rank[np.lexsort((kept_terms, parent_rank[order]))] = np.arange(len(order))
     return [
-        Hypothesis(tuple(int(t) for t in seq), float(ll), node)
-        for seq, ll, node in zip(seqs, lls, nodes)
+        Hypothesis(term_ids, float(ll), searchable.node(term_ids, docs[ptr[h] : ptr[h + 1]]))
+        for h, (term_ids, ll) in enumerate(zip(map(tuple, seqs.tolist()), lls))
     ]
 
 
@@ -178,5 +179,4 @@ def format_run_lines(results: list[SearchResult], tag: str = "termset") -> list[
 
 def write_run_file(results: list[SearchResult], path, tag: str = "termset") -> None:
     lines = format_run_lines(results, tag)
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + ("\n" if lines else ""))
+    atomic.write_text(path, "\n".join(lines) + ("\n" if lines else ""))

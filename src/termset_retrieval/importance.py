@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import atomic
 from .corpus import Corpus, CorpusStats, Document, Query, TrainingPair
 from .errors import DataError, InvariantError, parse_values
 
@@ -409,8 +410,7 @@ def save_model(model: ImportanceModel, path) -> None:
     lines = [_MODEL_FORMAT, f"schema\t{model.featurizer.schema}", f"tau\t{model.tau!r}"]
     for name, value in zip(model.featurizer.names, model.weights):
         lines.append(f"feature\t{name}\t{float(value)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic.write_text(path, "\n".join(lines) + "\n")
 
 
 def load_model(path, embedding_table: dict[str, np.ndarray] | None = None) -> ImportanceModel:
@@ -456,8 +456,7 @@ def write_identifier_file(table: IdentifierTable, path) -> None:
     lines = [f"{_IDENTIFIER_FORMAT}\t{table.n}"]
     for doc_id in table.doc_ids:
         lines.append(f"{doc_id}\t{','.join(table.terms_by_doc[doc_id])}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic.write_text(path, "\n".join(lines) + "\n")
 
 
 def read_identifier_file(path) -> IdentifierTable:

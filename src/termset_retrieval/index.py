@@ -9,10 +9,13 @@ remaining identifier terms.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
+from . import atomic
 from .errors import DataError, InvariantError
 from .importance import IdentifierTable
 
@@ -42,7 +45,7 @@ class TermDictionary:
 
 
 class Expansion(NamedTuple):
-    """Every one-term extension of a prefix, aligned by position.
+    """Every one-term extension of one prefix, aligned by position.
 
     terms: feasible term ids, ascending. sizes: documents left after
     appending each term. leads: the first (lowest) such document position.
@@ -51,6 +54,86 @@ class Expansion(NamedTuple):
     terms: np.ndarray
     sizes: np.ndarray
     leads: np.ndarray
+
+
+@dataclass
+class Step:
+    """Every one-term extension of a whole beam of equal-depth prefixes.
+
+    The beam: row h of `seqs` is hypothesis h's prefix, held by documents
+    beam_docs[beam_ptr[h]:beam_ptr[h + 1]] (ascending). Extensions are
+    ordered by (parent, term): `parents` and `terms` name them, `sizes`
+    count their child documents, `leads` hold the lowest child document,
+    and extension i's child postings are run_docs[starts[i]:][:sizes[i]],
+    ascending. `offsets[h]:offsets[h + 1]` are hypothesis h's extensions.
+    """
+
+    searchable: object
+    seqs: np.ndarray
+    beam_docs: np.ndarray
+    beam_ptr: np.ndarray
+    parents: np.ndarray
+    terms: np.ndarray
+    sizes: np.ndarray
+    leads: np.ndarray
+    run_docs: np.ndarray
+    starts: np.ndarray
+
+    @cached_property
+    def offsets(self) -> np.ndarray:
+        return np.searchsorted(self.parents, np.arange(len(self.seqs) + 1))
+
+    @property
+    def depth(self) -> int:
+        return self.seqs.shape[1]
+
+    @property
+    def n(self) -> int:
+        return self.searchable.n
+
+    def nodes(self) -> list["PrefixNode"]:
+        """One prefix node per beam hypothesis; built on request only."""
+        ptr = self.beam_ptr
+        return [
+            self.searchable.node(prefix, self.beam_docs[ptr[h] : ptr[h + 1]])
+            for h, prefix in enumerate(map(tuple, self.seqs.tolist()))
+        ]
+
+    def children(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Child postings of extensions `picks`, as flat docs and offsets."""
+        sizes = self.sizes[picks]
+        ptr = np.zeros(len(picks) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=ptr[1:])
+        gather = np.repeat(self.starts[picks] - ptr[:-1], sizes) + np.arange(ptr[-1])
+        return self.run_docs[gather], ptr
+
+
+def _expand(searchable, seqs, docs, ptr, columns) -> Step:
+    """One stable sort over the beam's (hypothesis, term) keys.
+
+    `columns[i]` holds the terms that may follow the prefix for document
+    docs[i]. Each run of equal keys is one extension: its length is the
+    child size, and since the sort is stable and each hypothesis's docs
+    ascend, the run lists the child postings in order, lead first. Terms
+    already in the hypothesis's own prefix are dropped.
+    """
+    vocab, width = len(searchable.dictionary), columns.shape[1]
+    offsets = (np.arange(len(seqs)) * vocab).repeat(ptr[1:] - ptr[:-1])
+    keys = (columns + offsets[:, None]).ravel()
+    sort = keys.argsort(kind="stable")
+    keys = keys[sort]
+    run_docs = docs.repeat(width)[sort]
+    edges = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    bounds = edges.nonzero()[0]  # run starts, then the end
+    starts = bounds[:-1]
+    parents, terms = np.divmod(keys[starts], vocab)
+    keep = ~(seqs[parents] == terms[:, None]).any(axis=1)
+    starts = starts[keep]
+    return Step(
+        searchable, seqs, docs, ptr, parents[keep], terms[keep].astype(columns.dtype),
+        (bounds[1:] - bounds[:-1])[keep], run_docs[starts], run_docs, starts,
+    )
 
 
 class Index:
@@ -72,29 +155,45 @@ class Index:
         repeats = np.flatnonzero((self.sets[:, 1:] == self.sets[:, :-1]).any(axis=1))
         if len(repeats):
             raise InvariantError(f"identifier of {doc_ids[repeats[0]]} repeats a term")
-        # term-level postings: term_id -> sorted array of doc positions; the
-        # stable sort keeps each term's documents in position order
-        self.postings: list[np.ndarray] = []
+        # term-level postings as CSR: term t's documents are
+        # posting_docs[posting_ptr[t]:posting_ptr[t + 1]]; the stable sort
+        # keeps each term's documents in position order
         ids = np.repeat(np.arange(len(doc_ids), dtype=np.int32), self.n)
         flat = self.sets.ravel()
         sort = np.argsort(flat, kind="stable")
-        bounds = np.searchsorted(flat[sort], np.arange(len(dictionary) + 1))
-        for t in range(len(dictionary)):
-            self.postings.append(ids[sort[bounds[t] : bounds[t + 1]]])
-        self.posting_sizes = np.diff(bounds)
+        self.posting_docs = ids[sort]
+        self.posting_ptr = np.searchsorted(flat[sort], np.arange(len(dictionary) + 1))
+        self.posting_sizes = np.diff(self.posting_ptr)
         self.all_docs = np.arange(len(doc_ids), dtype=np.int32)
         self.root_feasible = np.flatnonzero(self.posting_sizes > 0).astype(np.int32)
-        self.root_expansion = Expansion(
-            self.root_feasible,
-            self.posting_sizes[self.root_feasible],
-            ids[sort[bounds[self.root_feasible]]],
-        )
+        # one shared root: a node is read-only apart from its expansion cache
+        self._root = PrefixNode(self, (), self.all_docs)
 
     def __len__(self):
         return len(self.doc_ids)
 
     def root(self) -> "PrefixNode":
-        return PrefixNode(self, (), self.all_docs)
+        return self._root
+
+    def node(self, prefix_ids: tuple[int, ...], postings: np.ndarray) -> "PrefixNode":
+        return PrefixNode(self, prefix_ids, postings)
+
+    def postings(self, term_id: int) -> np.ndarray:
+        return self.posting_docs[self.posting_ptr[term_id] : self.posting_ptr[term_id + 1]]
+
+    def expand(self, seqs: np.ndarray, docs: np.ndarray, ptr: np.ndarray) -> Step:
+        """Extensions of every prefix in a beam (see `Step`).
+
+        The only depth-0 beam is the root, whose children are the term postings.
+        """
+        if seqs.shape[1] == 0:
+            terms = self.root_feasible
+            starts = self.posting_ptr[terms]
+            return Step(
+                self, seqs, docs, ptr, np.zeros(len(terms), dtype=np.int64), terms,
+                self.posting_sizes[terms], self.posting_docs[starts], self.posting_docs, starts,
+            )
+        return _expand(self, seqs, docs, ptr, self.sets[docs])
 
     def doc_position(self, doc_id: str) -> int:
         return self._doc_index[doc_id]
@@ -107,7 +206,8 @@ class Index:
         return [self.dictionary.term_of(int(t)) for t in self.order[self._doc_index[doc_id]]]
 
     def memory_bytes(self) -> int:
-        arrays = self.order.nbytes + self.sets.nbytes + sum(p.nbytes for p in self.postings)
+        arrays = self.order.nbytes + self.sets.nbytes
+        arrays += self.posting_docs.nbytes + self.posting_ptr.nbytes
         strings = sum(len(t.encode("utf-8")) for t in self.dictionary.terms)
         strings += sum(len(d.encode("utf-8")) for d in self.doc_ids)
         return arrays + strings
@@ -118,6 +218,7 @@ class PrefixNode:
 
     def __init__(self, index: Index, prefix_ids: tuple[int, ...], postings: np.ndarray):
         self.index = index
+        self.searchable = index
         self.prefix_ids = prefix_ids
         self.postings = postings
         self._expansion: Expansion | None = None
@@ -127,21 +228,12 @@ class PrefixNode:
         return len(self.prefix_ids)
 
     def expansion(self) -> Expansion:
-        """Feasible terms with their child sizes and leading docs, from one unique pass."""
+        """Feasible terms with their child sizes and leading docs: a one-row `Step`."""
         if self._expansion is None:
-            if self.depth == 0:
-                self._expansion = self.index.root_expansion
-            else:
-                n = self.index.n
-                terms, first, sizes = np.unique(
-                    self.index.sets[self.postings], return_index=True, return_counts=True
-                )
-                # every surviving document holds every prefix term
-                keep = np.ones(len(terms), dtype=bool)
-                keep[np.searchsorted(terms, self.prefix_ids)] = False
-                self._expansion = Expansion(
-                    terms[keep], sizes[keep], self.postings[first[keep] // n]
-                )
+            seqs = np.array(self.prefix_ids, dtype=np.int64).reshape(1, self.depth)
+            ptr = np.array([0, len(self.postings)])
+            step = self.searchable.expand(seqs, self.postings, ptr)
+            self._expansion = Expansion(step.terms, step.sizes, step.leads)
         return self._expansion
 
     def feasible_terms(self) -> np.ndarray:
@@ -163,7 +255,7 @@ class PrefixNode:
     def extend(self, term_id: int) -> "PrefixNode":
         if term_id in self.prefix_ids:
             raise DataError(f"term id {term_id} already generated in this prefix")
-        child = self.index.postings[term_id]
+        child = self.index.postings(term_id)
         if self.depth > 0:
             child = np.intersect1d(self.postings, child, assume_unique=True)
         if len(child) == 0:
@@ -232,7 +324,15 @@ class SequenceView:
         self.doc_ids = index.doc_ids
 
     def root(self) -> "SequenceNode":
-        return SequenceNode(self, (), self.index.all_docs)
+        return self.node((), self.index.all_docs)
+
+    def node(self, prefix_ids: tuple[int, ...], postings: np.ndarray) -> "SequenceNode":
+        return SequenceNode(self, prefix_ids, postings)
+
+    def expand(self, seqs: np.ndarray, docs: np.ndarray, ptr: np.ndarray) -> Step:
+        """Extensions of every prefix in a beam: each document's next stored term."""
+        depth = seqs.shape[1]
+        return _expand(self, seqs, docs, ptr, self.index.order[docs, depth : depth + 1])
 
 
 class SequenceNode(PrefixNode):
@@ -240,22 +340,14 @@ class SequenceNode(PrefixNode):
 
     def __init__(self, view: SequenceView, prefix_ids: tuple[int, ...], postings: np.ndarray):
         super().__init__(view.index, prefix_ids, postings)
-        self.view = view
-
-    def expansion(self) -> Expansion:
-        if self._expansion is None:
-            terms, first, sizes = np.unique(
-                self.index.order[self.postings, self.depth], return_index=True, return_counts=True
-            )
-            self._expansion = Expansion(terms, sizes, self.postings[first])
-        return self._expansion
+        self.searchable = view
 
     def extend(self, term_id: int) -> "SequenceNode":
         child = self.postings[self.index.order[self.postings, self.depth] == term_id]
         if len(child) == 0:
             term = self.index.dictionary.term_of(term_id)
             raise DataError(f"term {term!r} does not continue any stored sequence")
-        return SequenceNode(self.view, self.prefix_ids + (term_id,), child)
+        return SequenceNode(self.searchable, self.prefix_ids + (term_id,), child)
 
 
 # ---------------------------------------------------------------------------
@@ -275,10 +367,10 @@ def save_index(index: Index, path) -> None:
         lines.append(f"T\t{term}")
     for doc_id, row in zip(index.doc_ids, index.order):
         lines.append(f"D\t{doc_id}\t{','.join(str(int(t)) for t in row)}")
-    for term_id, posting in enumerate(index.postings):
-        lines.append(f"P\t{term_id}\t{','.join(str(int(d)) for d in posting)}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    docs, ptr = index.posting_docs.tolist(), index.posting_ptr.tolist()
+    for term_id in range(len(index.dictionary)):
+        lines.append(f"P\t{term_id}\t{','.join(map(str, docs[ptr[term_id] : ptr[term_id + 1]]))}")
+    atomic.write_text(path, "\n".join(lines) + "\n")
 
 
 def load_index(path) -> Index:
@@ -319,6 +411,6 @@ def load_index(path) -> Index:
         raise DataError(f"{path}: identifier rows are not uniformly length {n}")
     index = Index(dictionary, doc_ids, order)
     for term_id, stored in posting_rows:
-        if not np.array_equal(index.postings[term_id], np.array(stored, dtype=np.int32)):
+        if not np.array_equal(index.postings(term_id), np.array(stored, dtype=np.int32)):
             raise DataError(f"{path}: stored postings for term {term_id} are inconsistent")
     return index

@@ -14,6 +14,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
+from . import atomic
 from .corpus import Corpus, CorpusStats, Query
 from .errors import DataError, parse_values
 from .importance import ImportanceModel, score_terms
@@ -45,17 +46,21 @@ class Scorer(ABC):
     def step_logprob(self, query: Query, node, candidates: np.ndarray) -> np.ndarray:
         """Return one log-probability per candidate term id."""
 
-    def step_logprobs(self, query: Query, nodes, expansions) -> np.ndarray:
+    def step_logprobs(self, query: Query, step) -> np.ndarray:
         """Score one decoding step of a whole beam.
 
-        `expansions[i]` is `nodes[i].expansion()`; the result concatenates,
-        node by node, one log-probability per `expansions[i].terms`. The
-        default calls step_logprob once per node; override it to batch.
+        `step` is an `index.Step`: it exposes `depth`, `n`, `parents`,
+        `terms`, `sizes` and `offsets` for every extension of the beam,
+        grouped by parent hypothesis, and builds the beam's prefix nodes on
+        request with `nodes()`. The result holds one log-probability per
+        extension, in step order. The default calls step_logprob once per
+        node; override it to batch.
         """
+        nodes, offsets = step.nodes(), step.offsets
         return np.concatenate(
             [
-                np.asarray(self.step_logprob(query, node, exp.terms), dtype=float)
-                for node, exp in zip(nodes, expansions)
+                np.asarray(self.step_logprob(query, node, step.terms[a:b]), dtype=float)
+                for node, a, b in zip(nodes, offsets[:-1], offsets[1:])
             ]
         )
 
@@ -132,30 +137,23 @@ class FeatureScorer(Scorer):
         scores = self.step_features(query, node, candidates) @ self.weights
         return scores - _logsumexp(scores)
 
-    def step_logprobs(self, query, nodes, expansions):
-        """One feature matrix for the whole beam, normalized node by node."""
-        counts = [len(exp.terms) for exp in expansions]
-        if 0 in counts:
+    def step_logprobs(self, query, step):
+        """One feature matrix for the whole beam, normalized segment by segment."""
+        counts = np.diff(step.offsets)
+        if not counts.all():
             raise DataError("empty candidate set")
-        positions = [(node.depth + 1) / node.index.n for node in nodes]
         feats = self._features(
             self._query_term_ids(query),
-            np.concatenate([exp.terms for exp in expansions]).astype(np.int64),
-            np.concatenate([exp.sizes for exp in expansions]),
-            np.repeat(positions, counts),
+            step.terms.astype(np.int64),
+            step.sizes,
+            (step.depth + 1) / step.n,
         )
         scores = feats @ self.weights
-        # Normalize each node's segment with the float operations of
+        # Each segment is normalized with the float operations of
         # step_logprob, so the batch is bit-identical to scoring node by node.
         # A one-row matmul may round a score differently from the same row in
         # a larger matrix, but a one-candidate segment normalizes to exactly 0.
-        out = np.empty_like(scores)
-        end = 0
-        for count in counts:
-            start, end = end, end + count
-            segment = scores[start:end]
-            out[start:end] = segment - _logsumexp(segment)
-        return out
+        return scores - np.repeat(_segment_logsumexp(scores, step.offsets), counts)
 
     # -- training -----------------------------------------------------------
 
@@ -192,6 +190,25 @@ class FeatureScorer(Scorer):
 def _logsumexp(scores: np.ndarray) -> float:
     m = scores.max()
     return m + math.log(np.exp(scores - m).sum())
+
+
+def _segment_logsumexp(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """`_logsumexp` of each segment scores[offsets[i]:offsets[i + 1]], bit for bit.
+
+    Max and exp act element by element, so they run over the whole array
+    at once. Summation order matters: segments of one length are stacked
+    into a C-contiguous block, whose row sums use the same pairwise
+    summation as `.sum()` on one segment (`np.add.reduceat` sums
+    sequentially and differs from length 9 on).
+    """
+    counts = np.diff(offsets)
+    m = np.maximum.reduceat(scores, offsets[:-1])
+    e = np.exp(scores - np.repeat(m, counts))
+    sums = np.empty(len(counts))
+    for length in np.unique(counts):
+        rows = np.flatnonzero(counts == length)
+        sums[rows] = e[offsets[rows, None] + np.arange(length)].sum(axis=1)
+    return m + np.array([math.log(s) for s in sums.tolist()])
 
 
 def _teacher_walk(searchable, term_ids):
@@ -241,8 +258,7 @@ def save_scorer(scorer: FeatureScorer, path) -> None:
     ]
     for term, weight in zip(scorer.terms, scorer.term_weights):
         lines.append(f"{term}\t{float(weight)!r}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic.write_text(path, "\n".join(lines) + "\n")
 
 
 def load_scorer(path) -> FeatureScorer:

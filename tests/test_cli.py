@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from termset_retrieval import atomic
 from termset_retrieval.cli import main, parse_config_file, rerun_from_manifest
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "termset_retrieval" / "data"
@@ -164,8 +165,15 @@ class TestErrors:
              ["evaluate", "--run", "{file}", "--qrels", DATA / "toy_qrels.tsv",
               "--output-dir", "{tmp}/out"],
              "absent.txt"),
+            ("pairs.jsonl", '{"query_id": "q1", "text": "a", "doc_id": "zz"}\nnot json\n',
+             [*TRAIN, "--index", "{index}", "--pseudo-pairs", "{file}", "--output-dir", "{tmp}/out"],
+             "pairs.jsonl:2: pseudo pair is not valid JSON"),
+            ("pairs.jsonl", '"query_id text doc_id"\n',
+             [*TRAIN, "--index", "{index}", "--pseudo-pairs", "{file}", "--output-dir", "{tmp}/out"],
+             "pairs.jsonl:1: pseudo pair is not a JSON object"),
         ],
-        ids=["identifier-size", "model-line", "config-value", "missing-run"],
+        ids=["identifier-size", "model-line", "config-value", "missing-run", "pseudo-pair-json",
+             "pseudo-pair-string"],
     )
     def test_malformed_input_is_data_error(self, tmp_path, capsys, name, text, argv, where):
         ids = tmp_path / "index-ids.tsv"
@@ -176,6 +184,25 @@ class TestErrors:
         paths = {"file": tmp_path / name, "tmp": tmp_path, "index": tmp_path / "index.txt"}
         assert invoke(*(str(a).format(**paths) for a in argv)) == 2
         assert where in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--run", "r.txt", "--qrels", "q.tsv", "--cutoffs", "a,b"],
+            ["ablate", "--index", "i.txt", "--scorer", "s.txt", "--queries", "q.jsonl",
+             "--qrels", "q.tsv", "--cutoffs", "10,"],
+            ["bench", "--index", "i.txt", "--scorer", "s.txt", "--queries", "q.jsonl",
+             "--beams", "10;100"],
+        ],
+        ids=["evaluate-cutoffs", "ablate-cutoffs", "bench-beams"],
+    )
+    def test_malformed_integer_list_is_usage_error(self, tmp_path, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            invoke(*argv, "--output-dir", tmp_path / "out")
+        assert exc.value.code == 1
+        err = capsys.readouterr().err
+        assert "usage:" in err and "comma-separated integers" in err
+        assert "Traceback" not in err
 
     def test_duplicate_docs_warning_and_placeholder(self, tmp_path, capsys):
         corpus = tmp_path / "c.jsonl"
@@ -323,3 +350,24 @@ class TestAblateAndBench:
             manifest = json.loads((out / f"{cmd}.manifest.json").read_text(encoding="utf-8"))
             assert manifest["command"] == cmd
             assert manifest["outputs"]
+
+
+class TestAtomicWrites:
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temporary(self, tmp_path):
+        target = tmp_path / "out.txt"
+        atomic.write_text(target, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            atomic.write_text(target, "partial \ud800 text\n")
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_interrupted_command_leaves_no_artifact(self, tmp_path, monkeypatch):
+        ids = tmp_path / "ids.tsv"
+        ids.write_text("termset-identifiers/1\t2\nzz\talpha,omega\n", encoding="utf-8")
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(atomic.os, "replace", fail)
+        assert invoke("build-index", "--identifiers", ids, "--output", tmp_path / "index.txt") == 2
+        assert [p.name for p in tmp_path.iterdir()] == ["ids.tsv"]

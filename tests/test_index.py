@@ -44,7 +44,9 @@ class TestBuild:
             build_index(IdentifierTable(1, {}))
 
     def test_term_postings(self, tiny_index):
-        docs = {tiny_index.doc_ids[i] for i in tiny_index.postings[tiny_index.dictionary.id_of("a")]}
+        a = tiny_index.dictionary.id_of("a")
+        start, end = tiny_index.posting_ptr[a : a + 2]
+        docs = {tiny_index.doc_ids[i] for i in tiny_index.posting_docs[start:end]}
         assert docs == {"D1", "D2"}
 
     @pytest.mark.parametrize("doc_ids", [["D2", "D1"], ["D1", "D1"]], ids=["unsorted", "repeated"])
@@ -128,6 +130,69 @@ def registry_and_prefix(draw):
     row = index.sets[draw(st.integers(0, len(index) - 1))]
     prefix = draw(st.permutations([int(t) for t in row]))[: draw(st.integers(0, n))]
     return index, prefix
+
+
+@st.composite
+def beams(draw):
+    """A random registry, a searchable view of it and a beam of equal-depth prefixes.
+
+    Each prefix is drawn from one registered identifier (any order under
+    `Index`, the stored order under `SequenceView`); prefixes may repeat.
+    """
+    n = draw(st.integers(1, 4))
+    vocab = draw(st.integers(n + 1, 20))
+    docs = draw(st.integers(1, min(30, math.comb(vocab, n))))
+    index = build_index(make_random_identifiers(docs, vocab, n, seed=draw(st.integers(0, 99))))
+    sequence = draw(st.booleans())
+    depth = draw(st.integers(0, n - 1))
+    rows = draw(st.lists(st.integers(0, len(index) - 1), min_size=1, max_size=6)) if depth else [0]
+    prefixes = [
+        index.order[r, :depth] if sequence else draw(st.permutations(list(index.sets[r])))[:depth]
+        for r in rows
+    ]
+    seqs = np.array(prefixes, dtype=np.int64).reshape(len(rows), depth)
+    return (SequenceView(index) if sequence else index), seqs
+
+
+def brute_force_holders(index, prefix, sequence):
+    if sequence:
+        return np.flatnonzero((index.order[:, : len(prefix)] == prefix).all(axis=1))
+    return np.flatnonzero(np.isin(index.sets, prefix).sum(axis=1) == len(prefix))
+
+
+class TestStepKernel:
+    @settings(max_examples=100, deadline=None)
+    @given(beams())
+    def test_matches_brute_force_over_the_registry(self, case):
+        searchable, seqs = case
+        sequence = isinstance(searchable, SequenceView)
+        index = searchable.index if sequence else searchable
+        holders = [brute_force_holders(index, prefix, sequence) for prefix in seqs]
+        ptr = np.cumsum([0] + [len(h) for h in holders])
+        step = searchable.expand(seqs, np.concatenate(holders).astype(np.int32), ptr)
+
+        want = []  # (parent, term, child postings), in (parent, term) order
+        for h, (prefix, docs) in enumerate(zip(seqs, holders)):
+            if sequence:
+                nexts = index.order[docs, len(prefix)][:, None]
+            else:
+                nexts = index.sets[docs]
+            for term in np.setdiff1d(nexts, prefix):
+                want.append((h, term, docs[(nexts == term).any(axis=1)]))
+        assert step.parents.tolist() == [h for h, _, _ in want]
+        assert step.terms.tolist() == [t for _, t, _ in want]
+        assert step.sizes.tolist() == [len(c) for _, _, c in want]
+        assert step.leads.tolist() == [c[0] for _, _, c in want]
+        per_parent = [sum(p == h for p, _, _ in want) for h in range(len(seqs))]
+        assert np.diff(step.offsets).tolist() == per_parent
+        picks = np.arange(len(want))[::-1]  # any order, as the top-K cut picks them
+        child_docs, child_ptr = step.children(picks)
+        for i, pick in enumerate(picks):
+            assert child_docs[child_ptr[i] : child_ptr[i + 1]].tolist() == want[pick][2].tolist()
+        for h, node in enumerate(step.nodes()):
+            assert node.prefix_ids == tuple(seqs[h].tolist())
+            assert node.postings.tolist() == holders[h].tolist()
+            assert type(node) is type(searchable.root())
 
 
 class TestExpansion:

@@ -13,6 +13,8 @@ from termset_retrieval.scorer import (
     STEP_FEATURES,
     FeatureScorer,
     UniformScorer,
+    _logsumexp,
+    _segment_logsumexp,
     check_compatible,
     load_scorer,
     save_scorer,
@@ -80,6 +82,17 @@ class TestStepLogprob:
         with pytest.raises(DataError, match="empty candidate"):
             FeatureScorer.zeros(tiny_index).step_logprob(query(), tiny_index.root(),
                                                          np.array([], dtype=int))
+
+
+class TestSegmentNormalization:
+    def test_equals_logsumexp_per_segment_bitwise(self):
+        rng = np.random.default_rng(11)
+        lengths = [1, 7, 8, 9, 128, 129, 257, 9, 1, 128, 7, 257, 8, 129]
+        offsets = np.cumsum([0] + lengths)
+        scores = rng.normal(0, 3, size=offsets[-1])
+        got = _segment_logsumexp(scores, offsets)
+        want = [_logsumexp(scores[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
+        assert got.tolist() == want
 
 
 class TestSequenceLogprob:
