@@ -67,7 +67,9 @@ def constrained_beam_search(
     n, doc_ids and a dictionary; beam_size=None keeps every valid extension
     (exhaustive). With dedupe_sets, order variants of the same prefix set
     collapse to their best-scoring member before the top-K cut; by default
-    they stay distinct because position-aware scorers rate them differently.
+    they stay distinct because the scorer rates them differently: each
+    order passes through children of different sizes (`log1p_postings`)
+    and is normalized over different feasible sets.
 
     The beam is held as arrays: one row of term ids per hypothesis and its
     postings as CSR (flat doc positions plus offsets). Each step expands

@@ -16,10 +16,10 @@ from typing import NamedTuple
 import numpy as np
 
 from . import atomic
-from .errors import DataError, InvariantError
+from .errors import DataError, InvariantError, parse_values
 from .importance import IdentifierTable
 
-_INDEX_FORMAT = "termset-index/1"
+_INDEX_FORMAT = "termset-index/2"
 
 
 class TermDictionary:
@@ -48,12 +48,11 @@ class Expansion(NamedTuple):
     """Every one-term extension of one prefix, aligned by position.
 
     terms: feasible term ids, ascending. sizes: documents left after
-    appending each term. leads: the first (lowest) such document position.
+    appending each term.
     """
 
     terms: np.ndarray
     sizes: np.ndarray
-    leads: np.ndarray
 
 
 @dataclass
@@ -228,12 +227,12 @@ class PrefixNode:
         return len(self.prefix_ids)
 
     def expansion(self) -> Expansion:
-        """Feasible terms with their child sizes and leading docs: a one-row `Step`."""
+        """Feasible terms with their child sizes: a one-row `Step`."""
         if self._expansion is None:
             seqs = np.array(self.prefix_ids, dtype=np.int64).reshape(1, self.depth)
             ptr = np.array([0, len(self.postings)])
             step = self.searchable.expand(seqs, self.postings, ptr)
-            self._expansion = Expansion(step.terms, step.sizes, step.leads)
+            self._expansion = Expansion(step.terms, step.sizes)
         return self._expansion
 
     def feasible_terms(self) -> np.ndarray:
@@ -242,7 +241,7 @@ class PrefixNode:
 
     def child_sizes(self, candidates: np.ndarray) -> np.ndarray:
         """Child sizes of `candidates`, each of which must be feasible here."""
-        terms, sizes, _ = self.expansion()
+        terms, sizes = self.expansion()
         candidates = np.asarray(candidates)
         pos = np.searchsorted(terms, candidates)
         found = pos < len(terms)
@@ -356,24 +355,21 @@ class SequenceNode(PrefixNode):
 
 
 def save_index(index: Index, path) -> None:
-    """Versioned text serialization; byte-stable for identical inputs."""
+    """Versioned text of `T` (term) and `D` (identifier) records; byte-stable."""
     lines = [
         _INDEX_FORMAT,
         f"n\t{index.n}",
         f"docs\t{len(index.doc_ids)}",
         f"terms\t{len(index.dictionary)}",
     ]
-    for term in index.dictionary.terms:
-        lines.append(f"T\t{term}")
-    for doc_id, row in zip(index.doc_ids, index.order):
-        lines.append(f"D\t{doc_id}\t{','.join(str(int(t)) for t in row)}")
-    docs, ptr = index.posting_docs.tolist(), index.posting_ptr.tolist()
-    for term_id in range(len(index.dictionary)):
-        lines.append(f"P\t{term_id}\t{','.join(map(str, docs[ptr[term_id] : ptr[term_id + 1]]))}")
+    lines += [f"T\t{term}" for term in index.dictionary.terms]
+    for doc_id, row in zip(index.doc_ids, index.order.tolist()):
+        lines.append(f"D\t{doc_id}\t{','.join(map(str, row))}")
     atomic.write_text(path, "\n".join(lines) + "\n")
 
 
 def load_index(path) -> Index:
+    """Rebuild an index from its `T` and `D` records, checking every record."""
     with open(path, encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != _INDEX_FORMAT:
@@ -383,34 +379,47 @@ def load_index(path) -> Index:
         n, num_docs, num_terms = (int(header[k]) for k in ("n", "docs", "terms"))
     except (ValueError, KeyError) as exc:
         raise DataError(f"{path}: malformed index header") from exc
-    terms, doc_rows, posting_rows = [], [], []
-    for line in lines[4:]:
+    terms, doc_ids, rows, linenos = [], [], [], []
+    for lineno, line in enumerate(lines[4:], start=5):
         if not line:
             continue
         tag, _, rest = line.partition("\t")
         if tag == "T":
             terms.append(rest)
         elif tag == "D":
-            doc_id, _, ids = rest.partition("\t")
-            doc_rows.append((doc_id, [int(x) for x in ids.split(",")]))
-        elif tag == "P":
-            term_id, _, docs = rest.partition("\t")
-            posting_rows.append((int(term_id), [int(x) for x in docs.split(",")] if docs else []))
+            doc_id, tab, ids = rest.partition("\t")
+            if not tab:
+                raise DataError(f"{path}:{lineno}: document record is not 'D<TAB>doc<TAB>ids'")
+            row = parse_values(int, ids.split(","), f"{path}:{lineno}: term ids")
+            if len(row) != n:
+                raise DataError(f"{path}:{lineno}: expected {n} term ids, got {len(row)}")
+            doc_ids.append(doc_id)
+            rows.append(row)
+            linenos.append(lineno)
         else:
-            raise DataError(f"{path}: unknown record tag {tag!r}")
-    if len(terms) != num_terms or len(doc_rows) != num_docs or len(posting_rows) != num_terms:
+            raise DataError(f"{path}:{lineno}: unknown record tag {tag!r}")
+    if len(terms) != num_terms or len(rows) != num_docs:
         raise DataError(f"{path}: header counts do not match records")
-    dictionary = TermDictionary(terms)
-    if dictionary.terms != terms:
-        raise DataError(f"{path}: term dictionary not in sorted order")
-    doc_ids = [d for d, _ in doc_rows]
+    if not rows:
+        raise DataError(f"{path}: empty registry")
+    if not _strictly_ascending(terms):
+        raise DataError(f"{path}: terms not unique and in sorted order")
     if not _strictly_ascending(doc_ids):
         raise DataError(f"{path}: documents not unique and in sorted order")
-    order = np.array([row for _, row in doc_rows], dtype=np.int32)
-    if order.shape != (num_docs, n):
-        raise DataError(f"{path}: identifier rows are not uniformly length {n}")
-    index = Index(dictionary, doc_ids, order)
-    for term_id, stored in posting_rows:
-        if not np.array_equal(index.postings(term_id), np.array(stored, dtype=np.int32)):
-            raise DataError(f"{path}: stored postings for term {term_id} are inconsistent")
-    return index
+    try:
+        order = np.array(rows, dtype=np.int64)
+    except OverflowError as exc:
+        lineno = next(k for k, row in zip(linenos, rows) if max(map(abs, row)) >= 2**63)
+        raise DataError(f"{path}:{lineno}: term id outside [0, {num_terms})") from exc
+    sets = np.sort(order, axis=1)
+    ranked = np.lexsort(sets.T[::-1])  # stable: of two equal sets, the later row ranks second
+    repeated_set = np.zeros(len(order), dtype=bool)
+    repeated_set[ranked[1:]] = (sets[ranked[1:]] == sets[ranked[:-1]]).all(axis=1)
+    for bad, message in [
+        (((order < 0) | (order >= num_terms)).any(axis=1), f"term id outside [0, {num_terms})"),
+        ((sets[:, 1:] == sets[:, :-1]).any(axis=1), "identifier repeats a term"),
+        (repeated_set, "identifier set repeats an earlier document's"),
+    ]:
+        if bad.any():
+            raise DataError(f"{path}:{linenos[bad.argmax()]}: {message}")
+    return Index(TermDictionary(terms), doc_ids, order.astype(np.int32))

@@ -20,16 +20,16 @@ from .errors import DataError, parse_values
 from .importance import ImportanceModel, score_terms
 from .index import Index
 
+# Each feature varies across a step's candidates: a constant one cancels in
+# the candidate softmax, so its gradient is identically zero.
 STEP_FEATURES = (
     "in_query",
     "query_prefix4",
     "term_weight",
     "log1p_postings",
-    "position",
-    "bias",
 )
 
-_SCORER_FORMAT = "termset-scorer/1"
+_SCORER_FORMAT = "termset-scorer/2"
 
 
 class Scorer(ABC):
@@ -113,22 +113,15 @@ class FeatureScorer(Scorer):
 
     def step_features(self, query: Query, node, candidates: np.ndarray) -> np.ndarray:
         candidates = np.asarray(candidates, dtype=np.int64)
-        return self._features(
-            self._query_term_ids(query),
-            candidates,
-            node.child_sizes(candidates),
-            (node.depth + 1) / node.index.n,
-        )
+        return self._features(self._query_term_ids(query), candidates, node.child_sizes(candidates))
 
-    def _features(self, query_ids, candidates, sizes, position) -> np.ndarray:
+    def _features(self, query_ids, candidates, sizes) -> np.ndarray:
         exact_ids, prefix_ids = query_ids
         feats = np.empty((len(candidates), len(STEP_FEATURES)))
         feats[:, 0] = np.isin(candidates, exact_ids)
         feats[:, 1] = np.isin(candidates, prefix_ids)
         feats[:, 2] = self.term_weights[candidates]
         feats[:, 3] = np.log1p(sizes)
-        feats[:, 4] = position
-        feats[:, 5] = 1.0
         return feats
 
     def step_logprob(self, query, node, candidates):
@@ -142,12 +135,7 @@ class FeatureScorer(Scorer):
         counts = np.diff(step.offsets)
         if not counts.all():
             raise DataError("empty candidate set")
-        feats = self._features(
-            self._query_term_ids(query),
-            step.terms.astype(np.int64),
-            step.sizes,
-            (step.depth + 1) / step.n,
-        )
+        feats = self._features(self._query_term_ids(query), step.terms.astype(np.int64), step.sizes)
         scores = feats @ self.weights
         # Each segment is normalized with the float operations of
         # step_logprob, so the batch is bit-identical to scoring node by node.

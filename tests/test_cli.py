@@ -138,6 +138,21 @@ class TestErrors:
                     "--queries", DATA / "toy_queries.jsonl", "--output", tmp_path / "r.txt")
         assert rc == 2
 
+    @pytest.mark.parametrize("artifact", ["index.txt", "train/scorer.txt"], ids=["index", "scorer"])
+    def test_version_1_file_is_refused(self, pipeline, capsys, artifact):
+        path = pipeline / artifact
+        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+        assert header.endswith("/2")
+        path.write_text(header[:-1] + "1\n" + rest, encoding="utf-8")
+        capsys.readouterr()
+        rc = invoke("search", "--index", pipeline / "index.txt",
+                    "--scorer", pipeline / "train/scorer.txt",
+                    "--queries", DATA / "toy_queries.jsonl", "--output", pipeline / "r.txt")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"not a {header} file" in err
+        assert "Traceback" not in err
+
     def test_vocabulary_mismatch_is_data_error(self, pipeline, tmp_path):
         # rebuild an index from different identifiers and pair the old scorer with it
         other = tmp_path / "ids.tsv"

@@ -167,7 +167,7 @@ class TestBeamSearch:
             assert abs(ll - entry.score) < 1e-9
 
     def test_beam_entries_unique_and_order_variants_retained(self, tiny_index):
-        # position-sensitive scorer: same set, different orders score differently
+        # orders differ in child sizes (log1p_postings): same set, different scores
         scorer = random_scorer(tiny_index, seed=8)
         beam = [Hypothesis((), 0.0, tiny_index.root())]
         seen_any_order_pair = False

@@ -18,7 +18,12 @@ from termset_retrieval.evaluation import (
 )
 from termset_retrieval.importance import ImportanceModel, build_identifiers
 from termset_retrieval.index import SequenceView, build_index
-from termset_retrieval.scorer import FeatureScorer, UniformScorer, build_term_weights
+from termset_retrieval.scorer import (
+    STEP_FEATURES,
+    FeatureScorer,
+    UniformScorer,
+    build_term_weights,
+)
 from termset_retrieval.synthetic import (
     make_order_noise_corpus,
     make_random_identifiers,
@@ -246,7 +251,7 @@ class TestEfficiency:
         table = make_random_identifiers(150, 80, 4, seed=0)
         index = build_index(table)
         rng = np.random.default_rng(0)
-        scorer = FeatureScorer(rng.normal(0, 1, 6), index.dictionary.terms,
+        scorer = FeatureScorer(rng.normal(0, 1, len(STEP_FEATURES)), index.dictionary.terms,
                                rng.uniform(0, 1, len(index.dictionary)))
         queries = [Query.from_text(f"q{i}", "t01 t05") for i in range(3)]
         report = efficiency_report(index, scorer, queries, beam_sizes=(5, 20))

@@ -203,13 +203,12 @@ class TestExpansion:
         node = index.root()
         for t in prefix:
             node = node.extend(t)
-        terms, sizes, leads = node.expansion()
+        terms, sizes = node.expansion()
         assert np.array_equal(terms, naive_feasible_terms(index, prefix))
         survivors = np.flatnonzero(np.isin(index.sets, prefix).sum(axis=1) == len(prefix))
-        for term, size, lead in zip(terms, sizes, leads):
+        for term, size in zip(terms, sizes):
             holders = survivors[(index.sets[survivors] == term).any(axis=1)]
             assert size == len(holders)
-            assert lead == holders.min()
         assert np.array_equal(node.child_sizes(terms[::-1]), sizes[::-1])
 
     def test_child_sizes_rejects_an_infeasible_candidate(self, tiny_index):
@@ -329,16 +328,35 @@ class TestPersistence:
         with pytest.raises(DataError, match="header counts"):
             load_index(path)
 
-    def test_tampered_postings(self, tmp_path, tiny_index):
-        path = tmp_path / "tampered.txt"
+    def test_no_postings_section(self, tmp_path, tiny_index):
+        path = tmp_path / "index.txt"
         save_index(tiny_index, path)
-        text = path.read_text(encoding="utf-8")
-        # flip the posting list of the first term
-        lines = text.splitlines()
-        for i, line in enumerate(lines):
-            if line.startswith("P\t0\t"):
-                lines[i] = "P\t0\t0"
-                break
+        tags = {line.split("\t", 1)[0] for line in path.read_text(encoding="utf-8").splitlines()[4:]}
+        assert tags == {"T", "D"}
+
+    # the tiny index file: a header of four lines, seven T records (lines
+    # 5-11), then D1 = 0,1,2 on line 12, D2 = 0,1,3 on 13 and D3 = 4,5,6 on 14
+    @pytest.mark.parametrize(
+        "lineno, text, message",
+        [
+            (12, "D\tD1\t0,x,2", ":12: term ids '0 x 2' is not a valid int"),
+            (12, "D", ":12: document record"),
+            (12, "D\tD1\t0,1,99", ":12: term id outside"),
+            (12, "D\tD1\t0,1,-1", ":12: term id outside"),
+            (12, "D\tD1\t0,1," + "9" * 20, ":12: term id outside"),
+            (12, "D\tD1\t0,1,1", ":12: identifier repeats a term"),
+            (13, "D\tD2\t2,1,0", ":13: identifier set repeats"),
+            (14, "D\tD3\t4,5", ":14: expected 3 term ids"),
+        ],
+        ids=["id-not-int", "no-tab", "id-too-large", "id-negative", "id-overflows", "repeated-term",
+             "colliding-set", "short-row"],
+    )
+    def test_malformed_record_is_data_error(self, tmp_path, tiny_index, lineno, text, message):
+        path = tmp_path / "index.txt"
+        save_index(tiny_index, path)
+        lines = path.read_text(encoding="utf-8").splitlines()
+        assert lines[11:14] == ["D\tD1\t0,1,2", "D\tD2\t0,1,3", "D\tD3\t4,5,6"]
+        lines[lineno - 1] = text
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        with pytest.raises(DataError, match="inconsistent"):
+        with pytest.raises(DataError, match=message):
             load_index(path)

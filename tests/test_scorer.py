@@ -53,8 +53,8 @@ class TestStepLogprob:
         scorer = FeatureScorer(weights, tiny_index.dictionary.terms,
                                rng.uniform(0, 1, len(tiny_index.dictionary)))
         base = scorer.step_logprob(query("a c"), node, node.feasible_terms())
-        shifted = scorer.copy()
-        shifted.weights[STEP_FEATURES.index("bias")] += 13.7
+        # term_weight is a feature, so this adds one constant to every score
+        shifted = FeatureScorer(weights, scorer.terms, scorer.term_weights + 13.7)
         after = shifted.step_logprob(query("a c"), node, node.feasible_terms())
         assert np.allclose(base, after, atol=1e-12)
 
@@ -195,7 +195,7 @@ class TestPermutationCovariance:
             "D3": ["breeze", "quartz", "violet"],
         })
         q = Query.from_text("q", "apple breeze")
-        weights = np.array([1.3, 0.7, 0.9, -0.4, 0.2, 0.05])
+        weights = np.array([1.3, 0.7, 0.9, -0.4])
         tw = {"apple": 1.0, "marmot": 0.5, "zebra": 0.5, "quartz": 0.2, "violet": 0.9,
               "breeze": 0.1}
 
@@ -240,7 +240,7 @@ class TestPersistence:
         "lineno, text, message",
         [
             (2, "features in_query query_prefix4", ":2: header line"),
-            (3, "weights\t1.0 x 0 0 0 0", ":3: step weights"),
+            (3, "weights\t1.0 x 0 0", ":3: step weights"),
             (4, "terms\tseven", ":4: term count"),
             (5, "a 0.5", ":5: term line"),
             (5, "a\theavy", ":5: term weight"),
@@ -259,7 +259,7 @@ class TestPersistence:
 
     def test_missing_header_line_is_data_error(self, tmp_path):
         path = tmp_path / "scorer.txt"
-        path.write_text("termset-scorer/1\nterms\t0\n", encoding="utf-8")
+        path.write_text("termset-scorer/2\nterms\t0\n", encoding="utf-8")
         with pytest.raises(DataError, match="missing 'features'"):
             load_scorer(path)
 
