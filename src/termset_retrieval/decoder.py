@@ -74,11 +74,12 @@ def constrained_beam_search(
     The beam is held as arrays: one row of term ids per hypothesis and its
     postings as CSR (flat doc positions plus offsets). Each step expands
     the whole beam with one sort (`expand`), scores it with one
-    `step_logprobs` call and ranks its extensions with one lexsort. The tie
-    rule is likelihood desc, then leading child doc, then the extended
-    sequence: doc positions follow sorted doc ids and term ids follow
-    sorted terms, so positions and ids order exactly as the strings do.
-    Prefix nodes are built for the completed hypotheses only.
+    `step_logprobs` call (`FeatureScorer` gathers its query features from
+    one per-query lookup indexed by term id) and keeps the survivors with
+    `top_k_cut`, which sorts only the extensions at or above the K-th
+    log-likelihood (found with `np.partition`) and falls back to sorting
+    the whole step when dedupe_sets leaves fewer than K distinct sets among
+    them. Prefix nodes are built for the completed hypotheses only.
     """
     if beam_size is not None and beam_size < 1:
         raise DataError(f"beam size must be >= 1, got {beam_size}")
@@ -89,26 +90,57 @@ def constrained_beam_search(
     rank = np.zeros(1, dtype=np.int64)  # place of each sequence in lexicographic order
     for _ in range(searchable.n):
         step = searchable.expand(seqs, docs, ptr)
-        parents, terms = step.parents, step.terms
-        step_ll = lls[parents] + scorer.step_logprobs(query, step)
-        parent_rank = rank[parents]
-        order = np.lexsort((terms, parent_rank, step.leads, -step_ll))
-        if dedupe_sets:
-            sets = np.sort(np.column_stack([seqs[parents[order]], terms[order]]), axis=1)
-            _, first = np.unique(sets, axis=0, return_index=True)
-            order = order[np.sort(first)]
-        if beam_size is not None:
-            order = order[:beam_size]
-        kept_parents, kept_terms = parents[order], terms[order]
+        step_ll = lls[step.parents] + scorer.step_logprobs(query, step)
+        order = top_k_cut(step, step_ll, rank, beam_size, dedupe_sets)
+        kept_parents, kept_terms = step.parents[order], step.terms[order]
         docs, ptr = step.children(order)
         seqs = np.column_stack([seqs[kept_parents], kept_terms])
         lls = step_ll[order]
+        kept_rank = rank[kept_parents]
         rank = np.empty(len(order), dtype=np.int64)
-        rank[np.lexsort((kept_terms, parent_rank[order]))] = np.arange(len(order))
+        rank[np.lexsort((kept_terms, kept_rank))] = np.arange(len(order))
     return [
         Hypothesis(term_ids, float(ll), searchable.node(term_ids, docs[ptr[h] : ptr[h + 1]]))
         for h, (term_ids, ll) in enumerate(zip(map(tuple, seqs.tolist()), lls))
     ]
+
+
+def top_k_cut(step, step_ll, rank, beam_size, dedupe_sets) -> np.ndarray:
+    """Positions of the step's surviving extensions, best first.
+
+    `step_ll` holds each extension's cumulative log-likelihood and `rank`
+    each beam hypothesis's place in lexicographic order. The tie rule is
+    likelihood desc, then leading child doc, then the extended sequence
+    (parent's rank, then term): doc positions follow sorted doc ids and
+    term ids follow sorted terms, so positions and ids order exactly as the
+    strings do. With dedupe_sets, each prefix set keeps its first extension
+    in that order.
+
+    Only extensions at or above the K-th largest log-likelihood can make
+    the cut, so when the step has more than K, `np.partition` finds that
+    value and only those rows, ties included, are sorted: they are exactly
+    the head of the full order. Dedupe may leave fewer than K distinct sets
+    among them; then, unless they were the whole step, it is sorted whole.
+    """
+    rows = np.arange(len(step_ll))
+    if beam_size is not None and len(rows) > beam_size:
+        kth = np.partition(step_ll, -beam_size)[-beam_size]
+        top = rows[step_ll >= kth]
+        order = _sort_rows(step, step_ll, rank, top, dedupe_sets)
+        if len(order) >= beam_size or len(top) == len(rows):
+            return order[:beam_size]
+    return _sort_rows(step, step_ll, rank, rows, dedupe_sets)[:beam_size]
+
+
+def _sort_rows(step, step_ll, rank, rows, dedupe_sets) -> np.ndarray:
+    """`rows` (ascending positions) in the tie-rule order, deduped by prefix set."""
+    parents, terms = step.parents[rows], step.terms[rows]
+    order = np.lexsort((terms, rank[parents], step.leads[rows], -step_ll[rows]))
+    if dedupe_sets:
+        sets = np.sort(np.column_stack([step.seqs[parents[order]], terms[order]]), axis=1)
+        _, first = np.unique(sets, axis=0, return_index=True)
+        order = order[np.sort(first)]
+    return rows[order]
 
 
 def rank_documents(

@@ -277,16 +277,27 @@ class IdentifierTable:
         )
 
     def validate(self) -> None:
-        seen: dict[frozenset, str] = {}
-        for doc_id, terms in self.terms_by_doc.items():
-            if len(terms) != self.n:
-                raise InvariantError(f"identifier of {doc_id} has {len(terms)} terms, want {self.n}")
-            key = frozenset(terms)
-            if len(key) != self.n:
-                raise InvariantError(f"identifier of {doc_id} repeats a term")
-            if key in seen:
-                raise InvariantError(f"identifier collision between {seen[key]} and {doc_id}")
-            seen[key] = doc_id
+        problem = _first_bad_identifier(self.terms_by_doc, self.n)
+        if problem:
+            raise InvariantError(problem[1])
+
+
+def _first_bad_identifier(terms_by_doc: dict[str, list[str]], n: int) -> tuple[str, str] | None:
+    """The first identifier that is not n distinct terms or repeats an earlier set.
+
+    Returns its doc id and what is wrong with it.
+    """
+    seen: dict[frozenset, str] = {}
+    for doc_id, terms in terms_by_doc.items():
+        if len(terms) != n:
+            return doc_id, f"identifier of {doc_id} has {len(terms)} terms, want {n}"
+        key = frozenset(terms)
+        if len(key) != n:
+            return doc_id, f"identifier of {doc_id} repeats a term"
+        if key in seen:
+            return doc_id, f"identifier collision between {seen[key]} and {doc_id}"
+        seen[key] = doc_id
+    return None
 
 
 def is_placeholder(term: str) -> bool:
@@ -469,14 +480,19 @@ def read_identifier_file(path) -> IdentifierTable:
         raise DataError(f"{path}: malformed identifier header")
     (n,) = parse_values(int, [header[1]], f"{path}:1: identifier size")
     terms_by_doc: dict[str, list[str]] = {}
+    linenos: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split("\t")
         if len(parts) != 2:
-            raise DataError(f"{path}: malformed identifier line {lineno}")
+            raise DataError(f"{path}:{lineno}: malformed identifier line")
         doc_id, terms = parts
         if doc_id in terms_by_doc:
-            raise DataError(f"{path}: duplicate doc_id {doc_id}")
+            raise DataError(f"{path}:{lineno}: duplicate doc_id {doc_id}")
         terms_by_doc[doc_id] = terms.split(",")
+        linenos[doc_id] = lineno
+    problem = _first_bad_identifier(terms_by_doc, n)
+    if problem:
+        raise DataError(f"{path}:{linenos[problem[0]]}: {problem[1]}")
     return IdentifierTable(n, terms_by_doc)

@@ -104,22 +104,26 @@ class FeatureScorer(Scorer):
     def copy(self) -> "FeatureScorer":
         return FeatureScorer(self.weights.copy(), self.terms, self.term_weights)
 
-    def _query_term_ids(self, query: Query) -> tuple[np.ndarray, np.ndarray]:
-        exact = sorted({self._term_id[t] for t in query.terms if t in self._term_id})
-        prefix: set[int] = set()
-        for t in query.terms:
-            prefix.update(self._by_prefix4.get(t[:4], ()))
-        return np.array(exact, dtype=np.int64), np.array(sorted(prefix), dtype=np.int64)
+    def query_lookup(self, query: Query) -> np.ndarray:
+        """The query's two features of every term, as a (V, 2) float array.
 
-    def step_features(self, query: Query, node, candidates: np.ndarray) -> np.ndarray:
+        Row t holds `in_query` (t is a query term) and `query_prefix4` (t
+        shares its first four characters with a query term). Build it once
+        per query and pass it to `_features`, which gathers rows by
+        candidate id.
+        """
+        lookup = np.zeros((len(self.terms), 2))
+        lookup[[self._term_id[t] for t in query.terms if t in self._term_id], 0] = 1.0
+        lookup[[i for t in query.terms for i in self._by_prefix4.get(t[:4], ())], 1] = 1.0
+        return lookup
+
+    def step_features(self, lookup: np.ndarray, node, candidates: np.ndarray) -> np.ndarray:
         candidates = np.asarray(candidates, dtype=np.int64)
-        return self._features(self._query_term_ids(query), candidates, node.child_sizes(candidates))
+        return self._features(lookup, candidates, node.child_sizes(candidates))
 
-    def _features(self, query_ids, candidates, sizes) -> np.ndarray:
-        exact_ids, prefix_ids = query_ids
+    def _features(self, lookup, candidates, sizes) -> np.ndarray:
         feats = np.empty((len(candidates), len(STEP_FEATURES)))
-        feats[:, 0] = np.isin(candidates, exact_ids)
-        feats[:, 1] = np.isin(candidates, prefix_ids)
+        feats[:, :2] = lookup[candidates]
         feats[:, 2] = self.term_weights[candidates]
         feats[:, 3] = np.log1p(sizes)
         return feats
@@ -127,7 +131,7 @@ class FeatureScorer(Scorer):
     def step_logprob(self, query, node, candidates):
         if len(candidates) == 0:
             raise DataError("empty candidate set")
-        scores = self.step_features(query, node, candidates) @ self.weights
+        scores = self.step_features(self.query_lookup(query), node, candidates) @ self.weights
         return scores - _logsumexp(scores)
 
     def step_logprobs(self, query, step):
@@ -135,7 +139,7 @@ class FeatureScorer(Scorer):
         counts = np.diff(step.offsets)
         if not counts.all():
             raise DataError("empty candidate set")
-        feats = self._features(self._query_term_ids(query), step.terms.astype(np.int64), step.sizes)
+        feats = self._features(self.query_lookup(query), step.terms, step.sizes)
         scores = feats @ self.weights
         # Each segment is normalized with the float operations of
         # step_logprob, so the batch is bit-identical to scoring node by node.
@@ -157,8 +161,9 @@ class FeatureScorer(Scorer):
         total_loss = 0.0
         grad = np.zeros_like(self.weights)
         for query, target in batch:
+            lookup = self.query_lookup(query)
             for node, candidates, pos in _teacher_walk(searchable, target):
-                feats = self.step_features(query, node, candidates)
+                feats = self.step_features(lookup, node, candidates)
                 scores = feats @ self.weights
                 logprobs = scores - _logsumexp(scores)
                 total_loss -= logprobs[pos]

@@ -170,6 +170,18 @@ class TestErrors:
             ("ids.tsv", "termset-identifiers/1\tx\n",
              ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
              "ids.tsv:1: identifier size 'x'"),
+            ("ids.tsv", "termset-identifiers/1\t2\nzz\talpha,alpha\n",
+             ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
+             "ids.tsv:2: identifier of zz repeats a term"),
+            ("ids.tsv", "termset-identifiers/1\t2\nya\talpha,omega\nzz\tomega,alpha\n",
+             ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
+             "ids.tsv:3: identifier collision between ya and zz"),
+            ("ids.tsv", "termset-identifiers/1\t2\nzz\talpha,beta,omega\n",
+             ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
+             "ids.tsv:2: identifier of zz has 3 terms, want 2"),
+            ("ids.tsv", "termset-identifiers/1\t2\nzz\talpha,omega\n\nzz\tbeta,omega\n",
+             ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
+             "ids.tsv:4: duplicate doc_id zz"),
             ("bad.model", "termset-importance/1\nschema\n",
              [*TRAIN, "--index", "{index}", "--model", "{file}", "--output-dir", "{tmp}/out"],
              "bad.model:2: model line"),
@@ -187,8 +199,9 @@ class TestErrors:
              [*TRAIN, "--index", "{index}", "--pseudo-pairs", "{file}", "--output-dir", "{tmp}/out"],
              "pairs.jsonl:1: pseudo pair is not a JSON object"),
         ],
-        ids=["identifier-size", "model-line", "config-value", "missing-run", "pseudo-pair-json",
-             "pseudo-pair-string"],
+        ids=["identifier-size", "identifier-repeated-term", "identifier-same-set",
+             "identifier-length", "identifier-duplicate-doc", "model-line", "config-value",
+             "missing-run", "pseudo-pair-json", "pseudo-pair-string"],
     )
     def test_malformed_input_is_data_error(self, tmp_path, capsys, name, text, argv, where):
         ids = tmp_path / "index-ids.tsv"

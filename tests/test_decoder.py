@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termset_retrieval import decoder
 from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import (
     Hypothesis,
@@ -134,6 +135,52 @@ class TestBatchedStepOracle:
             for entry in got.entries:
                 ids = [index.dictionary.id_of(t) for t in entry.permutation]
                 assert entry.score == pytest.approx(sequence_logprob(DepthScorer(), q, ids, index))
+
+
+def record_sorts(monkeypatch):
+    """Record (rows sorted, extensions in the step, rows returned) per sort of the cut."""
+    calls = []
+    sort_rows = decoder._sort_rows
+
+    def recording(step, step_ll, rank, rows, dedupe_sets):
+        order = sort_rows(step, step_ll, rank, rows, dedupe_sets)
+        calls.append((len(rows), len(step_ll), len(order)))
+        return order
+
+    monkeypatch.setattr(decoder, "_sort_rows", recording)
+    return calls
+
+
+class TestTopKCut:
+    def test_ties_at_the_kth_value(self, monkeypatch):
+        # the uniform scorer ties every extension of a parent, so many rows
+        # share the K-th log-prob and all of them are sorted
+        index = build_index(make_random_identifiers(60, 12, 3, seed=4))
+        calls = record_sorts(monkeypatch)
+        for beam in (2, 5, 13, 40):
+            for dedupe in (False, True):
+                calls.clear()
+                got = constrained_beam_search(query(), index, UniformScorer(), beam, dedupe)
+                want = reference_beam_search(query(), index, UniformScorer(), beam, dedupe)
+                assert rank_documents(got).canonical() == rank_documents(want).canonical()
+                assert any(beam < rows < total for rows, total, _ in calls), (beam, calls)
+
+    def test_dedupe_falls_back_to_the_full_sort(self, monkeypatch):
+        # Beam 4 keeps x, y, z and h at depth 0 (leads d1, d1, d2, d4). At
+        # depth 1 the triangle's six order variants tie above h's three
+        # extensions, but they hold only three distinct sets, so the fourth
+        # survivor comes from below the K-th value.
+        table = IdentifierTable(2, {
+            "d1": ["x", "y"], "d2": ["y", "z"], "d3": ["x", "z"],
+            "d4": ["h", "p"], "d5": ["h", "q"], "d6": ["h", "r"],
+        })
+        index = build_index(table)
+        calls = record_sorts(monkeypatch)
+        got = rank_documents(constrained_beam_search(query(), index, UniformScorer(), 4, True))
+        want = rank_documents(reference_beam_search(query(), index, UniformScorer(), 4, True))
+        assert got.canonical() == want.canonical()
+        assert got.doc_ids() == ["d1", "d2", "d3", "d4"]
+        assert calls[-2:] == [(6, 9, 3), (9, 9, 6)]
 
 
 class TestBeamSearch:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termset_retrieval.corpus import Query
 from termset_retrieval.errors import DataError
@@ -82,6 +84,52 @@ class TestStepLogprob:
         with pytest.raises(DataError, match="empty candidate"):
             FeatureScorer.zeros(tiny_index).step_logprob(query(), tiny_index.root(),
                                                          np.array([], dtype=int))
+
+
+def isin_features(scorer, query, candidates, sizes):
+    """The two `np.isin` calls the per-query lookup replaced, kept as its oracle."""
+    exact = [i for i, t in enumerate(scorer.terms) if t in query.terms]
+    stems = {t[:4] for t in query.terms}
+    prefix = [i for i, t in enumerate(scorer.terms) if t[:4] in stems]
+    feats = np.empty((len(candidates), len(STEP_FEATURES)))
+    feats[:, 0] = np.isin(candidates, exact)
+    feats[:, 1] = np.isin(candidates, prefix)
+    feats[:, 2] = scorer.term_weights[candidates]
+    feats[:, 3] = np.log1p(sizes)
+    return feats
+
+
+# stems of at most four characters make prefix-4 collisions likely
+WORDS = st.builds(
+    str.__add__,
+    st.sampled_from(["brid", "fill", "ab", "t00"]),
+    st.sampled_from(["", "ge", "s", "1x"]),
+)
+
+
+@st.composite
+def lookup_cases(draw):
+    terms = sorted(set(draw(st.lists(WORDS, min_size=1, max_size=12))))
+    # query words repeat, and may be out of vocabulary; the query may be empty
+    words = draw(st.lists(st.one_of(st.sampled_from(terms), WORDS, st.just("zz")), max_size=6))
+    candidates = draw(st.lists(st.integers(0, len(terms) - 1), max_size=20))
+    seed = draw(st.integers(0, 999))
+    return terms, Query("q", " ".join(words), words), np.array(candidates, dtype=np.int64), seed
+
+
+class TestQueryLookup:
+    @settings(max_examples=200, deadline=None)
+    @given(lookup_cases())
+    def test_features_equal_the_isin_formulation_bitwise(self, case):
+        terms, q, candidates, seed = case
+        rng = np.random.default_rng(seed)
+        scorer = FeatureScorer(rng.normal(0, 1, len(STEP_FEATURES)), terms,
+                               rng.uniform(0, 2, len(terms)))
+        sizes = rng.integers(1, 50, len(candidates))
+        got = scorer._features(scorer.query_lookup(q), candidates, sizes)
+        want = isin_features(scorer, q, candidates, sizes)
+        assert got.tobytes() == want.tobytes()
+        assert (got @ scorer.weights).tobytes() == (want @ scorer.weights).tobytes()
 
 
 class TestSegmentNormalization:
