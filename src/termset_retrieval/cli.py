@@ -451,7 +451,7 @@ def main(argv=None) -> int:
     args._argv = argv
     try:
         return args.func(args)
-    except (DataError, OSError) as exc:
+    except (DataError, OSError, ArithmeticError) as exc:  # ArithmeticError: training diverged
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InvariantError as exc:

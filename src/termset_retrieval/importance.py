@@ -143,11 +143,19 @@ def score_query_terms(model: ImportanceModel, query: Query, stats: CorpusStats) 
 
 
 @dataclass
-class _PreparedPair:
-    """Per-candidate stacked features over the terms shared with the query."""
+class _TrainingBatch:
+    """Shared-term features of every (pair, candidate), stacked once.
 
-    query_feats: list[np.ndarray]  # one (k_c, dim) matrix per candidate
-    doc_feats: list[np.ndarray]
+    Row i of `query_feats` and `doc_feats` holds one term shared by a query
+    and one of its candidates, candidate `cand[i]`. Pair p's candidates are
+    first[p] .. first[p + 1] - 1, its positive first. A candidate that shares
+    no term with its query has no rows.
+    """
+
+    query_feats: np.ndarray  # (rows, dim)
+    doc_feats: np.ndarray
+    cand: np.ndarray
+    first: np.ndarray  # (pairs + 1,)
 
 
 def prepare_training_batch(
@@ -155,11 +163,10 @@ def prepare_training_batch(
     corpus: Corpus,
     featurizer=None,
     stats: CorpusStats | None = None,
-) -> list[_PreparedPair]:
+) -> _TrainingBatch:
     """Precompute shared-term feature matrices; features are static during training."""
     featurizer = featurizer or TfidfFeaturizer()
     stats = stats or corpus.stats
-    dim = featurizer.dim
     doc_cache: dict[str, dict[str, np.ndarray]] = {}
 
     def doc_features(doc_id: str) -> dict[str, np.ndarray]:
@@ -168,56 +175,55 @@ def prepare_training_batch(
             doc_cache[doc_id] = featurizer.features(doc.terms, doc.title_terms, stats)
         return doc_cache[doc_id]
 
-    prepared = []
+    query_feats, doc_feats, cand, first = [], [], [], [0]
     for pair in pairs:
         qf = featurizer.features(pair.query.terms, set(), stats)
-        query_feats, doc_feats = [], []
-        for doc_id in [pair.positive] + list(pair.negatives):
+        candidates = [pair.positive] + list(pair.negatives)
+        for c, doc_id in enumerate(candidates, start=first[-1]):
             df = doc_features(doc_id)
             shared = sorted(set(qf) & set(df))
-            if shared:
-                query_feats.append(np.stack([qf[t] for t in shared]))
-                doc_feats.append(np.stack([df[t] for t in shared]))
-            else:
-                query_feats.append(np.zeros((0, dim)))
-                doc_feats.append(np.zeros((0, dim)))
-        prepared.append(_PreparedPair(query_feats, doc_feats))
-    return prepared
+            query_feats += [qf[t] for t in shared]
+            doc_feats += [df[t] for t in shared]
+            cand += [c] * len(shared)
+        first.append(first[-1] + len(candidates))
+    dim = featurizer.dim
+    return _TrainingBatch(
+        np.array(query_feats).reshape(-1, dim),
+        np.array(doc_feats).reshape(-1, dim),
+        np.array(cand, dtype=np.int64),
+        np.array(first, dtype=np.int64),
+    )
 
 
-def infonce_loss_and_grad(weights: np.ndarray, batch: list[_PreparedPair], tau: float):
+def infonce_loss_and_grad(weights: np.ndarray, batch: _TrainingBatch, tau: float):
     """Mean InfoNCE loss over the batch and its analytic gradient.
 
     Candidate 0 of each pair is the positive. The matching score of a
     candidate is sum over shared terms of relu(fq.w) * relu(fd.w); the loss
     is the negative log-softmax (temperature tau) of the positive's score.
+    Scores are summed per candidate with `bincount` and normalized per pair
+    with `reduceat` over the stacked rows.
     """
     if tau <= 0:
         raise DataError(f"temperature must be positive, got {tau}")
-    total_loss = 0.0
-    total_grad = np.zeros_like(weights)
-    for pair in batch:
-        n_cand = len(pair.query_feats)
-        scores = np.empty(n_cand)
-        score_grads = []
-        for c in range(n_cand):
-            fq, fd = pair.query_feats[c], pair.doc_feats[c]
-            zq, zd = fq @ weights, fd @ weights
-            wq, wd = np.maximum(zq, 0.0), np.maximum(zd, 0.0)
-            scores[c] = wq @ wd
-            grad = ((zq > 0) * wd) @ fq + ((zd > 0) * wq) @ fd
-            score_grads.append(grad)
-        shifted = scores / tau
-        shifted -= shifted.max()
-        logits = np.exp(shifted)
-        probs = logits / logits.sum()
-        total_loss += -math.log(probs[0])
-        dscore = probs.copy()
-        dscore[0] -= 1.0
-        for c in range(n_cand):
-            total_grad += (dscore[c] / tau) * score_grads[c]
-    n = max(len(batch), 1)
-    return total_loss / n, total_grad / n
+    fq, fd, cand, first = batch.query_feats, batch.doc_feats, batch.cand, batch.first
+    num_pairs = len(first) - 1
+    if not num_pairs:
+        return 0.0, np.zeros_like(weights)
+    zq, zd = fq @ weights, fd @ weights
+    wq, wd = np.maximum(zq, 0.0), np.maximum(zd, 0.0)
+    scores = np.bincount(cand, weights=wq * wd, minlength=first[-1])
+    counts = np.diff(first)
+    shifted = scores / tau
+    shifted -= np.repeat(np.maximum.reduceat(shifted, first[:-1]), counts)
+    logits = np.exp(shifted)
+    probs = logits / np.repeat(np.add.reduceat(logits, first[:-1]), counts)
+    loss = -np.log(probs[first[:-1]]).sum()
+    dscore = probs
+    dscore[first[:-1]] -= 1.0
+    coef = (dscore / tau)[cand]
+    grad = (coef * (zq > 0) * wd) @ fq + (coef * (zd > 0) * wq) @ fd
+    return float(loss) / num_pairs, grad / num_pairs
 
 
 def train_importance(
@@ -242,12 +248,14 @@ def train_importance(
     rng = np.random.default_rng(seed)
     weights = rng.uniform(0.001, 0.01, size=featurizer.dim)
     for epoch in range(epochs):
-        loss, grad = infonce_loss_and_grad(weights, batch, tau)
-        if not math.isfinite(loss):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            loss, grad = infonce_loss_and_grad(weights, batch, tau)
+            update = lr * grad
+        if not (math.isfinite(loss) and np.isfinite(update).all()):
             raise ArithmeticError(
-                f"non-finite InfoNCE loss {loss} at epoch {epoch} (lr={lr}, tau={tau})"
+                f"non-finite InfoNCE loss {loss} or update at epoch {epoch} (lr={lr}, tau={tau})"
             )
-        weights = weights - lr * grad
+        weights = weights - update
     return ImportanceModel(weights, tau, featurizer)
 
 

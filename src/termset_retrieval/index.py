@@ -106,6 +106,33 @@ class Step:
         gather = np.repeat(self.starts[picks] - ptr[:-1], sizes) + np.arange(ptr[-1])
         return self.run_docs[gather], ptr
 
+    def locate(self, hyps: np.ndarray, terms: np.ndarray) -> np.ndarray:
+        """Position of extension (hyps[i], terms[i]) in the step, -1 where there is none."""
+        vocab = len(self.searchable.dictionary)
+        keys = self.parents * vocab + self.terms  # ascending: extensions go by (parent, term)
+        want = hyps * vocab + terms
+        pos = np.searchsorted(keys, want)
+        found = (terms >= 0) & (terms < vocab) & (pos < len(keys))
+        found[found] = keys[pos[found]] == want[found]
+        return np.where(found, pos, -1)
+
+    def descend(self, picks: np.ndarray):
+        """The next beam: one hypothesis per distinct extension among `picks`.
+
+        Returns its prefixes, its postings (flat docs and offsets), and each
+        pick's hypothesis in it.
+        """
+        kept, inverse = np.unique(picks, return_inverse=True)
+        docs, ptr = self.children(kept)
+        seqs = np.column_stack([self.seqs[self.parents[kept]], self.terms[kept]])
+        return seqs, docs, ptr, inverse
+
+
+def root_beam(searchable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The depth-0 beam, as `expand` takes it: the empty prefix, held by every document."""
+    docs = searchable.root().postings
+    return np.empty((1, 0), dtype=np.int64), docs, np.array([0, len(docs)])
+
 
 def _expand(searchable, seqs, docs, ptr, columns) -> Step:
     """One stable sort over the beam's (hypothesis, term) keys.

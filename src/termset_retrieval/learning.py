@@ -5,6 +5,16 @@ candidate orderings are sampled stepwise from the current model restricted
 to the document's remaining identifier terms, and the candidate with the
 highest overall likelihood becomes the teacher-forcing target for the next
 round. Iteration one starts from an initialization policy instead.
+
+Training runs on the same step kernel as search, for all pairs at once.
+Sampling advances every (pair, sample) row one depth per step: the rows'
+distinct prefixes are expanded with one `expand` call and each row is
+scored over its remaining identifier terms with one `segment_logprobs`
+call. Candidate scoring and teacher forcing go through the scorer's teacher
+kernel (`sequence_logprobs`, `FeatureScorer.loss_and_grad`): one expand per
+depth for every row, each distinct (query, prefix) segment scored once, in
+chunks of bounded row count. The one-pair functions (`sample_permutations`,
+`select_objective`) are calls into the same kernels.
 """
 
 from __future__ import annotations
@@ -18,8 +28,8 @@ import numpy as np
 from .corpus import Judgments, Query
 from .decoder import search
 from .errors import DataError, InvariantError
-from .index import Index
-from .scorer import FeatureScorer, Scorer, sequence_logprob
+from .index import Index, root_beam
+from .scorer import FeatureScorer, Scorer, _query_slots, sequence_logprobs
 
 INIT_POLICIES = ("importance", "random", "likelihood")
 
@@ -58,6 +68,7 @@ class IterationStats:
     target_churn: float
     num_pairs: int
     num_pseudo: int
+    epoch_losses: list[float] = field(default_factory=list)  # pre-update loss per epoch
 
     def to_record(self) -> dict:
         return {
@@ -67,6 +78,7 @@ class IterationStats:
             "target_churn": self.target_churn,
             "num_pairs": self.num_pairs,
             "num_pseudo": self.num_pseudo,
+            "epoch_losses": self.epoch_losses,
         }
 
 
@@ -167,29 +179,65 @@ def sample_permutations(
     of the document's remaining identifier terms and renormalized. topk=1
     degenerates to a greedy rollout that ignores the seed.
     """
+    return _sample_pairs([query], [doc_id], index, scorer, samples, topk, seed)[0]
+
+
+def _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed):
+    """`sample_permutations` of every (queries[i], doc_ids[i]) pair at once.
+
+    All (pair, sample) rows advance one depth per step: the rows' distinct
+    prefixes are expanded with one `expand` call, and each row is scored
+    over its remaining identifier terms, in stored order, with one
+    `segment_logprobs` call. A row keeps its topk most probable terms
+    (stable, so stored order breaks ties), renormalizes, and picks the
+    first whose cumulative probability exceeds its uniform draw, the rule
+    of `Generator.choice`. Each pair draws its uniforms up front, one row
+    per sample and one column per depth, from its own derived seed, so the
+    draws per (pair, sample) are the ones `Generator.choice` made step by
+    step.
+    """
     if samples < 1 or topk < 1:
         raise DataError("samples and topk must be >= 1")
-    ordered = [int(t) for t in index.identifier_ids(doc_id, ordered=True)]
-    rng = np.random.default_rng(_derived_seed("sample", seed, query.query_id, doc_id))
-    out = []
-    for _ in range(samples):
-        node = index.root()
-        remaining = list(ordered)
-        seq = []
-        while remaining:
-            logprobs = scorer.step_logprob(query, node, np.array(remaining))
-            k = min(topk, len(remaining))
-            # stable sort keeps stored-order precedence between tied terms
-            top = np.argsort(-logprobs, kind="stable")[:k]
-            shifted = logprobs[top] - logprobs[top].max()
-            probs = np.exp(shifted)
-            probs /= probs.sum()
-            pick = remaining[int(top[rng.choice(k, p=probs)])]
-            seq.append(pick)
-            remaining.remove(pick)
-            node = node.extend(pick)
-        out.append(tuple(seq))
-    return out
+    n = index.n
+    uniforms = np.concatenate(
+        [
+            np.random.default_rng(_derived_seed("sample", seed, q.query_id, d)).random((samples, n))
+            for q, d in zip(queries, doc_ids)
+        ]
+    )
+    remaining = np.array(
+        [index.identifier_ids(d, ordered=True) for d in doc_ids], dtype=np.int64
+    ).repeat(samples, axis=0)
+    slots, qidx = _query_slots(queries)
+    qidx = qidx.repeat(samples)
+    rows = np.arange(len(remaining))
+    out = np.empty((len(rows), n), dtype=np.int64)
+    beam = root_beam(index)
+    hyp = np.zeros(len(rows), dtype=np.int64)
+    for depth in range(n):
+        width = n - depth
+        step = index.expand(*beam)
+        ext = step.locate(hyp.repeat(width), remaining.ravel())
+        if (ext < 0).any():
+            raise InvariantError("a remaining identifier term is not feasible after its prefix")
+        logprobs = scorer.segment_logprobs(
+            slots, step, qidx, ext, np.arange(len(rows) + 1) * width
+        ).reshape(len(rows), width)
+        top = np.argsort(-logprobs, axis=1, kind="stable")[:, :topk]
+        kept = np.take_along_axis(logprobs, top, axis=1)
+        probs = np.exp(kept - kept.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        if not np.isfinite(probs).all():
+            raise ArithmeticError("non-finite sampling probabilities")
+        cdf = probs.cumsum(axis=1)
+        cdf /= cdf[:, -1:]
+        col = top[rows, (cdf <= uniforms[:, depth, None]).sum(axis=1)]
+        out[:, depth] = remaining[rows, col]
+        keep = np.ones(remaining.shape, dtype=bool)
+        keep[rows, col] = False
+        remaining = remaining[keep].reshape(len(rows), width - 1)
+        *beam, hyp = step.descend(ext.reshape(len(rows), width)[rows, col])
+    return [list(map(tuple, block)) for block in out.reshape(len(doc_ids), samples, n).tolist()]
 
 
 def select_objective(
@@ -203,18 +251,35 @@ def select_objective(
     All candidates must order the same identifier set; ties go to the
     lexicographically smaller sequence.
     """
-    if not candidates:
-        raise DataError("no candidate permutations")
-    reference = frozenset(candidates[0])
-    n = len(candidates[0])
-    best_seq, best_ll = None, -math.inf
-    for seq in candidates:
-        if len(seq) != n or frozenset(seq) != reference or len(set(seq)) != n:
-            raise DataError(f"candidate {seq} is not a permutation of the identifier")
-        ll = sequence_logprob(scorer, query, seq, index)
-        if ll > best_ll or (ll == best_ll and seq < best_seq):
-            best_seq, best_ll = seq, ll
-    return best_seq, best_ll
+    (best,), lls = _select_objectives([candidates], [query], scorer, index)
+    return best, float(lls[0])
+
+
+def _select_objectives(candidates, queries, scorer, index):
+    """`select_objective` of every pair: candidates[i] order pair i's identifier.
+
+    All candidates of all pairs are scored with one `sequence_logprobs`
+    call. A pair whose every candidate has a non-finite likelihood raises
+    ArithmeticError.
+    """
+    for cands in candidates:
+        if not cands:
+            raise DataError("no candidate permutations")
+        reference, n = frozenset(cands[0]), len(cands[0])
+        for seq in cands:
+            if len(seq) != n or frozenset(seq) != reference or len(set(seq)) != n:
+                raise DataError(f"candidate {seq} is not a permutation of the identifier")
+    flat = [seq for cands in candidates for seq in cands]
+    owner = np.repeat(np.arange(len(candidates)), [len(cands) for cands in candidates])
+    lls = sequence_logprobs(scorer, [queries[i] for i in owner], flat, index)
+    width = max(len(seq) for seq in flat)
+    seqs = np.array([list(seq) + [-1] * (width - len(seq)) for seq in flat], dtype=np.int64)
+    # per pair: likelihood desc (NaN last), then the smaller sequence
+    order = np.lexsort([*seqs.T[::-1], -lls, owner])
+    best = order[np.searchsorted(owner[order], np.arange(len(candidates)))]
+    if not np.isfinite(lls[best]).all():
+        raise ArithmeticError("non-finite likelihood for every candidate permutation")
+    return [flat[i] for i in best], lls[best]
 
 
 def _validate_target(index: Index, doc_id: str, target: tuple[int, ...]) -> None:
@@ -262,54 +327,49 @@ def run_training(
     best_scorer, best_recall = scorer, -math.inf
     num_pseudo = sum(1 for p in dataset.train if p.pseudo)
 
+    pairs = dataset.train
+    queries, doc_ids = [p.query for p in pairs], [p.doc_id for p in pairs]
     for t in range(1, config.iterations + 1):
-        targets: list[tuple[int, ...]] = []
-        objective_total = 0.0
-        for i, pair in enumerate(dataset.train):
-            if t == 1:
-                target = init_permutation(
-                    pair.doc_id,
-                    index,
-                    config.init,
-                    scorer=scorer,
-                    seed=config.seed,
-                    query=pair.query,
-                )
-                ll = sequence_logprob(scorer, pair.query, target, index)
+        if t > 1:
+            samples = _sample_pairs(
+                queries,
+                doc_ids,
+                index,
+                scorer,
+                config.samples,
+                config.topk_sampling,
+                _derived_seed(config.seed, t),
+            )
+            candidates = [cands + [prev] for cands, prev in zip(samples, prev_targets)]
+            targets, lls = _select_objectives(candidates, queries, scorer, index)
+        else:
+            if config.init == "likelihood":  # init_permutation's greedy rollout, all pairs at once
+                targets = [c[0] for c in _sample_pairs(queries, doc_ids, index, scorer, 1, 1, 0)]
             else:
-                candidates = sample_permutations(
-                    pair.query,
-                    pair.doc_id,
-                    index,
-                    scorer,
-                    config.samples,
-                    config.topk_sampling,
-                    seed=_derived_seed(config.seed, t),
-                )
-                candidates.append(prev_targets[i])
-                target, ll = select_objective(candidates, pair.query, scorer, index)
+                targets = [init_permutation(d, index, config.init, seed=config.seed)
+                           for d in doc_ids]
+            lls = sequence_logprobs(scorer, queries, targets, index)
+        for pair, target in zip(pairs, targets):
             _validate_target(index, pair.doc_id, target)
-            targets.append(target)
-            objective_total += ll
         churn = (
             0.0
             if prev_targets is None
             else sum(a != b for a, b in zip(targets, prev_targets)) / len(targets)
         )
 
-        batch = [(pair.query, target) for pair, target in zip(dataset.train, targets)]
-        for _ in range(config.epochs):
-            scorer.train_step(batch, index, config.lr)
+        batch = [(pair.query, target) for pair, target in zip(pairs, targets)]
+        epoch_losses = [scorer.train_step(batch, index, config.lr) for _ in range(config.epochs)]
 
         recall = validation_recall(scorer, index, dataset.validation, config.beam_eval)
         stats.append(
             IterationStats(
                 iteration=t,
-                mean_objective_logprob=objective_total / len(targets),
+                mean_objective_logprob=sum(lls.tolist()) / len(targets),
                 val_recall=recall,
                 target_churn=churn,
                 num_pairs=len(targets),
                 num_pseudo=num_pseudo,
+                epoch_losses=epoch_losses,
             )
         )
         prev_targets = targets

@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +20,7 @@ from . import atomic
 from .corpus import Corpus, CorpusStats, Query
 from .errors import DataError, parse_values
 from .importance import ImportanceModel, score_terms
-from .index import Index
+from .index import Index, root_beam
 
 # Each feature varies across a step's candidates: a constant one cancels in
 # the candidate softmax, so its gradient is identically zero.
@@ -31,6 +33,11 @@ STEP_FEATURES = (
 
 _SCORER_FORMAT = "termset-scorer/2"
 
+# Extension rows the teacher-forcing kernel scores at once. At the root every
+# query's segment holds the whole root step, so an unchunked batch would
+# build a (queries x vocabulary) feature matrix.
+TEACHER_CHUNK_ROWS = 1 << 13
+
 
 class Scorer(ABC):
     """Per-step log-probabilities over a candidate term set.
@@ -40,6 +47,8 @@ class Scorer(ABC):
     implementation normalizes over the candidates. A scorer built on a
     subword model must treat its term-separator symbol as the term
     boundary and return each candidate term's total log-probability.
+    Only step_logprob is required: search calls step_logprobs and training
+    calls segment_logprobs, and both default to step_logprob.
     """
 
     @abstractmethod
@@ -61,6 +70,29 @@ class Scorer(ABC):
             [
                 np.asarray(self.step_logprob(query, node, step.terms[a:b]), dtype=float)
                 for node, a, b in zip(nodes, offsets[:-1], offsets[1:])
+            ]
+        )
+
+    def segment_logprobs(self, queries, step, seg_query, ext, ptr) -> np.ndarray:
+        """Score segments of one step, each under its own query.
+
+        Segment s holds the step extensions ext[ptr[s]:ptr[s + 1]], which
+        all extend one hypothesis, and is normalized over them under
+        queries[seg_query[s]]. The result holds one log-probability per
+        entry of `ext`. This is the training kernels' one call into the
+        scorer. The default calls step_logprob once per segment; override it
+        to batch.
+        """
+        if not np.diff(ptr).all():
+            raise DataError("empty candidate set")
+        nodes, terms = step.nodes(), step.terms[ext]
+        return np.concatenate(
+            [
+                np.asarray(
+                    self.step_logprob(queries[q], nodes[step.parents[ext[a]]], terms[a:b]),
+                    dtype=float,
+                )
+                for q, a, b in zip(seg_query.tolist(), ptr[:-1].tolist(), ptr[1:].tolist())
             ]
         )
 
@@ -94,6 +126,15 @@ class FeatureScorer(Scorer):
         self._by_prefix4: dict[str, list[int]] = {}
         for i, t in enumerate(self.terms):
             self._by_prefix4.setdefault(t[:4], []).append(i)
+
+    @cached_property
+    def _stems(self) -> tuple[dict[str, int], np.ndarray]:
+        """Id of each distinct first-four-character stem, and every term's stem id.
+
+        Built on first use: only the training kernels look stems up by key.
+        """
+        stem_id = {stem: g for g, stem in enumerate(self._by_prefix4)}
+        return stem_id, np.array([stem_id[t[:4]] for t in self.terms], dtype=np.int64)
 
     @classmethod
     def zeros(cls, index: Index, term_weights: np.ndarray | None = None) -> "FeatureScorer":
@@ -147,6 +188,42 @@ class FeatureScorer(Scorer):
         # a larger matrix, but a one-candidate segment normalizes to exactly 0.
         return scores - np.repeat(_segment_logsumexp(scores, step.offsets), counts)
 
+    def segment_logprobs(self, queries, step, seg_query, ext, ptr):
+        """One feature matrix for all segments, normalized segment by segment.
+
+        Bit-identical to step_logprob on each segment, for the reasons
+        given in step_logprobs.
+        """
+        scores = self._segment_features(queries, step, seg_query, ext, ptr) @ self.weights
+        return scores - np.repeat(_segment_logsumexp(scores, ptr), np.diff(ptr))
+
+    def _segment_features(self, queries, step, seg_query, ext, ptr) -> np.ndarray:
+        """`_features` of every segment's extensions under the segment's query.
+
+        Instead of one `query_lookup` per query, the query features are
+        looked up by key in two sorted arrays built for the segments'
+        queries: query * V + term id for `in_query` and query * G + stem id
+        for `query_prefix4`, with G distinct stems in the vocabulary.
+        """
+        counts = np.diff(ptr)
+        if not counts.all():
+            raise DataError("empty candidate set")
+        stem_id, term_stem = self._stems
+        vocab, stems = len(self.terms), len(stem_id)
+        term_keys, stem_keys = [], []
+        for q in np.unique(seg_query).tolist():
+            words = queries[q].terms
+            term_keys += [q * vocab + self._term_id[t] for t in words if t in self._term_id]
+            stem_keys += [q * stems + stem_id[t[:4]] for t in words if t[:4] in stem_id]
+        row_query = np.repeat(seg_query, counts)
+        terms = step.terms[ext]
+        feats = np.empty((len(ext), len(STEP_FEATURES)))
+        feats[:, 0] = _isin_sorted(np.unique(term_keys), row_query * vocab + terms)
+        feats[:, 1] = _isin_sorted(np.unique(stem_keys), row_query * stems + term_stem[terms])
+        feats[:, 2] = self.term_weights[terms]
+        feats[:, 3] = np.log1p(step.sizes[ext])
+        return feats
+
     # -- training -----------------------------------------------------------
 
     def loss_and_grad(self, batch, searchable):
@@ -154,29 +231,38 @@ class FeatureScorer(Scorer):
 
         Loss is the mean negative sequence log-likelihood; the gradient is
         the usual softmax difference E_p[features] - features[target],
-        accumulated along each target's prefix chain.
+        summed over every step of every target. The batch is forced through
+        the teacher kernel (`_teacher_chunks`): one expand per depth for
+        all targets, each distinct (query, prefix) segment scored once and
+        weighted by the number of targets passing through it, in chunks of
+        at most TEACHER_CHUNK_ROWS extensions.
         """
         if not batch:
             raise DataError("empty training batch")
+        queries, qidx = _query_slots([query for query, _ in batch])
         total_loss = 0.0
         grad = np.zeros_like(self.weights)
-        for query, target in batch:
-            lookup = self.query_lookup(query)
-            for node, candidates, pos in _teacher_walk(searchable, target):
-                feats = self.step_features(lookup, node, candidates)
-                scores = feats @ self.weights
-                logprobs = scores - _logsumexp(scores)
-                total_loss -= logprobs[pos]
-                probs = np.exp(logprobs)
-                grad += probs @ feats - feats[pos]
+        for chunk in _teacher_chunks(searchable, qidx, [target for _, target in batch]):
+            feats = self._segment_features(queries, *chunk[:4])
+            scores = feats @ self.weights
+            counts = np.diff(chunk.ptr)
+            logprobs = scores - np.repeat(_segment_logsumexp(scores, chunk.ptr), counts)
+            total_loss -= logprobs[chunk.at].sum()
+            weighted = np.exp(logprobs) * np.repeat(chunk.weight, counts)
+            grad += weighted @ feats - feats[chunk.at].sum(axis=0)
         return total_loss / len(batch), grad / len(batch)
 
     def train_step(self, batch, searchable, lr: float) -> float:
-        """One full-batch gradient step; returns the pre-update loss."""
-        loss, grad = self.loss_and_grad(batch, searchable)
-        if not math.isfinite(loss):
-            raise ArithmeticError(f"non-finite teacher-forcing loss {loss} (lr={lr})")
-        self.weights -= lr * grad
+        """One full-batch gradient step; returns the pre-update loss.
+
+        A non-finite loss or update raises ArithmeticError: training diverged.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            loss, grad = self.loss_and_grad(batch, searchable)
+            update = lr * grad
+        if not (math.isfinite(loss) and np.isfinite(update).all()):
+            raise ArithmeticError(f"non-finite teacher-forcing loss {loss} or update (lr={lr})")
+        self.weights -= update
         return loss
 
 
@@ -204,28 +290,106 @@ def _segment_logsumexp(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     return m + np.array([math.log(s) for s in sums.tolist()])
 
 
-def _teacher_walk(searchable, term_ids):
-    """Walk `term_ids` from the root, yielding each step before taking it.
+def _isin_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """values[i] in keys, for ascending `keys`."""
+    if not len(keys):
+        return np.zeros(len(values), dtype=bool)
+    pos = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
+    return keys[pos] == values
 
-    Yields (node, feasible terms at node, position of the next term among
-    them); a term that is not feasible raises DataError.
+
+def _query_slots(queries):
+    """The distinct query objects, and each entry's slot among them."""
+    slots: dict[int, int] = {}
+    qidx = np.array([slots.setdefault(id(q), len(slots)) for q in queries], dtype=np.int64)
+    return list({id(q): q for q in queries}.values()), qidx
+
+
+class _Chunk(NamedTuple):
+    """Whole (query, prefix) segments of one teacher-forcing step.
+
+    Segment s scores all extensions of its prefix, ext[ptr[s]:ptr[s + 1]],
+    under query slot seg_query[s]; `weight[s]` rows pass through it. Row
+    rows[i] continues with extension ext[at[i]].
     """
-    node = searchable.root()
-    for term_id in term_ids:
-        candidates = node.feasible_terms()
-        pos = int(np.searchsorted(candidates, term_id))
-        if pos >= len(candidates) or candidates[pos] != term_id:
-            raise DataError(f"term id {int(term_id)} infeasible at prefix {node.prefix_ids}")
-        yield node, candidates, pos
-        node = node.extend(int(term_id))
+
+    step: object
+    seg_query: np.ndarray
+    ext: np.ndarray
+    ptr: np.ndarray
+    weight: np.ndarray
+    rows: np.ndarray
+    at: np.ndarray
+
+
+def _teacher_chunks(searchable, qidx, sequences):
+    """Force every row's sequence from the root, one `expand` per depth.
+
+    Row r walks sequences[r] under query slot qidx[r]. At each depth the
+    rows' distinct prefixes form one beam, expanded at once; each row's
+    next term is located among its prefix's extensions (an infeasible term
+    raises DataError). The rows' distinct (query, prefix) segments are
+    yielded in `_Chunk`s of at most TEACHER_CHUNK_ROWS extensions, or one
+    segment when that alone is larger.
+    """
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    seqs = np.full((len(sequences), lengths.max(initial=0)), -1, dtype=np.int64)
+    for row, seq in zip(seqs, sequences):
+        row[: len(seq)] = seq
+    beam = root_beam(searchable)
+    hyp = np.zeros(len(seqs), dtype=np.int64)  # each row's prefix in the beam
+    for depth in range(seqs.shape[1]):
+        rows = np.flatnonzero(lengths > depth)
+        step = searchable.expand(*beam)
+        picks = step.locate(hyp[rows], seqs[rows, depth])
+        if (picks < 0).any():
+            row = rows[np.argmax(picks < 0)]
+            prefix = tuple(seqs[row, :depth].tolist())
+            raise DataError(f"term id {int(seqs[row, depth])} infeasible at prefix {prefix}")
+        yield from _segment_chunks(step, qidx[rows], hyp[rows], rows, picks)
+        *beam, hyp[rows] = step.descend(picks)
+
+
+def _segment_chunks(step, row_query, row_hyp, rows, picks):
+    """Group rows into (query, prefix) segments and cut them into `_Chunk`s."""
+    offsets = step.offsets
+    keys, row_seg = np.unique(row_query * len(step.seqs) + row_hyp, return_inverse=True)
+    seg_query, seg_hyp = np.divmod(keys, len(step.seqs))
+    sizes = offsets[seg_hyp + 1] - offsets[seg_hyp]
+    ends = np.cumsum(sizes)
+    weight = np.bincount(row_seg, minlength=len(keys))
+    order = np.argsort(row_seg, kind="stable")
+    row_bounds = np.searchsorted(row_seg[order], np.arange(len(keys) + 1))
+    a = 0
+    while a < len(keys):
+        b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + TEACHER_CHUNK_ROWS, "right")))
+        ptr = np.zeros(b - a + 1, dtype=np.int64)
+        np.cumsum(sizes[a:b], out=ptr[1:])
+        ext = np.repeat(offsets[seg_hyp[a:b]] - ptr[:-1], sizes[a:b]) + np.arange(ptr[-1])
+        mine = order[row_bounds[a] : row_bounds[b]]
+        at = ptr[row_seg[mine] - a] + picks[mine] - offsets[row_hyp[mine]]
+        yield _Chunk(step, seg_query[a:b], ext, ptr, weight[a:b], rows[mine], at)
+        a = b
+
+
+def sequence_logprobs(scorer: Scorer, queries, sequences, searchable) -> np.ndarray:
+    """`sequence_logprob` of every (queries[r], sequences[r]) through the teacher kernel.
+
+    Each distinct (query, prefix) step is scored once, with one
+    `segment_logprobs` call per chunk, and each row sums its steps in
+    order, so the results are bit-identical to scoring row by row.
+    """
+    slots, qidx = _query_slots(queries)
+    total = np.zeros(len(sequences))
+    for chunk in _teacher_chunks(searchable, qidx, sequences):
+        logprobs = scorer.segment_logprobs(slots, *chunk[:4])
+        total[chunk.rows] += logprobs[chunk.at]
+    return total
 
 
 def sequence_logprob(scorer: Scorer, query: Query, term_ids, searchable) -> float:
     """Sum of step log-probabilities along a valid identifier prefix."""
-    total = 0.0
-    for node, candidates, pos in _teacher_walk(searchable, term_ids):
-        total += float(scorer.step_logprob(query, node, candidates)[pos])
-    return total
+    return float(sequence_logprobs(scorer, [query], [list(term_ids)], searchable)[0])
 
 
 def build_term_weights(

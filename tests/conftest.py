@@ -3,6 +3,7 @@ import pytest
 
 from termset_retrieval.importance import IdentifierTable
 from termset_retrieval.index import build_index
+from termset_retrieval.synthetic import make_random_identifiers
 
 
 def central_difference(fn, weights, step=1e-5):
@@ -47,3 +48,19 @@ def tiny_index(tiny_table):
 
 def term_ids(index, *terms):
     return [index.dictionary.id_of(t) for t in terms]
+
+
+# stems of at most four characters, so distinct terms often share their
+# first four characters (the `query_prefix4` feature)
+STEMS = ("brid", "fill", "ab", "t00")
+SUFFIXES = ("", "ge", "s", "1x", "y", "zz")
+STEM_WORDS = tuple(sorted(stem + suffix for stem in STEMS for suffix in SUFFIXES))
+
+
+def word_registry(num_docs, vocab_size, n, seed=0):
+    """`make_random_identifiers` with its terms renamed to words from STEM_WORDS."""
+    table = make_random_identifiers(num_docs, vocab_size, n, seed=seed)
+    rename = dict(zip(sorted({t for ts in table.terms_by_doc.values() for t in ts}), STEM_WORDS))
+    return IdentifierTable(
+        n, {doc: [rename[t] for t in terms] for doc, terms in table.terms_by_doc.items()}
+    )

@@ -131,6 +131,22 @@ class TestErrors:
                     "--output-dir", tmp_path / "out")
         assert rc == 2
 
+    @pytest.mark.parametrize("command", ["train", "build-terms"])
+    def test_diverging_training_is_data_error(self, pipeline, tmp_path, capsys, command):
+        out = tmp_path / "diverged"
+        if command == "train":
+            argv = [*TRAIN, "--index", pipeline / "index.txt", "--lr", "1e308"]
+        else:
+            argv = [*TRAIN, "--importance-lr", "1e308"]
+            argv[0] = "build-terms"
+        capsys.readouterr()
+        assert invoke(*argv, "--output-dir", out) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: non-finite")
+        assert not out.exists()
+
     def test_corrupt_index_is_data_error(self, tmp_path):
         fake = tmp_path / "fake_index.txt"
         fake.write_text("wrong-format/0\n", encoding="utf-8")
@@ -335,6 +351,7 @@ class TestPseudoPairs:
             for line in (tmp_path / "out" / "training-stats.jsonl").read_text().splitlines()
         ]
         assert stats[0]["num_pseudo"] == 1
+        assert len(stats[0]["epoch_losses"]) == 2  # one pre-update loss per epoch
 
 
 class TestAblateAndBench:

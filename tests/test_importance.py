@@ -5,7 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from termset_retrieval.corpus import Corpus, Document, Query, TrainingPair, ingest_corpus
+from termset_retrieval.corpus import (
+    Corpus,
+    Document,
+    Query,
+    TrainingPair,
+    ingest_corpus,
+    sample_negatives,
+)
 from termset_retrieval.errors import DataError, InvariantError
 from termset_retrieval.importance import (
     EmbeddingFeaturizer,
@@ -150,6 +157,68 @@ class TestInfoNCE:
         a = train_importance(pairs, corpus, epochs=30, lr=0.05, seed=9)
         b = train_importance(pairs, corpus, epochs=30, lr=0.05, seed=9)
         assert np.array_equal(a.weights, b.weights)
+
+
+def per_pair_loss_and_grad(weights, pairs, corpus, tau):
+    """The per-pair, per-candidate InfoNCE loop the stacked batch replaced."""
+    featurizer, stats = TfidfFeaturizer(), corpus.stats
+    total_loss, total_grad = 0.0, np.zeros_like(weights)
+    for pair in pairs:
+        qf = featurizer.features(pair.query.terms, set(), stats)
+        scores, score_grads = [], []
+        for doc_id in [pair.positive] + list(pair.negatives):
+            doc = corpus[doc_id]
+            df = featurizer.features(doc.terms, doc.title_terms, stats)
+            shared = sorted(set(qf) & set(df))
+            fq = np.array([qf[t] for t in shared]).reshape(-1, featurizer.dim)
+            fd = np.array([df[t] for t in shared]).reshape(-1, featurizer.dim)
+            zq, zd = fq @ weights, fd @ weights
+            wq, wd = np.maximum(zq, 0.0), np.maximum(zd, 0.0)
+            scores.append(wq @ wd)
+            score_grads.append(((zq > 0) * wd) @ fq + ((zd > 0) * wq) @ fd)
+        shifted = np.array(scores) / tau
+        shifted -= shifted.max()
+        probs = np.exp(shifted) / np.exp(shifted).sum()
+        total_loss += -math.log(probs[0])
+        dscore = probs.copy()
+        dscore[0] -= 1.0
+        for c, grad in enumerate(score_grads):
+            total_grad += (dscore[c] / tau) * grad
+    return total_loss / len(pairs), total_grad / len(pairs)
+
+
+class TestStackedInfoNCE:
+    def random_pairs(self, seed):
+        corpus, queries, judgments = make_bridging_corpus(num_docs=12, seed=seed)
+        pairs = sample_negatives(queries, judgments, corpus, m=4, seed=seed)
+        # a query that shares no term with any document: every score is 0
+        pairs.append(TrainingPair(Query.from_text("qx", "nothing shared"), "D000", ["D001"]))
+        return corpus, pairs
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_the_per_pair_loop(self, seed):
+        corpus, pairs = self.random_pairs(seed)
+        batch = prepare_training_batch(pairs, corpus)
+        rng = np.random.default_rng(seed)
+        for tau in (0.5, 1.0, 3.0):
+            w = rng.uniform(0.05, 1.0, size=6) * rng.choice([-1, 1], size=6)
+            loss, grad = infonce_loss_and_grad(w, batch, tau)
+            want_loss, want_grad = per_pair_loss_and_grad(w, pairs, corpus, tau)
+            assert abs(loss - want_loss) <= 1e-12 * max(abs(want_loss), 1.0)
+            assert np.abs(grad - want_grad).max() <= 1e-12 * max(np.abs(want_grad).max(), 1.0)
+
+    def test_bridging_identifiers_unchanged(self):
+        corpus, queries, judgments = make_bridging_corpus(num_docs=60, seed=0)
+        pairs = sample_negatives(queries, judgments, corpus, m=4, seed=7)
+        model = train_importance(pairs, corpus, epochs=40, lr=0.05, seed=0)
+        weights = np.random.default_rng(0).uniform(0.001, 0.01, size=6)
+        for _ in range(40):
+            weights = weights - 0.05 * per_pair_loss_and_grad(weights, pairs, corpus, 1.0)[1]
+        reference = ImportanceModel(weights)
+        got = build_identifiers(corpus, model, n_min=2, n_max=8)
+        want = build_identifiers(corpus, reference, n_min=2, n_max=8)
+        assert got.terms_by_doc == want.terms_by_doc
+        assert np.abs(model.weights - weights).max() <= 1e-12 * np.abs(weights).max()
 
 
 class TestScoreTerms:

@@ -1,7 +1,11 @@
 """Initialization policies, permutation sampling, and the adaptive loop."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termset_retrieval.corpus import Query, sample_negatives
 from termset_retrieval.errors import DataError
@@ -9,14 +13,25 @@ from termset_retrieval.importance import IdentifierTable, train_importance, buil
 from termset_retrieval.index import build_index
 from termset_retrieval.learning import (
     TrainingConfig,
+    _derived_seed,
+    _sample_pairs,
+    _select_objectives,
     init_permutation,
     make_dataset,
     run_training,
     sample_permutations,
     select_objective,
 )
-from termset_retrieval.scorer import FeatureScorer, UniformScorer, build_term_weights, sequence_logprob
+from termset_retrieval.scorer import (
+    STEP_FEATURES,
+    FeatureScorer,
+    UniformScorer,
+    build_term_weights,
+    sequence_logprob,
+)
 from termset_retrieval.synthetic import make_bridging_corpus, split_by_wave
+
+from conftest import STEM_WORDS, word_registry
 
 
 def query(text=""):
@@ -150,6 +165,100 @@ class TestSelectObjective:
             select_objective([ordered, ordered[:-1]], query(), UniformScorer(), four_term_index)
         with pytest.raises(DataError, match="no candidate"):
             select_objective([], query(), UniformScorer(), four_term_index)
+
+
+def rollout_permutations(query, doc_id, index, scorer, samples, topk, seed=0):
+    """The per-pair, per-sample rollout `sample_permutations` replaced, kept as its oracle."""
+    ordered = [int(t) for t in index.identifier_ids(doc_id, ordered=True)]
+    rng = np.random.default_rng(_derived_seed("sample", seed, query.query_id, doc_id))
+    out = []
+    for _ in range(samples):
+        node = index.root()
+        remaining = list(ordered)
+        seq = []
+        while remaining:
+            logprobs = scorer.step_logprob(query, node, np.array(remaining))
+            k = min(topk, len(remaining))
+            top = np.argsort(-logprobs, kind="stable")[:k]
+            shifted = logprobs[top] - logprobs[top].max()
+            probs = np.exp(shifted)
+            probs /= probs.sum()
+            pick = remaining[int(top[rng.choice(k, p=probs)])]
+            seq.append(pick)
+            remaining.remove(pick)
+            node = node.extend(pick)
+        out.append(tuple(seq))
+    return out
+
+
+def pick_objective(candidates, query, scorer, index):
+    """The per-candidate selection loop `select_objective` replaced."""
+    best_seq, best_ll = None, -math.inf
+    for seq in candidates:
+        ll = sequence_logprob(scorer, query, seq, index)
+        if ll > best_ll or (ll == best_ll and seq < best_seq):
+            best_seq, best_ll = seq, ll
+    return best_seq, best_ll
+
+
+@st.composite
+def sampling_cases(draw):
+    """A registry with shared 4-character stems, a scorer, and pairs over shared queries."""
+    n = draw(st.sampled_from([1, 2, 3, 4, 6]))
+    vocab = draw(st.integers(n + 1, len(STEM_WORDS)))
+    docs = draw(st.integers(1, min(12, math.comb(vocab, n))))
+    index = build_index(word_registry(docs, vocab, n, seed=draw(st.integers(0, 999))))
+    rng = np.random.default_rng(draw(st.integers(0, 999)))
+    if draw(st.booleans()):
+        scorer = FeatureScorer(rng.normal(0, 2, len(STEP_FEATURES)), index.dictionary.terms,
+                               rng.uniform(0, 2, len(index.dictionary)))
+    else:
+        scorer = UniformScorer()
+    words = st.lists(st.sampled_from(STEM_WORDS + ("zz",)), max_size=4)
+    pool = [Query.from_text(f"q{i}", " ".join(draw(words))) for i in range(draw(st.integers(1, 3)))]
+    pairs = [
+        (pool[int(rng.integers(len(pool)))], index.doc_ids[int(rng.integers(len(index)))])
+        for _ in range(draw(st.integers(1, 4)))
+    ]
+    samples, topk = draw(st.integers(1, 4)), draw(st.integers(1, n + 1))
+    return index, scorer, pairs, samples, topk, draw(st.integers(0, 2**32))
+
+
+class TestSamplingKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(sampling_cases())
+    def test_batched_sampling_equals_the_per_pair_rollout(self, case):
+        index, scorer, pairs, samples, topk, seed = case
+        want = [rollout_permutations(q, d, index, scorer, samples, topk, seed) for q, d in pairs]
+        queries, doc_ids = [q for q, _ in pairs], [d for _, d in pairs]
+        assert _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed) == want
+        q, d = pairs[0]
+        assert sample_permutations(q, d, index, scorer, samples, topk, seed) == want[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(sampling_cases())
+    def test_batched_selection_equals_the_per_candidate_loop(self, case):
+        index, scorer, pairs, samples, topk, seed = case
+        queries, doc_ids = [q for q, _ in pairs], [d for _, d in pairs]
+        candidates = [
+            cands + [tuple(int(t) for t in index.identifier_ids(d, ordered=True))]
+            for cands, d in zip(_sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed),
+                                doc_ids)
+        ]
+        want = [pick_objective(c, q, scorer, index) for c, q in zip(candidates, queries)]
+        best, lls = _select_objectives(candidates, queries, scorer, index)
+        assert best == [seq for seq, _ in want]
+        assert lls.tolist() == [ll for _, ll in want]  # bit for bit
+
+    def test_nan_scores_raise_arithmetic_error(self, four_term_index):
+        scorer = FeatureScorer.zeros(four_term_index)
+        scorer.weights[:] = np.nan
+        q = Query.from_text("q", "white")
+        ordered = tuple(four_term_index.identifier_ids("D1", ordered=True).tolist())
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            select_objective([ordered, ordered[::-1]], q, scorer, four_term_index)
+        with pytest.raises(ArithmeticError, match="non-finite"):
+            sample_permutations(q, "D1", four_term_index, scorer, samples=2, topk=2, seed=1)
 
 
 def bridging_setup(seed=0):

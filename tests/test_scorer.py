@@ -1,19 +1,22 @@
 """Step probabilities, sequence likelihoods, teacher-forced training."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termset_retrieval import scorer as scorer_module
 from termset_retrieval.corpus import Query
 from termset_retrieval.errors import DataError
 from termset_retrieval.importance import IdentifierTable
-from termset_retrieval.index import build_index
+from termset_retrieval.index import SequenceView, build_index
 from termset_retrieval.scorer import (
     STEP_FEATURES,
     FeatureScorer,
+    Scorer,
     UniformScorer,
     _logsumexp,
     _segment_logsumexp,
@@ -21,10 +24,11 @@ from termset_retrieval.scorer import (
     load_scorer,
     save_scorer,
     sequence_logprob,
+    sequence_logprobs,
 )
 from termset_retrieval.synthetic import make_random_identifiers
 
-from conftest import central_difference, max_relative_error, term_ids
+from conftest import STEM_WORDS, central_difference, max_relative_error, term_ids, word_registry
 
 
 def query(text=""):
@@ -166,6 +170,122 @@ class TestSequenceLogprob:
             sequence_logprob(UniformScorer(), query(), ids[:k], tiny_index) for k in range(4)
         ]
         assert all(partials[i + 1] <= partials[i] for i in range(3))
+
+
+def teacher_walk(searchable, term_ids):
+    """Walk `term_ids` from the root node by node, yielding each step before taking it.
+
+    Yields (node, feasible terms at node, position of the next term among
+    them); a term that is not feasible raises DataError. The per-pair walk
+    the teacher kernel replaced, kept as its oracle.
+    """
+    node = searchable.root()
+    for term_id in term_ids:
+        candidates = node.feasible_terms()
+        pos = int(np.searchsorted(candidates, term_id))
+        if pos >= len(candidates) or candidates[pos] != term_id:
+            raise DataError(f"term id {int(term_id)} infeasible at prefix {node.prefix_ids}")
+        yield node, candidates, pos
+        node = node.extend(int(term_id))
+
+
+def walk_logprob(scorer, query, term_ids, searchable):
+    total = 0.0
+    for node, candidates, pos in teacher_walk(searchable, term_ids):
+        total += float(scorer.step_logprob(query, node, candidates)[pos])
+    return total
+
+
+def walk_loss_and_grad(scorer, batch, searchable):
+    """The per-pair teacher-forcing loop `loss_and_grad` replaced."""
+    total_loss = 0.0
+    grad = np.zeros_like(scorer.weights)
+    for query, target in batch:
+        lookup = scorer.query_lookup(query)
+        for node, candidates, pos in teacher_walk(searchable, target):
+            feats = scorer.step_features(lookup, node, candidates)
+            scores = feats @ scorer.weights
+            logprobs = scores - _logsumexp(scores)
+            total_loss -= logprobs[pos]
+            grad += np.exp(logprobs) @ feats - feats[pos]
+    return total_loss / len(batch), grad / len(batch)
+
+
+class SizeScorer(Scorer):
+    """Implements only step_logprob and reads the node: uses the default segment path."""
+
+    def step_logprob(self, query, node, candidates):
+        scores = np.log1p(node.child_sizes(candidates)) * (node.depth + 0.5)
+        scores += 0.1 * len(query.terms)
+        return scores - _logsumexp(scores)
+
+
+@st.composite
+def teacher_cases(draw):
+    """A registry with shared 4-character stems, a view of it, a scorer and a batch.
+
+    Rows share query objects, may repeat a target, and may stop short of N.
+    """
+    n = draw(st.integers(1, 4))
+    vocab = draw(st.integers(n + 1, len(STEM_WORDS)))
+    docs = draw(st.integers(1, min(20, math.comb(vocab, n))))
+    index = build_index(word_registry(docs, vocab, n, seed=draw(st.integers(0, 999))))
+    sequence_view = draw(st.booleans())
+    searchable = SequenceView(index) if sequence_view else index
+    rng = np.random.default_rng(draw(st.integers(0, 999)))
+    kind = draw(st.sampled_from(["feature", "uniform", "size"]))
+    if kind == "feature":
+        scorer = FeatureScorer(rng.normal(0, 2, len(STEP_FEATURES)), index.dictionary.terms,
+                               rng.uniform(0, 2, len(index.dictionary)))
+    else:
+        scorer = UniformScorer() if kind == "uniform" else SizeScorer()
+    words = st.lists(st.sampled_from(STEM_WORDS + ("zz",)), max_size=4)
+    pool = [Query.from_text(f"q{i}", " ".join(draw(words))) for i in range(draw(st.integers(1, 3)))]
+    queries, targets = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        row = index.order[int(rng.integers(len(index)))]
+        seq = row if sequence_view else rng.permutation(row)
+        queries.append(pool[int(rng.integers(len(pool)))])
+        targets.append([int(t) for t in seq[: draw(st.integers(0, n))]])
+    return searchable, scorer, queries, targets
+
+
+def close(got, want):
+    """Within 1e-12 of the larger of max|want| and 1."""
+    return np.abs(np.asarray(got) - want).max() <= 1e-12 * max(np.abs(want).max(), 1.0)
+
+
+class TestTeacherKernel:
+    @settings(max_examples=150, deadline=None)
+    @given(teacher_cases())
+    def test_matches_the_per_pair_walk(self, case):
+        searchable, scorer, queries, targets = case
+        got = sequence_logprobs(scorer, queries, targets, searchable)
+        want = [walk_logprob(scorer, q, t, searchable) for q, t in zip(queries, targets)]
+        assert got.tolist() == want  # bit for bit
+        with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", 1):
+            assert sequence_logprobs(scorer, queries, targets, searchable).tolist() == want
+        if isinstance(scorer, FeatureScorer):
+            batch = list(zip(queries, targets))
+            loss, grad = scorer.loss_and_grad(batch, searchable)
+            want_loss, want_grad = walk_loss_and_grad(scorer, batch, searchable)
+            assert close(loss, want_loss) and close(grad, want_grad)
+            with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", 1):
+                one_loss, one_grad = scorer.loss_and_grad(batch, searchable)
+            assert close(one_loss, want_loss) and close(one_grad, want_grad)
+
+    def test_plug_in_scorers_take_the_default_segment_path(self):
+        assert UniformScorer.segment_logprobs is Scorer.segment_logprobs
+        assert SizeScorer.segment_logprobs is Scorer.segment_logprobs
+        assert FeatureScorer.segment_logprobs is not Scorer.segment_logprobs
+
+    def test_infeasible_term_in_a_batch_names_its_prefix(self, tiny_index):
+        a, b, c, e = term_ids(tiny_index, "a", "b", "c", "e")
+        with pytest.raises(DataError, match=rf"term id {e} infeasible at prefix \({a}, {b}\)"):
+            sequence_logprobs(UniformScorer(), [query()] * 2, [[a, b, c], [a, b, e]], tiny_index)
+        with pytest.raises(DataError, match="infeasible"):
+            sequence_logprobs(UniformScorer(), [query()], [[len(tiny_index.dictionary)]],
+                              tiny_index)
 
 
 class TestTraining:
