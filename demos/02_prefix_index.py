@@ -17,17 +17,33 @@ table = make_random_identifiers(num_docs=10_000, vocab_size=2000, n=6, seed=1)
 index = build_index(table)
 print(f"index: {len(index.doc_ids)} docs, vocabulary {len(index.dictionary)}, n={index.n}")
 
-# Walk one identifier term by term and watch the pruning.
+# Walk one identifier term by term and watch the pruning: a prefix's
+# documents are its terms' postings intersected, and its feasible set comes
+# from one `expand` of that one-prefix beam.
+def feasible(prefix, docs):
+    seqs = np.array(prefix, dtype=np.int64).reshape(1, len(prefix))
+    return index.expand(seqs, docs, np.array([0, len(docs)])).terms
+
+
+def holders(prefix):
+    docs = index.postings(prefix[0])
+    for term_id in prefix[1:]:
+        docs = np.intersect1d(docs, index.postings(term_id), assume_unique=True)
+    return docs
+
+
 doc_id = index.doc_ids[4321]
 print(f"\nwalking the identifier of {doc_id}:")
-node = index.root()
-print(f"  depth 0: postings {len(node.postings):>6}, feasible {len(node.feasible_terms()):>5}")
-for term_id in index.identifier_ids(doc_id, ordered=True):
-    node = node.extend(int(term_id))
-    term = index.dictionary.term_of(int(term_id))
-    print(f"  +{term}: postings {len(node.postings):>6}, feasible {len(node.feasible_terms()):>5}")
-assert node.complete_doc() == doc_id
-print(f"  complete -> {node.complete_doc()}")
+prefix, docs = [], index.all_docs
+print(f"  depth 0: postings {len(docs):>6}, feasible {len(feasible(prefix, docs)):>5}")
+for term_id in index.identifier_ids(doc_id, ordered=True).tolist():
+    postings = index.postings(term_id)
+    docs = np.intersect1d(docs, postings, assume_unique=True) if prefix else postings
+    prefix.append(term_id)
+    term = index.dictionary.term_of(term_id)
+    print(f"  +{term}: postings {len(docs):>6}, feasible {len(feasible(prefix, docs)):>5}")
+assert [index.doc_ids[d] for d in docs] == [doc_id]
+print(f"  complete -> {index.doc_ids[docs[0]]}")
 
 # Nearly all documents disappear after one or two terms, which is exactly
 # what makes the per-step feasible computation cheap.
@@ -41,10 +57,7 @@ for _ in range(300):
 
 start = time.perf_counter()
 for prefix in prefixes:
-    node = index.root()
-    for term_id in prefix:
-        node = node.extend(term_id)
-    node.feasible_terms()
+    feasible(prefix, holders(prefix))
 walk_time = time.perf_counter() - start
 
 start = time.perf_counter()

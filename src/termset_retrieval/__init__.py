@@ -21,7 +21,6 @@ from .corpus import (
     tokenize,
 )
 from .decoder import (
-    Hypothesis,
     RankedDoc,
     SearchResult,
     brute_force_best_permutation,
@@ -65,7 +64,6 @@ from .importance import (
 )
 from .index import (
     Index,
-    PrefixNode,
     SequenceView,
     TermDictionary,
     build_index,

@@ -17,18 +17,8 @@ import numpy as np
 from . import atomic
 from .corpus import Query
 from .errors import DataError, InvariantError
+from .index import root_beam
 from .scorer import Scorer, sequence_logprob
-
-
-@dataclass
-class Hypothesis:
-    term_ids: tuple[int, ...]
-    logprob: float
-    node: object  # prefix node handle
-
-    def terms(self) -> tuple[str, ...]:
-        dictionary = self.node.index.dictionary
-        return tuple(dictionary.term_of(int(t)) for t in self.term_ids)
 
 
 @dataclass
@@ -60,11 +50,11 @@ def constrained_beam_search(
     scorer: Scorer,
     beam_size: int | None = 100,
     dedupe_sets: bool = False,
-) -> list[Hypothesis]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run N constrained decoding steps and return the completed hypotheses.
 
-    `searchable` is an index-like object exposing root(), node(), expand(),
-    n, doc_ids and a dictionary; beam_size=None keeps every valid extension
+    `searchable` is an index-like object exposing all_docs, expand(), n,
+    doc_ids and a dictionary; beam_size=None keeps every valid extension
     (exhaustive). With dedupe_sets, order variants of the same prefix set
     collapse to their best-scoring member before the top-K cut; by default
     they stay distinct because the scorer rates them differently: each
@@ -79,13 +69,13 @@ def constrained_beam_search(
     `top_k_cut`, which sorts only the extensions at or above the K-th
     log-likelihood (found with `np.partition`) and falls back to sorting
     the whole step when dedupe_sets leaves fewer than K distinct sets among
-    them. Prefix nodes are built for the completed hypotheses only.
+    them. Returns the completed hypotheses as arrays, best first: their
+    term-id sequences (one row each), log-likelihoods and document
+    positions.
     """
     if beam_size is not None and beam_size < 1:
         raise DataError(f"beam size must be >= 1, got {beam_size}")
-    docs = searchable.root().postings
-    ptr = np.array([0, len(docs)])
-    seqs = np.empty((1, 0), dtype=np.int64)  # one row of term ids per hypothesis
+    seqs, docs, ptr = root_beam(searchable)  # one row of term ids per hypothesis
     lls = np.zeros(1)
     rank = np.zeros(1, dtype=np.int64)  # place of each sequence in lexicographic order
     for _ in range(searchable.n):
@@ -99,10 +89,12 @@ def constrained_beam_search(
         kept_rank = rank[kept_parents]
         rank = np.empty(len(order), dtype=np.int64)
         rank[np.lexsort((kept_terms, kept_rank))] = np.arange(len(order))
-    return [
-        Hypothesis(term_ids, float(ll), searchable.node(term_ids, docs[ptr[h] : ptr[h + 1]]))
-        for h, (term_ids, ll) in enumerate(zip(map(tuple, seqs.tolist()), lls))
-    ]
+    held = np.diff(ptr)
+    if (held != 1).any():
+        raise InvariantError(
+            f"full-length prefix maps to {held[np.argmax(held != 1)]} documents, expected 1"
+        )
+    return seqs, lls, docs
 
 
 def top_k_cut(step, step_ll, rank, beam_size, dedupe_sets) -> np.ndarray:
@@ -144,21 +136,34 @@ def _sort_rows(step, step_ll, rank, rows, dedupe_sets) -> np.ndarray:
 
 
 def rank_documents(
-    hypotheses: list[Hypothesis],
+    seqs: np.ndarray,
+    lls: np.ndarray,
+    docs: np.ndarray,
+    searchable,
     query_id: str = "",
     beam_size: int | None = None,
 ) -> SearchResult:
-    """Group completed hypotheses by document and keep each one's best permutation."""
-    best: dict[str, tuple[float, tuple[int, ...], Hypothesis]] = {}
-    for hyp in hypotheses:
-        doc_id = hyp.node.complete_doc()
-        if doc_id is None:
-            raise InvariantError("cannot rank an incomplete hypothesis")
-        cur = best.get(doc_id)
-        if cur is None or hyp.logprob > cur[0] or (hyp.logprob == cur[0] and hyp.term_ids < cur[1]):
-            best[doc_id] = (hyp.logprob, hyp.term_ids, hyp)
-    ranked = sorted(best.items(), key=lambda kv: (-kv[1][0], kv[0]))
-    entries = [RankedDoc(doc_id, score, hyp.terms()) for doc_id, (score, _, hyp) in ranked]
+    """Group completed hypotheses by document and keep each one's best permutation.
+
+    Completed hypothesis h is the term-id sequence seqs[h], with
+    log-likelihood lls[h], naming document position docs[h]. One lexsort
+    by (doc, -score, sequence) groups them: each document keeps its best
+    log-likelihood and, of hypotheses tied on it, the smallest sequence.
+    Documents are ranked by (-score, doc id), that is, by (-score, doc
+    position), since positions follow sorted doc ids.
+    """
+    if seqs.shape[1] != searchable.n:
+        raise InvariantError("cannot rank an incomplete hypothesis")
+    order = np.lexsort((*seqs.T[::-1], -lls, docs))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = docs[order[1:]] != docs[order[:-1]]
+    best = order[first]
+    best = best[np.lexsort((docs[best], -lls[best]))]
+    term_of, doc_ids = searchable.dictionary.term_of, searchable.doc_ids
+    entries = [
+        RankedDoc(doc_ids[doc], ll, tuple(term_of(t) for t in seq))
+        for doc, ll, seq in zip(docs[best].tolist(), lls[best].tolist(), seqs[best].tolist())
+    ]
     return SearchResult(query_id, beam_size, entries)
 
 
@@ -169,8 +174,8 @@ def search(
     beam_size: int | None = 100,
     dedupe_sets: bool = False,
 ) -> SearchResult:
-    hyps = constrained_beam_search(query, searchable, scorer, beam_size, dedupe_sets)
-    return rank_documents(hyps, query.query_id, beam_size)
+    seqs, lls, docs = constrained_beam_search(query, searchable, scorer, beam_size, dedupe_sets)
+    return rank_documents(seqs, lls, docs, searchable, query.query_id, beam_size)
 
 
 def brute_force_best_permutation(

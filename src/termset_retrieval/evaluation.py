@@ -345,8 +345,10 @@ def benchmark_feasible_speedup(
 ) -> FeasibleSpeedup:
     """Time feasible-set computation: posting-list walk vs full-registry scan.
 
-    Prefixes are random reachable ones (subsets of real identifiers). Both
-    paths must agree on every prefix before their timings count.
+    Prefixes are random reachable ones (subsets of real identifiers). The
+    walk intersects the prefix terms' postings, then takes the feasible set
+    from one `expand` of that one-prefix beam. Both paths must agree on
+    every prefix before their timings count.
     """
     rng = np.random.default_rng(seed)
     prefixes = []
@@ -356,10 +358,10 @@ def benchmark_feasible_speedup(
         prefixes.append(tuple(int(t) for t in rng.choice(row, size=depth, replace=False)))
 
     def walk(prefix):
-        node = index.root()
-        for term_id in prefix:
-            node = node.extend(term_id)
-        return node.feasible_terms()
+        docs = index.postings(prefix[0])
+        for term_id in prefix[1:]:
+            docs = np.intersect1d(docs, index.postings(term_id), assume_unique=True)
+        return index.expand(np.array([prefix]), docs, np.array([0, len(docs)])).terms
 
     for prefix in prefixes[: min(20, num_prefixes)]:
         if not np.array_equal(walk(prefix), naive_feasible_terms(index, prefix)):

@@ -1,17 +1,16 @@
 """Identifier registry and the prefix -> postings inverted index.
 
-Term-level posting lists are global and immutable once built; prefix nodes
-are materialized lazily per query while decoding, so only visited prefixes
-ever exist. A prefix node knows the documents whose identifiers contain
-every prefix term, and its feasible set is the union of those documents'
-remaining identifier terms.
+Term-level posting lists are global and immutable once built. Prefixes
+are never stored: a decoding step holds a beam of prefixes with the
+documents whose identifiers contain every prefix term, and `expand` turns
+it into a `Step`, whose extensions of each prefix are the union of its
+documents' remaining identifier terms.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
@@ -42,17 +41,6 @@ class TermDictionary:
 
     def term_of(self, term_id: int) -> str:
         return self.terms[term_id]
-
-
-class Expansion(NamedTuple):
-    """Every one-term extension of one prefix, aligned by position.
-
-    terms: feasible term ids, ascending. sizes: documents left after
-    appending each term.
-    """
-
-    terms: np.ndarray
-    sizes: np.ndarray
 
 
 @dataclass
@@ -90,14 +78,6 @@ class Step:
     def n(self) -> int:
         return self.searchable.n
 
-    def nodes(self) -> list["PrefixNode"]:
-        """One prefix node per beam hypothesis; built on request only."""
-        ptr = self.beam_ptr
-        return [
-            self.searchable.node(prefix, self.beam_docs[ptr[h] : ptr[h + 1]])
-            for h, prefix in enumerate(map(tuple, self.seqs.tolist()))
-        ]
-
     def children(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Child postings of extensions `picks`, as flat docs and offsets."""
         sizes = self.sizes[picks]
@@ -130,7 +110,7 @@ class Step:
 
 def root_beam(searchable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The depth-0 beam, as `expand` takes it: the empty prefix, held by every document."""
-    docs = searchable.root().postings
+    docs = searchable.all_docs
     return np.empty((1, 0), dtype=np.int64), docs, np.array([0, len(docs)])
 
 
@@ -192,17 +172,9 @@ class Index:
         self.posting_sizes = np.diff(self.posting_ptr)
         self.all_docs = np.arange(len(doc_ids), dtype=np.int32)
         self.root_feasible = np.flatnonzero(self.posting_sizes > 0).astype(np.int32)
-        # one shared root: a node is read-only apart from its expansion cache
-        self._root = PrefixNode(self, (), self.all_docs)
 
     def __len__(self):
         return len(self.doc_ids)
-
-    def root(self) -> "PrefixNode":
-        return self._root
-
-    def node(self, prefix_ids: tuple[int, ...], postings: np.ndarray) -> "PrefixNode":
-        return PrefixNode(self, prefix_ids, postings)
 
     def postings(self, term_id: int) -> np.ndarray:
         return self.posting_docs[self.posting_ptr[term_id] : self.posting_ptr[term_id + 1]]
@@ -237,66 +209,6 @@ class Index:
         strings = sum(len(t.encode("utf-8")) for t in self.dictionary.terms)
         strings += sum(len(d.encode("utf-8")) for d in self.doc_ids)
         return arrays + strings
-
-
-class PrefixNode:
-    """One generated prefix and the documents whose identifiers contain it."""
-
-    def __init__(self, index: Index, prefix_ids: tuple[int, ...], postings: np.ndarray):
-        self.index = index
-        self.searchable = index
-        self.prefix_ids = prefix_ids
-        self.postings = postings
-        self._expansion: Expansion | None = None
-
-    @property
-    def depth(self) -> int:
-        return len(self.prefix_ids)
-
-    def expansion(self) -> Expansion:
-        """Feasible terms with their child sizes: a one-row `Step`."""
-        if self._expansion is None:
-            seqs = np.array(self.prefix_ids, dtype=np.int64).reshape(1, self.depth)
-            ptr = np.array([0, len(self.postings)])
-            step = self.searchable.expand(seqs, self.postings, ptr)
-            self._expansion = Expansion(step.terms, step.sizes)
-        return self._expansion
-
-    def feasible_terms(self) -> np.ndarray:
-        """Terms extending this prefix inside at least one identifier, repeats excluded."""
-        return self.expansion().terms
-
-    def child_sizes(self, candidates: np.ndarray) -> np.ndarray:
-        """Child sizes of `candidates`, each of which must be feasible here."""
-        terms, sizes = self.expansion()
-        candidates = np.asarray(candidates)
-        pos = np.searchsorted(terms, candidates)
-        found = pos < len(terms)
-        found[found] = terms[pos[found]] == candidates[found]
-        if not found.all():
-            bad = int(candidates[np.argmin(found)])
-            raise DataError(f"term id {bad} is not feasible after prefix {self.prefix_ids}")
-        return sizes[pos]
-
-    def extend(self, term_id: int) -> "PrefixNode":
-        if term_id in self.prefix_ids:
-            raise DataError(f"term id {term_id} already generated in this prefix")
-        child = self.index.postings(term_id)
-        if self.depth > 0:
-            child = np.intersect1d(self.postings, child, assume_unique=True)
-        if len(child) == 0:
-            term = self.index.dictionary.term_of(term_id)
-            raise DataError(f"term {term!r} is not feasible after prefix {self.prefix_ids}")
-        return PrefixNode(self.index, self.prefix_ids + (term_id,), child)
-
-    def complete_doc(self) -> str | None:
-        if self.depth < self.index.n:
-            return None
-        if len(self.postings) != 1:
-            raise InvariantError(
-                f"full-length prefix maps to {len(self.postings)} documents, expected 1"
-            )
-        return self.index.doc_ids[int(self.postings[0])]
 
 
 def _strictly_ascending(items) -> bool:
@@ -348,32 +260,12 @@ class SequenceView:
         self.n = index.n
         self.dictionary = index.dictionary
         self.doc_ids = index.doc_ids
-
-    def root(self) -> "SequenceNode":
-        return self.node((), self.index.all_docs)
-
-    def node(self, prefix_ids: tuple[int, ...], postings: np.ndarray) -> "SequenceNode":
-        return SequenceNode(self, prefix_ids, postings)
+        self.all_docs = index.all_docs
 
     def expand(self, seqs: np.ndarray, docs: np.ndarray, ptr: np.ndarray) -> Step:
         """Extensions of every prefix in a beam: each document's next stored term."""
         depth = seqs.shape[1]
         return _expand(self, seqs, docs, ptr, self.index.order[docs, depth : depth + 1])
-
-
-class SequenceNode(PrefixNode):
-    """A prefix of the stored sequences: only the next stored term may follow."""
-
-    def __init__(self, view: SequenceView, prefix_ids: tuple[int, ...], postings: np.ndarray):
-        super().__init__(view.index, prefix_ids, postings)
-        self.searchable = view
-
-    def extend(self, term_id: int) -> "SequenceNode":
-        child = self.postings[self.index.order[self.postings, self.depth] == term_id]
-        if len(child) == 0:
-            term = self.index.dictionary.term_of(term_id)
-            raise DataError(f"term {term!r} does not continue any stored sequence")
-        return SequenceNode(self.searchable, self.prefix_ids + (term_id,), child)
 
 
 # ---------------------------------------------------------------------------

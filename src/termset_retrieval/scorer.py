@@ -1,10 +1,12 @@
 """Conditional term-generation probabilities Pr(next term | prefix, query).
 
-The scorer interface normalizes over the candidate (feasible) set it is
-handed at each step. The reference implementation is a linear model over
-cheap query/prefix features with an exact softmax, so gradients are
-analytic and the whole pipeline stays deterministic. Neural plug-ins can
-implement the same interface and normalize however they like.
+A scorer has one required method, `segment_logprobs`: it scores segments
+of one decoding step (`index.Step`), each holding the feasible extensions
+of one prefix under one query, and normalizes each over its candidates.
+The reference implementation is a linear model over cheap query/prefix
+features with an exact softmax, so gradients are analytic and the whole
+pipeline stays deterministic. Neural plug-ins can implement the same
+method and normalize however they like.
 """
 
 from __future__ import annotations
@@ -47,63 +49,44 @@ class Scorer(ABC):
     implementation normalizes over the candidates. A scorer built on a
     subword model must treat its term-separator symbol as the term
     boundary and return each candidate term's total log-probability.
-    Only step_logprob is required: search calls step_logprobs and training
-    calls segment_logprobs, and both default to step_logprob.
+    Only segment_logprobs is required: search calls step_logprobs, which
+    defaults to one segment_logprobs call, and training calls
+    segment_logprobs directly.
     """
 
     @abstractmethod
-    def step_logprob(self, query: Query, node, candidates: np.ndarray) -> np.ndarray:
-        """Return one log-probability per candidate term id."""
-
-    def step_logprobs(self, query: Query, step) -> np.ndarray:
-        """Score one decoding step of a whole beam.
-
-        `step` is an `index.Step`: it exposes `depth`, `n`, `parents`,
-        `terms`, `sizes` and `offsets` for every extension of the beam,
-        grouped by parent hypothesis, and builds the beam's prefix nodes on
-        request with `nodes()`. The result holds one log-probability per
-        extension, in step order. The default calls step_logprob once per
-        node; override it to batch.
-        """
-        nodes, offsets = step.nodes(), step.offsets
-        return np.concatenate(
-            [
-                np.asarray(self.step_logprob(query, node, step.terms[a:b]), dtype=float)
-                for node, a, b in zip(nodes, offsets[:-1], offsets[1:])
-            ]
-        )
-
     def segment_logprobs(self, queries, step, seg_query, ext, ptr) -> np.ndarray:
         """Score segments of one step, each under its own query.
 
-        Segment s holds the step extensions ext[ptr[s]:ptr[s + 1]], which
-        all extend one hypothesis, and is normalized over them under
-        queries[seg_query[s]]. The result holds one log-probability per
-        entry of `ext`. This is the training kernels' one call into the
-        scorer. The default calls step_logprob once per segment; override it
-        to batch.
+        `step` is an `index.Step`. Segment s holds the step extensions
+        ext[ptr[s]:ptr[s + 1]], which all extend one hypothesis, and is
+        normalized over them under queries[seg_query[s]]. A scorer reads
+        the candidates from the step: their terms `step.terms[ext]`, child
+        sizes `step.sizes[ext]` and hypotheses `step.parents[ext]`, whose
+        prefixes are rows of `step.seqs`, all of length `step.depth`. The
+        result holds one log-probability per entry of `ext`. An empty
+        segment raises DataError.
         """
-        if not np.diff(ptr).all():
-            raise DataError("empty candidate set")
-        nodes, terms = step.nodes(), step.terms[ext]
-        return np.concatenate(
-            [
-                np.asarray(
-                    self.step_logprob(queries[q], nodes[step.parents[ext[a]]], terms[a:b]),
-                    dtype=float,
-                )
-                for q, a, b in zip(seg_query.tolist(), ptr[:-1].tolist(), ptr[1:].tolist())
-            ]
-        )
+
+    def step_logprobs(self, query: Query, step) -> np.ndarray:
+        """Score one decoding step of a whole beam under one query.
+
+        One segment per hypothesis, holding all of its extensions: the
+        result holds one log-probability per extension, in step order.
+        """
+        seg_query = np.zeros(len(step.seqs), dtype=np.int64)
+        ext = np.arange(len(step.terms))
+        return self.segment_logprobs([query], step, seg_query, ext, step.offsets)
 
 
 class UniformScorer(Scorer):
     """Every feasible candidate equally likely; handy for oracles and ties."""
 
-    def step_logprob(self, query, node, candidates):
-        if len(candidates) == 0:
+    def segment_logprobs(self, queries, step, seg_query, ext, ptr):
+        counts = np.diff(ptr)
+        if not counts.all():
             raise DataError("empty candidate set")
-        return np.full(len(candidates), -math.log(len(candidates)))
+        return np.repeat([-math.log(count) for count in counts.tolist()], counts)
 
 
 class FeatureScorer(Scorer):
@@ -158,10 +141,6 @@ class FeatureScorer(Scorer):
         lookup[[i for t in query.terms for i in self._by_prefix4.get(t[:4], ())], 1] = 1.0
         return lookup
 
-    def step_features(self, lookup: np.ndarray, node, candidates: np.ndarray) -> np.ndarray:
-        candidates = np.asarray(candidates, dtype=np.int64)
-        return self._features(lookup, candidates, node.child_sizes(candidates))
-
     def _features(self, lookup, candidates, sizes) -> np.ndarray:
         feats = np.empty((len(candidates), len(STEP_FEATURES)))
         feats[:, :2] = lookup[candidates]
@@ -169,31 +148,27 @@ class FeatureScorer(Scorer):
         feats[:, 3] = np.log1p(sizes)
         return feats
 
-    def step_logprob(self, query, node, candidates):
-        if len(candidates) == 0:
-            raise DataError("empty candidate set")
-        scores = self.step_features(self.query_lookup(query), node, candidates) @ self.weights
-        return scores - _logsumexp(scores)
-
     def step_logprobs(self, query, step):
-        """One feature matrix for the whole beam, normalized segment by segment."""
+        """One feature matrix for the whole beam, normalized segment by segment.
+
+        Bit-identical to the base method's one `segment_logprobs` call, but
+        the query features come from one dense `query_lookup` gathered by
+        term id, which is cheaper than `_segment_features`' keyed lookups
+        when every extension of a beam shares one query.
+        """
         counts = np.diff(step.offsets)
         if not counts.all():
             raise DataError("empty candidate set")
         feats = self._features(self.query_lookup(query), step.terms, step.sizes)
         scores = feats @ self.weights
-        # Each segment is normalized with the float operations of
-        # step_logprob, so the batch is bit-identical to scoring node by node.
-        # A one-row matmul may round a score differently from the same row in
+        # Each segment is normalized on its own (`_segment_logsumexp`), so a
+        # hypothesis's log-probs do not depend on the rest of the beam. A
+        # one-row matmul may round a score differently from the same row in
         # a larger matrix, but a one-candidate segment normalizes to exactly 0.
         return scores - np.repeat(_segment_logsumexp(scores, step.offsets), counts)
 
     def segment_logprobs(self, queries, step, seg_query, ext, ptr):
-        """One feature matrix for all segments, normalized segment by segment.
-
-        Bit-identical to step_logprob on each segment, for the reasons
-        given in step_logprobs.
-        """
+        """One feature matrix for all segments, normalized segment by segment."""
         scores = self._segment_features(queries, step, seg_query, ext, ptr) @ self.weights
         return scores - np.repeat(_segment_logsumexp(scores, ptr), np.diff(ptr))
 
@@ -437,6 +412,8 @@ def load_scorer(path) -> FeatureScorer:
         raise DataError(f"{path}:{lineno}: unexpected step-feature schema")
     lineno, value = header["weights"]
     weights = np.array(parse_values(float, value.split(" "), f"{path}:{lineno}: step weights"))
+    if not np.isfinite(weights).all():
+        raise DataError(f"{path}:{lineno}: step weights {value!r} are not all finite")
     lineno, value = header["terms"]
     (count,) = parse_values(int, [value], f"{path}:{lineno}: term count")
     terms, term_weights = [], []
@@ -446,8 +423,11 @@ def load_scorer(path) -> FeatureScorer:
         term, tab, weight = line.rpartition("\t")
         if not tab:
             raise DataError(f"{path}:{lineno}: term line is not 'term<TAB>weight'")
+        (value,) = parse_values(float, [weight], f"{path}:{lineno}: term weight")
+        if not math.isfinite(value):
+            raise DataError(f"{path}:{lineno}: term weight {weight!r} is not finite")
         terms.append(term)
-        term_weights.extend(parse_values(float, [weight], f"{path}:{lineno}: term weight"))
+        term_weights.append(value)
     if len(terms) != count:
         raise DataError(f"{path}: vocabulary count mismatch")
     return FeatureScorer(weights, terms, np.array(term_weights))

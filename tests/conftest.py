@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from termset_retrieval.importance import IdentifierTable
-from termset_retrieval.index import build_index
+from termset_retrieval.index import SequenceView, build_index, root_beam
 from termset_retrieval.synthetic import make_random_identifiers
 
 
@@ -48,6 +48,41 @@ def tiny_index(tiny_table):
 
 def term_ids(index, *terms):
     return [index.dictionary.id_of(t) for t in terms]
+
+
+def holders(searchable, prefix):
+    """Positions of the documents holding `prefix`, by a full-registry scan.
+
+    Under `Index` an identifier holds a prefix that names distinct terms of
+    its set; under `SequenceView`, one its stored order starts with.
+    """
+    prefix = np.asarray(prefix, dtype=np.int64)
+    if isinstance(searchable, SequenceView):
+        return np.flatnonzero((searchable.index.order[:, : len(prefix)] == prefix).all(axis=1))
+    return np.flatnonzero(np.isin(searchable.sets, prefix).sum(axis=1) == len(prefix))
+
+
+def one_step(searchable, prefix):
+    """`expand` of the one-prefix beam `prefix`, its documents found by `holders`."""
+    docs = holders(searchable, prefix)
+    seqs = np.asarray(prefix, dtype=np.int64).reshape(1, len(prefix))
+    return searchable.expand(seqs, docs, np.array([0, len(docs)]))
+
+
+def walk(searchable, prefix):
+    """Descend from the root along `prefix` by `expand`, `locate` and `descend`.
+
+    Returns the one-prefix beam (seqs, docs, ptr) as `expand` takes it, or
+    None once a term is not among the extensions of the prefix before it.
+    """
+    beam = root_beam(searchable)
+    for term_id in prefix:
+        step = searchable.expand(*beam)
+        pick = step.locate(np.zeros(1, dtype=np.int64), np.array([term_id]))
+        if pick[0] < 0:
+            return None
+        *beam, _ = step.descend(pick)
+    return tuple(beam)
 
 
 # stems of at most four characters, so distinct terms often share their

@@ -59,7 +59,11 @@ def random_feature_scorer(index, seed):
 
 
 def test_criterion_01_feasible_set_oracle():
-    """Posting-list feasible sets equal a brute-force registry scan exactly."""
+    """Posting-list feasible sets equal a brute-force registry scan exactly.
+
+    A prefix's documents are its terms' postings intersected; its feasible
+    set is one `expand` of that one-prefix beam.
+    """
     table = make_random_identifiers(200, 500, 6, seed=42)
     index = build_index(table)
     sets = {d: frozenset(t) for d, t in table.terms_by_doc.items()}
@@ -78,10 +82,12 @@ def test_criterion_01_feasible_set_oracle():
         row = index.sets[rng.integers(len(index.doc_ids))]
         depth = int(rng.integers(0, index.n))
         prefix_ids = [int(t) for t in rng.choice(row, size=depth, replace=False)]
-        node = index.root()
-        for term_id in prefix_ids:
-            node = node.extend(term_id)
-        fast = {index.dictionary.term_of(int(t)) for t in node.feasible_terms()}
+        docs = index.postings(prefix_ids[0]) if prefix_ids else index.all_docs
+        for term_id in prefix_ids[1:]:
+            docs = np.intersect1d(docs, index.postings(term_id), assume_unique=True)
+        step = index.expand(np.array(prefix_ids, dtype=np.int64).reshape(1, depth), docs,
+                            np.array([0, len(docs)]))
+        fast = {index.dictionary.term_of(int(t)) for t in step.terms}
         slow = oracle({index.dictionary.term_of(t) for t in prefix_ids})
         assert fast == slow
     elapsed = time.perf_counter() - started

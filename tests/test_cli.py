@@ -13,6 +13,10 @@ DATA = Path(__file__).resolve().parent.parent / "src" / "termset_retrieval" / "d
 
 TRAIN = ["train", "--corpus", DATA / "toy_corpus.jsonl", "--queries", DATA / "toy_queries.jsonl",
          "--qrels", DATA / "toy_qrels.tsv"]
+SEARCH = ["search", "--index", "{index}", "--scorer", "{file}", "--queries",
+          DATA / "toy_queries.jsonl", "--output", "{tmp}/run.txt"]
+# a scorer file's first two lines, for the two-term index the malformed-input cases build
+SCORER_HEADER = "termset-scorer/2\nfeatures\tin_query query_prefix4 term_weight log1p_postings\n"
 
 
 def invoke(*argv):
@@ -214,10 +218,15 @@ class TestErrors:
             ("pairs.jsonl", '"query_id text doc_id"\n',
              [*TRAIN, "--index", "{index}", "--pseudo-pairs", "{file}", "--output-dir", "{tmp}/out"],
              "pairs.jsonl:1: pseudo pair is not a JSON object"),
+            ("scorer.txt", SCORER_HEADER + "weights\t0.5 nan 0.0 1.0\nterms\t2\nalpha\t0.0\n"
+             "omega\t0.0\n", SEARCH, "scorer.txt:3: step weights '0.5 nan 0.0 1.0' are not all"),
+            ("scorer.txt", SCORER_HEADER + "weights\t0.5 0.0 0.0 1.0\nterms\t2\nalpha\t0.0\n"
+             "omega\t-inf\n", SEARCH, "scorer.txt:6: term weight '-inf' is not finite"),
         ],
         ids=["identifier-size", "identifier-repeated-term", "identifier-same-set",
              "identifier-length", "identifier-duplicate-doc", "model-line", "config-value",
-             "missing-run", "pseudo-pair-json", "pseudo-pair-string"],
+             "missing-run", "pseudo-pair-json", "pseudo-pair-string", "scorer-nan-weight",
+             "scorer-inf-term-weight"],
     )
     def test_malformed_input_is_data_error(self, tmp_path, capsys, name, text, argv, where):
         ids = tmp_path / "index-ids.tsv"

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from termset_retrieval import decoder
 from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import (
-    Hypothesis,
     brute_force_best_permutation,
     constrained_beam_search,
     format_run_lines,
@@ -30,6 +29,8 @@ from termset_retrieval.scorer import (
 )
 from termset_retrieval.synthetic import make_random_identifiers
 
+from conftest import holders, one_step
+
 
 def query(text=""):
     return Query.from_text("q", text)
@@ -45,25 +46,35 @@ def random_scorer(index, seed=0, spread=1.0):
 
 
 def reference_beam_search(query, searchable, scorer, beam_size, dedupe_sets=False):
-    """The per-extension decoding loop, kept as the oracle for the batched step."""
-    beam = [Hypothesis((), 0.0, searchable.root())]
+    """The per-extension decoding loop, kept as the oracle for the batched step.
+
+    Hypotheses are (term ids, log-likelihood) pairs; each is scored on its
+    own one-row step. Returns the completed beam as `constrained_beam_search`
+    does: sequences, log-likelihoods and document positions.
+    """
+    beam = [((), 0.0)]
     for _ in range(searchable.n):
         extensions = []
-        for hyp in beam:
-            candidates = hyp.node.feasible_terms()
-            logprobs = scorer.step_logprob(query, hyp.node, candidates)
-            for term_id, lp in zip(candidates, logprobs):
-                extensions.append((hyp, int(term_id), hyp.logprob + float(lp)))
+        for term_ids, ll in beam:
+            step = one_step(searchable, term_ids)
+            logprobs = scorer.step_logprobs(query, step)
+            for term_id, lp in zip(step.terms.tolist(), logprobs):
+                extensions.append((term_ids + (term_id,), ll + float(lp)))
         extensions.sort(key=_extension_order(searchable))
         if dedupe_sets:
             extensions = _dedupe_by_set(extensions)
         if beam_size is not None:
             extensions = extensions[:beam_size]
-        beam = [
-            Hypothesis(hyp.term_ids + (term_id,), ll, hyp.node.extend(term_id))
-            for hyp, term_id, ll in extensions
-        ]
-    return beam
+        beam = extensions
+    docs = [holders(searchable, term_ids) for term_ids, _ in beam]
+    assert all(len(held) == 1 for held in docs)
+    seqs = np.array([term_ids for term_ids, _ in beam], dtype=np.int64)
+    return seqs, np.array([ll for _, ll in beam]), np.concatenate(docs)
+
+
+def ranked(searchable, hypotheses, query_id="", beam_size=None):
+    """`rank_documents` of a (seqs, lls, docs) triple."""
+    return rank_documents(*hypotheses, searchable, query_id, beam_size)
 
 
 def _extension_order(searchable):
@@ -71,9 +82,8 @@ def _extension_order(searchable):
     doc_ids = searchable.doc_ids
 
     def key(ext):
-        hyp, term_id, ll = ext
-        child = hyp.node.extend(term_id).postings
-        return (-ll, doc_ids[int(child[0])], hyp.term_ids + (term_id,))
+        term_ids, ll = ext
+        return (-ll, doc_ids[int(holders(searchable, term_ids)[0])], term_ids)
 
     return key
 
@@ -82,8 +92,7 @@ def _dedupe_by_set(extensions):
     seen: set[frozenset] = set()
     kept = []
     for ext in extensions:
-        hyp, term_id, _ = ext
-        key = frozenset(hyp.term_ids) | {term_id}
+        key = frozenset(ext[0])
         if key not in seen:
             seen.add(key)
             kept.append(ext)
@@ -91,11 +100,14 @@ def _dedupe_by_set(extensions):
 
 
 class DepthScorer(Scorer):
-    """Implements only step_logprob, so the beam goes through the default step_logprobs."""
+    """Implements only segment_logprobs, so the beam goes through the base step_logprobs."""
 
-    def step_logprob(self, query, node, candidates):
-        scores = np.cos(np.asarray(candidates) * (node.depth + 1.7))
-        return scores - np.log(np.exp(scores).sum())
+    def segment_logprobs(self, queries, step, seg_query, ext, ptr):
+        out = []
+        for a, b in zip(ptr[:-1], ptr[1:]):
+            scores = np.cos(step.terms[ext[a:b]] * (step.depth + 1.7))
+            out.append(scores - np.log(np.exp(scores).sum()))
+        return np.concatenate(out)
 
 
 @st.composite
@@ -121,16 +133,16 @@ class TestBatchedStepOracle:
         searchable, scorer, q = case
         for beam in (1, 3, 10, None):
             for dedupe in (False, True):
-                got = rank_documents(constrained_beam_search(q, searchable, scorer, beam, dedupe))
-                want = rank_documents(reference_beam_search(q, searchable, scorer, beam, dedupe))
+                got = ranked(searchable, constrained_beam_search(q, searchable, scorer, beam, dedupe))
+                want = ranked(searchable, reference_beam_search(q, searchable, scorer, beam, dedupe))
                 assert got.canonical() == want.canonical(), (beam, dedupe)
 
-    def test_scorer_with_only_step_logprob(self):
+    def test_scorer_with_only_segment_logprobs(self):
         index = build_index(make_random_identifiers(40, 30, 4, seed=5))
         q = query("t03")
         for beam in (1, 5, None):
             got = search(q, index, DepthScorer(), beam_size=beam)
-            want = rank_documents(reference_beam_search(q, index, DepthScorer(), beam), "q", beam)
+            want = ranked(index, reference_beam_search(q, index, DepthScorer(), beam), "q", beam)
             assert got.canonical() == want.canonical()
             for entry in got.entries:
                 ids = [index.dictionary.id_of(t) for t in entry.permutation]
@@ -162,7 +174,7 @@ class TestTopKCut:
                 calls.clear()
                 got = constrained_beam_search(query(), index, UniformScorer(), beam, dedupe)
                 want = reference_beam_search(query(), index, UniformScorer(), beam, dedupe)
-                assert rank_documents(got).canonical() == rank_documents(want).canonical()
+                assert ranked(index, got).canonical() == ranked(index, want).canonical()
                 assert any(beam < rows < total for rows, total, _ in calls), (beam, calls)
 
     def test_dedupe_falls_back_to_the_full_sort(self, monkeypatch):
@@ -176,8 +188,8 @@ class TestTopKCut:
         })
         index = build_index(table)
         calls = record_sorts(monkeypatch)
-        got = rank_documents(constrained_beam_search(query(), index, UniformScorer(), 4, True))
-        want = rank_documents(reference_beam_search(query(), index, UniformScorer(), 4, True))
+        got = ranked(index, constrained_beam_search(query(), index, UniformScorer(), 4, True))
+        want = ranked(index, reference_beam_search(query(), index, UniformScorer(), 4, True))
         assert got.canonical() == want.canonical()
         assert got.doc_ids() == ["d1", "d2", "d3", "d4"]
         assert calls[-2:] == [(6, 9, 3), (9, 9, 6)]
@@ -185,29 +197,26 @@ class TestTopKCut:
 
 class TestBeamSearch:
     def test_k1_produces_one_registered_identifier(self, tiny_index, tiny_table):
-        hyps = constrained_beam_search(query(), tiny_index, UniformScorer(), beam_size=1)
-        assert len(hyps) == 1
-        terms = frozenset(hyps[0].terms())
-        assert terms in {frozenset(t) for t in tiny_table.terms_by_doc.values()}
-        assert hyps[0].node.complete_doc() is not None
+        seqs, _, docs = constrained_beam_search(query(), tiny_index, UniformScorer(), beam_size=1)
+        assert len(seqs) == len(docs) == 1
+        terms = frozenset(tiny_index.dictionary.term_of(t) for t in seqs[0].tolist())
+        assert terms == frozenset(tiny_table.terms_by_doc[tiny_index.doc_ids[docs[0]]])
 
     def test_every_hypothesis_is_full_depth_and_valid(self, tiny_index, tiny_table):
-        hyps = constrained_beam_search(query(), tiny_index, UniformScorer(), beam_size=5)
+        seqs, _, docs = constrained_beam_search(query(), tiny_index, UniformScorer(), beam_size=5)
         sets = {d: frozenset(t) for d, t in tiny_table.terms_by_doc.items()}
-        for hyp in hyps:
-            assert len(hyp.term_ids) == tiny_index.n
-            assert len(set(hyp.term_ids)) == tiny_index.n
-            doc = hyp.node.complete_doc()
-            assert frozenset(hyp.terms()) == sets[doc]
+        assert seqs.shape == (len(docs), tiny_index.n)
+        for term_ids, doc in zip(seqs.tolist(), docs.tolist()):
+            assert len(set(term_ids)) == tiny_index.n
+            terms = frozenset(tiny_index.dictionary.term_of(t) for t in term_ids)
+            assert terms == sets[tiny_index.doc_ids[doc]]
 
     def test_exhaustive_beam_matches_brute_force(self):
         table = make_random_identifiers(12, 18, 3, seed=2)
         index = build_index(table)
         scorer = random_scorer(index, seed=4)
         q = Query.from_text("q", "t03 t10")
-        result = rank_documents(
-            constrained_beam_search(q, index, scorer, beam_size=None), "q"
-        )
+        result = ranked(index, constrained_beam_search(q, index, scorer, beam_size=None), "q")
         assert len(result.entries) == 12
         for entry in result.entries:
             perm, ll = brute_force_best_permutation(q, entry.doc_id, scorer, index)
@@ -216,32 +225,31 @@ class TestBeamSearch:
     def test_beam_entries_unique_and_order_variants_retained(self, tiny_index):
         # orders differ in child sizes (log1p_postings): same set, different scores
         scorer = random_scorer(tiny_index, seed=8)
-        beam = [Hypothesis((), 0.0, tiny_index.root())]
+        beam = [((), 0.0)]
         seen_any_order_pair = False
         for _ in range(tiny_index.n):
             extensions = []
-            for hyp in beam:
-                cands = hyp.node.feasible_terms()
-                lps = scorer.step_logprob(query("a b"), hyp.node, cands)
-                for t, lp in zip(cands, lps):
-                    extensions.append((hyp, int(t), hyp.logprob + float(lp)))
-            extensions.sort(key=lambda e: -e[2])
-            kept = extensions[:6]
-            beam = [Hypothesis(h.term_ids + (t,), ll, h.node.extend(t)) for h, t, ll in kept]
-            sequences = [h.term_ids for h in beam]
+            for term_ids, ll in beam:
+                step = one_step(tiny_index, term_ids)
+                lps = scorer.step_logprobs(query("a b"), step)
+                for t, lp in zip(step.terms.tolist(), lps):
+                    extensions.append((term_ids + (t,), ll + float(lp)))
+            extensions.sort(key=lambda e: -e[1])
+            beam = extensions[:6]
+            sequences = [term_ids for term_ids, _ in beam]
             assert len(sequences) == len(set(sequences))
             by_set = {}
-            for h in beam:
-                by_set.setdefault(frozenset(h.term_ids), []).append(h.term_ids)
+            for term_ids in sequences:
+                by_set.setdefault(frozenset(term_ids), []).append(term_ids)
             if any(len(v) > 1 for v in by_set.values()):
                 seen_any_order_pair = True
         assert seen_any_order_pair
 
     def test_dedupe_sets_collapses_order_variants(self, tiny_index):
-        hyps = constrained_beam_search(
+        seqs, _, _ = constrained_beam_search(
             query("a b"), tiny_index, UniformScorer(), beam_size=None, dedupe_sets=True
         )
-        sets = [frozenset(h.term_ids) for h in hyps]
+        sets = [frozenset(term_ids) for term_ids in seqs.tolist()]
         assert len(sets) == len(set(sets)) == 3  # one hypothesis per document
 
     def test_beam_size_validation(self, tiny_index):
@@ -249,62 +257,62 @@ class TestBeamSearch:
             constrained_beam_search(query(), tiny_index, UniformScorer(), beam_size=0)
 
     def test_cumulative_logprob_non_increasing(self, tiny_index):
-        hyps = constrained_beam_search(query(), tiny_index, UniformScorer(), beam_size=None)
-        for hyp in hyps:
+        seqs, lls, _ = constrained_beam_search(query(), tiny_index, UniformScorer(), beam_size=None)
+        for term_ids, ll in zip(seqs.tolist(), lls.tolist()):
             partial = 0.0
-            node = tiny_index.root()
-            for term_id in hyp.term_ids:
-                cands = node.feasible_terms()
-                lp = UniformScorer().step_logprob(query(), node, cands)
-                pos = int(np.searchsorted(cands, term_id))
-                partial += float(lp[pos])
+            for depth, term_id in enumerate(term_ids):
+                step = one_step(tiny_index, term_ids[:depth])
+                lp = UniformScorer().step_logprobs(query(), step)
+                partial += float(lp[int(np.searchsorted(step.terms, term_id))])
                 assert partial <= 1e-12
-                node = node.extend(int(term_id))
-            assert partial == pytest.approx(hyp.logprob)
+            assert partial == pytest.approx(ll)
 
 
 class TestRankDocuments:
-    def fake_hypotheses(self, tiny_index, spec):
-        """spec: list of (terms, logprob) built against the real index nodes."""
-        out = []
-        for terms, ll in spec:
-            node = tiny_index.root()
-            ids = []
-            for t in terms:
-                tid = tiny_index.dictionary.id_of(t)
-                node = node.extend(tid)
-                ids.append(tid)
-            out.append(Hypothesis(tuple(ids), ll, node))
-        return out
+    def hypotheses(self, index, spec):
+        """spec: list of (terms, logprob); each sequence's document is found by a scan."""
+        seqs = np.array([[index.dictionary.id_of(t) for t in terms] for terms, _ in spec],
+                        dtype=np.int64).reshape(len(spec), index.n)
+        docs = np.array([holders(index, row)[0] for row in seqs], dtype=np.int64)
+        return seqs, np.array([ll for _, ll in spec]), docs
 
     def test_example_ranking(self, tiny_index):
         # per-document maxima -12.8 / -16.5 / -31.0 rank D3 > D1 > D2
-        hyps = self.fake_hypotheses(
+        hyps = self.hypotheses(
             tiny_index,
             [(["e", "f", "g"], -12.8), (["a", "b", "c"], -16.5), (["a", "b", "d"], -31.0)],
         )
-        result = rank_documents(hyps, "q")
+        result = rank_documents(*hyps, tiny_index, "q")
         assert result.doc_ids() == ["D3", "D1", "D2"]
         assert [e.score for e in result.entries] == [-12.8, -16.5, -31.0]
 
     def test_max_aggregation_over_permutations(self, tiny_index):
-        hyps = self.fake_hypotheses(
+        hyps = self.hypotheses(
             tiny_index, [(["a", "b", "c"], -3.0), (["b", "a", "c"], -2.0)]
         )
-        result = rank_documents(hyps, "q")
+        result = rank_documents(*hyps, tiny_index, "q")
         assert len(result.entries) == 1
         assert result.entries[0].score == -2.0
         assert result.entries[0].permutation == ("b", "a", "c")
 
+    def test_exact_tie_keeps_the_smaller_sequence(self, tiny_index):
+        # term ids follow sorted terms, so (c, a, b) < (c, b, a), whichever comes first
+        for spec in ([(["c", "b", "a"], -4.0), (["c", "a", "b"], -4.0)],
+                     [(["c", "a", "b"], -4.0), (["c", "b", "a"], -4.0)]):
+            result = rank_documents(*self.hypotheses(tiny_index, spec), tiny_index, "q")
+            assert [(e.doc_id, e.score, e.permutation) for e in result.entries] == [
+                ("D1", -4.0, ("c", "a", "b"))
+            ]
+
     def test_equal_scores_tie_by_doc_id(self, tiny_index):
-        hyps = self.fake_hypotheses(
+        hyps = self.hypotheses(
             tiny_index, [(["a", "b", "d"], -5.0), (["e", "f", "g"], -5.0), (["a", "b", "c"], -5.0)]
         )
-        result = rank_documents(hyps, "q")
+        result = rank_documents(*hyps, tiny_index, "q")
         assert result.doc_ids() == ["D1", "D2", "D3"]
 
-    def test_empty_input(self):
-        result = rank_documents([], "q")
+    def test_empty_input(self, tiny_index):
+        result = rank_documents(*self.hypotheses(tiny_index, []), tiny_index, "q")
         assert result.entries == []
 
 

@@ -30,6 +30,8 @@ from termset_retrieval.synthetic import (
     split_by_wave,
 )
 
+from conftest import walk
+
 
 class TestPointMetrics:
     def test_mrr_examples(self):
@@ -218,10 +220,10 @@ class TestAblation:
     def test_sequence_mode_feasible_set_definition(self):
         index, _, _, _ = order_noise_setup()
         view = SequenceView(index)
-        first = {index.dictionary.term_of(int(t)) for t in view.root().feasible_terms()}
+        first = {index.dictionary.term_of(int(t)) for t in view.expand(*walk(view, [])).terms}
         assert first == {f"group{g:02d}a" for g in range(20)}
-        node = view.root().extend(index.dictionary.id_of("group00a"))
-        second = {index.dictionary.term_of(int(t)) for t in node.feasible_terms()}
+        beam = walk(view, [index.dictionary.id_of("group00a")])
+        second = {index.dictionary.term_of(int(t)) for t in view.expand(*beam).terms}
         assert second == {"group00b"}
 
     def test_exhaustive_beam_retrieves_same_sets(self):

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termset_retrieval.corpus import Query
+from termset_retrieval.decoder import rank_documents
 from termset_retrieval.errors import DataError, InvariantError
 from termset_retrieval.importance import IdentifierTable
 from termset_retrieval.index import (
@@ -17,11 +19,13 @@ from termset_retrieval.index import (
     build_index,
     load_index,
     naive_feasible_terms,
+    root_beam,
     save_index,
 )
+from termset_retrieval.scorer import UniformScorer, sequence_logprob
 from termset_retrieval.synthetic import make_random_identifiers
 
-from conftest import term_ids
+from conftest import holders, term_ids, walk
 
 
 def oracle_feasible(table: IdentifierTable, prefix: set[str]) -> set[str]:
@@ -34,10 +38,31 @@ def oracle_feasible(table: IdentifierTable, prefix: set[str]) -> set[str]:
     return out
 
 
+def feasible(searchable, prefix) -> np.ndarray:
+    """Feasible terms after `prefix`, reached by `walk`: one `expand` of its beam."""
+    return searchable.expand(*walk(searchable, prefix)).terms
+
+
+def doc_names(searchable, docs) -> set[str]:
+    return {searchable.doc_ids[i] for i in docs}
+
+
+def names(index, term_ids) -> set[str]:
+    return {index.dictionary.term_of(int(t)) for t in term_ids}
+
+
+def assert_refuses(searchable, prefix, term_id):
+    """`term_id` is no extension of `prefix`: locate misses it and forcing it raises."""
+    step = searchable.expand(*walk(searchable, prefix))
+    assert step.locate(np.zeros(1, dtype=np.int64), np.array([term_id])).tolist() == [-1]
+    assert walk(searchable, [*prefix, term_id]) is None
+    with pytest.raises(DataError, match="infeasible"):
+        sequence_logprob(UniformScorer(), Query.from_text("q", ""), [*prefix, term_id], searchable)
+
+
 class TestBuild:
     def test_root_feasible_is_union(self, tiny_index):
-        feasible = {tiny_index.dictionary.term_of(int(t)) for t in tiny_index.root().feasible_terms()}
-        assert feasible == {"a", "b", "c", "d", "e", "f", "g"}
+        assert names(tiny_index, feasible(tiny_index, [])) == {"a", "b", "c", "d", "e", "f", "g"}
 
     def test_empty_registry(self):
         with pytest.raises(DataError, match="empty registry"):
@@ -60,27 +85,24 @@ class TestBuild:
 class TestExtend:
     def test_extend_with_a(self, tiny_index):
         (a,) = term_ids(tiny_index, "a")
-        node = tiny_index.root().extend(a)
-        assert {tiny_index.doc_ids[i] for i in node.postings} == {"D1", "D2"}
-        feasible = {tiny_index.dictionary.term_of(int(t)) for t in node.feasible_terms()}
-        assert feasible == {"b", "c", "d"}
+        seqs, docs, _ = walk(tiny_index, [a])
+        assert seqs.tolist() == [[a]]
+        assert doc_names(tiny_index, docs) == {"D1", "D2"}
+        assert names(tiny_index, feasible(tiny_index, [a])) == {"b", "c", "d"}
 
     def test_full_prefix_has_empty_feasible(self, tiny_index):
         a, c, b = term_ids(tiny_index, "a", "c", "b")
-        node = tiny_index.root().extend(a).extend(c).extend(b)
-        assert {tiny_index.doc_ids[i] for i in node.postings} == {"D1"}
-        assert len(node.feasible_terms()) == 0
+        _, docs, _ = walk(tiny_index, [a, c, b])
+        assert doc_names(tiny_index, docs) == {"D1"}
+        assert len(feasible(tiny_index, [a, c, b])) == 0
 
     def test_infeasible_extension(self, tiny_index):
         a, e = term_ids(tiny_index, "a", "e")
-        node = tiny_index.root().extend(a)
-        with pytest.raises(DataError, match="not feasible"):
-            node.extend(e)
+        assert_refuses(tiny_index, [a], e)
 
     def test_repeat_extension(self, tiny_index):
         (a,) = term_ids(tiny_index, "a")
-        with pytest.raises(DataError, match="already generated"):
-            tiny_index.root().extend(a).extend(a)
+        assert_refuses(tiny_index, [a], a)
 
 
 class TestFeasibleOracle:
@@ -93,25 +115,21 @@ class TestFeasibleOracle:
                 row = index.sets[rng.integers(len(index.doc_ids))]
                 depth = int(rng.integers(0, index.n + 1))
                 prefix = [int(t) for t in rng.choice(row, size=depth, replace=False)]
-                node = index.root()
-                for t in prefix:
-                    node = node.extend(t)
-                fast = {index.dictionary.term_of(int(t)) for t in node.feasible_terms()}
+                fast = feasible(index, prefix)
                 slow = oracle_feasible(table, {index.dictionary.term_of(t) for t in prefix})
-                assert fast == slow
-                naive = naive_feasible_terms(index, prefix)
-                assert np.array_equal(node.feasible_terms(), naive)
+                assert names(index, fast) == slow
+                assert np.array_equal(fast, naive_feasible_terms(index, prefix))
 
     def test_feasible_empty_iff_full_depth(self):
         table = make_random_identifiers(30, 25, 3, seed=9)
         index = build_index(table)
         for doc_id, terms in table.terms_by_doc.items():
-            node = index.root()
+            prefix = []
             for term in terms:
-                assert len(node.feasible_terms()) > 0
-                node = node.extend(index.dictionary.id_of(term))
-            assert len(node.feasible_terms()) == 0
-            assert node.complete_doc() == doc_id
+                assert len(feasible(index, prefix)) > 0
+                prefix.append(index.dictionary.id_of(term))
+            assert len(feasible(index, prefix)) == 0
+            assert walk(index, prefix)[1].tolist() == [index.doc_position(doc_id)]
 
     def test_random_registry_refuses_more_docs_than_distinct_sets(self):
         assert len(make_random_identifiers(10, 5, 3).terms_by_doc) == math.comb(5, 3)
@@ -154,12 +172,6 @@ def beams(draw):
     return (SequenceView(index) if sequence else index), seqs
 
 
-def brute_force_holders(index, prefix, sequence):
-    if sequence:
-        return np.flatnonzero((index.order[:, : len(prefix)] == prefix).all(axis=1))
-    return np.flatnonzero(np.isin(index.sets, prefix).sum(axis=1) == len(prefix))
-
-
 class TestStepKernel:
     @settings(max_examples=100, deadline=None)
     @given(beams())
@@ -167,12 +179,12 @@ class TestStepKernel:
         searchable, seqs = case
         sequence = isinstance(searchable, SequenceView)
         index = searchable.index if sequence else searchable
-        holders = [brute_force_holders(index, prefix, sequence) for prefix in seqs]
-        ptr = np.cumsum([0] + [len(h) for h in holders])
-        step = searchable.expand(seqs, np.concatenate(holders).astype(np.int32), ptr)
+        held = [holders(searchable, prefix) for prefix in seqs]
+        ptr = np.cumsum([0] + [len(h) for h in held])
+        step = searchable.expand(seqs, np.concatenate(held).astype(np.int32), ptr)
 
         want = []  # (parent, term, child postings), in (parent, term) order
-        for h, (prefix, docs) in enumerate(zip(seqs, holders)):
+        for h, (prefix, docs) in enumerate(zip(seqs, held)):
             if sequence:
                 nexts = index.order[docs, len(prefix)][:, None]
             else:
@@ -189,10 +201,6 @@ class TestStepKernel:
         child_docs, child_ptr = step.children(picks)
         for i, pick in enumerate(picks):
             assert child_docs[child_ptr[i] : child_ptr[i + 1]].tolist() == want[pick][2].tolist()
-        for h, node in enumerate(step.nodes()):
-            assert node.prefix_ids == tuple(seqs[h].tolist())
-            assert node.postings.tolist() == holders[h].tolist()
-            assert type(node) is type(searchable.root())
 
 
 class TestExpansion:
@@ -200,53 +208,57 @@ class TestExpansion:
     @given(registry_and_prefix())
     def test_matches_brute_force_over_sets(self, case):
         index, prefix = case
-        node = index.root()
-        for t in prefix:
-            node = node.extend(t)
-        terms, sizes = node.expansion()
+        step = index.expand(*walk(index, prefix))
+        terms, sizes = step.terms, step.sizes
         assert np.array_equal(terms, naive_feasible_terms(index, prefix))
-        survivors = np.flatnonzero(np.isin(index.sets, prefix).sum(axis=1) == len(prefix))
+        survivors = holders(index, prefix)
         for term, size in zip(terms, sizes):
-            holders = survivors[(index.sets[survivors] == term).any(axis=1)]
-            assert size == len(holders)
-        assert np.array_equal(node.child_sizes(terms[::-1]), sizes[::-1])
+            assert size == len(survivors[(index.sets[survivors] == term).any(axis=1)])
+        at = step.locate(np.zeros(len(terms), dtype=np.int64), terms[::-1])
+        assert np.array_equal(step.sizes[at], sizes[::-1])
 
-    def test_child_sizes_rejects_an_infeasible_candidate(self, tiny_index):
+    def test_locate_misses_an_infeasible_candidate(self, tiny_index):
         a, b, e = term_ids(tiny_index, "a", "b", "e")
-        node = tiny_index.root().extend(a)
-        with pytest.raises(DataError, match="not feasible"):
-            node.child_sizes(np.array([b, e]))
-        with pytest.raises(DataError, match="not feasible"):
-            node.child_sizes(np.array([a]))  # already in the prefix
-        with pytest.raises(DataError, match="not feasible"):
-            SequenceView(tiny_index).root().child_sizes(np.array([b]))
+        step = tiny_index.expand(*walk(tiny_index, [a]))
+        hyps = np.zeros(5, dtype=np.int64)
+        got = step.locate(hyps, np.array([b, e, a, -1, len(tiny_index.dictionary)]))
+        assert got[0] >= 0 and step.terms[got[0]] == b
+        assert got[1:].tolist() == [-1] * 4  # e is elsewhere, a is in the prefix
+        view = SequenceView(tiny_index)
+        assert view.expand(*root_beam(view)).locate(hyps[:1], np.array([b])).tolist() == [-1]
 
 
 class TestCompleteAndPruning:
     def test_partial_prefix_returns_none(self, tiny_index):
         a, b = term_ids(tiny_index, "a", "b")
-        assert tiny_index.root().extend(a).extend(b).complete_doc() is None
+        seqs, docs, _ = walk(tiny_index, [a, b])
+        assert doc_names(tiny_index, docs) == {"D1", "D2"}
+        with pytest.raises(InvariantError, match="incomplete"):
+            rank_documents(seqs, np.zeros(1), docs[:1], tiny_index)
 
     def test_full_prefix_names_unique_doc(self, tiny_index):
         a, b, c = term_ids(tiny_index, "a", "b", "c")
-        assert tiny_index.root().extend(a).extend(b).extend(c).complete_doc() == "D1"
+        seqs, docs, _ = walk(tiny_index, [a, b, c])
+        assert doc_names(tiny_index, docs) == {"D1"}
+        assert rank_documents(seqs, np.zeros(1), docs, tiny_index).doc_ids() == ["D1"]
 
     def test_exhaustive_walk_reaches_single_posting(self):
         table = make_random_identifiers(20, 15, 3, seed=4)
         index = build_index(table)
 
-        def walk(node):
-            if node.depth == index.n:
-                assert len(node.postings) == 1
-                assert node.complete_doc() in table.terms_by_doc
+        def visit(seqs, docs, ptr):
+            if seqs.shape[1] == index.n:
+                assert len(docs) == 1
+                assert index.doc_ids[docs[0]] in table.terms_by_doc
                 return
-            for term_id in node.feasible_terms():
-                child = node.extend(int(term_id))
-                assert len(child.postings) >= 1
-                assert set(child.postings.tolist()) <= set(node.postings.tolist())
-                walk(child)
+            step = index.expand(seqs, docs, ptr)
+            for i in range(len(step.terms)):
+                child_seqs, child_docs, child_ptr, _ = step.descend(np.array([i]))
+                assert len(child_docs) >= 1
+                assert set(child_docs.tolist()) <= set(docs.tolist())
+                visit(child_seqs, child_docs, child_ptr)
 
-        walk(index.root())
+        visit(*root_beam(index))
 
     def test_postings_monotonically_shrink(self):
         table = make_random_identifiers(80, 50, 5, seed=6)
@@ -255,44 +267,35 @@ class TestCompleteAndPruning:
         for _ in range(50):
             row = index.sets[rng.integers(len(index.doc_ids))]
             order = rng.permutation(index.n)
-            node = index.root()
-            for term_id in row[order]:
-                child = node.extend(int(term_id))
-                assert len(child.postings) <= len(node.postings)
-                node = child
-            assert len(node.postings) == 1
+            sizes = [len(walk(index, row[order][:depth])[1]) for depth in range(index.n + 1)]
+            assert sizes == sorted(sizes, reverse=True)
+            assert sizes[-1] == 1
 
 
 class TestSequenceView:
     def test_feasible_is_next_stored_terms(self, tiny_index):
         view = SequenceView(tiny_index)
-        first = {tiny_index.dictionary.term_of(int(t)) for t in view.root().feasible_terms()}
-        assert first == {"a", "e"}  # D1 and D2 both start with "a"
+        assert names(tiny_index, feasible(view, [])) == {"a", "e"}  # D1 and D2 start with "a"
         (a,) = term_ids(tiny_index, "a")
-        node = view.root().extend(a)
-        second = {tiny_index.dictionary.term_of(int(t)) for t in node.feasible_terms()}
-        assert second == {"b"}
+        assert names(tiny_index, feasible(view, [a])) == {"b"}
 
     def test_complete_follows_stored_order(self, tiny_index):
         view = SequenceView(tiny_index)
         a, b, d = term_ids(tiny_index, "a", "b", "d")
-        assert view.root().extend(a).extend(b).extend(d).complete_doc() == "D2"
+        assert doc_names(view, walk(view, [a, b, d])[1]) == {"D2"}
 
     def test_wrong_order_is_infeasible(self, tiny_index):
         view = SequenceView(tiny_index)
         (b,) = term_ids(tiny_index, "b")
-        with pytest.raises(DataError, match="does not continue"):
-            view.root().extend(b)
+        assert_refuses(view, [], b)
 
     def test_every_stored_sequence_reachable(self):
         table = make_random_identifiers(25, 20, 4, seed=2)
         index = build_index(table)
         view = SequenceView(index)
         for doc_id in table.doc_ids:
-            node = view.root()
-            for term in table.terms_by_doc[doc_id]:
-                node = node.extend(index.dictionary.id_of(term))
-            assert node.complete_doc() == doc_id
+            prefix = [index.dictionary.id_of(term) for term in table.terms_by_doc[doc_id]]
+            assert walk(view, prefix)[1].tolist() == [index.doc_position(doc_id)]
 
 
 class TestPersistence:

@@ -31,7 +31,7 @@ from termset_retrieval.scorer import (
 )
 from termset_retrieval.synthetic import make_bridging_corpus, split_by_wave
 
-from conftest import STEM_WORDS, word_registry
+from conftest import STEM_WORDS, one_step, word_registry
 
 
 def query(text=""):
@@ -173,11 +173,15 @@ def rollout_permutations(query, doc_id, index, scorer, samples, topk, seed=0):
     rng = np.random.default_rng(_derived_seed("sample", seed, query.query_id, doc_id))
     out = []
     for _ in range(samples):
-        node = index.root()
         remaining = list(ordered)
         seq = []
         while remaining:
-            logprobs = scorer.step_logprob(query, node, np.array(remaining))
+            # score the remaining terms, in stored order, as one segment of the prefix's step
+            step = one_step(index, seq)
+            ext = step.locate(np.zeros(len(remaining), dtype=np.int64), np.array(remaining))
+            logprobs = scorer.segment_logprobs(
+                [query], step, np.zeros(1, dtype=np.int64), ext, np.array([0, len(ext)])
+            )
             k = min(topk, len(remaining))
             top = np.argsort(-logprobs, kind="stable")[:k]
             shifted = logprobs[top] - logprobs[top].max()
@@ -186,7 +190,6 @@ def rollout_permutations(query, doc_id, index, scorer, samples, topk, seed=0):
             pick = remaining[int(top[rng.choice(k, p=probs)])]
             seq.append(pick)
             remaining.remove(pick)
-            node = node.extend(pick)
         out.append(tuple(seq))
     return out
 

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from termset_retrieval import scorer as scorer_module
 from termset_retrieval.corpus import Query
+from termset_retrieval.decoder import constrained_beam_search
 from termset_retrieval.errors import DataError
 from termset_retrieval.importance import IdentifierTable
 from termset_retrieval.index import SequenceView, build_index
@@ -28,7 +29,14 @@ from termset_retrieval.scorer import (
 )
 from termset_retrieval.synthetic import make_random_identifiers
 
-from conftest import STEM_WORDS, central_difference, max_relative_error, term_ids, word_registry
+from conftest import (
+    STEM_WORDS,
+    central_difference,
+    max_relative_error,
+    one_step,
+    term_ids,
+    word_registry,
+)
 
 
 def query(text=""):
@@ -37,31 +45,30 @@ def query(text=""):
 
 class TestStepLogprob:
     def test_uniform_over_seven(self, tiny_index):
-        node = tiny_index.root()
-        lps = UniformScorer().step_logprob(query(), node, node.feasible_terms())
+        step = one_step(tiny_index, [])
+        lps = UniformScorer().step_logprobs(query(), step)
         assert np.allclose(lps, math.log(1 / 7))
         zeros = FeatureScorer.zeros(tiny_index)
-        lps2 = zeros.step_logprob(query(), node, node.feasible_terms())
+        lps2 = zeros.step_logprobs(query(), step)
         assert np.allclose(lps2, math.log(1 / 7))
 
     def test_single_candidate_is_certain(self, tiny_index):
-        a, c, b = term_ids(tiny_index, "a", "c", "b")
-        node = tiny_index.root().extend(a).extend(c)
+        a, c = term_ids(tiny_index, "a", "c")
         scorer = FeatureScorer.zeros(tiny_index)
-        lps = scorer.step_logprob(query(), node, node.feasible_terms())
+        lps = scorer.step_logprobs(query(), one_step(tiny_index, [a, c]))
         assert lps.shape == (1,)
         assert lps[0] == 0.0
 
     def test_constant_score_shift_changes_nothing(self, tiny_index):
-        node = tiny_index.root()
+        step = one_step(tiny_index, [])
         rng = np.random.default_rng(3)
         weights = rng.normal(0, 1, size=len(STEP_FEATURES))
         scorer = FeatureScorer(weights, tiny_index.dictionary.terms,
                                rng.uniform(0, 1, len(tiny_index.dictionary)))
-        base = scorer.step_logprob(query("a c"), node, node.feasible_terms())
+        base = scorer.step_logprobs(query("a c"), step)
         # term_weight is a feature, so this adds one constant to every score
         shifted = FeatureScorer(weights, scorer.terms, scorer.term_weights + 13.7)
-        after = shifted.step_logprob(query("a c"), node, node.feasible_terms())
+        after = shifted.step_logprobs(query("a c"), step)
         assert np.allclose(base, after, atol=1e-12)
 
     def test_probabilities_sum_to_one_and_logprobs_nonpositive(self):
@@ -75,19 +82,19 @@ class TestStepLogprob:
         for _ in range(40):
             row = index.sets[rng.integers(len(index.doc_ids))]
             depth = int(rng.integers(0, index.n))
-            node = index.root()
-            for t in rng.choice(row, size=depth, replace=False):
-                node = node.extend(int(t))
-            lps = scorer.step_logprob(q, node, node.feasible_terms())
+            lps = scorer.step_logprobs(q, one_step(index, rng.choice(row, size=depth, replace=False)))
             assert abs(np.exp(lps).sum() - 1.0) < 1e-9
             assert np.all(lps <= 0.0)
 
     def test_empty_candidates_rejected(self, tiny_index):
-        with pytest.raises(DataError, match="empty candidate"):
-            UniformScorer().step_logprob(query(), tiny_index.root(), np.array([], dtype=int))
-        with pytest.raises(DataError, match="empty candidate"):
-            FeatureScorer.zeros(tiny_index).step_logprob(query(), tiny_index.root(),
-                                                         np.array([], dtype=int))
+        # a full-length prefix has no extension: its segment is empty
+        full = one_step(tiny_index, term_ids(tiny_index, "a", "b", "c"))
+        none = (np.zeros(1, dtype=np.int64), np.arange(0), np.array([0, 0]))
+        for scorer in (UniformScorer(), FeatureScorer.zeros(tiny_index)):
+            with pytest.raises(DataError, match="empty candidate"):
+                scorer.step_logprobs(query(), full)
+            with pytest.raises(DataError, match="empty candidate"):
+                scorer.segment_logprobs([query()], one_step(tiny_index, []), *none)
 
 
 def isin_features(scorer, query, candidates, sizes):
@@ -173,26 +180,24 @@ class TestSequenceLogprob:
 
 
 def teacher_walk(searchable, term_ids):
-    """Walk `term_ids` from the root node by node, yielding each step before taking it.
+    """Walk `term_ids` one prefix at a time, yielding each step before taking it.
 
-    Yields (node, feasible terms at node, position of the next term among
-    them); a term that is not feasible raises DataError. The per-pair walk
-    the teacher kernel replaced, kept as its oracle.
+    Yields (the prefix's one-row step, position of the next term among its
+    extensions); a term that is not feasible raises DataError. The per-pair
+    walk the teacher kernel replaced, kept as its oracle.
     """
-    node = searchable.root()
-    for term_id in term_ids:
-        candidates = node.feasible_terms()
-        pos = int(np.searchsorted(candidates, term_id))
-        if pos >= len(candidates) or candidates[pos] != term_id:
-            raise DataError(f"term id {int(term_id)} infeasible at prefix {node.prefix_ids}")
-        yield node, candidates, pos
-        node = node.extend(int(term_id))
+    for depth, term_id in enumerate(term_ids):
+        step = one_step(searchable, term_ids[:depth])
+        pos = int(np.searchsorted(step.terms, term_id))
+        if pos >= len(step.terms) or step.terms[pos] != term_id:
+            raise DataError(f"term id {int(term_id)} infeasible at prefix {tuple(term_ids[:depth])}")
+        yield step, pos
 
 
 def walk_logprob(scorer, query, term_ids, searchable):
     total = 0.0
-    for node, candidates, pos in teacher_walk(searchable, term_ids):
-        total += float(scorer.step_logprob(query, node, candidates)[pos])
+    for step, pos in teacher_walk(searchable, term_ids):
+        total += float(scorer.step_logprobs(query, step)[pos])
     return total
 
 
@@ -201,9 +206,8 @@ def walk_loss_and_grad(scorer, batch, searchable):
     total_loss = 0.0
     grad = np.zeros_like(scorer.weights)
     for query, target in batch:
-        lookup = scorer.query_lookup(query)
-        for node, candidates, pos in teacher_walk(searchable, target):
-            feats = scorer.step_features(lookup, node, candidates)
+        for step, pos in teacher_walk(searchable, target):
+            feats = isin_features(scorer, query, step.terms, step.sizes)
             scores = feats @ scorer.weights
             logprobs = scores - _logsumexp(scores)
             total_loss -= logprobs[pos]
@@ -212,12 +216,13 @@ def walk_loss_and_grad(scorer, batch, searchable):
 
 
 class SizeScorer(Scorer):
-    """Implements only step_logprob and reads the node: uses the default segment path."""
+    """Implements only segment_logprobs, from the step's child sizes, depth and queries."""
 
-    def step_logprob(self, query, node, candidates):
-        scores = np.log1p(node.child_sizes(candidates)) * (node.depth + 0.5)
-        scores += 0.1 * len(query.terms)
-        return scores - _logsumexp(scores)
+    def segment_logprobs(self, queries, step, seg_query, ext, ptr):
+        counts = np.diff(ptr)
+        scores = np.log1p(step.sizes[ext]) * (step.depth + 0.5)
+        scores += 0.1 * np.repeat([len(queries[q].terms) for q in seg_query.tolist()], counts)
+        return scores - np.repeat(_segment_logsumexp(scores, ptr), counts)
 
 
 @st.composite
@@ -275,9 +280,10 @@ class TestTeacherKernel:
             assert close(one_loss, want_loss) and close(one_grad, want_grad)
 
     def test_plug_in_scorers_take_the_default_segment_path(self):
-        assert UniformScorer.segment_logprobs is Scorer.segment_logprobs
-        assert SizeScorer.segment_logprobs is Scorer.segment_logprobs
-        assert FeatureScorer.segment_logprobs is not Scorer.segment_logprobs
+        assert Scorer.__abstractmethods__ == frozenset({"segment_logprobs"})
+        assert UniformScorer.step_logprobs is Scorer.step_logprobs
+        assert SizeScorer.step_logprobs is Scorer.step_logprobs
+        assert FeatureScorer.step_logprobs is not Scorer.step_logprobs
 
     def test_infeasible_term_in_a_batch_names_its_prefix(self, tiny_index):
         a, b, c, e = term_ids(tiny_index, "a", "b", "c", "e")
@@ -286,6 +292,44 @@ class TestTeacherKernel:
         with pytest.raises(DataError, match="infeasible"):
             sequence_logprobs(UniformScorer(), [query()], [[len(tiny_index.dictionary)]],
                               tiny_index)
+
+
+@st.composite
+def search_cases(draw):
+    """A registry with shared 4-character stems, a view of it, a feature scorer, a query, a beam."""
+    n = draw(st.integers(1, 4))
+    vocab = draw(st.integers(n + 1, len(STEM_WORDS)))
+    docs = draw(st.integers(1, min(20, math.comb(vocab, n))))
+    index = build_index(word_registry(docs, vocab, n, seed=draw(st.integers(0, 999))))
+    searchable = SequenceView(index) if draw(st.booleans()) else index
+    rng = np.random.default_rng(draw(st.integers(0, 999)))
+    scorer = FeatureScorer(rng.normal(0, 2, len(STEP_FEATURES)), index.dictionary.terms,
+                           rng.uniform(0, 2, len(index.dictionary)))
+    words = draw(st.lists(st.sampled_from(STEM_WORDS + ("zz",)), max_size=4))
+    beam = draw(st.sampled_from([1, 3, 10, None]))
+    return searchable, scorer, Query.from_text("q", " ".join(words)), beam
+
+
+class TestStepContract:
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases())
+    def test_fast_paths_equal_the_segment_contract_bytewise(self, case):
+        """At every depth of a search, the dense-lookup override equals one
+        `segment_logprobs` call, and the uniform scorer gives -log(count)."""
+        searchable, scorer, q, beam = case
+        depths = []
+
+        def checked(query, step):
+            fast = FeatureScorer.step_logprobs(scorer, query, step)
+            assert fast.tobytes() == Scorer.step_logprobs(scorer, query, step).tobytes()
+            uniform = [-math.log(c) for c in np.diff(step.offsets).tolist() for _ in range(c)]
+            assert UniformScorer().step_logprobs(query, step).tobytes() == np.array(uniform).tobytes()
+            depths.append(step.depth)
+            return fast
+
+        with mock.patch.object(scorer, "step_logprobs", checked):
+            constrained_beam_search(q, searchable, scorer, beam)
+        assert depths == list(range(searchable.n))
 
 
 class TestTraining:
@@ -303,8 +347,7 @@ class TestTraining:
         loss, grad = scorer.loss_and_grad([(query(), target[1:])], index)
         assert loss != 0.0  # sanity: the b-after-root step is not single-candidate
 
-        node = index.root().extend(target[0])
-        assert len(node.feasible_terms()) == 2
+        assert len(one_step(index, target[:1]).terms) == 2
 
         single = IdentifierTable(1, {"D1": ["a"]})
         idx = build_index(single)
