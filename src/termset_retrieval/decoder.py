@@ -62,25 +62,25 @@ def constrained_beam_search(
     and is normalized over different feasible sets.
 
     The beam is held as arrays: one row of term ids per hypothesis and its
-    postings as CSR (flat doc positions plus offsets). Each step expands
-    the whole beam with one sort (`expand`), scores it with one
-    `step_logprobs` call (`FeatureScorer` gathers its query features from
-    one per-query lookup indexed by term id) and keeps the survivors with
-    `top_k_cut`, which sorts only the extensions at or above the K-th
-    log-likelihood (found with `np.partition`) and falls back to sorting
-    the whole step when dedupe_sets leaves fewer than K distinct sets among
-    them. Returns the completed hypotheses as arrays, best first: their
-    term-id sequences (one row each), log-likelihoods and document
-    positions.
+    postings as CSR (flat doc positions plus offsets). The scorer's step
+    function is made once per query (`step_scorer`). Each step expands the
+    whole beam with one `np.sort` (`expand`), scores it with one call of
+    that function and keeps the survivors with `top_k_cut`, which sorts
+    only the extensions at or above the K-th log-likelihood (found with
+    `np.partition`) and falls back to sorting the whole step when
+    dedupe_sets leaves fewer than K distinct sets among them. Returns the
+    completed hypotheses as arrays, best first: their term-id sequences
+    (one row each), log-likelihoods and document positions.
     """
     if beam_size is not None and beam_size < 1:
         raise DataError(f"beam size must be >= 1, got {beam_size}")
     seqs, docs, ptr = root_beam(searchable)  # one row of term ids per hypothesis
     lls = np.zeros(1)
     rank = np.zeros(1, dtype=np.int64)  # place of each sequence in lexicographic order
+    step_logprobs = scorer.step_scorer(query)
     for _ in range(searchable.n):
         step = searchable.expand(seqs, docs, ptr)
-        step_ll = lls[step.parents] + scorer.step_logprobs(query, step)
+        step_ll = lls[step.parents] + step_logprobs(step)
         order = top_k_cut(step, step_ll, rank, beam_size, dedupe_sets)
         kept_parents, kept_terms = step.parents[order], step.terms[order]
         docs, ptr = step.children(order)

@@ -15,3 +15,12 @@ def parse_values(convert, texts, what: str) -> list:
         return [convert(text) for text in texts]
     except ValueError as exc:
         raise DataError(f"{what} {' '.join(texts)!r} is not a valid {convert.__name__}") from exc
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes raise DataError."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {exc.start} is not UTF-8 text") from exc

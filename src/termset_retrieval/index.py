@@ -15,7 +15,7 @@ from functools import cached_property
 import numpy as np
 
 from . import atomic
-from .errors import DataError, InvariantError, parse_values
+from .errors import DataError, InvariantError, parse_values, read_lines
 from .importance import IdentifierTable
 
 _INDEX_FORMAT = "termset-index/2"
@@ -115,27 +115,36 @@ def root_beam(searchable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _expand(searchable, seqs, docs, ptr, columns) -> Step:
-    """One stable sort over the beam's (hypothesis, term) keys.
+    """One sort of keys unique per (hypothesis, term, document).
 
     `columns[i]` holds the terms that may follow the prefix for document
-    docs[i]. Each run of equal keys is one extension: its length is the
-    child size, and since the sort is stable and each hypothesis's docs
-    ascend, the run lists the child postings in order, lead first. Terms
-    already in the hypothesis's own prefix are dropped.
+    docs[i]. Hypothesis h's c documents (ascending) get the keys ptr[h] * V
+    + term * c + row, row being the document's place among them: sorted,
+    they go by (hypothesis, term, document) and decode back. Each run of
+    one (hypothesis, term) is one extension: its length is the child size,
+    and it lists the child postings in order, lead first. Terms already in
+    the hypothesis's own prefix are dropped.
     """
     vocab, width = len(searchable.dictionary), columns.shape[1]
-    offsets = (np.arange(len(seqs)) * vocab).repeat(ptr[1:] - ptr[:-1])
-    keys = (columns + offsets[:, None]).ravel()
-    sort = keys.argsort(kind="stable")
-    keys = keys[sort]
-    run_docs = docs.repeat(width)[sort]
+    top = len(docs) * vocab  # the keys lie in [0, top)
+    if top > 1 << 63:
+        raise InvariantError(f"{len(docs)} beam documents x {vocab} terms overflow the sort key")
+    beam_ptr = np.asarray(ptr, dtype=np.int32 if top <= 1 << 31 else np.int64)
+    counts = beam_ptr[1:] - beam_ptr[:-1]
+    first, size = beam_ptr[:-1].repeat(counts), counts.repeat(counts)  # per document
+    rows = first * (vocab - 1) + np.arange(len(docs), dtype=first.dtype)  # ptr[h] * V + row
+    keys = np.sort(columns * size[:, None] + rows[:, None], axis=None)
+    first, size = first.repeat(width), size.repeat(width)  # h keeps its block of keys
+    terms, rows = np.divmod(keys - first * vocab, size)
     edges = np.ones(len(keys) + 1, dtype=bool)
-    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    np.not_equal(terms[1:], terms[:-1], out=edges[1:-1])
+    edges[beam_ptr[1:-1] * width] = True
     bounds = edges.nonzero()[0]  # run starts, then the end
-    starts = bounds[:-1]
-    parents, terms = np.divmod(keys[starts], vocab)
+    parents = np.arange(len(seqs)).repeat(counts * width)[bounds[:-1]]
+    terms = terms[bounds[:-1]]
     keep = ~(seqs[parents] == terms[:, None]).any(axis=1)
-    starts = starts[keep]
+    starts = bounds[:-1][keep]
+    run_docs = docs[first + rows]  # rows: each sorted key's place in its hypothesis
     return Step(
         searchable, seqs, docs, ptr, parents[keep], terms[keep].astype(columns.dtype),
         (bounds[1:] - bounds[:-1])[keep], run_docs[starts], run_docs, starts,
@@ -289,8 +298,7 @@ def save_index(index: Index, path) -> None:
 
 def load_index(path) -> Index:
     """Rebuild an index from its `T` and `D` records, checking every record."""
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != _INDEX_FORMAT:
         raise DataError(f"{path}: not a {_INDEX_FORMAT} file")
     try:

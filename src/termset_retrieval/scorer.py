@@ -20,7 +20,7 @@ import numpy as np
 
 from . import atomic
 from .corpus import Corpus, CorpusStats, Query
-from .errors import DataError, parse_values
+from .errors import DataError, parse_values, read_lines
 from .importance import ImportanceModel, score_terms
 from .index import Index, root_beam
 
@@ -49,9 +49,9 @@ class Scorer(ABC):
     implementation normalizes over the candidates. A scorer built on a
     subword model must treat its term-separator symbol as the term
     boundary and return each candidate term's total log-probability.
-    Only segment_logprobs is required: search calls step_logprobs, which
-    defaults to one segment_logprobs call, and training calls
-    segment_logprobs directly.
+    Only segment_logprobs is required: search calls step_scorer once per
+    query, whose step function defaults to one segment_logprobs call per
+    step, and training calls segment_logprobs directly.
     """
 
     @abstractmethod
@@ -68,15 +68,20 @@ class Scorer(ABC):
         segment raises DataError.
         """
 
-    def step_logprobs(self, query: Query, step) -> np.ndarray:
-        """Score one decoding step of a whole beam under one query.
+    def step_scorer(self, query: Query):
+        """The function that scores a decoding step of a whole beam under `query`.
 
-        One segment per hypothesis, holding all of its extensions: the
-        result holds one log-probability per extension, in step order.
+        It scores one segment per hypothesis, holding all of its extensions,
+        and returns one log-probability per extension, in step order. Search
+        calls this once per query, so per-query tables belong here.
         """
-        seg_query = np.zeros(len(step.seqs), dtype=np.int64)
-        ext = np.arange(len(step.terms))
-        return self.segment_logprobs([query], step, seg_query, ext, step.offsets)
+
+        def step_logprobs(step) -> np.ndarray:
+            seg_query = np.zeros(len(step.seqs), dtype=np.int64)
+            ext = np.arange(len(step.terms))
+            return self.segment_logprobs([query], step, seg_query, ext, step.offsets)
+
+        return step_logprobs
 
 
 class UniformScorer(Scorer):
@@ -94,7 +99,9 @@ class FeatureScorer(Scorer):
 
     `terms` mirrors the index dictionary (sorted); `term_weights` holds the
     corpus-max importance weight per term. Both are fixed at construction,
-    only `weights` learns.
+    only `weights` learns. An extension's score is its features' weighted
+    sum, added in STEP_FEATURES order row by row, so it depends only on
+    the extension, wherever it sits in a batch.
     """
 
     def __init__(self, weights: np.ndarray, terms: list[str], term_weights: np.ndarray):
@@ -128,61 +135,42 @@ class FeatureScorer(Scorer):
     def copy(self) -> "FeatureScorer":
         return FeatureScorer(self.weights.copy(), self.terms, self.term_weights)
 
-    def query_lookup(self, query: Query) -> np.ndarray:
-        """The query's two features of every term, as a (V, 2) float array.
+    def step_scorer(self, query):
+        """Bit-identical to the base step function, from a per-query term table.
 
-        Row t holds `in_query` (t is a query term) and `query_prefix4` (t
-        shares its first four characters with a query term). Build it once
-        per query and pass it to `_features`, which gathers rows by
-        candidate id.
+        A score's first three terms, (in_query * w0 + query_prefix4 * w1) +
+        term_weight * w2, depend only on the term: one vector of them over
+        the vocabulary, gathered by term id, replaces `_segment_features`.
         """
-        lookup = np.zeros((len(self.terms), 2))
-        lookup[[self._term_id[t] for t in query.terms if t in self._term_id], 0] = 1.0
-        lookup[[i for t in query.terms for i in self._by_prefix4.get(t[:4], ())], 1] = 1.0
-        return lookup
+        w, (in_query, prefix4) = self.weights, np.zeros((2, len(self.terms)))
+        in_query[[self._term_id[t] for t in query.terms if t in self._term_id]] = 1.0
+        prefix4[[i for t in query.terms for i in self._by_prefix4.get(t[:4], ())]] = 1.0
+        table = (in_query * w[0] + prefix4 * w[1]) + self.term_weights * w[2]
 
-    def _features(self, lookup, candidates, sizes) -> np.ndarray:
-        feats = np.empty((len(candidates), len(STEP_FEATURES)))
-        feats[:, :2] = lookup[candidates]
-        feats[:, 2] = self.term_weights[candidates]
-        feats[:, 3] = np.log1p(sizes)
-        return feats
+        def step_logprobs(step) -> np.ndarray:
+            scores = table.take(step.terms) + np.log1p(step.sizes) * w[3]
+            return _log_softmax(scores, step.offsets)
 
-    def step_logprobs(self, query, step):
-        """One feature matrix for the whole beam, normalized segment by segment.
-
-        Bit-identical to the base method's one `segment_logprobs` call, but
-        the query features come from one dense `query_lookup` gathered by
-        term id, which is cheaper than `_segment_features`' keyed lookups
-        when every extension of a beam shares one query.
-        """
-        counts = np.diff(step.offsets)
-        if not counts.all():
-            raise DataError("empty candidate set")
-        feats = self._features(self.query_lookup(query), step.terms, step.sizes)
-        scores = feats @ self.weights
-        # Each segment is normalized on its own (`_segment_logsumexp`), so a
-        # hypothesis's log-probs do not depend on the rest of the beam. A
-        # one-row matmul may round a score differently from the same row in
-        # a larger matrix, but a one-candidate segment normalizes to exactly 0.
-        return scores - np.repeat(_segment_logsumexp(scores, step.offsets), counts)
+        return step_logprobs
 
     def segment_logprobs(self, queries, step, seg_query, ext, ptr):
         """One feature matrix for all segments, normalized segment by segment."""
-        scores = self._segment_features(queries, step, seg_query, ext, ptr) @ self.weights
-        return scores - np.repeat(_segment_logsumexp(scores, ptr), np.diff(ptr))
+        feats = self._segment_features(queries, step, seg_query, ext, ptr)
+        return _log_softmax(self._scores(feats), ptr)
+
+    def _scores(self, feats) -> np.ndarray:
+        """Each row's score, summed in the order `step_scorer` sums it."""
+        f, w = feats.T, self.weights
+        return ((f[0] * w[0] + f[1] * w[1]) + f[2] * w[2]) + f[3] * w[3]
 
     def _segment_features(self, queries, step, seg_query, ext, ptr) -> np.ndarray:
-        """`_features` of every segment's extensions under the segment's query.
+        """The features of every segment's extensions under the segment's query.
 
-        Instead of one `query_lookup` per query, the query features are
+        Instead of one dense vector per query (`step_scorer`), they are
         looked up by key in two sorted arrays built for the segments'
         queries: query * V + term id for `in_query` and query * G + stem id
         for `query_prefix4`, with G distinct stems in the vocabulary.
         """
-        counts = np.diff(ptr)
-        if not counts.all():
-            raise DataError("empty candidate set")
         stem_id, term_stem = self._stems
         vocab, stems = len(self.terms), len(stem_id)
         term_keys, stem_keys = [], []
@@ -190,7 +178,7 @@ class FeatureScorer(Scorer):
             words = queries[q].terms
             term_keys += [q * vocab + self._term_id[t] for t in words if t in self._term_id]
             stem_keys += [q * stems + stem_id[t[:4]] for t in words if t[:4] in stem_id]
-        row_query = np.repeat(seg_query, counts)
+        row_query = np.repeat(seg_query, np.diff(ptr))
         terms = step.terms[ext]
         feats = np.empty((len(ext), len(STEP_FEATURES)))
         feats[:, 0] = _isin_sorted(np.unique(term_keys), row_query * vocab + terms)
@@ -219,11 +207,9 @@ class FeatureScorer(Scorer):
         grad = np.zeros_like(self.weights)
         for chunk in _teacher_chunks(searchable, qidx, [target for _, target in batch]):
             feats = self._segment_features(queries, *chunk[:4])
-            scores = feats @ self.weights
-            counts = np.diff(chunk.ptr)
-            logprobs = scores - np.repeat(_segment_logsumexp(scores, chunk.ptr), counts)
+            logprobs = _log_softmax(self._scores(feats), chunk.ptr)
             total_loss -= logprobs[chunk.at].sum()
-            weighted = np.exp(logprobs) * np.repeat(chunk.weight, counts)
+            weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
             grad += weighted @ feats - feats[chunk.at].sum(axis=0)
         return total_loss / len(batch), grad / len(batch)
 
@@ -241,28 +227,24 @@ class FeatureScorer(Scorer):
         return loss
 
 
-def _logsumexp(scores: np.ndarray) -> float:
-    m = scores.max()
-    return m + math.log(np.exp(scores - m).sum())
+def _log_softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Each segment scores[offsets[i]:offsets[i + 1]] minus its log-sum-exp.
 
-
-def _segment_logsumexp(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """`_logsumexp` of each segment scores[offsets[i]:offsets[i + 1]], bit for bit.
-
-    Max and exp act element by element, so they run over the whole array
-    at once. Summation order matters: segments of one length are stacked
-    into a C-contiguous block, whose row sums use the same pairwise
-    summation as `.sum()` on one segment (`np.add.reduceat` sums
-    sequentially and differs from length 9 on).
+    A segment's max and sum of exps depend only on its own scores, so it
+    normalizes bit for bit alike alone or among others. `np.add.reduceat`
+    adds a segment's first element to the pairwise sum of the rest; a
+    leading exp(-inf) = 0 makes that the pairwise `.sum()` of the segment.
     """
     counts = np.diff(offsets)
+    if not counts.all():
+        raise DataError("empty candidate set")
+    heads = offsets[:-1] + np.arange(len(counts))  # the leading 0s
     m = np.maximum.reduceat(scores, offsets[:-1])
-    e = np.exp(scores - np.repeat(m, counts))
-    sums = np.empty(len(counts))
-    for length in np.unique(counts):
-        rows = np.flatnonzero(counts == length)
-        sums[rows] = e[offsets[rows, None] + np.arange(length)].sum(axis=1)
-    return m + np.array([math.log(s) for s in sums.tolist()])
+    shifted = np.full(len(scores) + len(counts), -np.inf)
+    body = np.ones(len(shifted), dtype=bool)
+    body[heads] = False
+    shifted[body] = scores - np.repeat(m, counts)
+    return scores - np.repeat(m + np.log(np.add.reduceat(np.exp(shifted), heads)), counts)
 
 
 def _isin_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -394,8 +376,7 @@ def save_scorer(scorer: FeatureScorer, path) -> None:
 
 
 def load_scorer(path) -> FeatureScorer:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != _SCORER_FORMAT:
         raise DataError(f"{path}: not a {_SCORER_FORMAT} file")
     header: dict[str, tuple[int, str]] = {}
@@ -412,6 +393,8 @@ def load_scorer(path) -> FeatureScorer:
         raise DataError(f"{path}:{lineno}: unexpected step-feature schema")
     lineno, value = header["weights"]
     weights = np.array(parse_values(float, value.split(" "), f"{path}:{lineno}: step weights"))
+    if len(weights) != len(STEP_FEATURES):
+        raise DataError(f"{path}:{lineno}: {len(weights)} step weights, expected {len(STEP_FEATURES)}")
     if not np.isfinite(weights).all():
         raise DataError(f"{path}:{lineno}: step weights {value!r} are not all finite")
     lineno, value = header["terms"]

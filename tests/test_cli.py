@@ -1,12 +1,21 @@
 """End-to-end command pipeline, manifests, reproducibility, exit codes."""
 
+import contextlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termset_retrieval import atomic
 from termset_retrieval.cli import main, parse_config_file, rerun_from_manifest
+from termset_retrieval.importance import write_identifier_file
+from termset_retrieval.scorer import STEP_FEATURES, FeatureScorer, save_scorer
+from termset_retrieval.synthetic import make_random_identifiers
 
 DATA = Path(__file__).resolve().parent.parent / "src" / "termset_retrieval" / "data"
 
@@ -172,6 +181,18 @@ class TestErrors:
         err = capsys.readouterr().err
         assert f"not a {header} file" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("artifact", ["index.txt", "scorer.txt"], ids=["index", "scorer"])
+    def test_non_utf8_file_is_data_error(self, search_inputs, tmp_path, capsys, artifact):
+        out, scorer = search_inputs
+        files = {"index.txt": (out / "index.txt").read_bytes(), "scorer.txt": scorer}
+        files[artifact] = files[artifact][:40] + b"\xff" + files[artifact][41:]
+        for name, data in files.items():
+            (tmp_path / name).write_bytes(data)
+        rc = invoke("search", "--index", tmp_path / "index.txt", "--scorer", tmp_path / "scorer.txt",
+                    "--queries", out / "queries.jsonl", "--output", tmp_path / "r.txt")
+        assert rc == 2
+        assert f"{tmp_path / artifact}: byte 40 is not UTF-8 text" in capsys.readouterr().err
 
     def test_vocabulary_mismatch_is_data_error(self, pipeline, tmp_path):
         # rebuild an index from different identifiers and pair the old scorer with it
@@ -425,3 +446,58 @@ class TestAtomicWrites:
         monkeypatch.setattr(atomic.os, "replace", fail)
         assert invoke("build-index", "--identifiers", ids, "--output", tmp_path / "index.txt") == 2
         assert [p.name for p in tmp_path.iterdir()] == ["ids.tsv"]
+
+
+@pytest.fixture(scope="module")
+def search_inputs(tmp_path_factory):
+    """An index, a valid scorer file's bytes and queries for fuzzing `search`."""
+    out = tmp_path_factory.mktemp("fuzz")
+    table = make_random_identifiers(30, 12, 3, seed=1)
+    write_identifier_file(table, out / "ids.tsv")
+    assert invoke("build-index", "--identifiers", out / "ids.tsv", "--output", out / "index.txt") == 0
+    terms = sorted({t for ts in table.terms_by_doc.values() for t in ts})
+    rng = np.random.default_rng(0)
+    scorer = FeatureScorer(rng.normal(0, 1, len(STEP_FEATURES)), terms, rng.uniform(0, 2, len(terms)))
+    save_scorer(scorer, out / "scorer.txt")
+    queries = [{"query_id": f"q{i}", "text": " ".join(terms[i : i + 2] + ["zz"])} for i in range(4)]
+    (out / "queries.jsonl").write_text("".join(json.dumps(q) + "\n" for q in queries), "utf-8")
+    return out, (out / "scorer.txt").read_bytes()
+
+
+# bytes that shift a scorer file's structure or numbers
+FUZZ_BYTES = st.sampled_from(list(b"\t\n 0159.-+eEx") + [0x00, 0xFF, 0xC3])
+
+
+@st.composite
+def mutations(draw, size):
+    """One truncation, replacement, insertion or deletion at a random offset."""
+    kind = draw(st.sampled_from(["truncate", "replace", "insert", "delete"]))
+    at = draw(st.integers(0, size))
+    if kind == "truncate":
+        return lambda data: data[:at]
+    if kind == "delete":
+        width = draw(st.integers(1, 8))
+        return lambda data: data[:at] + data[at + width :]
+    chunk = bytes(draw(st.lists(FUZZ_BYTES, min_size=1, max_size=4)))
+    if kind == "insert":
+        return lambda data: data[:at] + chunk + data[at:]
+    return lambda data: data[:at] + chunk + data[at + len(chunk) :]
+
+
+class TestScorerFileFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_mutated_scorer_exits_0_or_2_without_traceback(self, search_inputs, data):
+        out, original = search_inputs
+        mutated = original
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutated = data.draw(mutations(len(mutated)))(mutated)
+        with tempfile.TemporaryDirectory() as tmp:
+            scorer = Path(tmp) / "scorer.txt"
+            scorer.write_bytes(mutated)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = invoke("search", "--index", out / "index.txt", "--scorer", scorer,
+                            "--queries", out / "queries.jsonl", "--output", Path(tmp) / "run.txt")
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()

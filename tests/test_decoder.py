@@ -57,7 +57,7 @@ def reference_beam_search(query, searchable, scorer, beam_size, dedupe_sets=Fals
         extensions = []
         for term_ids, ll in beam:
             step = one_step(searchable, term_ids)
-            logprobs = scorer.step_logprobs(query, step)
+            logprobs = scorer.step_scorer(query)(step)
             for term_id, lp in zip(step.terms.tolist(), logprobs):
                 extensions.append((term_ids + (term_id,), ll + float(lp)))
         extensions.sort(key=_extension_order(searchable))
@@ -100,7 +100,7 @@ def _dedupe_by_set(extensions):
 
 
 class DepthScorer(Scorer):
-    """Implements only segment_logprobs, so the beam goes through the base step_logprobs."""
+    """Implements only segment_logprobs, so the beam goes through the base step_scorer."""
 
     def segment_logprobs(self, queries, step, seg_query, ext, ptr):
         out = []
@@ -231,7 +231,7 @@ class TestBeamSearch:
             extensions = []
             for term_ids, ll in beam:
                 step = one_step(tiny_index, term_ids)
-                lps = scorer.step_logprobs(query("a b"), step)
+                lps = scorer.step_scorer(query("a b"))(step)
                 for t, lp in zip(step.terms.tolist(), lps):
                     extensions.append((term_ids + (t,), ll + float(lp)))
             extensions.sort(key=lambda e: -e[1])
@@ -262,7 +262,7 @@ class TestBeamSearch:
             partial = 0.0
             for depth, term_id in enumerate(term_ids):
                 step = one_step(tiny_index, term_ids[:depth])
-                lp = UniformScorer().step_logprobs(query(), step)
+                lp = UniformScorer().step_scorer(query())(step)
                 partial += float(lp[int(np.searchsorted(step.terms, term_id))])
                 assert partial <= 1e-12
             assert partial == pytest.approx(ll)

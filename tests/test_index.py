@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +16,9 @@ from termset_retrieval.importance import IdentifierTable
 from termset_retrieval.index import (
     Index,
     SequenceView,
+    Step,
     TermDictionary,
+    _expand,
     build_index,
     load_index,
     naive_feasible_terms,
@@ -201,6 +204,93 @@ class TestStepKernel:
         child_docs, child_ptr = step.children(picks)
         for i, pick in enumerate(picks):
             assert child_docs[child_ptr[i] : child_ptr[i + 1]].tolist() == want[pick][2].tolist()
+
+
+def argsort_expand(searchable, seqs, docs, ptr, columns) -> Step:
+    """The stable argsort over (hypothesis, term) keys that `_expand`'s one
+    sort replaced, kept as its oracle."""
+    vocab, width = len(searchable.dictionary), columns.shape[1]
+    offsets = (np.arange(len(seqs)) * vocab).repeat(ptr[1:] - ptr[:-1])
+    keys = (columns + offsets[:, None]).ravel()
+    sort = keys.argsort(kind="stable")
+    keys = keys[sort]
+    run_docs = docs.repeat(width)[sort]
+    edges = np.ones(len(keys) + 1, dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
+    bounds = edges.nonzero()[0]
+    starts = bounds[:-1]
+    parents, terms = np.divmod(keys[starts], vocab)
+    keep = ~(seqs[parents] == terms[:, None]).any(axis=1)
+    starts = starts[keep]
+    return Step(
+        searchable, seqs, docs, ptr, parents[keep], terms[keep].astype(columns.dtype),
+        (bounds[1:] - bounds[:-1])[keep], run_docs[starts], run_docs, starts,
+    )
+
+
+def assert_same_step(got, want):
+    """Equal `Step` arrays, values and dtypes."""
+    for name in ("parents", "terms", "sizes", "leads", "run_docs", "starts", "offsets"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype, name
+        assert a.tolist() == b.tolist(), name
+
+
+@st.composite
+def exhaustive_beams(draw):
+    """Every distinct prefix of one depth of a random registry, as one beam."""
+    n = draw(st.integers(1, 4))
+    vocab = draw(st.integers(n + 1, 20))
+    docs = draw(st.integers(1, min(30, math.comb(vocab, n))))
+    index = build_index(make_random_identifiers(docs, vocab, n, seed=draw(st.integers(0, 99))))
+    depth = draw(st.integers(0, n - 1))
+    if draw(st.booleans()):
+        prefixes = {tuple(row[:depth]) for row in index.order.tolist()}
+        searchable = SequenceView(index)
+    else:
+        prefixes = {p for row in index.sets.tolist() for p in itertools.permutations(row, depth)}
+        searchable = index
+    return searchable, np.array(sorted(prefixes), dtype=np.int64).reshape(len(prefixes), depth)
+
+
+class TestExpandOracle:
+    @settings(max_examples=100, deadline=None)
+    @given(st.one_of(beams(), exhaustive_beams()))
+    def test_equals_the_stable_argsort_expand(self, case):
+        searchable, seqs = case
+        held = [holders(searchable, prefix) for prefix in seqs]
+        ptr = np.cumsum([0] + [len(h) for h in held])
+        docs = np.concatenate(held).astype(np.int32)
+        if isinstance(searchable, SequenceView):
+            depth = seqs.shape[1]
+            columns = searchable.index.order[docs, depth : depth + 1]
+        else:
+            columns = searchable.sets[docs]
+        want = argsort_expand(searchable, seqs, docs, ptr, columns)
+        assert_same_step(searchable.expand(seqs, docs, ptr), want)
+
+    @pytest.mark.parametrize("bits", [31, 63])
+    @pytest.mark.parametrize("num_docs", [2, 3, 1000])
+    def test_keys_up_to_docs_times_vocabulary(self, bits, num_docs):
+        """A beam of D documents over V terms sorts keys in [0, D * V): int32
+        keys up to D * V = 2**31, int64 keys beyond, and a refusal past 2**63."""
+        vocab = (1 << bits) // num_docs
+        rng = np.random.default_rng(num_docs)
+        pool = np.array([0, 1, vocab // 2, vocab - 2, vocab - 1])
+        columns = np.array([np.sort(rng.choice(pool, 3, replace=False)) for _ in range(num_docs)])
+        columns = columns.astype(np.int32 if bits == 31 else np.int64)
+        cuts = np.sort(rng.choice(np.arange(1, num_docs), min(num_docs - 1, 4), replace=False))
+        ptr = np.concatenate([[0], cuts, [num_docs]])
+        seqs = rng.choice(pool, (len(ptr) - 1, 1))
+        docs = np.arange(num_docs, dtype=np.int32)
+        for v in (vocab, vocab + 1):
+            searchable = SimpleNamespace(dictionary=range(v))
+            if v * num_docs > 1 << 63:
+                with pytest.raises(InvariantError, match="overflow the sort key"):
+                    _expand(searchable, seqs, docs, ptr, columns)
+                continue
+            want = argsort_expand(searchable, seqs, docs, ptr, columns)
+            assert_same_step(_expand(searchable, seqs, docs, ptr, columns), want)
 
 
 class TestExpansion:

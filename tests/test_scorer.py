@@ -1,6 +1,7 @@
 """Step probabilities, sequence likelihoods, teacher-forced training."""
 
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -19,8 +20,7 @@ from termset_retrieval.scorer import (
     FeatureScorer,
     Scorer,
     UniformScorer,
-    _logsumexp,
-    _segment_logsumexp,
+    _log_softmax,
     check_compatible,
     load_scorer,
     save_scorer,
@@ -43,19 +43,25 @@ def query(text=""):
     return Query.from_text("q", text)
 
 
+def logsumexp(scores):
+    """One segment's log-sum-exp, as a pairwise `.sum()` and `math.log`."""
+    m = scores.max()
+    return m + math.log(np.exp(scores - m).sum())
+
+
 class TestStepLogprob:
     def test_uniform_over_seven(self, tiny_index):
         step = one_step(tiny_index, [])
-        lps = UniformScorer().step_logprobs(query(), step)
+        lps = UniformScorer().step_scorer(query())(step)
         assert np.allclose(lps, math.log(1 / 7))
         zeros = FeatureScorer.zeros(tiny_index)
-        lps2 = zeros.step_logprobs(query(), step)
+        lps2 = zeros.step_scorer(query())(step)
         assert np.allclose(lps2, math.log(1 / 7))
 
     def test_single_candidate_is_certain(self, tiny_index):
         a, c = term_ids(tiny_index, "a", "c")
         scorer = FeatureScorer.zeros(tiny_index)
-        lps = scorer.step_logprobs(query(), one_step(tiny_index, [a, c]))
+        lps = scorer.step_scorer(query())(one_step(tiny_index, [a, c]))
         assert lps.shape == (1,)
         assert lps[0] == 0.0
 
@@ -65,10 +71,10 @@ class TestStepLogprob:
         weights = rng.normal(0, 1, size=len(STEP_FEATURES))
         scorer = FeatureScorer(weights, tiny_index.dictionary.terms,
                                rng.uniform(0, 1, len(tiny_index.dictionary)))
-        base = scorer.step_logprobs(query("a c"), step)
+        base = scorer.step_scorer(query("a c"))(step)
         # term_weight is a feature, so this adds one constant to every score
         shifted = FeatureScorer(weights, scorer.terms, scorer.term_weights + 13.7)
-        after = shifted.step_logprobs(query("a c"), step)
+        after = shifted.step_scorer(query("a c"))(step)
         assert np.allclose(base, after, atol=1e-12)
 
     def test_probabilities_sum_to_one_and_logprobs_nonpositive(self):
@@ -82,7 +88,7 @@ class TestStepLogprob:
         for _ in range(40):
             row = index.sets[rng.integers(len(index.doc_ids))]
             depth = int(rng.integers(0, index.n))
-            lps = scorer.step_logprobs(q, one_step(index, rng.choice(row, size=depth, replace=False)))
+            lps = scorer.step_scorer(q)(one_step(index, rng.choice(row, size=depth, replace=False)))
             assert abs(np.exp(lps).sum() - 1.0) < 1e-9
             assert np.all(lps <= 0.0)
 
@@ -92,7 +98,7 @@ class TestStepLogprob:
         none = (np.zeros(1, dtype=np.int64), np.arange(0), np.array([0, 0]))
         for scorer in (UniformScorer(), FeatureScorer.zeros(tiny_index)):
             with pytest.raises(DataError, match="empty candidate"):
-                scorer.step_logprobs(query(), full)
+                scorer.step_scorer(query())(full)
             with pytest.raises(DataError, match="empty candidate"):
                 scorer.segment_logprobs([query()], one_step(tiny_index, []), *none)
 
@@ -128,6 +134,12 @@ def lookup_cases(draw):
     return terms, Query("q", " ".join(words), words), np.array(candidates, dtype=np.int64), seed
 
 
+def row_scores(scorer, feats):
+    """Each row's weighted feature sum, added in STEP_FEATURES order."""
+    w = scorer.weights
+    return ((feats[:, 0] * w[0] + feats[:, 1] * w[1]) + feats[:, 2] * w[2]) + feats[:, 3] * w[3]
+
+
 class TestQueryLookup:
     @settings(max_examples=200, deadline=None)
     @given(lookup_cases())
@@ -137,21 +149,33 @@ class TestQueryLookup:
         scorer = FeatureScorer(rng.normal(0, 1, len(STEP_FEATURES)), terms,
                                rng.uniform(0, 2, len(terms)))
         sizes = rng.integers(1, 50, len(candidates))
-        got = scorer._features(scorer.query_lookup(q), candidates, sizes)
         want = isin_features(scorer, q, candidates, sizes)
-        assert got.tobytes() == want.tobytes()
-        assert (got @ scorer.weights).tobytes() == (want @ scorer.weights).tobytes()
+        # one segment of the candidates, as a step's extensions
+        step = SimpleNamespace(terms=candidates, sizes=sizes, offsets=np.array([0, len(sizes)]))
+        if not len(candidates):
+            with pytest.raises(DataError, match="empty candidate"):
+                scorer.step_scorer(q)(step)
+            return
+        scores = row_scores(scorer, want)
+        expected = _log_softmax(scores, step.offsets)
+        assert scorer.step_scorer(q)(step).tobytes() == expected.tobytes()
 
 
 class TestSegmentNormalization:
     def test_equals_logsumexp_per_segment_bitwise(self):
+        """Normalizing a segment among others gives what it gives alone, and
+        its sum of exps is the pairwise `.sum()` of the segment."""
         rng = np.random.default_rng(11)
-        lengths = [1, 7, 8, 9, 128, 129, 257, 9, 1, 128, 7, 257, 8, 129]
+        lengths = [1, 7, 8, 9, 128, 129, 257, 9, 1, 128, 7, 257, 8, 129, 1000]
         offsets = np.cumsum([0] + lengths)
         scores = rng.normal(0, 3, size=offsets[-1])
-        got = _segment_logsumexp(scores, offsets)
-        want = [_logsumexp(scores[a:b]) for a, b in zip(offsets[:-1], offsets[1:])]
-        assert got.tolist() == want
+        got = _log_softmax(scores, offsets)
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            segment = scores[a:b].copy()
+            assert got[a:b].tobytes() == _log_softmax(segment, np.array([0, b - a])).tobytes()
+            m = segment.max()
+            assert got[a:b].tobytes() == (segment - (m + np.log(np.exp(segment - m).sum()))).tobytes()
+            assert np.allclose(got[a:b], segment - logsumexp(segment), rtol=0, atol=1e-14)
 
 
 class TestSequenceLogprob:
@@ -197,7 +221,7 @@ def teacher_walk(searchable, term_ids):
 def walk_logprob(scorer, query, term_ids, searchable):
     total = 0.0
     for step, pos in teacher_walk(searchable, term_ids):
-        total += float(scorer.step_logprobs(query, step)[pos])
+        total += float(scorer.step_scorer(query)(step)[pos])
     return total
 
 
@@ -209,7 +233,7 @@ def walk_loss_and_grad(scorer, batch, searchable):
         for step, pos in teacher_walk(searchable, target):
             feats = isin_features(scorer, query, step.terms, step.sizes)
             scores = feats @ scorer.weights
-            logprobs = scores - _logsumexp(scores)
+            logprobs = scores - logsumexp(scores)
             total_loss -= logprobs[pos]
             grad += np.exp(logprobs) @ feats - feats[pos]
     return total_loss / len(batch), grad / len(batch)
@@ -222,7 +246,7 @@ class SizeScorer(Scorer):
         counts = np.diff(ptr)
         scores = np.log1p(step.sizes[ext]) * (step.depth + 0.5)
         scores += 0.1 * np.repeat([len(queries[q].terms) for q in seg_query.tolist()], counts)
-        return scores - np.repeat(_segment_logsumexp(scores, ptr), counts)
+        return _log_softmax(scores, ptr)
 
 
 @st.composite
@@ -281,9 +305,9 @@ class TestTeacherKernel:
 
     def test_plug_in_scorers_take_the_default_segment_path(self):
         assert Scorer.__abstractmethods__ == frozenset({"segment_logprobs"})
-        assert UniformScorer.step_logprobs is Scorer.step_logprobs
-        assert SizeScorer.step_logprobs is Scorer.step_logprobs
-        assert FeatureScorer.step_logprobs is not Scorer.step_logprobs
+        assert UniformScorer.step_scorer is Scorer.step_scorer
+        assert SizeScorer.step_scorer is Scorer.step_scorer
+        assert FeatureScorer.step_scorer is not Scorer.step_scorer
 
     def test_infeasible_term_in_a_batch_names_its_prefix(self, tiny_index):
         a, b, c, e = term_ids(tiny_index, "a", "b", "c", "e")
@@ -314,22 +338,64 @@ class TestStepContract:
     @settings(max_examples=100, deadline=None)
     @given(search_cases())
     def test_fast_paths_equal_the_segment_contract_bytewise(self, case):
-        """At every depth of a search, the dense-lookup override equals one
+        """At every depth of a search, the term-table override equals one
         `segment_logprobs` call, and the uniform scorer gives -log(count)."""
         searchable, scorer, q, beam = case
         depths = []
 
-        def checked(query, step):
-            fast = FeatureScorer.step_logprobs(scorer, query, step)
-            assert fast.tobytes() == Scorer.step_logprobs(scorer, query, step).tobytes()
-            uniform = [-math.log(c) for c in np.diff(step.offsets).tolist() for _ in range(c)]
-            assert UniformScorer().step_logprobs(query, step).tobytes() == np.array(uniform).tobytes()
-            depths.append(step.depth)
-            return fast
+        def checked(query):
+            fast = FeatureScorer.step_scorer(scorer, query)
+            base = Scorer.step_scorer(scorer, query)
+            uniform = UniformScorer().step_scorer(query)
 
-        with mock.patch.object(scorer, "step_logprobs", checked):
+            def step_logprobs(step):
+                got = fast(step)
+                assert got.tobytes() == base(step).tobytes()
+                want = [-math.log(c) for c in np.diff(step.offsets).tolist() for _ in range(c)]
+                assert uniform(step).tobytes() == np.array(want).tobytes()
+                depths.append(step.depth)
+                return got
+
+            return step_logprobs
+
+        with mock.patch.object(scorer, "step_scorer", checked):
             constrained_beam_search(q, searchable, scorer, beam)
         assert depths == list(range(searchable.n))
+
+    @settings(max_examples=100, deadline=None)
+    @given(search_cases(), st.data())
+    def test_each_segment_scores_as_it_does_alone(self, case, data):
+        """A hypothesis's log-probs do not depend on the rest of the beam:
+        each segment of a search step equals, bit for bit, its own one-row
+        step, through `step_scorer` and through `segment_logprobs`, and the
+        search's log-likelihoods equal `sequence_logprobs`."""
+        searchable, feature, q, beam = case
+        steps = []
+
+        def kept(query):
+            step_logprobs = FeatureScorer.step_scorer(feature, query)
+
+            def record(step):
+                steps.append(step)
+                return step_logprobs(step)
+
+            return record
+
+        with mock.patch.object(feature, "step_scorer", kept):
+            seqs, lls, _ = constrained_beam_search(q, searchable, feature, beam)
+        got = sequence_logprobs(feature, [q] * len(seqs), seqs.tolist(), searchable)
+        assert got.tobytes() == lls.tobytes()
+        for scorer in (feature, UniformScorer()):
+            for step in steps:
+                h = data.draw(st.integers(0, len(step.seqs) - 1))
+                a, b = step.offsets[h], step.offsets[h + 1]
+                alone = one_step(searchable, step.seqs[h])
+                assert alone.terms.tolist() == step.terms[a:b].tolist()
+                whole = scorer.step_scorer(q)(step)[a:b]
+                assert whole.tobytes() == scorer.step_scorer(q)(alone).tobytes()
+                one_segment = (np.zeros(1, dtype=np.int64), np.arange(a, b), np.array([0, b - a]))
+                segment = scorer.segment_logprobs([q], step, *one_segment)
+                assert segment.tobytes() == whole.tobytes()
 
 
 class TestTraining:
@@ -452,11 +518,12 @@ class TestPersistence:
         [
             (2, "features in_query query_prefix4", ":2: header line"),
             (3, "weights\t1.0 x 0 0", ":3: step weights"),
+            (3, "weights\t1.0 0.0", ":3: 2 step weights, expected 4"),
             (4, "terms\tseven", ":4: term count"),
             (5, "a 0.5", ":5: term line"),
             (5, "a\theavy", ":5: term weight"),
         ],
-        ids=["features-no-tab", "weight-not-float", "count-not-int", "term-no-tab",
+        ids=["features-no-tab", "weight-not-float", "weight-count", "count-not-int", "term-no-tab",
              "term-weight-not-float"],
     )
     def test_malformed_line_is_data_error(self, tmp_path, tiny_index, lineno, text, message):
