@@ -21,7 +21,7 @@ from pathlib import Path
 from . import __version__, atomic
 from .corpus import Query, load_corpus, load_judgments, load_queries, sample_negatives
 from .decoder import search, write_run_file
-from .errors import DataError, InvariantError, parse_values
+from .errors import DataError, InvariantError, parse_values, read_text
 from .evaluation import (
     ablate_identifier_scheme,
     efficiency_report,
@@ -70,15 +70,14 @@ def _sha256(path) -> str:
 def parse_config_file(path) -> dict[str, str]:
     """Flat "key = value" lines; # starts a comment."""
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise DataError(f"{path}: malformed config line {lineno} (expected key = value)")
-            key, _, value = line.partition("=")
-            out[key.strip()] = value.strip()
+    for lineno, raw in enumerate(read_text(path).split("\n"), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise DataError(f"{path}: malformed config line {lineno} (expected key = value)")
+        key, _, value = line.partition("=")
+        out[key.strip()] = value.strip()
     return out
 
 
@@ -114,8 +113,7 @@ def _write_manifest(command: str, args, settings: dict, inputs, outputs, started
 
 def rerun_from_manifest(manifest_path):
     """Re-execute the command recorded in a manifest (reproducibility checks)."""
-    with open(manifest_path, encoding="utf-8") as fh:
-        manifest = json.load(fh)
+    manifest = json.loads(read_text(manifest_path))
     if manifest.get("format") != _MANIFEST_FORMAT:
         raise DataError(f"{manifest_path}: not a {_MANIFEST_FORMAT} file")
     return main(manifest["argv"])
@@ -249,21 +247,20 @@ def cmd_train(args) -> int:
 
 def _load_pseudo_pairs(path) -> list[tuple[Query, str]]:
     pairs = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: pseudo pair is not valid JSON") from exc
-            if not isinstance(rec, dict):
-                raise DataError(f"{path}:{lineno}: pseudo pair is not a JSON object")
-            missing = [k for k in ("query_id", "text", "doc_id") if k not in rec]
-            if missing:
-                raise DataError(f"{path}:{lineno}: pseudo pair missing {', '.join(missing)}")
-            pairs.append((Query.from_text(str(rec["query_id"]), str(rec["text"])), str(rec["doc_id"])))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"{path}:{lineno}: pseudo pair is not valid JSON") from exc
+        if not isinstance(rec, dict):
+            raise DataError(f"{path}:{lineno}: pseudo pair is not a JSON object")
+        missing = [k for k in ("query_id", "text", "doc_id") if k not in rec]
+        if missing:
+            raise DataError(f"{path}:{lineno}: pseudo pair missing {', '.join(missing)}")
+        pairs.append((Query.from_text(str(rec["query_id"]), str(rec["text"])), str(rec["doc_id"])))
     return pairs
 
 

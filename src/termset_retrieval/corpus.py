@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError
+from .errors import DataError, read_text
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -151,15 +151,14 @@ def load_queries(path) -> list[Query]:
 
 
 def _iter_jsonl(path):
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                yield json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"malformed record at line {lineno}: {exc.msg}") from exc
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            yield json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise DataError(f"malformed record at line {lineno}: {exc.msg}") from exc
 
 
 class Judgments:
@@ -210,22 +209,20 @@ class Judgments:
 
 def load_judgments(path, corpus: Corpus | None = None) -> Judgments:
     triples = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3:
-                raise DataError(f"malformed judgment at line {lineno}: expected 3 tab-separated fields")
-            qid, did, rel = parts
-            try:
-                rel_int = int(rel)
-            except ValueError as exc:
-                raise DataError(f"malformed judgment at line {lineno}: relevance not an integer") from exc
-            if rel_int < 1:
-                raise DataError(f"malformed judgment at line {lineno}: relevance must be >= 1")
-            triples.append((qid, did, rel_int))
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3:
+            raise DataError(f"malformed judgment at line {lineno}: expected 3 tab-separated fields")
+        qid, did, rel = parts
+        try:
+            rel_int = int(rel)
+        except ValueError as exc:
+            raise DataError(f"malformed judgment at line {lineno}: relevance not an integer") from exc
+        if rel_int < 1:
+            raise DataError(f"malformed judgment at line {lineno}: relevance must be >= 1")
+        triples.append((qid, did, rel_int))
     judgments = Judgments.from_pairs(triples)
     if corpus is not None:
         judgments.validate_against(corpus)

@@ -17,10 +17,15 @@ def parse_values(convert, texts, what: str) -> list:
         raise DataError(f"{what} {' '.join(texts)!r} is not a valid {convert.__name__}") from exc
 
 
-def read_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file; other bytes raise DataError."""
+def read_text(path) -> str:
+    """A UTF-8 text file, newlines read as text mode reads them; other bytes raise DataError."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return fh.read().splitlines()
+            return fh.read()
     except UnicodeDecodeError as exc:
         raise DataError(f"{path}: byte {exc.start} is not UTF-8 text") from exc
+
+
+def read_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, split by `str.splitlines`; other bytes raise DataError."""
+    return read_text(path).splitlines()

@@ -9,7 +9,7 @@ import numpy as np
 
 from .corpus import Corpus, Judgments, Query
 from .decoder import search
-from .errors import DataError
+from .errors import DataError, read_lines
 from .index import Index, SequenceView, naive_feasible_terms
 from .scorer import Scorer
 
@@ -73,8 +73,7 @@ class MetricsReport:
 def read_run(lines_or_path) -> dict[str, list[str]]:
     """Parse run lines into query -> docs ordered by rank; order of lines is irrelevant."""
     if isinstance(lines_or_path, (str, bytes)) or hasattr(lines_or_path, "__fspath__"):
-        with open(lines_or_path, encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+        lines = read_lines(lines_or_path)
     else:
         lines = list(lines_or_path)
     parsed: dict[str, list[tuple[int, str]]] = {}

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import atomic
 from .corpus import Corpus, CorpusStats, Document, Query, TrainingPair
-from .errors import DataError, InvariantError, parse_values
+from .errors import DataError, InvariantError, parse_values, read_lines, read_text
 
 PLACEHOLDER_MARK = "⟂"  # prepended to synthetic per-document filler terms
 
@@ -92,15 +92,13 @@ class EmbeddingFeaturizer:
 def load_term_embeddings(path) -> dict[str, np.ndarray]:
     """Read "term<TAB>v1,v2,..." lines into an embedding table."""
     table: dict[str, np.ndarray] = {}
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 2:
-                raise DataError(f"malformed embedding at line {lineno}")
-            table[parts[0]] = np.array([float(x) for x in parts[1].split(",")])
+    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"malformed embedding at line {lineno}")
+        table[parts[0]] = np.array([float(x) for x in parts[1].split(",")])
     return table
 
 
@@ -433,8 +431,7 @@ def save_model(model: ImportanceModel, path) -> None:
 
 
 def load_model(path, embedding_table: dict[str, np.ndarray] | None = None) -> ImportanceModel:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or lines[0] != _MODEL_FORMAT:
         raise DataError(f"{path}: not a {_MODEL_FORMAT} file")
     fields = {}
@@ -479,8 +476,7 @@ def write_identifier_file(table: IdentifierTable, path) -> None:
 
 
 def read_identifier_file(path) -> IdentifierTable:
-    with open(path, encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = read_lines(path)
     if not lines or not lines[0].startswith(_IDENTIFIER_FORMAT):
         raise DataError(f"{path}: not a {_IDENTIFIER_FORMAT} file")
     header = lines[0].split("\t")

@@ -9,8 +9,11 @@ documents' remaining identifier terms.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain, compress, islice, repeat
+from typing import NoReturn
 
 import numpy as np
 
@@ -38,6 +41,9 @@ class TermDictionary:
 
     def id_of(self, term: str) -> int:
         return self._ids[term]
+
+    def ids_of(self, terms: list[str]) -> np.ndarray:
+        return np.fromiter(map(self._ids.__getitem__, terms), dtype=np.int32, count=len(terms))
 
     def term_of(self, term_id: int) -> str:
         return self.terms[term_id]
@@ -163,23 +169,25 @@ class Index:
             raise InvariantError("document ids must be unique and in sorted order")
         self.dictionary = dictionary
         self.doc_ids = doc_ids
-        self._doc_index = {d: i for i, d in enumerate(doc_ids)}
+        self._doc_index = dict(zip(doc_ids, range(len(doc_ids))))
         self.order = order  # (docs, n) term ids, importance-descending
         self.sets = np.sort(order, axis=1)  # row-sorted set view
         self.n = order.shape[1]
+        num_docs, vocab = len(doc_ids), len(dictionary)
+        if order.size and (self.sets[:, 0].min() < 0 or self.sets[:, -1].max() >= vocab):
+            raise InvariantError(f"term ids outside [0, {vocab})")
         repeats = np.flatnonzero((self.sets[:, 1:] == self.sets[:, :-1]).any(axis=1))
         if len(repeats):
             raise InvariantError(f"identifier of {doc_ids[repeats[0]]} repeats a term")
         # term-level postings as CSR: term t's documents are
-        # posting_docs[posting_ptr[t]:posting_ptr[t + 1]]; the stable sort
-        # keeps each term's documents in position order
-        ids = np.repeat(np.arange(len(doc_ids), dtype=np.int32), self.n)
-        flat = self.sets.ravel()
-        sort = np.argsort(flat, kind="stable")
-        self.posting_docs = ids[sort]
-        self.posting_ptr = np.searchsorted(flat[sort], np.arange(len(dictionary) + 1))
+        # posting_docs[posting_ptr[t]:posting_ptr[t + 1]], in position
+        # order: the keys term * docs + doc are unique, so one sort orders them
+        keys = self.sets.astype(np.int64) * num_docs + np.arange(num_docs)[:, None]
+        self.posting_docs = (np.sort(keys, axis=None) % num_docs).astype(np.int32)
+        self.posting_ptr = np.zeros(vocab + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.sets.ravel(), minlength=vocab), out=self.posting_ptr[1:])
         self.posting_sizes = np.diff(self.posting_ptr)
-        self.all_docs = np.arange(len(doc_ids), dtype=np.int32)
+        self.all_docs = np.arange(num_docs, dtype=np.int32)
         self.root_feasible = np.flatnonzero(self.posting_sizes > 0).astype(np.int32)
 
     def __len__(self):
@@ -221,19 +229,53 @@ class Index:
 
 
 def _strictly_ascending(items) -> bool:
-    return all(a < b for a, b in zip(items, items[1:]))
+    return all(map(operator.lt, items, islice(items, 1, None)))
+
+
+def _first_bad_row(order: np.ndarray, num_terms: int) -> tuple[str, int, int] | None:
+    """The first identifier-row check that fails, as (check, row, earlier), or None.
+
+    The checks, in order: "range", every term id lies in [0, num_terms);
+    "term", no row repeats a term; "set", no row's set repeats an earlier
+    row's, `earlier` being the first row that holds it (-1 for the other
+    checks). Each check names its first bad row.
+    """
+    outside = ((order < 0) | (order >= num_terms)).any(axis=1)
+    if outside.any():
+        return "range", int(outside.argmax()), -1
+    sets = np.sort(order, axis=1)
+    repeats = (sets[:, 1:] == sets[:, :-1]).any(axis=1)
+    if repeats.any():
+        return "term", int(repeats.argmax()), -1
+    # a stable sort of the rows as bytes: equal sets are neighbours, earlier row first
+    ranked = np.argsort(sets.view(np.dtype((np.void, sets[0].nbytes))).ravel(), kind="stable")
+    same = (sets[ranked[1:]] == sets[ranked[:-1]]).all(axis=1)
+    if same.any():
+        later, earlier = ranked[1:][same], ranked[:-1][same]
+        first = later.argmin()  # the second row of its set, so `earlier` is the first
+        return "set", int(later[first]), int(earlier[first])
+    return None
 
 
 def build_index(table: IdentifierTable) -> Index:
+    """Index a registry, checking its rows as `load_index` checks a file's."""
     if not table.terms_by_doc:
         raise DataError("empty registry")
-    table.validate()
-    doc_ids = table.doc_ids
-    dictionary = TermDictionary({t for terms in table.terms_by_doc.values() for t in terms})
-    order = np.array(
-        [[dictionary.id_of(t) for t in table.terms_by_doc[d]] for d in doc_ids],
-        dtype=np.int32,
-    )
+    doc_ids, n = table.doc_ids, table.n
+    rows = list(map(table.terms_by_doc.__getitem__, doc_ids))
+    widths = list(map(len, rows))
+    if widths.count(n) != len(rows):
+        row = next(i for i, width in enumerate(widths) if width != n)
+        raise InvariantError(f"identifier of {doc_ids[row]} has {widths[row]} terms, want {n}")
+    flat = list(chain.from_iterable(rows))
+    dictionary = TermDictionary(set(flat))
+    order = dictionary.ids_of(flat).reshape(len(rows), n)
+    bad = _first_bad_row(order, len(dictionary))
+    if bad:
+        check, row, earlier = bad
+        if check == "set":
+            raise InvariantError(f"identifier collision between {doc_ids[earlier]} and {doc_ids[row]}")
+        raise InvariantError(f"identifier of {doc_ids[row]} repeats a term")
     return Index(dictionary, doc_ids, order)
 
 
@@ -290,14 +332,22 @@ def save_index(index: Index, path) -> None:
         f"docs\t{len(index.doc_ids)}",
         f"terms\t{len(index.dictionary)}",
     ]
-    lines += [f"T\t{term}" for term in index.dictionary.terms]
-    for doc_id, row in zip(index.doc_ids, index.order.tolist()):
-        lines.append(f"D\t{doc_id}\t{','.join(map(str, row))}")
-    atomic.write_text(path, "\n".join(lines) + "\n")
+    lines += map("T\t".__add__, index.dictionary.terms)
+    # one cell per string of the D records: "\nD<TAB>doc<TAB>", then the
+    # term ids from a per-id string table, with commas between them
+    names = np.array(list(map(str, range(len(index.dictionary)))), dtype=object)
+    cells = np.full((len(index.doc_ids), max(2 * index.n, 1)), ",", dtype=object)
+    cells[:, 0] = list(map("\nD\t{}\t".format, index.doc_ids))
+    cells[:, 1::2] = names[index.order]
+    atomic.write_text(path, "\n".join(lines) + "".join(cells.ravel().tolist()) + "\n")
 
 
 def load_index(path) -> Index:
-    """Rebuild an index from its `T` and `D` records, checking every record."""
+    """Rebuild an index from its `T` and `D` records, checking every record.
+
+    The records are parsed and checked in bulk. When a check fails, one
+    pass over the records names the first bad `path:line`.
+    """
     lines = read_lines(path)
     if not lines or lines[0] != _INDEX_FORMAT:
         raise DataError(f"{path}: not a {_INDEX_FORMAT} file")
@@ -306,47 +356,78 @@ def load_index(path) -> Index:
         n, num_docs, num_terms = (int(header[k]) for k in ("n", "docs", "terms"))
     except (ValueError, KeyError) as exc:
         raise DataError(f"{path}: malformed index header") from exc
-    terms, doc_ids, rows, linenos = [], [], [], []
-    for lineno, line in enumerate(lines[4:], start=5):
-        if not line:
-            continue
-        tag, _, rest = line.partition("\t")
-        if tag == "T":
-            terms.append(rest)
-        elif tag == "D":
-            doc_id, tab, ids = rest.partition("\t")
-            if not tab:
-                raise DataError(f"{path}:{lineno}: document record is not 'D<TAB>doc<TAB>ids'")
-            row = parse_values(int, ids.split(","), f"{path}:{lineno}: term ids")
-            if len(row) != n:
-                raise DataError(f"{path}:{lineno}: expected {n} term ids, got {len(row)}")
-            doc_ids.append(doc_id)
-            rows.append(row)
-            linenos.append(lineno)
-        else:
-            raise DataError(f"{path}:{lineno}: unknown record tag {tag!r}")
-    if len(terms) != num_terms or len(rows) != num_docs:
+    records = _parse_records(lines[4:], n)
+    if records is None:
+        _raise_first_bad_record(path, lines, n)
+    terms, doc_ids, values = records
+    if len(terms) != num_terms or len(doc_ids) != num_docs:
         raise DataError(f"{path}: header counts do not match records")
-    if not rows:
+    if not doc_ids:
         raise DataError(f"{path}: empty registry")
     if not _strictly_ascending(terms):
         raise DataError(f"{path}: terms not unique and in sorted order")
     if not _strictly_ascending(doc_ids):
         raise DataError(f"{path}: documents not unique and in sorted order")
     try:
-        order = np.array(rows, dtype=np.int64)
+        order = np.array(values, dtype=np.int64).reshape(num_docs, n)
     except OverflowError as exc:
-        lineno = next(k for k, row in zip(linenos, rows) if max(map(abs, row)) >= 2**63)
-        raise DataError(f"{path}:{lineno}: term id outside [0, {num_terms})") from exc
-    sets = np.sort(order, axis=1)
-    ranked = np.lexsort(sets.T[::-1])  # stable: of two equal sets, the later row ranks second
-    repeated_set = np.zeros(len(order), dtype=bool)
-    repeated_set[ranked[1:]] = (sets[ranked[1:]] == sets[ranked[:-1]]).all(axis=1)
-    for bad, message in [
-        (((order < 0) | (order >= num_terms)).any(axis=1), f"term id outside [0, {num_terms})"),
-        ((sets[:, 1:] == sets[:, :-1]).any(axis=1), "identifier repeats a term"),
-        (repeated_set, "identifier set repeats an earlier document's"),
-    ]:
-        if bad.any():
-            raise DataError(f"{path}:{linenos[bad.argmax()]}: {message}")
+        row = next(i for i, value in enumerate(values) if abs(value) >= 2**63) // n
+        raise DataError(f"{path}:{_doc_linenos(lines)[row]}: term id outside [0, {num_terms})") from exc
+    bad = _first_bad_row(order, num_terms)
+    if bad:
+        check, row, _ = bad
+        message = {
+            "range": f"term id outside [0, {num_terms})",
+            "term": "identifier repeats a term",
+            "set": "identifier set repeats an earlier document's",
+        }[check]
+        raise DataError(f"{path}:{_doc_linenos(lines)[row]}: {message}")
     return Index(TermDictionary(terms), doc_ids, order.astype(np.int32))
+
+
+def _parse_records(lines: list[str], n: int) -> tuple[list, list, list] | None:
+    """Terms, document ids and flat term ids of the records, or None if one is bad.
+
+    A record is bad when its tag is unknown, a `D` record lacks its second
+    tab, or its term ids are not n `int`s. Blank lines are skipped.
+    """
+    records = list(filter(None, lines))
+    is_doc = list(map(str.startswith, records, repeat("D\t")))
+    terms = list(compress(records, map(operator.not_, is_doc)))
+    if sum(map(str.startswith, terms, repeat("T\t"))) + terms.count("T") != len(terms):
+        return None
+    docs = list(compress(records, is_doc))
+    tabs = list(map(str.find, docs, repeat("\t"), repeat(2)))  # each `D` record's second tab
+    if -1 in tabs:
+        return None
+    ids = [doc[tab + 1 :] for doc, tab in zip(docs, tabs)]
+    if list(map(str.count, ids, repeat(","))).count(n - 1) != len(ids):
+        return None
+    try:
+        values = list(map(int, ",".join(ids).split(","))) if ids else []
+    except ValueError:
+        return None
+    return [term[2:] for term in terms], [doc[2:tab] for doc, tab in zip(docs, tabs)], values
+
+
+def _raise_first_bad_record(path, lines: list[str], n: int) -> NoReturn:
+    """Check the records one by one; raise DataError naming the first bad one."""
+    for lineno, line in enumerate(lines[4:], start=5):
+        if not line:
+            continue
+        tag, _, rest = line.partition("\t")
+        if tag == "D":
+            _, tab, ids = rest.partition("\t")
+            if not tab:
+                raise DataError(f"{path}:{lineno}: document record is not 'D<TAB>doc<TAB>ids'")
+            row = parse_values(int, ids.split(","), f"{path}:{lineno}: term ids")
+            if len(row) != n:
+                raise DataError(f"{path}:{lineno}: expected {n} term ids, got {len(row)}")
+        elif tag != "T":
+            raise DataError(f"{path}:{lineno}: unknown record tag {tag!r}")
+    raise InvariantError(f"{path}: the bulk record checks failed, but no record fails alone")
+
+
+def _doc_linenos(lines: list[str]) -> list[int]:
+    """Line numbers of the `D` records of a file whose records all passed `_parse_records`."""
+    return [lineno for lineno, line in enumerate(lines[4:], start=5) if line.startswith("D\t")]

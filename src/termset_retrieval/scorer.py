@@ -417,5 +417,25 @@ def load_scorer(path) -> FeatureScorer:
 
 
 def check_compatible(scorer: FeatureScorer, index: Index) -> None:
+    """Refuse a scorer for another vocabulary, or one that can reach a non-finite score.
+
+    A step score is monotone in each feature, so it lies between its values
+    at the features' extremes: in_query and query_prefix4 at 0 and 1, the
+    lowest and highest term_weight, and log1p_postings at a child size of 1
+    and at the largest posting. These are summed as
+    `FeatureScorer.step_scorer` sums them. The lowest log-likelihood of an
+    identifier, n steps each at most the score spread plus log V below 0,
+    must be finite too.
+    """
     if scorer.terms != index.dictionary.terms:
         raise DataError("vocabulary mismatch between index and scorer")
+    w, flag = scorer.weights, np.array([0.0, 1.0])
+    weights = np.append(scorer.term_weights, 0.0)  # 0 too, which keeps an empty vocabulary defined
+    term_weight = np.array([weights.min(), weights.max()])
+    log_sizes = np.log1p([1, index.posting_sizes.max(initial=1)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        table = (flag[:, None, None] * w[0] + flag[None, :, None] * w[1]) + term_weight * w[2]
+        scores = table[..., None] + log_sizes * w[3]
+        floor = index.n * ((scores.min() - scores.max()) - math.log(max(len(scorer.terms), 1)))
+    if not (np.isfinite(scores).all() and math.isfinite(floor)):
+        raise DataError(f"scorer weights {w.tolist()} can give a non-finite step score")

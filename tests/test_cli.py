@@ -13,7 +13,9 @@ from hypothesis import strategies as st
 
 from termset_retrieval import atomic
 from termset_retrieval.cli import main, parse_config_file, rerun_from_manifest
-from termset_retrieval.importance import write_identifier_file
+from termset_retrieval.errors import DataError
+from termset_retrieval.importance import load_term_embeddings, write_identifier_file
+from termset_retrieval.index import load_index
 from termset_retrieval.scorer import STEP_FEATURES, FeatureScorer, save_scorer
 from termset_retrieval.synthetic import make_random_identifiers
 
@@ -193,6 +195,57 @@ class TestErrors:
                     "--queries", out / "queries.jsonl", "--output", tmp_path / "r.txt")
         assert rc == 2
         assert f"{tmp_path / artifact}: byte 40 is not UTF-8 text" in capsys.readouterr().err
+
+    def test_scorer_that_can_overflow_is_data_error(self, search_inputs, tmp_path, capsys):
+        # finite weights whose product overflows: term_weight * 1e308 = inf for every term
+        out, _ = search_inputs
+        index = load_index(out / "index.txt")
+        terms = index.dictionary.terms
+        scorer = FeatureScorer(np.array([0.0, 0.0, 1e308, 0.0]), terms, np.full(len(terms), 2.0))
+        save_scorer(scorer, tmp_path / "scorer.txt")
+        rc = invoke("search", "--index", out / "index.txt", "--scorer", tmp_path / "scorer.txt",
+                    "--queries", out / "queries.jsonl", "--output", tmp_path / "run.txt")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "can give a non-finite step score" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "run.txt").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["build-terms", "--corpus", "{file}", "--queries", DATA / "toy_queries.jsonl",
+             "--qrels", DATA / "toy_qrels.tsv", "--output-dir", "{tmp}/out"],
+            ["build-terms", "--corpus", DATA / "toy_corpus.jsonl", "--queries", "{file}",
+             "--qrels", DATA / "toy_qrels.tsv", "--output-dir", "{tmp}/out"],
+            ["evaluate", "--run", "{tmp}/run.txt", "--qrels", "{file}", "--output-dir", "{tmp}/out"],
+            ["evaluate", "--run", "{file}", "--qrels", DATA / "toy_qrels.tsv",
+             "--output-dir", "{tmp}/out"],
+            ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
+            [*TRAIN, "--index", "{index}", "--model", "{file}", "--output-dir", "{tmp}/out"],
+            [*TRAIN, "--index", "{index}", "--config", "{file}", "--output-dir", "{tmp}/out"],
+            [*TRAIN, "--index", "{index}", "--pseudo-pairs", "{file}", "--output-dir", "{tmp}/out"],
+        ],
+        ids=["corpus", "queries", "qrels", "run", "identifiers", "model", "config", "pseudo-pairs"],
+    )
+    def test_non_utf8_input_is_data_error(self, tmp_path, capsys, argv):
+        ids = tmp_path / "index-ids.tsv"
+        ids.write_text("termset-identifiers/1\t2\nzz\talpha,omega\n", encoding="utf-8")
+        assert invoke("build-index", "--identifiers", ids, "--output", tmp_path / "index.txt") == 0
+        (tmp_path / "input").write_bytes(b"termset\xff\n")
+        paths = {"file": tmp_path / "input", "tmp": tmp_path, "index": tmp_path / "index.txt"}
+        capsys.readouterr()
+        assert invoke(*(str(a).format(**paths) for a in argv)) == 2
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'input'}: byte 7 is not UTF-8 text" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("read", [load_term_embeddings, rerun_from_manifest],
+                             ids=["embeddings", "manifest"])
+    def test_non_utf8_file_outside_the_commands_is_data_error(self, tmp_path, read):
+        (tmp_path / "input").write_bytes(b"termset\xff\n")
+        with pytest.raises(DataError, match="byte 7 is not UTF-8 text"):
+            read(tmp_path / "input")
 
     def test_vocabulary_mismatch_is_data_error(self, pipeline, tmp_path):
         # rebuild an index from different identifiers and pair the old scorer with it

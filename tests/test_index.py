@@ -1,7 +1,12 @@
 """Prefix-postings index: feasible sets, pruning, persistence."""
 
+import contextlib
+import io
 import itertools
+import json
 import math
+import tempfile
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termset_retrieval.cli import main
 from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import rank_documents
-from termset_retrieval.errors import DataError, InvariantError
+from termset_retrieval.errors import DataError, InvariantError, parse_values, read_lines
 from termset_retrieval.importance import IdentifierTable
 from termset_retrieval.index import (
     Index,
@@ -25,7 +31,13 @@ from termset_retrieval.index import (
     root_beam,
     save_index,
 )
-from termset_retrieval.scorer import UniformScorer, sequence_logprob
+from termset_retrieval.scorer import (
+    STEP_FEATURES,
+    FeatureScorer,
+    UniformScorer,
+    save_scorer,
+    sequence_logprob,
+)
 from termset_retrieval.synthetic import make_random_identifiers
 
 from conftest import holders, term_ids, walk
@@ -407,6 +419,11 @@ class TestPersistence:
         save_index(loaded, tmp_path / "j.txt")
         assert (tmp_path / "i.txt").read_bytes() == (tmp_path / "j.txt").read_bytes()
 
+    def test_zero_width_identifier_saves(self, tmp_path):
+        save_index(build_index(IdentifierTable(0, {"a": []})), tmp_path / "index.txt")
+        text = (tmp_path / "index.txt").read_text(encoding="utf-8")
+        assert text == "termset-index/2\nn\t0\ndocs\t1\nterms\t0\nD\ta\t\n"
+
     def test_corrupted_header(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("something-else/9\nn\t3\n", encoding="utf-8")
@@ -453,3 +470,270 @@ class TestPersistence:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(DataError, match=message):
             load_index(path)
+
+
+def oracle_load_index(path) -> Index:
+    """The record-by-record `termset-index/2` reader that the bulk `load_index` replaced."""
+    lines = read_lines(path)
+    if not lines or lines[0] != "termset-index/2":
+        raise DataError(f"{path}: not a termset-index/2 file")
+    try:
+        header = dict(line.split("\t", 1) for line in lines[1:4])
+        n, num_docs, num_terms = (int(header[k]) for k in ("n", "docs", "terms"))
+    except (ValueError, KeyError) as exc:
+        raise DataError(f"{path}: malformed index header") from exc
+    terms, doc_ids, rows, linenos = [], [], [], []
+    for lineno, line in enumerate(lines[4:], start=5):
+        if not line:
+            continue
+        tag, _, rest = line.partition("\t")
+        if tag == "T":
+            terms.append(rest)
+        elif tag == "D":
+            doc_id, tab, ids = rest.partition("\t")
+            if not tab:
+                raise DataError(f"{path}:{lineno}: document record is not 'D<TAB>doc<TAB>ids'")
+            row = parse_values(int, ids.split(","), f"{path}:{lineno}: term ids")
+            if len(row) != n:
+                raise DataError(f"{path}:{lineno}: expected {n} term ids, got {len(row)}")
+            doc_ids.append(doc_id)
+            rows.append(row)
+            linenos.append(lineno)
+        else:
+            raise DataError(f"{path}:{lineno}: unknown record tag {tag!r}")
+    if len(terms) != num_terms or len(rows) != num_docs:
+        raise DataError(f"{path}: header counts do not match records")
+    if not rows:
+        raise DataError(f"{path}: empty registry")
+    if not all(a < b for a, b in zip(terms, terms[1:])):
+        raise DataError(f"{path}: terms not unique and in sorted order")
+    if not all(a < b for a, b in zip(doc_ids, doc_ids[1:])):
+        raise DataError(f"{path}: documents not unique and in sorted order")
+    try:
+        order = np.array(rows, dtype=np.int64)
+    except OverflowError as exc:
+        lineno = next(k for k, row in zip(linenos, rows) if max(map(abs, row)) >= 2**63)
+        raise DataError(f"{path}:{lineno}: term id outside [0, {num_terms})") from exc
+    sets = np.sort(order, axis=1)
+    ranked = np.lexsort(sets.T[::-1])  # stable: of two equal sets, the later row ranks second
+    repeated_set = np.zeros(len(order), dtype=bool)
+    repeated_set[ranked[1:]] = (sets[ranked[1:]] == sets[ranked[:-1]]).all(axis=1)
+    for bad, message in [
+        (((order < 0) | (order >= num_terms)).any(axis=1), f"term id outside [0, {num_terms})"),
+        ((sets[:, 1:] == sets[:, :-1]).any(axis=1), "identifier repeats a term"),
+        (repeated_set, "identifier set repeats an earlier document's"),
+    ]:
+        if bad.any():
+            raise DataError(f"{path}:{linenos[bad.argmax()]}: {message}")
+    return Index(TermDictionary(terms), doc_ids, order.astype(np.int32))
+
+
+INDEX_ARRAYS = ("order", "sets", "posting_docs", "posting_ptr", "posting_sizes", "root_feasible",
+                "all_docs")
+
+
+def assert_same_index(a: Index, b: Index):
+    assert a.doc_ids == b.doc_ids
+    assert a.dictionary.terms == b.dictionary.terms
+    for name in INDEX_ARRAYS:
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype, name
+        assert np.array_equal(x, y), name
+
+
+def outcome(load, path):
+    """What `load` makes of a file: ("index", Index) or (exception type, message)."""
+    try:
+        return "index", load(path)
+    except Exception as exc:  # noqa: BLE001 - every failure is compared with the oracle's
+        return type(exc).__name__, str(exc)
+
+
+# UTF-8 chunks that shift an index file's records, ids and line breaks;
+# \x0c, U+0085 and U+2028 split a line for `str.splitlines` only
+INDEX_FUZZ_CHUNKS = st.sampled_from(
+    [b"\t", b"\n", b"\r", b",", b"-", b" ", b"0", b"1", b"9", b"D", b"T", b"x", b"_",
+     b"\xff", b"\xc3", b"\x0c", b"\xc2\x85", "\u2028".encode(), "\u0663".encode()]
+)
+
+
+@st.composite
+def index_mutations(draw, data: bytes):
+    """One byte-level edit at a random offset, or a whole line deleted, duplicated or swapped."""
+    kind = draw(st.sampled_from(["truncate", "replace", "insert", "delete", "delete-line",
+                                 "duplicate-line", "swap-lines"]))
+    if "line" in kind:
+        lines = data.split(b"\n")
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        if kind == "delete-line":
+            del lines[i]
+        elif kind == "duplicate-line":
+            lines.insert(j, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        return b"\n".join(lines)
+    at = draw(st.integers(0, len(data)))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "delete":
+        return data[:at] + data[at + draw(st.integers(1, 8)) :]
+    chunk = b"".join(draw(st.lists(INDEX_FUZZ_CHUNKS, min_size=1, max_size=3)))
+    if kind == "insert":
+        return data[:at] + chunk + data[at:]
+    return data[:at] + chunk + data[at + len(chunk) :]
+
+
+@pytest.fixture(scope="module")
+def index_file(tmp_path_factory):
+    """A saved 30-document index with a scorer and queries for it."""
+    out = tmp_path_factory.mktemp("index-fuzz")
+    index = build_index(make_random_identifiers(30, 12, 3, seed=1))
+    save_index(index, out / "index.txt")
+    rng = np.random.default_rng(0)
+    terms = index.dictionary.terms
+    scorer = FeatureScorer(rng.normal(0, 1, len(STEP_FEATURES)), terms, rng.uniform(0, 2, len(terms)))
+    save_scorer(scorer, out / "scorer.txt")
+    queries = [{"query_id": f"q{i}", "text": " ".join(terms[i : i + 2])} for i in range(3)]
+    (out / "queries.jsonl").write_text("".join(json.dumps(q) + "\n" for q in queries), "utf-8")
+    return out
+
+
+class TestIndexFileFuzz:
+    """Mutated index files: the bulk reader agrees with the record-by-record oracle."""
+
+    @settings(max_examples=250, deadline=None)
+    @given(st.data())
+    def test_load_matches_the_record_by_record_reader(self, index_file, data):
+        mutated = (index_file / "index.txt").read_bytes()
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutated = data.draw(index_mutations(mutated))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.txt"
+            path.write_bytes(mutated)
+            got, want = outcome(load_index, path), outcome(oracle_load_index, path)
+        assert got[0] == want[0], (got[1], want[1])
+        if got[0] == "index":
+            assert_same_index(got[1], want[1])
+        else:
+            assert got[0] == "DataError"
+            assert got[1] == want[1]
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda lines: lines[:5] + [""] + lines[5:],  # a blank line among the terms
+            lambda lines: lines[:4] + lines[11:] + lines[4:11],  # D records before T records
+            lambda lines: lines + ["", ""],  # trailing blank lines
+            lambda lines: lines[:13] + [lines[13] + "\t"],  # int() strips the tab
+            lambda lines: lines[:13] + [lines[13].replace(",", ", ")],  # and spaces
+            lambda lines: lines[:13] + [lines[13].replace("6", "\u0666")],  # and reads any digit
+        ],
+        ids=["blank-line", "docs-first", "trailing-blanks", "trailing-tab", "spaces",
+             "arabic-digit"],
+    )
+    def test_unusual_valid_files_load_as_before(self, tmp_path, tiny_index, edit):
+        save_index(tiny_index, tmp_path / "index.txt")
+        lines = edit((tmp_path / "index.txt").read_text(encoding="utf-8").splitlines())
+        (tmp_path / "index.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        assert_same_index(load_index(tmp_path / "index.txt"), oracle_load_index(tmp_path / "index.txt"))
+        assert_same_index(load_index(tmp_path / "index.txt"), tiny_index)
+
+    def test_bare_t_record_is_the_empty_term(self, tmp_path, tiny_index):
+        save_index(tiny_index, tmp_path / "index.txt")
+        lines = (tmp_path / "index.txt").read_text(encoding="utf-8").splitlines()
+        lines[3] = "terms\t8"
+        (tmp_path / "index.txt").write_text("\n".join(lines[:4] + ["T"] + lines[4:]) + "\n", "utf-8")
+        loaded = load_index(tmp_path / "index.txt")
+        assert loaded.dictionary.terms == ["", *tiny_index.dictionary.terms]
+        assert_same_index(loaded, oracle_load_index(tmp_path / "index.txt"))
+
+    @pytest.mark.parametrize("docs, message", [(0, "empty registry"), (3, "header counts")])
+    def test_file_without_document_records(self, tmp_path, tiny_index, docs, message):
+        save_index(tiny_index, tmp_path / "index.txt")
+        lines = (tmp_path / "index.txt").read_text(encoding="utf-8").splitlines()[:11]
+        lines[2] = f"docs\t{docs}"
+        (tmp_path / "index.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for load in (load_index, oracle_load_index):
+            with pytest.raises(DataError, match=message):
+                load(tmp_path / "index.txt")
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_mutated_index_exits_0_or_2_without_traceback(self, index_file, data):
+        mutated = data.draw(index_mutations((index_file / "index.txt").read_bytes()))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "index.txt"
+            path.write_bytes(mutated)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["search", "--index", str(path), "--scorer", str(index_file / "scorer.txt"),
+                           "--queries", str(index_file / "queries.jsonl"),
+                           "--output", str(Path(tmp) / "run.txt")])
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
+def argsort_postings(index: Index) -> dict[str, np.ndarray]:
+    """Term postings from a stable argsort of the flat set matrix, as built before the key sort."""
+    ids = np.repeat(np.arange(len(index.doc_ids), dtype=np.int32), index.n)
+    flat = index.sets.ravel()
+    sort = np.argsort(flat, kind="stable")
+    ptr = np.searchsorted(flat[sort], np.arange(len(index.dictionary) + 1))
+    sizes = np.diff(ptr)
+    return {"posting_docs": ids[sort], "posting_ptr": ptr, "posting_sizes": sizes,
+            "root_feasible": np.flatnonzero(sizes > 0).astype(np.int32)}
+
+
+class TestBuildOracle:
+    @pytest.mark.parametrize("num_docs, vocab, n, seed",
+                             [(1, 3, 3, 0), (40, 10, 2, 1), (300, 40, 4, 2), (500, 25, 6, 3)])
+    def test_postings_equal_the_stable_argsort(self, num_docs, vocab, n, seed):
+        table = make_random_identifiers(num_docs, vocab, n, seed=seed)
+        index = build_index(table)
+        want = np.array([[index.dictionary.id_of(t) for t in table.terms_by_doc[d]]
+                         for d in table.doc_ids], dtype=np.int32)
+        assert index.order.dtype == want.dtype and np.array_equal(index.order, want)
+        for name, array in argsort_postings(index).items():
+            assert getattr(index, name).dtype == array.dtype, name
+            assert np.array_equal(getattr(index, name), array), name
+
+    def test_unused_dictionary_terms_have_empty_postings(self):
+        table = make_random_identifiers(50, 9, 3, seed=4)
+        built = build_index(table)
+        wider = TermDictionary(["!", *built.dictionary.terms, "~"])
+        order = built.order + 1  # the same terms, one place on in the wider dictionary
+        index = Index(wider, built.doc_ids, order)
+        for name, array in argsort_postings(index).items():
+            assert getattr(index, name).dtype == array.dtype, name
+            assert np.array_equal(getattr(index, name), array), name
+        assert index.posting_sizes[[0, -1]].tolist() == [0, 0]
+
+    def test_term_ids_outside_the_dictionary(self, tiny_index):
+        with pytest.raises(InvariantError, match="outside"):
+            Index(tiny_index.dictionary, tiny_index.doc_ids, tiny_index.order + 1)
+
+    @pytest.mark.parametrize(
+        "mutate, message",
+        [
+            (lambda rows: rows["D00007"].append("t99"), "identifier of D00007 has 4 terms, want 3"),
+            (lambda rows: rows["D00007"].__setitem__(2, rows["D00007"][0]),
+             "identifier of D00007 repeats a term"),
+            (lambda rows: rows.__setitem__("D00011", rows["D00004"][::-1]),
+             "identifier collision between D00004 and D00011"),
+        ],
+        ids=["wrong-length", "repeated-term", "colliding-set"],
+    )
+    def test_table_mutated_after_construction_is_refused(self, mutate, message):
+        table = make_random_identifiers(20, 10, 3, seed=5)
+        mutate(table.terms_by_doc)
+        with pytest.raises(InvariantError, match=message):
+            build_index(table)
+
+    def test_build_does_not_revalidate_the_table(self, monkeypatch):
+        table = make_random_identifiers(20, 10, 3, seed=5)
+
+        def validate(self):
+            raise AssertionError("build_index re-validated the table")
+
+        monkeypatch.setattr(IdentifierTable, "validate", validate)
+        assert len(build_index(table)) == 20

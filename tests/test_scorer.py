@@ -547,3 +547,27 @@ class TestPersistence:
         other = build_index(IdentifierTable(2, {"D9": ["zz", "yy"]}))
         with pytest.raises(DataError, match="vocabulary mismatch"):
             check_compatible(scorer, other)
+
+    @pytest.mark.parametrize(
+        "weights, term_weight, finite",
+        [
+            ([3.0, 0.5, 1.0, 0.5], 2.0, True),
+            ([1e307, 0.0, 0.0, 1e307], 0.0, True),
+            ([0.0, 0.0, 1e308, 0.0], 2.0, False),  # term_weight * w2 overflows
+            ([0.0, 0.0, 1e308, 0.0], -2.0, False),  # to -inf
+            ([1e308, 1e308, 0.0, 0.0], 0.0, False),  # in_query + query_prefix4 overflows
+            ([0.0, 0.0, 0.0, 1.7e308], 0.0, False),  # log1p(2) * w3 overflows
+            ([1e308, -1e308, 0.0, 0.0], 0.0, False),  # finite scores, infinite spread
+            ([1e308, 0.0, 0.0, 0.0], 0.0, False),  # one step finite, three steps not
+        ],
+        ids=["ordinary", "large", "term-weight", "negative-term-weight", "flags", "postings",
+             "spread", "sequence"],
+    )
+    def test_scorer_that_can_reach_a_non_finite_score(self, tiny_index, weights, term_weight, finite):
+        terms = tiny_index.dictionary.terms
+        scorer = FeatureScorer(np.array(weights), terms, np.full(len(terms), term_weight))
+        if finite:
+            check_compatible(scorer, tiny_index)
+        else:
+            with pytest.raises(DataError, match="non-finite step score"):
+                check_compatible(scorer, tiny_index)
