@@ -75,7 +75,7 @@ def parse_config_file(path) -> dict[str, str]:
         if not line:
             continue
         if "=" not in line:
-            raise DataError(f"{path}: malformed config line {lineno} (expected key = value)")
+            raise DataError(f"{path}:{lineno}: malformed config line {lineno} (expected key = value)")
         key, _, value = line.partition("=")
         out[key.strip()] = value.strip()
     return out

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, read_text
+from .errors import DataError, line_prefix, read_text
 
 _TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -102,48 +102,57 @@ def ingest_corpus(records) -> Corpus:
     Raises DataError on duplicate doc_ids, missing fields, or documents
     that tokenize to nothing (they could never be retrieved).
     """
+    return _ingest(enumerate(records, start=1))
+
+
+def _ingest(numbered, path=None) -> Corpus:
+    """`ingest_corpus` of (line number, record) pairs; errors name `path:line` when given."""
     docs: list[Document] = []
     seen: set[str] = set()
-    for lineno, rec in enumerate(records, start=1):
+    for lineno, rec in numbered:
+        at = line_prefix(path, lineno)
         if not isinstance(rec, dict):
-            raise DataError(f"malformed record at line {lineno}: expected object")
+            raise DataError(f"{at}malformed record at line {lineno}: expected object")
         missing = [k for k in ("doc_id", "title", "body") if k not in rec]
         if missing:
             raise DataError(
-                f"malformed record at line {lineno}: missing field(s) {', '.join(missing)}"
+                f"{at}malformed record at line {lineno}: missing field(s) {', '.join(missing)}"
             )
         doc_id = str(rec["doc_id"])
         if doc_id in seen:
-            raise DataError(f"duplicate doc_id {doc_id}")
+            raise DataError(f"{at}duplicate doc_id {doc_id}")
         if not doc_id or "," in doc_id or any(c.isspace() for c in doc_id):
-            raise DataError(f"malformed record at line {lineno}: doc_id must be nonempty "
+            raise DataError(f"{at}malformed record at line {lineno}: doc_id must be nonempty "
                             "and free of whitespace and commas")
         seen.add(doc_id)
         doc = Document.from_text(doc_id, str(rec["title"]), str(rec["body"]))
         if not doc.terms:
-            raise DataError(f"document {doc_id} has no terms after tokenization")
+            raise DataError(f"{at}document {doc_id} has no terms after tokenization")
         docs.append(doc)
     return Corpus(docs)
 
 
 def load_corpus(path) -> Corpus:
-    return ingest_corpus(_iter_jsonl(path))
+    return _ingest(_iter_jsonl(path), path)
 
 
 def load_queries(path) -> list[Query]:
     queries: list[Query] = []
     seen: set[str] = set()
-    for lineno, rec in enumerate(_iter_jsonl(path), start=1):
+    for lineno, rec in _iter_jsonl(path):
+        at = line_prefix(path, lineno)
+        if not isinstance(rec, dict):
+            raise DataError(f"{at}malformed record at line {lineno}: expected object")
         missing = [k for k in ("query_id", "text") if k not in rec]
         if missing:
             raise DataError(
-                f"malformed record at line {lineno}: missing field(s) {', '.join(missing)}"
+                f"{at}malformed record at line {lineno}: missing field(s) {', '.join(missing)}"
             )
         qid = str(rec["query_id"])
         if qid in seen:
-            raise DataError(f"duplicate query_id {qid}")
+            raise DataError(f"{at}duplicate query_id {qid}")
         if not qid or any(c.isspace() for c in qid):
-            raise DataError(f"malformed record at line {lineno}: query_id must be nonempty "
+            raise DataError(f"{at}malformed record at line {lineno}: query_id must be nonempty "
                             "and free of whitespace")
         seen.add(qid)
         queries.append(Query.from_text(qid, str(rec["text"])))
@@ -151,14 +160,16 @@ def load_queries(path) -> list[Query]:
 
 
 def _iter_jsonl(path):
+    """(line number, parsed record) of every non-blank line of a JSONL file."""
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         line = line.strip()
         if not line:
             continue
         try:
-            yield json.loads(line)
+            yield lineno, json.loads(line)
         except json.JSONDecodeError as exc:
-            raise DataError(f"malformed record at line {lineno}: {exc.msg}") from exc
+            at = line_prefix(path, lineno)
+            raise DataError(f"{at}malformed record at line {lineno}: {exc.msg}") from exc
 
 
 class Judgments:
@@ -212,16 +223,17 @@ def load_judgments(path, corpus: Corpus | None = None) -> Judgments:
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line:
             continue
+        bad = f"{line_prefix(path, lineno)}malformed judgment at line {lineno}"
         parts = line.split("\t")
         if len(parts) != 3:
-            raise DataError(f"malformed judgment at line {lineno}: expected 3 tab-separated fields")
+            raise DataError(f"{bad}: expected 3 tab-separated fields")
         qid, did, rel = parts
         try:
             rel_int = int(rel)
         except ValueError as exc:
-            raise DataError(f"malformed judgment at line {lineno}: relevance not an integer") from exc
+            raise DataError(f"{bad}: relevance not an integer") from exc
         if rel_int < 1:
-            raise DataError(f"malformed judgment at line {lineno}: relevance must be >= 1")
+            raise DataError(f"{bad}: relevance must be >= 1")
         triples.append((qid, did, rel_int))
     judgments = Judgments.from_pairs(triples)
     if corpus is not None:
@@ -250,24 +262,27 @@ def sample_negatives(
     """Draw M irrelevant documents per (query, positive) pair, uniformly without replacement.
 
     Deterministic for a fixed seed: pairs are visited in sorted
-    (query_id, doc_id) order against a single seeded generator.
+    (query_id, doc_id) order against a single seeded generator. A query's
+    pool is the sorted corpus ids without its relevant ones, cut out by
+    position.
     """
     if m < 1:
         raise DataError(f"need m >= 1, got {m}")
     by_id = {q.query_id: q for q in queries}
     all_docs = sorted(corpus.doc_ids)
+    position = {doc_id: i for i, doc_id in enumerate(all_docs)}
     rng = np.random.default_rng(seed)
     pairs: list[TrainingPair] = []
     for qid in judgments.query_ids:
         if qid not in by_id:
             raise DataError(f"judgments reference unknown query_id {qid}")
         relevant = judgments.relevant(qid)
-        pool = [d for d in all_docs if d not in relevant]
+        pool = np.delete(np.arange(len(all_docs)), [position[d] for d in relevant if d in position])
         if len(pool) < m:
             raise DataError(
                 f"query {qid}: only {len(pool)} non-relevant docs available, need {m}"
             )
         for positive in sorted(relevant):
-            picks = rng.choice(len(pool), size=m, replace=False)
-            pairs.append(TrainingPair(by_id[qid], positive, [pool[i] for i in picks]))
+            picks = pool[rng.choice(len(pool), size=m, replace=False)].tolist()
+            pairs.append(TrainingPair(by_id[qid], positive, [all_docs[i] for i in picks]))
     return pairs

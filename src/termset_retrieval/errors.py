@@ -17,6 +17,11 @@ def parse_values(convert, texts, what: str) -> list:
         raise DataError(f"{what} {' '.join(texts)!r} is not a valid {convert.__name__}") from exc
 
 
+def line_prefix(path, lineno: int) -> str:
+    """A message prefix naming a record's file and line, `path:line: `; empty without a file."""
+    return "" if path is None else f"{path}:{lineno}: "
+
+
 def read_text(path) -> str:
     """A UTF-8 text file, newlines read as text mode reads them; other bytes raise DataError."""
     try:

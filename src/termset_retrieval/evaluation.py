@@ -9,7 +9,7 @@ import numpy as np
 
 from .corpus import Corpus, Judgments, Query
 from .decoder import search
-from .errors import DataError, read_lines
+from .errors import DataError, line_prefix, parse_values, read_lines
 from .index import Index, SequenceView, naive_feasible_terms
 from .scorer import Scorer
 
@@ -71,9 +71,13 @@ class MetricsReport:
 
 
 def read_run(lines_or_path) -> dict[str, list[str]]:
-    """Parse run lines into query -> docs ordered by rank; order of lines is irrelevant."""
+    """Parse run lines into query -> docs ordered by rank; order of lines is irrelevant.
+
+    Given a path, errors name its `path:line`.
+    """
+    path = None
     if isinstance(lines_or_path, (str, bytes)) or hasattr(lines_or_path, "__fspath__"):
-        lines = read_lines(lines_or_path)
+        path, lines = lines_or_path, read_lines(lines_or_path)
     else:
         lines = list(lines_or_path)
     parsed: dict[str, list[tuple[int, str]]] = {}
@@ -81,16 +85,17 @@ def read_run(lines_or_path) -> dict[str, list[str]]:
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
+        bad = f"{line_prefix(path, lineno)}malformed run line {lineno}"
         parts = line.split()
         if len(parts) != 6:
-            raise DataError(f"malformed run line {lineno}: expected 6 fields")
+            raise DataError(f"{bad}: expected 6 fields")
         qid, _, doc_id, rank, _, _ = parts
         if (qid, doc_id) in seen:
-            raise DataError(f"malformed run line {lineno}: duplicate ({qid}, {doc_id})")
+            raise DataError(f"{bad}: duplicate ({qid}, {doc_id})")
         seen.add((qid, doc_id))
-        rank_int = int(rank)
+        (rank_int,) = parse_values(int, [rank], f"{bad}: rank")
         if rank_int < 1:
-            raise DataError(f"malformed run line {lineno}: rank must be >= 1")
+            raise DataError(f"{bad}: rank must be >= 1")
         parsed.setdefault(qid, []).append((rank_int, doc_id))
     return {qid: [d for _, d in sorted(docs)] for qid, docs in parsed.items()}
 

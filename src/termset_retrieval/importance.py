@@ -95,10 +95,11 @@ def load_term_embeddings(path) -> dict[str, np.ndarray]:
     for lineno, line in enumerate(read_text(path).split("\n"), start=1):
         if not line:
             continue
+        bad = f"{path}:{lineno}: malformed embedding at line {lineno}"
         parts = line.split("\t")
         if len(parts) != 2:
-            raise DataError(f"malformed embedding at line {lineno}")
-        table[parts[0]] = np.array([float(x) for x in parts[1].split(",")])
+            raise DataError(bad)
+        table[parts[0]] = np.array(parse_values(float, parts[1].split(","), f"{bad}: vector"))
     return table
 
 

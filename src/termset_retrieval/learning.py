@@ -13,7 +13,9 @@ scored over its remaining identifier terms with one `segment_logprobs`
 call. Candidate scoring and teacher forcing go through the scorer's teacher
 kernel (`sequence_logprobs`, `FeatureScorer.loss_and_grad`): one expand per
 depth for every row, each distinct (query, prefix) segment scored once, in
-chunks of bounded row count. The one-pair functions (`sample_permutations`,
+chunks of bounded row count. Every query's root segment is the same step,
+so the root is scored as one dense (queries x root terms) block per chunk
+(`Scorer.root_logprobs`). The one-pair functions (`sample_permutations`,
 `select_objective`) are calls into the same kernels.
 """
 

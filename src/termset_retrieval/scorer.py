@@ -7,13 +7,17 @@ The reference implementation is a linear model over cheap query/prefix
 features with an exact softmax, so gradients are analytic and the whole
 pipeline stays deterministic. Neural plug-ins can implement the same
 method and normalize however they like.
+
+The teacher kernel (`sequence_logprobs`, `FeatureScorer.loss_and_grad`)
+scores the root step apart from the deeper ones: every query's root
+segment is the same step, so `root_logprobs` scores it as one dense
+(queries x root terms) block per group of queries.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -37,8 +41,8 @@ _SCORER_FORMAT = "termset-scorer/2"
 
 # Extension rows the teacher-forcing kernel scores at once. At the root every
 # query's segment holds the whole root step, so an unchunked batch would
-# build a (queries x vocabulary) feature matrix.
-TEACHER_CHUNK_ROWS = 1 << 13
+# build (queries x vocabulary) blocks.
+TEACHER_CHUNK_ROWS = 1 << 14
 
 
 class Scorer(ABC):
@@ -51,7 +55,8 @@ class Scorer(ABC):
     boundary and return each candidate term's total log-probability.
     Only segment_logprobs is required: search calls step_scorer once per
     query, whose step function defaults to one segment_logprobs call per
-    step, and training calls segment_logprobs directly.
+    step; training calls root_logprobs at the root, which defaults to one
+    segment_logprobs call, and segment_logprobs directly below it.
     """
 
     @abstractmethod
@@ -83,6 +88,18 @@ class Scorer(ABC):
 
         return step_logprobs
 
+    def root_logprobs(self, queries, step, slots) -> np.ndarray:
+        """The root step under each query of `slots`, as a (len(slots), len(step.terms)) block.
+
+        `step` is the depth-0 step, one hypothesis holding every root term.
+        Row i is its one segment normalized under queries[slots[i]], as
+        `segment_logprobs` scores it.
+        """
+        width = len(step.terms)
+        ext = np.tile(np.arange(width), len(slots))
+        ptr = np.arange(len(slots) + 1) * width
+        return self.segment_logprobs(queries, step, slots, ext, ptr).reshape(len(slots), width)
+
 
 class UniformScorer(Scorer):
     """Every feasible candidate equally likely; handy for oracles and ties."""
@@ -113,18 +130,12 @@ class FeatureScorer(Scorer):
         self.terms = list(terms)
         self.term_weights = np.asarray(term_weights, dtype=float)
         self._term_id = {t: i for i, t in enumerate(self.terms)}
-        self._by_prefix4: dict[str, list[int]] = {}
-        for i, t in enumerate(self.terms):
-            self._by_prefix4.setdefault(t[:4], []).append(i)
-
-    @cached_property
-    def _stems(self) -> tuple[dict[str, int], np.ndarray]:
-        """Id of each distinct first-four-character stem, and every term's stem id.
-
-        Built on first use: only the training kernels look stems up by key.
-        """
-        stem_id = {stem: g for g, stem in enumerate(self._by_prefix4)}
-        return stem_id, np.array([stem_id[t[:4]] for t in self.terms], dtype=np.int64)
+        # a query flag column per term (its id) and per distinct first-four-
+        # character stem (V + the stem's id), and every term's stem column
+        self._stem_col: dict[str, int] = {}
+        stems = [self._stem_col.setdefault(t[:4], len(self.terms) + len(self._stem_col))
+                 for t in self.terms]
+        self._term_stem = np.array(stems, dtype=np.int64)
 
     @classmethod
     def zeros(cls, index: Index, term_weights: np.ndarray | None = None) -> "FeatureScorer":
@@ -140,22 +151,28 @@ class FeatureScorer(Scorer):
 
         A score's first three terms, (in_query * w0 + query_prefix4 * w1) +
         term_weight * w2, depend only on the term: one vector of them over
-        the vocabulary, gathered by term id, replaces `_segment_features`.
+        the vocabulary (`_tables`), gathered by term id, replaces
+        `_segment_features`.
         """
-        w, (in_query, prefix4) = self.weights, np.zeros((2, len(self.terms)))
-        in_query[[self._term_id[t] for t in query.terms if t in self._term_id]] = 1.0
-        prefix4[[i for t in query.terms for i in self._by_prefix4.get(t[:4], ())]] = 1.0
-        table = (in_query * w[0] + prefix4 * w[1]) + self.term_weights * w[2]
+        slot = np.zeros(1, dtype=np.int64)
+        words = self._query_words([query], slot)
+        *_, (table,) = self._tables(words, slot, slice(len(self.terms)))
 
         def step_logprobs(step) -> np.ndarray:
-            scores = table.take(step.terms) + np.log1p(step.sizes) * w[3]
+            scores = table.take(step.terms) + np.log1p(step.sizes) * self.weights[3]
             return _log_softmax(scores, step.offsets)
 
         return step_logprobs
 
+    def root_logprobs(self, queries, step, slots):
+        """Bit-identical to the base root block, from one term table per query."""
+        group, inverse = np.unique(slots, return_inverse=True)
+        return self._root_block(self._query_words(queries, group), step, group)[2][inverse]
+
     def segment_logprobs(self, queries, step, seg_query, ext, ptr):
         """One feature matrix for all segments, normalized segment by segment."""
-        feats = self._segment_features(queries, step, seg_query, ext, ptr)
+        words = self._query_words(queries, np.unique(seg_query))
+        feats = self._segment_features(words, step, seg_query, ext, ptr)
         return _log_softmax(self._scores(feats), ptr)
 
     def _scores(self, feats) -> np.ndarray:
@@ -163,26 +180,67 @@ class FeatureScorer(Scorer):
         f, w = feats.T, self.weights
         return ((f[0] * w[0] + f[1] * w[1]) + f[2] * w[2]) + f[3] * w[3]
 
-    def _segment_features(self, queries, step, seg_query, ext, ptr) -> np.ndarray:
+    def _query_words(self, queries, slots) -> np.ndarray:
+        """The words of every slot's query as (slot, flag column) pairs, in one flat pass.
+
+        A (2, k) array. Column c < V flags term c (`in_query`), column V + g
+        flags stem g (`query_prefix4`); each word gives its term's pair and
+        its stem's, if the vocabulary has them. Repeated words repeat a pair.
+        """
+        slots = slots.tolist()
+        owner = [slot for slot in slots for _ in queries[slot].terms]
+        words = [t for slot in slots for t in queries[slot].terms]
+        columns = [self._term_id.get(t, -1) for t in words]
+        columns += [self._stem_col.get(t[:4], -1) for t in words]
+        pairs = np.array([owner + owner, columns], dtype=np.int64).reshape(2, -1)
+        return pairs[:, pairs[1] >= 0]
+
+    def _tables(self, words, group, terms):
+        """in_query, query_prefix4 and partial score of `terms` under each slot of `group`.
+
+        `group` holds distinct slots in ascending order; `terms` indexes the
+        vocabulary (term ids, or a slice). Each result is a (len(group),
+        len(terms)) block, gathered from one scatter of the slots' flag
+        columns. The partial score is (in_query * w0 + query_prefix4 * w1) +
+        term_weight * w2, the first three terms of a step score, summed as
+        `_scores` sums them.
+        """
+        slot, column = words
+        flags = np.zeros((len(group), len(self.terms) + len(self._stem_col)))
+        row = np.minimum(np.searchsorted(group, slot), len(group) - 1)
+        hit = group[row] == slot
+        flags[row[hit], column[hit]] = 1.0
+        in_query, prefix4 = flags[:, terms], flags.take(self._term_stem[terms], axis=1)
+        w = self.weights
+        partial = (in_query * w[0] + prefix4 * w[1]) + self.term_weights[terms] * w[2]
+        return in_query, prefix4, partial
+
+    def _root_block(self, words, step, group):
+        """`root_logprobs` of the slots in `group` (see `_tables`), with their two query flags.
+
+        One dense block: each slot's partial scores plus log1p(size) * w3,
+        flattened and normalized row by row. No per-row feature matrix is built.
+        """
+        in_query, prefix4, table = self._tables(words, group, step.terms)
+        scores = table + np.log1p(step.sizes) * self.weights[3]
+        logprobs = _log_softmax(scores.ravel(), np.arange(len(group) + 1) * scores.shape[1])
+        return in_query, prefix4, logprobs.reshape(scores.shape)
+
+    def _segment_features(self, words, step, seg_query, ext, ptr) -> np.ndarray:
         """The features of every segment's extensions under the segment's query.
 
-        Instead of one dense vector per query (`step_scorer`), they are
-        looked up by key in two sorted arrays built for the segments'
-        queries: query * V + term id for `in_query` and query * G + stem id
-        for `query_prefix4`, with G distinct stems in the vocabulary.
+        Instead of one dense vector per query (`step_scorer`), the query
+        flags are looked up by key, slot * C + flag column with C columns,
+        in one sorted array of the `_query_words` pairs' keys.
         """
-        stem_id, term_stem = self._stems
-        vocab, stems = len(self.terms), len(stem_id)
-        term_keys, stem_keys = [], []
-        for q in np.unique(seg_query).tolist():
-            words = queries[q].terms
-            term_keys += [q * vocab + self._term_id[t] for t in words if t in self._term_id]
-            stem_keys += [q * stems + stem_id[t[:4]] for t in words if t[:4] in stem_id]
-        row_query = np.repeat(seg_query, np.diff(ptr))
+        slot, column = words
+        width = len(self.terms) + len(self._stem_col)
+        keys = np.unique(slot * width + column)
+        row_key = np.repeat(seg_query, np.diff(ptr)) * width
         terms = step.terms[ext]
         feats = np.empty((len(ext), len(STEP_FEATURES)))
-        feats[:, 0] = _isin_sorted(np.unique(term_keys), row_query * vocab + terms)
-        feats[:, 1] = _isin_sorted(np.unique(stem_keys), row_query * stems + term_stem[terms])
+        feats[:, 0] = _isin_sorted(keys, row_key + terms)
+        feats[:, 1] = _isin_sorted(keys, row_key + self._term_stem[terms])
         feats[:, 2] = self.term_weights[terms]
         feats[:, 3] = np.log1p(step.sizes[ext])
         return feats
@@ -198,20 +256,47 @@ class FeatureScorer(Scorer):
         the teacher kernel (`_teacher_chunks`): one expand per depth for
         all targets, each distinct (query, prefix) segment scored once and
         weighted by the number of targets passing through it, in chunks of
-        at most TEACHER_CHUNK_ROWS extensions.
+        at most TEACHER_CHUNK_ROWS extensions. The query words are paired
+        with their slots once. Root chunks are dense blocks (`_root_block`):
+        their expected features are column sums of the weighted
+        probabilities, so no per-row feature matrix is built there.
         """
         if not batch:
             raise DataError("empty training batch")
         queries, qidx = _query_slots([query for query, _ in batch])
+        words = self._query_words(queries, np.arange(len(queries)))
         total_loss = 0.0
         grad = np.zeros_like(self.weights)
         for chunk in _teacher_chunks(searchable, qidx, [target for _, target in batch]):
-            feats = self._segment_features(queries, *chunk[:4])
-            logprobs = _log_softmax(self._scores(feats), chunk.ptr)
+            if chunk.ext is None:
+                logprobs, expected, target = self._root_terms(words, chunk)
+            else:
+                feats = self._segment_features(words, *chunk[:4])
+                logprobs = _log_softmax(self._scores(feats), chunk.ptr)
+                weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
+                expected, target = weighted @ feats, feats[chunk.at]
             total_loss -= logprobs[chunk.at].sum()
-            weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
-            grad += weighted @ feats - feats[chunk.at].sum(axis=0)
+            grad += expected - target.sum(axis=0)
         return total_loss / len(batch), grad / len(batch)
+
+    def _root_terms(self, words, chunk):
+        """A root chunk's flat log-probs, weighted expected features and target rows' features.
+
+        The expected features are sums over the weighted probability block
+        P: of P * in_query and P * query_prefix4, and the column sums of P
+        times each root term's term_weight and log1p_postings.
+        """
+        step = chunk.step
+        in_query, prefix4, logprobs = self._root_block(words, step, chunk.seg_query)
+        weighted = np.exp(logprobs) * chunk.weight[:, None]
+        mass = weighted.sum(axis=0)
+        term_weights, log_sizes = self.term_weights[step.terms], np.log1p(step.sizes)
+        expected = np.array([(weighted * in_query).sum(), (weighted * prefix4).sum(),
+                             mass @ term_weights, mass @ log_sizes])
+        seg, pick = np.divmod(chunk.at, logprobs.shape[1])
+        target = np.column_stack([in_query[seg, pick], prefix4[seg, pick],
+                                  term_weights[pick], log_sizes[pick]])
+        return logprobs.ravel(), expected, target
 
     def train_step(self, batch, searchable, lr: float) -> float:
         """One full-batch gradient step; returns the pre-update loss.
@@ -267,12 +352,15 @@ class _Chunk(NamedTuple):
 
     Segment s scores all extensions of its prefix, ext[ptr[s]:ptr[s + 1]],
     under query slot seg_query[s]; `weight[s]` rows pass through it. Row
-    rows[i] continues with extension ext[at[i]].
+    rows[i] continues with extension ext[at[i]]. At the root every segment
+    holds the whole one-hypothesis step in order, so `ext` is None: the
+    chunk is a dense (segments x root terms) block, and at[i] is the row's
+    segment times the root terms plus its extension.
     """
 
     step: object
     seg_query: np.ndarray
-    ext: np.ndarray
+    ext: np.ndarray | None
     ptr: np.ndarray
     weight: np.ndarray
     rows: np.ndarray
@@ -287,7 +375,7 @@ def _teacher_chunks(searchable, qidx, sequences):
     next term is located among its prefix's extensions (an infeasible term
     raises DataError). The rows' distinct (query, prefix) segments are
     yielded in `_Chunk`s of at most TEACHER_CHUNK_ROWS extensions, or one
-    segment when that alone is larger.
+    segment when that alone is larger. Root chunks come first.
     """
     lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
     seqs = np.full((len(sequences), lengths.max(initial=0)), -1, dtype=np.int64)
@@ -322,7 +410,9 @@ def _segment_chunks(step, row_query, row_hyp, rows, picks):
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + TEACHER_CHUNK_ROWS, "right")))
         ptr = np.zeros(b - a + 1, dtype=np.int64)
         np.cumsum(sizes[a:b], out=ptr[1:])
-        ext = np.repeat(offsets[seg_hyp[a:b]] - ptr[:-1], sizes[a:b]) + np.arange(ptr[-1])
+        ext = None
+        if step.depth:
+            ext = np.repeat(offsets[seg_hyp[a:b]] - ptr[:-1], sizes[a:b]) + np.arange(ptr[-1])
         mine = order[row_bounds[a] : row_bounds[b]]
         at = ptr[row_seg[mine] - a] + picks[mine] - offsets[row_hyp[mine]]
         yield _Chunk(step, seg_query[a:b], ext, ptr, weight[a:b], rows[mine], at)
@@ -333,13 +423,17 @@ def sequence_logprobs(scorer: Scorer, queries, sequences, searchable) -> np.ndar
     """`sequence_logprob` of every (queries[r], sequences[r]) through the teacher kernel.
 
     Each distinct (query, prefix) step is scored once, with one
-    `segment_logprobs` call per chunk, and each row sums its steps in
-    order, so the results are bit-identical to scoring row by row.
+    `root_logprobs` call per root chunk and one `segment_logprobs` call per
+    deeper chunk, and each row sums its steps in order, so the results are
+    bit-identical to scoring row by row.
     """
     slots, qidx = _query_slots(queries)
     total = np.zeros(len(sequences))
     for chunk in _teacher_chunks(searchable, qidx, sequences):
-        logprobs = scorer.segment_logprobs(slots, *chunk[:4])
+        if chunk.ext is None:
+            logprobs = scorer.root_logprobs(slots, chunk.step, chunk.seg_query).ravel()
+        else:
+            logprobs = scorer.segment_logprobs(slots, *chunk[:4])
         total[chunk.rows] += logprobs[chunk.at]
     return total
 

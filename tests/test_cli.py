@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -247,6 +248,19 @@ class TestErrors:
         with pytest.raises(DataError, match="byte 7 is not UTF-8 text"):
             read(tmp_path / "input")
 
+    @pytest.mark.parametrize(
+        "text, where",
+        [
+            ("alpha\t1,2\n\nbeta 1,2\n", "input:3: malformed embedding at line 3"),
+            ("alpha\t1,x\n", "input:1: malformed embedding at line 1: vector '1 x' is not a valid"),
+        ],
+        ids=["no-tab", "not-float"],
+    )
+    def test_embedding_errors_name_the_file_and_line(self, tmp_path, text, where):
+        (tmp_path / "input").write_text(text, encoding="utf-8")
+        with pytest.raises(DataError, match=re.escape(str(tmp_path / where))):
+            load_term_embeddings(tmp_path / "input")
+
     def test_vocabulary_mismatch_is_data_error(self, pipeline, tmp_path):
         # rebuild an index from different identifiers and pair the old scorer with it
         other = tmp_path / "ids.tsv"
@@ -296,11 +310,27 @@ class TestErrors:
              "omega\t0.0\n", SEARCH, "scorer.txt:3: step weights '0.5 nan 0.0 1.0' are not all"),
             ("scorer.txt", SCORER_HEADER + "weights\t0.5 0.0 0.0 1.0\nterms\t2\nalpha\t0.0\n"
              "omega\t-inf\n", SEARCH, "scorer.txt:6: term weight '-inf' is not finite"),
+            ("qrels.tsv", "q1\tD1\t1\nq1\tD2\n",
+             ["build-terms", "--corpus", DATA / "toy_corpus.jsonl", "--queries",
+              DATA / "toy_queries.jsonl", "--qrels", "{file}", "--output-dir", "{tmp}/out"],
+             "qrels.tsv:2: malformed judgment at line 2: expected 3 tab-separated fields"),
+            ("corpus.jsonl", '{"doc_id": "D1", "title": "t", "body": "b"}\n\n{"doc_id": "D2"}\n',
+             ["build-terms", "--corpus", "{file}", "--queries", DATA / "toy_queries.jsonl",
+              "--qrels", DATA / "toy_qrels.tsv", "--output-dir", "{tmp}/out"],
+             "corpus.jsonl:3: malformed record at line 3: missing field(s) title, body"),
+            ("run.txt", "q1 Q0 d1 1 -1.0 t\nq1 Q0 d2 two -2.0 t\n",
+             ["evaluate", "--run", "{file}", "--qrels", DATA / "toy_qrels.tsv",
+              "--output-dir", "{tmp}/out"],
+             "run.txt:2: malformed run line 2: rank 'two' is not a valid int"),
+            ("bad.cfg", "# seeds\nseed = 7\nno equals sign\n",
+             [*TRAIN, "--index", "{index}", "--config", "{file}", "--output-dir", "{tmp}/out"],
+             "bad.cfg:3: malformed config line 3"),
         ],
         ids=["identifier-size", "identifier-repeated-term", "identifier-same-set",
              "identifier-length", "identifier-duplicate-doc", "model-line", "config-value",
              "missing-run", "pseudo-pair-json", "pseudo-pair-string", "scorer-nan-weight",
-             "scorer-inf-term-weight"],
+             "scorer-inf-term-weight", "build-terms-qrels", "build-terms-corpus", "run-rank",
+             "config-line"],
     )
     def test_malformed_input_is_data_error(self, tmp_path, capsys, name, text, argv, where):
         ids = tmp_path / "index-ids.tsv"

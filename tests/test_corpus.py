@@ -136,6 +136,44 @@ class TestFileLoading:
         with pytest.raises(DataError, match="relevance must be >= 1"):
             load_judgments(path)
 
+    @pytest.mark.parametrize(
+        "read, name, text, where",
+        [
+            (load_corpus, "c.jsonl", '{"doc_id": "D1", "title": "t", "body": "b"}\n\n{oops\n',
+             "c.jsonl:3: malformed record at line 3"),
+            (load_corpus, "c.jsonl", '\n["D1"]\n',
+             "c.jsonl:2: malformed record at line 2: expected"),
+            (load_corpus, "c.jsonl", '\n\n{"doc_id": "D1", "title": "t"}\n',
+             "c.jsonl:3: malformed record at line 3: missing field(s) body"),
+            (load_corpus, "c.jsonl", '{"doc_id": "D1", "title": "t", "body": "b"}\n'
+             '{"doc_id": "D1", "title": "t", "body": "b"}\n', "c.jsonl:2: duplicate doc_id D1"),
+            (load_corpus, "c.jsonl", '{"doc_id": "D 1", "title": "t", "body": "b"}\n',
+             "c.jsonl:1: malformed record at line 1: doc_id"),
+            (load_corpus, "c.jsonl", '{"doc_id": "D1", "title": "", "body": "!"}\n',
+             "c.jsonl:1: document D1 has no terms"),
+            (load_queries, "q.jsonl", '\n{"query_id": "q1"}\n',
+             "q.jsonl:2: malformed record at line 2: missing field(s) text"),
+            (load_queries, "q.jsonl", '7\n',
+             "q.jsonl:1: malformed record at line 1: expected object"),
+            (load_queries, "q.jsonl",
+             '{"query_id": "q1", "text": "a"}\n{"query_id": "q1", "text": "b"}\n',
+             "q.jsonl:2: duplicate query_id q1"),
+            (load_judgments, "qrels.tsv", "q1\tD1\t1\n\nq1\tD2\n",
+             "qrels.tsv:3: malformed judgment at line 3: expected 3"),
+            (load_judgments, "qrels.tsv", "q1\tD1\tx\n",
+             "qrels.tsv:1: malformed judgment at line 1: relevance"),
+        ],
+        ids=["corpus-json", "corpus-not-object", "corpus-missing-field", "corpus-duplicate",
+             "corpus-doc-id", "corpus-no-terms", "queries-missing-field", "queries-not-object",
+             "queries-duplicate", "qrels-fields", "qrels-relevance"],
+    )
+    def test_errors_name_the_file_and_line(self, tmp_path, read, name, text, where):
+        path = tmp_path / name
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            read(path)
+        assert str(exc.value).startswith(f"{tmp_path / where}")
+
 
 def _three_doc_setup():
     corpus = ingest_corpus(
@@ -150,7 +188,41 @@ def _three_doc_setup():
     return corpus, queries, judgments
 
 
+def oracle_sample_negatives(queries, judgments, corpus, m, seed):
+    """The per-query scan of the whole corpus that `sample_negatives` replaced."""
+    by_id = {q.query_id: q for q in queries}
+    all_docs = sorted(corpus.doc_ids)
+    rng = np.random.default_rng(seed)
+    pairs = []
+    for qid in judgments.query_ids:
+        relevant = judgments.relevant(qid)
+        pool = [d for d in all_docs if d not in relevant]
+        for positive in sorted(relevant):
+            picks = rng.choice(len(pool), size=m, replace=False)
+            pairs.append((by_id[qid].query_id, positive, [pool[i] for i in picks]))
+    return pairs
+
+
 class TestSampleNegatives:
+    def test_equals_the_corpus_scan(self):
+        """The same draws as scanning the corpus per query; relevant ids need not be documents."""
+        rng = np.random.default_rng(5)
+        for trial in range(20):
+            num_docs = int(rng.integers(4, 40))
+            ids = [f"D{i}" for i in rng.permutation(num_docs)]  # not in sorted order
+            corpus = ingest_corpus([{"doc_id": d, "title": "t", "body": "b"} for d in ids])
+            queries = [Query.from_text(f"q{i}", "b") for i in range(6)]
+            pairs = []
+            for q in queries:
+                size = int(rng.integers(1, 4))
+                picks = rng.choice(num_docs + 3, size, replace=False)
+                pairs += [(q.query_id, f"D{j}") for j in picks]
+            judgments = Judgments.from_pairs(pairs)
+            m = int(rng.integers(1, num_docs - 3))
+            got = sample_negatives(queries, judgments, corpus, m=m, seed=trial)
+            want = oracle_sample_negatives(queries, judgments, corpus, m, trial)
+            assert [(p.query.query_id, p.positive, p.negatives) for p in got] == want
+
     def test_only_possible_set(self):
         corpus, queries, judgments = _three_doc_setup()
         pairs = sample_negatives(queries, judgments, corpus, m=2, seed=7)

@@ -1,5 +1,7 @@
 """Metrics, golden fixture, seen/unseen protocol, ablation, efficiency."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -141,6 +143,15 @@ class TestEvaluateRun:
     def test_rank_zero_rejected(self):
         with pytest.raises(DataError, match="rank"):
             read_run(["q1 Q0 da 0 -1.0 t"])
+
+    def test_errors_from_a_file_name_its_line(self, tmp_path):
+        path = tmp_path / "run.txt"
+        path.write_text("q1 Q0 da 1 -1.0 t\n\nq1 Q0 db 0 -2.0 t\n", encoding="utf-8")
+        where = re.escape(f"{path}:3: malformed run line 3: rank")
+        with pytest.raises(DataError, match="^" + where):
+            read_run(path)
+        with pytest.raises(DataError, match="^malformed run line 1: rank 'x' is not a valid int"):
+            read_run(["q1 Q0 da x -1.0 t"])
 
 
 def split_fixture():

@@ -14,13 +14,14 @@ from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import constrained_beam_search
 from termset_retrieval.errors import DataError
 from termset_retrieval.importance import IdentifierTable
-from termset_retrieval.index import SequenceView, build_index
+from termset_retrieval.index import SequenceView, build_index, root_beam
 from termset_retrieval.scorer import (
     STEP_FEATURES,
     FeatureScorer,
     Scorer,
     UniformScorer,
     _log_softmax,
+    _query_slots,
     check_compatible,
     load_scorer,
     save_scorer,
@@ -316,6 +317,155 @@ class TestTeacherKernel:
         with pytest.raises(DataError, match="infeasible"):
             sequence_logprobs(UniformScorer(), [query()], [[len(tiny_index.dictionary)]],
                               tiny_index)
+
+
+ORACLE_CHUNK_ROWS = 1 << 13  # the teacher kernel's chunk bound when the oracle was copied
+
+
+def oracle_chunks(searchable, qidx, sequences):
+    """The teacher kernel before the root block: every depth cut into keyed segments."""
+    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+    seqs = np.full((len(sequences), lengths.max(initial=0)), -1, dtype=np.int64)
+    for row, seq in zip(seqs, sequences):
+        row[: len(seq)] = seq
+    beam = root_beam(searchable)
+    hyp = np.zeros(len(seqs), dtype=np.int64)
+    for depth in range(seqs.shape[1]):
+        rows = np.flatnonzero(lengths > depth)
+        step = searchable.expand(*beam)
+        picks = step.locate(hyp[rows], seqs[rows, depth])
+        if (picks < 0).any():
+            row = rows[np.argmax(picks < 0)]
+            prefix = tuple(seqs[row, :depth].tolist())
+            raise DataError(f"term id {int(seqs[row, depth])} infeasible at prefix {prefix}")
+        row_query, row_hyp, offsets = qidx[rows], hyp[rows], step.offsets
+        keys, row_seg = np.unique(row_query * len(step.seqs) + row_hyp, return_inverse=True)
+        seg_query, seg_hyp = np.divmod(keys, len(step.seqs))
+        sizes = offsets[seg_hyp + 1] - offsets[seg_hyp]
+        ends = np.cumsum(sizes)
+        weight = np.bincount(row_seg, minlength=len(keys))
+        order = np.argsort(row_seg, kind="stable")
+        row_bounds = np.searchsorted(row_seg[order], np.arange(len(keys) + 1))
+        a = 0
+        while a < len(keys):
+            b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + ORACLE_CHUNK_ROWS,
+                                               "right")))
+            ptr = np.zeros(b - a + 1, dtype=np.int64)
+            np.cumsum(sizes[a:b], out=ptr[1:])
+            ext = np.repeat(offsets[seg_hyp[a:b]] - ptr[:-1], sizes[a:b]) + np.arange(ptr[-1])
+            mine = order[row_bounds[a] : row_bounds[b]]
+            at = ptr[row_seg[mine] - a] + picks[mine] - offsets[row_hyp[mine]]
+            yield step, seg_query[a:b], ext, ptr, weight[a:b], rows[mine], at
+            a = b
+        *beam, hyp[rows] = step.descend(picks)
+
+
+def oracle_features(scorer, queries, step, seg_query, ext, ptr):
+    """`FeatureScorer._segment_features` before the flat (slot, id) pass: keys per query."""
+    term_id = {t: i for i, t in enumerate(scorer.terms)}
+    stem_id = {stem: g for g, stem in enumerate(dict.fromkeys(t[:4] for t in scorer.terms))}
+    term_stem = np.array([stem_id[t[:4]] for t in scorer.terms], dtype=np.int64)
+    vocab, stems = len(scorer.terms), len(stem_id)
+    term_keys, stem_keys = [], []
+    for q in np.unique(seg_query).tolist():
+        words = queries[q].terms
+        term_keys += [q * vocab + term_id[t] for t in words if t in term_id]
+        stem_keys += [q * stems + stem_id[t[:4]] for t in words if t[:4] in stem_id]
+    row_query = np.repeat(seg_query, np.diff(ptr))
+    terms = step.terms[ext]
+    feats = np.empty((len(ext), len(STEP_FEATURES)))
+    feats[:, 0] = np.isin(row_query * vocab + terms, term_keys)
+    feats[:, 1] = np.isin(row_query * stems + term_stem[terms], stem_keys)
+    feats[:, 2] = scorer.term_weights[terms]
+    feats[:, 3] = np.log1p(step.sizes[ext])
+    return feats
+
+
+def oracle_sequence_logprobs(scorer, queries, sequences, searchable):
+    """`sequence_logprobs` before the root block: one `segment_logprobs` call per chunk."""
+    slots, qidx = _query_slots(queries)
+    total = np.zeros(len(sequences))
+    for step, seg_query, ext, ptr, _, rows, at in oracle_chunks(searchable, qidx, sequences):
+        total[rows] += scorer.segment_logprobs(slots, step, seg_query, ext, ptr)[at]
+    return total
+
+
+def oracle_loss_and_grad(scorer, batch, searchable):
+    """`FeatureScorer.loss_and_grad` before the root block: a feature matrix per chunk."""
+    queries, qidx = _query_slots([query for query, _ in batch])
+    total_loss = 0.0
+    grad = np.zeros_like(scorer.weights)
+    for chunk in oracle_chunks(searchable, qidx, [target for _, target in batch]):
+        step, seg_query, ext, ptr, weight, _, at = chunk
+        feats = oracle_features(scorer, queries, step, seg_query, ext, ptr)
+        logprobs = _log_softmax(row_scores(scorer, feats), ptr)
+        total_loss -= logprobs[at].sum()
+        weighted = np.exp(logprobs) * np.repeat(weight, np.diff(ptr))
+        grad += weighted @ feats - feats[at].sum(axis=0)
+    return total_loss / len(batch), grad / len(batch)
+
+
+class TestTeacherOracle:
+    """The root-block teacher kernel against a copy of the keyed-row kernel it replaced."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(teacher_cases(), st.sampled_from([1, 5, 64, None]))
+    def test_equals_the_keyed_row_kernel(self, case, chunk_rows):
+        searchable, scorer, queries, targets = case
+        rows = scorer_module.TEACHER_CHUNK_ROWS if chunk_rows is None else chunk_rows
+        with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
+            got = sequence_logprobs(scorer, queries, targets, searchable)
+            want = oracle_sequence_logprobs(scorer, queries, targets, searchable)
+            assert got.tobytes() == want.tobytes()
+            if isinstance(scorer, FeatureScorer):
+                batch = list(zip(queries, targets))
+                loss, grad = scorer.loss_and_grad(batch, searchable)
+                want_loss, want_grad = oracle_loss_and_grad(scorer, batch, searchable)
+                assert close(loss, want_loss) and close(grad, want_grad)
+
+    def test_many_queries_over_several_root_chunks(self):
+        """A batch whose root block spans several chunks, on a registry of 300 documents."""
+        index = build_index(word_registry(300, len(STEM_WORDS), 3, seed=4))
+        rng = np.random.default_rng(8)
+        scorer = FeatureScorer(rng.normal(0, 1, len(STEP_FEATURES)), index.dictionary.terms,
+                               rng.uniform(0, 2, len(index.dictionary)))
+        pool = [Query.from_text(f"q{i}", " ".join(rng.choice(STEM_WORDS + ("zz",), 3)))
+                for i in range(60)]
+        batch = [(pool[int(rng.integers(len(pool)))],
+                  [int(t) for t in rng.permutation(index.order[int(rng.integers(len(index)))])])
+                 for _ in range(200)]
+        queries, targets = [q for q, _ in batch], [t for _, t in batch]
+        for rows in (len(STEM_WORDS) * 7, scorer_module.TEACHER_CHUNK_ROWS):
+            with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
+                got = sequence_logprobs(scorer, queries, targets, index)
+                assert got.tobytes() == oracle_sequence_logprobs(scorer, queries, targets,
+                                                                 index).tobytes()
+                loss, grad = scorer.loss_and_grad(batch, index)
+                want_loss, want_grad = oracle_loss_and_grad(scorer, batch, index)
+                assert close(loss, want_loss) and close(grad, want_grad)
+
+    @settings(max_examples=100, deadline=None)
+    @given(teacher_cases(), st.data())
+    def test_root_override_equals_the_base_root_method_bytewise(self, case, data):
+        """Any slots, repeated and out of order, score alike through both root methods."""
+        searchable, _, queries, _ = case
+        index = searchable.index if isinstance(searchable, SequenceView) else searchable
+        rng = np.random.default_rng(data.draw(st.integers(0, 999)))
+        scorer = FeatureScorer(rng.normal(0, 2, len(STEP_FEATURES)), index.dictionary.terms,
+                               rng.uniform(0, 2, len(index.dictionary)))
+        slots, _ = _query_slots(queries)
+        picked = data.draw(st.lists(st.integers(0, len(slots) - 1), min_size=1, max_size=6))
+        picked = np.array(picked, dtype=np.int64)
+        root = searchable.expand(*root_beam(searchable))
+        got = scorer.root_logprobs(slots, root, picked)
+        want = Scorer.root_logprobs(scorer, slots, root, picked)
+        assert got.shape == (len(picked), len(root.terms))
+        assert got.tobytes() == want.tobytes()
+
+    def test_plug_in_scorers_take_the_default_root_method(self):
+        assert UniformScorer.root_logprobs is Scorer.root_logprobs
+        assert SizeScorer.root_logprobs is Scorer.root_logprobs
+        assert FeatureScorer.root_logprobs is not Scorer.root_logprobs
 
 
 @st.composite
