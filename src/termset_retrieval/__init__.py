@@ -49,6 +49,7 @@ from .importance import (
     EmbeddingFeaturizer,
     IdentifierTable,
     ImportanceModel,
+    TermDictionary,
     TfidfFeaturizer,
     build_identifiers,
     featurize_term,
@@ -65,7 +66,6 @@ from .importance import (
 from .index import (
     Index,
     SequenceView,
-    TermDictionary,
     build_index,
     load_index,
     naive_feasible_terms,

@@ -188,15 +188,8 @@ def cmd_build_index(args) -> int:
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_index(index, out_path)
-    _write_manifest(
-        "build-index",
-        args,
-        {},
-        [args.identifiers],
-        [out_path],
-        started,
-        Path(str(out_path) + ".manifest.json"),
-    )
+    _write_manifest("build-index", args, {}, [args.identifiers], [out_path], started,
+                    Path(str(out_path) + ".manifest.json"))
     print(f"index: n={index.n} docs={len(index.doc_ids)} vocabulary={len(index.dictionary)}")
     return 0
 

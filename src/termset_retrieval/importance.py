@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -263,6 +264,89 @@ def train_importance(
 # ---------------------------------------------------------------------------
 
 
+class TermDictionary:
+    """Bijection between term strings and dense ids, assigned in sorted order."""
+
+    def __init__(self, terms):
+        self.terms = sorted(terms)
+        self._ids = {t: i for i, t in enumerate(self.terms)}
+        if len(self._ids) != len(self.terms):
+            raise InvariantError("duplicate terms in dictionary")
+
+    def __len__(self):
+        return len(self.terms)
+
+    def __contains__(self, term: str) -> bool:
+        return term in self._ids
+
+    def id_of(self, term: str) -> int:
+        return self._ids[term]
+
+    def ids_of(self, terms: list[str]) -> np.ndarray:
+        return np.fromiter(map(self._ids.__getitem__, terms), dtype=np.int32, count=len(terms))
+
+    def term_of(self, term_id: int) -> str:
+        return self.terms[term_id]
+
+
+def _first_bad_term(sets: np.ndarray, num_terms: int) -> tuple[str, int, int] | None:
+    """The "range" and "term" checks of `_first_bad_row`, on its row-sorted term ids."""
+    outside = ((sets[:, :1] < 0) | (sets[:, -1:] >= num_terms)).any(axis=1)
+    if outside.any():
+        return "range", int(outside.argmax()), -1
+    repeats = (sets[:, 1:] == sets[:, :-1]).any(axis=1)
+    if repeats.any():
+        return "term", int(repeats.argmax()), -1
+    return None
+
+
+def _first_bad_row(sets: np.ndarray, num_terms: int) -> tuple[str, int, int] | None:
+    """The first identifier-row check that fails, as (check, row, earlier), or None.
+
+    `sets` holds each row's term ids, sorted. The checks, in order, each naming its first
+    bad row: "range", every id lies in [0, num_terms); "term", no row repeats a term; "set",
+    no row's set repeats an earlier row's, `earlier` being the first that holds it (else -1).
+    """
+    bad = _first_bad_term(sets, num_terms)
+    if bad or len(sets) < 2:
+        return bad
+    if not sets.shape[1]:  # every zero-width row holds the empty set
+        return "set", 1, 0
+    # a stable sort of the rows as bytes: equal sets are neighbours, earlier row first
+    row_bytes = np.dtype((np.void, sets.itemsize * sets.shape[1]))
+    ranked = np.argsort(sets.view(row_bytes).ravel(), kind="stable")
+    same = (sets[ranked[1:]] == sets[ranked[:-1]]).all(axis=1)
+    if same.any():
+        later, earlier = ranked[1:][same], ranked[:-1][same]
+        first = later.argmin()  # the second row of its set, so `earlier` is the first
+        return "set", int(later[first]), int(earlier[first])
+    return None
+
+
+def _encode_identifiers(rows: list[list[str]], n: int):
+    """Identifier rows as term ids over their own dictionary: (dictionary, order, bad).
+
+    `bad` is ("width", row, -1) for a row without n terms (none encoded), else `_first_bad_row`'s.
+    """
+    widths = list(map(len, rows))
+    if widths.count(n) != len(rows):
+        return None, None, ("width", next(i for i, w in enumerate(widths) if w != n), -1)
+    flat = list(chain.from_iterable(rows))
+    dictionary = TermDictionary(set(flat))
+    order = dictionary.ids_of(flat).reshape(len(rows), n)
+    return dictionary, order, _first_bad_row(np.sort(order, axis=1), len(dictionary))
+
+
+def _identifier_problem(bad: tuple[str, int, int], doc_ids, rows, n: int) -> str:
+    """The message for a row that failed the "width", "term" or "set" check; rows[row] holds it."""
+    check, row, earlier = bad
+    if check == "width":
+        return f"identifier of {doc_ids[row]} has {len(rows[row])} terms, want {n}"
+    if check == "set":
+        return f"identifier collision between {doc_ids[earlier]} and {doc_ids[row]}"
+    return f"identifier of {doc_ids[row]} repeats a term"
+
+
 @dataclass
 class IdentifierTable:
     """Per-document identifier: exactly n distinct terms, importance-descending."""
@@ -271,7 +355,10 @@ class IdentifierTable:
     terms_by_doc: dict[str, list[str]]
 
     def __post_init__(self):
-        self.validate()
+        rows = list(self.terms_by_doc.values())
+        bad = _encode_identifiers(rows, self.n)[2]
+        if bad:
+            raise InvariantError(_identifier_problem(bad, list(self.terms_by_doc), rows, self.n))
 
     @property
     def doc_ids(self) -> list[str]:
@@ -279,32 +366,7 @@ class IdentifierTable:
 
     @property
     def num_placeholders(self) -> int:
-        return sum(
-            1 for terms in self.terms_by_doc.values() for t in terms if is_placeholder(t)
-        )
-
-    def validate(self) -> None:
-        problem = _first_bad_identifier(self.terms_by_doc, self.n)
-        if problem:
-            raise InvariantError(problem[1])
-
-
-def _first_bad_identifier(terms_by_doc: dict[str, list[str]], n: int) -> tuple[str, str] | None:
-    """The first identifier that is not n distinct terms or repeats an earlier set.
-
-    Returns its doc id and what is wrong with it.
-    """
-    seen: dict[frozenset, str] = {}
-    for doc_id, terms in terms_by_doc.items():
-        if len(terms) != n:
-            return doc_id, f"identifier of {doc_id} has {len(terms)} terms, want {n}"
-        key = frozenset(terms)
-        if len(key) != n:
-            return doc_id, f"identifier of {doc_id} repeats a term"
-        if key in seen:
-            return doc_id, f"identifier collision between {seen[key]} and {doc_id}"
-        seen[key] = doc_id
-    return None
+        return sum(map(is_placeholder, chain.from_iterable(self.terms_by_doc.values())))
 
 
 def is_placeholder(term: str) -> bool:
@@ -327,13 +389,8 @@ def select_identifier(document: Document, weights: dict[str, float], n: int) -> 
     """Top-n distinct terms by weight, padded with synthetic terms when short."""
     if n < 1:
         raise DataError(f"identifier size must be >= 1, got {n}")
-    ranked = ranked_terms(document, weights)
-    selected = ranked[:n]
-    k = 0
-    while len(selected) < n:
-        selected.append(_placeholder(document.doc_id, k))
-        k += 1
-    return selected
+    selected = ranked_terms(document, weights)[:n]
+    return selected + [_placeholder(document.doc_id, k) for k in range(n - len(selected))]
 
 
 def resolve_collisions(
@@ -350,9 +407,7 @@ def resolve_collisions(
     """
     current = {d: list(terms) for d, terms in identifiers.items()}
     cursor = {d: n for d in current}
-    placeholder_next = {
-        d: sum(1 for t in terms if is_placeholder(t)) for d, terms in current.items()
-    }
+    placeholder_next = {d: sum(map(is_placeholder, terms)) for d, terms in current.items()}
 
     def reorder(doc_id: str, terms: list[str]) -> list[str]:
         pos = {t: i for i, t in enumerate(ranked[doc_id])}
@@ -471,21 +526,23 @@ def load_model(path, embedding_table: dict[str, np.ndarray] | None = None) -> Im
 
 def write_identifier_file(table: IdentifierTable, path) -> None:
     lines = [f"{_IDENTIFIER_FORMAT}\t{table.n}"]
-    for doc_id in table.doc_ids:
-        lines.append(f"{doc_id}\t{','.join(table.terms_by_doc[doc_id])}")
+    lines += [f"{doc_id}\t{','.join(table.terms_by_doc[doc_id])}" for doc_id in table.doc_ids]
     atomic.write_text(path, "\n".join(lines) + "\n")
 
 
 def read_identifier_file(path) -> IdentifierTable:
+    """Read an identifiers file; a row that breaks the identifier rule is refused at its line."""
     lines = read_lines(path)
-    if not lines or not lines[0].startswith(_IDENTIFIER_FORMAT):
+    header = lines[0].split("\t") if lines else [""]
+    if header[0] != _IDENTIFIER_FORMAT:
         raise DataError(f"{path}: not a {_IDENTIFIER_FORMAT} file")
-    header = lines[0].split("\t")
     if len(header) != 2:
         raise DataError(f"{path}: malformed identifier header")
     (n,) = parse_values(int, [header[1]], f"{path}:1: identifier size")
+    if n < 1:
+        raise DataError(f"{path}:1: identifier size must be >= 1, got {n}")
     terms_by_doc: dict[str, list[str]] = {}
-    linenos: dict[str, int] = {}
+    linenos: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
@@ -496,8 +553,11 @@ def read_identifier_file(path) -> IdentifierTable:
         if doc_id in terms_by_doc:
             raise DataError(f"{path}:{lineno}: duplicate doc_id {doc_id}")
         terms_by_doc[doc_id] = terms.split(",")
-        linenos[doc_id] = lineno
-    problem = _first_bad_identifier(terms_by_doc, n)
-    if problem:
-        raise DataError(f"{path}:{linenos[problem[0]]}: {problem[1]}")
-    return IdentifierTable(n, terms_by_doc)
+        linenos.append(lineno)
+    if not terms_by_doc:
+        raise DataError(f"{path}: empty registry")
+    try:
+        return IdentifierTable(n, terms_by_doc)
+    except InvariantError as exc:  # the table checks its rows in file order; find the bad one
+        _, row, _ = _encode_identifiers(list(terms_by_doc.values()), n)[2]
+        raise DataError(f"{path}:{linenos[row]}: {exc}") from None

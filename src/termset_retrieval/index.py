@@ -12,41 +12,17 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain, compress, islice, repeat
+from itertools import compress, islice, repeat
 from typing import NoReturn
 
 import numpy as np
 
 from . import atomic
 from .errors import DataError, InvariantError, parse_values, read_lines
-from .importance import IdentifierTable
+from .importance import IdentifierTable, TermDictionary
+from .importance import _encode_identifiers, _first_bad_row, _first_bad_term, _identifier_problem
 
 _INDEX_FORMAT = "termset-index/2"
-
-
-class TermDictionary:
-    """Bijection between term strings and dense ids, assigned in sorted order."""
-
-    def __init__(self, terms):
-        self.terms = sorted(terms)
-        self._ids = {t: i for i, t in enumerate(self.terms)}
-        if len(self._ids) != len(self.terms):
-            raise InvariantError("duplicate terms in dictionary")
-
-    def __len__(self):
-        return len(self.terms)
-
-    def __contains__(self, term: str) -> bool:
-        return term in self._ids
-
-    def id_of(self, term: str) -> int:
-        return self._ids[term]
-
-    def ids_of(self, terms: list[str]) -> np.ndarray:
-        return np.fromiter(map(self._ids.__getitem__, terms), dtype=np.int32, count=len(terms))
-
-    def term_of(self, term_id: int) -> str:
-        return self.terms[term_id]
 
 
 @dataclass
@@ -174,11 +150,11 @@ class Index:
         self.sets = np.sort(order, axis=1)  # row-sorted set view
         self.n = order.shape[1]
         num_docs, vocab = len(doc_ids), len(dictionary)
-        if order.size and (self.sets[:, 0].min() < 0 or self.sets[:, -1].max() >= vocab):
+        bad = _first_bad_term(self.sets, vocab)
+        if bad and bad[0] == "range":
             raise InvariantError(f"term ids outside [0, {vocab})")
-        repeats = np.flatnonzero((self.sets[:, 1:] == self.sets[:, :-1]).any(axis=1))
-        if len(repeats):
-            raise InvariantError(f"identifier of {doc_ids[repeats[0]]} repeats a term")
+        if bad:
+            raise InvariantError(_identifier_problem(bad, doc_ids, order, self.n))
         # term-level postings as CSR: term t's documents are
         # posting_docs[posting_ptr[t]:posting_ptr[t + 1]], in position
         # order: the keys term * docs + doc are unique, so one sort orders them
@@ -232,50 +208,15 @@ def _strictly_ascending(items) -> bool:
     return all(map(operator.lt, items, islice(items, 1, None)))
 
 
-def _first_bad_row(order: np.ndarray, num_terms: int) -> tuple[str, int, int] | None:
-    """The first identifier-row check that fails, as (check, row, earlier), or None.
-
-    The checks, in order: "range", every term id lies in [0, num_terms);
-    "term", no row repeats a term; "set", no row's set repeats an earlier
-    row's, `earlier` being the first row that holds it (-1 for the other
-    checks). Each check names its first bad row.
-    """
-    outside = ((order < 0) | (order >= num_terms)).any(axis=1)
-    if outside.any():
-        return "range", int(outside.argmax()), -1
-    sets = np.sort(order, axis=1)
-    repeats = (sets[:, 1:] == sets[:, :-1]).any(axis=1)
-    if repeats.any():
-        return "term", int(repeats.argmax()), -1
-    # a stable sort of the rows as bytes: equal sets are neighbours, earlier row first
-    ranked = np.argsort(sets.view(np.dtype((np.void, sets[0].nbytes))).ravel(), kind="stable")
-    same = (sets[ranked[1:]] == sets[ranked[:-1]]).all(axis=1)
-    if same.any():
-        later, earlier = ranked[1:][same], ranked[:-1][same]
-        first = later.argmin()  # the second row of its set, so `earlier` is the first
-        return "set", int(later[first]), int(earlier[first])
-    return None
-
-
 def build_index(table: IdentifierTable) -> Index:
-    """Index a registry, checking its rows as `load_index` checks a file's."""
+    """Index a registry, checking its rows as `IdentifierTable` and `load_index` do."""
     if not table.terms_by_doc:
         raise DataError("empty registry")
-    doc_ids, n = table.doc_ids, table.n
+    doc_ids = table.doc_ids
     rows = list(map(table.terms_by_doc.__getitem__, doc_ids))
-    widths = list(map(len, rows))
-    if widths.count(n) != len(rows):
-        row = next(i for i, width in enumerate(widths) if width != n)
-        raise InvariantError(f"identifier of {doc_ids[row]} has {widths[row]} terms, want {n}")
-    flat = list(chain.from_iterable(rows))
-    dictionary = TermDictionary(set(flat))
-    order = dictionary.ids_of(flat).reshape(len(rows), n)
-    bad = _first_bad_row(order, len(dictionary))
+    dictionary, order, bad = _encode_identifiers(rows, table.n)
     if bad:
-        check, row, earlier = bad
-        if check == "set":
-            raise InvariantError(f"identifier collision between {doc_ids[earlier]} and {doc_ids[row]}")
-        raise InvariantError(f"identifier of {doc_ids[row]} repeats a term")
+        raise InvariantError(_identifier_problem(bad, doc_ids, rows, table.n))
     return Index(dictionary, doc_ids, order)
 
 
@@ -373,7 +314,7 @@ def load_index(path) -> Index:
     except OverflowError as exc:
         row = next(i for i, value in enumerate(values) if abs(value) >= 2**63) // n
         raise DataError(f"{path}:{_doc_linenos(lines)[row]}: term id outside [0, {num_terms})") from exc
-    bad = _first_bad_row(order, num_terms)
+    bad = _first_bad_row(np.sort(order, axis=1), num_terms)
     if bad:
         check, row, _ = bad
         message = {

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from termset_retrieval.importance import IdentifierTable
 from termset_retrieval.index import SequenceView, build_index, root_beam
@@ -99,3 +100,45 @@ def word_registry(num_docs, vocab_size, n, seed=0):
     return IdentifierTable(
         n, {doc: [rename[t] for t in terms] for doc, terms in table.terms_by_doc.items()}
     )
+
+
+def outcome(load, path):
+    """What `load` makes of a file: ("ok", what it returned) or (exception type, message)."""
+    try:
+        return "ok", load(path)
+    except Exception as exc:  # noqa: BLE001 - every failure is compared with the oracle's
+        return type(exc).__name__, str(exc)
+
+
+# UTF-8 chunks that shift a text file's records, ids and line breaks;
+# \x0c, U+0085 and U+2028 split a line for `str.splitlines` only
+FUZZ_CHUNKS = st.sampled_from(
+    [b"\t", b"\n", b"\r", b",", b"-", b" ", b"0", b"1", b"9", b"D", b"T", b"x", b"_",
+     b"\xff", b"\xc3", b"\x0c", b"\xc2\x85", "\u2028".encode(), "\u0663".encode()]
+)
+
+
+@st.composite
+def file_mutations(draw, data: bytes):
+    """One byte-level edit at a random offset, or a whole line deleted, duplicated or swapped."""
+    kind = draw(st.sampled_from(["truncate", "replace", "insert", "delete", "delete-line",
+                                 "duplicate-line", "swap-lines"]))
+    if "line" in kind:
+        lines = data.split(b"\n")
+        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
+        if kind == "delete-line":
+            del lines[i]
+        elif kind == "duplicate-line":
+            lines.insert(j, lines[i])
+        else:
+            lines[i], lines[j] = lines[j], lines[i]
+        return b"\n".join(lines)
+    at = draw(st.integers(0, len(data)))
+    if kind == "truncate":
+        return data[:at]
+    if kind == "delete":
+        return data[:at] + data[at + draw(st.integers(1, 8)) :]
+    chunk = b"".join(draw(st.lists(FUZZ_CHUNKS, min_size=1, max_size=3)))
+    if kind == "insert":
+        return data[:at] + chunk + data[at:]
+    return data[:at] + chunk + data[at + len(chunk) :]

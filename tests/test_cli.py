@@ -290,6 +290,18 @@ class TestErrors:
             ("ids.tsv", "termset-identifiers/1\t2\nzz\talpha,omega\n\nzz\tbeta,omega\n",
              ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
              "ids.tsv:4: duplicate doc_id zz"),
+            ("ids.tsv", "termset-identifiers/10\t2\nzz\talpha,omega\n",
+             ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
+             "ids.tsv: not a termset-identifiers/1 file"),
+            ("ids.tsv", "termset-identifiers/1x\t2\nzz\talpha,omega\n",
+             ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
+             "ids.tsv: not a termset-identifiers/1 file"),
+            ("ids.tsv", "termset-identifiers/1\t0\nzz\talpha,omega\n",
+             ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
+             "ids.tsv:1: identifier size must be >= 1, got 0"),
+            ("ids.tsv", "termset-identifiers/1\t2\n\n",
+             ["build-index", "--identifiers", "{file}", "--output", "{tmp}/out.txt"],
+             "ids.tsv: empty registry"),
             ("bad.model", "termset-importance/1\nschema\n",
              [*TRAIN, "--index", "{index}", "--model", "{file}", "--output-dir", "{tmp}/out"],
              "bad.model:2: model line"),
@@ -327,8 +339,9 @@ class TestErrors:
              "bad.cfg:3: malformed config line 3"),
         ],
         ids=["identifier-size", "identifier-repeated-term", "identifier-same-set",
-             "identifier-length", "identifier-duplicate-doc", "model-line", "config-value",
-             "missing-run", "pseudo-pair-json", "pseudo-pair-string", "scorer-nan-weight",
+             "identifier-length", "identifier-duplicate-doc", "identifier-tag-suffix",
+             "identifier-tag-letter", "identifier-size-zero", "identifier-header-only",
+             "model-line", "config-value", "missing-run", "pseudo-pair-json", "pseudo-pair-string", "scorer-nan-weight",
              "scorer-inf-term-weight", "build-terms-qrels", "build-terms-corpus", "run-rank",
              "config-line"],
     )

@@ -1,9 +1,15 @@
 """Term importance: features, InfoNCE training, identifier selection."""
 
+import contextlib
+import io
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from termset_retrieval.corpus import (
     Corpus,
@@ -13,7 +19,8 @@ from termset_retrieval.corpus import (
     ingest_corpus,
     sample_negatives,
 )
-from termset_retrieval.errors import DataError, InvariantError
+from termset_retrieval.cli import main
+from termset_retrieval.errors import DataError, InvariantError, parse_values, read_lines
 from termset_retrieval.importance import (
     EmbeddingFeaturizer,
     IdentifierTable,
@@ -35,9 +42,9 @@ from termset_retrieval.importance import (
     train_importance,
     write_identifier_file,
 )
-from termset_retrieval.synthetic import make_bridging_corpus
+from termset_retrieval.synthetic import make_bridging_corpus, make_random_identifiers
 
-from conftest import central_difference, max_relative_error
+from conftest import central_difference, file_mutations, max_relative_error, outcome
 
 
 def small_corpus():
@@ -328,7 +335,7 @@ class TestBuildIdentifiers:
             corpus = ingest_corpus(records)
             model = ImportanceModel(np.array([1.0, 1.0, 0.5, -0.2, 0.1, 0.0]))
             table = build_identifiers(corpus, model, n_min=2, n_max=10)
-            table.validate()
+            IdentifierTable(table.n, table.terms_by_doc)  # constructing a table checks its rows
             seen = set()
             for doc_id, terms in table.terms_by_doc.items():
                 assert len(terms) == table.n
@@ -424,3 +431,153 @@ class TestPersistence:
             load_model(tmp_path / "emb.model")
         loaded = load_model(tmp_path / "emb.model", embedding_table=table)
         assert np.array_equal(loaded.weights, model.weights)
+
+
+def oracle_read_identifier_file(path) -> IdentifierTable:
+    """The identifiers reader that checked rows with frozensets, one row at a time.
+
+    Its header checks are the current reader's: the format tag compared
+    exactly, a size of at least 1 and at least one row.
+    """
+    lines = read_lines(path)
+    header = lines[0].split("\t") if lines else [""]
+    if header[0] != "termset-identifiers/1":
+        raise DataError(f"{path}: not a termset-identifiers/1 file")
+    if len(header) != 2:
+        raise DataError(f"{path}: malformed identifier header")
+    (n,) = parse_values(int, [header[1]], f"{path}:1: identifier size")
+    if n < 1:
+        raise DataError(f"{path}:1: identifier size must be >= 1, got {n}")
+    terms_by_doc: dict[str, list[str]] = {}
+    linenos: dict[str, int] = {}
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: malformed identifier line")
+        doc_id, terms = parts
+        if doc_id in terms_by_doc:
+            raise DataError(f"{path}:{lineno}: duplicate doc_id {doc_id}")
+        terms_by_doc[doc_id] = terms.split(",")
+        linenos[doc_id] = lineno
+    if not terms_by_doc:
+        raise DataError(f"{path}: empty registry")
+    seen: dict[frozenset, str] = {}
+    for doc_id, terms in terms_by_doc.items():
+        where = f"{path}:{linenos[doc_id]}"
+        if len(terms) != n:
+            raise DataError(f"{where}: identifier of {doc_id} has {len(terms)} terms, want {n}")
+        key = frozenset(terms)
+        if len(key) != n:
+            raise DataError(f"{where}: identifier of {doc_id} repeats a term")
+        if key in seen:
+            raise DataError(f"{where}: identifier collision between {seen[key]} and {doc_id}")
+        seen[key] = doc_id
+    return IdentifierTable(n, terms_by_doc)
+
+
+@pytest.fixture(scope="module")
+def identifiers_file(tmp_path_factory):
+    """A 30-document identifiers file over 12 terms, three terms each."""
+    path = tmp_path_factory.mktemp("identifiers-fuzz") / "ids.tsv"
+    write_identifier_file(make_random_identifiers(30, 12, 3, seed=1), path)
+    return path
+
+
+@st.composite
+def identifier_mutations(draw, data: bytes):
+    """A `file_mutations` edit, or a term edit of one row.
+
+    The edit replaces one term by a registry term, which may repeat a term,
+    or gives the row another row's terms, reversed.
+    """
+    lines = data.split(b"\n")
+    rows = [k for k in range(1, len(lines)) if lines[k].count(b"\t") == 1]
+    if not rows or draw(st.booleans()):
+        return draw(file_mutations(data))
+    i, j = draw(st.sampled_from(rows)), draw(st.sampled_from(rows))
+    doc_id, terms = lines[i].split(b"\t")
+    terms = terms.split(b",")
+    if draw(st.booleans()):
+        terms[draw(st.integers(0, len(terms) - 1))] = b"t%02d" % draw(st.integers(0, 11))
+    else:
+        terms = lines[j].split(b"\t")[1].split(b",")[::-1]
+    lines[i] = doc_id + b"\t" + b",".join(terms)
+    return b"\n".join(lines)
+
+
+def mutate(data, draw) -> bytes:
+    for _ in range(draw(st.integers(1, 3))):
+        data = draw(identifier_mutations(data))
+    return data
+
+
+class TestIdentifierFileFuzz:
+    """Mutated identifiers files: the int-matrix row check agrees with the frozenset reader."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_read_matches_the_frozenset_reader(self, identifiers_file, data):
+        original = identifiers_file.read_bytes()
+        mutated = mutate(original, data.draw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ids.tsv"
+            path.write_bytes(mutated)
+            got = outcome(read_identifier_file, path)
+            want = outcome(oracle_read_identifier_file, path)
+        assert got[0] == want[0], (got[1], want[1])
+        if got[0] == "ok":
+            assert got[1].n == want[1].n
+            assert list(got[1].terms_by_doc.items()) == list(want[1].terms_by_doc.items())
+            return
+        assert got[0] == "DataError"
+        assert got[1].startswith(f"{path}:") and want[1].startswith(f"{path}:")
+        # with several bad rows the two may name different ones; one edited row is the only bad one
+        before = original.decode().splitlines()
+        after = mutated.decode(errors="replace").splitlines()
+        if len(before) == len(after) and sum(map(str.__ne__, before, after)) <= 1:
+            assert got[1] == want[1]
+
+    @pytest.mark.parametrize("target, source", [(4, 20), (20, 4)], ids=["later-row", "earlier-row"])
+    def test_a_row_given_another_rows_set_is_named_as_before(self, identifiers_file, tmp_path,
+                                                             target, source):
+        lines = identifiers_file.read_text(encoding="utf-8").splitlines()
+        docs = [line.split("\t")[0] for line in lines]
+        terms = lines[source].split("\t")[1].split(",")
+        lines[target] = f"{docs[target]}\t{','.join(reversed(terms))}"
+        (tmp_path / "ids.tsv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        first, second = sorted([target, source])  # lines[k] is line k + 1
+        want = f"ids.tsv:{second + 1}: identifier collision between {docs[first]} and {docs[second]}"
+        for read in (read_identifier_file, oracle_read_identifier_file):
+            with pytest.raises(DataError) as exc:
+                read(tmp_path / "ids.tsv")
+            assert str(exc.value) == str(tmp_path / want)
+
+    def test_several_bad_rows_name_the_first_check_that_fails(self, tmp_path):
+        path = tmp_path / "ids.tsv"
+        path.write_text("termset-identifiers/1\t2\nA\tx,y\nB\tx,x\nC\ty,x\nD\tz\n", "utf-8")
+        # width, then repeated term, then repeated set: not the first bad line
+        with pytest.raises(DataError, match=r"ids.tsv:5: identifier of D has 1 terms, want 2"):
+            read_identifier_file(path)
+        with pytest.raises(DataError, match=r"ids.tsv:3: identifier of B repeats a term"):
+            oracle_read_identifier_file(path)
+        path.write_text("termset-identifiers/1\t2\nA\tx,y\nB\ty,x\nC\tz,z\n", "utf-8")
+        with pytest.raises(DataError, match=r"ids.tsv:4: identifier of C repeats a term"):
+            read_identifier_file(path)
+        with pytest.raises(DataError, match=r"ids.tsv:3: identifier collision between A and B"):
+            oracle_read_identifier_file(path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(st.data())
+    def test_mutated_identifiers_exit_0_or_2_without_traceback(self, identifiers_file, data):
+        mutated = mutate(identifiers_file.read_bytes(), data.draw)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "ids.tsv"
+            path.write_bytes(mutated)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = main(["build-index", "--identifiers", str(path),
+                           "--output", str(Path(tmp) / "index.txt")])
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termset_retrieval import importance
 from termset_retrieval.cli import main
 from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import rank_documents
@@ -40,7 +41,7 @@ from termset_retrieval.scorer import (
 )
 from termset_retrieval.synthetic import make_random_identifiers
 
-from conftest import holders, term_ids, walk
+from conftest import file_mutations, holders, outcome, term_ids, walk
 
 
 def oracle_feasible(table: IdentifierTable, prefix: set[str]) -> set[str]:
@@ -541,48 +542,6 @@ def assert_same_index(a: Index, b: Index):
         assert np.array_equal(x, y), name
 
 
-def outcome(load, path):
-    """What `load` makes of a file: ("index", Index) or (exception type, message)."""
-    try:
-        return "index", load(path)
-    except Exception as exc:  # noqa: BLE001 - every failure is compared with the oracle's
-        return type(exc).__name__, str(exc)
-
-
-# UTF-8 chunks that shift an index file's records, ids and line breaks;
-# \x0c, U+0085 and U+2028 split a line for `str.splitlines` only
-INDEX_FUZZ_CHUNKS = st.sampled_from(
-    [b"\t", b"\n", b"\r", b",", b"-", b" ", b"0", b"1", b"9", b"D", b"T", b"x", b"_",
-     b"\xff", b"\xc3", b"\x0c", b"\xc2\x85", "\u2028".encode(), "\u0663".encode()]
-)
-
-
-@st.composite
-def index_mutations(draw, data: bytes):
-    """One byte-level edit at a random offset, or a whole line deleted, duplicated or swapped."""
-    kind = draw(st.sampled_from(["truncate", "replace", "insert", "delete", "delete-line",
-                                 "duplicate-line", "swap-lines"]))
-    if "line" in kind:
-        lines = data.split(b"\n")
-        i, j = draw(st.integers(0, len(lines) - 1)), draw(st.integers(0, len(lines) - 1))
-        if kind == "delete-line":
-            del lines[i]
-        elif kind == "duplicate-line":
-            lines.insert(j, lines[i])
-        else:
-            lines[i], lines[j] = lines[j], lines[i]
-        return b"\n".join(lines)
-    at = draw(st.integers(0, len(data)))
-    if kind == "truncate":
-        return data[:at]
-    if kind == "delete":
-        return data[:at] + data[at + draw(st.integers(1, 8)) :]
-    chunk = b"".join(draw(st.lists(INDEX_FUZZ_CHUNKS, min_size=1, max_size=3)))
-    if kind == "insert":
-        return data[:at] + chunk + data[at:]
-    return data[:at] + chunk + data[at + len(chunk) :]
-
-
 @pytest.fixture(scope="module")
 def index_file(tmp_path_factory):
     """A saved 30-document index with a scorer and queries for it."""
@@ -606,13 +565,13 @@ class TestIndexFileFuzz:
     def test_load_matches_the_record_by_record_reader(self, index_file, data):
         mutated = (index_file / "index.txt").read_bytes()
         for _ in range(data.draw(st.integers(1, 3))):
-            mutated = data.draw(index_mutations(mutated))
+            mutated = data.draw(file_mutations(mutated))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "index.txt"
             path.write_bytes(mutated)
             got, want = outcome(load_index, path), outcome(oracle_load_index, path)
         assert got[0] == want[0], (got[1], want[1])
-        if got[0] == "index":
+        if got[0] == "ok":
             assert_same_index(got[1], want[1])
         else:
             assert got[0] == "DataError"
@@ -660,7 +619,7 @@ class TestIndexFileFuzz:
     @settings(max_examples=15, deadline=None)
     @given(st.data())
     def test_mutated_index_exits_0_or_2_without_traceback(self, index_file, data):
-        mutated = data.draw(index_mutations((index_file / "index.txt").read_bytes()))
+        mutated = data.draw(file_mutations((index_file / "index.txt").read_bytes()))
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "index.txt"
             path.write_bytes(mutated)
@@ -731,9 +690,8 @@ class TestBuildOracle:
 
     def test_build_does_not_revalidate_the_table(self, monkeypatch):
         table = make_random_identifiers(20, 10, 3, seed=5)
-
-        def validate(self):
-            raise AssertionError("build_index re-validated the table")
-
-        monkeypatch.setattr(IdentifierTable, "validate", validate)
+        calls = []
+        check = importance._first_bad_row
+        monkeypatch.setattr(importance, "_first_bad_row", lambda *args: calls.append(args) or check(*args))
         assert len(build_index(table)) == 20
+        assert len(calls) == 1  # the row check runs once: no table is rebuilt or re-checked
