@@ -312,15 +312,35 @@ def _first_bad_row(sets: np.ndarray, num_terms: int) -> tuple[str, int, int] | N
         return bad
     if not sets.shape[1]:  # every zero-width row holds the empty set
         return "set", 1, 0
-    # a stable sort of the rows as bytes: equal sets are neighbours, earlier row first
+    # equal sets hash alike, so only rows that share a hash can repeat a set
+    hashes = _row_hash(sets)
+    ranked = np.argsort(hashes, kind="stable")
+    shared = hashes[ranked[1:]] == hashes[ranked[:-1]]
+    if not shared.any():
+        return None
+    suspects = np.zeros(len(sets), dtype=bool)
+    suspects[ranked[1:][shared]] = suspects[ranked[:-1][shared]] = True
+    rows = np.flatnonzero(suspects)  # ascending, so the exact sort below keeps row order
+    # a stable sort of those rows as bytes: equal sets are neighbours, earlier row first
     row_bytes = np.dtype((np.void, sets.itemsize * sets.shape[1]))
-    ranked = np.argsort(sets.view(row_bytes).ravel(), kind="stable")
+    ranked = rows[np.argsort(sets[rows].view(row_bytes).ravel(), kind="stable")]
     same = (sets[ranked[1:]] == sets[ranked[:-1]]).all(axis=1)
     if same.any():
         later, earlier = ranked[1:][same], ranked[:-1][same]
         first = later.argmin()  # the second row of its set, so `earlier` is the first
         return "set", int(later[first]), int(earlier[first])
     return None
+
+
+def _row_hash(sets: np.ndarray) -> np.ndarray:
+    """One uint64 per row of non-negative term ids: each id mixed, then folded in, wrapping."""
+    hashes = np.zeros(len(sets), dtype=np.uint64)
+    for column in sets.T:
+        mixed = column.astype(np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        mixed ^= mixed >> np.uint64(29)
+        hashes *= np.uint64(0xBF58476D1CE4E5B9)
+        hashes += mixed
+    return hashes
 
 
 def _encode_identifiers(rows: list[list[str]], n: int):
@@ -486,6 +506,14 @@ def save_model(model: ImportanceModel, path) -> None:
     atomic.write_text(path, "\n".join(lines) + "\n")
 
 
+def _finite(text: str, what: str) -> float:
+    """`text` as a float; DataError about `what` unless it is a finite one."""
+    (value,) = parse_values(float, [text], what)
+    if not math.isfinite(value):
+        raise DataError(f"{what} {text!r} is not finite")
+    return value
+
+
 def load_model(path, embedding_table: dict[str, np.ndarray] | None = None) -> ImportanceModel:
     lines = read_lines(path)
     if not lines or lines[0] != _MODEL_FORMAT:
@@ -500,11 +528,10 @@ def load_model(path, embedding_table: dict[str, np.ndarray] | None = None) -> Im
         if not tab:
             raise DataError(f"{path}:{lineno}: model line is not 'key<TAB>value'")
         if key == "feature":
-            name, _, weight = value.partition("\t")
-            (weight,) = parse_values(float, [weight], f"{path}:{lineno}: feature weight")
-            features.append((name, weight))
+            name, _, text = value.partition("\t")
+            features.append((name, _finite(text, f"{path}:{lineno}: feature weight")))
         elif key == "tau":
-            (tau,) = parse_values(float, [value], f"{path}:{lineno}: tau")
+            tau = _finite(value, f"{path}:{lineno}: tau")
         else:
             fields[key] = value
     schema = fields.get("schema", "")

@@ -310,7 +310,7 @@ def load_index(path) -> Index:
     if not _strictly_ascending(doc_ids):
         raise DataError(f"{path}: documents not unique and in sorted order")
     try:
-        order = np.array(values, dtype=np.int64).reshape(num_docs, n)
+        order = np.asarray(values, dtype=np.int64).reshape(num_docs, n)
     except OverflowError as exc:
         row = next(i for i, value in enumerate(values) if abs(value) >= 2**63) // n
         raise DataError(f"{path}:{_doc_linenos(lines)[row]}: term id outside [0, {num_terms})") from exc
@@ -326,11 +326,13 @@ def load_index(path) -> Index:
     return Index(TermDictionary(terms), doc_ids, order.astype(np.int32))
 
 
-def _parse_records(lines: list[str], n: int) -> tuple[list, list, list] | None:
+def _parse_records(lines: list[str], n: int) -> tuple[list, list, list | np.ndarray] | None:
     """Terms, document ids and flat term ids of the records, or None if one is bad.
 
     A record is bad when its tag is unknown, a `D` record lacks its second
-    tab, or its term ids are not n `int`s. Blank lines are skipped.
+    tab, or its term ids are not n `int`s. Blank lines are skipped. Ids
+    spelled as `save_index` writes them are parsed in bulk; `int` reads
+    any other spelling, one id at a time.
     """
     records = list(filter(None, lines))
     is_doc = list(map(str.startswith, records, repeat("D\t")))
@@ -344,11 +346,42 @@ def _parse_records(lines: list[str], n: int) -> tuple[list, list, list] | None:
     ids = [doc[tab + 1 :] for doc, tab in zip(docs, tabs)]
     if list(map(str.count, ids, repeat(","))).count(n - 1) != len(ids):
         return None
-    try:
-        values = list(map(int, ",".join(ids).split(","))) if ids else []
-    except ValueError:
-        return None
+    joined = ",".join(ids)
+    values = _canonical_ids(joined) if ids else []
+    if values is None:
+        try:
+            values = _int_ids(joined)
+        except ValueError:
+            return None
     return [term[2:] for term in terms], [doc[2:tab] for doc, tab in zip(docs, tabs)], values
+
+
+def _canonical_ids(text: str) -> np.ndarray | None:
+    """Ids spelled as `save_index` writes them, parsed in one call; None for any other spelling.
+
+    `np.fromstring` also takes spaces and signs, and clamps an id that overflows,
+    so it reads only text whose every comma-separated field is 1 to 18 ASCII
+    digits, which keeps each id below 2**63.
+    """
+    raw = np.frombuffer(text.encode(), dtype=np.uint8)
+    digit = raw - ord("0") < 10  # uint8 wraps below "0"
+    if not (digit | (raw == ord(","))).all():
+        return None
+    # no empty field: a digit at both ends, and no two commas side by side
+    if not (len(digit) and digit[0] and digit[-1] and (digit[1:] | digit[:-1]).all()):
+        return None
+    # no field over 18 digits: run[i] ends up true where text[i:i + 19] is all digits
+    run = digit
+    for shift in (1, 2, 4, 8, 3):  # runs of 2, 4, 8, 16, then 19 digits
+        run = run[:-shift] & run[shift:]
+    if run.any():
+        return None
+    return np.fromstring(text, dtype=np.int64, sep=",")
+
+
+def _int_ids(text: str) -> list[int]:
+    """Comma-separated ids in any spelling `int` reads; ValueError for one it does not."""
+    return list(map(int, text.split(",")))
 
 
 def _raise_first_bad_record(path, lines: list[str], n: int) -> NoReturn:

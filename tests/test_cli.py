@@ -30,6 +30,11 @@ SEARCH = ["search", "--index", "{index}", "--scorer", "{file}", "--queries",
 # a scorer file's first two lines, for the two-term index the malformed-input cases build
 SCORER_HEADER = "termset-scorer/2\nfeatures\tin_query query_prefix4 term_weight log1p_postings\n"
 
+# a valid tfidf/1 importance model; its feature weights sit on lines 4-9
+MODEL_TEXT = ("termset-importance/1\nschema\ttfidf/1\ntau\t1.0\nfeature\ttf_norm\t1.0\n"
+              "feature\tidf\t0.5\nfeature\tin_title\t0.0\nfeature\tfirst_pos\t0.0\n"
+              "feature\tterm_len\t0.0\nfeature\tbias\t0.0\n")
+
 
 def invoke(*argv):
     return main([str(a) for a in argv])
@@ -305,6 +310,15 @@ class TestErrors:
             ("bad.model", "termset-importance/1\nschema\n",
              [*TRAIN, "--index", "{index}", "--model", "{file}", "--output-dir", "{tmp}/out"],
              "bad.model:2: model line"),
+            ("bad.model", MODEL_TEXT.replace("idf\t0.5", "idf\tnan"),
+             [*TRAIN, "--index", "{index}", "--model", "{file}", "--output-dir", "{tmp}/out"],
+             "bad.model:5: feature weight 'nan' is not finite"),
+            ("bad.model", MODEL_TEXT.replace("idf\t0.5", "idf\tinf"),
+             [*TRAIN, "--index", "{index}", "--model", "{file}", "--output-dir", "{tmp}/out"],
+             "bad.model:5: feature weight 'inf' is not finite"),
+            ("bad.model", MODEL_TEXT.replace("tau\t1.0", "tau\tnan"),
+             [*TRAIN, "--index", "{index}", "--model", "{file}", "--output-dir", "{tmp}/out"],
+             "bad.model:3: tau 'nan' is not finite"),
             ("bad.cfg", "iterations = abc\n",
              [*TRAIN, "--index", "{index}", "--config", "{file}", "--output-dir", "{tmp}/out"],
              "bad.cfg: iterations 'abc' is not a valid int"),
@@ -341,7 +355,8 @@ class TestErrors:
         ids=["identifier-size", "identifier-repeated-term", "identifier-same-set",
              "identifier-length", "identifier-duplicate-doc", "identifier-tag-suffix",
              "identifier-tag-letter", "identifier-size-zero", "identifier-header-only",
-             "model-line", "config-value", "missing-run", "pseudo-pair-json", "pseudo-pair-string", "scorer-nan-weight",
+             "model-line", "model-nan-weight", "model-inf-weight", "model-nan-tau", "config-value",
+             "missing-run", "pseudo-pair-json", "pseudo-pair-string", "scorer-nan-weight",
              "scorer-inf-term-weight", "build-terms-qrels", "build-terms-corpus", "run-rank",
              "config-line"],
     )

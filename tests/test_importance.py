@@ -5,12 +5,14 @@ import io
 import math
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termset_retrieval import importance
 from termset_retrieval.corpus import (
     Corpus,
     Document,
@@ -42,6 +44,7 @@ from termset_retrieval.importance import (
     train_importance,
     write_identifier_file,
 )
+from termset_retrieval.index import build_index
 from termset_retrieval.synthetic import make_bridging_corpus, make_random_identifiers
 
 from conftest import central_difference, file_mutations, max_relative_error, outcome
@@ -581,3 +584,67 @@ class TestIdentifierFileFuzz:
                            "--output", str(Path(tmp) / "index.txt")])
         assert rc in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+def oracle_first_bad_row(sets: np.ndarray, num_terms: int):
+    """`_first_bad_row` as it was before the row hash: one stable argsort of every row's bytes."""
+    outside = ((sets[:, :1] < 0) | (sets[:, -1:] >= num_terms)).any(axis=1)
+    if outside.any():
+        return "range", int(outside.argmax()), -1
+    repeats = (sets[:, 1:] == sets[:, :-1]).any(axis=1)
+    if repeats.any():
+        return "term", int(repeats.argmax()), -1
+    if len(sets) < 2:
+        return None
+    if not sets.shape[1]:
+        return "set", 1, 0
+    row_bytes = np.dtype((np.void, sets.itemsize * sets.shape[1]))
+    ranked = np.argsort(sets.view(row_bytes).ravel(), kind="stable")
+    same = (sets[ranked[1:]] == sets[ranked[:-1]]).all(axis=1)
+    if same.any():
+        later, earlier = ranked[1:][same], ranked[:-1][same]
+        first = later.argmin()
+        return "set", int(later[first]), int(earlier[first])
+    return None
+
+
+@st.composite
+def id_rows(draw):
+    """Row-sorted term-id rows over a small vocabulary: many repeated sets, some bad ids.
+
+    Rows are drawn from a few distinct sets; with small probabilities an id is
+    repeated within its row or pushed outside [0, vocab).
+    """
+    vocab = draw(st.integers(1, 8))
+    width = draw(st.integers(0, min(vocab, 4)))
+    dtype = draw(st.sampled_from([np.int32, np.int64]))
+    sets = draw(st.integers(1, 6))
+    pool = [sorted(draw(st.permutations(range(vocab)))[:width]) for _ in range(sets)]
+    rows = []
+    for _ in range(draw(st.integers(0, 30))):
+        row = list(draw(st.sampled_from(pool)))
+        if row and draw(st.integers(0, 9)) == 0:
+            at = draw(st.integers(0, len(row) - 1))
+            row[at] = draw(st.sampled_from([-1, vocab, vocab + 3, row[at - 1]]))
+        rows.append(row)
+    return np.sort(np.array(rows, dtype=dtype).reshape(len(rows), width), axis=1), vocab
+
+
+class TestRowHash:
+    """The hashed repeated-set check returns the byte-sort oracle's (check, row, earlier)."""
+
+    @pytest.mark.parametrize(
+        "row_hash",
+        [importance._row_hash, lambda sets: np.zeros(len(sets), dtype=np.uint64)],
+        ids=["row-hash", "constant-hash"],
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(case=id_rows())
+    def test_equals_the_byte_sort(self, row_hash, case):
+        sets, vocab = case
+        with mock.patch.object(importance, "_row_hash", row_hash):
+            assert importance._first_bad_row(sets, vocab) == oracle_first_bad_row(sets, vocab)
+
+    def test_distinct_sets_of_a_large_registry_do_not_collide(self):
+        sets = build_index(make_random_identifiers(20000, 3000, 8, seed=3)).sets
+        assert len(np.unique(importance._row_hash(sets))) == len(sets)

@@ -557,8 +557,107 @@ def index_file(tmp_path_factory):
     return out
 
 
+def assert_loads_as_the_oracle(data: bytes):
+    """`load_index` and `oracle_load_index` give equal indexes, or DataErrors with one message."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "index.txt"
+        path.write_bytes(data)
+        got, want = outcome(load_index, path), outcome(oracle_load_index, path)
+    assert got[0] == want[0], (got[1], want[1])
+    if got[0] == "ok":
+        assert_same_index(got[1], want[1])
+    else:
+        assert got[0] == "DataError"
+        assert got[1] == want[1]
+
+
+ARABIC_DIGITS = str.maketrans("0123456789", "".join(map(chr, range(0x660, 0x66A))))  # U+0660-0669
+
+
+@st.composite
+def id_field_edits(draw, text: str):
+    """A saved index with one `D` record's term ids respelled, or its id list broken.
+
+    The edits sit on the edge of `save_index`'s spelling: ids of 19-25 digits,
+    leading zeros, a sign, a space, non-ASCII digits, an underscore, an empty
+    field, a trailing or doubled comma, and an empty id list.
+    """
+    lines = text.split("\n")
+    at = draw(st.sampled_from([i for i, line in enumerate(lines) if line.startswith("D\t")]))
+    head, _, ids = lines[at].rpartition("\t")
+    fields = ids.split(",")
+    k = draw(st.integers(0, len(fields) - 1))
+    value = fields[k]
+    kind = draw(st.sampled_from(["padded", "long", "zeros", "plus", "space", "arabic", "underscore",
+                                 "missing", "trailing-comma", "doubled-comma", "empty"]))
+    if kind == "missing":  # an empty field between its commas
+        fields[k] = ""
+    elif kind == "padded":  # a small id spelled with 19-25 digits
+        fields[k] = value.zfill(draw(st.integers(19, 25)))
+    elif kind == "long":
+        width = draw(st.integers(19, 25))
+        fields[k] = str(draw(st.integers(10 ** (width - 1), 10**width - 1)))
+    elif kind == "zeros":
+        fields[k] = "0" * draw(st.integers(1, 3)) + value
+    elif kind == "plus":
+        fields[k] = "+" + value
+    elif kind == "space":
+        fields[k] = " " + value
+    elif kind == "arabic":
+        fields[k] = value.translate(ARABIC_DIGITS)
+    elif kind == "underscore":
+        fields[k] = value[0] + "_" + value[1:] if len(value) > 1 else "0_" + value
+    ids = ",".join(fields)
+    if kind == "trailing-comma":
+        ids += ","
+    elif kind == "doubled-comma":
+        ids = ids.replace(",", ",,", 1) if "," in ids else ",," + ids
+    elif kind == "empty":
+        ids = ""
+    lines[at] = f"{head}\t{ids}"
+    return "\n".join(lines)
+
+
 class TestIndexFileFuzz:
     """Mutated index files: the bulk reader agrees with the record-by-record oracle."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_id_field_edits_load_as_the_record_by_record_reader(self, index_file, data):
+        mutated = (index_file / "index.txt").read_text(encoding="utf-8")
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutated = data.draw(id_field_edits(mutated))
+        assert_loads_as_the_oracle(mutated.encode())
+
+    def test_an_overflowing_id_is_named_after_an_earlier_id_outside_the_dictionary(
+        self, tmp_path, tiny_index
+    ):
+        save_index(tiny_index, tmp_path / "index.txt")
+        lines = (tmp_path / "index.txt").read_text(encoding="utf-8").splitlines()
+        lines[11] = "D\tD1\t0,1," + "1" * 19  # below 2**63, outside the dictionary
+        lines[13] = "D\tD3\t4,5," + "9" * 20  # not an int64
+        (tmp_path / "index.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        for load in (load_index, oracle_load_index):
+            with pytest.raises(DataError, match=r"index\.txt:14: term id outside \[0, 7\)"):
+                load(tmp_path / "index.txt")
+
+    def test_saved_ids_are_parsed_without_the_int_fallback(self, tmp_path, index_file, monkeypatch):
+        saved = load_index(index_file / "index.txt")
+
+        def refuse(text):
+            raise AssertionError("the int fallback read a save_index file")
+
+        monkeypatch.setattr("termset_retrieval.index._int_ids", refuse)
+        assert_same_index(load_index(index_file / "index.txt"), saved)
+        save_index(saved, tmp_path / "index.txt")
+        assert_same_index(load_index(tmp_path / "index.txt"), saved)
+        # a spelling only `int` reads still takes the fallback
+        lines = (tmp_path / "index.txt").read_text(encoding="utf-8").splitlines()
+        head, _, ids = lines[-1].rpartition("\t")
+        lines[-1] = f"{head}\t+{ids}"
+        (tmp_path / "index.txt").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(AssertionError, match="int fallback"):
+            load_index(tmp_path / "index.txt")
 
     @settings(max_examples=250, deadline=None)
     @given(st.data())
@@ -566,16 +665,7 @@ class TestIndexFileFuzz:
         mutated = (index_file / "index.txt").read_bytes()
         for _ in range(data.draw(st.integers(1, 3))):
             mutated = data.draw(file_mutations(mutated))
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "index.txt"
-            path.write_bytes(mutated)
-            got, want = outcome(load_index, path), outcome(oracle_load_index, path)
-        assert got[0] == want[0], (got[1], want[1])
-        if got[0] == "ok":
-            assert_same_index(got[1], want[1])
-        else:
-            assert got[0] == "DataError"
-            assert got[1] == want[1]
+        assert_loads_as_the_oracle(mutated)
 
     @pytest.mark.parametrize(
         "edit",
