@@ -246,7 +246,7 @@ def _load_pseudo_pairs(path) -> list[tuple[Query, str]]:
             continue
         try:
             rec = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
             raise DataError(f"{path}:{lineno}: pseudo pair is not valid JSON") from exc
         if not isinstance(rec, dict):
             raise DataError(f"{path}:{lineno}: pseudo pair is not a JSON object")

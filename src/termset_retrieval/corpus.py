@@ -166,10 +166,14 @@ def _iter_jsonl(path):
         if not line:
             continue
         try:
-            yield lineno, json.loads(line)
+            record = json.loads(line)
         except json.JSONDecodeError as exc:
             at = line_prefix(path, lineno)
             raise DataError(f"{at}malformed record at line {lineno}: {exc.msg}") from exc
+        except RecursionError as exc:  # the decoder recurses once per nested array or object
+            at = line_prefix(path, lineno)
+            raise DataError(f"{at}malformed record at line {lineno}: nested too deeply") from exc
+        yield lineno, record
 
 
 class Judgments:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import compress, islice, repeat
 from typing import NoReturn
 
@@ -47,10 +46,7 @@ class Step:
     leads: np.ndarray
     run_docs: np.ndarray
     starts: np.ndarray
-
-    @cached_property
-    def offsets(self) -> np.ndarray:
-        return np.searchsorted(self.parents, np.arange(len(self.seqs) + 1))
+    offsets: np.ndarray
 
     @property
     def depth(self) -> int:
@@ -65,6 +61,8 @@ class Step:
         sizes = self.sizes[picks]
         ptr = np.zeros(len(picks) + 1, dtype=np.int64)
         np.cumsum(sizes, out=ptr[1:])
+        if ptr[-1] == len(picks):  # every child is one document, its lead
+            return self.leads[picks], ptr
         gather = np.repeat(self.starts[picks] - ptr[:-1], sizes) + np.arange(ptr[-1])
         return self.run_docs[gather], ptr
 
@@ -97,20 +95,33 @@ def root_beam(searchable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _expand(searchable, seqs, docs, ptr, columns) -> Step:
-    """One sort of keys unique per (hypothesis, term, document).
+    """The beam's extensions (see `Step`), from the terms each document may add.
 
-    `columns[i]` holds the terms that may follow the prefix for document
-    docs[i]. Hypothesis h's c documents (ascending) get the keys ptr[h] * V
-    + term * c + row, row being the document's place among them: sorted,
-    they go by (hypothesis, term, document) and decode back. Each run of
-    one (hypothesis, term) is one extension: its length is the child size,
-    and it lists the child postings in order, lead first. Terms already in
-    the hypothesis's own prefix are dropped.
+    `columns[i]` holds the distinct terms, ascending, that may follow the
+    prefix for document docs[i]; terms of the hypothesis's own prefix are
+    dropped. A beam whose every hypothesis holds one document is expanded
+    as a dense block (`_dense_step`), any other by one sort (`_sort_step`);
+    both give the same arrays.
+    """
+    vocab = len(searchable.dictionary)
+    if len(docs) * vocab > 1 << 63:  # the sort's keys lie in [0, docs x V)
+        raise InvariantError(f"{len(docs)} beam documents x {vocab} terms overflow the sort key")
+    if len(docs) == len(seqs) and (ptr[1:] - ptr[:-1] == 1).all():
+        return _dense_step(searchable, seqs, docs, ptr, columns)
+    return _sort_step(searchable, seqs, docs, ptr, columns)
+
+
+def _sort_step(searchable, seqs, docs, ptr, columns) -> Step:
+    """`_expand` by one sort of keys unique per (hypothesis, term, document).
+
+    Hypothesis h's c documents (ascending) get the keys ptr[h] * V + term *
+    c + row, row being the document's place among them: sorted, they go by
+    (hypothesis, term, document) and decode back. Each run of one
+    (hypothesis, term) is one extension: its length is the child size, and
+    it lists the child postings in order, lead first.
     """
     vocab, width = len(searchable.dictionary), columns.shape[1]
     top = len(docs) * vocab  # the keys lie in [0, top)
-    if top > 1 << 63:
-        raise InvariantError(f"{len(docs)} beam documents x {vocab} terms overflow the sort key")
     beam_ptr = np.asarray(ptr, dtype=np.int32 if top <= 1 << 31 else np.int64)
     counts = beam_ptr[1:] - beam_ptr[:-1]
     first, size = beam_ptr[:-1].repeat(counts), counts.repeat(counts)  # per document
@@ -125,11 +136,30 @@ def _expand(searchable, seqs, docs, ptr, columns) -> Step:
     parents = np.arange(len(seqs)).repeat(counts * width)[bounds[:-1]]
     terms = terms[bounds[:-1]]
     keep = ~(seqs[parents] == terms[:, None]).any(axis=1)
-    starts = bounds[:-1][keep]
+    starts, parents = bounds[:-1][keep], parents[keep]
     run_docs = docs[first + rows]  # rows: each sorted key's place in its hypothesis
     return Step(
-        searchable, seqs, docs, ptr, parents[keep], terms[keep].astype(columns.dtype),
+        searchable, seqs, docs, ptr, parents, terms[keep].astype(columns.dtype),
         (bounds[1:] - bounds[:-1])[keep], run_docs[starts], run_docs, starts,
+        np.searchsorted(parents, np.arange(len(seqs) + 1)),
+    )
+
+
+def _dense_step(searchable, seqs, docs, ptr, columns) -> Step:
+    """`_expand` of a beam in which hypothesis h holds one document, docs[h].
+
+    Its extensions are that document's terms, columns[h], bar the prefix's:
+    each has child size 1 and lead docs[h]. The arrays equal the sort's,
+    which puts h's keys at h * width + j in term order, so its runs list
+    docs[h] width times.
+    """
+    width = columns.shape[1]
+    keep = (columns[:, :, None] != seqs[:, None, :]).all(axis=2)
+    parents, column = keep.nonzero()
+    return Step(
+        searchable, seqs, docs, ptr, parents, columns[keep], np.ones_like(parents),
+        docs[parents], docs.repeat(width), parents * width + column,
+        np.searchsorted(parents, np.arange(len(seqs) + 1)),
     )
 
 
@@ -183,6 +213,7 @@ class Index:
             return Step(
                 self, seqs, docs, ptr, np.zeros(len(terms), dtype=np.int64), terms,
                 self.posting_sizes[terms], self.posting_docs[starts], self.posting_docs, starts,
+                np.array([0, len(terms)]),
             )
         return _expand(self, seqs, docs, ptr, self.sets[docs])
 

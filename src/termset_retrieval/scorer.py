@@ -154,9 +154,8 @@ class FeatureScorer(Scorer):
         the vocabulary (`_tables`), gathered by term id, replaces
         `_segment_features`.
         """
-        slot = np.zeros(1, dtype=np.int64)
-        words = self._query_words([query], slot)
-        *_, (table,) = self._tables(words, slot, slice(len(self.terms)))
+        words = self._query_words([query], np.zeros(1, dtype=np.int64))
+        *_, (table,) = self._tables(words, 1, slice(len(self.terms)))
 
         def step_logprobs(step) -> np.ndarray:
             scores = table.take(step.terms) + np.log1p(step.sizes) * self.weights[3]
@@ -167,12 +166,12 @@ class FeatureScorer(Scorer):
     def root_logprobs(self, queries, step, slots):
         """Bit-identical to the base root block, from one term table per query."""
         group, inverse = np.unique(slots, return_inverse=True)
-        return self._root_block(self._query_words(queries, group), step, group)[2][inverse]
+        return self._root_block(self._query_words(queries, group), step, len(group))[2][inverse]
 
     def segment_logprobs(self, queries, step, seg_query, ext, ptr):
         """One feature matrix for all segments, normalized segment by segment."""
-        words = self._query_words(queries, np.unique(seg_query))
-        feats = self._segment_features(words, step, seg_query, ext, ptr)
+        group, seg_row = np.unique(seg_query, return_inverse=True)
+        feats = self._segment_features(self._query_words(queries, group), step, seg_row, ext, ptr)
         return _log_softmax(self._scores(feats), ptr)
 
     def _scores(self, feats) -> np.ndarray:
@@ -181,62 +180,59 @@ class FeatureScorer(Scorer):
         return ((f[0] * w[0] + f[1] * w[1]) + f[2] * w[2]) + f[3] * w[3]
 
     def _query_words(self, queries, slots) -> np.ndarray:
-        """The words of every slot's query as (slot, flag column) pairs, in one flat pass.
+        """The words of each slot's query as (row, flag column) pairs, in one flat pass.
 
-        A (2, k) array. Column c < V flags term c (`in_query`), column V + g
-        flags stem g (`query_prefix4`); each word gives its term's pair and
-        its stem's, if the vocabulary has them. Repeated words repeat a pair.
+        A (2, k) array; row i holds the words of queries[slots[i]]. Column
+        c < V flags term c (`in_query`), column V + g flags stem g
+        (`query_prefix4`); each word gives its term's pair and its stem's,
+        if the vocabulary has them. Repeated words repeat a pair.
         """
-        slots = slots.tolist()
-        owner = [slot for slot in slots for _ in queries[slot].terms]
-        words = [t for slot in slots for t in queries[slot].terms]
-        columns = [self._term_id.get(t, -1) for t in words]
-        columns += [self._stem_col.get(t[:4], -1) for t in words]
-        pairs = np.array([owner + owner, columns], dtype=np.int64).reshape(2, -1)
-        return pairs[:, pairs[1] >= 0]
+        term_id, stem_col = self._term_id.get, self._stem_col.get
+        pairs = [(row, column) for row, slot in enumerate(slots.tolist())
+                 for t in queries[slot].terms
+                 for column in (term_id(t, -1), stem_col(t[:4], -1)) if column >= 0]
+        return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
-    def _tables(self, words, group, terms):
-        """in_query, query_prefix4 and partial score of `terms` under each slot of `group`.
+    def _tables(self, words, rows, terms):
+        """in_query, query_prefix4 and partial score of `terms` under each of `rows` queries.
 
-        `group` holds distinct slots in ascending order; `terms` indexes the
-        vocabulary (term ids, or a slice). Each result is a (len(group),
-        len(terms)) block, gathered from one scatter of the slots' flag
+        `words` holds the rows' `_query_words` pairs; `terms` indexes the
+        vocabulary (term ids, or a slice). Each result is a (rows,
+        len(terms)) block, gathered from one scatter of the rows' flag
         columns. The partial score is (in_query * w0 + query_prefix4 * w1) +
         term_weight * w2, the first three terms of a step score, summed as
         `_scores` sums them.
         """
-        slot, column = words
-        flags = np.zeros((len(group), len(self.terms) + len(self._stem_col)))
-        row = np.minimum(np.searchsorted(group, slot), len(group) - 1)
-        hit = group[row] == slot
-        flags[row[hit], column[hit]] = 1.0
+        flags = np.zeros((rows, len(self.terms) + len(self._stem_col)))
+        flags[tuple(words)] = 1.0
         in_query, prefix4 = flags[:, terms], flags.take(self._term_stem[terms], axis=1)
         w = self.weights
         partial = (in_query * w[0] + prefix4 * w[1]) + self.term_weights[terms] * w[2]
         return in_query, prefix4, partial
 
-    def _root_block(self, words, step, group):
-        """`root_logprobs` of the slots in `group` (see `_tables`), with their two query flags.
+    def _root_block(self, words, step, rows):
+        """`root_logprobs` of `rows` queries (see `_tables`), with their two query flags.
 
-        One dense block: each slot's partial scores plus log1p(size) * w3,
+        One dense block: each row's partial scores plus log1p(size) * w3,
         flattened and normalized row by row. No per-row feature matrix is built.
         """
-        in_query, prefix4, table = self._tables(words, group, step.terms)
+        in_query, prefix4, table = self._tables(words, rows, step.terms)
         scores = table + np.log1p(step.sizes) * self.weights[3]
-        logprobs = _log_softmax(scores.ravel(), np.arange(len(group) + 1) * scores.shape[1])
+        logprobs = _log_softmax(scores.ravel(), np.arange(rows + 1) * scores.shape[1])
         return in_query, prefix4, logprobs.reshape(scores.shape)
 
-    def _segment_features(self, words, step, seg_query, ext, ptr) -> np.ndarray:
+    def _segment_features(self, words, step, seg_row, ext, ptr) -> np.ndarray:
         """The features of every segment's extensions under the segment's query.
 
+        Segment s is scored under the query of row seg_row[s] of `words`.
         Instead of one dense vector per query (`step_scorer`), the query
-        flags are looked up by key, slot * C + flag column with C columns,
+        flags are looked up by key, row * C + flag column with C columns,
         in one sorted array of the `_query_words` pairs' keys.
         """
-        slot, column = words
+        row, column = words
         width = len(self.terms) + len(self._stem_col)
-        keys = np.unique(slot * width + column)
-        row_key = np.repeat(seg_query, np.diff(ptr)) * width
+        keys = np.unique(row * width + column)
+        row_key = np.repeat(seg_row, np.diff(ptr)) * width
         terms = step.terms[ext]
         feats = np.empty((len(ext), len(STEP_FEATURES)))
         feats[:, 0] = _isin_sorted(keys, row_key + terms)
@@ -282,12 +278,16 @@ class FeatureScorer(Scorer):
     def _root_terms(self, words, chunk):
         """A root chunk's flat log-probs, weighted expected features and target rows' features.
 
-        The expected features are sums over the weighted probability block
-        P: of P * in_query and P * query_prefix4, and the column sums of P
-        times each root term's term_weight and log1p_postings.
+        `words` pairs every query slot's words. The expected features are
+        sums over the weighted probability block P: of P * in_query and P *
+        query_prefix4, and the column sums of P times each root term's
+        term_weight and log1p_postings.
         """
-        step = chunk.step
-        in_query, prefix4, logprobs = self._root_block(words, step, chunk.seg_query)
+        step, group = chunk.step, chunk.seg_query  # distinct slots, ascending
+        slot, column = words
+        row = np.minimum(np.searchsorted(group, slot), len(group) - 1)
+        hit = group[row] == slot
+        in_query, prefix4, logprobs = self._root_block((row[hit], column[hit]), step, len(group))
         weighted = np.exp(logprobs) * chunk.weight[:, None]
         mass = weighted.sum(axis=0)
         term_weights, log_sizes = self.term_weights[step.terms], np.log1p(step.sizes)

@@ -332,6 +332,14 @@ class TestErrors:
             ("pairs.jsonl", '"query_id text doc_id"\n',
              [*TRAIN, "--index", "{index}", "--pseudo-pairs", "{file}", "--output-dir", "{tmp}/out"],
              "pairs.jsonl:1: pseudo pair is not a JSON object"),
+            # nested deeper than the JSON decoder can recurse
+            ("pairs.jsonl", '{"query_id": "q1", "text": "a", "doc_id": "zz"}\n' + "[" * 100_000,
+             [*TRAIN, "--index", "{index}", "--pseudo-pairs", "{file}", "--output-dir", "{tmp}/out"],
+             "pairs.jsonl:2: pseudo pair is not valid JSON"),
+            ("queries.jsonl", '{"query_id": "q1", "text": "alpha"}\n' + "[" * 100_000,
+             ["search", "--index", "{index}", "--scorer", "{scorer}", "--queries", "{file}",
+              "--output", "{tmp}/run.txt"],
+             "queries.jsonl:2: malformed record at line 2: nested too deeply"),
             ("scorer.txt", SCORER_HEADER + "weights\t0.5 nan 0.0 1.0\nterms\t2\nalpha\t0.0\n"
              "omega\t0.0\n", SEARCH, "scorer.txt:3: step weights '0.5 nan 0.0 1.0' are not all"),
             ("scorer.txt", SCORER_HEADER + "weights\t0.5 0.0 0.0 1.0\nterms\t2\nalpha\t0.0\n"
@@ -356,7 +364,8 @@ class TestErrors:
              "identifier-length", "identifier-duplicate-doc", "identifier-tag-suffix",
              "identifier-tag-letter", "identifier-size-zero", "identifier-header-only",
              "model-line", "model-nan-weight", "model-inf-weight", "model-nan-tau", "config-value",
-             "missing-run", "pseudo-pair-json", "pseudo-pair-string", "scorer-nan-weight",
+             "missing-run", "pseudo-pair-json", "pseudo-pair-string", "pseudo-pair-deep-nesting",
+             "queries-deep-nesting", "scorer-nan-weight",
              "scorer-inf-term-weight", "build-terms-qrels", "build-terms-corpus", "run-rank",
              "config-line"],
     )
@@ -364,9 +373,11 @@ class TestErrors:
         ids = tmp_path / "index-ids.tsv"
         ids.write_text("termset-identifiers/1\t2\nzz\talpha,omega\n", encoding="utf-8")
         assert invoke("build-index", "--identifiers", ids, "--output", tmp_path / "index.txt") == 0
+        save_scorer(FeatureScorer.zeros(load_index(tmp_path / "index.txt")), tmp_path / "scorer.txt")
         if text is not None:
             (tmp_path / name).write_text(text, encoding="utf-8")
-        paths = {"file": tmp_path / name, "tmp": tmp_path, "index": tmp_path / "index.txt"}
+        paths = {"file": tmp_path / name, "tmp": tmp_path, "index": tmp_path / "index.txt",
+                 "scorer": tmp_path / "scorer.txt"}
         assert invoke(*(str(a).format(**paths) for a in argv)) == 2
         assert where in capsys.readouterr().err
 

@@ -8,6 +8,7 @@ import math
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termset_retrieval import importance
+from termset_retrieval import index as index_module
 from termset_retrieval.cli import main
 from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import rank_documents
@@ -25,7 +27,9 @@ from termset_retrieval.index import (
     SequenceView,
     Step,
     TermDictionary,
+    _dense_step,
     _expand,
+    _sort_step,
     build_index,
     load_index,
     naive_feasible_terms,
@@ -234,11 +238,20 @@ def argsort_expand(searchable, seqs, docs, ptr, columns) -> Step:
     starts = bounds[:-1]
     parents, terms = np.divmod(keys[starts], vocab)
     keep = ~(seqs[parents] == terms[:, None]).any(axis=1)
-    starts = starts[keep]
+    starts, parents = starts[keep], parents[keep]
     return Step(
-        searchable, seqs, docs, ptr, parents[keep], terms[keep].astype(columns.dtype),
+        searchable, seqs, docs, ptr, parents, terms[keep].astype(columns.dtype),
         (bounds[1:] - bounds[:-1])[keep], run_docs[starts], run_docs, starts,
+        np.searchsorted(parents, np.arange(len(seqs) + 1)),
     )
+
+
+def expand_columns(searchable, seqs, docs):
+    """The `columns` that `expand` hands `_expand`: the terms each document may add."""
+    if isinstance(searchable, SequenceView):
+        depth = seqs.shape[1]
+        return searchable.index.order[docs, depth : depth + 1]
+    return searchable.sets[docs]
 
 
 def assert_same_step(got, want):
@@ -274,11 +287,7 @@ class TestExpandOracle:
         held = [holders(searchable, prefix) for prefix in seqs]
         ptr = np.cumsum([0] + [len(h) for h in held])
         docs = np.concatenate(held).astype(np.int32)
-        if isinstance(searchable, SequenceView):
-            depth = seqs.shape[1]
-            columns = searchable.index.order[docs, depth : depth + 1]
-        else:
-            columns = searchable.sets[docs]
+        columns = expand_columns(searchable, seqs, docs)
         want = argsort_expand(searchable, seqs, docs, ptr, columns)
         assert_same_step(searchable.expand(seqs, docs, ptr), want)
 
@@ -304,6 +313,58 @@ class TestExpandOracle:
                 continue
             want = argsort_expand(searchable, seqs, docs, ptr, columns)
             assert_same_step(_expand(searchable, seqs, docs, ptr, columns), want)
+
+
+@st.composite
+def single_document_beams(draw):
+    """A beam in which every hypothesis holds one document: (searchable, seqs, docs).
+
+    Hypothesis h extends a prefix of depth 1..n-1 of document docs[h]'s
+    identifier (any order under `Index`, the stored order under
+    `SequenceView`). Documents may repeat, each time with its own prefix.
+    """
+    n = draw(st.integers(2, 5))
+    vocab = draw(st.integers(n + 1, 20))
+    num_docs = draw(st.integers(1, min(30, math.comb(vocab, n))))
+    index = build_index(make_random_identifiers(num_docs, vocab, n, seed=draw(st.integers(0, 99))))
+    sequence = draw(st.booleans())
+    depth = draw(st.integers(1, n - 1))
+    docs = draw(st.lists(st.integers(0, num_docs - 1), min_size=1, max_size=8))
+    prefixes = [
+        index.order[d, :depth] if sequence else draw(st.permutations(list(index.sets[d])))[:depth]
+        for d in docs
+    ]
+    seqs = np.array(prefixes, dtype=np.int64).reshape(len(docs), depth)
+    return (SequenceView(index) if sequence else index), seqs, np.array(docs, dtype=np.int32)
+
+
+class TestDenseStep:
+    @settings(max_examples=100, deadline=None)
+    @given(single_document_beams())
+    def test_equals_the_sort_path(self, case):
+        searchable, seqs, docs = case
+        ptr = np.arange(len(docs) + 1)
+        columns = expand_columns(searchable, seqs, docs)
+        dense = _dense_step(searchable, seqs, docs, ptr, columns)
+        assert_same_step(dense, _sort_step(searchable, seqs, docs, ptr, columns))
+        with mock.patch.object(index_module, "_sort_step", side_effect=AssertionError("sorted")):
+            assert_same_step(searchable.expand(seqs, docs, ptr), dense)
+        picks = np.arange(len(dense.terms))[::-1]
+        child_docs, child_ptr = dense.children(picks)
+        assert child_docs.dtype == docs.dtype
+        assert child_docs.tolist() == dense.run_docs[dense.starts[picks]].tolist()
+        assert child_ptr.tolist() == list(range(len(picks) + 1))
+
+    def test_as_many_documents_as_hypotheses_but_not_one_each_is_sorted(self, tiny_index):
+        a, b, c, d, e = term_ids(tiny_index, "a", "b", "c", "d", "e")
+        seqs = np.array([[a], [e]])  # D1 and D2 hold {a}; {e}'s one holder is left out
+        docs, ptr = np.array([0, 1], dtype=np.int32), np.array([0, 2, 2])
+        with mock.patch.object(index_module, "_dense_step", side_effect=AssertionError("dense")):
+            step = tiny_index.expand(seqs, docs, ptr)
+        assert step.parents.tolist() == [0, 0, 0]
+        assert step.terms.tolist() == [b, c, d]
+        assert step.sizes.tolist() == [2, 1, 1]
+        assert step.offsets.tolist() == [0, 3, 3]
 
 
 class TestExpansion:
