@@ -10,6 +10,7 @@ documents' remaining identifier terms.
 from __future__ import annotations
 
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress, islice, repeat
 from typing import NoReturn
@@ -31,9 +32,10 @@ class Step:
     The beam: row h of `seqs` is hypothesis h's prefix, held by documents
     beam_docs[beam_ptr[h]:beam_ptr[h + 1]] (ascending). Extensions are
     ordered by (parent, term): `parents` and `terms` name them, `sizes`
-    count their child documents, `leads` hold the lowest child document,
-    and extension i's child postings are run_docs[starts[i]:][:sizes[i]],
-    ascending. `offsets[h]:offsets[h + 1]` are hypothesis h's extensions.
+    count their child documents and `leads` hold the lowest child document.
+    Extension i's child postings, ascending, are beam_docs[k - origins[i]]
+    for the keys k of its run, keys[starts[i]:][:sizes[i]].
+    `offsets[h]:offsets[h + 1]` are hypothesis h's extensions.
     """
 
     searchable: object
@@ -44,8 +46,9 @@ class Step:
     terms: np.ndarray
     sizes: np.ndarray
     leads: np.ndarray
-    run_docs: np.ndarray
+    keys: np.ndarray
     starts: np.ndarray
+    origins: np.ndarray
     offsets: np.ndarray
 
     @property
@@ -64,7 +67,7 @@ class Step:
         if ptr[-1] == len(picks):  # every child is one document, its lead
             return self.leads[picks], ptr
         gather = np.repeat(self.starts[picks] - ptr[:-1], sizes) + np.arange(ptr[-1])
-        return self.run_docs[gather], ptr
+        return self.beam_docs.take(self.keys[gather] - np.repeat(self.origins[picks], sizes)), ptr
 
     def locate(self, hyps: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """Position of extension (hyps[i], terms[i]) in the step, -1 where there is none."""
@@ -101,10 +104,10 @@ def _expand(searchable, seqs, docs, ptr, columns) -> Step:
     prefix for document docs[i]; terms of the hypothesis's own prefix are
     dropped. A beam whose every hypothesis holds one document is expanded
     as a dense block (`_dense_step`), any other by one sort (`_sort_step`);
-    both give the same arrays.
+    both give the same extensions, child sizes, leads and child postings.
     """
     vocab = len(searchable.dictionary)
-    if len(docs) * vocab > 1 << 63:  # the sort's keys lie in [0, docs x V)
+    if len(docs) * vocab > 1 << 63:  # the sort's keys lie below 2 x docs x V, and 2**64
         raise InvariantError(f"{len(docs)} beam documents x {vocab} terms overflow the sort key")
     if len(docs) == len(seqs) and (ptr[1:] - ptr[:-1] == 1).all():
         return _dense_step(searchable, seqs, docs, ptr, columns)
@@ -114,34 +117,53 @@ def _expand(searchable, seqs, docs, ptr, columns) -> Step:
 def _sort_step(searchable, seqs, docs, ptr, columns) -> Step:
     """`_expand` by one sort of keys unique per (hypothesis, term, document).
 
-    Hypothesis h's c documents (ascending) get the keys ptr[h] * V + term *
-    c + row, row being the document's place among them: sorted, they go by
-    (hypothesis, term, document) and decode back. Each run of one
-    (hypothesis, term) is one extension: its length is the child size, and
-    it lists the child postings in order, lead first.
+    Hypothesis h's c documents (ascending) take s = bit_length(c - 1) row
+    bits: the document in row r among them gets the keys base[h] + (term <<
+    s) + r, base[h] being the sum of V << s over the hypotheses before h.
+    Sorted, they go by (hypothesis, term, document), and all lie below
+    base[H] < 2 * len(docs) * V. Each run of one (hypothesis, term) is one
+    extension: its length is the child size, and it lists the child
+    postings in order, lead first. Only the terms are decoded for every
+    key, to find the runs; hypothesis and document only at run starts.
     """
     vocab, width = len(searchable.dictionary), columns.shape[1]
-    top = len(docs) * vocab  # the keys lie in [0, top)
-    beam_ptr = np.asarray(ptr, dtype=np.int32 if top <= 1 << 31 else np.int64)
-    counts = beam_ptr[1:] - beam_ptr[:-1]
-    first, size = beam_ptr[:-1].repeat(counts), counts.repeat(counts)  # per document
-    rows = first * (vocab - 1) + np.arange(len(docs), dtype=first.dtype)  # ptr[h] * V + row
-    keys = np.sort(columns * size[:, None] + rows[:, None], axis=None)
-    first, size = first.repeat(width), size.repeat(width)  # h keeps its block of keys
-    terms, rows = np.divmod(keys - first * vocab, size)
+    counts = ptr[1:] - ptr[:-1]
+    rowbits = np.frexp(counts - 1)[1]  # bit_length(c - 1): a row among c documents
+    slots = np.left_shift(counts > 0, rowbits, dtype=np.uint64, casting="unsafe")  # per term
+    ends = slots.cumsum() * np.uint64(vocab)  # where each hypothesis's keys end
+    top = int(ends[-1])
+    dtype = np.int32 if top <= 1 << 31 else np.int64 if top <= 1 << 63 else np.uint64
+    shifts = rowbits.astype(dtype)
+    base = np.zeros(len(counts), dtype=dtype)
+    base[1:] = ends[:-1]
+    rowbase = base - ptr[:-1].astype(dtype)  # base[h] + r = rowbase[h] + position
+    doc_base, doc_shift = base.repeat(counts)[:, None], shifts.repeat(counts)[:, None]
+    first_key = (rowbase.repeat(counts) + np.arange(len(docs), dtype=dtype))[:, None]
+    keys = np.left_shift(columns.astype(dtype, copy=False), doc_shift) + first_key
+    keys = np.sort(keys, axis=None)
+    # each row of width keys lies in one hypothesis's block
+    terms = np.right_shift(keys.reshape(len(docs), width) - doc_base, doc_shift).ravel()
     edges = np.ones(len(keys) + 1, dtype=bool)
     np.not_equal(terms[1:], terms[:-1], out=edges[1:-1])
-    edges[beam_ptr[1:-1] * width] = True
+    edges[ptr[1:-1] * width] = True
     bounds = edges.nonzero()[0]  # run starts, then the end
-    parents = np.arange(len(seqs)).repeat(counts * width)[bounds[:-1]]
-    terms = terms[bounds[:-1]]
-    keep = ~(seqs[parents] == terms[:, None]).any(axis=1)
-    starts, parents = bounds[:-1][keep], parents[keep]
-    run_docs = docs[first + rows]  # rows: each sorted key's place in its hypothesis
+    starts = bounds[:-1]
+    runs = starts.searchsorted(ptr * width)
+    runs = runs[1:] - runs[:-1]  # runs per hypothesis
+    parents = np.arange(len(seqs)).repeat(runs)
+    ids = terms[starts].astype(columns.dtype, copy=False)
+    keep = np.ones(len(starts), dtype=bool)
+    for column in seqs.T:  # drop the prefix's own terms
+        keep &= column.repeat(runs) != ids
+    starts, parents, ids = starts[keep], parents[keep], ids[keep]
+    offsets = parents.searchsorted(np.arange(len(seqs) + 1))
+    kept = offsets[1:] - offsets[:-1]
+    # a key minus its extension's origin is its document's position in docs
+    origins = np.left_shift(ids.astype(dtype, copy=False), shifts.repeat(kept))
+    origins += rowbase.repeat(kept)
     return Step(
-        searchable, seqs, docs, ptr, parents, terms[keep].astype(columns.dtype),
-        (bounds[1:] - bounds[:-1])[keep], run_docs[starts], run_docs, starts,
-        np.searchsorted(parents, np.arange(len(seqs) + 1)),
+        searchable, seqs, docs, ptr, parents, ids, (bounds[1:] - bounds[:-1])[keep],
+        docs.take(keys[starts] - origins), keys, starts, origins, offsets,
     )
 
 
@@ -149,16 +171,13 @@ def _dense_step(searchable, seqs, docs, ptr, columns) -> Step:
     """`_expand` of a beam in which hypothesis h holds one document, docs[h].
 
     Its extensions are that document's terms, columns[h], bar the prefix's:
-    each has child size 1 and lead docs[h]. The arrays equal the sort's,
-    which puts h's keys at h * width + j in term order, so its runs list
-    docs[h] width times.
+    each has child size 1 and lead docs[h]. Its one key is h, at origin 0.
     """
-    width = columns.shape[1]
     keep = (columns[:, :, None] != seqs[:, None, :]).all(axis=2)
-    parents, column = keep.nonzero()
+    parents = keep.nonzero()[0]
     return Step(
         searchable, seqs, docs, ptr, parents, columns[keep], np.ones_like(parents),
-        docs[parents], docs.repeat(width), parents * width + column,
+        docs[parents], parents, np.arange(len(parents)), np.zeros_like(parents),
         np.searchsorted(parents, np.arange(len(seqs) + 1)),
     )
 
@@ -175,7 +194,6 @@ class Index:
             raise InvariantError("document ids must be unique and in sorted order")
         self.dictionary = dictionary
         self.doc_ids = doc_ids
-        self._doc_index = dict(zip(doc_ids, range(len(doc_ids))))
         self.order = order  # (docs, n) term ids, importance-descending
         self.sets = np.sort(order, axis=1)  # row-sorted set view
         self.n = order.shape[1]
@@ -194,7 +212,17 @@ class Index:
         np.cumsum(np.bincount(self.sets.ravel(), minlength=vocab), out=self.posting_ptr[1:])
         self.posting_sizes = np.diff(self.posting_ptr)
         self.all_docs = np.arange(num_docs, dtype=np.int32)
-        self.root_feasible = np.flatnonzero(self.posting_sizes > 0).astype(np.int32)
+        self.root_feasible = terms = np.flatnonzero(self.posting_sizes > 0).astype(np.int32)
+        # the root step's arrays but its beam (see `expand`); not the Step
+        # itself, whose `searchable` would tie a cycle back to this index
+        starts = self.posting_ptr[terms]
+        self._root = (
+            np.zeros(len(terms), dtype=np.int64), terms, self.posting_sizes[terms],
+            self.posting_docs[starts], self.posting_docs, starts,
+            np.zeros(len(terms), dtype=np.int32), np.array([0, len(terms)]),
+        )
+        for array in self._root:
+            array.flags.writeable = False
 
     def __len__(self):
         return len(self.doc_ids)
@@ -205,27 +233,26 @@ class Index:
     def expand(self, seqs: np.ndarray, docs: np.ndarray, ptr: np.ndarray) -> Step:
         """Extensions of every prefix in a beam (see `Step`).
 
-        The only depth-0 beam is the root, whose children are the term postings.
+        The only depth-0 beam is the root (`root_beam`), whose children are
+        the term postings: its step is built once, with the index.
         """
         if seqs.shape[1] == 0:
-            terms = self.root_feasible
-            starts = self.posting_ptr[terms]
-            return Step(
-                self, seqs, docs, ptr, np.zeros(len(terms), dtype=np.int64), terms,
-                self.posting_sizes[terms], self.posting_docs[starts], self.posting_docs, starts,
-                np.array([0, len(terms)]),
-            )
-        return _expand(self, seqs, docs, ptr, self.sets[docs])
+            return Step(self, seqs, docs, ptr, *self._root)
+        return _expand(self, seqs, docs, ptr, self.sets.take(docs, axis=0))
 
     def doc_position(self, doc_id: str) -> int:
-        return self._doc_index[doc_id]
+        """The position of a document, by bisection of the ascending `doc_ids`."""
+        pos = bisect_left(self.doc_ids, doc_id)
+        if pos == len(self.doc_ids) or self.doc_ids[pos] != doc_id:
+            raise DataError(f"document {doc_id!r} is not in the index")
+        return pos
 
     def identifier_ids(self, doc_id: str, ordered: bool = False) -> np.ndarray:
         row = self.order if ordered else self.sets
-        return row[self._doc_index[doc_id]]
+        return row[self.doc_position(doc_id)]
 
     def identifier_terms(self, doc_id: str) -> list[str]:
-        return [self.dictionary.term_of(int(t)) for t in self.order[self._doc_index[doc_id]]]
+        return [self.dictionary.term_of(int(t)) for t in self.order[self.doc_position(doc_id)]]
 
     def memory_bytes(self) -> int:
         arrays = self.order.nbytes + self.sets.nbytes

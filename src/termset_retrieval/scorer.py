@@ -136,6 +136,10 @@ class FeatureScorer(Scorer):
         stems = [self._stem_col.setdefault(t[:4], len(self.terms) + len(self._stem_col))
                  for t in self.terms]
         self._term_stem = np.array(stems, dtype=np.int64)
+        # the terms of stem g, grouped: _stem_terms[_stem_ptr[g]:_stem_ptr[g + 1]]
+        self._stem_terms = np.argsort(self._term_stem, kind="stable")
+        columns = np.arange(len(self._stem_col) + 1) + len(self.terms)
+        self._stem_ptr = np.searchsorted(self._term_stem[self._stem_terms], columns)
 
     @classmethod
     def zeros(cls, index: Index, term_weights: np.ndarray | None = None) -> "FeatureScorer":
@@ -151,11 +155,20 @@ class FeatureScorer(Scorer):
 
         A score's first three terms, (in_query * w0 + query_prefix4 * w1) +
         term_weight * w2, depend only on the term: one vector of them over
-        the vocabulary (`_tables`), gathered by term id, replaces
-        `_segment_features`.
+        the vocabulary, gathered by term id, replaces `_segment_features`.
+        With both flags 0 it is (0 * w0 + 0 * w1) + term_weight * w2. Only
+        the terms that share a stem with a query word are recomputed: their
+        query_prefix4 is 1, and they include every term in the query.
         """
-        words = self._query_words([query], np.zeros(1, dtype=np.int64))
-        *_, (table,) = self._tables(words, 1, slice(len(self.terms)))
+        w, vocab, ptr = self.weights, len(self.terms), self._stem_ptr
+        table = (0.0 * w[0] + 0.0 * w[1]) + self.term_weights * w[2]
+        stems = {self._stem_col[t[:4]] - vocab for t in query.terms if t[:4] in self._stem_col}
+        flagged = np.concatenate([np.empty(0, dtype=np.int64)]
+                                 + [self._stem_terms[ptr[g] : ptr[g + 1]] for g in stems])
+        in_query = np.zeros(vocab)
+        in_query[[self._term_id[t] for t in query.terms if t in self._term_id]] = 1.0
+        in_query = in_query[flagged]
+        table[flagged] = (in_query * w[0] + 1.0 * w[1]) + self.term_weights[flagged] * w[2]
 
         def step_logprobs(step) -> np.ndarray:
             scores = table.take(step.terms) + np.log1p(step.sizes) * self.weights[3]
@@ -196,12 +209,11 @@ class FeatureScorer(Scorer):
     def _tables(self, words, rows, terms):
         """in_query, query_prefix4 and partial score of `terms` under each of `rows` queries.
 
-        `words` holds the rows' `_query_words` pairs; `terms` indexes the
-        vocabulary (term ids, or a slice). Each result is a (rows,
-        len(terms)) block, gathered from one scatter of the rows' flag
-        columns. The partial score is (in_query * w0 + query_prefix4 * w1) +
-        term_weight * w2, the first three terms of a step score, summed as
-        `_scores` sums them.
+        `words` holds the rows' `_query_words` pairs; `terms` holds term
+        ids. Each result is a (rows, len(terms)) block, gathered from one
+        scatter of the rows' flag columns. The partial score is (in_query *
+        w0 + query_prefix4 * w1) + term_weight * w2, the first three terms of
+        a step score, summed as `_scores` sums them.
         """
         flags = np.zeros((rows, len(self.terms) + len(self._stem_col)))
         flags[tuple(words)] = 1.0
@@ -316,13 +328,19 @@ def _log_softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     """Each segment scores[offsets[i]:offsets[i + 1]] minus its log-sum-exp.
 
     A segment's max and sum of exps depend only on its own scores, so it
-    normalizes bit for bit alike alone or among others. `np.add.reduceat`
-    adds a segment's first element to the pairwise sum of the rest; a
-    leading exp(-inf) = 0 makes that the pairwise `.sum()` of the segment.
+    normalizes bit for bit alike alone or among others. Segments of one
+    width are normalized as the rows of one block, whose row sums are the
+    pairwise `.sum()` of each row. `np.add.reduceat` adds a segment's first
+    element to the pairwise sum of the rest; a leading exp(-inf) = 0 makes
+    that the pairwise `.sum()` of the segment.
     """
-    counts = np.diff(offsets)
+    counts = offsets[1:] - offsets[:-1]
     if not counts.all():
         raise DataError("empty candidate set")
+    if len(counts) and (counts == counts[0]).all():
+        block = scores.reshape(len(counts), counts[0])
+        m = block.max(axis=1, keepdims=True)
+        return (block - (m + np.log(np.exp(block - m).sum(axis=1, keepdims=True)))).ravel()
     heads = offsets[:-1] + np.arange(len(counts))  # the leading 0s
     m = np.maximum.reduceat(scores, offsets[:-1])
     shifted = np.full(len(scores) + len(counts), -np.inf)

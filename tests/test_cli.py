@@ -506,6 +506,33 @@ class TestPseudoPairs:
         assert len(stats[0]["epoch_losses"]) == 2  # one pre-update loss per epoch
 
 
+class TestUnknownTrainingDocument:
+    """A training pair whose document the index does not hold is a data error
+    that names the document, not a traceback."""
+
+    def test_pseudo_pair_document_not_in_the_index(self, pipeline, tmp_path, capsys):
+        pseudo = tmp_path / "pseudo.jsonl"
+        pseudo.write_text('{"query_id": "pq1", "text": "granite harbor", "doc_id": "no-such-doc"}\n',
+                          encoding="utf-8")
+        rc = invoke(*TRAIN, "--index", pipeline / "index.txt", "--pseudo-pairs", pseudo,
+                    "--output-dir", tmp_path / "out", "--iterations", "1", "--epochs", "1")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert "document 'no-such-doc' is not in the index" in err
+        assert "Traceback" not in err
+
+    def test_judged_corpus_document_not_in_the_index(self, tmp_path, capsys):
+        """The toy qrels judge corpus documents; this index holds only `zz`."""
+        ids = tmp_path / "ids.tsv"
+        ids.write_text("termset-identifiers/1\t2\nzz\talpha,omega\n", encoding="utf-8")
+        assert invoke("build-index", "--identifiers", ids, "--output", tmp_path / "index.txt") == 0
+        rc = invoke(*TRAIN, "--index", tmp_path / "index.txt", "--output-dir", tmp_path / "out",
+                    "--iterations", "1", "--epochs", "1")
+        err = capsys.readouterr().err
+        assert rc == 2
+        assert re.search(r"document '[a-z]+' is not in the index", err), err
+
+
 class TestAblateAndBench:
     def test_ablate_command(self, pipeline, tmp_path):
         rc = invoke("ablate", "--index", pipeline / "index.txt",

@@ -1,11 +1,13 @@
 """Prefix-postings index: feasible sets, pruning, persistence."""
 
 import contextlib
+import gc
 import io
 import itertools
 import json
 import math
 import tempfile
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -19,7 +21,7 @@ from termset_retrieval import importance
 from termset_retrieval import index as index_module
 from termset_retrieval.cli import main
 from termset_retrieval.corpus import Query
-from termset_retrieval.decoder import rank_documents
+from termset_retrieval.decoder import rank_documents, search
 from termset_retrieval.errors import DataError, InvariantError, parse_values, read_lines
 from termset_retrieval.importance import IdentifierTable
 from termset_retrieval.index import (
@@ -225,13 +227,13 @@ class TestStepKernel:
 
 def argsort_expand(searchable, seqs, docs, ptr, columns) -> Step:
     """The stable argsort over (hypothesis, term) keys that `_expand`'s one
-    sort replaced, kept as its oracle."""
+    sort replaced, kept as its oracle. Its keys are the documents' positions."""
     vocab, width = len(searchable.dictionary), columns.shape[1]
     offsets = (np.arange(len(seqs)) * vocab).repeat(ptr[1:] - ptr[:-1])
     keys = (columns + offsets[:, None]).ravel()
     sort = keys.argsort(kind="stable")
     keys = keys[sort]
-    run_docs = docs.repeat(width)[sort]
+    positions = np.arange(len(docs)).repeat(width)[sort]
     edges = np.ones(len(keys) + 1, dtype=bool)
     np.not_equal(keys[1:], keys[:-1], out=edges[1:-1])
     bounds = edges.nonzero()[0]
@@ -241,8 +243,8 @@ def argsort_expand(searchable, seqs, docs, ptr, columns) -> Step:
     starts, parents = starts[keep], parents[keep]
     return Step(
         searchable, seqs, docs, ptr, parents, terms[keep].astype(columns.dtype),
-        (bounds[1:] - bounds[:-1])[keep], run_docs[starts], run_docs, starts,
-        np.searchsorted(parents, np.arange(len(seqs) + 1)),
+        (bounds[1:] - bounds[:-1])[keep], docs[positions[starts]], positions, starts,
+        np.zeros(len(starts), dtype=np.int64), np.searchsorted(parents, np.arange(len(seqs) + 1)),
     )
 
 
@@ -255,11 +257,15 @@ def expand_columns(searchable, seqs, docs):
 
 
 def assert_same_step(got, want):
-    """Equal `Step` arrays, values and dtypes."""
-    for name in ("parents", "terms", "sizes", "leads", "run_docs", "starts", "offsets"):
+    """Equal `Step` arrays, values and dtypes, and equal child postings of every extension."""
+    for name in ("parents", "terms", "sizes", "leads", "offsets"):
         a, b = getattr(got, name), getattr(want, name)
         assert a.dtype == b.dtype, name
         assert a.tolist() == b.tolist(), name
+    picks = np.arange(len(want.terms))
+    for a, b in zip(got.children(picks), want.children(picks)):
+        assert a.dtype == b.dtype, "children"
+        assert a.tolist() == b.tolist(), "children"
 
 
 @st.composite
@@ -352,7 +358,7 @@ class TestDenseStep:
         picks = np.arange(len(dense.terms))[::-1]
         child_docs, child_ptr = dense.children(picks)
         assert child_docs.dtype == docs.dtype
-        assert child_docs.tolist() == dense.run_docs[dense.starts[picks]].tolist()
+        assert child_docs.tolist() == dense.beam_docs[dense.parents[picks]].tolist()
         assert child_ptr.tolist() == list(range(len(picks) + 1))
 
     def test_as_many_documents_as_hypotheses_but_not_one_each_is_sorted(self, tiny_index):
@@ -365,6 +371,35 @@ class TestDenseStep:
         assert step.terms.tolist() == [b, c, d]
         assert step.sizes.tolist() == [2, 1, 1]
         assert step.offsets.tolist() == [0, 3, 3]
+
+
+class TestRootStep:
+    FIELDS = ("parents", "terms", "sizes", "leads", "keys", "starts", "origins", "offsets")
+
+    def test_root_arrays_are_built_once_and_read_only(self, tiny_index):
+        first, second = (tiny_index.expand(*root_beam(tiny_index)) for _ in range(2))
+        assert first is not second
+        for name in self.FIELDS:
+            array = getattr(first, name)
+            assert array is getattr(second, name), name
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+
+    def test_index_is_freed_by_reference_counting_after_a_search(self):
+        """No reference cycle runs through the index: with the cyclic
+        collector off, the last reference going frees it."""
+        index = build_index(make_random_identifiers(40, 15, 3, seed=2))
+        scorer = FeatureScorer.zeros(index)
+        query = Query.from_text("q", " ".join(index.dictionary.terms[:2]))
+        gone, collecting = weakref.ref(index), gc.isenabled()
+        gc.disable()
+        try:
+            assert search(query, index, scorer, 5).entries
+            del index
+            assert gone() is None
+        finally:
+            if collecting:
+                gc.enable()
 
 
 class TestExpansion:

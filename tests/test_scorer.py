@@ -179,6 +179,30 @@ class TestSegmentNormalization:
             assert np.allclose(got[a:b], segment - logsumexp(segment), rtol=0, atol=1e-14)
 
 
+    @pytest.mark.parametrize("rows", [1, 16])
+    @pytest.mark.parametrize("width", [1, 7, 8, 9, 127, 128, 129, 1007, 5000])
+    def test_equal_widths_normalize_as_one_block_bitwise(self, rows, width):
+        """Segments of one width, normalized as the rows of one block, equal
+        each row's pairwise-sum log-sum-exp and the segment-by-segment path."""
+        rng = np.random.default_rng(rows * 10_000 + width)
+        offsets = np.arange(rows + 1) * width
+        scores = rng.normal(0, 3, size=offsets[-1])
+        got = _log_softmax(scores, offsets)
+        for a, b in zip(offsets[:-1], offsets[1:]):
+            row = scores[a:b].copy()
+            m = row.max()
+            assert got[a:b].tobytes() == (row - (m + np.log(np.exp(row - m).sum()))).tobytes()
+        # one more segment of another width sends the same segments through reduceat
+        extra = rng.normal(0, 3, size=width + 1)
+        mixed = _log_softmax(np.concatenate([scores, extra]), np.append(offsets, offsets[-1] + width + 1))
+        assert got.tobytes() == mixed[: len(scores)].tobytes()
+
+    @pytest.mark.parametrize("offsets", [[0, 0], [0, 0, 0], [0, 3, 3], [0, 3, 3, 6]])
+    def test_an_empty_segment_is_refused(self, offsets):
+        with pytest.raises(DataError, match="empty candidate"):
+            _log_softmax(np.zeros(offsets[-1]), np.array(offsets))
+
+
 class TestSequenceLogprob:
     def test_abc_path(self, tiny_index):
         ids = term_ids(tiny_index, "a", "b", "c")
