@@ -344,17 +344,19 @@ def _row_hash(sets: np.ndarray) -> np.ndarray:
 
 
 def _encode_identifiers(rows: list[list[str]], n: int):
-    """Identifier rows as term ids over their own dictionary: (dictionary, order, bad).
+    """Identifier rows as term ids over their own dictionary: (dictionary, order, sets, bad).
 
-    `bad` is ("width", row, -1) for a row without n terms (none encoded), else `_first_bad_row`'s.
+    `sets` is `order` row-sorted. `bad` is ("width", row, -1) for a row without n terms
+    (none encoded), else `_first_bad_row`'s.
     """
     widths = list(map(len, rows))
     if widths.count(n) != len(rows):
-        return None, None, ("width", next(i for i, w in enumerate(widths) if w != n), -1)
+        return None, None, None, ("width", next(i for i, w in enumerate(widths) if w != n), -1)
     flat = list(chain.from_iterable(rows))
     dictionary = TermDictionary(set(flat))
     order = dictionary.ids_of(flat).reshape(len(rows), n)
-    return dictionary, order, _first_bad_row(np.sort(order, axis=1), len(dictionary))
+    sets = np.sort(order, axis=1)
+    return dictionary, order, sets, _first_bad_row(sets, len(dictionary))
 
 
 def _identifier_problem(bad: tuple[str, int, int], doc_ids, rows, n: int) -> str:
@@ -376,7 +378,7 @@ class IdentifierTable:
 
     def __post_init__(self):
         rows = list(self.terms_by_doc.values())
-        bad = _encode_identifiers(rows, self.n)[2]
+        bad = _encode_identifiers(rows, self.n)[-1]
         if bad:
             raise InvariantError(_identifier_problem(bad, list(self.terms_by_doc), rows, self.n))
 
@@ -586,5 +588,5 @@ def read_identifier_file(path) -> IdentifierTable:
     try:
         return IdentifierTable(n, terms_by_doc)
     except InvariantError as exc:  # the table checks its rows in file order; find the bad one
-        _, row, _ = _encode_identifiers(list(terms_by_doc.values()), n)[2]
+        _, row, _ = _encode_identifiers(list(terms_by_doc.values()), n)[-1]
         raise DataError(f"{path}:{linenos[row]}: {exc}") from None

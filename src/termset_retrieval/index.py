@@ -10,19 +10,19 @@ documents' remaining identifier terms.
 from __future__ import annotations
 
 import operator
+import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, islice, repeat
-from typing import NoReturn
+from itertools import islice
 
 import numpy as np
 
 from . import atomic
-from .errors import DataError, InvariantError, parse_values, read_lines
+from .errors import DataError, InvariantError
 from .importance import IdentifierTable, TermDictionary
 from .importance import _encode_identifiers, _first_bad_row, _first_bad_term, _identifier_problem
 
-_INDEX_FORMAT = "termset-index/2"
+_INDEX_FORMAT = "termset-index/3"
 
 
 @dataclass
@@ -192,17 +192,28 @@ class Index:
     def __init__(self, dictionary: TermDictionary, doc_ids: list[str], order: np.ndarray):
         if not _strictly_ascending(doc_ids):
             raise InvariantError("document ids must be unique and in sorted order")
+        sets = np.sort(order, axis=1)
+        bad = _first_bad_term(sets, len(dictionary))
+        if bad and bad[0] == "range":
+            raise InvariantError(f"term ids outside [0, {len(dictionary)})")
+        if bad:
+            raise InvariantError(_identifier_problem(bad, doc_ids, order, order.shape[1]))
+        self._setup(dictionary, doc_ids, order, sets)
+
+    @classmethod
+    def _checked(cls, dictionary, doc_ids, order, sets) -> Index:
+        """An index of rows already checked as `__init__` checks them; `sets` is `order` row-sorted."""
+        index = cls.__new__(cls)
+        index._setup(dictionary, doc_ids, order, sets)
+        return index
+
+    def _setup(self, dictionary, doc_ids, order, sets) -> None:
         self.dictionary = dictionary
         self.doc_ids = doc_ids
         self.order = order  # (docs, n) term ids, importance-descending
-        self.sets = np.sort(order, axis=1)  # row-sorted set view
+        self.sets = sets  # row-sorted set view
         self.n = order.shape[1]
         num_docs, vocab = len(doc_ids), len(dictionary)
-        bad = _first_bad_term(self.sets, vocab)
-        if bad and bad[0] == "range":
-            raise InvariantError(f"term ids outside [0, {vocab})")
-        if bad:
-            raise InvariantError(_identifier_problem(bad, doc_ids, order, self.n))
         # term-level postings as CSR: term t's documents are
         # posting_docs[posting_ptr[t]:posting_ptr[t + 1]], in position
         # order: the keys term * docs + doc are unique, so one sort orders them
@@ -272,10 +283,10 @@ def build_index(table: IdentifierTable) -> Index:
         raise DataError("empty registry")
     doc_ids = table.doc_ids
     rows = list(map(table.terms_by_doc.__getitem__, doc_ids))
-    dictionary, order, bad = _encode_identifiers(rows, table.n)
+    dictionary, order, sets, bad = _encode_identifiers(rows, table.n)
     if bad:
         raise InvariantError(_identifier_problem(bad, doc_ids, rows, table.n))
-    return Index(dictionary, doc_ids, order)
+    return Index._checked(dictionary, doc_ids, order, sets)  # sorted dict keys: strictly ascending
 
 
 def naive_feasible_terms(index: Index, prefix_ids) -> np.ndarray:
@@ -322,144 +333,86 @@ class SequenceView:
 # Persistence
 # ---------------------------------------------------------------------------
 
+# the magic line, then n, docs, terms and the byte lengths of the terms and
+# doc-id sections as little-endian uint64; the sections start at _START
+_MAGIC = f"{_INDEX_FORMAT}\n".encode()
+_HEADER = struct.Struct("<5Q")
+_START = len(_MAGIC) + _HEADER.size
+
 
 def save_index(index: Index, path) -> None:
-    """Versioned text of `T` (term) and `D` (identifier) records; byte-stable."""
-    lines = [
-        _INDEX_FORMAT,
-        f"n\t{index.n}",
-        f"docs\t{len(index.doc_ids)}",
-        f"terms\t{len(index.dictionary)}",
-    ]
-    lines += map("T\t".__add__, index.dictionary.terms)
-    # one cell per string of the D records: "\nD<TAB>doc<TAB>", then the
-    # term ids from a per-id string table, with commas between them
-    names = np.array(list(map(str, range(len(index.dictionary)))), dtype=object)
-    cells = np.full((len(index.doc_ids), max(2 * index.n, 1)), ",", dtype=object)
-    cells[:, 0] = list(map("\nD\t{}\t".format, index.doc_ids))
-    cells[:, 1::2] = names[index.order]
-    atomic.write_text(path, "\n".join(lines) + "".join(cells.ravel().tolist()) + "\n")
+    """Header, terms, doc ids, then `order` as `<i4` rows 8-byte aligned; byte-stable.
+
+    A term or doc id holding a newline, which separates them in the file,
+    is a DataError, raised before anything is written.
+    """
+    terms, docs = _joined(index.dictionary.terms, "term"), _joined(index.doc_ids, "document id")
+    header = _HEADER.pack(index.n, len(index.doc_ids), len(index.dictionary), len(terms), len(docs))
+    pad = bytes(-(_START + len(terms) + len(docs)) % 8)
+    order = index.order.astype("<i4").tobytes()
+    atomic.write_bytes(path, b"".join([_MAGIC, header, terms, docs, pad, order]))
+
+
+def _joined(strings: list[str], what: str) -> bytes:
+    """`strings` joined by newlines, as UTF-8."""
+    text = "\n".join(strings)
+    if text.count("\n") > max(len(strings) - 1, 0):
+        bad = next(s for s in strings if "\n" in s)
+        raise DataError(f"{what} {bad!r} holds a newline")
+    return text.encode("utf-8")
 
 
 def load_index(path) -> Index:
-    """Rebuild an index from its `T` and `D` records, checking every record.
+    """Rebuild an index from its file, checking every section and row once.
 
-    The records are parsed and checked in bulk. When a check fails, one
-    pass over the records names the first bad `path:line`.
+    Section sizes are checked against the file length before any array is
+    made. A bad file is a DataError naming `path`, and a bad row also names
+    its document.
     """
-    lines = read_lines(path)
-    if not lines or lines[0] != _INDEX_FORMAT:
-        raise DataError(f"{path}: not a {_INDEX_FORMAT} file")
-    try:
-        header = dict(line.split("\t", 1) for line in lines[1:4])
-        n, num_docs, num_terms = (int(header[k]) for k in ("n", "docs", "terms"))
-    except (ValueError, KeyError) as exc:
-        raise DataError(f"{path}: malformed index header") from exc
-    records = _parse_records(lines[4:], n)
-    if records is None:
-        _raise_first_bad_record(path, lines, n)
-    terms, doc_ids, values = records
-    if len(terms) != num_terms or len(doc_ids) != num_docs:
-        raise DataError(f"{path}: header counts do not match records")
-    if not doc_ids:
+    with open(path, "rb") as fh:
+        data = fh.read()
+    if not data.startswith(_MAGIC):
+        raise DataError(f"{path}: not a {_INDEX_FORMAT} file (rebuild it with build-index)")
+    if len(data) < _START:
+        raise DataError(f"{path}: truncated header")
+    n, num_docs, num_terms, terms_size, docs_size = _HEADER.unpack_from(data, len(_MAGIC))
+    docs_at = _START + terms_size
+    order_at = -(-(docs_at + docs_size) // 8) * 8
+    size = order_at + 4 * num_docs * n
+    if size != len(data):
+        raise DataError(f"{path}: the header gives {size} bytes, the file has {len(data)}")
+    if any(data[docs_at + docs_size : order_at]):
+        raise DataError(f"{path}: padding before the term ids is not zero")
+    if not num_docs:
         raise DataError(f"{path}: empty registry")
+    terms = _split(path, data, _START, terms_size, num_terms, "terms")
+    doc_ids = _split(path, data, docs_at, docs_size, num_docs, "documents")
     if not _strictly_ascending(terms):
         raise DataError(f"{path}: terms not unique and in sorted order")
     if not _strictly_ascending(doc_ids):
         raise DataError(f"{path}: documents not unique and in sorted order")
-    try:
-        order = np.asarray(values, dtype=np.int64).reshape(num_docs, n)
-    except OverflowError as exc:
-        row = next(i for i, value in enumerate(values) if abs(value) >= 2**63) // n
-        raise DataError(f"{path}:{_doc_linenos(lines)[row]}: term id outside [0, {num_terms})") from exc
-    bad = _first_bad_row(np.sort(order, axis=1), num_terms)
+    # a copy: the index does not pin the file's bytes
+    order = np.frombuffer(data, "<i4", num_docs * n, order_at).reshape(num_docs, n).astype(np.int32)
+    sets = np.sort(order, axis=1)
+    bad = _first_bad_row(sets, num_terms)
     if bad:
-        check, row, _ = bad
+        check, row, earlier = bad
         message = {
             "range": f"term id outside [0, {num_terms})",
             "term": "identifier repeats a term",
-            "set": "identifier set repeats an earlier document's",
+            "set": f"identifier set repeats that of document {doc_ids[earlier]!r}",
         }[check]
-        raise DataError(f"{path}:{_doc_linenos(lines)[row]}: {message}")
-    return Index(TermDictionary(terms), doc_ids, order.astype(np.int32))
+        raise DataError(f"{path}: document {doc_ids[row]!r}: {message}")
+    return Index._checked(TermDictionary(terms), doc_ids, order, sets)
 
 
-def _parse_records(lines: list[str], n: int) -> tuple[list, list, list | np.ndarray] | None:
-    """Terms, document ids and flat term ids of the records, or None if one is bad.
-
-    A record is bad when its tag is unknown, a `D` record lacks its second
-    tab, or its term ids are not n `int`s. Blank lines are skipped. Ids
-    spelled as `save_index` writes them are parsed in bulk; `int` reads
-    any other spelling, one id at a time.
-    """
-    records = list(filter(None, lines))
-    is_doc = list(map(str.startswith, records, repeat("D\t")))
-    terms = list(compress(records, map(operator.not_, is_doc)))
-    if sum(map(str.startswith, terms, repeat("T\t"))) + terms.count("T") != len(terms):
-        return None
-    docs = list(compress(records, is_doc))
-    tabs = list(map(str.find, docs, repeat("\t"), repeat(2)))  # each `D` record's second tab
-    if -1 in tabs:
-        return None
-    ids = [doc[tab + 1 :] for doc, tab in zip(docs, tabs)]
-    if list(map(str.count, ids, repeat(","))).count(n - 1) != len(ids):
-        return None
-    joined = ",".join(ids)
-    values = _canonical_ids(joined) if ids else []
-    if values is None:
-        try:
-            values = _int_ids(joined)
-        except ValueError:
-            return None
-    return [term[2:] for term in terms], [doc[2:tab] for doc, tab in zip(docs, tabs)], values
-
-
-def _canonical_ids(text: str) -> np.ndarray | None:
-    """Ids spelled as `save_index` writes them, parsed in one call; None for any other spelling.
-
-    `np.fromstring` also takes spaces and signs, and clamps an id that overflows,
-    so it reads only text whose every comma-separated field is 1 to 18 ASCII
-    digits, which keeps each id below 2**63.
-    """
-    raw = np.frombuffer(text.encode(), dtype=np.uint8)
-    digit = raw - ord("0") < 10  # uint8 wraps below "0"
-    if not (digit | (raw == ord(","))).all():
-        return None
-    # no empty field: a digit at both ends, and no two commas side by side
-    if not (len(digit) and digit[0] and digit[-1] and (digit[1:] | digit[:-1]).all()):
-        return None
-    # no field over 18 digits: run[i] ends up true where text[i:i + 19] is all digits
-    run = digit
-    for shift in (1, 2, 4, 8, 3):  # runs of 2, 4, 8, 16, then 19 digits
-        run = run[:-shift] & run[shift:]
-    if run.any():
-        return None
-    return np.fromstring(text, dtype=np.int64, sep=",")
-
-
-def _int_ids(text: str) -> list[int]:
-    """Comma-separated ids in any spelling `int` reads; ValueError for one it does not."""
-    return list(map(int, text.split(",")))
-
-
-def _raise_first_bad_record(path, lines: list[str], n: int) -> NoReturn:
-    """Check the records one by one; raise DataError naming the first bad one."""
-    for lineno, line in enumerate(lines[4:], start=5):
-        if not line:
-            continue
-        tag, _, rest = line.partition("\t")
-        if tag == "D":
-            _, tab, ids = rest.partition("\t")
-            if not tab:
-                raise DataError(f"{path}:{lineno}: document record is not 'D<TAB>doc<TAB>ids'")
-            row = parse_values(int, ids.split(","), f"{path}:{lineno}: term ids")
-            if len(row) != n:
-                raise DataError(f"{path}:{lineno}: expected {n} term ids, got {len(row)}")
-        elif tag != "T":
-            raise DataError(f"{path}:{lineno}: unknown record tag {tag!r}")
-    raise InvariantError(f"{path}: the bulk record checks failed, but no record fails alone")
-
-
-def _doc_linenos(lines: list[str]) -> list[int]:
-    """Line numbers of the `D` records of a file whose records all passed `_parse_records`."""
-    return [lineno for lineno, line in enumerate(lines[4:], start=5) if line.startswith("D\t")]
+def _split(path, data: bytes, at: int, size: int, count: int, what: str) -> list[str]:
+    """The `count` newline-separated UTF-8 strings in data[at:at + size]."""
+    try:
+        text = data[at : at + size].decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataError(f"{path}: byte {at + exc.start} is not UTF-8 text") from None
+    strings = text.split("\n") if text or count else []
+    if len(strings) != count:
+        raise DataError(f"{path}: the header counts {count} {what}, the file holds {len(strings)}")
+    return strings

@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import os
 import re
 import tempfile
 from pathlib import Path
@@ -16,7 +17,7 @@ from termset_retrieval import atomic
 from termset_retrieval.cli import main, parse_config_file, rerun_from_manifest
 from termset_retrieval.errors import DataError
 from termset_retrieval.importance import load_term_embeddings, write_identifier_file
-from termset_retrieval.index import load_index
+from termset_retrieval.index import build_index, load_index, save_index
 from termset_retrieval.scorer import STEP_FEATURES, FeatureScorer, save_scorer
 from termset_retrieval.synthetic import make_random_identifiers
 
@@ -178,29 +179,38 @@ class TestErrors:
     @pytest.mark.parametrize("artifact", ["index.txt", "train/scorer.txt"], ids=["index", "scorer"])
     def test_version_1_file_is_refused(self, pipeline, capsys, artifact):
         path = pipeline / artifact
-        header, rest = path.read_text(encoding="utf-8").split("\n", 1)
-        assert header.endswith("/2")
-        path.write_text(header[:-1] + "1\n" + rest, encoding="utf-8")
-        capsys.readouterr()
-        rc = invoke("search", "--index", pipeline / "index.txt",
-                    "--scorer", pipeline / "train/scorer.txt",
-                    "--queries", DATA / "toy_queries.jsonl", "--output", pipeline / "r.txt")
-        assert rc == 2
-        err = capsys.readouterr().err
-        assert f"not a {header} file" in err
-        assert "Traceback" not in err
+        if artifact == "index.txt":  # the binary index refuses both text versions
+            old = [f"termset-index/{v}\nn\t1\ndocs\t1\nterms\t1\nT\ta\nD\tD1\t0\n" for v in (1, 2)]
+            want = "not a termset-index/3 file (rebuild it with build-index)"
+        else:
+            header, rest = path.read_text(encoding="utf-8").split("\n", 1)
+            assert header.endswith("/2")
+            old = [header[:-1] + "1\n" + rest]
+            want = f"not a {header} file"
+        for text in old:
+            path.write_text(text, encoding="utf-8")
+            capsys.readouterr()
+            rc = invoke("search", "--index", pipeline / "index.txt",
+                        "--scorer", pipeline / "train/scorer.txt",
+                        "--queries", DATA / "toy_queries.jsonl", "--output", pipeline / "r.txt")
+            assert rc == 2
+            err = capsys.readouterr().err
+            assert want in err
+            assert "Traceback" not in err
 
-    @pytest.mark.parametrize("artifact", ["index.txt", "scorer.txt"], ids=["index", "scorer"])
-    def test_non_utf8_file_is_data_error(self, search_inputs, tmp_path, capsys, artifact):
+    # byte 56 of an index is its first term's, after the magic line and the header
+    @pytest.mark.parametrize("artifact, at", [("index.txt", 56), ("scorer.txt", 40)],
+                             ids=["index", "scorer"])
+    def test_non_utf8_file_is_data_error(self, search_inputs, tmp_path, capsys, artifact, at):
         out, scorer = search_inputs
         files = {"index.txt": (out / "index.txt").read_bytes(), "scorer.txt": scorer}
-        files[artifact] = files[artifact][:40] + b"\xff" + files[artifact][41:]
+        files[artifact] = files[artifact][:at] + b"\xff" + files[artifact][at + 1 :]
         for name, data in files.items():
             (tmp_path / name).write_bytes(data)
         rc = invoke("search", "--index", tmp_path / "index.txt", "--scorer", tmp_path / "scorer.txt",
                     "--queries", out / "queries.jsonl", "--output", tmp_path / "r.txt")
         assert rc == 2
-        assert f"{tmp_path / artifact}: byte 40 is not UTF-8 text" in capsys.readouterr().err
+        assert f"{tmp_path / artifact}: byte {at} is not UTF-8 text" in capsys.readouterr().err
 
     def test_scorer_that_can_overflow_is_data_error(self, search_inputs, tmp_path, capsys):
         # finite weights whose product overflows: term_weight * 1e308 = inf for every term
@@ -584,6 +594,25 @@ class TestAtomicWrites:
             atomic.write_text(target, "partial \ud800 text\n")
         assert target.read_text(encoding="utf-8") == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["out.txt"]
+
+    def test_index_write_failing_part_way_keeps_the_old_index(self, tmp_path, monkeypatch):
+        save_index(build_index(make_random_identifiers(30, 12, 3, seed=1)), tmp_path / "index.bin")
+        old = (tmp_path / "index.bin").read_bytes()
+        partial = []
+
+        class HalfWrite(io.FileIO):
+            def write(self, data):
+                super().write(bytes(data)[: len(data) // 2])
+                self.flush()
+                partial.append(os.path.getsize(self.name))
+                raise OSError("disk full")
+
+        monkeypatch.setattr(atomic, "open", HalfWrite, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            save_index(build_index(make_random_identifiers(40, 12, 3, seed=2)), tmp_path / "index.bin")
+        assert partial and partial[0] > 0  # the temporary file held part of the new index
+        assert (tmp_path / "index.bin").read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["index.bin"]
 
     def test_interrupted_command_leaves_no_artifact(self, tmp_path, monkeypatch):
         ids = tmp_path / "ids.tsv"
