@@ -872,6 +872,22 @@ class TestIndexFileFuzz:
         assert_same_index(load_index(tmp_path / "index.bin"), index)
         assert_loads_as_the_oracle((tmp_path / "index.bin").read_bytes())
 
+    def test_bare_t_record_is_the_empty_term(self, tmp_path, tiny_index):
+        """A blank first line of the terms section is the empty term, held by no document."""
+        data = save_bytes(tiny_index)
+        where = layout(data)
+        n, docs, terms, terms_size, docs_size = HEADER.unpack_from(data, len(MAGIC))
+        head = MAGIC + HEADER.pack(n, docs, terms + 1, terms_size + 1, docs_size)
+        head += b"\n" + data[START : where["pad"]]
+        ids = np.frombuffer(data, "<i4", offset=where["order"]) + 1  # each id past the empty term
+        data = head + bytes(-len(head) % 8) + ids.astype("<i4").tobytes()
+        (tmp_path / "index.bin").write_bytes(data)
+        loaded = load_index(tmp_path / "index.bin")
+        assert loaded.dictionary.terms == ["", *tiny_index.dictionary.terms]
+        for doc in tiny_index.doc_ids:
+            assert loaded.identifier_terms(doc) == tiny_index.identifier_terms(doc)
+        assert_loads_as_the_oracle(data)
+
     @pytest.mark.parametrize("docs, message", [(0, "empty registry"), (3, "header counts")])
     def test_file_without_document_records(self, tmp_path, tiny_index, docs, message):
         data = save_bytes(tiny_index)
