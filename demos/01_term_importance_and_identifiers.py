@@ -19,6 +19,7 @@ from termset_retrieval import (
     tokenize,
     train_importance,
 )
+from termset_retrieval.importance import TFIDF_FEATURES
 
 data = files("termset_retrieval") / "data"
 corpus = load_corpus(data / "toy_corpus.jsonl")
@@ -37,7 +38,7 @@ print(f"\ntraining pairs: {len(pairs)} (4 negatives each)")
 # pushes up weights of terms that bridge a query to its relevant document.
 model = train_importance(pairs, corpus, tau=1.0, epochs=200, lr=0.05, seed=7)
 print("learned feature weights:")
-for name, w in zip(model.featurizer.names, model.weights):
+for name, w in zip(TFIDF_FEATURES, model.weights):
     print(f"  {name:>10}: {w:+.3f}")
 
 doc = corpus["sourdough"]

@@ -46,20 +46,14 @@ from .evaluation import (
     seen_unseen_split,
 )
 from .importance import (
-    EmbeddingFeaturizer,
     IdentifierTable,
     ImportanceModel,
     TermDictionary,
-    TfidfFeaturizer,
     build_identifiers,
-    featurize_term,
     load_model,
     read_identifier_file,
-    resolve_collisions,
     save_model,
-    score_query_terms,
     score_terms,
-    select_identifier,
     train_importance,
     write_identifier_file,
 )

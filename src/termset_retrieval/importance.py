@@ -5,103 +5,30 @@ weights for documents and queries. It is trained with an InfoNCE loss over
 (query, positive, negatives) pairs where the matching score of a pair is
 the sum of w_q(t) * w_d(t) over shared distinct terms. Each document's
 identifier is its top-N terms by weight, deduplicated against collisions.
+
+The corpus is featurized once, as one row per (document, distinct term),
+and every stage reads that matrix: training gathers its rows, the
+identifier scan ranks its weights and the scorer's term weights take the
+corpus maximum of them.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+import weakref
+from dataclasses import dataclass
 from itertools import chain
 
 import numpy as np
 
 from . import atomic
-from .corpus import Corpus, CorpusStats, Document, Query, TrainingPair
-from .errors import DataError, InvariantError, parse_values, read_lines, read_text
+from .corpus import Corpus, CorpusStats, Document, TrainingPair
+from .errors import DataError, InvariantError, parse_values, read_lines
 
 PLACEHOLDER_MARK = "⟂"  # prepended to synthetic per-document filler terms
 
 TFIDF_FEATURES = ("tf_norm", "idf", "in_title", "first_pos", "term_len", "bias")
-
-
-class TfidfFeaturizer:
-    """Fixed six-feature schema computed from the text and corpus stats."""
-
-    schema = "tfidf/1"
-    names = TFIDF_FEATURES
-
-    @property
-    def dim(self) -> int:
-        return len(self.names)
-
-    def features(self, terms: list[str], title_terms: set[str], stats: CorpusStats):
-        """Feature vector per distinct term of a term sequence."""
-        length = max(len(terms), 1)
-        counts = Counter(terms)
-        first: dict[str, int] = {}
-        for pos, term in enumerate(terms):
-            first.setdefault(term, pos)
-        out: dict[str, np.ndarray] = {}
-        for term, count in counts.items():
-            # df can be 0 for query-only terms; clamp so idf stays finite
-            idf = math.log(stats.num_docs / max(stats.df.get(term, 1), 1))
-            out[term] = np.array(
-                [
-                    count / length,
-                    idf,
-                    1.0 if term in title_terms else 0.0,
-                    first[term] / length,
-                    len(term) / 10.0,  # keep comparable to the other features
-                    1.0,
-                ]
-            )
-        return out
-
-
-class EmbeddingFeaturizer:
-    """Adapter for externally computed term embeddings (plus a bias slot).
-
-    Terms missing from the table fall back to a zero vector, so only the
-    bias contributes for them.
-    """
-
-    schema = "embedding/1"
-
-    def __init__(self, table: dict[str, np.ndarray]):
-        if not table:
-            raise DataError("empty embedding table")
-        dims = {len(v) for v in table.values()}
-        if len(dims) != 1:
-            raise DataError(f"inconsistent embedding dimensions: {sorted(dims)}")
-        self.embedding_dim = dims.pop()
-        self.table = {t: np.asarray(v, dtype=float) for t, v in table.items()}
-        self.names = tuple(f"e{i}" for i in range(self.embedding_dim)) + ("bias",)
-
-    @property
-    def dim(self) -> int:
-        return self.embedding_dim + 1
-
-    def features(self, terms: list[str], title_terms: set[str], stats: CorpusStats):
-        zero = np.zeros(self.embedding_dim)
-        out: dict[str, np.ndarray] = {}
-        for term in set(terms):
-            out[term] = np.append(self.table.get(term, zero), 1.0)
-        return out
-
-
-def load_term_embeddings(path) -> dict[str, np.ndarray]:
-    """Read "term<TAB>v1,v2,..." lines into an embedding table."""
-    table: dict[str, np.ndarray] = {}
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        if not line:
-            continue
-        bad = f"{path}:{lineno}: malformed embedding at line {lineno}"
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DataError(bad)
-        table[parts[0]] = np.array(parse_values(float, parts[1].split(","), f"{bad}: vector"))
-    return table
+_SCHEMA = "tfidf/1"
 
 
 @dataclass
@@ -110,31 +37,120 @@ class ImportanceModel:
 
     weights: np.ndarray
     tau: float = 1.0
-    featurizer: TfidfFeaturizer | EmbeddingFeaturizer = field(default_factory=TfidfFeaturizer)
 
     @classmethod
-    def zeros(cls, tau: float = 1.0, featurizer=None) -> "ImportanceModel":
-        featurizer = featurizer or TfidfFeaturizer()
-        return cls(np.zeros(featurizer.dim), tau, featurizer)
+    def zeros(cls, tau: float = 1.0) -> "ImportanceModel":
+        return cls(np.zeros(len(TFIDF_FEATURES)), tau)
 
 
-def featurize_term(term: str, document: Document, stats: CorpusStats, featurizer=None) -> np.ndarray:
-    if term not in document.terms:
-        raise DataError(f"term {term!r} does not occur in document {document.doc_id}")
-    featurizer = featurizer or TfidfFeaturizer()
-    return featurizer.features(document.terms, document.title_terms, stats)[term]
+@dataclass
+class _TermRows:
+    """Term lists featurized, one row per (owner, distinct term), by owner and then term id.
+
+    Owner o's rows are start[o] .. start[o + 1] - 1. Term ids index `terms`, the
+    sorted vocabulary of the lists; `first` is a term's first position in its list.
+    """
+
+    terms: list[str]
+    start: np.ndarray
+    owner: np.ndarray
+    term: np.ndarray
+    first: np.ndarray
+    features: np.ndarray  # (rows, len(TFIDF_FEATURES))
+    scored: tuple[bytes, np.ndarray] | None = None  # the last model's weights, by its bytes
+
+
+def _featurize(term_lists: list[list[str]], titles: list[set[str]] | None,
+               stats: CorpusStats) -> _TermRows:
+    """The TFIDF_FEATURES of every distinct term of every list; `titles` is None for queries.
+
+    df is 0 for a term no document holds; it is clamped to 1, so idf stays finite.
+    """
+    lengths = np.fromiter(map(len, term_lists), dtype=np.int64, count=len(term_lists))
+    flat = list(chain.from_iterable(term_lists))
+    terms = sorted(set(flat))
+    ids = {t: i for i, t in enumerate(terms)}
+    width = max(len(terms), 1)
+    keys = np.repeat(np.arange(len(term_lists)), lengths) * width
+    keys += np.fromiter(map(ids.__getitem__, flat), dtype=np.int64, count=len(flat))
+    keys, at, counts = np.unique(keys, return_index=True, return_counts=True)  # at: first seen
+    owner, term = np.divmod(keys, width)
+    first = at - (np.cumsum(lengths) - lengths)[owner]
+    length = np.maximum(lengths, 1)[owner]
+    idf = np.array([math.log(stats.num_docs / max(stats.df.get(t, 1), 1)) for t in terms])
+    in_title = np.zeros(len(keys))
+    if titles is not None:
+        held = [o * width + ids[t] for o, title in enumerate(titles) for t in title if t in ids]
+        in_title[np.isin(keys, held)] = 1.0
+    features = np.column_stack([
+        counts / length,
+        idf[term],
+        in_title,
+        first / length,
+        np.array([len(t) for t in terms])[term] / 10.0,  # keep comparable to the other features
+        np.ones(len(keys)),
+    ])
+    start = np.concatenate([[0], np.cumsum(np.bincount(owner, minlength=len(term_lists)))])
+    return _TermRows(terms, start, owner, term, first, features)
+
+
+def _term_weights(features: np.ndarray, weights) -> np.ndarray:
+    """The scoring rule: each row's clamp(features . weights), as one fixed sum.
+
+    The sum is ((f0*w0 + f1*w1) + f2*w2) + ... left to right, each product and
+    sum rounded on its own, so no weight depends on how a BLAS orders or fuses
+    a dot product. A finite model whose sum overflows is refused.
+    """
+    columns = zip(features.T, weights, strict=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        column, weight = next(columns)
+        z = column * weight
+        for column, weight in columns:
+            z += column * weight
+    if not np.isfinite(z).all():
+        raise DataError(f"importance weights {[float(w) for w in weights]} overflow a term's score")
+    return np.where(z > 0.0, z, 0.0)
+
+
+_CORPUS_ROWS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def _corpus_rows(corpus: Corpus) -> _TermRows:
+    """The corpus's documents featurized, once per corpus."""
+    rows = _CORPUS_ROWS.get(corpus)
+    if rows is None:
+        docs = corpus.documents
+        rows = _featurize([d.terms for d in docs], [d.title_terms for d in docs], corpus.stats)
+        _CORPUS_ROWS[corpus] = rows
+    return rows
+
+
+def _corpus_weights(corpus: Corpus, model: ImportanceModel) -> tuple[_TermRows, np.ndarray]:
+    """The corpus's term rows and their weights under `model`.
+
+    The last model's weights are kept, so the identifier scan and the
+    scorer's term weights score the corpus once between them.
+    """
+    rows = _corpus_rows(corpus)
+    key = np.asarray(model.weights, dtype=float).tobytes()
+    if rows.scored is None or rows.scored[0] != key:
+        rows.scored = key, _term_weights(rows.features, model.weights)
+    return rows, rows.scored[1]
+
+
+def _find(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """The index of each of `values` in `sorted_values`, or -1 where it does not occur."""
+    at = np.searchsorted(sorted_values, values)
+    found = at < len(sorted_values)
+    found[found] = sorted_values[at[found]] == values[found]
+    return np.where(found, at, -1)
 
 
 def score_terms(model: ImportanceModel, document: Document, stats: CorpusStats) -> dict[str, float]:
-    """Nonnegative weight per distinct document term."""
-    feats = model.featurizer.features(document.terms, document.title_terms, stats)
-    return {t: float(max(f @ model.weights, 0.0)) for t, f in feats.items()}
-
-
-def score_query_terms(model: ImportanceModel, query: Query, stats: CorpusStats) -> dict[str, float]:
-    """Query-side weights; queries have no title, otherwise same featurization."""
-    feats = model.featurizer.features(query.terms, set(), stats)
-    return {t: float(max(f @ model.weights, 0.0)) for t, f in feats.items()}
+    """Nonnegative weight per distinct document term, in first-occurrence order."""
+    rows = _featurize([document.terms], [document.title_terms], stats)
+    weights = _term_weights(rows.features, model.weights)
+    return {rows.terms[rows.term[i]]: float(weights[i]) for i in np.argsort(rows.first)}
 
 
 # ---------------------------------------------------------------------------
@@ -158,40 +174,31 @@ class _TrainingBatch:
     first: np.ndarray  # (pairs + 1,)
 
 
-def prepare_training_batch(
-    pairs: list[TrainingPair],
-    corpus: Corpus,
-    featurizer=None,
-    stats: CorpusStats | None = None,
-) -> _TrainingBatch:
-    """Precompute shared-term feature matrices; features are static during training."""
-    featurizer = featurizer or TfidfFeaturizer()
-    stats = stats or corpus.stats
-    doc_cache: dict[str, dict[str, np.ndarray]] = {}
+def prepare_training_batch(pairs: list[TrainingPair], corpus: Corpus) -> _TrainingBatch:
+    """Gather the shared-term rows of the featurized corpus and of the batch's queries.
 
-    def doc_features(doc_id: str) -> dict[str, np.ndarray]:
-        if doc_id not in doc_cache:
-            doc = corpus[doc_id]
-            doc_cache[doc_id] = featurizer.features(doc.terms, doc.title_terms, stats)
-        return doc_cache[doc_id]
-
-    query_feats, doc_feats, cand, first = [], [], [], [0]
-    for pair in pairs:
-        qf = featurizer.features(pair.query.terms, set(), stats)
-        candidates = [pair.positive] + list(pair.negatives)
-        for c, doc_id in enumerate(candidates, start=first[-1]):
-            df = doc_features(doc_id)
-            shared = sorted(set(qf) & set(df))
-            query_feats += [qf[t] for t in shared]
-            doc_feats += [df[t] for t in shared]
-            cand += [c] * len(shared)
-        first.append(first[-1] + len(candidates))
-    dim = featurizer.dim
+    The queries are featurized once per batch, with no title. A candidate's
+    rows are the terms it shares with its query, in term order (by text).
+    """
+    docs = _corpus_rows(corpus)
+    queries = _featurize([pair.query.terms for pair in pairs], None, corpus.stats)
+    row_of = {doc_id: i for i, doc_id in enumerate(corpus.doc_ids)}
+    candidates = [row_of[d] for pair in pairs for d in (pair.positive, *pair.negatives)]
+    sizes = np.array([1 + len(pair.negatives) for pair in pairs], dtype=np.int64)
+    first = np.concatenate([[0], np.cumsum(sizes)])
+    # each candidate meets every row of its query, in term order
+    starts = queries.start[:-1].repeat(sizes)
+    reach = np.diff(queries.start).repeat(sizes)
+    cand = np.repeat(np.arange(len(candidates)), reach)
+    qrow = np.arange(len(cand)) + (starts - (np.cumsum(reach) - reach)).repeat(reach)
+    term = _find(np.array(docs.terms, dtype=object), np.array(queries.terms, dtype=object))
+    term = term[queries.term[qrow]]  # -1: no document holds it
+    width = max(len(docs.terms), 1)
+    keys = np.where(term >= 0, np.array(candidates, dtype=np.int64)[cand] * width + term, -1)
+    drow = _find(docs.owner * width + docs.term, keys)
+    shared = drow >= 0
     return _TrainingBatch(
-        np.array(query_feats).reshape(-1, dim),
-        np.array(doc_feats).reshape(-1, dim),
-        np.array(cand, dtype=np.int64),
-        np.array(first, dtype=np.int64),
+        queries.features[qrow[shared]], docs.features[drow[shared]], cand[shared], first
     )
 
 
@@ -233,7 +240,6 @@ def train_importance(
     epochs: int = 50,
     lr: float = 0.05,
     seed: int = 0,
-    featurizer=None,
 ) -> ImportanceModel:
     """Fit the importance model by full-batch gradient descent on the InfoNCE loss.
 
@@ -243,10 +249,9 @@ def train_importance(
     """
     if not pairs:
         raise DataError("no training pairs")
-    featurizer = featurizer or TfidfFeaturizer()
-    batch = prepare_training_batch(pairs, corpus, featurizer)
+    batch = prepare_training_batch(pairs, corpus)
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.001, 0.01, size=featurizer.dim)
+    weights = rng.uniform(0.001, 0.01, size=len(TFIDF_FEATURES))
     for epoch in range(epochs):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             loss, grad = infonce_loss_and_grad(weights, batch, tau)
@@ -256,7 +261,7 @@ def train_importance(
                 f"non-finite InfoNCE loss {loss} or update at epoch {epoch} (lr={lr}, tau={tau})"
             )
         weights = weights - update
-    return ImportanceModel(weights, tau, featurizer)
+    return ImportanceModel(weights, tau)
 
 
 # ---------------------------------------------------------------------------
@@ -312,12 +317,24 @@ def _first_bad_row(sets: np.ndarray, num_terms: int) -> tuple[str, int, int] | N
         return bad
     if not sets.shape[1]:  # every zero-width row holds the empty set
         return "set", 1, 0
-    # equal sets hash alike, so only rows that share a hash can repeat a set
+    later, earlier = _repeated_sets(sets)
+    if not len(later):
+        return None
+    first = later.argmin()  # the second row of its set, so `earlier` is the first
+    return "set", int(later[first]), int(earlier[first])
+
+
+def _repeated_sets(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(later, earlier): each row whose set an earlier row holds, and the row before it that does.
+
+    `sets` holds each row's non-negative term ids, sorted. Equal sets hash
+    alike, so only rows that share a hash are compared exactly.
+    """
     hashes = _row_hash(sets)
-    ranked = np.argsort(hashes, kind="stable")
+    ranked = np.argsort(hashes)  # any order of equal hashes: the suspects are re-sorted below
     shared = hashes[ranked[1:]] == hashes[ranked[:-1]]
     if not shared.any():
-        return None
+        return ranked[:0], ranked[:0]
     suspects = np.zeros(len(sets), dtype=bool)
     suspects[ranked[1:][shared]] = suspects[ranked[:-1][shared]] = True
     rows = np.flatnonzero(suspects)  # ascending, so the exact sort below keeps row order
@@ -325,11 +342,7 @@ def _first_bad_row(sets: np.ndarray, num_terms: int) -> tuple[str, int, int] | N
     row_bytes = np.dtype((np.void, sets.itemsize * sets.shape[1]))
     ranked = rows[np.argsort(sets[rows].view(row_bytes).ravel(), kind="stable")]
     same = (sets[ranked[1:]] == sets[ranked[:-1]]).all(axis=1)
-    if same.any():
-        later, earlier = ranked[1:][same], ranked[:-1][same]
-        first = later.argmin()  # the second row of its set, so `earlier` is the first
-        return "set", int(later[first]), int(earlier[first])
-    return None
+    return ranked[1:][same], ranked[:-1][same]
 
 
 def _row_hash(sets: np.ndarray) -> np.ndarray:
@@ -399,64 +412,36 @@ def _placeholder(doc_id: str, k: int) -> str:
     return f"{PLACEHOLDER_MARK}{doc_id}:{k}"
 
 
-def ranked_terms(document: Document, weights: dict[str, float]) -> list[str]:
-    """All distinct terms, best first: weight desc, then first occurrence, then text."""
-    first: dict[str, int] = {}
-    for pos, term in enumerate(document.terms):
-        first.setdefault(term, pos)
-    return sorted(first, key=lambda t: (-weights.get(t, 0.0), first[t], t))
 
+def _identifier_rows(ranked, start, count, by_id, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Every document's identifier at size n, collisions repaired: (term ids, placeholders).
 
-def select_identifier(document: Document, weights: dict[str, float], n: int) -> list[str]:
-    """Top-n distinct terms by weight, padded with synthetic terms when short."""
-    if n < 1:
-        raise DataError(f"identifier size must be >= 1, got {n}")
-    selected = ranked_terms(document, weights)[:n]
-    return selected + [_placeholder(document.doc_id, k) for k in range(n - len(selected))]
-
-
-def resolve_collisions(
-    identifiers: dict[str, list[str]],
-    ranked: dict[str, list[str]],
-    n: int,
-) -> IdentifierTable:
-    """Repair colliding identifier sets while keeping every identifier at length n.
-
-    Within each group sharing the same term set, the smallest doc_id keeps
-    its identifier; every other member drops its worst-ranked term for its
-    next-ranked never-used term (a unique synthetic term once exhausted).
-    The consumed-rank cursor only moves forward, so the loop terminates.
+    Row d holds document d's n - fill[d] best-ranked terms, then -1 in the
+    places of its placeholders ⟂doc:0 .. ⟂doc:fill[d]-1. A row with a
+    placeholder names its document, so only full rows can repeat a set. In
+    each round, every row whose set a smaller doc id holds drops its last
+    (worst-ranked) term for its next-ranked unused term, or for ⟂doc:0 once
+    its terms run out; the rounds end when no set repeats.
     """
-    current = {d: list(terms) for d, terms in identifiers.items()}
-    cursor = {d: n for d in current}
-    placeholder_next = {d: sum(map(is_placeholder, terms)) for d, terms in current.items()}
-
-    def reorder(doc_id: str, terms: list[str]) -> list[str]:
-        pos = {t: i for i, t in enumerate(ranked[doc_id])}
-        real = sorted((t for t in terms if not is_placeholder(t)), key=lambda t: pos[t])
-        fillers = sorted(t for t in terms if is_placeholder(t))
-        return real + fillers
-
+    cols = np.arange(n)
+    real = cols < np.minimum(count, n)[:, None]
+    ident = np.full(real.shape, -1, dtype=np.int64)
+    ident[real] = ranked[(start[:-1, None] + cols)[real]]
+    fill = n - real.sum(axis=1)
+    live = by_id[fill[by_id] == 0]  # the full rows, in doc-id order
+    cursor = np.full(len(live), n)
     while True:
-        groups: dict[frozenset, list[str]] = {}
-        for doc_id, terms in current.items():
-            groups.setdefault(frozenset(terms), []).append(doc_id)
-        colliding = [sorted(g) for g in groups.values() if len(g) > 1]
-        if not colliding:
-            break
-        for group in sorted(colliding):
-            for doc_id in group[1:]:
-                terms = current[doc_id]
-                ranks = ranked[doc_id]
-                if cursor[doc_id] < len(ranks):
-                    replacement = ranks[cursor[doc_id]]
-                    cursor[doc_id] += 1
-                else:
-                    replacement = _placeholder(doc_id, placeholder_next[doc_id])
-                    placeholder_next[doc_id] += 1
-                # the worst-ranked term sits last in the ordered identifier
-                current[doc_id] = reorder(doc_id, terms[:-1] + [replacement])
-    return IdentifierTable(n, current)
+        later, _ = _repeated_sets(np.sort(ident[live], axis=1))
+        if not len(later):
+            return ident, fill
+        docs, more = live[later], cursor[later] < count[live[later]]
+        ident[docs[more], -1] = ranked[start[docs[more]] + cursor[later[more]]]
+        cursor[later[more]] += 1
+        spent = docs[~more]
+        ident[spent, -1], fill[spent] = -1, 1
+        keep = np.ones(len(live), dtype=bool)
+        keep[later[~more]] = False
+        live, cursor = live[keep], cursor[keep]
 
 
 def build_identifiers(
@@ -464,7 +449,6 @@ def build_identifiers(
     model: ImportanceModel,
     n_min: int = 1,
     n_max: int = 12,
-    stats: CorpusStats | None = None,
 ) -> IdentifierTable:
     """Scan identifier sizes upward; stop at the first n needing no synthetic terms.
 
@@ -477,20 +461,24 @@ def build_identifiers(
         raise DataError("empty corpus")
     if not 1 <= n_min <= n_max:
         raise DataError(f"bad identifier size range [{n_min}, {n_max}]")
-    stats = stats or corpus.stats
-    weights = {d.doc_id: score_terms(model, d, stats) for d in corpus.documents}
-    ranked = {d.doc_id: ranked_terms(d, weights[d.doc_id]) for d in corpus.documents}
-    best: IdentifierTable | None = None
+    rows, weights = _corpus_weights(corpus, model)
+    # best first: weight descending, then first occurrence, which no two terms of a document share
+    ranked = rows.term[np.lexsort((rows.first, -weights, rows.owner))]
+    doc_ids = corpus.doc_ids
+    by_id = np.array(sorted(range(len(doc_ids)), key=doc_ids.__getitem__), dtype=np.int64)
+    best = None
     for n in range(n_min, n_max + 1):
-        identifiers = {
-            d.doc_id: select_identifier(d, weights[d.doc_id], n) for d in corpus.documents
-        }
-        table = resolve_collisions(identifiers, ranked, n)
-        if table.num_placeholders == 0:
-            return table
-        if best is None or table.num_placeholders < best.num_placeholders:
-            best = table
-    return best
+        ident, fill = _identifier_rows(ranked, rows.start, np.diff(rows.start), by_id, n)
+        if best is None or fill.sum() < best[2].sum():
+            best = n, ident, fill
+        if not fill.any():
+            break
+    n, ident, fill = best
+    return IdentifierTable(n, {
+        doc_id: [rows.terms[t] for t in row[: n - k]] + [_placeholder(doc_id, j) for j in range(k)]
+        for doc_id, row, k in zip(doc_ids, ident.tolist(), fill.tolist())
+    })
+
 
 
 # ---------------------------------------------------------------------------
@@ -502,8 +490,8 @@ _IDENTIFIER_FORMAT = "termset-identifiers/1"
 
 
 def save_model(model: ImportanceModel, path) -> None:
-    lines = [_MODEL_FORMAT, f"schema\t{model.featurizer.schema}", f"tau\t{model.tau!r}"]
-    for name, value in zip(model.featurizer.names, model.weights):
+    lines = [_MODEL_FORMAT, f"schema\t{_SCHEMA}", f"tau\t{model.tau!r}"]
+    for name, value in zip(TFIDF_FEATURES, model.weights):
         lines.append(f"feature\t{name}\t{float(value)!r}")
     atomic.write_text(path, "\n".join(lines) + "\n")
 
@@ -516,7 +504,7 @@ def _finite(text: str, what: str) -> float:
     return value
 
 
-def load_model(path, embedding_table: dict[str, np.ndarray] | None = None) -> ImportanceModel:
+def load_model(path) -> ImportanceModel:
     lines = read_lines(path)
     if not lines or lines[0] != _MODEL_FORMAT:
         raise DataError(f"{path}: not a {_MODEL_FORMAT} file")
@@ -537,20 +525,14 @@ def load_model(path, embedding_table: dict[str, np.ndarray] | None = None) -> Im
         else:
             fields[key] = value
     schema = fields.get("schema", "")
-    if schema == TfidfFeaturizer.schema:
-        featurizer = TfidfFeaturizer()
-    elif schema == EmbeddingFeaturizer.schema:
-        if embedding_table is None:
-            raise DataError(f"{path}: schema {schema} needs an embedding table to load")
-        featurizer = EmbeddingFeaturizer(embedding_table)
-    else:
+    if schema != _SCHEMA:
         raise DataError(f"{path}: unknown feature schema {schema!r}")
-    if tuple(name for name, _ in features) != tuple(featurizer.names):
+    if tuple(name for name, _ in features) != TFIDF_FEATURES:
         raise DataError(f"{path}: feature names do not match schema {schema}")
     if tau is None:
         raise DataError(f"{path}: missing 'tau' line")
     weights = np.array([value for _, value in features])
-    return ImportanceModel(weights, tau, featurizer)
+    return ImportanceModel(weights, tau)
 
 
 def write_identifier_file(table: IdentifierTable, path) -> None:

@@ -23,9 +23,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import atomic
-from .corpus import Corpus, CorpusStats, Query
+from .corpus import Corpus, Query
 from .errors import DataError, parse_values, read_lines
-from .importance import ImportanceModel, score_terms
+from .importance import ImportanceModel, _corpus_weights, _find
 from .index import Index, root_beam
 
 # Each feature varies across a step's candidates: a constant one cancels in
@@ -461,17 +461,14 @@ def sequence_logprob(scorer: Scorer, query: Query, term_ids, searchable) -> floa
     return float(sequence_logprobs(scorer, [query], [list(term_ids)], searchable)[0])
 
 
-def build_term_weights(
-    index: Index, corpus: Corpus, model: ImportanceModel, stats: CorpusStats | None = None
-) -> np.ndarray:
+def build_term_weights(index: Index, corpus: Corpus, model: ImportanceModel) -> np.ndarray:
     """Corpus-max importance weight per dictionary term (0 for synthetic terms)."""
-    stats = stats or corpus.stats
+    rows, weights = _corpus_weights(corpus, model)
+    slot = _find(np.array(index.dictionary.terms, dtype=object), np.array(rows.terms, dtype=object))
+    slot = slot[rows.term]  # each row's dictionary id, -1 for a term no identifier holds
+    held = slot >= 0
     table = np.zeros(len(index.dictionary))
-    for doc in corpus.documents:
-        for term, weight in score_terms(model, doc, stats).items():
-            if term in index.dictionary:
-                tid = index.dictionary.id_of(term)
-                table[tid] = max(table[tid], weight)
+    np.maximum.at(table, slot[held], weights[held])
     return table
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from termset_retrieval import atomic
 from termset_retrieval.cli import main, parse_config_file, rerun_from_manifest
 from termset_retrieval.errors import DataError
-from termset_retrieval.importance import load_term_embeddings, write_identifier_file
+from termset_retrieval.importance import write_identifier_file
 from termset_retrieval.index import build_index, load_index, save_index
 from termset_retrieval.scorer import STEP_FEATURES, FeatureScorer, save_scorer
 from termset_retrieval.synthetic import make_random_identifiers
@@ -256,25 +256,11 @@ class TestErrors:
         assert f"{tmp_path / 'input'}: byte 7 is not UTF-8 text" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("read", [load_term_embeddings, rerun_from_manifest],
-                             ids=["embeddings", "manifest"])
+    @pytest.mark.parametrize("read", [rerun_from_manifest], ids=["manifest"])
     def test_non_utf8_file_outside_the_commands_is_data_error(self, tmp_path, read):
         (tmp_path / "input").write_bytes(b"termset\xff\n")
         with pytest.raises(DataError, match="byte 7 is not UTF-8 text"):
             read(tmp_path / "input")
-
-    @pytest.mark.parametrize(
-        "text, where",
-        [
-            ("alpha\t1,2\n\nbeta 1,2\n", "input:3: malformed embedding at line 3"),
-            ("alpha\t1,x\n", "input:1: malformed embedding at line 1: vector '1 x' is not a valid"),
-        ],
-        ids=["no-tab", "not-float"],
-    )
-    def test_embedding_errors_name_the_file_and_line(self, tmp_path, text, where):
-        (tmp_path / "input").write_text(text, encoding="utf-8")
-        with pytest.raises(DataError, match=re.escape(str(tmp_path / where))):
-            load_term_embeddings(tmp_path / "input")
 
     def test_vocabulary_mismatch_is_data_error(self, pipeline, tmp_path):
         # rebuild an index from different identifiers and pair the old scorer with it
@@ -329,6 +315,11 @@ class TestErrors:
             ("bad.model", MODEL_TEXT.replace("tau\t1.0", "tau\tnan"),
              [*TRAIN, "--index", "{index}", "--model", "{file}", "--output-dir", "{tmp}/out"],
              "bad.model:3: tau 'nan' is not finite"),
+            # finite weights whose sum overflows a term's score
+            ("bad.model", MODEL_TEXT.replace("tf_norm\t1.0", "tf_norm\t1e308")
+             .replace("idf\t0.5", "idf\t1e308"),
+             [*TRAIN, "--index", "{index}", "--model", "{file}", "--output-dir", "{tmp}/out"],
+             "importance weights [1e+308, 1e+308, 0.0, 0.0, 0.0, 0.0] overflow a term's score"),
             ("bad.cfg", "iterations = abc\n",
              [*TRAIN, "--index", "{index}", "--config", "{file}", "--output-dir", "{tmp}/out"],
              "bad.cfg: iterations 'abc' is not a valid int"),
@@ -373,7 +364,8 @@ class TestErrors:
         ids=["identifier-size", "identifier-repeated-term", "identifier-same-set",
              "identifier-length", "identifier-duplicate-doc", "identifier-tag-suffix",
              "identifier-tag-letter", "identifier-size-zero", "identifier-header-only",
-             "model-line", "model-nan-weight", "model-inf-weight", "model-nan-tau", "config-value",
+             "model-line", "model-nan-weight", "model-inf-weight", "model-nan-tau",
+             "model-overflow", "config-value",
              "missing-run", "pseudo-pair-json", "pseudo-pair-string", "pseudo-pair-deep-nesting",
              "queries-deep-nesting", "scorer-nan-weight",
              "scorer-inf-term-weight", "build-terms-qrels", "build-terms-corpus", "run-rank",
@@ -389,7 +381,10 @@ class TestErrors:
         paths = {"file": tmp_path / name, "tmp": tmp_path, "index": tmp_path / "index.txt",
                  "scorer": tmp_path / "scorer.txt"}
         assert invoke(*(str(a).format(**paths) for a in argv)) == 2
-        assert where in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert where in err
+        assert "Warning" not in err
+        assert not (tmp_path / "out" / "scorer.txt").exists()
 
     @pytest.mark.parametrize(
         "argv",

@@ -4,6 +4,7 @@ import contextlib
 import io
 import math
 import tempfile
+from collections import Counter
 from pathlib import Path
 from unittest import mock
 
@@ -24,27 +25,23 @@ from termset_retrieval.corpus import (
 from termset_retrieval.cli import main
 from termset_retrieval.errors import DataError, InvariantError, parse_values, read_lines
 from termset_retrieval.importance import (
-    EmbeddingFeaturizer,
+    PLACEHOLDER_MARK,
+    TFIDF_FEATURES,
     IdentifierTable,
     ImportanceModel,
-    TfidfFeaturizer,
     build_identifiers,
-    featurize_term,
     infonce_loss_and_grad,
     is_placeholder,
     load_model,
     prepare_training_batch,
-    ranked_terms,
     read_identifier_file,
-    resolve_collisions,
     save_model,
-    score_query_terms,
     score_terms,
-    select_identifier,
     train_importance,
     write_identifier_file,
 )
 from termset_retrieval.index import build_index
+from termset_retrieval.scorer import build_term_weights
 from termset_retrieval.synthetic import make_bridging_corpus, make_random_identifiers
 
 from conftest import central_difference, file_mutations, max_relative_error, outcome
@@ -60,31 +57,154 @@ def small_corpus():
     )
 
 
+def oracle_features(terms, title_terms, stats) -> dict[str, np.ndarray]:
+    """The per-term featurizer the feature matrix replaced: one array per distinct term."""
+    length = max(len(terms), 1)
+    counts = Counter(terms)
+    first: dict[str, int] = {}
+    for pos, term in enumerate(terms):
+        first.setdefault(term, pos)
+    out: dict[str, np.ndarray] = {}
+    for term, count in counts.items():
+        idf = math.log(stats.num_docs / max(stats.df.get(term, 1), 1))
+        out[term] = np.array([count / length, idf, 1.0 if term in title_terms else 0.0,
+                              first[term] / length, len(term) / 10.0, 1.0])
+    return out
+
+
+def python_weight(features, weights) -> float:
+    """clamp(features . weights) as a Python sum of rounded products, left to right."""
+    z = float(features[0]) * float(weights[0])
+    for f, w in zip(features[1:], weights[1:]):
+        z = z + float(f) * float(w)
+    return z if z > 0.0 else 0.0
+
+
+def oracle_score_terms(weights, document, stats) -> dict[str, float]:
+    feats = oracle_features(document.terms, document.title_terms, stats)
+    return {t: python_weight(f, weights) for t, f in feats.items()}
+
+
+def ranked_terms(document: Document, weights: dict[str, float]) -> list[str]:
+    """All distinct terms, best first: weight desc, then first occurrence, then text."""
+    first: dict[str, int] = {}
+    for pos, term in enumerate(document.terms):
+        first.setdefault(term, pos)
+    return sorted(first, key=lambda t: (-weights.get(t, 0.0), first[t], t))
+
+
+def select_identifier(document: Document, weights: dict[str, float], n: int) -> list[str]:
+    """Top-n distinct terms by weight, padded with synthetic terms when short."""
+    selected = ranked_terms(document, weights)[:n]
+    pad = [f"{PLACEHOLDER_MARK}{document.doc_id}:{k}" for k in range(n - len(selected))]
+    return selected + pad
+
+
+def resolve_collisions(identifiers, ranked, n: int) -> IdentifierTable:
+    """The frozenset collision repair the int-row rounds replaced.
+
+    Within each group sharing the same term set, the smallest doc_id keeps
+    its identifier; every other member drops its worst-ranked term for its
+    next-ranked never-used term (a unique synthetic term once exhausted).
+    """
+    current = {d: list(terms) for d, terms in identifiers.items()}
+    cursor = {d: n for d in current}
+    placeholder_next = {d: sum(map(is_placeholder, terms)) for d, terms in current.items()}
+
+    def reorder(doc_id, terms):
+        pos = {t: i for i, t in enumerate(ranked[doc_id])}
+        real = sorted((t for t in terms if not is_placeholder(t)), key=lambda t: pos[t])
+        return real + sorted(t for t in terms if is_placeholder(t))
+
+    while True:
+        groups: dict[frozenset, list[str]] = {}
+        for doc_id, terms in current.items():
+            groups.setdefault(frozenset(terms), []).append(doc_id)
+        colliding = [sorted(g) for g in groups.values() if len(g) > 1]
+        if not colliding:
+            return IdentifierTable(n, current)
+        for group in sorted(colliding):
+            for doc_id in group[1:]:
+                ranks = ranked[doc_id]
+                if cursor[doc_id] < len(ranks):
+                    replacement = ranks[cursor[doc_id]]
+                    cursor[doc_id] += 1
+                else:
+                    replacement = f"{PLACEHOLDER_MARK}{doc_id}:{placeholder_next[doc_id]}"
+                    placeholder_next[doc_id] += 1
+                current[doc_id] = reorder(doc_id, current[doc_id][:-1] + [replacement])
+
+
+def oracle_build_identifiers(corpus, weights, n_min, n_max) -> IdentifierTable:
+    """The per-document identifier scan, on `oracle_score_terms` weights."""
+    scores = {d.doc_id: oracle_score_terms(weights, d, corpus.stats) for d in corpus.documents}
+    ranked = {d.doc_id: ranked_terms(d, scores[d.doc_id]) for d in corpus.documents}
+    best = None
+    for n in range(n_min, n_max + 1):
+        identifiers = {d.doc_id: select_identifier(d, scores[d.doc_id], n)
+                       for d in corpus.documents}
+        table = resolve_collisions(identifiers, ranked, n)
+        if table.num_placeholders == 0:
+            return table
+        if best is None or table.num_placeholders < best.num_placeholders:
+            best = table
+    return best
+
+
+def oracle_batch(pairs, corpus):
+    """The per-pair stacking of shared-term features that `prepare_training_batch` replaced."""
+    stats = corpus.stats
+    query_feats, doc_feats, cand, first = [], [], [], [0]
+    for pair in pairs:
+        qf = oracle_features(pair.query.terms, set(), stats)
+        candidates = [pair.positive] + list(pair.negatives)
+        for c, doc_id in enumerate(candidates, start=first[-1]):
+            doc = corpus[doc_id]
+            df = oracle_features(doc.terms, doc.title_terms, stats)
+            shared = sorted(set(qf) & set(df))
+            query_feats += [qf[t] for t in shared]
+            doc_feats += [df[t] for t in shared]
+            cand += [c] * len(shared)
+        first.append(first[-1] + len(candidates))
+    dim = len(TFIDF_FEATURES)
+    return (np.array(query_feats).reshape(-1, dim), np.array(doc_feats).reshape(-1, dim),
+            np.array(cand, dtype=np.int64), np.array(first, dtype=np.int64))
+
+
+def feature_rows(corpus, doc_id) -> dict[str, np.ndarray]:
+    """The rows of the corpus feature matrix that belong to `doc_id`, by term."""
+    rows = importance._corpus_rows(corpus)
+    d = corpus.doc_ids.index(doc_id)
+    span = range(rows.start[d], rows.start[d + 1])
+    return {rows.terms[rows.term[i]]: rows.features[i] for i in span}
+
+
 class TestFeaturize:
     def test_title_first_word(self):
         corpus = small_corpus()
-        vec = featurize_term("espresso", corpus["D1"], corpus.stats)
-        names = TfidfFeaturizer.names
-        assert vec[names.index("in_title")] == 1.0
-        assert vec[names.index("first_pos")] == 0.0
+        vec = feature_rows(corpus, "D1")["espresso"]
+        assert vec[TFIDF_FEATURES.index("in_title")] == 1.0
+        assert vec[TFIDF_FEATURES.index("first_pos")] == 0.0
 
     def test_idf_zero_when_everywhere(self):
         corpus = ingest_corpus(
             [{"doc_id": f"D{i}", "title": "common", "body": "common stuff"} for i in range(4)]
         )
-        vec = featurize_term("common", corpus["D0"], corpus.stats)
-        assert vec[TfidfFeaturizer.names.index("idf")] == 0.0
+        vec = feature_rows(corpus, "D0")["common"]
+        assert vec[TFIDF_FEATURES.index("idf")] == 0.0
 
     def test_fixed_length(self):
         corpus = small_corpus()
+        rows = importance._corpus_rows(corpus)
+        assert rows.features.shape == (sum(len(set(d.terms)) for d in corpus.documents), 6)
         for doc in corpus.documents:
-            for term in set(doc.terms):
-                assert featurize_term(term, doc, corpus.stats).shape == (6,)
+            assert sorted(feature_rows(corpus, doc.doc_id)) == sorted(set(doc.terms))
 
     def test_absent_term_rejected(self):
+        # a term the document does not hold has no row, and so no weight
         corpus = small_corpus()
-        with pytest.raises(DataError, match="does not occur"):
-            featurize_term("missing", corpus["D1"], corpus.stats)
+        assert "missing" not in feature_rows(corpus, "D1")
+        assert "soil" not in score_terms(ImportanceModel.zeros(), corpus["D1"], corpus.stats)
 
 
 def one_pair_batch(m=4):
@@ -171,17 +291,17 @@ class TestInfoNCE:
 
 def per_pair_loss_and_grad(weights, pairs, corpus, tau):
     """The per-pair, per-candidate InfoNCE loop the stacked batch replaced."""
-    featurizer, stats = TfidfFeaturizer(), corpus.stats
+    stats, dim = corpus.stats, len(TFIDF_FEATURES)
     total_loss, total_grad = 0.0, np.zeros_like(weights)
     for pair in pairs:
-        qf = featurizer.features(pair.query.terms, set(), stats)
+        qf = oracle_features(pair.query.terms, set(), stats)
         scores, score_grads = [], []
         for doc_id in [pair.positive] + list(pair.negatives):
             doc = corpus[doc_id]
-            df = featurizer.features(doc.terms, doc.title_terms, stats)
+            df = oracle_features(doc.terms, doc.title_terms, stats)
             shared = sorted(set(qf) & set(df))
-            fq = np.array([qf[t] for t in shared]).reshape(-1, featurizer.dim)
-            fd = np.array([df[t] for t in shared]).reshape(-1, featurizer.dim)
+            fq = np.array([qf[t] for t in shared]).reshape(-1, dim)
+            fd = np.array([df[t] for t in shared]).reshape(-1, dim)
             zq, zd = fq @ weights, fd @ weights
             wq, wd = np.maximum(zq, 0.0), np.maximum(zd, 0.0)
             scores.append(wq @ wd)
@@ -239,11 +359,10 @@ class TestScoreTerms:
 
     def test_negative_preactivation_clamped(self):
         corpus = small_corpus()
-        model = ImportanceModel(np.full(6, -1.0))
-        weights = score_terms(model, corpus["D1"], corpus.stats)
-        assert all(w == 0.0 for w in weights.values())
-        assert all(w >= 0.0 for w in score_query_terms(model, Query.from_text("q", "espresso"),
-                                                       corpus.stats).values())
+        weights = np.full(6, -1.0)
+        assert set(score_terms(ImportanceModel(weights), corpus["D1"], corpus.stats).values()) == {0.0}
+        query = importance._featurize([Query.from_text("q", "espresso").terms], None, corpus.stats)
+        assert (importance._term_weights(query.features, weights) == 0.0).all()
 
     def test_depends_only_on_frozen_stats(self):
         corpus = small_corpus()
@@ -253,75 +372,153 @@ class TestScoreTerms:
         )
         model = ImportanceModel(np.array([0.5, 0.5, 0.5, 0.5, 0.5, 0.5]))
         direct = score_terms(model, corpus["D1"], stats)
+        assert build_term_weights(build_index(build_identifiers(other, model)), other, model).any()
         with_other_corpus_loaded = score_terms(model, corpus["D1"], stats)
         assert direct == with_other_corpus_loaded
-        assert len(other) == 1  # the other corpus plays no role beyond existing
+
+
+def top_terms(corpus, weights, n):
+    """`build_identifiers` at the one size n, under the model with these feature weights."""
+    return build_identifiers(corpus, ImportanceModel(np.array(weights)), n, n).terms_by_doc
+
+
+ONLY = {name: [1.0 if f == name else 0.0 for f in TFIDF_FEATURES] for name in TFIDF_FEATURES}
 
 
 class TestSelectIdentifier:
-    def doc(self):
-        return Document.from_text(
-            "D", "executive chef", "the executive chef runs the white house kitchen"
-        )
-
     def test_top_n_by_weight(self):
-        weights = {"executive": 0.9, "chef": 0.8, "white": 0.7, "house": 0.6, "the": 0.05,
-                   "runs": 0.0, "kitchen": 0.0}
-        assert select_identifier(self.doc(), weights, 4) == [
-            "executive", "chef", "white", "house",
+        corpus = ingest_corpus([{"doc_id": "D", "title": "executive chef",
+                                 "body": "the executive chef runs the white house kitchen"}])
+        # weight is term length: white and house tie, and white occurs first
+        assert top_terms(corpus, ONLY["term_len"], 4)["D"] == [
+            "executive", "kitchen", "white", "house",
         ]
 
     def test_all_terms_in_importance_order(self):
-        doc = Document.from_text("D", "alpha", "beta gamma")
-        weights = {"alpha": 0.2, "beta": 0.9, "gamma": 0.5}
-        assert select_identifier(doc, weights, 3) == ["beta", "gamma", "alpha"]
+        corpus = ingest_corpus([{"doc_id": "D", "title": "alpha", "body": "beta gamma"}])
+        # every term weighs 1 but the title term, which weighs 0
+        weights = [0.0, 0.0, -1.0, 0.0, 0.0, 1.0]
+        assert top_terms(corpus, weights, 3)["D"] == ["beta", "gamma", "alpha"]
 
     def test_padding(self):
-        doc = Document.from_text("D", "alpha", "beta")
-        out = select_identifier(doc, {"alpha": 1.0, "beta": 0.5}, 4)
+        corpus = ingest_corpus([{"doc_id": "D", "title": "alpha", "body": "beta"}])
+        out = top_terms(corpus, ONLY["in_title"], 4)["D"]
         assert out[:2] == ["alpha", "beta"]
         assert out[2:] == ["⟂D:0", "⟂D:1"]
 
     def test_tie_break_first_occurrence_then_lexicographic(self):
-        doc = Document.from_text("D", "", "zeta alpha beta")
-        out = select_identifier(doc, {"zeta": 0.5, "alpha": 0.5, "beta": 0.5}, 2)
-        assert out == ["zeta", "alpha"]
+        # a document's distinct terms never share a first position, so text never breaks a tie
+        corpus = ingest_corpus([{"doc_id": "D", "title": "", "body": "zeta alpha beta"}])
+        assert top_terms(corpus, ONLY["bias"], 2)["D"] == ["zeta", "alpha"]
+
+
+# weight 1 - first_pos: a document's terms rank in the order they occur
+IN_ORDER = [0.0, 0.0, 0.0, -1.0, 0.0, 1.0]
 
 
 class TestResolveCollisions:
     def test_two_docs_sharing_top_two(self):
-        doc_a = Document.from_text("A", "", "t1 t2 x")
-        doc_b = Document.from_text("B", "", "t1 t2 y")
-        weights = {
-            "A": {"t1": 0.9, "t2": 0.8, "x": 0.1},
-            "B": {"t1": 0.9, "t2": 0.8, "y": 0.1},
-        }
-        ranked = {d.doc_id: ranked_terms(d, weights[d.doc_id]) for d in (doc_a, doc_b)}
-        identifiers = {
-            d.doc_id: select_identifier(d, weights[d.doc_id], 2) for d in (doc_a, doc_b)
-        }
-        table = resolve_collisions(identifiers, ranked, 2)
-        sets = {d: frozenset(t) for d, t in table.terms_by_doc.items()}
-        assert sets["A"] != sets["B"]
-        assert all(len(t) == 2 for t in table.terms_by_doc.values())
-        assert table.num_placeholders == 0
+        corpus = ingest_corpus([{"doc_id": "A", "title": "", "body": "t1 t2 x"},
+                                {"doc_id": "B", "title": "", "body": "t1 t2 y"}])
+        table = top_terms(corpus, IN_ORDER, 2)
+        # the smallest doc id keeps its set; the other drops its worst term for its next one
+        assert table == {"A": ["t1", "t2"], "B": ["t1", "y"]}
 
     def test_no_collision_is_fixed_point(self):
-        identifiers = {"A": ["a", "b"], "B": ["c", "d"]}
-        ranked = {"A": ["a", "b"], "B": ["c", "d"]}
-        table = resolve_collisions(identifiers, ranked, 2)
-        assert table.terms_by_doc == identifiers
+        corpus = ingest_corpus([{"doc_id": "A", "title": "", "body": "a b"},
+                                {"doc_id": "B", "title": "", "body": "c d"}])
+        assert top_terms(corpus, IN_ORDER, 2) == {"A": ["a", "b"], "B": ["c", "d"]}
 
     def test_identical_docs_get_one_placeholder(self):
-        doc_a = Document.from_text("A", "", "t1 t2")
-        doc_b = Document.from_text("B", "", "t1 t2")
-        weights = {"t1": 0.9, "t2": 0.8}
-        ranked = {d.doc_id: ranked_terms(d, weights) for d in (doc_a, doc_b)}
-        identifiers = {d.doc_id: select_identifier(d, weights, 2) for d in (doc_a, doc_b)}
-        table = resolve_collisions(identifiers, ranked, 2)
+        corpus = ingest_corpus([{"doc_id": "B", "title": "", "body": "t1 t2"},
+                                {"doc_id": "A", "title": "", "body": "t1 t2"}])
+        table = build_identifiers(corpus, ImportanceModel(np.array(IN_ORDER)), 2, 2)
         assert table.num_placeholders == 1
         assert table.terms_by_doc["A"] == ["t1", "t2"]
         assert table.terms_by_doc["B"] == ["t1", "⟂B:0"]
+
+
+WORDS = ("alpha", "beta", "b", "café", "東京", "über", "x1", "zz")
+
+
+@st.composite
+def term_corpora(draw):
+    """A small corpus with repeated, title-only and non-ASCII terms and identical documents.
+
+    Returns (corpus, training pairs); the pairs' queries hold terms that no
+    document holds (df 0).
+    """
+    words = st.lists(st.sampled_from(WORDS), max_size=4).map(" ".join)
+    bodies = st.lists(st.sampled_from(WORDS), min_size=1, max_size=7).map(" ".join)
+    records = [{"doc_id": f"D{i}", "title": title, "body": body}
+               for i, (title, body) in enumerate(draw(st.lists(st.tuples(words, bodies),
+                                                               min_size=1, max_size=8)))]
+    for k, source in enumerate(draw(st.lists(st.sampled_from(records), max_size=3))):
+        records.append({**source, "doc_id": f"C{k}"})  # an identical document
+    corpus = ingest_corpus(records)
+    ids = corpus.doc_ids
+    query_words = st.lists(st.sampled_from(WORDS + ("unseen", "ñandú")), max_size=5)
+    pairs = []
+    for k in range(draw(st.integers(0, 4))):
+        positive = draw(st.sampled_from(ids))
+        negatives = [d for d in draw(st.lists(st.sampled_from(ids), max_size=3)) if d != positive]
+        pairs.append(TrainingPair(Query.from_text(f"q{k}", " ".join(draw(query_words))),
+                                  positive, negatives))
+    return corpus, pairs
+
+
+MODEL_WEIGHTS = st.lists(st.sampled_from([0.0, 1.0, -0.5])
+                         | st.floats(-3, 3, allow_nan=False, allow_subnormal=False),
+                         min_size=6, max_size=6).map(np.array)
+
+
+class TestFeatureMatrix:
+    """The matrix path against the per-term forms it replaced, on random corpora."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(case=term_corpora(), weights=MODEL_WEIGHTS, n_min=st.integers(1, 4),
+           extra=st.integers(0, 4))
+    def test_equals_the_per_term_oracles(self, case, weights, n_min, extra):
+        corpus, pairs = case
+        stats = corpus.stats
+        for doc in corpus.documents:
+            want = oracle_features(doc.terms, doc.title_terms, stats)
+            got = feature_rows(corpus, doc.doc_id)
+            assert sorted(got) == sorted(want)
+            assert all(got[t].tobytes() == want[t].tobytes() for t in want)
+        queries = importance._featurize([p.query.terms for p in pairs], None, stats)
+        for k, pair in enumerate(pairs):
+            want = oracle_features(pair.query.terms, set(), stats)
+            span = range(queries.start[k], queries.start[k + 1])
+            got = {queries.terms[queries.term[i]]: queries.features[i] for i in span}
+            assert {t: f.tobytes() for t, f in got.items()} == {t: f.tobytes() for t, f in want.items()}
+        # weights: a Python sum of the same products, left to right, bit for bit
+        rows = importance._corpus_rows(corpus)
+        got = importance._term_weights(rows.features, weights)
+        want = np.array([python_weight(f, weights) for f in rows.features])
+        assert got.tobytes() == want.reshape(got.shape).tobytes()
+        model = ImportanceModel(weights)
+        for doc in corpus.documents:
+            assert list(score_terms(model, doc, stats).items()) == list(
+                oracle_score_terms(weights, doc, stats).items())
+        # identifiers: the per-document scan with frozenset repair
+        got = build_identifiers(corpus, model, n_min, n_min + extra)
+        want = oracle_build_identifiers(corpus, weights, n_min, n_min + extra)
+        assert (got.n, list(got.terms_by_doc.items())) == (want.n, list(want.terms_by_doc.items()))
+        # term weights: the corpus maximum per dictionary term, 0 for placeholders
+        index = build_index(got)
+        table = np.zeros(len(index.dictionary))
+        for doc in corpus.documents:
+            for term, weight in oracle_score_terms(weights, doc, stats).items():
+                if term in index.dictionary:
+                    tid = index.dictionary.id_of(term)
+                    table[tid] = max(table[tid], weight)
+        assert build_term_weights(index, corpus, model).tobytes() == table.tobytes()
+        # the training batch: the same rows, in the same order
+        batch = prepare_training_batch(pairs, corpus)
+        got = (batch.query_feats, batch.doc_feats, batch.cand, batch.first)
+        for a, b in zip(got, oracle_batch(pairs, corpus)):
+            assert a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
 
 
 class TestBuildIdentifiers:
@@ -419,21 +616,40 @@ class TestPersistence:
         write_identifier_file(loaded, tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
-    def test_embedding_adapter(self, tmp_path):
-        table = {"alpha": np.array([1.0, 0.0]), "beta": np.array([0.0, 2.0])}
-        featurizer = EmbeddingFeaturizer(table)
-        assert featurizer.dim == 3
-        corpus = ingest_corpus([{"doc_id": "D", "title": "alpha", "body": "beta missing"}])
-        model = ImportanceModel(np.array([1.0, 1.0, 0.5]), featurizer=featurizer)
-        weights = score_terms(model, corpus["D"], corpus.stats)
-        assert weights["alpha"] == pytest.approx(1.5)
-        assert weights["beta"] == pytest.approx(2.5)
-        assert weights["missing"] == pytest.approx(0.5)  # zero vector + bias
-        save_model(model, tmp_path / "emb.model")
-        with pytest.raises(DataError, match="embedding table"):
-            load_model(tmp_path / "emb.model")
-        loaded = load_model(tmp_path / "emb.model", embedding_table=table)
-        assert np.array_equal(loaded.weights, model.weights)
+    def test_unknown_schema(self, tmp_path):
+        path = tmp_path / "imp.model"
+        save_model(ImportanceModel(np.ones(6)), path)
+        path.write_text(path.read_text("utf-8").replace("tfidf/1", "embedding/1"), "utf-8")
+        with pytest.raises(DataError, match="unknown feature schema 'embedding/1'"):
+            load_model(path)
+
+
+@pytest.fixture(scope="module")
+def model_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("model-fuzz") / "importance.model"
+    save_model(ImportanceModel(np.array([0.1, -0.2, 0.3, 0.0, 1.25, -7.5]), tau=0.7), path)
+    return path
+
+
+class TestModelFileFuzz:
+    """A mutated importance model loads as a model, or is a DataError naming the file."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_loads_or_names_the_path(self, model_file, data):
+        mutated = model_file.read_bytes()
+        for _ in range(data.draw(st.integers(1, 3))):
+            mutated = data.draw(file_mutations(mutated))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "importance.model"
+            path.write_bytes(mutated)
+            kind, got = outcome(load_model, path)
+        if kind == "ok":
+            assert got.weights.shape == (len(TFIDF_FEATURES),)
+            assert np.isfinite(got.weights).all() and math.isfinite(got.tau)
+        else:
+            assert kind == "DataError", got
+            assert got.startswith(f"{path}"), got
 
 
 def oracle_read_identifier_file(path) -> IdentifierTable:
