@@ -176,7 +176,7 @@ def cmd_build_terms(args) -> int:
         started,
         out_dir / "build-terms.manifest.json",
     )
-    print(f"identifiers: n={table.n} docs={len(table.terms_by_doc)} "
+    print(f"identifiers: n={table.n} docs={len(table.doc_ids)} "
           f"placeholders={table.num_placeholders}")
     return 0
 

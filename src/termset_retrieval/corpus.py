@@ -36,15 +36,13 @@ class Document:
     title: str
     body: str
     terms: list[str] = field(default_factory=list)
+    title_terms: frozenset[str] = frozenset()
 
     @classmethod
     def from_text(cls, doc_id: str, title: str, body: str) -> "Document":
         # Title terms come first so early-position features favor them.
-        return cls(doc_id, title, body, tokenize(title) + tokenize(body))
-
-    @property
-    def title_terms(self) -> set[str]:
-        return set(tokenize(self.title))
+        head = tokenize(title)
+        return cls(doc_id, title, body, head + tokenize(body), frozenset(head))
 
 
 @dataclass

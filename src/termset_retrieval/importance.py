@@ -14,10 +14,13 @@ corpus maximum of them.
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
+import re
 import weakref
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -294,17 +297,6 @@ class TermDictionary:
         return self.terms[term_id]
 
 
-def _first_bad_term(sets: np.ndarray, num_terms: int) -> tuple[str, int, int] | None:
-    """The "range" and "term" checks of `_first_bad_row`, on its row-sorted term ids."""
-    outside = ((sets[:, :1] < 0) | (sets[:, -1:] >= num_terms)).any(axis=1)
-    if outside.any():
-        return "range", int(outside.argmax()), -1
-    repeats = (sets[:, 1:] == sets[:, :-1]).any(axis=1)
-    if repeats.any():
-        return "term", int(repeats.argmax()), -1
-    return None
-
-
 def _first_bad_row(sets: np.ndarray, num_terms: int) -> tuple[str, int, int] | None:
     """The first identifier-row check that fails, as (check, row, earlier), or None.
 
@@ -312,9 +304,14 @@ def _first_bad_row(sets: np.ndarray, num_terms: int) -> tuple[str, int, int] | N
     bad row: "range", every id lies in [0, num_terms); "term", no row repeats a term; "set",
     no row's set repeats an earlier row's, `earlier` being the first that holds it (else -1).
     """
-    bad = _first_bad_term(sets, num_terms)
-    if bad or len(sets) < 2:
-        return bad
+    outside = ((sets[:, :1] < 0) | (sets[:, -1:] >= num_terms)).any(axis=1)
+    if outside.any():
+        return "range", int(outside.argmax()), -1
+    repeats = (sets[:, 1:] == sets[:, :-1]).any(axis=1)
+    if repeats.any():
+        return "term", int(repeats.argmax()), -1
+    if len(sets) < 2:
+        return None
     if not sets.shape[1]:  # every zero-width row holds the empty set
         return "set", 1, 0
     later, earlier = _repeated_sets(sets)
@@ -382,26 +379,52 @@ def _identifier_problem(bad: tuple[str, int, int], doc_ids, rows, n: int) -> str
     return f"identifier of {doc_ids[row]} repeats a term"
 
 
-@dataclass
 class IdentifierTable:
-    """Per-document identifier: exactly n distinct terms, importance-descending."""
+    """The checked registry: per-document identifiers of exactly n distinct terms.
 
-    n: int
-    terms_by_doc: dict[str, list[str]]
+    Its rows are encoded and checked once, when it is built, and kept in
+    ascending doc-id order: `dictionary` names their terms, and the
+    read-only int32 `order` holds each row importance-descending and `sets`
+    holds it sorted. An `Index` shares these arrays.
+    """
 
-    def __post_init__(self):
-        rows = list(self.terms_by_doc.values())
-        bad = _encode_identifiers(rows, self.n)[-1]
+    def __init__(self, n: int, terms_by_doc: dict[str, list[str]]):
+        doc_ids, rows = list(terms_by_doc), list(terms_by_doc.values())
+        dictionary, order, sets, bad = _encode_identifiers(rows, n)
         if bad:
-            raise InvariantError(_identifier_problem(bad, list(self.terms_by_doc), rows, self.n))
+            raise InvariantError(_identifier_problem(bad, doc_ids, rows, n))
+        self._keep(n, dictionary, doc_ids, order, sets)
 
-    @property
-    def doc_ids(self) -> list[str]:
-        return sorted(self.terms_by_doc)
+    @classmethod
+    def _checked(cls, n, dictionary, doc_ids, order, sets) -> IdentifierTable:
+        """A table of unique doc ids and rows already checked as the constructor checks them."""
+        return cls.__new__(cls)._keep(n, dictionary, doc_ids, order, sets)
+
+    def _keep(self, n, dictionary, doc_ids, order, sets) -> IdentifierTable:
+        if not _strictly_ascending(doc_ids):
+            by_id = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+            doc_ids, order, sets = [doc_ids[i] for i in by_id], order[by_id], sets[by_id]
+        order.flags.writeable = sets.flags.writeable = False
+        self.n, self.dictionary, self.doc_ids, self.order, self.sets = n, dictionary, doc_ids, order, sets
+        return self
+
+    def _term_rows(self) -> list[list[str]]:
+        """Each row's terms, importance-descending, in doc-id order."""
+        return np.array(self.dictionary.terms, dtype=object)[self.order].tolist()
+
+    @functools.cached_property
+    def terms_by_doc(self) -> dict[str, list[str]]:
+        """Each document's terms, best first; editing this dict leaves the table as it is."""
+        return dict(zip(self.doc_ids, self._term_rows()))
 
     @property
     def num_placeholders(self) -> int:
-        return sum(map(is_placeholder, chain.from_iterable(self.terms_by_doc.values())))
+        held = np.fromiter(map(is_placeholder, self.dictionary.terms), bool, len(self.dictionary))
+        return int(held[self.order].sum())
+
+
+def _strictly_ascending(items) -> bool:
+    return all(map(operator.lt, items, islice(items, 1, None)))
 
 
 def is_placeholder(term: str) -> bool:
@@ -535,9 +558,18 @@ def load_model(path) -> ImportanceModel:
     return ImportanceModel(weights, tau)
 
 
+_LINE_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"  # where `str.splitlines` splits
+
+
 def write_identifier_file(table: IdentifierTable, path) -> None:
+    """One line per document; a separator in a doc id or term is a DataError before writing."""
+    for strings, what, ends in [(table.doc_ids, "document id", "\t"),
+                                (table.dictionary.terms, "term", ",\t")]:
+        bad = next(filter(None, map(re.compile(f"[{ends}{_LINE_BREAKS}]").search, strings)), None)
+        if bad:
+            raise DataError(f"{what} {bad.string!r} holds {bad[0]!r}, a separator of the file")
     lines = [f"{_IDENTIFIER_FORMAT}\t{table.n}"]
-    lines += [f"{doc_id}\t{','.join(table.terms_by_doc[doc_id])}" for doc_id in table.doc_ids]
+    lines += [f"{doc_id}\t{','.join(row)}" for doc_id, row in zip(table.doc_ids, table._term_rows())]
     atomic.write_text(path, "\n".join(lines) + "\n")
 
 
@@ -567,8 +599,8 @@ def read_identifier_file(path) -> IdentifierTable:
         linenos.append(lineno)
     if not terms_by_doc:
         raise DataError(f"{path}: empty registry")
-    try:
-        return IdentifierTable(n, terms_by_doc)
-    except InvariantError as exc:  # the table checks its rows in file order; find the bad one
-        _, row, _ = _encode_identifiers(list(terms_by_doc.values()), n)[-1]
-        raise DataError(f"{path}:{linenos[row]}: {exc}") from None
+    doc_ids, rows = list(terms_by_doc), list(terms_by_doc.values())
+    dictionary, order, sets, bad = _encode_identifiers(rows, n)  # in file order
+    if bad:
+        raise DataError(f"{path}:{linenos[bad[1]]}: {_identifier_problem(bad, doc_ids, rows, n)}")
+    return IdentifierTable._checked(n, dictionary, doc_ids, order, sets)

@@ -9,18 +9,15 @@ documents' remaining identifier terms.
 
 from __future__ import annotations
 
-import operator
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import islice
 
 import numpy as np
 
 from . import atomic
 from .errors import DataError, InvariantError
-from .importance import IdentifierTable, TermDictionary
-from .importance import _encode_identifiers, _first_bad_row, _first_bad_term, _identifier_problem
+from .importance import IdentifierTable, TermDictionary, _first_bad_row, _strictly_ascending
 
 _INDEX_FORMAT = "termset-index/3"
 
@@ -183,37 +180,18 @@ def _dense_step(searchable, seqs, docs, ptr, columns) -> Step:
 
 
 class Index:
-    """Built once from an IdentifierTable; shared read-only across queries.
+    """The prefix index of an `IdentifierTable`; shared read-only across queries.
 
-    doc_ids must be strictly ascending: document positions then order
-    documents exactly as their ids do, which the decoder's tie rule uses.
+    It shares the table's dictionary, doc ids and read-only `order` and
+    `sets` rows, which the table checked when it was built. The doc ids
+    ascend strictly: document positions then order documents exactly as
+    their ids do, which the decoder's tie rule uses.
     """
 
-    def __init__(self, dictionary: TermDictionary, doc_ids: list[str], order: np.ndarray):
-        if not _strictly_ascending(doc_ids):
-            raise InvariantError("document ids must be unique and in sorted order")
-        sets = np.sort(order, axis=1)
-        bad = _first_bad_term(sets, len(dictionary))
-        if bad and bad[0] == "range":
-            raise InvariantError(f"term ids outside [0, {len(dictionary)})")
-        if bad:
-            raise InvariantError(_identifier_problem(bad, doc_ids, order, order.shape[1]))
-        self._setup(dictionary, doc_ids, order, sets)
-
-    @classmethod
-    def _checked(cls, dictionary, doc_ids, order, sets) -> Index:
-        """An index of rows already checked as `__init__` checks them; `sets` is `order` row-sorted."""
-        index = cls.__new__(cls)
-        index._setup(dictionary, doc_ids, order, sets)
-        return index
-
-    def _setup(self, dictionary, doc_ids, order, sets) -> None:
-        self.dictionary = dictionary
-        self.doc_ids = doc_ids
-        self.order = order  # (docs, n) term ids, importance-descending
-        self.sets = sets  # row-sorted set view
-        self.n = order.shape[1]
-        num_docs, vocab = len(doc_ids), len(dictionary)
+    def __init__(self, table: IdentifierTable):
+        self.dictionary, self.doc_ids, self.n = table.dictionary, table.doc_ids, table.n
+        self.order, self.sets = table.order, table.sets  # importance-descending, sorted
+        num_docs, vocab = len(self.doc_ids), len(self.dictionary)
         # term-level postings as CSR: term t's documents are
         # posting_docs[posting_ptr[t]:posting_ptr[t + 1]], in position
         # order: the keys term * docs + doc are unique, so one sort orders them
@@ -273,20 +251,11 @@ class Index:
         return arrays + strings
 
 
-def _strictly_ascending(items) -> bool:
-    return all(map(operator.lt, items, islice(items, 1, None)))
-
-
 def build_index(table: IdentifierTable) -> Index:
-    """Index a registry, checking its rows as `IdentifierTable` and `load_index` do."""
-    if not table.terms_by_doc:
+    """Index a registry; its rows were checked when the table was built."""
+    if not table.doc_ids:
         raise DataError("empty registry")
-    doc_ids = table.doc_ids
-    rows = list(map(table.terms_by_doc.__getitem__, doc_ids))
-    dictionary, order, sets, bad = _encode_identifiers(rows, table.n)
-    if bad:
-        raise InvariantError(_identifier_problem(bad, doc_ids, rows, table.n))
-    return Index._checked(dictionary, doc_ids, order, sets)  # sorted dict keys: strictly ascending
+    return Index(table)
 
 
 def naive_feasible_terms(index: Index, prefix_ids) -> np.ndarray:
@@ -403,7 +372,7 @@ def load_index(path) -> Index:
             "set": f"identifier set repeats that of document {doc_ids[earlier]!r}",
         }[check]
         raise DataError(f"{path}: document {doc_ids[row]!r}: {message}")
-    return Index._checked(TermDictionary(terms), doc_ids, order, sets)
+    return Index(IdentifierTable._checked(n, TermDictionary(terms), doc_ids, order, sets))
 
 
 def _split(path, data: bytes, at: int, size: int, count: int, what: str) -> list[str]:

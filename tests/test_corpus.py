@@ -1,10 +1,12 @@
 """Corpus ingestion, tokenization, and negative sampling."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from termset_retrieval import corpus as corpus_module
 from termset_retrieval.corpus import (
     Corpus,
     Document,
@@ -18,6 +20,7 @@ from termset_retrieval.corpus import (
     tokenize,
 )
 from termset_retrieval.errors import DataError
+from termset_retrieval.importance import _corpus_rows
 
 
 class TestTokenize:
@@ -77,6 +80,16 @@ class TestIngest:
     def test_title_terms_come_first(self):
         corpus = ingest_corpus(self.records())
         assert corpus["D3"].terms == ["gamma", "gamma", "alpha", "beta"]
+
+    def test_title_is_tokenized_once_per_document(self, monkeypatch):
+        """`from_text` keeps the title's terms; featurizing the corpus tokenizes nothing again."""
+        tokens = mock.Mock(side_effect=tokenize)
+        monkeypatch.setattr(corpus_module, "tokenize", tokens)
+        corpus = ingest_corpus(self.records())
+        _corpus_rows(corpus)
+        assert tokens.call_count == 2 * len(corpus)  # each title and each body, at ingestion
+        want = [frozenset(tokenize(record["title"])) for record in self.records()]
+        assert [doc.title_terms for doc in corpus.documents] == want
 
     def test_df_matches_brute_force_scan(self):
         rng = np.random.default_rng(4)

@@ -607,7 +607,7 @@ class TestPersistence:
             load_model(path)
 
     def test_identifier_file_round_trip(self, tmp_path):
-        table = IdentifierTable(2, {"B": ["x", "y"], "A": ["x", "z"]})
+        table = IdentifierTable(2, {"B": ["x", "y"], "A": ["x", "z"], "C,1": ["x y", "z"]})
         path = tmp_path / "ids.tsv"
         write_identifier_file(table, path)
         loaded = read_identifier_file(path)
@@ -615,6 +615,43 @@ class TestPersistence:
         assert loaded.terms_by_doc == table.terms_by_doc
         write_identifier_file(loaded, tmp_path / "again.tsv")
         assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ({"A": ["x"], "B\tC": ["y"]}, r"document id 'B\\tC' holds '\\t'"),
+            ({"A": ["x"], "B": ["y,z"]}, r"term 'y,z' holds ','"),
+            ({"A": ["x"], "B": ["y\nz"]}, r"term 'y\\nz' holds '\\n'"),
+            ({"A": ["x"], "B": ["y\tz"]}, r"term 'y\\tz' holds '\\t'"),
+            ({"A\r": ["x"], "B": ["y"]}, r"document id 'A\\r' holds '\\r'"),
+            ({"A": ["x\u2028"], "B": ["y"]}, r"term 'x\\u2028' holds '\\u2028'"),
+        ],
+        ids=["doc-tab", "term-comma", "term-newline", "term-tab", "doc-return", "term-line-separator"],
+    )
+    def test_unreadable_id_is_refused_before_writing(self, tmp_path, rows, message):
+        with pytest.raises(DataError, match=message):
+            write_identifier_file(IdentifierTable(1, rows), tmp_path / "ids.tsv")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_refused_line_breaks_are_those_the_reader_splits_on(self):
+        breaks = [c for c in map(chr, range(0x110000)) if len(f"a{c}b".splitlines()) > 1]
+        assert "".join(breaks) == importance._LINE_BREAKS
+
+    @pytest.mark.parametrize("rows, error", [("B\tx,y\nA\tx,z\n", None),
+                                             ("B\tx,y\nA\ty,x\n", "3: identifier collision between B and A")],
+                             ids=["good", "bad-row"])
+    def test_read_encodes_once(self, tmp_path, monkeypatch, rows, error):
+        path = tmp_path / "ids.tsv"
+        path.write_text(f"termset-identifiers/1\t2\n{rows}", "utf-8")
+        calls = []
+        encode = importance._encode_identifiers
+        monkeypatch.setattr(importance, "_encode_identifiers", lambda *a: calls.append(a) or encode(*a))
+        if error:
+            with pytest.raises(DataError, match=f"ids.tsv:{error}$"):
+                read_identifier_file(path)
+        else:
+            assert read_identifier_file(path).doc_ids == ["A", "B"]
+        assert len(calls) == 1
 
     def test_unknown_schema(self, tmp_path):
         path = tmp_path / "imp.model"

@@ -22,10 +22,10 @@ from hypothesis import strategies as st
 from termset_retrieval import importance
 from termset_retrieval import index as index_module
 from termset_retrieval.cli import main
-from termset_retrieval.corpus import Query
+from termset_retrieval.corpus import Query, ingest_corpus
 from termset_retrieval.decoder import rank_documents, search
 from termset_retrieval.errors import DataError, InvariantError
-from termset_retrieval.importance import IdentifierTable
+from termset_retrieval.importance import IdentifierTable, ImportanceModel, build_identifiers
 from termset_retrieval.index import (
     Index,
     SequenceView,
@@ -100,10 +100,12 @@ class TestBuild:
 
     @pytest.mark.parametrize("doc_ids", [["D2", "D1"], ["D1", "D1"]], ids=["unsorted", "repeated"])
     def test_doc_ids_must_ascend_strictly(self, doc_ids):
-        dictionary = TermDictionary(["a", "b", "c", "d"])
-        order = np.array([[0, 1], [2, 3]], dtype=np.int32)
-        with pytest.raises(InvariantError, match="sorted order"):
-            Index(dictionary, doc_ids, order)
+        """A table sorts its doc ids, which a dict cannot repeat; a file must hold them so."""
+        table = IdentifierTable(2, dict(zip(doc_ids, [["a", "b"], ["c", "d"]])))
+        assert table.doc_ids == sorted(set(doc_ids))
+        data = index_bytes(2, ["a", "b", "c", "d"], doc_ids, [[0, 1], [2, 3]])
+        with pytest.raises(DataError, match="documents not unique and in sorted order"):
+            load_bytes(data)
 
 
 class TestExtend:
@@ -673,14 +675,14 @@ class TestPersistence:
         assert list(tmp_path.iterdir()) == []
 
     def test_load_and_build_check_each_row_once(self, tmp_path, monkeypatch):
-        """`load_index` and `build_index` make their indexes without re-running `Index`'s checks."""
+        """`load_index` checks the file's rows once; `build_index` checks none, nor encodes."""
         table = make_random_identifiers(20, 10, 3, seed=5)
         save_index(build_index(table), tmp_path / "index.bin")
         calls = []
         check = index_module._first_bad_row
         monkeypatch.setattr(index_module, "_first_bad_row", lambda *a: calls.append(a) or check(*a))
-        monkeypatch.setattr(index_module, "_first_bad_term", mock.Mock(side_effect=AssertionError))
-        monkeypatch.setattr(Index, "__init__", mock.Mock(side_effect=AssertionError))
+        for name in ("_first_bad_row", "_encode_identifiers"):
+            monkeypatch.setattr(importance, name, mock.Mock(side_effect=AssertionError))
         assert_same_index(load_index(tmp_path / "index.bin"), build_index(table))
         assert len(calls) == 1
 
@@ -737,7 +739,8 @@ def oracle_load_index(path) -> Index:
         if earlier != d:
             raise DataError(f"{path}: document {doc_ids[d]!r}: identifier set repeats that of "
                             f"document {doc_ids[earlier]!r}")
-    return Index(TermDictionary(terms), doc_ids, np.array(rows, dtype=np.int32).reshape(num_docs, n))
+    order = np.array(rows, dtype=np.int32).reshape(num_docs, n)
+    return Index(IdentifierTable._checked(n, TermDictionary(terms), doc_ids, order, np.sort(order, 1)))
 
 
 INDEX_ARRAYS = ("order", "sets", "posting_docs", "posting_ptr", "posting_sizes", "root_feasible",
@@ -929,7 +932,63 @@ def argsort_postings(index: Index) -> dict[str, np.ndarray]:
             "root_feasible": np.flatnonzero(sizes > 0).astype(np.int32)}
 
 
+def encoded(terms_by_doc: dict[str, list[str]]) -> dict[str, object]:
+    """A registry encoded by hand: sorted terms, then each row's ids and postings in doc-id order."""
+    doc_ids = sorted(terms_by_doc)
+    terms = sorted({t for ts in terms_by_doc.values() for t in ts})
+    rows = [[terms.index(t) for t in terms_by_doc[d]] for d in doc_ids]
+    postings = [[d for d, row in enumerate(rows) if t in row] for t in range(len(terms))]
+    sizes = [len(docs) for docs in postings]
+    return {
+        "doc_ids": doc_ids,
+        "terms": terms,
+        "order": np.array(rows, dtype=np.int32),
+        "sets": np.array([sorted(row) for row in rows], dtype=np.int32),
+        "posting_docs": np.array([d for docs in postings for d in docs], dtype=np.int32),
+        "posting_ptr": np.array([0, *itertools.accumulate(sizes)], dtype=np.int64),
+    }
+
+
+def registry_case(case: str) -> tuple[IdentifierTable, dict[str, list[str]]]:
+    """A table and the strings it was built from, in an insertion order that is not sorted."""
+    if case == "placeholders":
+        bodies = {"B": "t1 t2", "A": "t1 t2", "D": "t1 t2", "C": "t3 t4"}
+        corpus = ingest_corpus([{"doc_id": d, "title": "", "body": b} for d, b in bodies.items()])
+        # weight 1 - first position: a document's terms rank in the order they occur
+        model = ImportanceModel(np.array([0.0, 0.0, 0.0, -1.0, 0.0, 1.0]))
+        rows = {"B": ["t1", "\u27c2B:0"], "A": ["t1", "t2"], "D": ["t1", "\u27c2D:0"], "C": ["t3", "t4"]}
+        return build_identifiers(corpus, model, 2, 2), rows
+    base = make_random_identifiers(60, 45, 4, seed=8).terms_by_doc
+    if case == "unicode-and-tab":  # the ids of `test_round_trip_random`, last document first
+        rows = {f"d\u00f3c\t{d}": [f"t\u00e9rmino {t}" for t in terms] for d, terms in base.items()}
+        rows = dict(reversed(rows.items()))
+    else:
+        doc_ids = list(base)
+        rows = {doc_ids[i]: base[doc_ids[i]] for i in np.random.default_rng(0).permutation(60)}
+    return IdentifierTable(4, rows), rows
+
+
 class TestBuildOracle:
+    @pytest.mark.parametrize("case", ["shuffled", "unicode-and-tab", "placeholders"])
+    def test_build_equals_an_encode_in_doc_id_order(self, case):
+        table, rows = registry_case(case)
+        assert list(rows) != sorted(rows)
+        index, want = build_index(table), encoded(rows)
+        assert (index.doc_ids, index.dictionary.terms) == (want.pop("doc_ids"), want.pop("terms"))
+        for name, array in want.items():
+            got = getattr(index, name)
+            assert got.dtype == array.dtype and np.array_equal(got, array), name
+        assert table.terms_by_doc == rows
+
+    def test_index_shares_the_tables_read_only_arrays(self):
+        table = make_random_identifiers(30, 12, 3, seed=2)
+        index = build_index(table)
+        for name in ("dictionary", "doc_ids", "order", "sets"):
+            assert getattr(index, name) is getattr(table, name), name
+        for array in (table.order, table.sets):
+            with pytest.raises(ValueError, match="read-only"):
+                array[:1] = 0
+
     @pytest.mark.parametrize("num_docs, vocab, n, seed",
                              [(1, 3, 3, 0), (40, 10, 2, 1), (300, 40, 4, 2), (500, 25, 6, 3)])
     def test_postings_equal_the_stable_argsort(self, num_docs, vocab, n, seed):
@@ -943,19 +1002,22 @@ class TestBuildOracle:
             assert np.array_equal(getattr(index, name), array), name
 
     def test_unused_dictionary_terms_have_empty_postings(self):
+        """A loaded file's dictionary may name terms no row holds."""
         table = make_random_identifiers(50, 9, 3, seed=4)
         built = build_index(table)
-        wider = TermDictionary(["!", *built.dictionary.terms, "~"])
+        wider = ["!", *built.dictionary.terms, "~"]
         order = built.order + 1  # the same terms, one place on in the wider dictionary
-        index = Index(wider, built.doc_ids, order)
+        index = load_bytes(index_bytes(3, wider, built.doc_ids, order))
+        assert np.array_equal(index.order, order)
         for name, array in argsort_postings(index).items():
             assert getattr(index, name).dtype == array.dtype, name
             assert np.array_equal(getattr(index, name), array), name
         assert index.posting_sizes[[0, -1]].tolist() == [0, 0]
 
     def test_term_ids_outside_the_dictionary(self, tiny_index):
-        with pytest.raises(InvariantError, match="outside"):
-            Index(tiny_index.dictionary, tiny_index.doc_ids, tiny_index.order + 1)
+        data = index_bytes(3, tiny_index.dictionary.terms, tiny_index.doc_ids, tiny_index.order + 1)
+        with pytest.raises(DataError, match=r"document 'D3': term id outside \[0, 7\)"):
+            load_bytes(data)
 
     @pytest.mark.parametrize(
         "mutate, message",
@@ -968,16 +1030,21 @@ class TestBuildOracle:
         ],
         ids=["wrong-length", "repeated-term", "colliding-set"],
     )
-    def test_table_mutated_after_construction_is_refused(self, mutate, message):
+    def test_table_mutated_after_construction_is_refused(self, tmp_path, mutate, message):
+        """An edited `terms_by_doc` view is refused as a table, and leaves its own table as it was."""
         table = make_random_identifiers(20, 10, 3, seed=5)
+        before = build_index(table)
+        importance.write_identifier_file(table, tmp_path / "before.tsv")
         mutate(table.terms_by_doc)
         with pytest.raises(InvariantError, match=message):
-            build_index(table)
+            IdentifierTable(table.n, table.terms_by_doc)
+        assert_same_index(build_index(table), before)
+        importance.write_identifier_file(table, tmp_path / "after.tsv")
+        assert (tmp_path / "after.tsv").read_bytes() == (tmp_path / "before.tsv").read_bytes()
 
     def test_build_does_not_revalidate_the_table(self, monkeypatch):
         table = make_random_identifiers(20, 10, 3, seed=5)
-        calls = []
-        check = importance._first_bad_row
-        monkeypatch.setattr(importance, "_first_bad_row", lambda *args: calls.append(args) or check(*args))
+        for name in ("_first_bad_row", "_encode_identifiers"):
+            monkeypatch.setattr(importance, name, mock.Mock(side_effect=AssertionError))
+        monkeypatch.setattr(index_module, "_first_bad_row", mock.Mock(side_effect=AssertionError))
         assert len(build_index(table)) == 20
-        assert len(calls) == 1  # the row check runs once: no table is rebuilt or re-checked
