@@ -223,7 +223,7 @@ def cmd_train(args) -> int:
     scorer_path = out_dir / "scorer.txt"
     stats_path = out_dir / "training-stats.jsonl"
     save_scorer(scorer, scorer_path)
-    _write_records([s.to_record() for s in stats], stats_path)
+    _write_records([dataclasses.asdict(s) for s in stats], stats_path)
     inputs = [args.corpus, args.queries, args.qrels, args.index]
     if args.model:
         inputs.append(args.model)

@@ -31,7 +31,6 @@ class RankedDoc:
 @dataclass
 class SearchResult:
     query_id: str
-    beam_size: int | None
     entries: list[RankedDoc] = field(default_factory=list)
 
     def doc_ids(self) -> list[str]:
@@ -49,17 +48,15 @@ def constrained_beam_search(
     searchable,
     scorer: Scorer,
     beam_size: int | None = 100,
-    dedupe_sets: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run N constrained decoding steps and return the completed hypotheses.
 
     `searchable` is an index-like object exposing all_docs, expand(), n,
     doc_ids and a dictionary; beam_size=None keeps every valid extension
-    (exhaustive). With dedupe_sets, order variants of the same prefix set
-    collapse to their best-scoring member before the top-K cut; by default
-    they stay distinct because the scorer rates them differently: each
-    order passes through children of different sizes (`log1p_postings`)
-    and is normalized over different feasible sets.
+    (exhaustive). Order variants of one prefix set stay distinct
+    hypotheses, because the scorer rates them differently: each order
+    passes through children of different sizes (`log1p_postings`) and is
+    normalized over different feasible sets.
 
     The beam is held as arrays: one (hypotheses x N) array of term ids,
     filled up to the current depth, and the postings as CSR (flat doc
@@ -67,12 +64,9 @@ def constrained_beam_search(
     query (`step_scorer`). Each step expands the whole beam with one
     `np.sort` (`expand`; none once every prefix names one document),
     scores it with one call of that function and keeps the survivors with
-    `top_k_cut`, which sorts only the extensions at or above the K-th
-    log-likelihood (found with `np.partition`) and falls back to sorting
-    the whole step when dedupe_sets leaves fewer than K distinct sets
-    among them. Returns the
-    completed hypotheses as arrays, best first: their term-id sequences
-    (one row each), log-likelihoods and document positions.
+    `top_k_cut`. Returns the completed hypotheses as arrays, best first:
+    their term-id sequences (one row each), log-likelihoods and document
+    positions.
     """
     if beam_size is not None and beam_size < 1:
         raise DataError(f"beam size must be >= 1, got {beam_size}")
@@ -84,7 +78,7 @@ def constrained_beam_search(
     for depth in range(searchable.n):
         step = searchable.expand(seqs[:, :depth], docs, ptr)
         step_ll = lls[step.parents] + step_logprobs(step)
-        order = top_k_cut(step, step_ll, rank, beam_size, dedupe_sets)
+        order = top_k_cut(step, step_ll, rank, beam_size)
         kept_parents, kept_terms = step.parents[order], step.terms[order]
         docs, ptr = step.children(order)
         seqs = seqs[kept_parents]
@@ -101,7 +95,7 @@ def constrained_beam_search(
     return seqs, lls, docs
 
 
-def top_k_cut(step, step_ll, rank, beam_size, dedupe_sets) -> np.ndarray:
+def top_k_cut(step, step_ll, rank, beam_size) -> np.ndarray:
     """Positions of the step's surviving extensions, best first.
 
     `step_ll` holds each extension's cumulative log-likelihood and `rank`
@@ -109,34 +103,28 @@ def top_k_cut(step, step_ll, rank, beam_size, dedupe_sets) -> np.ndarray:
     likelihood desc, then leading child doc, then the extended sequence
     (parent's rank, then term): doc positions follow sorted doc ids and
     term ids follow sorted terms, so positions and ids order exactly as the
-    strings do. With dedupe_sets, each prefix set keeps its first extension
-    in that order.
+    strings do.
 
     Only extensions at or above the K-th largest log-likelihood can make
     the cut, so when the step has more than K, `np.partition` finds that
     value and only those rows, ties included, are sorted: they are exactly
-    the head of the full order. Dedupe may leave fewer than K distinct sets
-    among them; then, unless they were the whole step, it is sorted whole.
+    the head of the full order. A NaN log-likelihood is the one exception:
+    `np.partition` counts NaN as the largest value, which no `>=` holds
+    for, so fewer than K rows may pass; then the whole step is sorted,
+    NaN last.
     """
-    rows = np.arange(len(step_ll))
-    if beam_size is not None and len(rows) > beam_size:
+    if beam_size is not None and len(step_ll) > beam_size:
         kth = np.partition(step_ll, -beam_size)[-beam_size]
-        top = rows[step_ll >= kth]
-        order = _sort_rows(step, step_ll, rank, top, dedupe_sets)
-        if len(order) >= beam_size or len(top) == len(rows):
-            return order[:beam_size]
-    return _sort_rows(step, step_ll, rank, rows, dedupe_sets)[:beam_size]
+        top = np.flatnonzero(step_ll >= kth)
+        if len(top) >= beam_size:
+            return _sort_rows(step, step_ll, rank, top)[:beam_size]
+    return _sort_rows(step, step_ll, rank, np.arange(len(step_ll)))[:beam_size]
 
 
-def _sort_rows(step, step_ll, rank, rows, dedupe_sets) -> np.ndarray:
-    """`rows` (ascending positions) in the tie-rule order, deduped by prefix set."""
+def _sort_rows(step, step_ll, rank, rows) -> np.ndarray:
+    """`rows` (ascending positions) in the tie-rule order."""
     parents, terms = step.parents[rows], step.terms[rows]
-    order = np.lexsort((terms, rank[parents], step.leads[rows], -step_ll[rows]))
-    if dedupe_sets:
-        sets = np.sort(np.column_stack([step.seqs[parents[order]], terms[order]]), axis=1)
-        _, first = np.unique(sets, axis=0, return_index=True)
-        order = order[np.sort(first)]
-    return rows[order]
+    return rows[np.lexsort((terms, rank[parents], step.leads[rows], -step_ll[rows]))]
 
 
 def rank_documents(
@@ -145,7 +133,6 @@ def rank_documents(
     docs: np.ndarray,
     searchable,
     query_id: str = "",
-    beam_size: int | None = None,
 ) -> SearchResult:
     """Group completed hypotheses by document and keep each one's best permutation.
 
@@ -168,7 +155,7 @@ def rank_documents(
         RankedDoc(doc_ids[doc], ll, tuple(term_of(t) for t in seq))
         for doc, ll, seq in zip(docs[best].tolist(), lls[best].tolist(), seqs[best].tolist())
     ]
-    return SearchResult(query_id, beam_size, entries)
+    return SearchResult(query_id, entries)
 
 
 def search(
@@ -176,10 +163,9 @@ def search(
     searchable,
     scorer: Scorer,
     beam_size: int | None = 100,
-    dedupe_sets: bool = False,
 ) -> SearchResult:
-    seqs, lls, docs = constrained_beam_search(query, searchable, scorer, beam_size, dedupe_sets)
-    return rank_documents(seqs, lls, docs, searchable, query.query_id, beam_size)
+    seqs, lls, docs = constrained_beam_search(query, searchable, scorer, beam_size)
+    return rank_documents(seqs, lls, docs, searchable, query.query_id)
 
 
 def brute_force_best_permutation(

@@ -60,7 +60,6 @@ class _TermRows:
     term: np.ndarray
     first: np.ndarray
     features: np.ndarray  # (rows, len(TFIDF_FEATURES))
-    scored: tuple[bytes, np.ndarray] | None = None  # the last model's weights, by its bytes
 
 
 def _featurize(term_lists: list[list[str]], titles: list[set[str]] | None,
@@ -129,16 +128,9 @@ def _corpus_rows(corpus: Corpus) -> _TermRows:
 
 
 def _corpus_weights(corpus: Corpus, model: ImportanceModel) -> tuple[_TermRows, np.ndarray]:
-    """The corpus's term rows and their weights under `model`.
-
-    The last model's weights are kept, so the identifier scan and the
-    scorer's term weights score the corpus once between them.
-    """
+    """The corpus's term rows and their weights under `model`."""
     rows = _corpus_rows(corpus)
-    key = np.asarray(model.weights, dtype=float).tobytes()
-    if rows.scored is None or rows.scored[0] != key:
-        rows.scored = key, _term_weights(rows.features, model.weights)
-    return rows, rows.scored[1]
+    return rows, _term_weights(rows.features, model.weights)
 
 
 def _find(sorted_values: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -587,7 +579,7 @@ def read_identifier_file(path) -> IdentifierTable:
     terms_by_doc: dict[str, list[str]] = {}
     linenos: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line.strip() and "\t" not in line:  # " \t " is a row: id " ", term " "
             continue
         parts = line.split("\t")
         if len(parts) != 2:

@@ -26,8 +26,9 @@ _INDEX_FORMAT = "termset-index/3"
 class Step:
     """Every one-term extension of a whole beam of equal-depth prefixes.
 
-    The beam: row h of `seqs` is hypothesis h's prefix, held by documents
-    beam_docs[beam_ptr[h]:beam_ptr[h + 1]] (ascending). Extensions are
+    The beam: row h of `seqs` is hypothesis h's prefix, and `beam_docs`
+    lists the documents that hold each prefix, hypothesis by hypothesis
+    (ascending within each). Extensions are
     ordered by (parent, term): `parents` and `terms` name them, `sizes`
     count their child documents and `leads` hold the lowest child document.
     Extension i's child postings, ascending, are beam_docs[k - origins[i]]
@@ -38,7 +39,6 @@ class Step:
     searchable: object
     seqs: np.ndarray
     beam_docs: np.ndarray
-    beam_ptr: np.ndarray
     parents: np.ndarray
     terms: np.ndarray
     sizes: np.ndarray
@@ -107,7 +107,7 @@ def _expand(searchable, seqs, docs, ptr, columns) -> Step:
     if len(docs) * vocab > 1 << 63:  # the sort's keys lie below 2 x docs x V, and 2**64
         raise InvariantError(f"{len(docs)} beam documents x {vocab} terms overflow the sort key")
     if len(docs) == len(seqs) and (ptr[1:] - ptr[:-1] == 1).all():
-        return _dense_step(searchable, seqs, docs, ptr, columns)
+        return _dense_step(searchable, seqs, docs, columns)
     return _sort_step(searchable, seqs, docs, ptr, columns)
 
 
@@ -159,12 +159,12 @@ def _sort_step(searchable, seqs, docs, ptr, columns) -> Step:
     origins = np.left_shift(ids.astype(dtype, copy=False), shifts.repeat(kept))
     origins += rowbase.repeat(kept)
     return Step(
-        searchable, seqs, docs, ptr, parents, ids, (bounds[1:] - bounds[:-1])[keep],
+        searchable, seqs, docs, parents, ids, (bounds[1:] - bounds[:-1])[keep],
         docs.take(keys[starts] - origins), keys, starts, origins, offsets,
     )
 
 
-def _dense_step(searchable, seqs, docs, ptr, columns) -> Step:
+def _dense_step(searchable, seqs, docs, columns) -> Step:
     """`_expand` of a beam in which hypothesis h holds one document, docs[h].
 
     Its extensions are that document's terms, columns[h], bar the prefix's:
@@ -173,7 +173,7 @@ def _dense_step(searchable, seqs, docs, ptr, columns) -> Step:
     keep = (columns[:, :, None] != seqs[:, None, :]).all(axis=2)
     parents = keep.nonzero()[0]
     return Step(
-        searchable, seqs, docs, ptr, parents, columns[keep], np.ones_like(parents),
+        searchable, seqs, docs, parents, columns[keep], np.ones_like(parents),
         docs[parents], parents, np.arange(len(parents)), np.zeros_like(parents),
         np.searchsorted(parents, np.arange(len(seqs) + 1)),
     )
@@ -226,7 +226,7 @@ class Index:
         the term postings: its step is built once, with the index.
         """
         if seqs.shape[1] == 0:
-            return Step(self, seqs, docs, ptr, *self._root)
+            return Step(self, seqs, docs, *self._root)
         return _expand(self, seqs, docs, ptr, self.sets.take(docs, axis=0))
 
     def doc_position(self, doc_id: str) -> int:

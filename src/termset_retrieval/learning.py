@@ -72,17 +72,6 @@ class IterationStats:
     num_pseudo: int
     epoch_losses: list[float] = field(default_factory=list)  # pre-update loss per epoch
 
-    def to_record(self) -> dict:
-        return {
-            "iteration": self.iteration,
-            "mean_objective_logprob": self.mean_objective_logprob,
-            "val_recall": self.val_recall,
-            "target_churn": self.target_churn,
-            "num_pairs": self.num_pairs,
-            "num_pseudo": self.num_pseudo,
-            "epoch_losses": self.epoch_losses,
-        }
-
 
 @dataclass
 class LearningPair:

@@ -21,6 +21,8 @@ from termset_retrieval.index import build_index, load_index, save_index
 from termset_retrieval.scorer import STEP_FEATURES, FeatureScorer, save_scorer
 from termset_retrieval.synthetic import make_random_identifiers
 
+from conftest import file_mutations
+
 DATA = Path(__file__).resolve().parent.parent / "src" / "termset_retrieval" / "data"
 
 
@@ -672,5 +674,40 @@ class TestScorerFileFuzz:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 rc = invoke("search", "--index", out / "index.txt", "--scorer", scorer,
                             "--queries", out / "queries.jsonl", "--output", Path(tmp) / "run.txt")
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def evaluate_inputs(tmp_path_factory):
+    """The toy qrels' bytes, and those of the run file `search` writes for the toy queries."""
+    out = tmp_path_factory.mktemp("evaluate-fuzz")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert invoke("build-terms", "--corpus", DATA / "toy_corpus.jsonl",
+                      "--queries", DATA / "toy_queries.jsonl", "--qrels", DATA / "toy_qrels.tsv",
+                      "--output-dir", out / "terms", "--n-min", "2", "--n-max", "8") == 0
+        assert invoke("build-index", "--identifiers", out / "terms/identifiers.tsv",
+                      "--output", out / "index.bin") == 0
+        save_scorer(FeatureScorer.zeros(load_index(out / "index.bin")), out / "scorer.txt")
+        assert invoke("search", "--index", out / "index.bin", "--scorer", out / "scorer.txt",
+                      "--queries", DATA / "toy_queries.jsonl", "--output", out / "run.txt") == 0
+    return {"qrels": (DATA / "toy_qrels.tsv").read_bytes(), "run": (out / "run.txt").read_bytes()}
+
+
+class TestEvaluateInputFuzz:
+    @pytest.mark.parametrize("kind", ["qrels", "run"])
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_exits_0_or_2_without_traceback(self, evaluate_inputs, kind, data):
+        files = dict(evaluate_inputs)
+        for _ in range(data.draw(st.integers(1, 3))):
+            files[kind] = data.draw(file_mutations(files[kind]))
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, content in files.items():
+                (Path(tmp) / name).write_bytes(content)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = invoke("evaluate", "--run", Path(tmp) / "run", "--qrels", Path(tmp) / "qrels",
+                            "--output-dir", Path(tmp) / "out")
         assert rc in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()

@@ -19,7 +19,7 @@ from termset_retrieval.decoder import (
 from termset_retrieval.errors import DataError
 from termset_retrieval.evaluation import read_run, recall_at_k
 from termset_retrieval.importance import IdentifierTable
-from termset_retrieval.index import SequenceView, build_index
+from termset_retrieval.index import SequenceView, build_index, root_beam
 from termset_retrieval.scorer import (
     STEP_FEATURES,
     FeatureScorer,
@@ -45,7 +45,7 @@ def random_scorer(index, seed=0, spread=1.0):
     )
 
 
-def reference_beam_search(query, searchable, scorer, beam_size, dedupe_sets=False):
+def reference_beam_search(query, searchable, scorer, beam_size):
     """The per-extension decoding loop, kept as the oracle for the batched step.
 
     Hypotheses are (term ids, log-likelihood) pairs; each is scored on its
@@ -61,8 +61,6 @@ def reference_beam_search(query, searchable, scorer, beam_size, dedupe_sets=Fals
             for term_id, lp in zip(step.terms.tolist(), logprobs):
                 extensions.append((term_ids + (term_id,), ll + float(lp)))
         extensions.sort(key=_extension_order(searchable))
-        if dedupe_sets:
-            extensions = _dedupe_by_set(extensions)
         if beam_size is not None:
             extensions = extensions[:beam_size]
         beam = extensions
@@ -72,9 +70,9 @@ def reference_beam_search(query, searchable, scorer, beam_size, dedupe_sets=Fals
     return seqs, np.array([ll for _, ll in beam]), np.concatenate(docs)
 
 
-def ranked(searchable, hypotheses, query_id="", beam_size=None):
+def ranked(searchable, hypotheses, query_id=""):
     """`rank_documents` of a (seqs, lls, docs) triple."""
-    return rank_documents(*hypotheses, searchable, query_id, beam_size)
+    return rank_documents(*hypotheses, searchable, query_id)
 
 
 def _extension_order(searchable):
@@ -88,17 +86,6 @@ def _extension_order(searchable):
     return key
 
 
-def _dedupe_by_set(extensions):
-    seen: set[frozenset] = set()
-    kept = []
-    for ext in extensions:
-        key = frozenset(ext[0])
-        if key not in seen:
-            seen.add(key)
-            kept.append(ext)
-    return kept
-
-
 class DepthScorer(Scorer):
     """Implements only segment_logprobs, so the beam goes through the base step_scorer."""
 
@@ -108,6 +95,14 @@ class DepthScorer(Scorer):
             scores = np.cos(step.terms[ext[a:b]] * (step.depth + 1.7))
             out.append(scores - np.log(np.exp(scores).sum()))
         return np.concatenate(out)
+
+
+class NaNScorer(DepthScorer):
+    """DepthScorer, but every fourth term id scores NaN."""
+
+    def segment_logprobs(self, queries, step, seg_query, ext, ptr):
+        scores = super().segment_logprobs(queries, step, seg_query, ext, ptr)
+        return np.where(step.terms[ext] % 4 == 1, np.nan, scores)
 
 
 @st.composite
@@ -137,17 +132,16 @@ class TestBatchedStepOracle:
         searchable, scorer, q = case
         exhaustive = (None,) if searchable.n <= 4 else ()  # the loop visits every permutation
         for beam in (1, 3, 10, *exhaustive):
-            for dedupe in (False, True):
-                got = ranked(searchable, constrained_beam_search(q, searchable, scorer, beam, dedupe))
-                want = ranked(searchable, reference_beam_search(q, searchable, scorer, beam, dedupe))
-                assert got.canonical() == want.canonical(), (beam, dedupe)
+            got = ranked(searchable, constrained_beam_search(q, searchable, scorer, beam))
+            want = ranked(searchable, reference_beam_search(q, searchable, scorer, beam))
+            assert got.canonical() == want.canonical(), beam
 
     def test_scorer_with_only_segment_logprobs(self):
         index = build_index(make_random_identifiers(40, 30, 4, seed=5))
         q = query("t03")
         for beam in (1, 5, None):
             got = search(q, index, DepthScorer(), beam_size=beam)
-            want = ranked(index, reference_beam_search(q, index, DepthScorer(), beam), "q", beam)
+            want = ranked(index, reference_beam_search(q, index, DepthScorer(), beam), "q")
             assert got.canonical() == want.canonical()
             for entry in got.entries:
                 ids = [index.dictionary.id_of(t) for t in entry.permutation]
@@ -155,13 +149,13 @@ class TestBatchedStepOracle:
 
 
 def record_sorts(monkeypatch):
-    """Record (rows sorted, extensions in the step, rows returned) per sort of the cut."""
+    """Record (rows sorted, extensions in the step) per sort of the cut."""
     calls = []
     sort_rows = decoder._sort_rows
 
-    def recording(step, step_ll, rank, rows, dedupe_sets):
-        order = sort_rows(step, step_ll, rank, rows, dedupe_sets)
-        calls.append((len(rows), len(step_ll), len(order)))
+    def recording(step, step_ll, rank, rows):
+        order = sort_rows(step, step_ll, rank, rows)
+        calls.append((len(rows), len(step_ll)))
         return order
 
     monkeypatch.setattr(decoder, "_sort_rows", recording)
@@ -175,29 +169,33 @@ class TestTopKCut:
         index = build_index(make_random_identifiers(60, 12, 3, seed=4))
         calls = record_sorts(monkeypatch)
         for beam in (2, 5, 13, 40):
-            for dedupe in (False, True):
-                calls.clear()
-                got = constrained_beam_search(query(), index, UniformScorer(), beam, dedupe)
-                want = reference_beam_search(query(), index, UniformScorer(), beam, dedupe)
-                assert ranked(index, got).canonical() == ranked(index, want).canonical()
-                assert any(beam < rows < total for rows, total, _ in calls), (beam, calls)
+            calls.clear()
+            got = constrained_beam_search(query(), index, UniformScorer(), beam)
+            want = reference_beam_search(query(), index, UniformScorer(), beam)
+            assert ranked(index, got).canonical() == ranked(index, want).canonical()
+            assert any(beam < rows < total for rows, total in calls), (beam, calls)
 
-    def test_dedupe_falls_back_to_the_full_sort(self, monkeypatch):
-        # Beam 4 keeps x, y, z and h at depth 0 (leads d1, d1, d2, d4). At
-        # depth 1 the triangle's six order variants tie above h's three
-        # extensions, but they hold only three distinct sets, so the fourth
-        # survivor comes from below the K-th value.
-        table = IdentifierTable(2, {
-            "d1": ["x", "y"], "d2": ["y", "z"], "d3": ["x", "z"],
-            "d4": ["h", "p"], "d5": ["h", "q"], "d6": ["h", "r"],
-        })
-        index = build_index(table)
+    def test_nan_log_likelihoods_fall_back_to_the_full_sort(self, monkeypatch):
+        # np.partition counts NaN as the largest value, which no `>=` holds
+        # for, so the rows at or above the K-th value may be fewer than K
+        index = build_index(make_random_identifiers(40, 30, 4, seed=5))
+        step_logprobs = NaNScorer().step_scorer(query())
+        root = index.expand(*root_beam(index))
+        docs, ptr = root.children(np.arange(len(root.terms)))
+        step = index.expand(root.terms[:, None].astype(np.int64), docs, ptr)
+        rank = np.arange(len(root.terms))  # the root's terms ascend
+        step_ll = step_logprobs(root)[step.parents] + step_logprobs(step)
+        finite = int(np.isfinite(step_ll).sum())
+        assert 0 < finite < len(step_ll)
+        full = decoder._sort_rows(step, step_ll, rank, np.arange(len(step_ll)))
         calls = record_sorts(monkeypatch)
-        got = ranked(index, constrained_beam_search(query(), index, UniformScorer(), 4, True))
-        want = ranked(index, reference_beam_search(query(), index, UniformScorer(), 4, True))
-        assert got.canonical() == want.canonical()
-        assert got.doc_ids() == ["d1", "d2", "d3", "d4"]
-        assert calls[-2:] == [(6, 9, 3), (9, 9, 6)]
+        for beam in (1, 2, 7, finite - 1, finite, finite + 1, finite + 5, len(step_ll) - 1):
+            calls.clear()
+            got = decoder.top_k_cut(step, step_ll, rank, beam)
+            assert got.tolist() == full[:beam].tolist(), beam
+            if beam > finite:
+                assert calls[-1] == (len(step_ll), len(step_ll)), (beam, calls)
+        assert np.isnan(step_ll[full[finite:]]).all()
 
 
 class TestBeamSearch:
@@ -249,13 +247,6 @@ class TestBeamSearch:
             if any(len(v) > 1 for v in by_set.values()):
                 seen_any_order_pair = True
         assert seen_any_order_pair
-
-    def test_dedupe_sets_collapses_order_variants(self, tiny_index):
-        seqs, _, _ = constrained_beam_search(
-            query("a b"), tiny_index, UniformScorer(), beam_size=None, dedupe_sets=True
-        )
-        sets = [frozenset(term_ids) for term_ids in seqs.tolist()]
-        assert len(sets) == len(set(sets)) == 3  # one hypothesis per document
 
     def test_beam_size_validation(self, tiny_index):
         with pytest.raises(DataError, match="beam size"):

@@ -607,14 +607,16 @@ class TestPersistence:
             load_model(path)
 
     def test_identifier_file_round_trip(self, tmp_path):
-        table = IdentifierTable(2, {"B": ["x", "y"], "A": ["x", "z"], "C,1": ["x y", "z"]})
-        path = tmp_path / "ids.tsv"
-        write_identifier_file(table, path)
-        loaded = read_identifier_file(path)
-        assert loaded.n == 2
-        assert loaded.terms_by_doc == table.terms_by_doc
-        write_identifier_file(loaded, tmp_path / "again.tsv")
-        assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
+        # the second table's " " row is written as the line " \t ", which is not blank
+        for table in (IdentifierTable(2, {"B": ["x", "y"], "A": ["x", "z"], "C,1": ["x y", "z"]}),
+                      IdentifierTable(1, {"A": ["x"], " ": [" "]})):
+            path = tmp_path / "ids.tsv"
+            write_identifier_file(table, path)
+            loaded = read_identifier_file(path)
+            assert loaded.n == table.n
+            assert loaded.terms_by_doc == table.terms_by_doc
+            write_identifier_file(loaded, tmp_path / "again.tsv")
+            assert (tmp_path / "again.tsv").read_bytes() == path.read_bytes()
 
     @pytest.mark.parametrize(
         "rows, message",
@@ -707,7 +709,7 @@ def oracle_read_identifier_file(path) -> IdentifierTable:
     terms_by_doc: dict[str, list[str]] = {}
     linenos: dict[str, int] = {}
     for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
+        if not line.strip() and "\t" not in line:
             continue
         parts = line.split("\t")
         if len(parts) != 2:

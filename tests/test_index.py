@@ -246,7 +246,7 @@ def argsort_expand(searchable, seqs, docs, ptr, columns) -> Step:
     keep = ~(seqs[parents] == terms[:, None]).any(axis=1)
     starts, parents = starts[keep], parents[keep]
     return Step(
-        searchable, seqs, docs, ptr, parents, terms[keep].astype(columns.dtype),
+        searchable, seqs, docs, parents, terms[keep].astype(columns.dtype),
         (bounds[1:] - bounds[:-1])[keep], docs[positions[starts]], positions, starts,
         np.zeros(len(starts), dtype=np.int64), np.searchsorted(parents, np.arange(len(seqs) + 1)),
     )
@@ -355,7 +355,7 @@ class TestDenseStep:
         searchable, seqs, docs = case
         ptr = np.arange(len(docs) + 1)
         columns = expand_columns(searchable, seqs, docs)
-        dense = _dense_step(searchable, seqs, docs, ptr, columns)
+        dense = _dense_step(searchable, seqs, docs, columns)
         assert_same_step(dense, _sort_step(searchable, seqs, docs, ptr, columns))
         with mock.patch.object(index_module, "_sort_step", side_effect=AssertionError("sorted")):
             assert_same_step(searchable.expand(seqs, docs, ptr), dense)

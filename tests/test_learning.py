@@ -283,7 +283,7 @@ class TestRunTraining:
         s1, st1 = run_training(dataset, index, config, FeatureScorer.zeros(index, tw))
         s2, st2 = run_training(dataset, index, config, FeatureScorer.zeros(index, tw))
         assert np.array_equal(s1.weights, s2.weights)
-        assert [s.to_record() for s in st1] == [s.to_record() for s in st2]
+        assert st1 == st2
 
     def test_targets_are_valid_permutations_and_stats_complete(self):
         corpus, index, tw, dataset, _, _ = bridging_setup(seed=2)
@@ -312,7 +312,7 @@ class TestRunTraining:
             assert a_stats[1].mean_objective_logprob >= a_stats[0].mean_objective_logprob
         assert a_stats[-1].val_recall is not None
         # shared iteration 1 under identical seeds
-        assert a_stats[0].to_record() == b_stats[0].to_record()
+        assert a_stats[0] == b_stats[0]
         from termset_retrieval.learning import validation_recall
 
         a_recall = validation_recall(adaptive, index, dataset.validation, beam_size=10)
