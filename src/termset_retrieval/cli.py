@@ -19,7 +19,7 @@ import time
 from pathlib import Path
 
 from . import __version__, atomic
-from .corpus import Query, load_corpus, load_judgments, load_queries, sample_negatives
+from .corpus import Query, _iter_jsonl, load_corpus, load_judgments, load_queries, sample_negatives
 from .decoder import search, write_run_file
 from .errors import DataError, InvariantError, parse_values, read_text
 from .evaluation import (
@@ -240,14 +240,7 @@ def cmd_train(args) -> int:
 
 def _load_pseudo_pairs(path) -> list[tuple[Query, str]]:
     pairs = []
-    for lineno, line in enumerate(read_text(path).split("\n"), start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            rec = json.loads(line)
-        except (json.JSONDecodeError, RecursionError) as exc:  # RecursionError: nested too deeply
-            raise DataError(f"{path}:{lineno}: pseudo pair is not valid JSON") from exc
+    for lineno, rec in _iter_jsonl(path):
         if not isinstance(rec, dict):
             raise DataError(f"{path}:{lineno}: pseudo pair is not a JSON object")
         missing = [k for k in ("query_id", "text", "doc_id") if k not in rec]

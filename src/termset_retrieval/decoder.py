@@ -195,8 +195,8 @@ def brute_force_best_permutation(
 
 
 def format_run_lines(results: list[SearchResult], tag: str = "termset") -> list[str]:
-    if any(c.isspace() for c in tag):
-        raise DataError("run tag must not contain whitespace")
+    if not tag or any(c.isspace() for c in tag):
+        raise DataError(f"run tag {tag!r} must be non-empty, without whitespace")
     lines = []
     for result in results:
         for rank, entry in enumerate(result.entries, start=1):

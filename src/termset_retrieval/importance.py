@@ -553,13 +553,17 @@ def load_model(path) -> ImportanceModel:
 _LINE_BREAKS = "\n\v\f\r\x1c\x1d\x1e\x85\u2028\u2029"  # where `str.splitlines` splits
 
 
+def _refuse_separators(strings, what: str, ends: str = "") -> None:
+    """A DataError naming the first of `strings` holding a line break or a character of `ends`."""
+    bad = next(filter(None, map(re.compile(f"[{ends}{_LINE_BREAKS}]").search, strings)), None)
+    if bad:
+        raise DataError(f"{what} {bad.string!r} holds {bad[0]!r}, a separator of the file")
+
+
 def write_identifier_file(table: IdentifierTable, path) -> None:
     """One line per document; a separator in a doc id or term is a DataError before writing."""
-    for strings, what, ends in [(table.doc_ids, "document id", "\t"),
-                                (table.dictionary.terms, "term", ",\t")]:
-        bad = next(filter(None, map(re.compile(f"[{ends}{_LINE_BREAKS}]").search, strings)), None)
-        if bad:
-            raise DataError(f"{what} {bad.string!r} holds {bad[0]!r}, a separator of the file")
+    _refuse_separators(table.doc_ids, "document id", "\t")
+    _refuse_separators(table.dictionary.terms, "term", ",\t")
     lines = [f"{_IDENTIFIER_FORMAT}\t{table.n}"]
     lines += [f"{doc_id}\t{','.join(row)}" for doc_id, row in zip(table.doc_ids, table._term_rows())]
     atomic.write_text(path, "\n".join(lines) + "\n")

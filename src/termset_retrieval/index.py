@@ -17,7 +17,7 @@ import numpy as np
 
 from . import atomic
 from .errors import DataError, InvariantError
-from .importance import IdentifierTable, TermDictionary, _first_bad_row, _strictly_ascending
+from .importance import IdentifierTable, TermDictionary, _find, _first_bad_row, _strictly_ascending
 
 _INDEX_FORMAT = "termset-index/3"
 
@@ -70,11 +70,7 @@ class Step:
         """Position of extension (hyps[i], terms[i]) in the step, -1 where there is none."""
         vocab = len(self.searchable.dictionary)
         keys = self.parents * vocab + self.terms  # ascending: extensions go by (parent, term)
-        want = hyps * vocab + terms
-        pos = np.searchsorted(keys, want)
-        found = (terms >= 0) & (terms < vocab) & (pos < len(keys))
-        found[found] = keys[pos[found]] == want[found]
-        return np.where(found, pos, -1)
+        return np.where((terms >= 0) & (terms < vocab), _find(keys, hyps * vocab + terms), -1)
 
     def descend(self, picks: np.ndarray):
         """The next beam: one hypothesis per distinct extension among `picks`.

@@ -25,7 +25,7 @@ import numpy as np
 from . import atomic
 from .corpus import Corpus, Query
 from .errors import DataError, parse_values, read_lines
-from .importance import ImportanceModel, _corpus_weights, _find
+from .importance import ImportanceModel, _corpus_weights, _find, _refuse_separators
 from .index import Index, root_beam
 
 # Each feature varies across a step's candidates: a constant one cancels in
@@ -136,10 +136,6 @@ class FeatureScorer(Scorer):
         stems = [self._stem_col.setdefault(t[:4], len(self.terms) + len(self._stem_col))
                  for t in self.terms]
         self._term_stem = np.array(stems, dtype=np.int64)
-        # the terms of stem g, grouped: _stem_terms[_stem_ptr[g]:_stem_ptr[g + 1]]
-        self._stem_terms = np.argsort(self._term_stem, kind="stable")
-        columns = np.arange(len(self._stem_col) + 1) + len(self.terms)
-        self._stem_ptr = np.searchsorted(self._term_stem[self._stem_terms], columns)
 
     @classmethod
     def zeros(cls, index: Index, term_weights: np.ndarray | None = None) -> "FeatureScorer":
@@ -154,21 +150,12 @@ class FeatureScorer(Scorer):
         """Bit-identical to the base step function, from a per-query term table.
 
         A score's first three terms, (in_query * w0 + query_prefix4 * w1) +
-        term_weight * w2, depend only on the term: one vector of them over
-        the vocabulary, gathered by term id, replaces `_segment_features`.
-        With both flags 0 it is (0 * w0 + 0 * w1) + term_weight * w2. Only
-        the terms that share a stem with a query word are recomputed: their
-        query_prefix4 is 1, and they include every term in the query.
+        term_weight * w2, depend only on the term: the query's row of the
+        root block's `_tables`, taken over the whole vocabulary and gathered
+        by term id, replaces `_segment_features`.
         """
-        w, vocab, ptr = self.weights, len(self.terms), self._stem_ptr
-        table = (0.0 * w[0] + 0.0 * w[1]) + self.term_weights * w[2]
-        stems = {self._stem_col[t[:4]] - vocab for t in query.terms if t[:4] in self._stem_col}
-        flagged = np.concatenate([np.empty(0, dtype=np.int64)]
-                                 + [self._stem_terms[ptr[g] : ptr[g + 1]] for g in stems])
-        in_query = np.zeros(vocab)
-        in_query[[self._term_id[t] for t in query.terms if t in self._term_id]] = 1.0
-        in_query = in_query[flagged]
-        table[flagged] = (in_query * w[0] + 1.0 * w[1]) + self.term_weights[flagged] * w[2]
+        words = self._query_words([query], np.zeros(1, dtype=np.int64))
+        table = self._tables(words, 1, slice(len(self.terms)))[2][0]
 
         def step_logprobs(step) -> np.ndarray:
             scores = table.take(step.terms) + np.log1p(step.sizes) * self.weights[3]
@@ -210,10 +197,11 @@ class FeatureScorer(Scorer):
         """in_query, query_prefix4 and partial score of `terms` under each of `rows` queries.
 
         `words` holds the rows' `_query_words` pairs; `terms` holds term
-        ids. Each result is a (rows, len(terms)) block, gathered from one
-        scatter of the rows' flag columns. The partial score is (in_query *
-        w0 + query_prefix4 * w1) + term_weight * w2, the first three terms of
-        a step score, summed as `_scores` sums them.
+        ids, or is a slice of them, which keeps the gathers views. Each
+        result is a (rows, len(terms)) block, gathered from one scatter of
+        the rows' flag columns. The partial score is (in_query * w0 +
+        query_prefix4 * w1) + term_weight * w2, the first three terms of a
+        step score, summed as `_scores` sums them.
         """
         flags = np.zeros((rows, len(self.terms) + len(self._stem_col)))
         flags[tuple(words)] = 1.0
@@ -247,8 +235,8 @@ class FeatureScorer(Scorer):
         row_key = np.repeat(seg_row, np.diff(ptr)) * width
         terms = step.terms[ext]
         feats = np.empty((len(ext), len(STEP_FEATURES)))
-        feats[:, 0] = _isin_sorted(keys, row_key + terms)
-        feats[:, 1] = _isin_sorted(keys, row_key + self._term_stem[terms])
+        feats[:, 0] = _find(keys, row_key + terms) >= 0
+        feats[:, 1] = _find(keys, row_key + self._term_stem[terms]) >= 0
         feats[:, 2] = self.term_weights[terms]
         feats[:, 3] = np.log1p(step.sizes[ext])
         return feats
@@ -297,8 +285,8 @@ class FeatureScorer(Scorer):
         """
         step, group = chunk.step, chunk.seg_query  # distinct slots, ascending
         slot, column = words
-        row = np.minimum(np.searchsorted(group, slot), len(group) - 1)
-        hit = group[row] == slot
+        row = _find(group, slot)
+        hit = row >= 0
         in_query, prefix4, logprobs = self._root_block((row[hit], column[hit]), step, len(group))
         weighted = np.exp(logprobs) * chunk.weight[:, None]
         mass = weighted.sum(axis=0)
@@ -348,14 +336,6 @@ def _log_softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     body[heads] = False
     shifted[body] = scores - np.repeat(m, counts)
     return scores - np.repeat(m + np.log(np.add.reduceat(np.exp(shifted), heads)), counts)
-
-
-def _isin_sorted(keys: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """values[i] in keys, for ascending `keys`."""
-    if not len(keys):
-        return np.zeros(len(values), dtype=bool)
-    pos = np.minimum(np.searchsorted(keys, values), len(keys) - 1)
-    return keys[pos] == values
 
 
 def _query_slots(queries):
@@ -473,6 +453,8 @@ def build_term_weights(index: Index, corpus: Corpus, model: ImportanceModel) -> 
 
 
 def save_scorer(scorer: FeatureScorer, path) -> None:
+    """A term holding a line break is a DataError before writing: `load_scorer` would split it."""
+    _refuse_separators(scorer.terms, "term")
     lines = [
         _SCORER_FORMAT,
         "features\t" + " ".join(STEP_FEATURES),
@@ -531,10 +513,10 @@ def check_compatible(scorer: FeatureScorer, index: Index) -> None:
     A step score is monotone in each feature, so it lies between its values
     at the features' extremes: in_query and query_prefix4 at 0 and 1, the
     lowest and highest term_weight, and log1p_postings at a child size of 1
-    and at the largest posting. These are summed as
-    `FeatureScorer.step_scorer` sums them. The lowest log-likelihood of an
-    identifier, n steps each at most the score spread plus log V below 0,
-    must be finite too.
+    and at the largest posting. These are summed as `FeatureScorer._tables`
+    and `_scores` sum them, in search and training alike. The lowest
+    log-likelihood of an identifier, n steps each at most the score spread
+    plus log V below 0, must be finite too.
     """
     if scorer.terms != index.dictionary.terms:
         raise DataError("vocabulary mismatch between index and scorer")

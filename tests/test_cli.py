@@ -214,6 +214,17 @@ class TestErrors:
         assert rc == 2
         assert f"{tmp_path / artifact}: byte {at} is not UTF-8 text" in capsys.readouterr().err
 
+    def test_empty_run_tag_is_data_error(self, search_inputs, tmp_path, capsys):
+        # its run lines would have 5 fields, which `evaluate` refuses
+        out, scorer = search_inputs
+        rc = invoke("search", "--index", out / "index.txt", "--scorer", out / "scorer.txt",
+                    "--queries", out / "queries.jsonl", "--output", tmp_path / "run.txt", "--tag", "")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "run tag" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []
+
     def test_scorer_that_can_overflow_is_data_error(self, search_inputs, tmp_path, capsys):
         # finite weights whose product overflows: term_weight * 1e308 = inf for every term
         out, _ = search_inputs
@@ -331,14 +342,14 @@ class TestErrors:
              "absent.txt"),
             ("pairs.jsonl", '{"query_id": "q1", "text": "a", "doc_id": "zz"}\nnot json\n',
              [*TRAIN, "--index", "{index}", "--pseudo-pairs", "{file}", "--output-dir", "{tmp}/out"],
-             "pairs.jsonl:2: pseudo pair is not valid JSON"),
+             "pairs.jsonl:2: malformed record at line 2: Expecting value"),
             ("pairs.jsonl", '"query_id text doc_id"\n',
              [*TRAIN, "--index", "{index}", "--pseudo-pairs", "{file}", "--output-dir", "{tmp}/out"],
              "pairs.jsonl:1: pseudo pair is not a JSON object"),
             # nested deeper than the JSON decoder can recurse
             ("pairs.jsonl", '{"query_id": "q1", "text": "a", "doc_id": "zz"}\n' + "[" * 100_000,
              [*TRAIN, "--index", "{index}", "--pseudo-pairs", "{file}", "--output-dir", "{tmp}/out"],
-             "pairs.jsonl:2: pseudo pair is not valid JSON"),
+             "pairs.jsonl:2: malformed record at line 2: nested too deeply"),
             ("queries.jsonl", '{"query_id": "q1", "text": "alpha"}\n' + "[" * 100_000,
              ["search", "--index", "{index}", "--scorer", "{scorer}", "--queries", "{file}",
               "--output", "{tmp}/run.txt"],
@@ -679,9 +690,9 @@ class TestScorerFileFuzz:
 
 
 @pytest.fixture(scope="module")
-def evaluate_inputs(tmp_path_factory):
-    """The toy qrels' bytes, and those of the run file `search` writes for the toy queries."""
-    out = tmp_path_factory.mktemp("evaluate-fuzz")
+def toy_search(tmp_path_factory):
+    """A directory holding the toy corpus's index (`index.bin`) and a zero scorer for it."""
+    out = tmp_path_factory.mktemp("toy-search")
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert invoke("build-terms", "--corpus", DATA / "toy_corpus.jsonl",
                       "--queries", DATA / "toy_queries.jsonl", "--qrels", DATA / "toy_qrels.tsv",
@@ -689,6 +700,14 @@ def evaluate_inputs(tmp_path_factory):
         assert invoke("build-index", "--identifiers", out / "terms/identifiers.tsv",
                       "--output", out / "index.bin") == 0
         save_scorer(FeatureScorer.zeros(load_index(out / "index.bin")), out / "scorer.txt")
+    return out
+
+
+@pytest.fixture(scope="module")
+def evaluate_inputs(toy_search):
+    """The toy qrels' bytes, and those of the run file `search` writes for the toy queries."""
+    out = toy_search
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         assert invoke("search", "--index", out / "index.bin", "--scorer", out / "scorer.txt",
                       "--queries", DATA / "toy_queries.jsonl", "--output", out / "run.txt") == 0
     return {"qrels": (DATA / "toy_qrels.tsv").read_bytes(), "run": (out / "run.txt").read_bytes()}
@@ -709,5 +728,39 @@ class TestEvaluateInputFuzz:
             with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
                 rc = invoke("evaluate", "--run", Path(tmp) / "run", "--qrels", Path(tmp) / "qrels",
                             "--output-dir", Path(tmp) / "out")
+        assert rc in (0, 2), err.getvalue()
+        assert "Traceback" not in err.getvalue()
+
+
+# each fuzzed input kind: the command that reads it, and the file it starts from
+INPUT_FUZZ = {
+    "corpus": (["build-terms", "--corpus", "{file}", "--queries", DATA / "toy_queries.jsonl",
+                "--qrels", DATA / "toy_qrels.tsv", "--output-dir", "{tmp}/out",
+                "--importance-epochs", "1", "--n-max", "4"],
+               (DATA / "toy_corpus.jsonl").read_bytes()),
+    "queries": (["search", "--index", "{toy}/index.bin", "--scorer", "{toy}/scorer.txt",
+                 "--queries", "{file}", "--output", "{tmp}/run.txt"],
+                (DATA / "toy_queries.jsonl").read_bytes()),
+    "pseudo-pairs": ([*TRAIN, "--index", "{toy}/index.bin", "--pseudo-pairs", "{file}",
+                      "--output-dir", "{tmp}/out", "--iterations", "1", "--epochs", "1"],
+                     b'{"query_id": "p1", "text": "granite harbor lamp", "doc_id": "lighthouse"}\n'
+                     b'{"query_id": "p2", "text": "wild yeast starter", "doc_id": "sourdough"}\n'),
+}
+
+
+class TestInputFileFuzz:
+    @pytest.mark.parametrize("kind", list(INPUT_FUZZ))
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data())
+    def test_mutated_file_exits_0_or_2_without_traceback(self, toy_search, kind, data):
+        argv, content = INPUT_FUZZ[kind]
+        for _ in range(data.draw(st.integers(1, 3))):
+            content = data.draw(file_mutations(content))
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "input").write_bytes(content)
+            paths = {"file": Path(tmp) / "input", "tmp": tmp, "toy": toy_search}
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                rc = invoke(*(str(a).format(**paths) for a in argv))
         assert rc in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()

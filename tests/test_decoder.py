@@ -391,5 +391,6 @@ class TestRunOutput:
 
     def test_tag_validation(self, tiny_index):
         result = search(query(), tiny_index, UniformScorer(), beam_size=1)
-        with pytest.raises(DataError, match="tag"):
-            format_run_lines([result], tag="bad tag")
+        for tag in ["bad tag", ""]:  # an empty tag leaves run lines of 5 fields
+            with pytest.raises(DataError, match="tag"):
+                format_run_lines([result], tag=tag)

@@ -1,6 +1,7 @@
 """Step probabilities, sequence likelihoods, teacher-forced training."""
 
 import math
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -14,7 +15,7 @@ from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import constrained_beam_search
 from termset_retrieval.errors import DataError
 from termset_retrieval.importance import IdentifierTable
-from termset_retrieval.index import SequenceView, build_index, root_beam
+from termset_retrieval.index import SequenceView, build_index, load_index, root_beam, save_index
 from termset_retrieval.scorer import (
     STEP_FEATURES,
     FeatureScorer,
@@ -680,6 +681,15 @@ class TestPersistence:
         assert np.array_equal(loaded.term_weights, scorer.term_weights)
         save_scorer(loaded, tmp_path / "again.txt")
         assert (tmp_path / "again.txt").read_bytes() == path.read_bytes()
+
+    def test_term_with_a_line_break_is_refused_before_writing(self, tmp_path):
+        # U+2028 is no "\n", so the binary index keeps it, but `str.splitlines` splits there
+        index_path = tmp_path / "index.bin"
+        save_index(build_index(IdentifierTable(1, {"A": ["x\u2028y"], "B": ["z"]})), index_path)
+        path = tmp_path / "scorer.txt"
+        with pytest.raises(DataError, match=re.escape(repr("x\u2028y"))):
+            save_scorer(FeatureScorer.zeros(load_index(index_path)), path)
+        assert not path.exists()
 
     def test_bad_header(self, tmp_path):
         path = tmp_path / "nope.txt"
