@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import __version__, atomic
 from .corpus import Query, _iter_jsonl, load_corpus, load_judgments, load_queries, sample_negatives
-from .decoder import search, write_run_file
+from .decoder import check_run_tag, search, write_run_file
 from .errors import DataError, InvariantError, parse_values, read_text
 from .evaluation import (
     ablate_identifier_scheme,
@@ -96,19 +96,23 @@ def _settings(args, defaults: dict) -> dict:
     return resolved
 
 
-def _write_manifest(command: str, args, settings: dict, inputs, outputs, started: float, path):
+def _write_manifest(args, settings: dict, inputs, outputs):
+    """`<output-dir>/<command>.manifest.json`, or else `<output>.manifest.json`."""
+    if hasattr(args, "output_dir"):
+        path = Path(args.output_dir) / f"{args.command}.manifest.json"
+    else:
+        path = Path(f"{args.output}.manifest.json")
     manifest = {
         "format": _MANIFEST_FORMAT,
         "version": __version__,
-        "command": command,
+        "command": args.command,
         "argv": list(args._argv),
         "config": {k: settings[k] for k in sorted(settings)},
         "inputs": {str(p): _sha256(p) for p in inputs},
         "outputs": {str(p): _sha256(p) for p in outputs},
-        "wall_time_s": round(time.perf_counter() - started, 6),
+        "wall_time_s": round(time.perf_counter() - args._started, 6),
     }
     atomic.write_text(path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    return manifest
 
 
 def rerun_from_manifest(manifest_path):
@@ -123,13 +127,32 @@ def _write_records(records: list[dict], path) -> None:
     atomic.write_text(path, "".join(json.dumps(r, sort_keys=True) + "\n" for r in records))
 
 
+def _write_report(args, settings: dict, inputs, report, stem: str) -> int:
+    """`<stem>.txt` (the printed table), `<stem>.jsonl` and the manifest under --output-dir."""
+    out_dir = Path(args.output_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    table_path, records_path = out_dir / f"{stem}.txt", out_dir / f"{stem}.jsonl"
+    atomic.write_text(table_path, report.format_table() + "\n")
+    _write_records(report.to_records(), records_path)
+    _write_manifest(args, settings, inputs, [table_path, records_path])
+    print(report.format_table())
+    return 0
+
+
+def _load_search_inputs(args):
+    """Index, scorer and queries, in this order, so that the first bad file is reported."""
+    index = load_index(args.index)
+    scorer = load_scorer(args.scorer)
+    check_compatible(scorer, index)
+    return index, scorer, load_queries(args.queries)
+
+
 # ---------------------------------------------------------------------------
 # Commands
 # ---------------------------------------------------------------------------
 
 
 def cmd_build_terms(args) -> int:
-    started = time.perf_counter()
     settings = _settings(
         args,
         {
@@ -167,35 +190,24 @@ def cmd_build_terms(args) -> int:
     ident_path = out_dir / "identifiers.tsv"
     save_model(model, model_path)
     write_identifier_file(table, ident_path)
-    _write_manifest(
-        "build-terms",
-        args,
-        settings,
-        [args.corpus, args.queries, args.qrels],
-        [model_path, ident_path],
-        started,
-        out_dir / "build-terms.manifest.json",
-    )
+    _write_manifest(args, settings, [args.corpus, args.queries, args.qrels], [model_path, ident_path])
     print(f"identifiers: n={table.n} docs={len(table.doc_ids)} "
           f"placeholders={table.num_placeholders}")
     return 0
 
 
 def cmd_build_index(args) -> int:
-    started = time.perf_counter()
     table = read_identifier_file(args.identifiers)
     index = build_index(table)
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_index(index, out_path)
-    _write_manifest("build-index", args, {}, [args.identifiers], [out_path], started,
-                    Path(str(out_path) + ".manifest.json"))
+    _write_manifest(args, {}, [args.identifiers], [out_path])
     print(f"index: n={index.n} docs={len(index.doc_ids)} vocabulary={len(index.dictionary)}")
     return 0
 
 
 def cmd_train(args) -> int:
-    started = time.perf_counter()
     defaults = {f.name: f.default for f in dataclasses.fields(TrainingConfig)}
     settings = _settings(args, {**defaults, "val_fraction": 0.2})
     corpus = load_corpus(args.corpus)
@@ -229,8 +241,7 @@ def cmd_train(args) -> int:
         inputs.append(args.model)
     if args.pseudo_pairs:
         inputs.append(args.pseudo_pairs)
-    _write_manifest("train", args, settings, inputs, [scorer_path, stats_path], started,
-                    out_dir / "train.manifest.json")
+    _write_manifest(args, settings, inputs, [scorer_path, stats_path])
     for s in stats:
         recall = "n/a" if s.val_recall is None else f"{s.val_recall:.4f}"
         print(f"iteration {s.iteration}: objective={s.mean_objective_logprob:.4f} "
@@ -251,31 +262,20 @@ def _load_pseudo_pairs(path) -> list[tuple[Query, str]]:
 
 
 def cmd_search(args) -> int:
-    started = time.perf_counter()
-    index = load_index(args.index)
-    scorer = load_scorer(args.scorer)
-    check_compatible(scorer, index)
-    queries = load_queries(args.queries)
+    check_run_tag(args.tag)
+    index, scorer, queries = _load_search_inputs(args)
     beam = args.beam if args.beam is not None else 100
     results = [search(q, index, scorer, beam) for q in queries]
     out_path = Path(args.output)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     write_run_file(results, out_path, tag=args.tag)
-    _write_manifest(
-        "search",
-        args,
-        {"beam": beam, "tag": args.tag},
-        [args.index, args.scorer, args.queries],
-        [out_path],
-        started,
-        Path(str(out_path) + ".manifest.json"),
-    )
+    _write_manifest(args, {"beam": beam, "tag": args.tag}, [args.index, args.scorer, args.queries],
+                    [out_path])
     print(f"search: {len(queries)} queries, beam {beam} -> {out_path}")
     return 0
 
 
 def cmd_evaluate(args) -> int:
-    started = time.perf_counter()
     judgments = load_judgments(args.qrels)
     report = evaluate_run(args.run, judgments, args.cutoffs)
     if report.unknown_run_queries:
@@ -284,57 +284,22 @@ def cmd_evaluate(args) -> int:
     retrieved = sum(row["retrieved"] for row in report.per_query)
     if retrieved == 0:
         print("warning: run contains no lines for any judged query", file=sys.stderr)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table_path = out_dir / "report.txt"
-    records_path = out_dir / "report.jsonl"
-    atomic.write_text(table_path, report.format_table() + "\n")
-    _write_records(report.to_records(), records_path)
-    _write_manifest("evaluate", args, {"cutoffs": list(args.cutoffs)}, [args.run, args.qrels],
-                    [table_path, records_path], started, out_dir / "evaluate.manifest.json")
-    print(report.format_table())
-    return 0
+    return _write_report(args, {"cutoffs": list(args.cutoffs)}, [args.run, args.qrels], report, "report")
 
 
 def cmd_ablate(args) -> int:
-    started = time.perf_counter()
-    index = load_index(args.index)
-    scorer = load_scorer(args.scorer)
-    check_compatible(scorer, index)
-    queries = load_queries(args.queries)
+    index, scorer, queries = _load_search_inputs(args)
     judgments = load_judgments(args.qrels)
     report = ablate_identifier_scheme(index, scorer, queries, judgments, args.beam, args.cutoffs)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table_path = out_dir / "ablation.txt"
-    records_path = out_dir / "ablation.jsonl"
-    atomic.write_text(table_path, report.format_table() + "\n")
-    _write_records(report.to_records(), records_path)
-    _write_manifest("ablate", args, {"beam": args.beam, "cutoffs": list(args.cutoffs)},
-                    [args.index, args.scorer, args.queries, args.qrels],
-                    [table_path, records_path], started, out_dir / "ablate.manifest.json")
-    print(report.format_table())
-    return 0
+    return _write_report(args, {"beam": args.beam, "cutoffs": list(args.cutoffs)},
+                         [args.index, args.scorer, args.queries, args.qrels], report, "ablation")
 
 
 def cmd_bench(args) -> int:
-    started = time.perf_counter()
-    index = load_index(args.index)
-    scorer = load_scorer(args.scorer)
-    check_compatible(scorer, index)
-    queries = load_queries(args.queries)
+    index, scorer, queries = _load_search_inputs(args)
     report = efficiency_report(index, scorer, queries, args.beams)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    table_path = out_dir / "efficiency.txt"
-    records_path = out_dir / "efficiency.jsonl"
-    atomic.write_text(table_path, report.format_table() + "\n")
-    _write_records(report.to_records(), records_path)
-    _write_manifest("bench", args, {"beams": list(args.beams)},
-                    [args.index, args.scorer, args.queries],
-                    [table_path, records_path], started, out_dir / "bench.manifest.json")
-    print(report.format_table())
-    return 0
+    return _write_report(args, {"beams": list(args.beams)}, [args.index, args.scorer, args.queries],
+                         report, "efficiency")
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +396,7 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = _build_parser()
     args = parser.parse_args(argv)
-    args._argv = argv
+    args._argv, args._started = argv, time.perf_counter()
     try:
         return args.func(args)
     except (DataError, OSError, ArithmeticError) as exc:  # ArithmeticError: training diverged

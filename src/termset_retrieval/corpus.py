@@ -119,7 +119,7 @@ def _ingest(numbered, path=None) -> Corpus:
         doc_id = str(rec["doc_id"])
         if doc_id in seen:
             raise DataError(f"{at}duplicate doc_id {doc_id}")
-        if not doc_id or "," in doc_id or any(c.isspace() for c in doc_id):
+        if "," in doc_id or doc_id.split() != [doc_id]:
             raise DataError(f"{at}malformed record at line {lineno}: doc_id must be nonempty "
                             "and free of whitespace and commas")
         seen.add(doc_id)
@@ -149,7 +149,7 @@ def load_queries(path) -> list[Query]:
         qid = str(rec["query_id"])
         if qid in seen:
             raise DataError(f"{at}duplicate query_id {qid}")
-        if not qid or any(c.isspace() for c in qid):
+        if qid.split() != [qid]:
             raise DataError(f"{at}malformed record at line {lineno}: query_id must be nonempty "
                             "and free of whitespace")
         seen.add(qid)

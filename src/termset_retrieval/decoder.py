@@ -194,9 +194,13 @@ def brute_force_best_permutation(
 # ---------------------------------------------------------------------------
 
 
-def format_run_lines(results: list[SearchResult], tag: str = "termset") -> list[str]:
-    if not tag or any(c.isspace() for c in tag):
+def check_run_tag(tag: str) -> None:
+    if tag.split() != [tag]:
         raise DataError(f"run tag {tag!r} must be non-empty, without whitespace")
+
+
+def format_run_lines(results: list[SearchResult], tag: str = "termset") -> list[str]:
+    check_run_tag(tag)
     lines = []
     for result in results:
         for rank, entry in enumerate(result.entries, start=1):

@@ -164,27 +164,36 @@ def seen_unseen_split(
     return CorpusSplit(seen, unseen, train_qids)
 
 
-@dataclass
-class SeenUnseenReport:
-    seen: MetricsReport
-    unseen: MetricsReport
-    combined: MetricsReport  # micro-average over every test query
+class LabelledReport:
+    """`MetricsReport`s under labels: the sides of a split or of an ablation.
+
+    Printed as a `[label] (n queries)` line plus that report's table per
+    label, and written as one record per label.
+    """
+
+    LABELS: tuple[tuple[str, str], ...]  # (attribute, printed label)
+    RECORD: tuple[str, str]  # the records' "record" value, and the key naming the attribute
 
     def format_table(self) -> str:
         blocks = []
-        for name, report in (("Seen", self.seen), ("Unseen", self.unseen),
-                             ("Seen+Unseen", self.combined)):
-            blocks.append(f"[{name}] ({report.num_queries} queries)")
-            blocks.append(report.format_table())
+        for name, label in self.LABELS:
+            report = getattr(self, name)
+            blocks += [f"[{label}] ({report.num_queries} queries)", report.format_table()]
         return "\n".join(blocks)
 
     def to_records(self) -> list[dict]:
-        rows = []
-        for name, report in (("seen", self.seen), ("unseen", self.unseen),
-                             ("seen+unseen", self.combined)):
-            rows.append({"record": "split", "side": name,
-                         "num_queries": report.num_queries, **report.headline()})
-        return rows
+        kind, key = self.RECORD
+        return [{"record": kind, key: name, **getattr(self, name).headline()}
+                for name, _ in self.LABELS]
+
+
+@dataclass
+class SeenUnseenReport(LabelledReport):
+    seen: MetricsReport
+    unseen: MetricsReport
+    combined: MetricsReport  # micro-average over every test query
+    LABELS = (("seen", "Seen"), ("unseen", "Unseen"), ("combined", "Seen+Unseen"))
+    RECORD = ("split", "side")
 
 
 def evaluate_seen_unseen(
@@ -220,25 +229,11 @@ def evaluate_seen_unseen(
 
 
 @dataclass
-class AblationReport:
+class AblationReport(LabelledReport):
     term_set: MetricsReport
     sequence: MetricsReport
-
-    def format_table(self) -> str:
-        return "\n".join(
-            [
-                f"[Term set] ({self.term_set.num_queries} queries)",
-                self.term_set.format_table(),
-                f"[Sequence] ({self.sequence.num_queries} queries)",
-                self.sequence.format_table(),
-            ]
-        )
-
-    def to_records(self) -> list[dict]:
-        return [
-            {"record": "ablation", "identifier": "term_set", **self.term_set.headline()},
-            {"record": "ablation", "identifier": "sequence", **self.sequence.headline()},
-        ]
+    LABELS = (("term_set", "Term set"), ("sequence", "Sequence"))
+    RECORD = ("ablation", "identifier")
 
 
 def ablate_identifier_scheme(

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from termset_retrieval import atomic
+from termset_retrieval import atomic, cli
 from termset_retrieval.cli import main, parse_config_file, rerun_from_manifest
 from termset_retrieval.errors import DataError
 from termset_retrieval.importance import write_identifier_file
@@ -214,15 +214,21 @@ class TestErrors:
         assert rc == 2
         assert f"{tmp_path / artifact}: byte {at} is not UTF-8 text" in capsys.readouterr().err
 
-    def test_empty_run_tag_is_data_error(self, search_inputs, tmp_path, capsys):
-        # its run lines would have 5 fields, which `evaluate` refuses
+    def test_empty_run_tag_is_data_error(self, search_inputs, tmp_path, capsys, monkeypatch):
+        # its run lines would have 5 fields, which `evaluate` refuses; the tag is
+        # refused before anything is loaded or decoded, and no directory is made
         out, scorer = search_inputs
+        calls = []
+        monkeypatch.setattr(cli, "load_index", lambda *a: calls.append("load_index"))
+        monkeypatch.setattr(cli, "search", lambda *a: calls.append("search"))
         rc = invoke("search", "--index", out / "index.txt", "--scorer", out / "scorer.txt",
-                    "--queries", out / "queries.jsonl", "--output", tmp_path / "run.txt", "--tag", "")
+                    "--queries", out / "queries.jsonl", "--output", tmp_path / "new" / "run.txt",
+                    "--tag", "")
         assert rc == 2
         err = capsys.readouterr().err
         assert "run tag" in err
         assert "Traceback" not in err
+        assert calls == []
         assert list(tmp_path.iterdir()) == []
 
     def test_scorer_that_can_overflow_is_data_error(self, search_inputs, tmp_path, capsys):

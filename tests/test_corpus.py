@@ -19,6 +19,7 @@ from termset_retrieval.corpus import (
     sample_negatives,
     tokenize,
 )
+from termset_retrieval.decoder import format_run_lines
 from termset_retrieval.errors import DataError
 from termset_retrieval.importance import _corpus_rows
 
@@ -186,6 +187,26 @@ class TestFileLoading:
         with pytest.raises(DataError) as exc:
             read(path)
         assert str(exc.value).startswith(f"{tmp_path / where}")
+
+    @pytest.mark.parametrize("space", ["\xa0", "\x1c", "\u3000"], ids=["nbsp", "fs", "ideographic"])
+    def test_ids_holding_unicode_whitespace_are_refused(self, tmp_path, space):
+        name = f"a{space}b"
+        path = tmp_path / "c.jsonl"
+        path.write_text(json.dumps({"doc_id": name, "title": "t", "body": "b"}) + "\n",
+                        encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_corpus(path)
+        assert str(exc.value) == (f"{path}:1: malformed record at line 1: doc_id must be "
+                                  "nonempty and free of whitespace and commas")
+        path = tmp_path / "q.jsonl"
+        path.write_text(json.dumps({"query_id": name, "text": "a"}) + "\n", encoding="utf-8")
+        with pytest.raises(DataError) as exc:
+            load_queries(path)
+        assert str(exc.value) == (f"{path}:1: malformed record at line 1: query_id must be "
+                                  "nonempty and free of whitespace")
+        with pytest.raises(DataError) as exc:
+            format_run_lines([], tag=name)
+        assert str(exc.value) == f"run tag {name!r} must be non-empty, without whitespace"
 
 
 def _three_doc_setup():

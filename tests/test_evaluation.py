@@ -8,6 +8,8 @@ import pytest
 from termset_retrieval.corpus import Corpus, Document, Judgments, Query, ingest_corpus
 from termset_retrieval.errors import DataError
 from termset_retrieval.evaluation import (
+    AblationReport,
+    SeenUnseenReport,
     ablate_identifier_scheme,
     benchmark_feasible_speedup,
     efficiency_report,
@@ -152,6 +154,52 @@ class TestEvaluateRun:
             read_run(path)
         with pytest.raises(DataError, match="^malformed run line 1: rank 'x' is not a valid int"):
             read_run(["q1 Q0 da x -1.0 t"])
+
+
+class TestLabelledReportLayout:
+    """The exact bytes `evaluate` / `ablate` print and write, on the golden run lines."""
+
+    def test_seen_unseen_table(self):
+        lines, judgments = golden_run_lines(), golden_judgments()
+        report = SeenUnseenReport(
+            seen=evaluate_run(lines, judgments.restricted_to(["g1", "g2"]), (1, 10)),
+            unseen=evaluate_run(lines, judgments.restricted_to(["g3", "g4", "g5"]), (1, 10)),
+            combined=evaluate_run(lines, judgments, (1, 10)),
+        )
+        assert report.format_table() == (
+            "[Seen] (2 queries)\n"
+            " MRR@1  MRR@10  Recall@1  Recall@10\n"
+            "0.5000  0.7500    0.5000     1.0000\n"
+            "queries evaluated: 2 (absent queries count as zero; 3 unknown run queries skipped)\n"
+            "[Unseen] (3 queries)\n"
+            " MRR@1  MRR@10  Recall@1  Recall@10\n"
+            "0.3333  0.4167    0.1667     0.5000\n"
+            "queries evaluated: 3 (absent queries count as zero; 2 unknown run queries skipped)\n"
+            "[Seen+Unseen] (5 queries)\n"
+            " MRR@1  MRR@10  Recall@1  Recall@10\n"
+            "0.4000  0.5500    0.3000     0.7000\n"
+            "queries evaluated: 5 (absent queries count as zero; 0 unknown run queries skipped)"
+        )
+
+    def test_ablation_table_and_records(self):
+        lines, judgments = golden_run_lines(), golden_judgments()
+        # the sequence side keeps only g1's and g2's lines
+        report = AblationReport(term_set=evaluate_run(lines, judgments, (10,)),
+                                sequence=evaluate_run(lines[:5], judgments, (10,)))
+        assert report.format_table() == (
+            "[Term set] (5 queries)\n"
+            "MRR@10  Recall@10\n"
+            "0.5500     0.7000\n"
+            "queries evaluated: 5 (absent queries count as zero; 0 unknown run queries skipped)\n"
+            "[Sequence] (5 queries)\n"
+            "MRR@10  Recall@10\n"
+            "0.3000     0.4000\n"
+            "queries evaluated: 5 (absent queries count as zero; 0 unknown run queries skipped)"
+        )
+        assert report.to_records() == [
+            {"record": "ablation", "identifier": "term_set", "MRR@10": 0.55, "Recall@10": 0.7},
+            {"record": "ablation", "identifier": "sequence", "MRR@10": 0.3, "Recall@10": 0.4},
+        ]
 
 
 def split_fixture():
