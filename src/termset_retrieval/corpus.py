@@ -265,8 +265,9 @@ def sample_negatives(
 
     Deterministic for a fixed seed: pairs are visited in sorted
     (query_id, doc_id) order against a single seeded generator. A query's
-    pool is the sorted corpus ids without its relevant ones, cut out by
-    position.
+    pool is the sorted corpus ids without its relevant ones; draw i is its
+    i-th entry, found without building the pool: it is i plus the number
+    of relevant positions r_j at or below it, that is, of r_j - j <= i.
     """
     if m < 1:
         raise DataError(f"need m >= 1, got {m}")
@@ -279,12 +280,13 @@ def sample_negatives(
         if qid not in by_id:
             raise DataError(f"judgments reference unknown query_id {qid}")
         relevant = judgments.relevant(qid)
-        pool = np.delete(np.arange(len(all_docs)), [position[d] for d in relevant if d in position])
-        if len(pool) < m:
-            raise DataError(
-                f"query {qid}: only {len(pool)} non-relevant docs available, need {m}"
-            )
+        held = np.sort(np.array([position[d] for d in relevant if d in position], dtype=np.int64))
+        pool = len(all_docs) - len(held)
+        if pool < m:
+            raise DataError(f"query {qid}: only {pool} non-relevant docs available, need {m}")
+        below = held - np.arange(len(held))  # pool entries before each relevant position
         for positive in sorted(relevant):
-            picks = pool[rng.choice(len(pool), size=m, replace=False)].tolist()
-            pairs.append(TrainingPair(by_id[qid], positive, [all_docs[i] for i in picks]))
+            picks = rng.choice(pool, size=m, replace=False)
+            picks += below.searchsorted(picks, side="right")
+            pairs.append(TrainingPair(by_id[qid], positive, [all_docs[i] for i in picks.tolist()]))
     return pairs

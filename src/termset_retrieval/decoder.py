@@ -17,7 +17,7 @@ import numpy as np
 from . import atomic
 from .corpus import Query
 from .errors import DataError, InvariantError
-from .index import root_beam
+from .index import DenseStep, root_beam
 from .scorer import Scorer, sequence_logprob
 
 
@@ -51,42 +51,43 @@ def constrained_beam_search(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Run N constrained decoding steps and return the completed hypotheses.
 
-    `searchable` is an index-like object exposing all_docs, expand(), n,
-    doc_ids and a dictionary; beam_size=None keeps every valid extension
-    (exhaustive). Order variants of one prefix set stay distinct
-    hypotheses, because the scorer rates them differently: each order
-    passes through children of different sizes (`log1p_postings`) and is
-    normalized over different feasible sets.
+    `searchable` is an index-like object exposing all_docs, expand(),
+    remaining(), n, doc_ids and a dictionary; beam_size=None keeps every
+    valid extension (exhaustive). Order variants of one prefix set stay
+    distinct hypotheses, because the scorer rates them differently: each
+    order passes through children of different sizes (`log1p_postings`)
+    and is normalized over different feasible sets.
 
     The beam is held as arrays: one (hypotheses x N) array of term ids,
-    filled up to the current depth, and the postings as CSR (flat doc
-    positions plus offsets). The scorer's step function is made once per
-    query (`step_scorer`). Each step expands the whole beam with one
-    `np.sort` (`expand`; none once every prefix names one document),
-    scores it with one call of that function and keeps the survivors with
-    `top_k_cut`. Returns the completed hypotheses as arrays, best first:
-    their term-id sequences (one row each), log-likelihoods and document
-    positions.
+    filled up to the current depth, its rows in lexicographic order, and
+    the postings as CSR (flat doc positions plus offsets). The scorer's
+    step function is made once per query (`step_scorer`). Each step
+    expands the whole beam with one `np.sort` (`expand`), scores it with
+    one call of that function and keeps the survivors with `top_k_cut`, in
+    step order, which keeps the rows in lexicographic order. Once every
+    hypothesis holds one document, the remaining depths are decoded on one
+    block (`_dense_tail`). Returns the completed hypotheses as arrays, best
+    first: their term-id sequences (one row each), log-likelihoods and
+    document positions.
     """
     if beam_size is not None and beam_size < 1:
         raise DataError(f"beam size must be >= 1, got {beam_size}")
     _, docs, ptr = root_beam(searchable)
     seqs = np.empty((1, searchable.n), dtype=np.int64)  # hypothesis h's terms: seqs[h, :depth]
     lls = np.zeros(1)
-    rank = np.zeros(1, dtype=np.int64)  # place of each sequence in lexicographic order
     step_logprobs = scorer.step_scorer(query)
     for depth in range(searchable.n):
+        if ptr[-1] == len(seqs):  # every hypothesis holds one document
+            return _dense_tail(searchable, step_logprobs, (seqs, lls, docs), depth, beam_size)
         step = searchable.expand(seqs[:, :depth], docs, ptr)
         step_ll = lls[step.parents] + step_logprobs(step)
-        order = top_k_cut(step, step_ll, rank, beam_size)
-        kept_parents, kept_terms = step.parents[order], step.terms[order]
+        order = top_k_cut(step, step_ll, beam_size)
+        if depth + 1 < searchable.n:
+            order.sort()  # step order; the last depth keeps the best first
         docs, ptr = step.children(order)
-        seqs = seqs[kept_parents]
-        seqs[:, depth] = kept_terms
+        seqs = seqs[step.parents[order]]
+        seqs[:, depth] = step.terms[order]
         lls = step_ll[order]
-        kept_rank = rank[kept_parents]
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[np.lexsort((kept_terms, kept_rank))] = np.arange(len(order))
     held = np.diff(ptr)
     if (held != 1).any():
         raise InvariantError(
@@ -95,15 +96,44 @@ def constrained_beam_search(
     return seqs, lls, docs
 
 
-def top_k_cut(step, step_ll, rank, beam_size) -> np.ndarray:
+def _dense_tail(searchable, step_logprobs, beam, depth, beam_size):
+    """Decode from `depth` a beam (seqs, lls, docs) whose hypothesis h holds one document, docs[h].
+
+    No retrieval is left: hypothesis h may only place its document's terms
+    that its prefix lacks (`remaining`), each with child size 1 and lead
+    docs[h]. They form one block, a row per hypothesis and a column per
+    term to place, built once. Each depth scores the candidate columns
+    (`DenseStep`) and cuts as `constrained_beam_search` does, then takes
+    the kept rows and drops each one's picked column.
+    """
+    seqs, lls, docs = beam
+    block, free = searchable.remaining(seqs[:, :depth], docs)
+    for depth in range(depth, searchable.n):
+        width = block.shape[1] if free else 1
+        step = DenseStep(searchable, seqs[:, :depth], docs, block[:, :width])
+        step_ll = lls.repeat(width) + step_logprobs(step)
+        order = top_k_cut(step, step_ll, beam_size)
+        if depth + 1 < searchable.n:
+            order.sort()
+        parents, picked = np.divmod(order, width)
+        seqs = seqs[parents]
+        seqs[:, depth] = block[parents, picked]
+        lls, docs, block = step_ll[order], docs[parents], block[parents]
+        keep = np.ones(block.shape, dtype=bool)
+        keep[np.arange(len(order)), picked] = False
+        block = block[keep].reshape(len(order), -1)
+    return seqs, lls, docs
+
+
+def top_k_cut(step, step_ll, beam_size) -> np.ndarray:
     """Positions of the step's surviving extensions, best first.
 
-    `step_ll` holds each extension's cumulative log-likelihood and `rank`
-    each beam hypothesis's place in lexicographic order. The tie rule is
-    likelihood desc, then leading child doc, then the extended sequence
-    (parent's rank, then term): doc positions follow sorted doc ids and
-    term ids follow sorted terms, so positions and ids order exactly as the
-    strings do.
+    `step_ll` holds each extension's cumulative log-likelihood. The tie
+    rule is likelihood desc, then leading child doc, then the extended
+    sequence: doc positions follow sorted doc ids and term ids follow
+    sorted terms, so positions and ids order exactly as the strings do.
+    The beam's rows are in lexicographic order, so the step's positions,
+    which go by (parent, term), are the extended sequences' order.
 
     Only extensions at or above the K-th largest log-likelihood can make
     the cut, so when the step has more than K, `np.partition` finds that
@@ -117,14 +147,14 @@ def top_k_cut(step, step_ll, rank, beam_size) -> np.ndarray:
         kth = np.partition(step_ll, -beam_size)[-beam_size]
         top = np.flatnonzero(step_ll >= kth)
         if len(top) >= beam_size:
-            return _sort_rows(step, step_ll, rank, top)[:beam_size]
-    return _sort_rows(step, step_ll, rank, np.arange(len(step_ll)))[:beam_size]
+            return _sort_rows(step, step_ll, top)[:beam_size]
+    return _sort_rows(step, step_ll, np.arange(len(step_ll)))[:beam_size]
 
 
-def _sort_rows(step, step_ll, rank, rows) -> np.ndarray:
-    """`rows` (ascending positions) in the tie-rule order."""
-    parents, terms = step.parents[rows], step.terms[rows]
-    return rows[np.lexsort((terms, rank[parents], step.leads[rows], -step_ll[rows]))]
+def _sort_rows(step, step_ll, rows) -> np.ndarray:
+    """`rows` (ascending positions) in the tie-rule order: the lexsort is stable, so
+    rows tied on likelihood and lead keep their position order."""
+    return rows[np.lexsort((step.leads[rows], -step_ll[rows]))]
 
 
 def rank_documents(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import struct
 from bisect import bisect_left
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -95,16 +96,34 @@ def _expand(searchable, seqs, docs, ptr, columns) -> Step:
 
     `columns[i]` holds the distinct terms, ascending, that may follow the
     prefix for document docs[i]; terms of the hypothesis's own prefix are
-    dropped. A beam whose every hypothesis holds one document is expanded
-    as a dense block (`_dense_step`), any other by one sort (`_sort_step`);
-    both give the same extensions, child sizes, leads and child postings.
+    dropped. A beam whose every hypothesis holds one document, and lacks
+    as many of its terms as every other, is expanded as a block
+    (`DenseStep`), any other by one sort (`_sort_step`); both give the
+    same extensions, child sizes, leads and child postings.
     """
     vocab = len(searchable.dictionary)
     if len(docs) * vocab > 1 << 63:  # the sort's keys lie below 2 x docs x V, and 2**64
         raise InvariantError(f"{len(docs)} beam documents x {vocab} terms overflow the sort key")
     if len(docs) == len(seqs) and (ptr[1:] - ptr[:-1] == 1).all():
-        return _dense_step(searchable, seqs, docs, columns)
+        block = _unplaced(seqs, columns)
+        if block is not None:
+            return DenseStep(searchable, seqs, docs, block)
     return _sort_step(searchable, seqs, docs, ptr, columns)
+
+
+def _unplaced(seqs, columns) -> np.ndarray | None:
+    """Each row of `columns` without its hypothesis's prefix terms, as one block.
+
+    None if the rows keep unequal numbers of terms, which no beam of
+    documents that hold their prefixes gives.
+    """
+    keep = np.ones(columns.shape, dtype=bool)
+    for column in seqs.T:
+        keep &= columns != column[:, None]
+    kept = keep.sum(axis=1)
+    if (kept[1:] != kept[:-1]).any():
+        return None
+    return columns[keep].reshape(len(kept), kept.max(initial=0))
 
 
 def _sort_step(searchable, seqs, docs, ptr, columns) -> Step:
@@ -160,19 +179,26 @@ def _sort_step(searchable, seqs, docs, ptr, columns) -> Step:
     )
 
 
-def _dense_step(searchable, seqs, docs, columns) -> Step:
-    """`_expand` of a beam in which hypothesis h holds one document, docs[h].
+class DenseStep(Step):
+    """The step of a beam in which hypothesis h holds one document, docs[h].
 
-    Its extensions are that document's terms, columns[h], bar the prefix's:
-    each has child size 1 and lead docs[h]. Its one key is h, at origin 0.
+    Its extensions are block[h], ascending: terms of that document, each
+    with child size 1 and lead docs[h]. Every array follows from the
+    block's shape and is made when first read. There are no keys: each
+    child is its lead.
     """
-    keep = (columns[:, :, None] != seqs[:, None, :]).all(axis=2)
-    parents = keep.nonzero()[0]
-    return Step(
-        searchable, seqs, docs, parents, columns[keep], np.ones_like(parents),
-        docs[parents], parents, np.arange(len(parents)), np.zeros_like(parents),
-        np.searchsorted(parents, np.arange(len(seqs) + 1)),
-    )
+
+    def __init__(self, searchable, seqs, docs, block):
+        self.searchable, self.seqs, self.beam_docs, self.block = searchable, seqs, docs, block
+
+    parents = cached_property(lambda self: np.arange(len(self.block)).repeat(self.block.shape[1]))
+    terms = cached_property(lambda self: self.block.ravel())
+    sizes = cached_property(lambda self: np.ones_like(self.parents))
+    leads = cached_property(lambda self: self.beam_docs.repeat(self.block.shape[1]))
+    offsets = cached_property(lambda self: np.arange(len(self.block) + 1) * self.block.shape[1])
+
+    def children(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.leads[picks], np.arange(len(picks) + 1)
 
 
 class Index:
@@ -224,6 +250,14 @@ class Index:
         if seqs.shape[1] == 0:
             return Step(self, seqs, docs, *self._root)
         return _expand(self, seqs, docs, ptr, self.sets.take(docs, axis=0))
+
+    def remaining(self, seqs: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, bool]:
+        """The terms left to place when hypothesis h holds one document, docs[h].
+
+        Row h of the block holds that document's terms outside prefix
+        seqs[h], ascending; the flag is True: any of them may come next.
+        """
+        return _unplaced(seqs, self.sets.take(docs, axis=0)), True
 
     def doc_position(self, doc_id: str) -> int:
         """The position of a document, by bisection of the ascending `doc_ids`."""
@@ -292,6 +326,10 @@ class SequenceView:
         """Extensions of every prefix in a beam: each document's next stored term."""
         depth = seqs.shape[1]
         return _expand(self, seqs, docs, ptr, self.index.order[docs, depth : depth + 1])
+
+    def remaining(self, seqs: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, bool]:
+        """`Index.remaining` in stored order; the flag is False: only the first may come next."""
+        return self.index.order[docs, seqs.shape[1] :], False
 
 
 # ---------------------------------------------------------------------------

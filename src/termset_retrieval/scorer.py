@@ -26,7 +26,7 @@ from . import atomic
 from .corpus import Corpus, Query
 from .errors import DataError, parse_values, read_lines
 from .importance import ImportanceModel, _corpus_weights, _find, _refuse_separators
-from .index import Index, root_beam
+from .index import DenseStep, Index, root_beam
 
 # Each feature varies across a step's candidates: a constant one cancels in
 # the candidate softmax, so its gradient is identically zero.
@@ -152,12 +152,17 @@ class FeatureScorer(Scorer):
         A score's first three terms, (in_query * w0 + query_prefix4 * w1) +
         term_weight * w2, depend only on the term: the query's row of the
         root block's `_tables`, taken over the whole vocabulary and gathered
-        by term id, replaces `_segment_features`.
+        by term id, replaces `_segment_features`. A `DenseStep` is scored
+        as its block of terms: every child holds one document, and every
+        row is one segment.
         """
         words = self._query_words([query], np.zeros(1, dtype=np.int64))
         table = self._tables(words, 1, slice(len(self.terms)))[2][0]
+        single = np.log1p(np.ones(1)) * self.weights[3]  # log1p_postings * w3 of a size-1 child
 
         def step_logprobs(step) -> np.ndarray:
+            if isinstance(step, DenseStep):
+                return _row_log_softmax(table.take(step.block) + single).ravel()
             scores = table.take(step.terms) + np.log1p(step.sizes) * self.weights[3]
             return _log_softmax(scores, step.offsets)
 
@@ -214,12 +219,10 @@ class FeatureScorer(Scorer):
         """`root_logprobs` of `rows` queries (see `_tables`), with their two query flags.
 
         One dense block: each row's partial scores plus log1p(size) * w3,
-        flattened and normalized row by row. No per-row feature matrix is built.
+        normalized row by row. No per-row feature matrix is built.
         """
         in_query, prefix4, table = self._tables(words, rows, step.terms)
-        scores = table + np.log1p(step.sizes) * self.weights[3]
-        logprobs = _log_softmax(scores.ravel(), np.arange(rows + 1) * scores.shape[1])
-        return in_query, prefix4, logprobs.reshape(scores.shape)
+        return in_query, prefix4, _row_log_softmax(table + np.log1p(step.sizes) * self.weights[3])
 
     def _segment_features(self, words, step, seg_row, ext, ptr) -> np.ndarray:
         """The features of every segment's extensions under the segment's query.
@@ -326,9 +329,7 @@ def _log_softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     if not counts.all():
         raise DataError("empty candidate set")
     if len(counts) and (counts == counts[0]).all():
-        block = scores.reshape(len(counts), counts[0])
-        m = block.max(axis=1, keepdims=True)
-        return (block - (m + np.log(np.exp(block - m).sum(axis=1, keepdims=True)))).ravel()
+        return _row_log_softmax(scores.reshape(len(counts), counts[0])).ravel()
     heads = offsets[:-1] + np.arange(len(counts))  # the leading 0s
     m = np.maximum.reduceat(scores, offsets[:-1])
     shifted = np.full(len(scores) + len(counts), -np.inf)
@@ -336,6 +337,14 @@ def _log_softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     body[heads] = False
     shifted[body] = scores - np.repeat(m, counts)
     return scores - np.repeat(m + np.log(np.add.reduceat(np.exp(shifted), heads)), counts)
+
+
+def _row_log_softmax(block: np.ndarray) -> np.ndarray:
+    """Each row of a block minus its log-sum-exp."""
+    if not block.shape[1]:
+        raise DataError("empty candidate set")
+    m = block.max(axis=1, keepdims=True)
+    return block - (m + np.log(np.exp(block - m).sum(axis=1, keepdims=True)))
 
 
 def _query_slots(queries):

@@ -257,6 +257,25 @@ class TestSampleNegatives:
             want = oracle_sample_negatives(queries, judgments, corpus, m, trial)
             assert [(p.query.query_id, p.positive, p.negatives) for p in got] == want
 
+    @pytest.mark.parametrize("num_docs", [2, 50, 700])
+    def test_equals_the_pool_at_several_sizes(self, num_docs):
+        """Dense and sparse relevant sets, the first and last ids among them, m up to the pool."""
+        records = [{"doc_id": f"D{i:04d}", "title": "t", "body": "b"} for i in range(num_docs)]
+        corpus = ingest_corpus(records)
+        for seed in range(4):
+            rng = np.random.default_rng([num_docs, seed])
+            queries = [Query.from_text(f"q{i}", "b") for i in range(5)]
+            pairs = [("q0", "D0000"), ("q1", f"D{num_docs - 1:04d}"), ("q2", "X")]
+            for q in queries[3:]:
+                held = rng.choice(num_docs, int(rng.integers(1, num_docs)), replace=False)
+                pairs += [(q.query_id, f"D{j:04d}") for j in held]
+            judgments = Judgments.from_pairs(pairs)
+            pool = num_docs - max(len(judgments.relevant(q.query_id)) for q in queries)
+            m = pool if seed == 0 else int(rng.integers(1, pool + 1))
+            got = sample_negatives(queries, judgments, corpus, m=m, seed=seed)
+            want = oracle_sample_negatives(queries, judgments, corpus, m, seed)
+            assert [(p.query.query_id, p.positive, p.negatives) for p in got] == want
+
     def test_only_possible_set(self):
         corpus, queries, judgments = _three_doc_setup()
         pairs = sample_negatives(queries, judgments, corpus, m=2, seed=7)

@@ -1,6 +1,8 @@
 """Constrained beam search, ranking, and the permutation oracle."""
 
+import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,7 +21,7 @@ from termset_retrieval.decoder import (
 from termset_retrieval.errors import DataError
 from termset_retrieval.evaluation import read_run, recall_at_k
 from termset_retrieval.importance import IdentifierTable
-from termset_retrieval.index import SequenceView, build_index, root_beam
+from termset_retrieval.index import DenseStep, SequenceView, build_index, root_beam
 from termset_retrieval.scorer import (
     STEP_FEATURES,
     FeatureScorer,
@@ -76,12 +78,14 @@ def ranked(searchable, hypotheses, query_id=""):
 
 
 def _extension_order(searchable):
-    """Likelihood desc, then the leading child doc's id, then the term-id sequence."""
+    """Likelihood desc (NaN last, as numpy sorts it), then the leading child doc's id,
+    then the term-id sequence."""
     doc_ids = searchable.doc_ids
 
     def key(ext):
         term_ids, ll = ext
-        return (-ll, doc_ids[int(holders(searchable, term_ids)[0])], term_ids)
+        nan = math.isnan(ll)
+        return (nan, 0.0 if nan else -ll, doc_ids[int(holders(searchable, term_ids)[0])], term_ids)
 
     return key
 
@@ -110,7 +114,7 @@ def search_cases(draw):
     """A small random registry, a searchable view of it, a scorer and a query.
 
     Identifiers run to six terms, so the deeper steps of a search mostly
-    extend prefixes that each name one document (`index._dense_step`).
+    extend prefixes that each name one document (`decoder._dense_tail`).
     """
     n = draw(st.integers(1, 6))
     vocab = draw(st.integers(n + 1, 16))
@@ -153,8 +157,8 @@ def record_sorts(monkeypatch):
     calls = []
     sort_rows = decoder._sort_rows
 
-    def recording(step, step_ll, rank, rows):
-        order = sort_rows(step, step_ll, rank, rows)
+    def recording(step, step_ll, rows):
+        order = sort_rows(step, step_ll, rows)
         calls.append((len(rows), len(step_ll)))
         return order
 
@@ -175,6 +179,20 @@ class TestTopKCut:
             assert ranked(index, got).canonical() == ranked(index, want).canonical()
             assert any(beam < rows < total for rows, total in calls), (beam, calls)
 
+    @pytest.mark.parametrize(
+        "num_docs, vocab, n, seed", [(20, 6, 3, 12), (21, 11, 4, 13), (10, 7, 3, 19), (19, 9, 4, 45)]
+    )
+    def test_uniform_ties_follow_the_sequence_across_parents(self, num_docs, vocab, n, seed):
+        # every extension of a uniform step ties: past the lead, the cut orders
+        # them by position, which is the sequence order only while the beam's
+        # rows stay in lexicographic order
+        index = build_index(make_random_identifiers(num_docs, vocab, n, seed=seed))
+        for beam in (2, 3, 5, 8):
+            seqs, lls, docs = constrained_beam_search(query(), index, UniformScorer(), beam)
+            want = reference_beam_search(query(), index, UniformScorer(), beam)
+            assert seqs.tolist() == want[0].tolist(), beam
+            assert lls.tolist() == want[1].tolist() and docs.tolist() == want[2].tolist(), beam
+
     def test_nan_log_likelihoods_fall_back_to_the_full_sort(self, monkeypatch):
         # np.partition counts NaN as the largest value, which no `>=` holds
         # for, so the rows at or above the K-th value may be fewer than K
@@ -183,19 +201,111 @@ class TestTopKCut:
         root = index.expand(*root_beam(index))
         docs, ptr = root.children(np.arange(len(root.terms)))
         step = index.expand(root.terms[:, None].astype(np.int64), docs, ptr)
-        rank = np.arange(len(root.terms))  # the root's terms ascend
         step_ll = step_logprobs(root)[step.parents] + step_logprobs(step)
         finite = int(np.isfinite(step_ll).sum())
         assert 0 < finite < len(step_ll)
-        full = decoder._sort_rows(step, step_ll, rank, np.arange(len(step_ll)))
+        full = decoder._sort_rows(step, step_ll, np.arange(len(step_ll)))
         calls = record_sorts(monkeypatch)
         for beam in (1, 2, 7, finite - 1, finite, finite + 1, finite + 5, len(step_ll) - 1):
             calls.clear()
-            got = decoder.top_k_cut(step, step_ll, rank, beam)
+            got = decoder.top_k_cut(step, step_ll, beam)
             assert got.tolist() == full[:beam].tolist(), beam
             if beam > finite:
                 assert calls[-1] == (len(step_ll), len(step_ll)), (beam, calls)
         assert np.isnan(step_ll[full[finite:]]).all()
+
+
+def record_tails(monkeypatch):
+    """Record the beam (seqs, lls, docs) and depth at which each search enters its dense tail."""
+    calls = []
+    dense_tail = decoder._dense_tail
+
+    def recording(searchable, step_logprobs, beam, depth, beam_size):
+        calls.append((beam, depth))
+        return dense_tail(searchable, step_logprobs, beam, depth, beam_size)
+
+    monkeypatch.setattr(decoder, "_dense_tail", recording)
+    return calls
+
+
+class TestDenseTail:
+    def test_expand_is_not_called_once_the_beam_is_dense(self, monkeypatch):
+        index = build_index(make_random_identifiers(40, 30, 4, seed=5))
+        scorer, q = random_scorer(index, seed=3), query("t03 t07")
+        tails = record_tails(monkeypatch)
+        expand, dense = index.expand, []
+
+        def counted(seqs, docs, ptr):
+            dense.append(ptr[-1] == len(seqs))
+            return expand(seqs, docs, ptr)
+
+        for beam in (1, 3, 10):
+            tails.clear()
+            dense.clear()
+            with mock.patch.object(index, "expand", side_effect=counted) as calls:
+                got = constrained_beam_search(q, index, scorer, beam)
+            (_, depth), = tails
+            assert 0 < depth < index.n, beam
+            assert calls.call_count == depth and not any(dense), beam
+            want = reference_beam_search(q, index, scorer, beam)
+            assert ranked(index, got).canonical() == ranked(index, want).canonical(), beam
+
+    def test_nan_at_a_dense_depth_takes_the_full_sort(self, monkeypatch):
+        index = build_index(make_random_identifiers(40, 30, 4, seed=5))
+        full_sorts = []
+        sort_rows = decoder._sort_rows
+
+        def recording(step, step_ll, rows):
+            if isinstance(step, DenseStep) and len(rows) == len(step_ll):
+                full_sorts.append((len(rows), bool(np.isnan(step_ll).any())))
+            return sort_rows(step, step_ll, rows)
+
+        monkeypatch.setattr(decoder, "_sort_rows", recording)
+        for beam in (2, 3):
+            full_sorts.clear()
+            seqs, lls, docs = constrained_beam_search(query(), index, NaNScorer(), beam)
+            assert any(rows > beam and nan for rows, nan in full_sorts), beam
+            want = reference_beam_search(query(), index, NaNScorer(), beam)
+            assert seqs.tolist() == want[0].tolist() and docs.tolist() == want[2].tolist()
+            assert np.array_equal(lls, want[1], equal_nan=True)
+            nan = np.isnan(lls)
+            assert nan.any() and nan[np.argmax(nan) :].all()  # NaN last
+            assert ranked(index, (seqs, lls, docs)).canonical() == ranked(index, want).canonical()
+
+    def test_order_variants_of_one_document_are_both_kept(self, monkeypatch):
+        # after one term every prefix names one document: the tail orders the rest
+        index = build_index(IdentifierTable(3, {"D1": ["a", "b", "c"], "D2": ["d", "e", "f"]}))
+        tails = record_tails(monkeypatch)
+        ids = {t: index.dictionary.id_of(t) for t in "abcdef"}
+        for beam, kept in ((4, "abcd"), (None, "abcdef")):
+            tails.clear()
+            seqs, lls, docs = constrained_beam_search(query(), index, UniformScorer(), beam)
+            (entry_seqs, _, entry_docs), depth = tails[0]
+            assert depth == 1
+            assert entry_seqs[:, 0].tolist() == [ids[t] for t in kept]
+            assert entry_docs.tolist().count(0) == 3  # a, b and c each hold D1
+            want = reference_beam_search(query(), index, UniformScorer(), beam)
+            assert seqs.tolist() == want[0].tolist()
+            if beam is None:
+                perms = {p for row in ("abc", "def") for p in itertools.permutations(row)}
+                terms = {tuple(index.dictionary.term_of(t) for t in row) for row in seqs.tolist()}
+                assert terms == perms
+            else:
+                assert docs.tolist() == [0] * 4 and len(set(map(tuple, seqs.tolist()))) == 4
+
+    @pytest.mark.parametrize("sequence", [False, True])
+    def test_sequence_view_and_the_exhaustive_beam(self, monkeypatch, sequence):
+        # every 3-term prefix of this registry names one document: the exhaustive beam turns dense
+        index = build_index(make_random_identifiers(30, 30, 4, seed=0))
+        searchable = SequenceView(index) if sequence else index
+        scorer, q = random_scorer(index, seed=4, spread=2.0), query("t01 t05")
+        tails = record_tails(monkeypatch)
+        for beam in (None, 1, 3):
+            tails.clear()
+            got = constrained_beam_search(q, searchable, scorer, beam)
+            assert len(tails) == 1, beam
+            want = reference_beam_search(q, searchable, scorer, beam)
+            assert ranked(searchable, got).canonical() == ranked(searchable, want).canonical()
 
 
 class TestBeamSearch:

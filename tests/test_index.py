@@ -27,13 +27,14 @@ from termset_retrieval.decoder import rank_documents, search
 from termset_retrieval.errors import DataError, InvariantError
 from termset_retrieval.importance import IdentifierTable, ImportanceModel, build_identifiers
 from termset_retrieval.index import (
+    DenseStep,
     Index,
     SequenceView,
     Step,
     TermDictionary,
-    _dense_step,
     _expand,
     _sort_step,
+    _unplaced,
     build_index,
     load_index,
     naive_feasible_terms,
@@ -355,8 +356,12 @@ class TestDenseStep:
         searchable, seqs, docs = case
         ptr = np.arange(len(docs) + 1)
         columns = expand_columns(searchable, seqs, docs)
-        dense = _dense_step(searchable, seqs, docs, columns)
+        block = _unplaced(seqs, columns)
+        dense = DenseStep(searchable, seqs, docs, block)
         assert_same_step(dense, _sort_step(searchable, seqs, docs, ptr, columns))
+        remaining, free = searchable.remaining(seqs, docs)
+        assert remaining[:, : block.shape[1] if free else 1].tolist() == block.tolist()
+        assert remaining.shape == (len(docs), searchable.n - seqs.shape[1])
         with mock.patch.object(index_module, "_sort_step", side_effect=AssertionError("sorted")):
             assert_same_step(searchable.expand(seqs, docs, ptr), dense)
         picks = np.arange(len(dense.terms))[::-1]
@@ -369,7 +374,7 @@ class TestDenseStep:
         a, b, c, d, e = term_ids(tiny_index, "a", "b", "c", "d", "e")
         seqs = np.array([[a], [e]])  # D1 and D2 hold {a}; {e}'s one holder is left out
         docs, ptr = np.array([0, 1], dtype=np.int32), np.array([0, 2, 2])
-        with mock.patch.object(index_module, "_dense_step", side_effect=AssertionError("dense")):
+        with mock.patch.object(index_module, "DenseStep", side_effect=AssertionError("dense")):
             step = tiny_index.expand(seqs, docs, ptr)
         assert step.parents.tolist() == [0, 0, 0]
         assert step.terms.tolist() == [b, c, d]
