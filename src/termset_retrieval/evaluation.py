@@ -349,6 +349,8 @@ def benchmark_feasible_speedup(
     from one `expand` of that one-prefix beam. Both paths must agree on
     every prefix before their timings count.
     """
+    if index.n < 2:
+        raise DataError(f"no prefix of depth 1..n-1 to time at n={index.n}")
     rng = np.random.default_rng(seed)
     prefixes = []
     for _ in range(num_prefixes):

@@ -33,7 +33,7 @@ class Step:
     ordered by (parent, term): `parents` and `terms` name them, `sizes`
     count their child documents and `leads` hold the lowest child document.
     Extension i's child postings, ascending, are beam_docs[k - origins[i]]
-    for the keys k of its run, keys[starts[i]:][:sizes[i]].
+    for the keys k of its run, keys[starts[i]:][:sizes[i]] (a lone child is its lead).
     `offsets[h]:offsets[h + 1]` are hypothesis h's extensions.
     """
 
@@ -92,53 +92,23 @@ def root_beam(searchable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _expand(searchable, seqs, docs, ptr, columns) -> Step:
-    """The beam's extensions (see `Step`), from the terms each document may add.
+    """The beam's extensions (see `Step`), from the terms each document may add, by one sort.
 
     `columns[i]` holds the distinct terms, ascending, that may follow the
     prefix for document docs[i]; terms of the hypothesis's own prefix are
-    dropped. A beam whose every hypothesis holds one document, and lacks
-    as many of its terms as every other, is expanded as a block
-    (`DenseStep`), any other by one sort (`_sort_step`); both give the
-    same extensions, child sizes, leads and child postings.
-    """
-    vocab = len(searchable.dictionary)
-    if len(docs) * vocab > 1 << 63:  # the sort's keys lie below 2 x docs x V, and 2**64
-        raise InvariantError(f"{len(docs)} beam documents x {vocab} terms overflow the sort key")
-    if len(docs) == len(seqs) and (ptr[1:] - ptr[:-1] == 1).all():
-        block = _unplaced(seqs, columns)
-        if block is not None:
-            return DenseStep(searchable, seqs, docs, block)
-    return _sort_step(searchable, seqs, docs, ptr, columns)
-
-
-def _unplaced(seqs, columns) -> np.ndarray | None:
-    """Each row of `columns` without its hypothesis's prefix terms, as one block.
-
-    None if the rows keep unequal numbers of terms, which no beam of
-    documents that hold their prefixes gives.
-    """
-    keep = np.ones(columns.shape, dtype=bool)
-    for column in seqs.T:
-        keep &= columns != column[:, None]
-    kept = keep.sum(axis=1)
-    if (kept[1:] != kept[:-1]).any():
-        return None
-    return columns[keep].reshape(len(kept), kept.max(initial=0))
-
-
-def _sort_step(searchable, seqs, docs, ptr, columns) -> Step:
-    """`_expand` by one sort of keys unique per (hypothesis, term, document).
-
-    Hypothesis h's c documents (ascending) take s = bit_length(c - 1) row
-    bits: the document in row r among them gets the keys base[h] + (term <<
-    s) + r, base[h] being the sum of V << s over the hypotheses before h.
-    Sorted, they go by (hypothesis, term, document), and all lie below
-    base[H] < 2 * len(docs) * V. Each run of one (hypothesis, term) is one
-    extension: its length is the child size, and it lists the child
+    dropped. The sort's keys are unique per (hypothesis, term, document):
+    hypothesis h's c documents (ascending) take s = bit_length(c - 1) row
+    bits, and the document in row r among them gets the keys base[h] +
+    (term << s) + r, base[h] being the sum of V << s over the hypotheses
+    before h. Sorted, they go by (hypothesis, term, document), and all lie
+    below base[H] < 2 * len(docs) * V. Each run of one (hypothesis, term)
+    is one extension: its length is the child size, and it lists the child
     postings in order, lead first. Only the terms are decoded for every
     key, to find the runs; hypothesis and document only at run starts.
     """
     vocab, width = len(searchable.dictionary), columns.shape[1]
+    if len(docs) * vocab > 1 << 63:  # the sort's keys lie below 2 x docs x V, and 2**64
+        raise InvariantError(f"{len(docs)} beam documents x {vocab} terms overflow the sort key")
     counts = ptr[1:] - ptr[:-1]
     rowbits = np.frexp(counts - 1)[1]  # bit_length(c - 1): a row among c documents
     slots = np.left_shift(counts > 0, rowbits, dtype=np.uint64, casting="unsafe")  # per term
@@ -182,10 +152,10 @@ def _sort_step(searchable, seqs, docs, ptr, columns) -> Step:
 class DenseStep(Step):
     """The step of a beam in which hypothesis h holds one document, docs[h].
 
-    Its extensions are block[h], ascending: terms of that document, each
-    with child size 1 and lead docs[h]. Every array follows from the
-    block's shape and is made when first read. There are no keys: each
-    child is its lead.
+    Search's dense tail builds it from `remaining`. Its extensions are
+    block[h], ascending: terms of that document, each with child size 1
+    and lead docs[h], so there are no keys. Every array follows from the
+    block's shape and is made when first read.
     """
 
     def __init__(self, searchable, seqs, docs, block):
@@ -196,9 +166,6 @@ class DenseStep(Step):
     sizes = cached_property(lambda self: np.ones_like(self.parents))
     leads = cached_property(lambda self: self.beam_docs.repeat(self.block.shape[1]))
     offsets = cached_property(lambda self: np.arange(len(self.block) + 1) * self.block.shape[1])
-
-    def children(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        return self.leads[picks], np.arange(len(picks) + 1)
 
 
 class Index:
@@ -254,10 +221,14 @@ class Index:
     def remaining(self, seqs: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, bool]:
         """The terms left to place when hypothesis h holds one document, docs[h].
 
-        Row h of the block holds that document's terms outside prefix
-        seqs[h], ascending; the flag is True: any of them may come next.
+        Row h of the block holds the n - depth terms of docs[h] outside its
+        prefix seqs[h], ascending; the flag is True: any may come next.
         """
-        return _unplaced(seqs, self.sets.take(docs, axis=0)), True
+        terms = self.sets.take(docs, axis=0)
+        keep = np.ones(terms.shape, dtype=bool)
+        for column in seqs.T:
+            keep &= terms != column[:, None]
+        return terms[keep].reshape(len(docs), self.n - seqs.shape[1]), True
 
     def doc_position(self, doc_id: str) -> int:
         """The position of a document, by bisection of the ascending `doc_ids`."""

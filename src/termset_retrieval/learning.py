@@ -48,8 +48,8 @@ class TrainingConfig:
     beam_eval: int = 10
 
     def __post_init__(self):
-        if self.iterations < 1 or self.samples < 1 or self.topk_sampling < 1:
-            raise DataError("iterations, samples, and topk_sampling must all be >= 1")
+        if min(self.iterations, self.samples, self.topk_sampling, self.beam_eval) < 1:
+            raise DataError("iterations, samples, topk_sampling and beam_eval must all be >= 1")
         if self.init not in INIT_POLICIES:
             raise DataError(f"unknown init policy {self.init!r}; choose from {INIT_POLICIES}")
         if self.epochs < 1 or self.lr <= 0:

@@ -171,6 +171,24 @@ class TestErrors:
         assert err.startswith("error: non-finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize("val_fraction", ["0.25", "0"])
+    def test_beam_eval_below_1_is_refused_before_training(
+        self, pipeline, tmp_path, capsys, monkeypatch, val_fraction
+    ):
+        # validation's beam search alone would refuse it, after training; at --val-fraction 0, never
+        calls = []
+        monkeypatch.setattr(cli, "run_training", lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = invoke(*TRAIN, "--index", pipeline / "index.txt", "--beam-eval", "0",
+                    "--val-fraction", val_fraction, "--output-dir", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "beam_eval must all be >= 1" in err
+        assert "Traceback" not in err
+        assert calls == []
+        assert not out.exists()
+
     def test_corrupt_index_is_data_error(self, tmp_path):
         fake = tmp_path / "fake_index.txt"
         fake.write_text("wrong-format/0\n", encoding="utf-8")

@@ -330,3 +330,8 @@ class TestEfficiency:
         bench = benchmark_feasible_speedup(index, num_prefixes=50, seed=1)
         assert bench.postings_time_s > 0
         assert bench.naive_time_s > 0
+
+    def test_feasible_speedup_refuses_an_index_of_n_1(self):
+        index = build_index(make_random_identifiers(5, 8, 1, seed=0))
+        with pytest.raises(DataError, match="no prefix of depth 1..n-1 to time at n=1"):
+            benchmark_feasible_speedup(index, num_prefixes=5)

@@ -33,8 +33,6 @@ from termset_retrieval.index import (
     Step,
     TermDictionary,
     _expand,
-    _sort_step,
-    _unplaced,
     build_index,
     load_index,
     naive_feasible_terms,
@@ -305,8 +303,9 @@ class TestExpandOracle:
     @pytest.mark.parametrize("bits", [31, 63])
     @pytest.mark.parametrize("num_docs", [2, 3, 1000])
     def test_keys_up_to_docs_times_vocabulary(self, bits, num_docs):
-        """A beam of D documents over V terms sorts keys in [0, D * V): int32
-        keys up to D * V = 2**31, int64 keys beyond, and a refusal past 2**63."""
+        """A beam of D documents over V terms sorts keys below 2 * D * V, below
+        D * V with one document per hypothesis: int32 keys while D * V <= 2**31
+        there, int64 beyond, and a refusal once D * V passes 2**63."""
         vocab = (1 << bits) // num_docs
         rng = np.random.default_rng(num_docs)
         pool = np.array([0, 1, vocab // 2, vocab - 2, vocab - 1])
@@ -322,8 +321,11 @@ class TestExpandOracle:
                 with pytest.raises(InvariantError, match="overflow the sort key"):
                     _expand(searchable, seqs, docs, ptr, columns)
                 continue
-            want = argsort_expand(searchable, seqs, docs, ptr, columns)
-            assert_same_step(_expand(searchable, seqs, docs, ptr, columns), want)
+            got = _expand(searchable, seqs, docs, ptr, columns)
+            assert len(got.keys) == columns.size  # sorted, at 2 and 3 documents too
+            if len(ptr) == num_docs + 1:  # one document per hypothesis: the keys' top is D * V
+                assert got.keys.dtype == (np.int32 if v * num_docs <= 1 << 31 else np.int64)
+            assert_same_step(got, argsort_expand(searchable, seqs, docs, ptr, columns))
 
 
 @st.composite
@@ -353,17 +355,12 @@ class TestDenseStep:
     @settings(max_examples=100, deadline=None)
     @given(single_document_beams())
     def test_equals_the_sort_path(self, case):
+        """The dense tail's step, from `remaining`, equals `expand`'s sorted one."""
         searchable, seqs, docs = case
-        ptr = np.arange(len(docs) + 1)
-        columns = expand_columns(searchable, seqs, docs)
-        block = _unplaced(seqs, columns)
-        dense = DenseStep(searchable, seqs, docs, block)
-        assert_same_step(dense, _sort_step(searchable, seqs, docs, ptr, columns))
         remaining, free = searchable.remaining(seqs, docs)
-        assert remaining[:, : block.shape[1] if free else 1].tolist() == block.tolist()
         assert remaining.shape == (len(docs), searchable.n - seqs.shape[1])
-        with mock.patch.object(index_module, "_sort_step", side_effect=AssertionError("sorted")):
-            assert_same_step(searchable.expand(seqs, docs, ptr), dense)
+        dense = DenseStep(searchable, seqs, docs, remaining if free else remaining[:, :1])
+        assert_same_step(dense, searchable.expand(seqs, docs, np.arange(len(docs) + 1)))
         picks = np.arange(len(dense.terms))[::-1]
         child_docs, child_ptr = dense.children(picks)
         assert child_docs.dtype == docs.dtype
@@ -374,8 +371,7 @@ class TestDenseStep:
         a, b, c, d, e = term_ids(tiny_index, "a", "b", "c", "d", "e")
         seqs = np.array([[a], [e]])  # D1 and D2 hold {a}; {e}'s one holder is left out
         docs, ptr = np.array([0, 1], dtype=np.int32), np.array([0, 2, 2])
-        with mock.patch.object(index_module, "DenseStep", side_effect=AssertionError("dense")):
-            step = tiny_index.expand(seqs, docs, ptr)
+        step = tiny_index.expand(seqs, docs, ptr)
         assert step.parents.tolist() == [0, 0, 0]
         assert step.terms.tolist() == [b, c, d]
         assert step.sizes.tolist() == [2, 1, 1]

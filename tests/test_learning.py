@@ -331,6 +331,8 @@ class TestRunTraining:
             TrainingConfig(iterations=0)
         with pytest.raises(DataError):
             TrainingConfig(init="nonsense")
+        with pytest.raises(DataError, match="beam_eval must all be >= 1"):
+            TrainingConfig(beam_eval=0)
         cfg = TrainingConfig.from_mapping(
             {"iterations": "3", "lr": "0.25", "init": "random", "ignored_key": "x"}
         )
