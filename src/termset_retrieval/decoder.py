@@ -104,10 +104,13 @@ def _dense_tail(searchable, step_logprobs, beam, depth, beam_size):
     docs[h]. They form one block, a row per hypothesis and a column per
     term to place, built once. Each depth scores the candidate columns
     (`DenseStep`) and cuts as `constrained_beam_search` does, then takes
-    the kept rows and drops each one's picked column.
+    the kept rows without each one's picked column, in one gather: row p
+    of `drop` lists every column but p.
     """
     seqs, lls, docs = beam
     block, free = searchable.remaining(seqs[:, :depth], docs)
+    cols = np.arange(block.shape[1] - 1)
+    drop = cols + (cols >= np.arange(block.shape[1])[:, None])  # drop[p]: the columns but p
     for depth in range(depth, searchable.n):
         width = block.shape[1] if free else 1
         step = DenseStep(searchable, seqs[:, :depth], docs, block[:, :width])
@@ -118,10 +121,8 @@ def _dense_tail(searchable, step_logprobs, beam, depth, beam_size):
         parents, picked = np.divmod(order, width)
         seqs = seqs[parents]
         seqs[:, depth] = block[parents, picked]
-        lls, docs, block = step_ll[order], docs[parents], block[parents]
-        keep = np.ones(block.shape, dtype=bool)
-        keep[np.arange(len(order)), picked] = False
-        block = block[keep].reshape(len(order), -1)
+        lls, docs = step_ll[order], docs[parents]
+        block = block[parents[:, None], drop[picked, : block.shape[1] - 1]]
     return seqs, lls, docs
 
 
@@ -136,14 +137,16 @@ def top_k_cut(step, step_ll, beam_size) -> np.ndarray:
     which go by (parent, term), are the extended sequences' order.
 
     Only extensions at or above the K-th largest log-likelihood can make
-    the cut, so when the step has more than K, `np.partition` finds that
+    the cut, so when the step has more than 4K, `np.partition` finds that
     value and only those rows, ties included, are sorted: they are exactly
-    the head of the full order. A NaN log-likelihood is the one exception:
-    `np.partition` counts NaN as the largest value, which no `>=` holds
-    for, so fewer than K rows may pass; then the whole step is sorted,
-    NaN last.
+    the head of the full order. On smaller steps the pre-pass costs more
+    than it saves, and the whole step is sorted. Leads are derived only
+    for the rows sorted (`Step.leads`). A NaN log-likelihood is the one
+    exception: `np.partition` counts NaN as the largest value, which no
+    `>=` holds for, so fewer than K rows may pass; then the whole step is
+    sorted, NaN last.
     """
-    if beam_size is not None and len(step_ll) > beam_size:
+    if beam_size is not None and len(step_ll) > 4 * beam_size:
         kth = np.partition(step_ll, -beam_size)[-beam_size]
         top = np.flatnonzero(step_ll >= kth)
         if len(top) >= beam_size:
@@ -154,7 +157,7 @@ def top_k_cut(step, step_ll, beam_size) -> np.ndarray:
 def _sort_rows(step, step_ll, rows) -> np.ndarray:
     """`rows` (ascending positions) in the tie-rule order: the lexsort is stable, so
     rows tied on likelihood and lead keep their position order."""
-    return rows[np.lexsort((step.leads[rows], -step_ll[rows]))]
+    return rows[np.lexsort((step.leads(rows), -step_ll[rows]))]
 
 
 def rank_documents(

@@ -29,11 +29,14 @@ class Step:
 
     The beam: row h of `seqs` is hypothesis h's prefix, and `beam_docs`
     lists the documents that hold each prefix, hypothesis by hypothesis
-    (ascending within each). Extensions are
-    ordered by (parent, term): `parents` and `terms` name them, `sizes`
-    count their child documents and `leads` hold the lowest child document.
-    Extension i's child postings, ascending, are beam_docs[k - origins[i]]
-    for the keys k of its run, keys[starts[i]:][:sizes[i]] (a lone child is its lead).
+    (ascending within each). Extensions are ordered by (parent, term):
+    `parents` and `terms` name them and `sizes` count their child
+    documents. Extension i's child postings, ascending, are
+    beam_docs[k - origin] for the keys k of its run, keys[starts[i]:][:sizes[i]],
+    where its origin is terms[i] * scale[h] + rowbase[h] for its parent h;
+    its lead, the lowest child document, is the run's first. Origins and
+    leads are derived only for the extensions asked for (`origins`,
+    `leads`): a step holds thousands, and the cut keeps K.
     `offsets[h]:offsets[h + 1]` are hypothesis h's extensions.
     """
 
@@ -43,10 +46,10 @@ class Step:
     parents: np.ndarray
     terms: np.ndarray
     sizes: np.ndarray
-    leads: np.ndarray
     keys: np.ndarray
     starts: np.ndarray
-    origins: np.ndarray
+    scale: np.ndarray
+    rowbase: np.ndarray
     offsets: np.ndarray
 
     @property
@@ -57,15 +60,25 @@ class Step:
     def n(self) -> int:
         return self.searchable.n
 
+    def origins(self, rows) -> np.ndarray:
+        """The origin of each extension in `rows`: its run's keys minus it are beam positions."""
+        parents = self.parents[rows]
+        terms = self.terms[rows].astype(self.rowbase.dtype, copy=False)
+        return terms * self.scale[parents] + self.rowbase[parents]
+
+    def leads(self, rows) -> np.ndarray:
+        """The lowest child document of each extension in `rows`."""
+        return self.beam_docs.take(self.keys[self.starts[rows]] - self.origins(rows))
+
     def children(self, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Child postings of extensions `picks`, as flat docs and offsets."""
         sizes = self.sizes[picks]
         ptr = np.zeros(len(picks) + 1, dtype=np.int64)
         np.cumsum(sizes, out=ptr[1:])
         if ptr[-1] == len(picks):  # every child is one document, its lead
-            return self.leads[picks], ptr
+            return self.leads(picks), ptr
         gather = np.repeat(self.starts[picks] - ptr[:-1], sizes) + np.arange(ptr[-1])
-        return self.beam_docs.take(self.keys[gather] - np.repeat(self.origins[picks], sizes)), ptr
+        return self.beam_docs.take(self.keys[gather] - np.repeat(self.origins(picks), sizes)), ptr
 
     def locate(self, hyps: np.ndarray, terms: np.ndarray) -> np.ndarray:
         """Position of extension (hyps[i], terms[i]) in the step, -1 where there is none."""
@@ -83,6 +96,20 @@ class Step:
         docs, ptr = self.children(kept)
         seqs = np.column_stack([self.seqs[self.parents[kept]], self.terms[kept]])
         return seqs, docs, ptr, inverse
+
+
+@dataclass
+class RootStep(Step):
+    """The depth-0 step: its leads, each root term's first posting, are built with the index.
+
+    At the root a cut may sort nearly every term (many tie on their score),
+    so the leads are read, not derived.
+    """
+
+    lead_docs: np.ndarray
+
+    def leads(self, rows) -> np.ndarray:
+        return self.lead_docs[rows]
 
 
 def root_beam(searchable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -104,7 +131,9 @@ def _expand(searchable, seqs, docs, ptr, columns) -> Step:
     below base[H] < 2 * len(docs) * V. Each run of one (hypothesis, term)
     is one extension: its length is the child size, and it lists the child
     postings in order, lead first. Only the terms are decoded for every
-    key, to find the runs; hypothesis and document only at run starts.
+    key, to find the runs, and the hypothesis at run starts. The layout is
+    kept per hypothesis: scale[h] = 2**s and rowbase[h] = base[h] - ptr[h],
+    from which `Step.origins` finds the beam position of any key.
     """
     vocab, width = len(searchable.dictionary), columns.shape[1]
     if len(docs) * vocab > 1 << 63:  # the sort's keys lie below 2 x docs x V, and 2**64
@@ -119,33 +148,32 @@ def _expand(searchable, seqs, docs, ptr, columns) -> Step:
     base = np.zeros(len(counts), dtype=dtype)
     base[1:] = ends[:-1]
     rowbase = base - ptr[:-1].astype(dtype)  # base[h] + r = rowbase[h] + position
-    doc_base, doc_shift = base.repeat(counts)[:, None], shifts.repeat(counts)[:, None]
-    first_key = (rowbase.repeat(counts) + np.arange(len(docs), dtype=dtype))[:, None]
-    keys = np.left_shift(columns.astype(dtype, copy=False), doc_shift) + first_key
-    keys = np.sort(keys, axis=None)
-    # each row of width keys lies in one hypothesis's block
-    terms = np.right_shift(keys.reshape(len(docs), width) - doc_base, doc_shift).ravel()
+    # flat, per key: hypothesis h's documents hold its keys, before and after the sort
+    per_key = counts * width
+    key_shift = shifts.repeat(per_key)
+    keys = np.left_shift(columns.astype(dtype, copy=False).ravel(), key_shift)
+    keys += (rowbase.repeat(counts) + np.arange(len(docs), dtype=dtype)).repeat(width)
+    keys.sort()
+    terms = np.subtract(keys, base.repeat(per_key))
+    terms = np.right_shift(terms, key_shift, out=terms)
+    spans = ptr * width  # each hypothesis's keys, as positions in `keys`
     edges = np.ones(len(keys) + 1, dtype=bool)
     np.not_equal(terms[1:], terms[:-1], out=edges[1:-1])
-    edges[ptr[1:-1] * width] = True
+    edges[spans[1:-1]] = True
     bounds = edges.nonzero()[0]  # run starts, then the end
-    starts = bounds[:-1]
-    runs = starts.searchsorted(ptr * width)
+    runs = bounds[:-1].searchsorted(spans)
     runs = runs[1:] - runs[:-1]  # runs per hypothesis
-    parents = np.arange(len(seqs)).repeat(runs)
-    ids = terms[starts].astype(columns.dtype, copy=False)
-    keep = np.ones(len(starts), dtype=bool)
-    for column in seqs.T:  # drop the prefix's own terms
-        keep &= column.repeat(runs) != ids
-    starts, parents, ids = starts[keep], parents[keep], ids[keep]
-    offsets = parents.searchsorted(np.arange(len(seqs) + 1))
-    kept = offsets[1:] - offsets[:-1]
-    # a key minus its extension's origin is its document's position in docs
-    origins = np.left_shift(ids.astype(dtype, copy=False), shifts.repeat(kept))
-    origins += rowbase.repeat(kept)
+    terms = terms[bounds[:-1]].astype(columns.dtype, copy=False)  # each run's term
+    keep = np.ones(len(terms), dtype=bool)
+    for column in seqs.T.astype(terms.dtype):  # drop the prefix's own terms
+        keep &= column.repeat(runs) != terms
+    sizes, starts = (bounds[1:] - bounds[:-1])[keep], bounds[:-1][keep]
+    del bounds, edges  # freed before the step's arrays are made, at its peak memory
+    offsets = starts.searchsorted(spans)
+    parents = np.arange(len(seqs)).repeat(offsets[1:] - offsets[:-1])
     return Step(
-        searchable, seqs, docs, parents, ids, (bounds[1:] - bounds[:-1])[keep],
-        docs.take(keys[starts] - origins), keys, starts, origins, offsets,
+        searchable, seqs, docs, parents, terms[keep], sizes, keys, starts,
+        slots.astype(dtype), rowbase, offsets,
     )
 
 
@@ -164,8 +192,11 @@ class DenseStep(Step):
     parents = cached_property(lambda self: np.arange(len(self.block)).repeat(self.block.shape[1]))
     terms = cached_property(lambda self: self.block.ravel())
     sizes = cached_property(lambda self: np.ones_like(self.parents))
-    leads = cached_property(lambda self: self.beam_docs.repeat(self.block.shape[1]))
     offsets = cached_property(lambda self: np.arange(len(self.block) + 1) * self.block.shape[1])
+    _leads = cached_property(lambda self: self.beam_docs.repeat(self.block.shape[1]))
+
+    def leads(self, rows) -> np.ndarray:
+        return self._leads[rows]
 
 
 class Index:
@@ -191,15 +222,17 @@ class Index:
         self.posting_sizes = np.diff(self.posting_ptr)
         self.all_docs = np.arange(num_docs, dtype=np.int32)
         self.root_feasible = terms = np.flatnonzero(self.posting_sizes > 0).astype(np.int32)
+        self.log1p_sizes = np.log1p(np.arange(self.posting_sizes.max(initial=0) + 1))
         # the root step's arrays but its beam (see `expand`); not the Step
-        # itself, whose `searchable` would tie a cycle back to this index
+        # itself, whose `searchable` would tie a cycle back to this index.
+        # Its keys are the postings, so every origin is 0 (scale and rowbase)
         starts = self.posting_ptr[terms]
         self._root = (
             np.zeros(len(terms), dtype=np.int64), terms, self.posting_sizes[terms],
-            self.posting_docs[starts], self.posting_docs, starts,
-            np.zeros(len(terms), dtype=np.int32), np.array([0, len(terms)]),
+            self.posting_docs, starts, np.zeros(1, dtype=np.int32), np.zeros(1, dtype=np.int32),
+            np.array([0, len(terms)]), self.posting_docs[starts],
         )
-        for array in self._root:
+        for array in (self.log1p_sizes, *self._root):
             array.flags.writeable = False
 
     def __len__(self):
@@ -215,7 +248,7 @@ class Index:
         the term postings: its step is built once, with the index.
         """
         if seqs.shape[1] == 0:
-            return Step(self, seqs, docs, *self._root)
+            return RootStep(self, seqs, docs, *self._root)
         return _expand(self, seqs, docs, ptr, self.sets.take(docs, axis=0))
 
     def remaining(self, seqs: np.ndarray, docs: np.ndarray) -> tuple[np.ndarray, bool]:
@@ -245,11 +278,16 @@ class Index:
         return [self.dictionary.term_of(int(t)) for t in self.order[self.doc_position(doc_id)]]
 
     def memory_bytes(self) -> int:
-        arrays = self.order.nbytes + self.sets.nbytes
-        arrays += self.posting_docs.nbytes + self.posting_ptr.nbytes
+        """Bytes of every array buffer the index holds, each counted once, and of its strings."""
+        owners = {}
+        for array in (*vars(self).values(), *self._root):
+            if isinstance(array, np.ndarray):
+                while isinstance(array.base, np.ndarray):  # a view holds its base's buffer
+                    array = array.base
+                owners[id(array)] = array.nbytes
         strings = sum(len(t.encode("utf-8")) for t in self.dictionary.terms)
         strings += sum(len(d.encode("utf-8")) for d in self.doc_ids)
-        return arrays + strings
+        return sum(owners.values()) + strings
 
 
 def build_index(table: IdentifierTable) -> Index:
@@ -292,6 +330,7 @@ class SequenceView:
         self.dictionary = index.dictionary
         self.doc_ids = index.doc_ids
         self.all_docs = index.all_docs
+        self.log1p_sizes = index.log1p_sizes
 
     def expand(self, seqs: np.ndarray, docs: np.ndarray, ptr: np.ndarray) -> Step:
         """Extensions of every prefix in a beam: each document's next stored term."""

@@ -152,9 +152,11 @@ class FeatureScorer(Scorer):
         A score's first three terms, (in_query * w0 + query_prefix4 * w1) +
         term_weight * w2, depend only on the term: the query's row of the
         root block's `_tables`, taken over the whole vocabulary and gathered
-        by term id, replaces `_segment_features`. A `DenseStep` is scored
-        as its block of terms: every child holds one document, and every
-        row is one segment.
+        by term id, replaces `_segment_features`. The last, log1p_postings
+        * w3, gathers log1p(size) from the searchable's `log1p_sizes`, a
+        table of log1p(0..largest posting size) bit-equal to `np.log1p`. A
+        `DenseStep` is scored as its block of terms: every child holds one
+        document, and every row is one segment.
         """
         words = self._query_words([query], np.zeros(1, dtype=np.int64))
         table = self._tables(words, 1, slice(len(self.terms)))[2][0]
@@ -163,7 +165,9 @@ class FeatureScorer(Scorer):
         def step_logprobs(step) -> np.ndarray:
             if isinstance(step, DenseStep):
                 return _row_log_softmax(table.take(step.block) + single).ravel()
-            scores = table.take(step.terms) + np.log1p(step.sizes) * self.weights[3]
+            scores = step.searchable.log1p_sizes.take(step.sizes)
+            scores *= self.weights[3]
+            scores += table.take(step.terms)  # the sum of two floats is commutative
             return _log_softmax(scores, step.offsets)
 
         return step_logprobs
@@ -322,8 +326,9 @@ def _log_softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
     normalizes bit for bit alike alone or among others. Segments of one
     width are normalized as the rows of one block, whose row sums are the
     pairwise `.sum()` of each row. `np.add.reduceat` adds a segment's first
-    element to the pairwise sum of the rest; a leading exp(-inf) = 0 makes
-    that the pairwise `.sum()` of the segment.
+    element to the pairwise sum of the rest, so the shifted exps are
+    written into a zero-filled buffer one slot apart per segment: with its
+    leading 0, each segment's reduceat is the pairwise `.sum()` of its exps.
     """
     counts = offsets[1:] - offsets[:-1]
     if not counts.all():
@@ -332,11 +337,11 @@ def _log_softmax(scores: np.ndarray, offsets: np.ndarray) -> np.ndarray:
         return _row_log_softmax(scores.reshape(len(counts), counts[0])).ravel()
     heads = offsets[:-1] + np.arange(len(counts))  # the leading 0s
     m = np.maximum.reduceat(scores, offsets[:-1])
-    shifted = np.full(len(scores) + len(counts), -np.inf)
-    body = np.ones(len(shifted), dtype=bool)
+    exps = np.zeros(len(scores) + len(counts))
+    body = np.ones(len(exps), dtype=bool)
     body[heads] = False
-    shifted[body] = scores - np.repeat(m, counts)
-    return scores - np.repeat(m + np.log(np.add.reduceat(np.exp(shifted), heads)), counts)
+    exps[body] = np.exp(scores - np.repeat(m, counts))
+    return scores - np.repeat(m + np.log(np.add.reduceat(exps, heads)), counts)
 
 
 def _row_log_softmax(block: np.ndarray) -> np.ndarray:

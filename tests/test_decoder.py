@@ -2,6 +2,7 @@
 
 import itertools
 import math
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -169,8 +170,9 @@ def record_sorts(monkeypatch):
 class TestTopKCut:
     def test_ties_at_the_kth_value(self, monkeypatch):
         # the uniform scorer ties every extension of a parent, so many rows
-        # share the K-th log-prob and all of them are sorted
-        index = build_index(make_random_identifiers(60, 12, 3, seed=4))
+        # share the K-th log-prob and all of them are sorted; at every beam,
+        # depth 1 holds more than 4K rows, so the cut takes its pre-pass
+        index = build_index(make_random_identifiers(150, 25, 3, seed=4))
         calls = record_sorts(monkeypatch)
         for beam in (2, 5, 13, 40):
             calls.clear()
@@ -178,6 +180,24 @@ class TestTopKCut:
             want = reference_beam_search(query(), index, UniformScorer(), beam)
             assert ranked(index, got).canonical() == ranked(index, want).canonical()
             assert any(beam < rows < total for rows, total in calls), (beam, calls)
+
+    @pytest.mark.parametrize("beam", [1, 3, 10])
+    @pytest.mark.parametrize("extra", [0, 1])
+    def test_the_pre_pass_starts_above_4k_rows(self, monkeypatch, beam, extra):
+        """At 4K rows the cut sorts the whole step, at 4K + 1 only the rows at or
+        above the K-th value; both equal the full sort's head."""
+        rows = 4 * beam + extra
+        rng = np.random.default_rng(rows)
+        step_ll = -rng.permutation(np.arange(rows) // 2).astype(float)  # pairs tie
+        leads = rng.integers(0, 3, rows)
+        step = SimpleNamespace(leads=lambda picks: leads[picks])
+        full = decoder._sort_rows(step, step_ll, np.arange(rows))
+        calls = record_sorts(monkeypatch)
+        assert decoder.top_k_cut(step, step_ll, beam).tolist() == full[:beam].tolist()
+        if extra:
+            assert len(calls) == 1 and beam <= calls[0][0] < rows, calls
+        else:
+            assert calls == [(rows, rows)]
 
     @pytest.mark.parametrize(
         "num_docs, vocab, n, seed", [(20, 6, 3, 12), (21, 11, 4, 13), (10, 7, 3, 19), (19, 9, 4, 45)]

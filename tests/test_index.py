@@ -219,7 +219,7 @@ class TestStepKernel:
         assert step.parents.tolist() == [h for h, _, _ in want]
         assert step.terms.tolist() == [t for _, t, _ in want]
         assert step.sizes.tolist() == [len(c) for _, _, c in want]
-        assert step.leads.tolist() == [c[0] for _, _, c in want]
+        assert step.leads(np.arange(len(want))).tolist() == [c[0] for _, _, c in want]
         per_parent = [sum(p == h for p, _, _ in want) for h in range(len(seqs))]
         assert np.diff(step.offsets).tolist() == per_parent
         picks = np.arange(len(want))[::-1]  # any order, as the top-K cut picks them
@@ -244,10 +244,11 @@ def argsort_expand(searchable, seqs, docs, ptr, columns) -> Step:
     parents, terms = np.divmod(keys[starts], vocab)
     keep = ~(seqs[parents] == terms[:, None]).any(axis=1)
     starts, parents = starts[keep], parents[keep]
+    layout = np.zeros(len(seqs), dtype=np.int64)  # every origin is 0: the keys are positions
     return Step(
         searchable, seqs, docs, parents, terms[keep].astype(columns.dtype),
-        (bounds[1:] - bounds[:-1])[keep], docs[positions[starts]], positions, starts,
-        np.zeros(len(starts), dtype=np.int64), np.searchsorted(parents, np.arange(len(seqs) + 1)),
+        (bounds[1:] - bounds[:-1])[keep], positions, starts, layout, layout,
+        np.searchsorted(parents, np.arange(len(seqs) + 1)),
     )
 
 
@@ -260,15 +261,22 @@ def expand_columns(searchable, seqs, docs):
 
 
 def assert_same_step(got, want):
-    """Equal `Step` arrays, values and dtypes, and equal child postings of every extension."""
-    for name in ("parents", "terms", "sizes", "leads", "offsets"):
+    """Equal `Step` arrays, values and dtypes; equal derived leads and, where `got`
+    has keys, lead positions (each run's first key minus its origin); and equal
+    child postings of every extension, picked in step order and reversed."""
+    rows = np.arange(len(want.terms))
+    for name in ("parents", "terms", "sizes", "offsets", "leads"):
         a, b = getattr(got, name), getattr(want, name)
+        a, b = (a(rows), b(rows)) if name == "leads" else (a, b)
         assert a.dtype == b.dtype, name
         assert a.tolist() == b.tolist(), name
-    picks = np.arange(len(want.terms))
-    for a, b in zip(got.children(picks), want.children(picks)):
-        assert a.dtype == b.dtype, "children"
-        assert a.tolist() == b.tolist(), "children"
+    if not isinstance(got, DenseStep):
+        positions = got.keys[got.starts] - got.origins(rows)
+        assert positions.tolist() == (want.keys[want.starts] - want.origins(rows)).tolist()
+    for picks in (rows, rows[::-1]):
+        for a, b in zip(got.children(picks), want.children(picks)):
+            assert a.dtype == b.dtype, "children"
+            assert a.tolist() == b.tolist(), "children"
 
 
 @st.composite
@@ -379,7 +387,8 @@ class TestDenseStep:
 
 
 class TestRootStep:
-    FIELDS = ("parents", "terms", "sizes", "leads", "keys", "starts", "origins", "offsets")
+    FIELDS = ("parents", "terms", "sizes", "keys", "starts", "scale", "rowbase", "offsets",
+              "lead_docs")
 
     def test_root_arrays_are_built_once_and_read_only(self, tiny_index):
         first, second = (tiny_index.expand(*root_beam(tiny_index)) for _ in range(2))
@@ -389,6 +398,14 @@ class TestRootStep:
             assert array is getattr(second, name), name
             with pytest.raises(ValueError, match="read-only"):
                 array[:1] = 0
+
+    def test_root_leads_are_the_first_postings(self, tiny_index):
+        step = tiny_index.expand(*root_beam(tiny_index))
+        rows = np.arange(len(step.terms))
+        assert step.origins(rows).tolist() == [0] * len(rows)
+        first = [tiny_index.postings(t)[0] for t in step.terms]
+        assert step.leads(rows).tolist() == first
+        assert Step.leads(step, rows).tolist() == first  # as derived from its keys
 
     def test_index_is_freed_by_reference_counting_after_a_search(self):
         """No reference cycle runs through the index: with the cyclic
@@ -405,6 +422,57 @@ class TestRootStep:
         finally:
             if collecting:
                 gc.enable()
+
+
+class TestLog1pSizes:
+    @pytest.mark.parametrize("num_docs, vocab, n, seed", [(1, 3, 3, 0), (300, 12, 4, 2)])
+    def test_equals_np_log1p_up_to_the_largest_posting(self, num_docs, vocab, n, seed):
+        index = build_index(make_random_identifiers(num_docs, vocab, n, seed=seed))
+        sizes = np.arange(index.posting_sizes.max() + 1)
+        assert len(index.log1p_sizes) == len(sizes)
+        assert index.log1p_sizes.tobytes() == np.log1p(sizes).tobytes()
+        for size in sizes.tolist():  # one at a time too, off the array loop
+            assert index.log1p_sizes[size] == np.log1p(np.array([size]))[0], size
+        with pytest.raises(ValueError, match="read-only"):
+            index.log1p_sizes[:1] = 0
+
+    def test_sequence_view_shares_the_index_table(self, tiny_index):
+        assert SequenceView(tiny_index).log1p_sizes is tiny_index.log1p_sizes
+
+
+def owning_arrays(index) -> list[np.ndarray]:
+    """The distinct arrays owning a buffer reachable from the index's attributes or root step."""
+    owners = []
+    for array in (*vars(index).values(), *index._root):
+        if not isinstance(array, np.ndarray):
+            continue
+        while isinstance(array.base, np.ndarray):
+            array = array.base
+        if not any(array is owner for owner in owners):
+            owners.append(array)
+    return owners
+
+
+class TestMemoryBytes:
+    @pytest.mark.parametrize("loaded", [False, True])
+    def test_counts_every_buffer_once(self, tmp_path, loaded):
+        index = build_index(make_random_identifiers(200, 30, 4, seed=3))
+        if loaded:
+            save_index(index, tmp_path / "index.bin")
+            index = load_index(tmp_path / "index.bin")
+        owners = owning_arrays(index)
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(owners, 2))
+        held = (index.order, index.sets, index.posting_docs, index.posting_ptr,
+                index.posting_sizes, index.all_docs, index.root_feasible, index.log1p_sizes)
+        for array in held + index._root:
+            assert any(np.shares_memory(array, owner) for owner in owners)
+        strings = sum(len(t.encode()) for t in index.dictionary.terms)
+        strings += sum(len(d.encode()) for d in index.doc_ids)
+        assert index.memory_bytes() == sum(owner.nbytes for owner in owners) + strings
+        # the root step's keys are the postings and its terms the root feasible set
+        once = sum(a.nbytes for a in held + index._root)
+        once -= index.posting_docs.nbytes + index.root_feasible.nbytes
+        assert index.memory_bytes() == once + strings
 
 
 class TestExpansion:

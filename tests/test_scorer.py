@@ -153,7 +153,9 @@ class TestQueryLookup:
         sizes = rng.integers(1, 50, len(candidates))
         want = isin_features(scorer, q, candidates, sizes)
         # one segment of the candidates, as a step's extensions
-        step = SimpleNamespace(terms=candidates, sizes=sizes, offsets=np.array([0, len(sizes)]))
+        searchable = SimpleNamespace(log1p_sizes=np.log1p(np.arange(50)))
+        step = SimpleNamespace(searchable=searchable, terms=candidates, sizes=sizes,
+                               offsets=np.array([0, len(sizes)]))
         if not len(candidates):
             with pytest.raises(DataError, match="empty candidate"):
                 scorer.step_scorer(q)(step)
@@ -163,7 +165,43 @@ class TestQueryLookup:
         assert scorer.step_scorer(q)(step).tobytes() == expected.tobytes()
 
 
+def padded_log_softmax(scores, offsets):
+    """`_log_softmax`'s earlier unequal-width path, kept as its oracle: the
+    scores are first padded with a -inf ahead of each segment, then shifted
+    and exponentiated, so each segment's `np.add.reduceat` starts at exp(-inf) = 0."""
+    counts = offsets[1:] - offsets[:-1]
+    heads = offsets[:-1] + np.arange(len(counts))
+    m = np.maximum.reduceat(scores, offsets[:-1])
+    shifted = np.full(len(scores) + len(counts), -np.inf)
+    body = np.ones(len(shifted), dtype=bool)
+    body[heads] = False
+    shifted[body] = scores - np.repeat(m, counts)
+    return scores - np.repeat(m + np.log(np.add.reduceat(np.exp(shifted), heads)), counts)
+
+
+@st.composite
+def segment_layouts(draw):
+    """Scores in segments of random widths (1-element ones included), some all of
+    one width, drawn from normal values, ±0.0 and ±1e300."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        widths = [draw(st.integers(1, 40))] * draw(st.integers(1, 8))
+    else:
+        widths = draw(st.lists(st.sampled_from([1, 1, 2, 3, 7, 8, 9, 31, 129]), min_size=1, max_size=12))
+    offsets = np.cumsum([0] + widths)
+    scores = rng.normal(0, 3, offsets[-1])
+    special = rng.random(len(scores)) < draw(st.sampled_from([0.0, 0.2, 0.6]))
+    scores[special] = rng.choice([0.0, -0.0, 1e300, -1e300], special.sum())
+    return scores, offsets
+
+
 class TestSegmentNormalization:
+    @settings(max_examples=200, deadline=None)
+    @given(segment_layouts())
+    def test_equals_the_padded_oracle_bytewise(self, case):
+        scores, offsets = case
+        assert _log_softmax(scores, offsets).tobytes() == padded_log_softmax(scores, offsets).tobytes()
+
     def test_equals_logsumexp_per_segment_bitwise(self):
         """Normalizing a segment among others gives what it gives alone, and
         its sum of exps is the pairwise `.sum()` of the segment."""
