@@ -11,12 +11,21 @@ Sampling advances every (pair, sample) row one depth per step: the rows'
 distinct prefixes are expanded with one `expand` call and each row is
 scored over its remaining identifier terms with one `segment_logprobs`
 call. Candidate scoring and teacher forcing go through the scorer's teacher
-kernel (`sequence_logprobs`, `FeatureScorer.loss_and_grad`): one expand per
-depth for every row, each distinct (query, prefix) segment scored once, in
+kernel (`sequence_logprobs`, `FeatureScorer.force`): one expand per depth
+for every row, each distinct (query, prefix) segment scored once, in
 chunks of bounded row count. Every query's root segment is the same step,
 so the root is scored as one dense (queries x root terms) block per chunk
 (`Scorer.root_logprobs`). The one-pair functions (`sample_permutations`,
 `select_objective`) are calls into the same kernels.
+
+`run_training` builds each piece of work once at the widest scope it holds
+for. Per run: the query words, paired once (`FeatureScorer.pair_words`)
+and handed to sampling, selection and teacher forcing. Per iteration: the
+sampled candidates and their selection, scored as they are forced and not
+kept, then the targets forced once (`FeatureScorer.force`): the walk
+through the teacher kernel, the root chunks' query flags as (row, column)
+pairs and the deeper chunks' feature matrices. Per epoch: only what the
+weights change, the scores, their normalization and the gradient sums.
 """
 
 from __future__ import annotations
@@ -52,8 +61,8 @@ class TrainingConfig:
             raise DataError("iterations, samples, topk_sampling and beam_eval must all be >= 1")
         if self.init not in INIT_POLICIES:
             raise DataError(f"unknown init policy {self.init!r}; choose from {INIT_POLICIES}")
-        if self.epochs < 1 or self.lr <= 0:
-            raise DataError("epochs must be >= 1 and lr positive")
+        if self.epochs < 1 or not 0 < self.lr < math.inf:  # NaN fails both comparisons
+            raise DataError(f"epochs must be >= 1 and lr positive and finite, got lr={self.lr}")
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "TrainingConfig":
@@ -173,7 +182,7 @@ def sample_permutations(
     return _sample_pairs([query], [doc_id], index, scorer, samples, topk, seed)[0]
 
 
-def _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed):
+def _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed, words=None):
     """`sample_permutations` of every (queries[i], doc_ids[i]) pair at once.
 
     All (pair, sample) rows advance one depth per step: the rows' distinct
@@ -185,7 +194,8 @@ def _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed):
     of `Generator.choice`. Each pair draws its uniforms up front, one row
     per sample and one column per depth, from its own derived seed, so the
     draws per (pair, sample) are the ones `Generator.choice` made step by
-    step.
+    step. A `FeatureScorer` given `words`, its `pair_words(queries)`, scores
+    the rows from them (`paired_logprobs`), with the same bits.
     """
     if samples < 1 or topk < 1:
         raise DataError("samples and topk must be >= 1")
@@ -211,9 +221,12 @@ def _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed):
         ext = step.locate(hyp.repeat(width), remaining.ravel())
         if (ext < 0).any():
             raise InvariantError("a remaining identifier term is not feasible after its prefix")
-        logprobs = scorer.segment_logprobs(
-            slots, step, qidx, ext, np.arange(len(rows) + 1) * width
-        ).reshape(len(rows), width)
+        ptr = np.arange(len(rows) + 1) * width
+        if words is None:
+            logprobs = scorer.segment_logprobs(slots, step, qidx, ext, ptr)
+        else:
+            logprobs = scorer.paired_logprobs(words, step, qidx, ext, ptr)
+        logprobs = logprobs.reshape(len(rows), width)
         top = np.argsort(-logprobs, axis=1, kind="stable")[:, :topk]
         kept = np.take_along_axis(logprobs, top, axis=1)
         probs = np.exp(kept - kept.max(axis=1, keepdims=True))
@@ -246,11 +259,12 @@ def select_objective(
     return best, float(lls[0])
 
 
-def _select_objectives(candidates, queries, scorer, index):
+def _select_objectives(candidates, queries, scorer, index, words=None):
     """`select_objective` of every pair: candidates[i] order pair i's identifier.
 
     All candidates of all pairs are scored with one `sequence_logprobs`
-    call. A pair whose every candidate has a non-finite likelihood raises
+    call, which reads `words`, the scorer's `pair_words(queries)`, if given.
+    A pair whose every candidate has a non-finite likelihood raises
     ArithmeticError.
     """
     for cands in candidates:
@@ -262,7 +276,7 @@ def _select_objectives(candidates, queries, scorer, index):
                 raise DataError(f"candidate {seq} is not a permutation of the identifier")
     flat = [seq for cands in candidates for seq in cands]
     owner = np.repeat(np.arange(len(candidates)), [len(cands) for cands in candidates])
-    lls = sequence_logprobs(scorer, [queries[i] for i in owner], flat, index)
+    lls = sequence_logprobs(scorer, [queries[i] for i in owner], flat, index, words)
     width = max(len(seq) for seq in flat)
     seqs = np.array([list(seq) + [-1] * (width - len(seq)) for seq in flat], dtype=np.int64)
     # per pair: likelihood desc (NaN last), then the smaller sequence
@@ -320,6 +334,7 @@ def run_training(
 
     pairs = dataset.train
     queries, doc_ids = [p.query for p in pairs], [p.doc_id for p in pairs]
+    words = scorer.pair_words(queries)
     for t in range(1, config.iterations + 1):
         if t > 1:
             samples = _sample_pairs(
@@ -330,16 +345,15 @@ def run_training(
                 config.samples,
                 config.topk_sampling,
                 _derived_seed(config.seed, t),
+                words,
             )
             candidates = [cands + [prev] for cands, prev in zip(samples, prev_targets)]
-            targets, lls = _select_objectives(candidates, queries, scorer, index)
+            targets, lls = _select_objectives(candidates, queries, scorer, index, words)
+        elif config.init == "likelihood":  # init_permutation's greedy rollout, all pairs at once
+            rollouts = _sample_pairs(queries, doc_ids, index, scorer, 1, 1, 0, words)
+            targets = [c[0] for c in rollouts]
         else:
-            if config.init == "likelihood":  # init_permutation's greedy rollout, all pairs at once
-                targets = [c[0] for c in _sample_pairs(queries, doc_ids, index, scorer, 1, 1, 0)]
-            else:
-                targets = [init_permutation(d, index, config.init, seed=config.seed)
-                           for d in doc_ids]
-            lls = sequence_logprobs(scorer, queries, targets, index)
+            targets = [init_permutation(d, index, config.init, seed=config.seed) for d in doc_ids]
         for pair, target in zip(pairs, targets):
             _validate_target(index, pair.doc_id, target)
         churn = (
@@ -348,8 +362,11 @@ def run_training(
             else sum(a != b for a, b in zip(targets, prev_targets)) / len(targets)
         )
 
-        batch = [(pair.query, target) for pair, target in zip(pairs, targets)]
-        epoch_losses = [scorer.train_step(batch, index, config.lr) for _ in range(config.epochs)]
+        batch = scorer.force(queries, targets, index, words)  # read by every epoch
+        if t == 1:
+            lls = scorer.forced_logprobs(batch)
+        epoch_losses = [scorer.train_step(batch, config.lr) for _ in range(config.epochs)]
+        del batch  # freed before the next iteration samples
 
         recall = validation_recall(scorer, index, dataset.validation, config.beam_eval)
         stats.append(

@@ -12,6 +12,14 @@ The teacher kernel (`sequence_logprobs`, `FeatureScorer.loss_and_grad`)
 scores the root step apart from the deeper ones: every query's root
 segment is the same step, so `root_logprobs` scores it as one dense
 (queries x root terms) block per group of queries.
+
+`FeatureScorer.force` walks a batch through the teacher kernel once and
+keeps what does not depend on the weights (`ForcedBatch`): a root chunk's
+query flags as (row, flag column) pairs, a deeper chunk's feature matrix.
+Its `forced_logprobs` and `forced_loss_and_grad` then score the batch
+under the weights of the moment, so training forces each iteration's
+targets once for all of its epochs. `pair_words` pairs a query list's
+words once, for every call that takes `words`.
 """
 
 from __future__ import annotations
@@ -43,6 +51,8 @@ _SCORER_FORMAT = "termset-scorer/2"
 # query's segment holds the whole root step, so an unchunked batch would
 # build (queries x vocabulary) blocks.
 TEACHER_CHUNK_ROWS = 1 << 14
+
+_LOG1P_ONE = np.log1p(np.ones(1))
 
 
 class Scorer(ABC):
@@ -136,6 +146,11 @@ class FeatureScorer(Scorer):
         stems = [self._stem_col.setdefault(t[:4], len(self.terms) + len(self._stem_col))
                  for t in self.terms]
         self._term_stem = np.array(stems, dtype=np.int64)
+        # the terms of stem column c: _stem_terms[_stem_bounds[c - V]:_stem_bounds[c - V + 1]]
+        self._stem_terms = np.argsort(self._term_stem, kind="stable")
+        self._stem_bounds = np.searchsorted(
+            self._term_stem[self._stem_terms], len(self.terms) + np.arange(len(self._stem_col) + 1)
+        ).tolist()
 
     @classmethod
     def zeros(cls, index: Index, term_weights: np.ndarray | None = None) -> "FeatureScorer":
@@ -150,17 +165,29 @@ class FeatureScorer(Scorer):
         """Bit-identical to the base step function, from a per-query term table.
 
         A score's first three terms, (in_query * w0 + query_prefix4 * w1) +
-        term_weight * w2, depend only on the term: the query's row of the
-        root block's `_tables`, taken over the whole vocabulary and gathered
-        by term id, replaces `_segment_features`. The last, log1p_postings
-        * w3, gathers log1p(size) from the searchable's `log1p_sizes`, a
-        table of log1p(0..largest posting size) bit-equal to `np.log1p`. A
-        `DenseStep` is scored as its block of terms: every child holds one
-        document, and every row is one segment.
+        term_weight * w2, depend only on the term, so one vocabulary-length
+        table, gathered by term id, replaces `_segment_features`. Its entries
+        are summed as `_root_block` sums them: one base row with both flags 0,
+        then the terms of the query words' stems (`query_prefix4` 1), then
+        the query words' own terms, whose stems are among those (both flags
+        1), recomputed over those terms alone. The last, log1p_postings * w3,
+        gathers log1p(size) from the searchable's `log1p_sizes`, a table of
+        log1p(0..largest posting size) bit-equal to `np.log1p`. A `DenseStep`
+        is scored as its block of terms: every child holds one document, and
+        every row is one segment.
         """
-        words = self._query_words([query], np.zeros(1, dtype=np.int64))
-        table = self._tables(words, 1, slice(len(self.terms)))[2][0]
-        single = np.log1p(np.ones(1)) * self.weights[3]  # log1p_postings * w3 of a size-1 child
+        vocab, term_weights = len(self.terms), self.term_weights
+        columns, bounds, stem_terms = self._columns(query), self._stem_bounds, self._stem_terms
+        terms = [c for c in columns if c < vocab]
+        stemmed = np.concatenate([stem_terms[:0]] + [
+            stem_terms[bounds[c - vocab] : bounds[c - vocab + 1]] for c in columns if c >= vocab
+        ])
+        w0, w1, w2, w3 = self.weights.tolist()  # Python floats multiply as float64 does
+        table = term_weights * w2
+        table += 0.0 * w0 + 0.0 * w1  # the sum of two floats is commutative
+        table[stemmed] = (0.0 * w0 + 1.0 * w1) + term_weights[stemmed] * w2
+        table[terms] = (1.0 * w0 + 1.0 * w1) + term_weights[terms] * w2
+        single = _LOG1P_ONE * w3  # log1p_postings * w3 of a size-1 child
 
         def step_logprobs(step) -> np.ndarray:
             if isinstance(step, DenseStep):
@@ -180,53 +207,67 @@ class FeatureScorer(Scorer):
     def segment_logprobs(self, queries, step, seg_query, ext, ptr):
         """One feature matrix for all segments, normalized segment by segment."""
         group, seg_row = np.unique(seg_query, return_inverse=True)
-        feats = self._segment_features(self._query_words(queries, group), step, seg_row, ext, ptr)
+        return self.paired_logprobs(self._query_words(queries, group), step, seg_row, ext, ptr)
+
+    def paired_logprobs(self, words, step, seg_row, ext, ptr):
+        """`segment_logprobs` with the queries' words paired already.
+
+        Segment s is scored under row seg_row[s] of `words`, for example
+        `pair_words(queries)` with seg_row the segments' query slots.
+        """
+        feats = self._segment_features(words, step, seg_row, ext, ptr)
         return _log_softmax(self._scores(feats), ptr)
+
+    def pair_words(self, queries) -> np.ndarray:
+        """The `_query_words` pairs of the distinct queries of `queries`, one row each.
+
+        Row i holds the words of the i-th distinct query object, in order of
+        first appearance (`_query_slots`). A run over one query list pairs
+        them once and hands them to `force`, `paired_logprobs` and
+        `sequence_logprobs`.
+        """
+        slots, _ = _query_slots(queries)
+        return self._query_words(slots, np.arange(len(slots)))
 
     def _scores(self, feats) -> np.ndarray:
         """Each row's score, summed in the order `step_scorer` sums it."""
         f, w = feats.T, self.weights
         return ((f[0] * w[0] + f[1] * w[1]) + f[2] * w[2]) + f[3] * w[3]
 
-    def _query_words(self, queries, slots) -> np.ndarray:
-        """The words of each slot's query as (row, flag column) pairs, in one flat pass.
+    def _columns(self, query) -> list[int]:
+        """The flag columns of the words of `query`.
 
-        A (2, k) array; row i holds the words of queries[slots[i]]. Column
-        c < V flags term c (`in_query`), column V + g flags stem g
-        (`query_prefix4`); each word gives its term's pair and its stem's,
-        if the vocabulary has them. Repeated words repeat a pair.
+        Column c < V flags term c (`in_query`), column V + g flags stem g
+        (`query_prefix4`); each word gives its term's column and its stem's,
+        if the vocabulary has them. Repeated words repeat a column.
         """
         term_id, stem_col = self._term_id.get, self._stem_col.get
-        pairs = [(row, column) for row, slot in enumerate(slots.tolist())
-                 for t in queries[slot].terms
-                 for column in (term_id(t, -1), stem_col(t[:4], -1)) if column >= 0]
+        return [c for t in query.terms for c in (term_id(t, -1), stem_col(t[:4], -1)) if c >= 0]
+
+    def _query_words(self, queries, slots) -> np.ndarray:
+        """The words of each slot's query as (row, flag column) pairs (`_columns`).
+
+        A (2, k) array; row i holds the words of queries[slots[i]].
+        """
+        pairs = [(row, c) for row, slot in enumerate(slots.tolist())
+                 for c in self._columns(queries[slot])]
         return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
 
-    def _tables(self, words, rows, terms):
-        """in_query, query_prefix4 and partial score of `terms` under each of `rows` queries.
+    def _root_block(self, words, step, rows):
+        """`root_logprobs` of `rows` queries and their two query flags, as (rows, root terms).
 
-        `words` holds the rows' `_query_words` pairs; `terms` holds term
-        ids, or is a slice of them, which keeps the gathers views. Each
-        result is a (rows, len(terms)) block, gathered from one scatter of
-        the rows' flag columns. The partial score is (in_query * w0 +
-        query_prefix4 * w1) + term_weight * w2, the first three terms of a
-        step score, summed as `_scores` sums them.
+        `words` holds the rows' `_query_words` pairs, scattered into one
+        (rows, flag columns) block from which both flags are gathered. Each
+        row's scores, ((in_query * w0 + query_prefix4 * w1) + term_weight *
+        w2) + log1p_postings * w3, summed as `_scores` sums them, are
+        normalized row by row. No per-row feature matrix is built.
         """
         flags = np.zeros((rows, len(self.terms) + len(self._stem_col)))
         flags[tuple(words)] = 1.0
+        terms, w = step.terms, self.weights
         in_query, prefix4 = flags[:, terms], flags.take(self._term_stem[terms], axis=1)
-        w = self.weights
         partial = (in_query * w[0] + prefix4 * w[1]) + self.term_weights[terms] * w[2]
-        return in_query, prefix4, partial
-
-    def _root_block(self, words, step, rows):
-        """`root_logprobs` of `rows` queries (see `_tables`), with their two query flags.
-
-        One dense block: each row's partial scores plus log1p(size) * w3,
-        normalized row by row. No per-row feature matrix is built.
-        """
-        in_query, prefix4, table = self._tables(words, rows, step.terms)
-        return in_query, prefix4, _row_log_softmax(table + np.log1p(step.sizes) * self.weights[3])
+        return in_query, prefix4, _row_log_softmax(partial + np.log1p(step.sizes) * w[3])
 
     def _segment_features(self, words, step, seg_row, ext, ptr) -> np.ndarray:
         """The features of every segment's extensions under the segment's query.
@@ -250,51 +291,96 @@ class FeatureScorer(Scorer):
 
     # -- training -----------------------------------------------------------
 
+    def force(self, queries, sequences, searchable, words=None) -> "ForcedBatch":
+        """Force every (queries[r], sequences[r]) row through the teacher kernel once.
+
+        `_teacher_chunks` is walked once. A root chunk keeps its query flags
+        as (row, flag column) pairs, each row one of its segments, which
+        `_root_block` scatters at each read; a deeper chunk keeps its
+        `_segment_features` matrix. Neither depends on the weights, so the
+        batch can be read under any of them. `words` is `pair_words(queries)`,
+        paired here when not given.
+        """
+        chunks = list(self._forced(queries, sequences, searchable, words))
+        return ForcedBatch(chunks, len(sequences))
+
+    def _forced(self, queries, sequences, searchable, words=None):
+        """The `_Forced` chunks of `force`, one at a time."""
+        slots, qidx = _query_slots(queries)
+        if words is None:
+            words = self._query_words(slots, np.arange(len(slots)))
+        slot, column = words  # ascending, as `pair_words` pairs them
+        for chunk in _teacher_chunks(searchable, qidx, sequences):
+            if chunk.ext is None:
+                group = chunk.seg_query  # distinct slots, ascending
+                mine = slice(slot.searchsorted(group[0]), slot.searchsorted(group[-1], "right"))
+                row = _find(group, slot[mine])
+                hit = row >= 0
+                yield _Forced(chunk.step, (row[hit], column[mine][hit]), None, *chunk[3:])
+            else:
+                yield _Forced(None, None, self._segment_features(words, *chunk[:4]), *chunk[3:])
+
+    def forced_logprobs(self, batch: "ForcedBatch") -> np.ndarray:
+        """Every row's sequence log-likelihood under the current weights.
+
+        The same bits as `sequence_logprobs`: each chunk is scored as
+        `root_logprobs` or `segment_logprobs` scores it, and each row sums
+        its steps in order.
+        """
+        total = np.zeros(batch.rows)
+        for chunk in batch.chunks:
+            if chunk.step is None:
+                logprobs = _log_softmax(self._scores(chunk.feats), chunk.ptr)
+            else:
+                logprobs = self._root_block(chunk.flags, chunk.step, len(chunk.weight))[2].ravel()
+            total[chunk.rows] += logprobs[chunk.at]
+        return total
+
     def loss_and_grad(self, batch, searchable):
         """Teacher-forced cross-entropy over (query, target id sequence) pairs.
 
+        The batch is forced (`force`) and read once (`forced_loss_and_grad`).
+        """
+        return self.forced_loss_and_grad(
+            self.force([query for query, _ in batch], [target for _, target in batch], searchable)
+        )
+
+    def forced_loss_and_grad(self, batch: "ForcedBatch"):
+        """Loss and gradient of a forced batch under the current weights.
+
         Loss is the mean negative sequence log-likelihood; the gradient is
         the usual softmax difference E_p[features] - features[target],
-        summed over every step of every target. The batch is forced through
-        the teacher kernel (`_teacher_chunks`): one expand per depth for
-        all targets, each distinct (query, prefix) segment scored once and
-        weighted by the number of targets passing through it, in chunks of
-        at most TEACHER_CHUNK_ROWS extensions. The query words are paired
-        with their slots once. Root chunks are dense blocks (`_root_block`):
-        their expected features are column sums of the weighted
-        probabilities, so no per-row feature matrix is built there.
+        summed over every step of every target. Each distinct (query,
+        prefix) segment is scored once and weighted by the number of
+        targets passing through it. Root chunks are dense blocks
+        (`_root_block`): their expected features are column sums of the
+        weighted probabilities, so no per-row feature matrix is built there.
         """
-        if not batch:
+        if not batch.rows:
             raise DataError("empty training batch")
-        queries, qidx = _query_slots([query for query, _ in batch])
-        words = self._query_words(queries, np.arange(len(queries)))
         total_loss = 0.0
         grad = np.zeros_like(self.weights)
-        for chunk in _teacher_chunks(searchable, qidx, [target for _, target in batch]):
-            if chunk.ext is None:
-                logprobs, expected, target = self._root_terms(words, chunk)
-            else:
-                feats = self._segment_features(words, *chunk[:4])
+        for chunk in batch.chunks:
+            if chunk.step is None:
+                feats = chunk.feats
                 logprobs = _log_softmax(self._scores(feats), chunk.ptr)
                 weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
                 expected, target = weighted @ feats, feats[chunk.at]
+            else:
+                logprobs, expected, target = self._root_terms(chunk)
             total_loss -= logprobs[chunk.at].sum()
             grad += expected - target.sum(axis=0)
-        return total_loss / len(batch), grad / len(batch)
+        return total_loss / batch.rows, grad / batch.rows
 
-    def _root_terms(self, words, chunk):
+    def _root_terms(self, chunk):
         """A root chunk's flat log-probs, weighted expected features and target rows' features.
 
-        `words` pairs every query slot's words. The expected features are
-        sums over the weighted probability block P: of P * in_query and P *
-        query_prefix4, and the column sums of P times each root term's
-        term_weight and log1p_postings.
+        The expected features are sums over the weighted probability block
+        P: of P * in_query and P * query_prefix4, and the column sums of P
+        times each root term's term_weight and log1p_postings.
         """
-        step, group = chunk.step, chunk.seg_query  # distinct slots, ascending
-        slot, column = words
-        row = _find(group, slot)
-        hit = row >= 0
-        in_query, prefix4, logprobs = self._root_block((row[hit], column[hit]), step, len(group))
+        step = chunk.step
+        in_query, prefix4, logprobs = self._root_block(chunk.flags, step, len(chunk.weight))
         weighted = np.exp(logprobs) * chunk.weight[:, None]
         mass = weighted.sum(axis=0)
         term_weights, log_sizes = self.term_weights[step.terms], np.log1p(step.sizes)
@@ -305,13 +391,13 @@ class FeatureScorer(Scorer):
                                   term_weights[pick], log_sizes[pick]])
         return logprobs.ravel(), expected, target
 
-    def train_step(self, batch, searchable, lr: float) -> float:
-        """One full-batch gradient step; returns the pre-update loss.
+    def train_step(self, batch: "ForcedBatch", lr: float) -> float:
+        """One full-batch gradient step on a forced batch; returns the pre-update loss.
 
         A non-finite loss or update raises ArithmeticError: training diverged.
         """
         with np.errstate(over="ignore", invalid="ignore"):
-            loss, grad = self.loss_and_grad(batch, searchable)
+            loss, grad = self.forced_loss_and_grad(batch)
             update = lr * grad
         if not (math.isfinite(loss) and np.isfinite(update).all()):
             raise ArithmeticError(f"non-finite teacher-forcing loss {loss} or update (lr={lr})")
@@ -379,6 +465,36 @@ class _Chunk(NamedTuple):
     at: np.ndarray
 
 
+class _Forced(NamedTuple):
+    """A `_Chunk` with what scoring it needs that does not depend on the weights.
+
+    A root chunk keeps the root `step` and its query `flags` as (row, flag
+    column) pairs over its `len(weight)` segments, `feats` None. A deeper
+    chunk keeps its `_segment_features` matrix `feats`, `step` and `flags`
+    None. `ptr`, `weight`, `rows` and `at` are the chunk's.
+    """
+
+    step: object | None
+    flags: tuple | None
+    feats: np.ndarray | None
+    ptr: np.ndarray
+    weight: np.ndarray
+    rows: np.ndarray
+    at: np.ndarray
+
+
+class ForcedBatch(NamedTuple):
+    """`rows` (query, sequence) rows forced through the teacher kernel (`FeatureScorer.force`).
+
+    `chunks` holds their `_Forced` chunks in `_teacher_chunks` order: a
+    list, read by every epoch of a training iteration, or, for a batch
+    read once, a generator that forces each chunk as it is scored.
+    """
+
+    chunks: object
+    rows: int
+
+
 def _teacher_chunks(searchable, qidx, sequences):
     """Force every row's sequence from the root, one `expand` per depth.
 
@@ -431,14 +547,19 @@ def _segment_chunks(step, row_query, row_hyp, rows, picks):
         a = b
 
 
-def sequence_logprobs(scorer: Scorer, queries, sequences, searchable) -> np.ndarray:
+def sequence_logprobs(scorer: Scorer, queries, sequences, searchable, words=None) -> np.ndarray:
     """`sequence_logprob` of every (queries[r], sequences[r]) through the teacher kernel.
 
     Each distinct (query, prefix) step is scored once, with one
     `root_logprobs` call per root chunk and one `segment_logprobs` call per
     deeper chunk, and each row sums its steps in order, so the results are
-    bit-identical to scoring row by row.
+    bit-identical to scoring row by row. A `FeatureScorer` given `words`,
+    its `pair_words(queries)`, scores each chunk as it is forced instead
+    (`forced_logprobs`), with the same bits and no chunk kept.
     """
+    if words is not None:
+        chunks = scorer._forced(queries, sequences, searchable, words)
+        return scorer.forced_logprobs(ForcedBatch(chunks, len(sequences)))
     slots, qidx = _query_slots(queries)
     total = np.zeros(len(sequences))
     for chunk in _teacher_chunks(searchable, qidx, sequences):
@@ -527,7 +648,7 @@ def check_compatible(scorer: FeatureScorer, index: Index) -> None:
     A step score is monotone in each feature, so it lies between its values
     at the features' extremes: in_query and query_prefix4 at 0 and 1, the
     lowest and highest term_weight, and log1p_postings at a child size of 1
-    and at the largest posting. These are summed as `FeatureScorer._tables`
+    and at the largest posting. These are summed as `FeatureScorer._root_block`
     and `_scores` sum them, in search and training alike. The lowest
     log-likelihood of an identifier, n steps each at most the score spread
     plus log V below 0, must be finite too.

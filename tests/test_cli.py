@@ -189,6 +189,23 @@ class TestErrors:
         assert calls == []
         assert not out.exists()
 
+    @pytest.mark.parametrize("lr", ["nan", "inf"])
+    def test_non_finite_lr_is_refused_before_training(
+        self, pipeline, tmp_path, capsys, monkeypatch, lr
+    ):
+        # NaN fails `lr <= 0` too; unrefused, training samples and forces before it diverges
+        calls = []
+        monkeypatch.setattr(cli, "run_training", lambda *a, **k: calls.append(a))
+        out = tmp_path / "out"
+        capsys.readouterr()
+        rc = invoke(*TRAIN, "--index", pipeline / "index.txt", "--lr", lr, "--output-dir", out)
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "lr positive and finite" in err
+        assert "Traceback" not in err
+        assert calls == []
+        assert not out.exists()
+
     def test_corrupt_index_is_data_error(self, tmp_path):
         fake = tmp_path / "fake_index.txt"
         fake.write_text("wrong-format/0\n", encoding="utf-8")

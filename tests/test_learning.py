@@ -1,6 +1,8 @@
 """Initialization policies, permutation sampling, and the adaptive loop."""
 
+import dataclasses
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,6 +30,7 @@ from termset_retrieval.scorer import (
     UniformScorer,
     build_term_weights,
     sequence_logprob,
+    sequence_logprobs,
 )
 from termset_retrieval.synthetic import make_bridging_corpus, split_by_wave
 
@@ -319,6 +322,46 @@ class TestRunTraining:
         b_recall = validation_recall(baseline, index, dataset.validation, beam_size=10)
         assert a_recall >= b_recall
 
+    @pytest.mark.parametrize("init", ["importance", "likelihood"])
+    def test_forcing_once_equals_forcing_every_epoch_afresh(self, init):
+        """Weights and every stats field, byte for byte, against a loop that pairs the
+        query words at every call and forces the targets again at every epoch."""
+        corpus, index, tw, dataset, _, _ = bridging_setup(seed=5)
+        config = TrainingConfig(iterations=3, samples=3, epochs=4, lr=0.5, seed=2, init=init)
+        initial = FeatureScorer(np.array([1.0, 0.5, 0.3, -0.2]), index.dictionary.terms, tw)
+        force = FeatureScorer.force
+
+        class FreshBatch:
+            """Forces its rows afresh, words paired again, at every read of its chunks."""
+
+            def __init__(self, scorer, queries, sequences, searchable, words=None):
+                self.args, self.rows = (scorer, queries, sequences, searchable), len(sequences)
+
+            @property
+            def chunks(self):
+                return force(*self.args).chunks
+
+        with mock.patch.object(FeatureScorer, "pair_words", lambda self, queries: None), \
+                mock.patch.object(FeatureScorer, "force", lambda *args: FreshBatch(*args)):
+            want, want_stats = run_training(dataset, index, config, initial)
+        with mock.patch.object(FeatureScorer, "_query_words", autospec=True,
+                               side_effect=FeatureScorer._query_words) as paired:
+            got, stats = run_training(dataset, index, config, initial)
+        assert paired.call_count == 1  # the run's words, paired once
+        assert got.weights.tobytes() == want.weights.tobytes()
+        assert len(stats) == len(want_stats) >= 2
+        for s, w in zip(stats, want_stats):
+            for f in dataclasses.fields(s):
+                assert repr(getattr(s, f.name)) == repr(getattr(w, f.name)), f.name
+        # iteration 1's objective is read before its first epoch, under the initial weights
+        queries, doc_ids = [p.query for p in dataset.train], [p.doc_id for p in dataset.train]
+        if init == "likelihood":
+            targets = [c[0] for c in _sample_pairs(queries, doc_ids, index, initial, 1, 1, 0)]
+        else:
+            targets = [init_permutation(d, index, init) for d in doc_ids]
+        lls = sequence_logprobs(initial, queries, targets, index)
+        assert stats[0].mean_objective_logprob == sum(lls.tolist()) / len(targets)
+
     def test_empty_dataset_rejected(self, four_term_index):
         from termset_retrieval.learning import LearningDataset
 
@@ -333,6 +376,9 @@ class TestRunTraining:
             TrainingConfig(init="nonsense")
         with pytest.raises(DataError, match="beam_eval must all be >= 1"):
             TrainingConfig(beam_eval=0)
+        for lr in (0.0, -0.5, math.nan, math.inf, -math.inf):
+            with pytest.raises(DataError, match="lr positive and finite"):
+                TrainingConfig(lr=lr)
         cfg = TrainingConfig.from_mapping(
             {"iterations": "3", "lr": "0.25", "init": "random", "ignored_key": "x"}
         )

@@ -14,7 +14,7 @@ from termset_retrieval import scorer as scorer_module
 from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import constrained_beam_search
 from termset_retrieval.errors import DataError
-from termset_retrieval.importance import IdentifierTable
+from termset_retrieval.importance import IdentifierTable, _find
 from termset_retrieval.index import SequenceView, build_index, load_index, root_beam, save_index
 from termset_retrieval.scorer import (
     STEP_FEATURES,
@@ -531,6 +531,131 @@ class TestTeacherOracle:
         assert FeatureScorer.root_logprobs is not Scorer.root_logprobs
 
 
+def unforced_loss_and_grad(scorer, batch, searchable):
+    """`FeatureScorer.loss_and_grad` before the forced batch: each call pairs the
+    words, walks the teacher kernel and builds every chunk's flags and features."""
+    queries, qidx = _query_slots([query for query, _ in batch])
+    words = scorer._query_words(queries, np.arange(len(queries)))
+    total_loss = 0.0
+    grad = np.zeros_like(scorer.weights)
+    for chunk in scorer_module._teacher_chunks(searchable, qidx, [target for _, target in batch]):
+        if chunk.ext is None:
+            step, group = chunk.step, chunk.seg_query
+            slot, column = words
+            row = _find(group, slot)
+            hit = row >= 0
+            in_query, prefix4, logprobs = scorer._root_block((row[hit], column[hit]), step,
+                                                             len(group))
+            weighted = np.exp(logprobs) * chunk.weight[:, None]
+            mass = weighted.sum(axis=0)
+            term_weights, log_sizes = scorer.term_weights[step.terms], np.log1p(step.sizes)
+            expected = np.array([(weighted * in_query).sum(), (weighted * prefix4).sum(),
+                                 mass @ term_weights, mass @ log_sizes])
+            seg, pick = np.divmod(chunk.at, logprobs.shape[1])
+            target = np.column_stack([in_query[seg, pick], prefix4[seg, pick],
+                                      term_weights[pick], log_sizes[pick]])
+            logprobs = logprobs.ravel()
+        else:
+            feats = scorer._segment_features(words, *chunk[:4])
+            logprobs = _log_softmax(scorer._scores(feats), chunk.ptr)
+            weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
+            expected, target = weighted @ feats, feats[chunk.at]
+        total_loss -= logprobs[chunk.at].sum()
+        grad += expected - target.sum(axis=0)
+    return total_loss / len(batch), grad / len(batch)
+
+
+def feature_case(case, seed):
+    """A teacher case's searchable, queries and targets, with a feature scorer of its vocabulary."""
+    searchable, _, queries, targets = case
+    index = searchable.index if isinstance(searchable, SequenceView) else searchable
+    rng = np.random.default_rng(seed)
+    scorer = FeatureScorer(rng.normal(0, 2, len(STEP_FEATURES)), index.dictionary.terms,
+                           rng.uniform(0, 2, len(index.dictionary)))
+    return searchable, scorer, queries, targets
+
+
+class TestForcedBatch:
+    """A batch forced once, read under any weights, against the kernel that forces every call."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(teacher_cases(), st.sampled_from([1, 5, 64, None]), st.integers(0, 999))
+    def test_logprobs_equal_the_streamed_kernel(self, case, chunk_rows, seed):
+        searchable, scorer, queries, targets = feature_case(case, seed)
+        rows = scorer_module.TEACHER_CHUNK_ROWS if chunk_rows is None else chunk_rows
+        with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
+            want = sequence_logprobs(scorer, queries, targets, searchable).tobytes()
+            words = scorer.pair_words(queries)
+            batch = scorer.force(queries, targets, searchable, words)
+            assert scorer.forced_logprobs(batch).tobytes() == want
+            assert scorer.forced_logprobs(batch).tobytes() == want  # a list: read again
+            assert sequence_logprobs(scorer, queries, targets, searchable, words).tobytes() == want
+            unpaired = scorer.force(queries, targets, searchable)
+            assert scorer.forced_logprobs(unpaired).tobytes() == want
+
+    @settings(max_examples=150, deadline=None)
+    @given(teacher_cases(), st.sampled_from([1, 5, 64, None]), st.integers(0, 999))
+    def test_loss_and_grad_equal_the_unforced_kernel_under_two_weights(self, case, chunk_rows,
+                                                                       seed):
+        searchable, scorer, queries, targets = feature_case(case, seed)
+        if not targets:
+            return
+        batch = list(zip(queries, targets))
+        other = np.random.default_rng(seed + 1).normal(0, 2, len(STEP_FEATURES))
+        rows = scorer_module.TEACHER_CHUNK_ROWS if chunk_rows is None else chunk_rows
+        with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
+            forced = scorer.force(queries, targets, searchable)
+            for weights in (scorer.weights.copy(), other):
+                scorer.weights = weights
+                loss, grad = scorer.forced_loss_and_grad(forced)
+                want_loss, want_grad = unforced_loss_and_grad(scorer, batch, searchable)
+                assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+                assert grad.tobytes() == want_grad.tobytes()
+                loss, grad = scorer.loss_and_grad(batch, searchable)
+                assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+                assert grad.tobytes() == want_grad.tobytes()
+
+    def test_no_kept_array_is_a_queries_by_vocabulary_block(self):
+        """Root chunks keep their query flags as (row, column) pairs, one per query word."""
+        index = build_index(word_registry(300, len(STEM_WORDS), 3, seed=4))
+        rng = np.random.default_rng(8)
+        scorer = FeatureScorer(rng.normal(0, 1, len(STEP_FEATURES)), index.dictionary.terms,
+                               rng.uniform(0, 2, len(index.dictionary)))
+        pool = [Query.from_text(f"q{i}", " ".join(rng.choice(STEM_WORDS + ("zz",), 3)))
+                for i in range(60)]
+        queries = [pool[int(rng.integers(len(pool)))] for _ in range(200)]
+        targets = [[int(t) for t in rng.permutation(index.order[int(rng.integers(len(index)))])]
+                   for _ in queries]
+        slots, _ = _query_slots(queries)
+        block = len(slots) * len(index.dictionary)
+        for rows in (len(STEM_WORDS) * 7, scorer_module.TEACHER_CHUNK_ROWS):
+            with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
+                batch = scorer.force(queries, targets, index)
+            roots = [chunk for chunk in batch.chunks if chunk.step is not None]
+            assert len(roots) > (rows < scorer_module.TEACHER_CHUNK_ROWS)
+            flags = 0
+            for chunk in batch.chunks:
+                kept = [*(chunk.flags or ()), chunk.ptr, chunk.weight, chunk.rows, chunk.at]
+                assert all(a.ndim == 1 and a.size < block for a in kept)
+                if chunk.step is None:
+                    assert chunk.flags is None
+                    assert chunk.feats.shape == (chunk.ptr[-1], len(STEP_FEATURES))
+                else:
+                    assert chunk.step.depth == 0 and chunk.feats is None
+                    flags += len(chunk.flags[0])
+            assert flags == sum(len(scorer._columns(q)) for q in slots)  # one pair per word
+
+    def test_an_empty_batch_forces_and_scores_nothing_but_has_no_loss(self, tiny_index):
+        scorer = FeatureScorer.zeros(tiny_index)
+        batch = scorer.force([], [], tiny_index)
+        assert batch.chunks == [] and batch.rows == 0
+        assert scorer.forced_logprobs(batch).shape == (0,)
+        with pytest.raises(DataError, match="empty training batch"):
+            scorer.train_step(batch, lr=0.1)
+        with pytest.raises(DataError, match="empty training batch"):
+            scorer.loss_and_grad([], tiny_index)
+
+
 @st.composite
 def search_cases(draw):
     """A registry with shared 4-character stems, a view of it, a feature scorer, a query, a beam."""
@@ -660,15 +785,17 @@ class TestTraining:
     def test_repeated_steps_monotone_loss(self, tiny_index):
         scorer = FeatureScorer.zeros(tiny_index)
         target = [tiny_index.dictionary.id_of(t) for t in ["a", "b", "c"]]
-        batch = [(query("a c"), target)]
-        losses = [scorer.train_step(batch, tiny_index, lr=0.05) for _ in range(50)]
+        batch = scorer.force([query("a c")], [target], tiny_index)  # forced once, read 50 times
+        losses = [scorer.train_step(batch, lr=0.05) for _ in range(50)]
         assert all(losses[i + 1] <= losses[i] + 1e-12 for i in range(49))
 
     def test_infeasible_target_rejected(self, tiny_index):
         scorer = FeatureScorer.zeros(tiny_index)
         a, e = term_ids(tiny_index, "a", "e")
         with pytest.raises(DataError, match="infeasible"):
-            scorer.train_step([(query(), [a, e])], tiny_index, lr=0.1)
+            scorer.force([query()], [[a, e]], tiny_index)
+        with pytest.raises(DataError, match="infeasible"):
+            scorer.loss_and_grad([(query(), [a, e])], tiny_index)
 
 
 class TestPermutationCovariance:
