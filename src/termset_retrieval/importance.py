@@ -96,19 +96,32 @@ def _featurize(term_lists: list[list[str]], titles: list[set[str]] | None,
     return _TermRows(terms, start, owner, term, first, features)
 
 
-def _term_weights(features: np.ndarray, weights) -> np.ndarray:
-    """The scoring rule: each row's clamp(features . weights), as one fixed sum.
+def _row_sums(features: np.ndarray, weights) -> np.ndarray:
+    """Each row's features . weights, summed ((f0*w0 + f1*w1) + f2*w2) + ... left to right.
 
-    The sum is ((f0*w0 + f1*w1) + f2*w2) + ... left to right, each product and
-    sum rounded on its own, so no weight depends on how a BLAS orders or fuses
-    a dot product. A finite model whose sum overflows is refused.
+    Each product and sum is rounded on its own, so no result depends on how
+    a BLAS kernel orders or fuses a dot product.
     """
     columns = zip(features.T, weights, strict=True)
+    column, weight = next(columns)
+    z = column * weight
+    for column, weight in columns:
+        z += column * weight
+    return z
+
+
+def _column_sums(coef: np.ndarray, features: np.ndarray) -> np.ndarray:
+    """coef . features[:, j] for each column j, each one pairwise `.sum()` of its products."""
+    return np.array([(coef * column).sum() for column in features.T])
+
+
+def _term_weights(features: np.ndarray, weights) -> np.ndarray:
+    """The scoring rule: each row's clamp(features . weights), as one fixed sum (`_row_sums`).
+
+    A finite model whose sum overflows is refused.
+    """
     with np.errstate(over="ignore", invalid="ignore"):
-        column, weight = next(columns)
-        z = column * weight
-        for column, weight in columns:
-            z += column * weight
+        z = _row_sums(features, weights)
     if not np.isfinite(z).all():
         raise DataError(f"importance weights {[float(w) for w in weights]} overflow a term's score")
     return np.where(z > 0.0, z, 0.0)
@@ -204,7 +217,9 @@ def infonce_loss_and_grad(weights: np.ndarray, batch: _TrainingBatch, tau: float
     candidate is sum over shared terms of relu(fq.w) * relu(fd.w); the loss
     is the negative log-softmax (temperature tau) of the positive's score.
     Scores are summed per candidate with `bincount` and normalized per pair
-    with `reduceat` over the stacked rows.
+    with `reduceat` over the stacked rows. No sum goes through BLAS: fq.w and
+    fd.w are `_row_sums`, and the gradient is `_column_sums`, so the trained
+    weights do not depend on the CPU's BLAS kernel.
     """
     if tau <= 0:
         raise DataError(f"temperature must be positive, got {tau}")
@@ -212,7 +227,7 @@ def infonce_loss_and_grad(weights: np.ndarray, batch: _TrainingBatch, tau: float
     num_pairs = len(first) - 1
     if not num_pairs:
         return 0.0, np.zeros_like(weights)
-    zq, zd = fq @ weights, fd @ weights
+    zq, zd = _row_sums(fq, weights), _row_sums(fd, weights)
     wq, wd = np.maximum(zq, 0.0), np.maximum(zd, 0.0)
     scores = np.bincount(cand, weights=wq * wd, minlength=first[-1])
     counts = np.diff(first)
@@ -224,7 +239,7 @@ def infonce_loss_and_grad(weights: np.ndarray, batch: _TrainingBatch, tau: float
     dscore = probs
     dscore[first[:-1]] -= 1.0
     coef = (dscore / tau)[cand]
-    grad = (coef * (zq > 0) * wd) @ fq + (coef * (zd > 0) * wq) @ fd
+    grad = _column_sums(coef * (zq > 0) * wd, fq) + _column_sums(coef * (zd > 0) * wq, fd)
     return float(loss) / num_pairs, grad / num_pairs
 
 

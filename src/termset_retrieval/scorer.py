@@ -353,8 +353,13 @@ class FeatureScorer(Scorer):
         summed over every step of every target. Each distinct (query,
         prefix) segment is scored once and weighted by the number of
         targets passing through it. Root chunks are dense blocks
-        (`_root_block`): their expected features are column sums of the
-        weighted probabilities, so no per-row feature matrix is built there.
+        (`_root_block`), so no per-row feature matrix is built there.
+
+        No sum goes through BLAS. A chunk's expected value of each feature is
+        one pairwise `.sum()` of its weighted probabilities times the feature,
+        over the chunk's extensions in order, and its target rows' sum of each
+        feature is one pairwise `.sum()` over them in order; root and deeper
+        chunks sum alike. The chunks' differences are added in chunk order.
         """
         if not batch.rows:
             raise DataError("empty training batch")
@@ -365,30 +370,30 @@ class FeatureScorer(Scorer):
                 feats = chunk.feats
                 logprobs = _log_softmax(self._scores(feats), chunk.ptr)
                 weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
-                expected, target = weighted @ feats, feats[chunk.at]
+                expected = np.array([(weighted * column).sum() for column in feats.T])
+                target = np.array([column.sum() for column in feats[chunk.at].T])
             else:
                 logprobs, expected, target = self._root_terms(chunk)
             total_loss -= logprobs[chunk.at].sum()
-            grad += expected - target.sum(axis=0)
+            grad += expected - target
         return total_loss / batch.rows, grad / batch.rows
 
     def _root_terms(self, chunk):
-        """A root chunk's flat log-probs, weighted expected features and target rows' features.
+        """A root chunk's flat log-probs, expected features and target rows' feature sums.
 
-        The expected features are sums over the weighted probability block
-        P: of P * in_query and P * query_prefix4, and the column sums of P
-        times each root term's term_weight and log1p_postings.
+        Summed as `forced_loss_and_grad` sums a deeper chunk: the weighted
+        probability block P times each feature, in_query, query_prefix4 and
+        each root term's term_weight and log1p_postings, as one `.sum()` of
+        the (segments, root terms) block, row after row.
         """
         step = chunk.step
         in_query, prefix4, logprobs = self._root_block(chunk.flags, step, len(chunk.weight))
         weighted = np.exp(logprobs) * chunk.weight[:, None]
-        mass = weighted.sum(axis=0)
-        term_weights, log_sizes = self.term_weights[step.terms], np.log1p(step.sizes)
-        expected = np.array([(weighted * in_query).sum(), (weighted * prefix4).sum(),
-                             mass @ term_weights, mass @ log_sizes])
+        columns = (in_query, prefix4, self.term_weights[step.terms], np.log1p(step.sizes))
+        expected = np.array([(weighted * column).sum() for column in columns])
         seg, pick = np.divmod(chunk.at, logprobs.shape[1])
-        target = np.column_stack([in_query[seg, pick], prefix4[seg, pick],
-                                  term_weights[pick], log_sizes[pick]])
+        target = np.array([in_query[seg, pick].sum(), prefix4[seg, pick].sum(),
+                           columns[2][pick].sum(), columns[3][pick].sum()])
         return logprobs.ravel(), expected, target
 
     def train_step(self, batch: "ForcedBatch", lr: float) -> float:

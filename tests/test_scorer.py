@@ -14,7 +14,7 @@ from termset_retrieval import scorer as scorer_module
 from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import constrained_beam_search
 from termset_retrieval.errors import DataError
-from termset_retrieval.importance import IdentifierTable, _find
+from termset_retrieval.importance import IdentifierTable
 from termset_retrieval.index import SequenceView, build_index, load_index, root_beam, save_index
 from termset_retrieval.scorer import (
     STEP_FEATURES,
@@ -532,36 +532,28 @@ class TestTeacherOracle:
 
 
 def unforced_loss_and_grad(scorer, batch, searchable):
-    """`FeatureScorer.loss_and_grad` before the forced batch: each call pairs the
-    words, walks the teacher kernel and builds every chunk's flags and features."""
+    """`FeatureScorer.loss_and_grad` before the forced batch: each call walks the
+    teacher kernel and derives every segment's features as `isin_features` does.
+    Each chunk's expected and target value of each feature is one pairwise `.sum()`
+    over its extensions, or its target rows, in order, with no sum through BLAS."""
     queries, qidx = _query_slots([query for query, _ in batch])
-    words = scorer._query_words(queries, np.arange(len(queries)))
     total_loss = 0.0
     grad = np.zeros_like(scorer.weights)
     for chunk in scorer_module._teacher_chunks(searchable, qidx, [target for _, target in batch]):
-        if chunk.ext is None:
-            step, group = chunk.step, chunk.seg_query
-            slot, column = words
-            row = _find(group, slot)
-            hit = row >= 0
-            in_query, prefix4, logprobs = scorer._root_block((row[hit], column[hit]), step,
-                                                             len(group))
-            weighted = np.exp(logprobs) * chunk.weight[:, None]
-            mass = weighted.sum(axis=0)
-            term_weights, log_sizes = scorer.term_weights[step.terms], np.log1p(step.sizes)
-            expected = np.array([(weighted * in_query).sum(), (weighted * prefix4).sum(),
-                                 mass @ term_weights, mass @ log_sizes])
-            seg, pick = np.divmod(chunk.at, logprobs.shape[1])
-            target = np.column_stack([in_query[seg, pick], prefix4[seg, pick],
-                                      term_weights[pick], log_sizes[pick]])
-            logprobs = logprobs.ravel()
-        else:
-            feats = scorer._segment_features(words, *chunk[:4])
-            logprobs = _log_softmax(scorer._scores(feats), chunk.ptr)
-            weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
-            expected, target = weighted @ feats, feats[chunk.at]
+        step, ptr = chunk.step, chunk.ptr
+        ext = chunk.ext
+        if ext is None:  # a root chunk: each segment is the whole root step
+            ext = np.tile(np.arange(len(step.terms)), len(chunk.seg_query))
+        feats = np.concatenate([
+            isin_features(scorer, queries[q], step.terms[ext[a:b]], step.sizes[ext[a:b]])
+            for q, a, b in zip(chunk.seg_query.tolist(), ptr[:-1], ptr[1:])
+        ])
+        logprobs = _log_softmax(row_scores(scorer, feats), ptr)
+        weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(ptr))
+        expected = np.array([(weighted * column).sum() for column in feats.T])
+        target = np.array([column.sum() for column in feats[chunk.at].T])
         total_loss -= logprobs[chunk.at].sum()
-        grad += expected - target.sum(axis=0)
+        grad += expected - target
     return total_loss / len(batch), grad / len(batch)
 
 
