@@ -73,8 +73,6 @@ from .learning import (
     init_permutation,
     make_dataset,
     run_training,
-    sample_permutations,
-    select_objective,
 )
 from .scorer import (
     FeatureScorer,

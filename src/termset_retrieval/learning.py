@@ -13,19 +13,15 @@ scored over its remaining identifier terms with one `segment_logprobs`
 call. Candidate scoring and teacher forcing go through the scorer's teacher
 kernel (`sequence_logprobs`, `FeatureScorer.force`): one expand per depth
 for every row, each distinct (query, prefix) segment scored once, in
-chunks of bounded row count. Every query's root segment is the same step,
-so the root is scored as one dense (queries x root terms) block per chunk
-(`Scorer.root_logprobs`). The one-pair functions (`sample_permutations`,
-`select_objective`) are calls into the same kernels.
+chunks of bounded row count, the root's whole-step segments through
+`Scorer.root_logprobs`.
 
 `run_training` builds each piece of work once at the widest scope it holds
-for. Per run: the query words, paired once (`FeatureScorer.pair_words`)
-and handed to sampling, selection and teacher forcing. Per iteration: the
-sampled candidates and their selection, scored as they are forced and not
-kept, then the targets forced once (`FeatureScorer.force`): the walk
-through the teacher kernel, the root chunks' query flags as (row, column)
-pairs and the deeper chunks' feature matrices. Per epoch: only what the
-weights change, the scores, their normalization and the gradient sums.
+for. Per run: the scorer's form of the training queries (`Scorer.prepare`),
+read by sampling, selection and teacher forcing. Per iteration: the sampled
+candidates and their selection, then the targets forced once
+(`FeatureScorer.force`). Per epoch: only what the weights change, the
+scores, their normalization and the gradient sums.
 """
 
 from __future__ import annotations
@@ -147,8 +143,8 @@ def init_permutation(
     """Initial target ordering of a document's identifier terms.
 
     importance: the stored importance-descending order. random: a seeded
-    shuffle (stable per document). likelihood: the greedy rollout of
-    sample_permutations with topk=1 under the supplied scorer, ties falling
+    shuffle (stable per document). likelihood: the greedy rollout
+    (`_sample_pairs` with topk=1) under the supplied scorer, ties falling
     back to the stored order.
     """
     ordered = [int(t) for t in index.identifier_ids(doc_id, ordered=True)]
@@ -160,30 +156,21 @@ def init_permutation(
     if policy == "likelihood":
         if scorer is None:
             raise DataError("likelihood initialization requires a scorer")
-        return sample_permutations(query or Query("", "", []), doc_id, index, scorer, 1, 1)[0]
+        query = query or Query("", "", [])
+        return _sample_pairs(scorer.prepare([query]), np.zeros(1, dtype=np.int64), [query],
+                             [doc_id], index, scorer, 1, 1, 0)[0][0]
     raise DataError(f"unknown init policy {policy!r}")
 
 
-def sample_permutations(
-    query: Query,
-    doc_id: str,
-    index: Index,
-    scorer: Scorer,
-    samples: int,
-    topk: int,
-    seed: int = 0,
-) -> list[tuple[int, ...]]:
-    """Sample identifier orderings stepwise from the scorer's distribution.
+def _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, samples, topk, seed):
+    """Sample identifier orderings of every pair stepwise from the scorer's distribution.
 
-    At each step the distribution is restricted to the topk most probable
-    of the document's remaining identifier terms and renormalized. topk=1
-    degenerates to a greedy rollout that ignores the seed.
-    """
-    return _sample_pairs([query], [doc_id], index, scorer, samples, topk, seed)[0]
-
-
-def _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed, words=None):
-    """`sample_permutations` of every (queries[i], doc_ids[i]) pair at once.
+    Pair i orders doc_ids[i]'s identifier under query qidx[i] of the
+    scorer's `prepared` query list; queries[i], that query, and doc_ids[i]
+    seed its draws. At each step the distribution is restricted to the topk
+    most probable of the document's remaining identifier terms and
+    renormalized; topk=1 degenerates to a greedy rollout that ignores the
+    seed. Returns `samples` orderings per pair.
 
     All (pair, sample) rows advance one depth per step: the rows' distinct
     prefixes are expanded with one `expand` call, and each row is scored
@@ -194,8 +181,7 @@ def _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed, words=No
     of `Generator.choice`. Each pair draws its uniforms up front, one row
     per sample and one column per depth, from its own derived seed, so the
     draws per (pair, sample) are the ones `Generator.choice` made step by
-    step. A `FeatureScorer` given `words`, its `pair_words(queries)`, scores
-    the rows from them (`paired_logprobs`), with the same bits.
+    step.
     """
     if samples < 1 or topk < 1:
         raise DataError("samples and topk must be >= 1")
@@ -209,8 +195,7 @@ def _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed, words=No
     remaining = np.array(
         [index.identifier_ids(d, ordered=True) for d in doc_ids], dtype=np.int64
     ).repeat(samples, axis=0)
-    slots, qidx = _query_slots(queries)
-    qidx = qidx.repeat(samples)
+    qidx = np.repeat(qidx, samples)
     rows = np.arange(len(remaining))
     out = np.empty((len(rows), n), dtype=np.int64)
     beam = root_beam(index)
@@ -222,11 +207,7 @@ def _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed, words=No
         if (ext < 0).any():
             raise InvariantError("a remaining identifier term is not feasible after its prefix")
         ptr = np.arange(len(rows) + 1) * width
-        if words is None:
-            logprobs = scorer.segment_logprobs(slots, step, qidx, ext, ptr)
-        else:
-            logprobs = scorer.paired_logprobs(words, step, qidx, ext, ptr)
-        logprobs = logprobs.reshape(len(rows), width)
+        logprobs = scorer.segment_logprobs(prepared, step, qidx, ext, ptr).reshape(len(rows), width)
         top = np.argsort(-logprobs, axis=1, kind="stable")[:, :topk]
         kept = np.take_along_axis(logprobs, top, axis=1)
         probs = np.exp(kept - kept.max(axis=1, keepdims=True))
@@ -244,28 +225,14 @@ def _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed, words=No
     return [list(map(tuple, block)) for block in out.reshape(len(doc_ids), samples, n).tolist()]
 
 
-def select_objective(
-    candidates: list[tuple[int, ...]],
-    query: Query,
-    scorer: Scorer,
-    index: Index,
-) -> tuple[tuple[int, ...], float]:
-    """Pick the candidate permutation with the highest sequence likelihood.
+def _select_objectives(candidates, prepared, qidx, scorer, index):
+    """Pick each pair's candidate permutation with the highest sequence likelihood.
 
-    All candidates must order the same identifier set; ties go to the
-    lexicographically smaller sequence.
-    """
-    (best,), lls = _select_objectives([candidates], [query], scorer, index)
-    return best, float(lls[0])
-
-
-def _select_objectives(candidates, queries, scorer, index, words=None):
-    """`select_objective` of every pair: candidates[i] order pair i's identifier.
-
-    All candidates of all pairs are scored with one `sequence_logprobs`
-    call, which reads `words`, the scorer's `pair_words(queries)`, if given.
-    A pair whose every candidate has a non-finite likelihood raises
-    ArithmeticError.
+    candidates[i] all order pair i's identifier, under query qidx[i] of the
+    scorer's `prepared` query list; ties go to the lexicographically smaller
+    sequence. All candidates of all pairs are scored with one
+    `sequence_logprobs` call. A pair whose every candidate has a non-finite
+    likelihood raises ArithmeticError.
     """
     for cands in candidates:
         if not cands:
@@ -276,7 +243,7 @@ def _select_objectives(candidates, queries, scorer, index, words=None):
                 raise DataError(f"candidate {seq} is not a permutation of the identifier")
     flat = [seq for cands in candidates for seq in cands]
     owner = np.repeat(np.arange(len(candidates)), [len(cands) for cands in candidates])
-    lls = sequence_logprobs(scorer, [queries[i] for i in owner], flat, index, words)
+    lls = sequence_logprobs(scorer, prepared, qidx[owner], flat, index)
     width = max(len(seq) for seq in flat)
     seqs = np.array([list(seq) + [-1] * (width - len(seq)) for seq in flat], dtype=np.int64)
     # per pair: likelihood desc (NaN last), then the smaller sequence
@@ -334,23 +301,17 @@ def run_training(
 
     pairs = dataset.train
     queries, doc_ids = [p.query for p in pairs], [p.doc_id for p in pairs]
-    words = scorer.pair_words(queries)
+    slots, qidx = _query_slots(queries)
+    prepared = scorer.prepare(slots)  # once per run, for sampling, selection and forcing
     for t in range(1, config.iterations + 1):
         if t > 1:
-            samples = _sample_pairs(
-                queries,
-                doc_ids,
-                index,
-                scorer,
-                config.samples,
-                config.topk_sampling,
-                _derived_seed(config.seed, t),
-                words,
-            )
+            seed = _derived_seed(config.seed, t)
+            samples = _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, config.samples,
+                                    config.topk_sampling, seed)
             candidates = [cands + [prev] for cands, prev in zip(samples, prev_targets)]
-            targets, lls = _select_objectives(candidates, queries, scorer, index, words)
+            targets, lls = _select_objectives(candidates, prepared, qidx, scorer, index)
         elif config.init == "likelihood":  # init_permutation's greedy rollout, all pairs at once
-            rollouts = _sample_pairs(queries, doc_ids, index, scorer, 1, 1, 0, words)
+            rollouts = _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, 1, 1, 0)
             targets = [c[0] for c in rollouts]
         else:
             targets = [init_permutation(d, index, config.init, seed=config.seed) for d in doc_ids]
@@ -362,7 +323,7 @@ def run_training(
             else sum(a != b for a, b in zip(targets, prev_targets)) / len(targets)
         )
 
-        batch = scorer.force(queries, targets, index, words)  # read by every epoch
+        batch = scorer.force(prepared, qidx, targets, index)  # read by every epoch
         if t == 1:
             lls = scorer.forced_logprobs(batch)
         epoch_losses = [scorer.train_step(batch, config.lr) for _ in range(config.epochs)]

@@ -3,23 +3,34 @@
 A scorer has one required method, `segment_logprobs`: it scores segments
 of one decoding step (`index.Step`), each holding the feasible extensions
 of one prefix under one query, and normalizes each over its candidates.
-The reference implementation is a linear model over cheap query/prefix
-features with an exact softmax, so gradients are analytic and the whole
-pipeline stays deterministic. Neural plug-ins can implement the same
+Queries reach it in the form its `prepare` makes of a query list, once per
+list: the list itself by default. Neural plug-ins can implement the same
 method and normalize however they like.
 
-The teacher kernel (`sequence_logprobs`, `FeatureScorer.loss_and_grad`)
-scores the root step apart from the deeper ones: every query's root
-segment is the same step, so `root_logprobs` scores it as one dense
-(queries x root terms) block per group of queries.
+The reference implementation, `FeatureScorer`, is a linear model over four
+step features with an exact softmax, so gradients are analytic and the
+whole pipeline stays deterministic. A query word's term always has a stem
+column, so `in_query` implies `query_prefix4`, and an extension's two query
+flags are one of three codes: 0 = (0, 0), 1 = (0, 1), 2 = (1, 1). Every
+score, in search and in training, is one formula on (code, term, child
+size), `FeatureScorer._scores`:
+
+    (C[code] + term_weight[term] * w2) + log1p(size) * w3,
+    C[code] = in_query * w0 + query_prefix4 * w1.
+
+Codes are derived in two ways from the prepared queries, sorted keys of
+their words' flag columns: a dense scatter for segments that are each a
+whole one-hypothesis root step (search's per-query term table, the teacher
+kernel's root chunks), and a sorted key lookup for any other segments.
 
 `FeatureScorer.force` walks a batch through the teacher kernel once and
-keeps what does not depend on the weights (`ForcedBatch`): a root chunk's
-query flags as (row, flag column) pairs, a deeper chunk's feature matrix.
-Its `forced_logprobs` and `forced_loss_and_grad` then score the batch
-under the weights of the moment, so training forces each iteration's
-targets once for all of its epochs. `pair_words` pairs a query list's
-words once, for every call that takes `words`.
+keeps what does not depend on the weights (`ForcedBatch`): a deeper chunk's
+int8 codes, terms and child sizes, a root chunk's query flags as (row, flag
+column) pairs, and each chunk's target feature sums. `forced_logprobs` and
+`forced_loss_and_grad` then score the batch under the weights of the
+moment, so training forces each iteration's targets once for all of its
+epochs. The gradient is four code and column sums per chunk, with no sum
+through BLAS.
 """
 
 from __future__ import annotations
@@ -66,22 +77,33 @@ class Scorer(ABC):
     Only segment_logprobs is required: search calls step_scorer once per
     query, whose step function defaults to one segment_logprobs call per
     step; training calls root_logprobs at the root, which defaults to one
-    segment_logprobs call, and segment_logprobs directly below it.
+    segment_logprobs call, and segment_logprobs directly below it. Every
+    kernel hands them its query list as `prepare` made it.
     """
 
     @abstractmethod
     def segment_logprobs(self, queries, step, seg_query, ext, ptr) -> np.ndarray:
         """Score segments of one step, each under its own query.
 
-        `step` is an `index.Step`. Segment s holds the step extensions
-        ext[ptr[s]:ptr[s + 1]], which all extend one hypothesis, and is
-        normalized over them under queries[seg_query[s]]. A scorer reads
-        the candidates from the step: their terms `step.terms[ext]`, child
-        sizes `step.sizes[ext]` and hypotheses `step.parents[ext]`, whose
-        prefixes are rows of `step.seqs`, all of length `step.depth`. The
-        result holds one log-probability per entry of `ext`. An empty
-        segment raises DataError.
+        `queries` is what `prepare` made of a query list, and `step` an
+        `index.Step`. Segment s holds the step extensions ext[ptr[s]:ptr[s +
+        1]], which all extend one hypothesis, and is normalized over them
+        under query seg_query[s] of the list. A scorer reads the candidates
+        from the step: their terms `step.terms[ext]`, child sizes
+        `step.sizes[ext]` and hypotheses `step.parents[ext]`, whose prefixes
+        are rows of `step.seqs`, all of length `step.depth`. The result holds
+        one log-probability per entry of `ext`. An empty segment raises
+        DataError.
         """
+
+    def prepare(self, queries: list[Query]):
+        """The form of a query list that every kernel hands this scorer: the list itself.
+
+        A run prepares its query list once and names each row's query by its
+        position in the list, so a scorer that reads queries through a table
+        of its own builds it here, once.
+        """
+        return queries
 
     def step_scorer(self, query: Query):
         """The function that scores a decoding step of a whole beam under `query`.
@@ -90,11 +112,12 @@ class Scorer(ABC):
         and returns one log-probability per extension, in step order. Search
         calls this once per query, so per-query tables belong here.
         """
+        prepared = self.prepare([query])
 
         def step_logprobs(step) -> np.ndarray:
             seg_query = np.zeros(len(step.seqs), dtype=np.int64)
             ext = np.arange(len(step.terms))
-            return self.segment_logprobs([query], step, seg_query, ext, step.offsets)
+            return self.segment_logprobs(prepared, step, seg_query, ext, step.offsets)
 
         return step_logprobs
 
@@ -102,8 +125,8 @@ class Scorer(ABC):
         """The root step under each query of `slots`, as a (len(slots), len(step.terms)) block.
 
         `step` is the depth-0 step, one hypothesis holding every root term.
-        Row i is its one segment normalized under queries[slots[i]], as
-        `segment_logprobs` scores it.
+        Row i is its one segment normalized under query slots[i] of the
+        prepared `queries`, as `segment_logprobs` scores it.
         """
         width = len(step.terms)
         ext = np.tile(np.arange(width), len(slots))
@@ -126,8 +149,7 @@ class FeatureScorer(Scorer):
 
     `terms` mirrors the index dictionary (sorted); `term_weights` holds the
     corpus-max importance weight per term. Both are fixed at construction,
-    only `weights` learns. An extension's score is its features' weighted
-    sum, added in STEP_FEATURES order row by row, so it depends only on
+    only `weights` learns. An extension's score (`_scores`) depends only on
     the extension, wherever it sits in a batch.
     """
 
@@ -146,11 +168,7 @@ class FeatureScorer(Scorer):
         stems = [self._stem_col.setdefault(t[:4], len(self.terms) + len(self._stem_col))
                  for t in self.terms]
         self._term_stem = np.array(stems, dtype=np.int64)
-        # the terms of stem column c: _stem_terms[_stem_bounds[c - V]:_stem_bounds[c - V + 1]]
-        self._stem_terms = np.argsort(self._term_stem, kind="stable")
-        self._stem_bounds = np.searchsorted(
-            self._term_stem[self._stem_terms], len(self.terms) + np.arange(len(self._stem_col) + 1)
-        ).tolist()
+        self._width = len(self.terms) + len(self._stem_col)  # flag columns
 
     @classmethod
     def zeros(cls, index: Index, term_weights: np.ndarray | None = None) -> "FeatureScorer":
@@ -161,164 +179,161 @@ class FeatureScorer(Scorer):
     def copy(self) -> "FeatureScorer":
         return FeatureScorer(self.weights.copy(), self.terms, self.term_weights)
 
+    def prepare(self, queries) -> np.ndarray:
+        """The query list's word flags, as sorted keys slot * C + flag column.
+
+        C is the number of flag columns (`_columns`), and slot i is
+        queries[i]. Repeated words give one key.
+        """
+        keys = {slot * self._width + c for slot, q in enumerate(queries) for c in self._columns(q)}
+        return np.array(sorted(keys), dtype=np.int64)
+
     def step_scorer(self, query):
         """Bit-identical to the base step function, from a per-query term table.
 
-        A score's first three terms, (in_query * w0 + query_prefix4 * w1) +
-        term_weight * w2, depend only on the term, so one vocabulary-length
-        table, gathered by term id, replaces `_segment_features`. Its entries
-        are summed as `_root_block` sums them: one base row with both flags 0,
-        then the terms of the query words' stems (`query_prefix4` 1), then
-        the query words' own terms, whose stems are among those (both flags
-        1), recomputed over those terms alone. The last, log1p_postings * w3,
-        gathers log1p(size) from the searchable's `log1p_sizes`, a table of
-        log1p(0..largest posting size) bit-equal to `np.log1p`. A `DenseStep`
-        is scored as its block of terms: every child holds one document, and
-        every row is one segment.
+        A score's first two terms, C[code] + term_weight * w2, depend only on
+        the term under the query, so `_scores` of the query's codes for every
+        term (`_code_block`) is one vocabulary-length table, gathered by term
+        id at every step. The last, log1p_postings * w3, gathers log1p(size)
+        from the searchable's `log1p_sizes`, a table of log1p(0..largest
+        posting size) bit-equal to `np.log1p`, and is added to the gathered
+        table (a sum of two floats is commutative). A `DenseStep` is scored
+        as its block of terms: every child holds one document, and every row
+        is one segment.
         """
-        vocab, term_weights = len(self.terms), self.term_weights
-        columns, bounds, stem_terms = self._columns(query), self._stem_bounds, self._stem_terms
-        terms = [c for c in columns if c < vocab]
-        stemmed = np.concatenate([stem_terms[:0]] + [
-            stem_terms[bounds[c - vocab] : bounds[c - vocab + 1]] for c in columns if c >= vocab
-        ])
-        w0, w1, w2, w3 = self.weights.tolist()  # Python floats multiply as float64 does
-        table = term_weights * w2
-        table += 0.0 * w0 + 0.0 * w1  # the sum of two floats is commutative
-        table[stemmed] = (0.0 * w0 + 1.0 * w1) + term_weights[stemmed] * w2
-        table[terms] = (1.0 * w0 + 1.0 * w1) + term_weights[terms] * w2
-        single = _LOG1P_ONE * w3  # log1p_postings * w3 of a size-1 child
+        codes = self._code_block((0, self._columns(query)), 1, slice(len(self.terms)))[0]
+        table = self._scores(codes, self.term_weights)
+        single = _LOG1P_ONE * self.weights[3]  # log1p_postings * w3 of a size-1 child
 
         def step_logprobs(step) -> np.ndarray:
             if isinstance(step, DenseStep):
                 return _row_log_softmax(table.take(step.block) + single).ravel()
             scores = step.searchable.log1p_sizes.take(step.sizes)
             scores *= self.weights[3]
-            scores += table.take(step.terms)  # the sum of two floats is commutative
+            scores += table.take(step.terms)
             return _log_softmax(scores, step.offsets)
 
         return step_logprobs
 
     def root_logprobs(self, queries, step, slots):
-        """Bit-identical to the base root block, from one term table per query."""
+        """Bit-identical to the base root block, with the codes of one dense scatter."""
         group, inverse = np.unique(slots, return_inverse=True)
-        return self._root_block(self._query_words(queries, group), step, len(group))[2][inverse]
+        codes = self._code_block(self._pairs(queries, group), len(group), step.terms)[inverse]
+        log_sizes = step.searchable.log1p_sizes.take(step.sizes)
+        return _row_log_softmax(self._scores(codes, self.term_weights[step.terms], log_sizes))
 
     def segment_logprobs(self, queries, step, seg_query, ext, ptr):
-        """One feature matrix for all segments, normalized segment by segment."""
-        group, seg_row = np.unique(seg_query, return_inverse=True)
-        return self.paired_logprobs(self._query_words(queries, group), step, seg_row, ext, ptr)
+        """All segments' codes by one key lookup, normalized segment by segment."""
+        terms = step.terms[ext]
+        codes = self._lookup(queries, seg_query, terms, ptr)
+        log_sizes = step.searchable.log1p_sizes.take(step.sizes[ext])
+        return _log_softmax(self._scores(codes, self.term_weights[terms], log_sizes), ptr)
 
-    def paired_logprobs(self, words, step, seg_row, ext, ptr):
-        """`segment_logprobs` with the queries' words paired already.
+    def _scores(self, codes, term_weights, log_sizes=None) -> np.ndarray:
+        """The score formula, (C[code] + term_weight * w2) + log1p(size) * w3.
 
-        Segment s is scored under row seg_row[s] of `words`, for example
-        `pair_words(queries)` with seg_row the segments' query slots.
+        Each extension's code, its term's weight and its child size's log1p.
+        C[code] = in_query * w0 + query_prefix4 * w1 of the code's two flags,
+        so every score is summed in STEP_FEATURES order. Without `log_sizes`,
+        C[code] + term_weight * w2: search's per-query term table. Arrays
+        broadcast: a root chunk's (segments, root terms) codes take the root
+        step's term weights and log1p sizes.
         """
-        feats = self._segment_features(words, step, seg_row, ext, ptr)
-        return _log_softmax(self._scores(feats), ptr)
-
-    def pair_words(self, queries) -> np.ndarray:
-        """The `_query_words` pairs of the distinct queries of `queries`, one row each.
-
-        Row i holds the words of the i-th distinct query object, in order of
-        first appearance (`_query_slots`). A run over one query list pairs
-        them once and hands them to `force`, `paired_logprobs` and
-        `sequence_logprobs`.
-        """
-        slots, _ = _query_slots(queries)
-        return self._query_words(slots, np.arange(len(slots)))
-
-    def _scores(self, feats) -> np.ndarray:
-        """Each row's score, summed in the order `step_scorer` sums it."""
-        f, w = feats.T, self.weights
-        return ((f[0] * w[0] + f[1] * w[1]) + f[2] * w[2]) + f[3] * w[3]
+        w0, w1, w2, w3 = self.weights.tolist()  # Python floats multiply as float64 does
+        code_scores = np.array([0.0 * w0 + 0.0 * w1, 0.0 * w0 + 1.0 * w1, 1.0 * w0 + 1.0 * w1])
+        scores = code_scores.take(codes) + term_weights * w2
+        if log_sizes is not None:
+            scores += log_sizes * w3
+        return scores
 
     def _columns(self, query) -> list[int]:
         """The flag columns of the words of `query`.
 
         Column c < V flags term c (`in_query`), column V + g flags stem g
         (`query_prefix4`); each word gives its term's column and its stem's,
-        if the vocabulary has them. Repeated words repeat a column.
+        if the vocabulary has them, so a term's column comes with its stem's.
+        Repeated words repeat a column.
         """
         term_id, stem_col = self._term_id.get, self._stem_col.get
         return [c for t in query.terms for c in (term_id(t, -1), stem_col(t[:4], -1)) if c >= 0]
 
-    def _query_words(self, queries, slots) -> np.ndarray:
-        """The words of each slot's query as (row, flag column) pairs (`_columns`).
+    def _pairs(self, keys, group) -> tuple[np.ndarray, np.ndarray]:
+        """The word flags of queries `group` as (row, flag column) pairs, row i query group[i].
 
-        A (2, k) array; row i holds the words of queries[slots[i]].
+        `keys` is `prepare`'s; `group` holds distinct slots, ascending.
         """
-        pairs = [(row, c) for row, slot in enumerate(slots.tolist())
-                 for c in self._columns(queries[slot])]
-        return np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+        width = self._width
+        lo, hi = keys.searchsorted([group[0] * width, group[-1] * width + width])
+        mine = keys[lo:hi]
+        slot, column = np.divmod(mine, width)
+        row = _find(group, slot)
+        hit = row >= 0
+        return row[hit], column[hit]
 
-    def _root_block(self, words, step, rows):
-        """`root_logprobs` of `rows` queries and their two query flags, as (rows, root terms).
+    def _code_block(self, pairs, rows, terms) -> np.ndarray:
+        """The codes of `terms` under `rows` queries, flagged by (row, flag column) `pairs`.
 
-        `words` holds the rows' `_query_words` pairs, scattered into one
-        (rows, flag columns) block from which both flags are gathered. Each
-        row's scores, ((in_query * w0 + query_prefix4 * w1) + term_weight *
-        w2) + log1p_postings * w3, summed as `_scores` sums them, are
-        normalized row by row. No per-row feature matrix is built.
+        The dense scatter: the pairs are set in one (rows, flag columns) int8
+        block, and each term's code is its own column plus its stem's. A
+        (rows, len(terms)) int8 block.
         """
-        flags = np.zeros((rows, len(self.terms) + len(self._stem_col)))
-        flags[tuple(words)] = 1.0
-        terms, w = step.terms, self.weights
-        in_query, prefix4 = flags[:, terms], flags.take(self._term_stem[terms], axis=1)
-        partial = (in_query * w[0] + prefix4 * w[1]) + self.term_weights[terms] * w[2]
-        return in_query, prefix4, _row_log_softmax(partial + np.log1p(step.sizes) * w[3])
+        flags = np.zeros((rows, self._width), dtype=np.int8)
+        flags[pairs] = 1
+        return flags[:, terms] + flags.take(self._term_stem[terms], axis=1)
 
-    def _segment_features(self, words, step, seg_row, ext, ptr) -> np.ndarray:
-        """The features of every segment's extensions under the segment's query.
+    def _lookup(self, keys, seg_query, terms, ptr) -> np.ndarray:
+        """The code of every segment's terms[ptr[s]:ptr[s + 1]] under query seg_query[s], as int8.
 
-        Segment s is scored under the query of row seg_row[s] of `words`.
-        Instead of one dense vector per query (`step_scorer`), the query
-        flags are looked up by key, row * C + flag column with C columns,
-        in one sorted array of the `_query_words` pairs' keys.
+        The key lookup: each extension's two keys, slot * C + its term's
+        column and slot * C + its stem's column, are found in `prepare`'s
+        sorted keys.
         """
-        row, column = words
-        width = len(self.terms) + len(self._stem_col)
-        keys = np.unique(row * width + column)
-        row_key = np.repeat(seg_row, np.diff(ptr)) * width
-        terms = step.terms[ext]
-        feats = np.empty((len(ext), len(STEP_FEATURES)))
-        feats[:, 0] = _find(keys, row_key + terms) >= 0
-        feats[:, 1] = _find(keys, row_key + self._term_stem[terms]) >= 0
-        feats[:, 2] = self.term_weights[terms]
-        feats[:, 3] = np.log1p(step.sizes[ext])
-        return feats
+        row_key = np.repeat(seg_query * self._width, np.diff(ptr))
+        codes = (_find(keys, row_key + terms) >= 0).astype(np.int8)
+        codes += _find(keys, row_key + self._term_stem[terms]) >= 0
+        return codes
 
     # -- training -----------------------------------------------------------
 
-    def force(self, queries, sequences, searchable, words=None) -> "ForcedBatch":
-        """Force every (queries[r], sequences[r]) row through the teacher kernel once.
+    def force(self, queries, qidx, sequences, searchable) -> "ForcedBatch":
+        """Force every row r, sequences[r] under query qidx[r], through the teacher kernel once.
 
-        `_teacher_chunks` is walked once. A root chunk keeps its query flags
-        as (row, flag column) pairs, each row one of its segments, which
-        `_root_block` scatters at each read; a deeper chunk keeps its
-        `_segment_features` matrix. Neither depends on the weights, so the
-        batch can be read under any of them. `words` is `pair_words(queries)`,
-        paired here when not given.
+        `_teacher_chunks` is walked once. A deeper chunk keeps its codes
+        (`_lookup`), terms and child sizes; a root chunk, whose every segment
+        is the whole root step, keeps its queries' flags as (row, flag
+        column) pairs, which `_code_block` scatters at each read, and the
+        root step's terms and sizes. Each chunk also keeps its target rows'
+        four feature sums, each one pairwise `.sum()` over them in order.
+        Nothing kept depends on the weights, so the batch can be read under
+        any of them.
         """
-        chunks = list(self._forced(queries, sequences, searchable, words))
-        return ForcedBatch(chunks, len(sequences))
-
-    def _forced(self, queries, sequences, searchable, words=None):
-        """The `_Forced` chunks of `force`, one at a time."""
-        slots, qidx = _query_slots(queries)
-        if words is None:
-            words = self._query_words(slots, np.arange(len(slots)))
-        slot, column = words  # ascending, as `pair_words` pairs them
+        log1p_sizes, chunks = searchable.log1p_sizes, []
         for chunk in _teacher_chunks(searchable, qidx, sequences):
+            step, seg_query = chunk.step, chunk.seg_query
             if chunk.ext is None:
-                group = chunk.seg_query  # distinct slots, ascending
-                mine = slice(slot.searchsorted(group[0]), slot.searchsorted(group[-1], "right"))
-                row = _find(group, slot[mine])
-                hit = row >= 0
-                yield _Forced(chunk.step, (row[hit], column[mine][hit]), None, *chunk[3:])
+                pairs, terms, sizes = self._pairs(queries, seg_query), step.terms, step.sizes
+                codes = self._code_block(pairs, len(seg_query), terms)
             else:
-                yield _Forced(None, None, self._segment_features(words, *chunk[:4]), *chunk[3:])
+                pairs, terms, sizes = None, step.terms[chunk.ext], step.sizes[chunk.ext]
+                codes = self._lookup(queries, seg_query, terms, chunk.ptr)
+            # each target row's extension: at[i] in the flat chunk, whose
+            # terms and sizes repeat per segment at the root
+            picked, pick = codes.ravel()[chunk.at], chunk.at % codes.shape[-1]
+            target = np.array([(picked == 2).sum(), (picked >= 1).sum(),
+                               self.term_weights[terms[pick]].sum(),
+                               log1p_sizes.take(sizes[pick]).sum()])
+            kept = codes if pairs is None else None
+            chunks.append(_Forced(pairs, kept, terms, sizes, *chunk[3:], target))
+        return ForcedBatch(chunks, len(sequences), log1p_sizes)
+
+    def _read(self, chunk, log1p_sizes):
+        """A forced chunk's codes, term weights, log1p sizes and flat log-probs."""
+        codes = chunk.codes
+        if codes is None:  # a root chunk
+            codes = self._code_block(chunk.pairs, len(chunk.weight), chunk.terms)
+        term_weights, log_sizes = self.term_weights[chunk.terms], log1p_sizes.take(chunk.sizes)
+        logprobs = _log_softmax(self._scores(codes, term_weights, log_sizes).ravel(), chunk.ptr)
+        return codes, term_weights, log_sizes, logprobs
 
     def forced_logprobs(self, batch: "ForcedBatch") -> np.ndarray:
         """Every row's sequence log-likelihood under the current weights.
@@ -329,11 +344,7 @@ class FeatureScorer(Scorer):
         """
         total = np.zeros(batch.rows)
         for chunk in batch.chunks:
-            if chunk.step is None:
-                logprobs = _log_softmax(self._scores(chunk.feats), chunk.ptr)
-            else:
-                logprobs = self._root_block(chunk.flags, chunk.step, len(chunk.weight))[2].ravel()
-            total[chunk.rows] += logprobs[chunk.at]
+            total[chunk.rows] += self._read(chunk, batch.log1p_sizes)[3][chunk.at]
         return total
 
     def loss_and_grad(self, batch, searchable):
@@ -341,9 +352,9 @@ class FeatureScorer(Scorer):
 
         The batch is forced (`force`) and read once (`forced_loss_and_grad`).
         """
-        return self.forced_loss_and_grad(
-            self.force([query for query, _ in batch], [target for _, target in batch], searchable)
-        )
+        slots, qidx = _query_slots([query for query, _ in batch])
+        targets = [target for _, target in batch]
+        return self.forced_loss_and_grad(self.force(self.prepare(slots), qidx, targets, searchable))
 
     def forced_loss_and_grad(self, batch: "ForcedBatch"):
         """Loss and gradient of a forced batch under the current weights.
@@ -352,49 +363,27 @@ class FeatureScorer(Scorer):
         the usual softmax difference E_p[features] - features[target],
         summed over every step of every target. Each distinct (query,
         prefix) segment is scored once and weighted by the number of
-        targets passing through it. Root chunks are dense blocks
-        (`_root_block`), so no per-row feature matrix is built there.
+        targets passing through it.
 
         No sum goes through BLAS. A chunk's expected value of each feature is
-        one pairwise `.sum()` of its weighted probabilities times the feature,
-        over the chunk's extensions in order, and its target rows' sum of each
-        feature is one pairwise `.sum()` over them in order; root and deeper
-        chunks sum alike. The chunks' differences are added in chunk order.
+        one pairwise `.sum()` of its weighted probabilities times the feature
+        (code 2, code >= 1, term weight, log1p size), over the chunk's
+        extensions in order; its target sums were taken when it was forced.
+        Root and deeper chunks sum alike, and the chunks' differences are
+        added in chunk order.
         """
         if not batch.rows:
             raise DataError("empty training batch")
         total_loss = 0.0
         grad = np.zeros_like(self.weights)
         for chunk in batch.chunks:
-            if chunk.step is None:
-                feats = chunk.feats
-                logprobs = _log_softmax(self._scores(feats), chunk.ptr)
-                weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
-                expected = np.array([(weighted * column).sum() for column in feats.T])
-                target = np.array([column.sum() for column in feats[chunk.at].T])
-            else:
-                logprobs, expected, target = self._root_terms(chunk)
+            codes, term_weights, log_sizes, logprobs = self._read(chunk, batch.log1p_sizes)
+            weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
+            weighted = weighted.reshape(codes.shape)
+            columns = (codes == 2, codes >= 1, term_weights, log_sizes)
             total_loss -= logprobs[chunk.at].sum()
-            grad += expected - target
+            grad += np.array([(weighted * column).sum() for column in columns]) - chunk.target
         return total_loss / batch.rows, grad / batch.rows
-
-    def _root_terms(self, chunk):
-        """A root chunk's flat log-probs, expected features and target rows' feature sums.
-
-        Summed as `forced_loss_and_grad` sums a deeper chunk: the weighted
-        probability block P times each feature, in_query, query_prefix4 and
-        each root term's term_weight and log1p_postings, as one `.sum()` of
-        the (segments, root terms) block, row after row.
-        """
-        step = chunk.step
-        in_query, prefix4, logprobs = self._root_block(chunk.flags, step, len(chunk.weight))
-        weighted = np.exp(logprobs) * chunk.weight[:, None]
-        columns = (in_query, prefix4, self.term_weights[step.terms], np.log1p(step.sizes))
-        expected = np.array([(weighted * column).sum() for column in columns])
-        seg, pick = np.divmod(chunk.at, logprobs.shape[1])
-        target = np.array([in_query[seg, pick].sum(), prefix4[seg, pick].sum(),
-                           columns[2][pick].sum(), columns[3][pick].sum()])
-        return logprobs.ravel(), expected, target
 
     def train_step(self, batch: "ForcedBatch", lr: float) -> float:
         """One full-batch gradient step on a forced batch; returns the pre-update loss.
@@ -454,11 +443,11 @@ class _Chunk(NamedTuple):
     """Whole (query, prefix) segments of one teacher-forcing step.
 
     Segment s scores all extensions of its prefix, ext[ptr[s]:ptr[s + 1]],
-    under query slot seg_query[s]; `weight[s]` rows pass through it. Row
-    rows[i] continues with extension ext[at[i]]. At the root every segment
-    holds the whole one-hypothesis step in order, so `ext` is None: the
-    chunk is a dense (segments x root terms) block, and at[i] is the row's
-    segment times the root terms plus its extension.
+    under query seg_query[s] of the prepared list; `weight[s]` rows pass
+    through it. Row rows[i] continues with extension ext[at[i]]. At the
+    root every segment holds the whole one-hypothesis step in order, so
+    `ext` is None: the chunk is a dense (segments x root terms) block, and
+    at[i] is the row's segment times the root terms plus its extension.
     """
 
     step: object
@@ -473,31 +462,35 @@ class _Chunk(NamedTuple):
 class _Forced(NamedTuple):
     """A `_Chunk` with what scoring it needs that does not depend on the weights.
 
-    A root chunk keeps the root `step` and its query `flags` as (row, flag
-    column) pairs over its `len(weight)` segments, `feats` None. A deeper
-    chunk keeps its `_segment_features` matrix `feats`, `step` and `flags`
-    None. `ptr`, `weight`, `rows` and `at` are the chunk's.
+    A deeper chunk keeps its extensions' int8 `codes`, `terms` and child
+    `sizes`, `pairs` None. A root chunk keeps its queries' flags as (row,
+    flag column) `pairs` over its `len(weight)` segments, `codes` None, and
+    the root step's `terms` and `sizes`. `target` holds the target rows'
+    four feature sums. `ptr`, `weight`, `rows` and `at` are the chunk's.
     """
 
-    step: object | None
-    flags: tuple | None
-    feats: np.ndarray | None
+    pairs: tuple | None
+    codes: np.ndarray | None
+    terms: np.ndarray
+    sizes: np.ndarray
     ptr: np.ndarray
     weight: np.ndarray
     rows: np.ndarray
     at: np.ndarray
+    target: np.ndarray
 
 
 class ForcedBatch(NamedTuple):
     """`rows` (query, sequence) rows forced through the teacher kernel (`FeatureScorer.force`).
 
-    `chunks` holds their `_Forced` chunks in `_teacher_chunks` order: a
-    list, read by every epoch of a training iteration, or, for a batch
-    read once, a generator that forces each chunk as it is scored.
+    `chunks` holds their `_Forced` chunks in `_teacher_chunks` order, read
+    by every epoch of a training iteration; `log1p_sizes` is the
+    searchable's table of log1p(child size).
     """
 
-    chunks: object
+    chunks: list
     rows: int
+    log1p_sizes: np.ndarray
 
 
 def _teacher_chunks(searchable, qidx, sequences):
@@ -552,33 +545,30 @@ def _segment_chunks(step, row_query, row_hyp, rows, picks):
         a = b
 
 
-def sequence_logprobs(scorer: Scorer, queries, sequences, searchable, words=None) -> np.ndarray:
-    """`sequence_logprob` of every (queries[r], sequences[r]) through the teacher kernel.
+def sequence_logprobs(scorer: Scorer, queries, qidx, sequences, searchable) -> np.ndarray:
+    """`sequence_logprob` of every row r, sequences[r] under query qidx[r], in one teacher walk.
 
-    Each distinct (query, prefix) step is scored once, with one
-    `root_logprobs` call per root chunk and one `segment_logprobs` call per
-    deeper chunk, and each row sums its steps in order, so the results are
-    bit-identical to scoring row by row. A `FeatureScorer` given `words`,
-    its `pair_words(queries)`, scores each chunk as it is forced instead
-    (`forced_logprobs`), with the same bits and no chunk kept.
+    `queries` is the scorer's `prepare` of a query list. Each distinct
+    (query, prefix) step is scored once, with one `root_logprobs` call per
+    root chunk and one `segment_logprobs` call per deeper chunk, and each
+    row sums its steps in order, so the results are bit-identical to
+    scoring row by row.
     """
-    if words is not None:
-        chunks = scorer._forced(queries, sequences, searchable, words)
-        return scorer.forced_logprobs(ForcedBatch(chunks, len(sequences)))
-    slots, qidx = _query_slots(queries)
     total = np.zeros(len(sequences))
     for chunk in _teacher_chunks(searchable, qidx, sequences):
         if chunk.ext is None:
-            logprobs = scorer.root_logprobs(slots, chunk.step, chunk.seg_query).ravel()
+            logprobs = scorer.root_logprobs(queries, chunk.step, chunk.seg_query).ravel()
         else:
-            logprobs = scorer.segment_logprobs(slots, *chunk[:4])
+            logprobs = scorer.segment_logprobs(queries, *chunk[:4])
         total[chunk.rows] += logprobs[chunk.at]
     return total
 
 
 def sequence_logprob(scorer: Scorer, query: Query, term_ids, searchable) -> float:
     """Sum of step log-probabilities along a valid identifier prefix."""
-    return float(sequence_logprobs(scorer, [query], [list(term_ids)], searchable)[0])
+    first = np.zeros(1, dtype=np.int64)  # the one row's query: slot 0
+    return float(sequence_logprobs(scorer, scorer.prepare([query]), first, [list(term_ids)],
+                                   searchable)[0])
 
 
 def build_term_weights(index: Index, corpus: Corpus, model: ImportanceModel) -> np.ndarray:
@@ -653,8 +643,9 @@ def check_compatible(scorer: FeatureScorer, index: Index) -> None:
     A step score is monotone in each feature, so it lies between its values
     at the features' extremes: in_query and query_prefix4 at 0 and 1, the
     lowest and highest term_weight, and log1p_postings at a child size of 1
-    and at the largest posting. These are summed as `FeatureScorer._root_block`
-    and `_scores` sum them, in search and training alike. The lowest
+    and at the largest posting, each flag pair's score summed as
+    `FeatureScorer._scores` sums its code's, in search and training alike.
+    The pair (1, 0), which no extension has, is bounded too. The lowest
     log-likelihood of an identifier, n steps each at most the score spread
     plus log V below 0, must be finite too.
     """

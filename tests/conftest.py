@@ -4,6 +4,7 @@ from hypothesis import strategies as st
 
 from termset_retrieval.importance import IdentifierTable
 from termset_retrieval.index import SequenceView, build_index, root_beam
+from termset_retrieval.scorer import _query_slots
 from termset_retrieval.synthetic import make_random_identifiers
 
 
@@ -91,6 +92,13 @@ def walk(searchable, prefix):
 STEMS = ("brid", "fill", "ab", "t00")
 SUFFIXES = ("", "ge", "s", "1x", "y", "zz")
 STEM_WORDS = tuple(sorted(stem + suffix for stem in STEMS for suffix in SUFFIXES))
+
+
+def prepared_rows(scorer, queries):
+    """A per-row query list as the kernels take it: the scorer's form of its
+    distinct queries (`prepare`), and each row's position among them."""
+    slots, qidx = _query_slots(queries)
+    return scorer.prepare(slots), qidx
 
 
 def word_registry(num_docs, vocab_size, n, seed=0):

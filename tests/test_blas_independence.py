@@ -1,6 +1,7 @@
-"""Trained weights do not depend on the CPU's BLAS kernel: no sum in the package goes through BLAS."""
+"""Trained weights do not depend on the CPU's BLAS kernel: no sum in the package uses BLAS."""
 
 import ast
+import importlib
 import os
 import platform
 import subprocess
@@ -37,7 +38,8 @@ def test_no_sum_of_products_goes_through_blas():
 
 
 def test_the_scan_sees_each_form():
-    code = "a @ b\nc @= d\nnp.dot(a, b)\nx.dot(b)\nnp.einsum('i,i', a, b)\nfrom numpy import matmul\nmatmul(a, b)\n"
+    code = ("a @ b\nc @= d\nnp.dot(a, b)\nx.dot(b)\nnp.einsum('i,i', a, b)\n"
+            "from numpy import matmul\nmatmul(a, b)\n")
     assert [what for _, what in sorted(blas_calls(ast.parse(code)))] == [
         "@", "@", "dot", "dot", "einsum", "matmul"
     ]
@@ -54,11 +56,13 @@ def dynamic_openblas() -> bool:
 
 
 def cpu_features() -> dict:
-    try:
-        from numpy._core._multiarray_umath import __cpu_features__
-    except ImportError:  # numpy 1.x
-        from numpy.core._multiarray_umath import __cpu_features__
-    return __cpu_features__
+    """numpy's run-time CPU feature table; its module moved in numpy 2."""
+    for module in ("numpy._core._multiarray_umath", "numpy.core._multiarray_umath"):
+        try:
+            return importlib.import_module(module).__cpu_features__
+        except (ImportError, AttributeError):
+            continue
+    return {}
 
 
 def coretypes() -> list[str]:

@@ -21,8 +21,6 @@ from termset_retrieval.learning import (
     init_permutation,
     make_dataset,
     run_training,
-    sample_permutations,
-    select_objective,
 )
 from termset_retrieval.scorer import (
     STEP_FEATURES,
@@ -34,7 +32,7 @@ from termset_retrieval.scorer import (
 )
 from termset_retrieval.synthetic import make_bridging_corpus, split_by_wave
 
-from conftest import STEM_WORDS, one_step, word_registry
+from conftest import STEM_WORDS, one_step, prepared_rows, word_registry
 
 
 def query(text=""):
@@ -93,8 +91,9 @@ class TestSamplePermutations:
         q = Query.from_text("q", "house")
         scorer = FeatureScorer.zeros(four_term_index)
         scorer.weights[0] = 3.0
-        a = sample_permutations(q, "D1", four_term_index, scorer, samples=3, topk=1, seed=1)
-        b = sample_permutations(q, "D1", four_term_index, scorer, samples=3, topk=1, seed=99)
+        rows = prepared_rows(scorer, [q])
+        (a,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=3, topk=1, seed=1)
+        (b,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=3, topk=1, seed=99)
         assert a == b
         assert len(set(a)) == 1
         terms = [four_term_index.dictionary.term_of(t) for t in a[0]]
@@ -102,13 +101,15 @@ class TestSamplePermutations:
 
     def test_single_term_identifier(self):
         index = build_index(IdentifierTable(1, {"D1": ["solo"], "D2": ["duo"]}))
-        out = sample_permutations(query(), "D1", index, UniformScorer(), samples=4, topk=1, seed=0)
+        q, scorer = query(), UniformScorer()
+        (out,) = _sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], index, scorer, samples=4,
+                               topk=1, seed=0)
         assert out == [(index.dictionary.id_of("solo"),)] * 4
 
     def test_every_sample_is_permutation(self, four_term_index):
-        out = sample_permutations(
-            query(), "D1", four_term_index, UniformScorer(), samples=20, topk=4, seed=3
-        )
+        q, scorer = query(), UniformScorer()
+        (out,) = _sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], four_term_index, scorer,
+                               samples=20, topk=4, seed=3)
         expected = frozenset(four_term_index.identifier_ids("D1").tolist())
         for seq in out:
             assert frozenset(seq) == expected
@@ -116,9 +117,9 @@ class TestSamplePermutations:
 
     def test_first_step_uniform_within_binomial_bounds(self, four_term_index):
         # uniform scorer, topk = n: the first sampled term is uniform over 4
-        out = sample_permutations(
-            query(), "D1", four_term_index, UniformScorer(), samples=10_000, topk=4, seed=7
-        )
+        q, scorer = query(), UniformScorer()
+        (out,) = _sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], four_term_index, scorer,
+                               samples=10_000, topk=4, seed=7)
         counts = {}
         for seq in out:
             counts[seq[0]] = counts.get(seq[0], 0) + 1
@@ -128,8 +129,10 @@ class TestSamplePermutations:
             assert abs(count - expect) <= 3 * sigma
 
     def test_seed_reproducibility(self, four_term_index):
-        a = sample_permutations(query("x"), "D1", four_term_index, UniformScorer(), 5, 3, seed=11)
-        b = sample_permutations(query("x"), "D1", four_term_index, UniformScorer(), 5, 3, seed=11)
+        q, scorer = query("x"), UniformScorer()
+        rows = prepared_rows(scorer, [q])
+        (a,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 5, 3, seed=11)
+        (b,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 5, 3, seed=11)
         assert a == b
 
 
@@ -143,13 +146,16 @@ class TestSelectObjective:
             [four_term_index.dictionary.id_of("house")]
             + [t for t in ordered if four_term_index.dictionary.term_of(t) != "house"]
         )
-        best, ll = select_objective([ordered, house_first], q, scorer, four_term_index)
+        (best,), (ll,) = _select_objectives([[ordered, house_first]], *prepared_rows(scorer, [q]),
+                                            scorer, four_term_index)
         assert best == house_first
         assert ll == pytest.approx(sequence_logprob(scorer, q, house_first, four_term_index))
 
     def test_single_candidate(self, four_term_index):
         ordered = tuple(four_term_index.identifier_ids("D1", ordered=True).tolist())
-        best, _ = select_objective([ordered], query(), UniformScorer(), four_term_index)
+        scorer = UniformScorer()
+        (best,), _ = _select_objectives([[ordered]], *prepared_rows(scorer, [query()]), scorer,
+                                        four_term_index)
         assert best == ordered
 
     def test_selected_at_least_as_good_as_included_initialization(self, four_term_index):
@@ -157,21 +163,25 @@ class TestSelectObjective:
         scorer = FeatureScorer.zeros(four_term_index)
         scorer.weights[0] = 2.0
         init = init_permutation("D1", four_term_index, "importance")
-        candidates = sample_permutations(q, "D1", four_term_index, scorer, 6, 3, seed=2)
-        best, best_ll = select_objective(candidates + [init], q, scorer, four_term_index)
+        rows = prepared_rows(scorer, [q])
+        (candidates,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 6, 3, seed=2)
+        (best,), (best_ll,) = _select_objectives([candidates + [init]], *rows, scorer,
+                                                 four_term_index)
         init_ll = sequence_logprob(scorer, q, init, four_term_index)
         assert best_ll >= init_ll
 
     def test_rejects_non_permutation(self, four_term_index):
         ordered = tuple(four_term_index.identifier_ids("D1", ordered=True).tolist())
+        scorer = UniformScorer()
+        rows = prepared_rows(scorer, [query()])
         with pytest.raises(DataError, match="not a permutation"):
-            select_objective([ordered, ordered[:-1]], query(), UniformScorer(), four_term_index)
+            _select_objectives([[ordered, ordered[:-1]]], *rows, scorer, four_term_index)
         with pytest.raises(DataError, match="no candidate"):
-            select_objective([], query(), UniformScorer(), four_term_index)
+            _select_objectives([[]], *rows, scorer, four_term_index)
 
 
 def rollout_permutations(query, doc_id, index, scorer, samples, topk, seed=0):
-    """The per-pair, per-sample rollout `sample_permutations` replaced, kept as its oracle."""
+    """The per-pair, per-sample rollout `_sample_pairs` replaced, kept as its oracle."""
     ordered = [int(t) for t in index.identifier_ids(doc_id, ordered=True)]
     rng = np.random.default_rng(_derived_seed("sample", seed, query.query_id, doc_id))
     out = []
@@ -183,7 +193,8 @@ def rollout_permutations(query, doc_id, index, scorer, samples, topk, seed=0):
             step = one_step(index, seq)
             ext = step.locate(np.zeros(len(remaining), dtype=np.int64), np.array(remaining))
             logprobs = scorer.segment_logprobs(
-                [query], step, np.zeros(1, dtype=np.int64), ext, np.array([0, len(ext)])
+                scorer.prepare([query]), step, np.zeros(1, dtype=np.int64), ext,
+                np.array([0, len(ext)])
             )
             k = min(topk, len(remaining))
             top = np.argsort(-logprobs, kind="stable")[:k]
@@ -198,7 +209,7 @@ def rollout_permutations(query, doc_id, index, scorer, samples, topk, seed=0):
 
 
 def pick_objective(candidates, query, scorer, index):
-    """The per-candidate selection loop `select_objective` replaced."""
+    """The per-candidate selection loop `_select_objectives` replaced."""
     best_seq, best_ll = None, -math.inf
     for seq in candidates:
         ll = sequence_logprob(scorer, query, seq, index)
@@ -237,22 +248,25 @@ class TestSamplingKernel:
         index, scorer, pairs, samples, topk, seed = case
         want = [rollout_permutations(q, d, index, scorer, samples, topk, seed) for q, d in pairs]
         queries, doc_ids = [q for q, _ in pairs], [d for _, d in pairs]
-        assert _sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed) == want
-        q, d = pairs[0]
-        assert sample_permutations(q, d, index, scorer, samples, topk, seed) == want[0]
+        rows = prepared_rows(scorer, queries)
+        assert _sample_pairs(*rows, queries, doc_ids, index, scorer, samples, topk, seed) == want
+        q, d = pairs[0]  # one pair alone
+        assert _sample_pairs(*prepared_rows(scorer, [q]), [q], [d], index, scorer, samples, topk,
+                             seed) == want[:1]
 
     @settings(max_examples=60, deadline=None)
     @given(sampling_cases())
     def test_batched_selection_equals_the_per_candidate_loop(self, case):
         index, scorer, pairs, samples, topk, seed = case
         queries, doc_ids = [q for q, _ in pairs], [d for _, d in pairs]
+        rows = prepared_rows(scorer, queries)
+        sampled = _sample_pairs(*rows, queries, doc_ids, index, scorer, samples, topk, seed)
         candidates = [
             cands + [tuple(int(t) for t in index.identifier_ids(d, ordered=True))]
-            for cands, d in zip(_sample_pairs(queries, doc_ids, index, scorer, samples, topk, seed),
-                                doc_ids)
+            for cands, d in zip(sampled, doc_ids)
         ]
         want = [pick_objective(c, q, scorer, index) for c, q in zip(candidates, queries)]
-        best, lls = _select_objectives(candidates, queries, scorer, index)
+        best, lls = _select_objectives(candidates, *rows, scorer, index)
         assert best == [seq for seq, _ in want]
         assert lls.tolist() == [ll for _, ll in want]  # bit for bit
 
@@ -261,10 +275,11 @@ class TestSamplingKernel:
         scorer.weights[:] = np.nan
         q = Query.from_text("q", "white")
         ordered = tuple(four_term_index.identifier_ids("D1", ordered=True).tolist())
+        rows = prepared_rows(scorer, [q])
         with pytest.raises(ArithmeticError, match="non-finite"):
-            select_objective([ordered, ordered[::-1]], q, scorer, four_term_index)
+            _select_objectives([[ordered, ordered[::-1]]], *rows, scorer, four_term_index)
         with pytest.raises(ArithmeticError, match="non-finite"):
-            sample_permutations(q, "D1", four_term_index, scorer, samples=2, topk=2, seed=1)
+            _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=2, topk=2, seed=1)
 
 
 def bridging_setup(seed=0):
@@ -324,30 +339,31 @@ class TestRunTraining:
 
     @pytest.mark.parametrize("init", ["importance", "likelihood"])
     def test_forcing_once_equals_forcing_every_epoch_afresh(self, init):
-        """Weights and every stats field, byte for byte, against a loop that pairs the
-        query words at every call and forces the targets again at every epoch."""
+        """Weights and every stats field, byte for byte, against a loop that forces the
+        targets again at every epoch; the run prepares its query list once."""
         corpus, index, tw, dataset, _, _ = bridging_setup(seed=5)
         config = TrainingConfig(iterations=3, samples=3, epochs=4, lr=0.5, seed=2, init=init)
         initial = FeatureScorer(np.array([1.0, 0.5, 0.3, -0.2]), index.dictionary.terms, tw)
         force = FeatureScorer.force
 
         class FreshBatch:
-            """Forces its rows afresh, words paired again, at every read of its chunks."""
+            """Forces its rows afresh at every read of its chunks."""
 
-            def __init__(self, scorer, queries, sequences, searchable, words=None):
-                self.args, self.rows = (scorer, queries, sequences, searchable), len(sequences)
+            def __init__(self, scorer, queries, qidx, sequences, searchable):
+                self.args, self.rows = (scorer, queries, qidx, sequences, searchable), len(sequences)
+                self.log1p_sizes = searchable.log1p_sizes
 
             @property
             def chunks(self):
                 return force(*self.args).chunks
 
-        with mock.patch.object(FeatureScorer, "pair_words", lambda self, queries: None), \
-                mock.patch.object(FeatureScorer, "force", lambda *args: FreshBatch(*args)):
+        with mock.patch.object(FeatureScorer, "force", lambda *args: FreshBatch(*args)):
             want, want_stats = run_training(dataset, index, config, initial)
-        with mock.patch.object(FeatureScorer, "_query_words", autospec=True,
-                               side_effect=FeatureScorer._query_words) as paired:
+        with mock.patch.object(FeatureScorer, "prepare", autospec=True,
+                               side_effect=FeatureScorer.prepare) as prepared:
             got, stats = run_training(dataset, index, config, initial)
-        assert paired.call_count == 1  # the run's words, paired once
+        # the run's query list, prepared once; validation search prepares each query alone
+        assert [len(c.args[1]) > 1 for c in prepared.call_args_list].count(True) == 1
         assert got.weights.tobytes() == want.weights.tobytes()
         assert len(stats) == len(want_stats) >= 2
         for s, w in zip(stats, want_stats):
@@ -355,11 +371,12 @@ class TestRunTraining:
                 assert repr(getattr(s, f.name)) == repr(getattr(w, f.name)), f.name
         # iteration 1's objective is read before its first epoch, under the initial weights
         queries, doc_ids = [p.query for p in dataset.train], [p.doc_id for p in dataset.train]
+        rows = prepared_rows(initial, queries)
         if init == "likelihood":
-            targets = [c[0] for c in _sample_pairs(queries, doc_ids, index, initial, 1, 1, 0)]
+            targets = [c[0] for c in _sample_pairs(*rows, queries, doc_ids, index, initial, 1, 1, 0)]
         else:
             targets = [init_permutation(d, index, init) for d in doc_ids]
-        lls = sequence_logprobs(initial, queries, targets, index)
+        lls = sequence_logprobs(initial, *rows, targets, index)
         assert stats[0].mean_objective_logprob == sum(lls.tolist()) / len(targets)
 
     def test_empty_dataset_rejected(self, four_term_index):

@@ -36,6 +36,7 @@ from conftest import (
     central_difference,
     max_relative_error,
     one_step,
+    prepared_rows,
     term_ids,
     word_registry,
 )
@@ -102,7 +103,7 @@ class TestStepLogprob:
             with pytest.raises(DataError, match="empty candidate"):
                 scorer.step_scorer(query())(full)
             with pytest.raises(DataError, match="empty candidate"):
-                scorer.segment_logprobs([query()], one_step(tiny_index, []), *none)
+                scorer.segment_logprobs(scorer.prepare([query()]), one_step(tiny_index, []), *none)
 
 
 def isin_features(scorer, query, candidates, sizes):
@@ -163,6 +164,18 @@ class TestQueryLookup:
         scores = row_scores(scorer, want)
         expected = _log_softmax(scores, step.offsets)
         assert scorer.step_scorer(q)(step).tobytes() == expected.tobytes()
+
+
+class TestFlagCodes:
+    @settings(max_examples=200, deadline=None)
+    @given(lookup_cases())
+    def test_in_query_implies_query_prefix4(self, case):
+        """A term in the query shares its own first four characters with it, so the
+        two query flags are one of three codes: (0, 0), (0, 1) or (1, 1), never (1, 0)."""
+        terms, q, _, _ = case
+        scorer = FeatureScorer(np.zeros(len(STEP_FEATURES)), terms, np.zeros(len(terms)))
+        feats = isin_features(scorer, q, np.arange(len(terms)), np.ones(len(terms), dtype=np.int64))
+        assert not ((feats[:, 0] == 1) & (feats[:, 1] == 0)).any()
 
 
 def padded_log_softmax(scores, offsets):
@@ -353,11 +366,12 @@ class TestTeacherKernel:
     @given(teacher_cases())
     def test_matches_the_per_pair_walk(self, case):
         searchable, scorer, queries, targets = case
-        got = sequence_logprobs(scorer, queries, targets, searchable)
+        rows = prepared_rows(scorer, queries)
+        got = sequence_logprobs(scorer, *rows, targets, searchable)
         want = [walk_logprob(scorer, q, t, searchable) for q, t in zip(queries, targets)]
         assert got.tolist() == want  # bit for bit
         with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", 1):
-            assert sequence_logprobs(scorer, queries, targets, searchable).tolist() == want
+            assert sequence_logprobs(scorer, *rows, targets, searchable).tolist() == want
         if isinstance(scorer, FeatureScorer):
             batch = list(zip(queries, targets))
             loss, grad = scorer.loss_and_grad(batch, searchable)
@@ -376,10 +390,11 @@ class TestTeacherKernel:
     def test_infeasible_term_in_a_batch_names_its_prefix(self, tiny_index):
         a, b, c, e = term_ids(tiny_index, "a", "b", "c", "e")
         with pytest.raises(DataError, match=rf"term id {e} infeasible at prefix \({a}, {b}\)"):
-            sequence_logprobs(UniformScorer(), [query()] * 2, [[a, b, c], [a, b, e]], tiny_index)
+            sequence_logprobs(UniformScorer(), [query()], np.zeros(2, dtype=np.int64),
+                              [[a, b, c], [a, b, e]], tiny_index)
         with pytest.raises(DataError, match="infeasible"):
-            sequence_logprobs(UniformScorer(), [query()], [[len(tiny_index.dictionary)]],
-                              tiny_index)
+            sequence_logprobs(UniformScorer(), [query()], np.zeros(1, dtype=np.int64),
+                              [[len(tiny_index.dictionary)]], tiny_index)
 
 
 ORACLE_CHUNK_ROWS = 1 << 13  # the teacher kernel's chunk bound when the oracle was copied
@@ -446,10 +461,10 @@ def oracle_features(scorer, queries, step, seg_query, ext, ptr):
 
 def oracle_sequence_logprobs(scorer, queries, sequences, searchable):
     """`sequence_logprobs` before the root block: one `segment_logprobs` call per chunk."""
-    slots, qidx = _query_slots(queries)
+    prepared, qidx = prepared_rows(scorer, queries)
     total = np.zeros(len(sequences))
     for step, seg_query, ext, ptr, _, rows, at in oracle_chunks(searchable, qidx, sequences):
-        total[rows] += scorer.segment_logprobs(slots, step, seg_query, ext, ptr)[at]
+        total[rows] += scorer.segment_logprobs(prepared, step, seg_query, ext, ptr)[at]
     return total
 
 
@@ -477,7 +492,7 @@ class TestTeacherOracle:
         searchable, scorer, queries, targets = case
         rows = scorer_module.TEACHER_CHUNK_ROWS if chunk_rows is None else chunk_rows
         with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
-            got = sequence_logprobs(scorer, queries, targets, searchable)
+            got = sequence_logprobs(scorer, *prepared_rows(scorer, queries), targets, searchable)
             want = oracle_sequence_logprobs(scorer, queries, targets, searchable)
             assert got.tobytes() == want.tobytes()
             if isinstance(scorer, FeatureScorer):
@@ -500,7 +515,7 @@ class TestTeacherOracle:
         queries, targets = [q for q, _ in batch], [t for _, t in batch]
         for rows in (len(STEM_WORDS) * 7, scorer_module.TEACHER_CHUNK_ROWS):
             with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
-                got = sequence_logprobs(scorer, queries, targets, index)
+                got = sequence_logprobs(scorer, *prepared_rows(scorer, queries), targets, index)
                 assert got.tobytes() == oracle_sequence_logprobs(scorer, queries, targets,
                                                                  index).tobytes()
                 loss, grad = scorer.loss_and_grad(batch, index)
@@ -520,8 +535,9 @@ class TestTeacherOracle:
         picked = data.draw(st.lists(st.integers(0, len(slots) - 1), min_size=1, max_size=6))
         picked = np.array(picked, dtype=np.int64)
         root = searchable.expand(*root_beam(searchable))
-        got = scorer.root_logprobs(slots, root, picked)
-        want = Scorer.root_logprobs(scorer, slots, root, picked)
+        prepared = scorer.prepare(slots)
+        got = scorer.root_logprobs(prepared, root, picked)
+        want = Scorer.root_logprobs(scorer, prepared, root, picked)
         assert got.shape == (len(picked), len(root.terms))
         assert got.tobytes() == want.tobytes()
 
@@ -576,14 +592,11 @@ class TestForcedBatch:
         searchable, scorer, queries, targets = feature_case(case, seed)
         rows = scorer_module.TEACHER_CHUNK_ROWS if chunk_rows is None else chunk_rows
         with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
-            want = sequence_logprobs(scorer, queries, targets, searchable).tobytes()
-            words = scorer.pair_words(queries)
-            batch = scorer.force(queries, targets, searchable, words)
+            prepared, qidx = prepared_rows(scorer, queries)
+            want = sequence_logprobs(scorer, prepared, qidx, targets, searchable).tobytes()
+            batch = scorer.force(prepared, qidx, targets, searchable)
             assert scorer.forced_logprobs(batch).tobytes() == want
             assert scorer.forced_logprobs(batch).tobytes() == want  # a list: read again
-            assert sequence_logprobs(scorer, queries, targets, searchable, words).tobytes() == want
-            unpaired = scorer.force(queries, targets, searchable)
-            assert scorer.forced_logprobs(unpaired).tobytes() == want
 
     @settings(max_examples=150, deadline=None)
     @given(teacher_cases(), st.sampled_from([1, 5, 64, None]), st.integers(0, 999))
@@ -596,7 +609,7 @@ class TestForcedBatch:
         other = np.random.default_rng(seed + 1).normal(0, 2, len(STEP_FEATURES))
         rows = scorer_module.TEACHER_CHUNK_ROWS if chunk_rows is None else chunk_rows
         with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
-            forced = scorer.force(queries, targets, searchable)
+            forced = scorer.force(*prepared_rows(scorer, queries), targets, searchable)
             for weights in (scorer.weights.copy(), other):
                 scorer.weights = weights
                 loss, grad = scorer.forced_loss_and_grad(forced)
@@ -608,7 +621,9 @@ class TestForcedBatch:
                 assert grad.tobytes() == want_grad.tobytes()
 
     def test_no_kept_array_is_a_queries_by_vocabulary_block(self):
-        """Root chunks keep their query flags as (row, column) pairs, one per query word."""
+        """Root chunks keep their query flags as (row, column) pairs, one per distinct
+        query word column, and share the root step's terms and sizes; deeper chunks keep
+        int8 codes, terms and sizes. No chunk keeps a float (rows x 4) feature matrix."""
         index = build_index(word_registry(300, len(STEM_WORDS), 3, seed=4))
         rng = np.random.default_rng(8)
         scorer = FeatureScorer(rng.normal(0, 1, len(STEP_FEATURES)), index.dictionary.terms,
@@ -622,24 +637,31 @@ class TestForcedBatch:
         block = len(slots) * len(index.dictionary)
         for rows in (len(STEM_WORDS) * 7, scorer_module.TEACHER_CHUNK_ROWS):
             with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
-                batch = scorer.force(queries, targets, index)
-            roots = [chunk for chunk in batch.chunks if chunk.step is not None]
+                batch = scorer.force(*prepared_rows(scorer, queries), targets, index)
+            roots = [chunk for chunk in batch.chunks if chunk.pairs is not None]
             assert len(roots) > (rows < scorer_module.TEACHER_CHUNK_ROWS)
+            assert all(c.terms is roots[0].terms and c.sizes is roots[0].sizes for c in roots)
             flags = 0
             for chunk in batch.chunks:
-                kept = [*(chunk.flags or ()), chunk.ptr, chunk.weight, chunk.rows, chunk.at]
+                kept = [*(chunk.pairs or ()), chunk.ptr, chunk.weight, chunk.rows, chunk.at]
                 assert all(a.ndim == 1 and a.size < block for a in kept)
-                if chunk.step is None:
-                    assert chunk.flags is None
-                    assert chunk.feats.shape == (chunk.ptr[-1], len(STEP_FEATURES))
+                # one int8 code, term and size per extension, or the root step's terms and
+                # sizes; the one float array is the target rows' four feature sums
+                extensions = [a for a in (chunk.codes, chunk.terms, chunk.sizes) if a is not None]
+                assert all(a.ndim == 1 and a.dtype.kind != "f" for a in extensions)
+                assert chunk.target.shape == (len(STEP_FEATURES),)
+                if chunk.pairs is None:
+                    assert chunk.codes.dtype == np.int8
+                    assert len(chunk.codes) == len(chunk.terms) == len(chunk.sizes) == chunk.ptr[-1]
                 else:
-                    assert chunk.step.depth == 0 and chunk.feats is None
-                    flags += len(chunk.flags[0])
-            assert flags == sum(len(scorer._columns(q)) for q in slots)  # one pair per word
+                    assert chunk.codes is None and len(chunk.terms) == len(index.dictionary)
+                    flags += len(chunk.pairs[0])
+            # one pair per distinct flag column of a query's words
+            assert flags == sum(len(set(scorer._columns(q))) for q in slots)
 
     def test_an_empty_batch_forces_and_scores_nothing_but_has_no_loss(self, tiny_index):
         scorer = FeatureScorer.zeros(tiny_index)
-        batch = scorer.force([], [], tiny_index)
+        batch = scorer.force(scorer.prepare([]), np.zeros(0, dtype=np.int64), [], tiny_index)
         assert batch.chunks == [] and batch.rows == 0
         assert scorer.forced_logprobs(batch).shape == (0,)
         with pytest.raises(DataError, match="empty training batch"):
@@ -713,7 +735,8 @@ class TestStepContract:
 
         with mock.patch.object(feature, "step_scorer", kept):
             seqs, lls, _ = constrained_beam_search(q, searchable, feature, beam)
-        got = sequence_logprobs(feature, [q] * len(seqs), seqs.tolist(), searchable)
+        got = sequence_logprobs(feature, feature.prepare([q]), np.zeros(len(seqs), dtype=np.int64),
+                                seqs.tolist(), searchable)
         assert got.tobytes() == lls.tobytes()
         for scorer in (feature, UniformScorer()):
             for step in steps:
@@ -724,7 +747,7 @@ class TestStepContract:
                 whole = scorer.step_scorer(q)(step)[a:b]
                 assert whole.tobytes() == scorer.step_scorer(q)(alone).tobytes()
                 one_segment = (np.zeros(1, dtype=np.int64), np.arange(a, b), np.array([0, b - a]))
-                segment = scorer.segment_logprobs([q], step, *one_segment)
+                segment = scorer.segment_logprobs(scorer.prepare([q]), step, *one_segment)
                 assert segment.tobytes() == whole.tobytes()
 
 
@@ -777,7 +800,9 @@ class TestTraining:
     def test_repeated_steps_monotone_loss(self, tiny_index):
         scorer = FeatureScorer.zeros(tiny_index)
         target = [tiny_index.dictionary.id_of(t) for t in ["a", "b", "c"]]
-        batch = scorer.force([query("a c")], [target], tiny_index)  # forced once, read 50 times
+        q = query("a c")
+        batch = scorer.force(scorer.prepare([q]), np.zeros(1, dtype=np.int64), [target],
+                             tiny_index)  # forced once, read 50 times
         losses = [scorer.train_step(batch, lr=0.05) for _ in range(50)]
         assert all(losses[i + 1] <= losses[i] + 1e-12 for i in range(49))
 
@@ -785,7 +810,8 @@ class TestTraining:
         scorer = FeatureScorer.zeros(tiny_index)
         a, e = term_ids(tiny_index, "a", "e")
         with pytest.raises(DataError, match="infeasible"):
-            scorer.force([query()], [[a, e]], tiny_index)
+            scorer.force(scorer.prepare([query()]), np.zeros(1, dtype=np.int64), [[a, e]],
+                         tiny_index)
         with pytest.raises(DataError, match="infeasible"):
             scorer.loss_and_grad([(query(), [a, e])], tiny_index)
 
