@@ -18,10 +18,11 @@ size), `FeatureScorer._scores`:
     (C[code] + term_weight[term] * w2) + log1p(size) * w3,
     C[code] = in_query * w0 + query_prefix4 * w1.
 
-Codes are derived in two ways from the prepared queries, sorted keys of
-their words' flag columns: a dense scatter for segments that are each a
-whole one-hypothesis root step (search's per-query term table, the teacher
-kernel's root chunks), and a sorted key lookup for any other segments.
+Codes are derived from the query words' flag columns in two ways: a dense
+scatter for segments that are each a whole one-hypothesis root step
+(search's per-query term table, the teacher kernel's root chunks), and a
+lookup in the sorted keys that `FeatureScorer.prepare` makes of a query
+list for any other segments.
 
 `FeatureScorer.force` walks a batch through the teacher kernel once and
 keeps what does not depend on the weights (`ForcedBatch`): a deeper chunk's
