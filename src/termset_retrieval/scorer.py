@@ -642,23 +642,20 @@ def check_compatible(scorer: FeatureScorer, index: Index) -> None:
     """Refuse a scorer for another vocabulary, or one that can reach a non-finite score.
 
     A step score is monotone in each feature, so it lies between its values
-    at the features' extremes: in_query and query_prefix4 at 0 and 1, the
-    lowest and highest term_weight, and log1p_postings at a child size of 1
-    and at the largest posting, each flag pair's score summed as
-    `FeatureScorer._scores` sums its code's, in search and training alike.
-    The pair (1, 0), which no extension has, is bounded too. The lowest
-    log-likelihood of an identifier, n steps each at most the score spread
-    plus log V below 0, must be finite too.
+    at the features' extremes: each of the three flag codes, the lowest and
+    highest term_weight, and log1p_postings at a child size of 1 and at the
+    largest posting, scored by `FeatureScorer._scores`, the formula search
+    and training use. The lowest log-likelihood of an identifier, n steps
+    each at most the score spread plus log V below 0, must be finite too.
     """
     if scorer.terms != index.dictionary.terms:
         raise DataError("vocabulary mismatch between index and scorer")
-    w, flag = scorer.weights, np.array([0.0, 1.0])
     weights = np.append(scorer.term_weights, 0.0)  # 0 too, which keeps an empty vocabulary defined
-    term_weight = np.array([weights.min(), weights.max()])
+    term_weight = [weights.min(), weights.max()]
     log_sizes = np.log1p([1, index.posting_sizes.max(initial=1)])
+    grid = np.meshgrid(np.arange(3), term_weight, log_sizes, indexing="ij")
     with np.errstate(over="ignore", invalid="ignore"):
-        table = (flag[:, None, None] * w[0] + flag[None, :, None] * w[1]) + term_weight * w[2]
-        scores = table[..., None] + log_sizes * w[3]
+        scores = scorer._scores(*grid)
         floor = index.n * ((scores.min() - scores.max()) - math.log(max(len(scorer.terms), 1)))
     if not (np.isfinite(scores).all() and math.isfinite(floor)):
-        raise DataError(f"scorer weights {w.tolist()} can give a non-finite step score")
+        raise DataError(f"scorer weights {scorer.weights.tolist()} can give a non-finite step score")

@@ -915,6 +915,16 @@ class TestPersistence:
         with pytest.raises(DataError, match="vocabulary mismatch"):
             check_compatible(scorer, other)
 
+    def test_flag_pair_no_extension_has_is_not_bounded(self):
+        """in_query implies query_prefix4, so (1, 0) is no code: weights that
+        only overflow there leave every reachable score finite."""
+        index = build_index(IdentifierTable(1, {"D1": ["apple"], "D2": ["berry"]}))
+        scorer = FeatureScorer(np.array([1e308, -1e308, 0.0, 0.0]), index.dictionary.terms,
+                               np.zeros(2))
+        check_compatible(scorer, index)
+        _, lls, _ = constrained_beam_search(Query.from_text("q", "apple"), index, scorer, 10)
+        assert np.allclose(lls, math.log(0.5))
+
     @pytest.mark.parametrize(
         "weights, term_weight, finite",
         [
