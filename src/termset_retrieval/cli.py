@@ -18,6 +18,8 @@ import sys
 import time
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__, atomic
 from .corpus import Query, _iter_jsonl, load_corpus, load_judgments, load_queries, sample_negatives
 from .decoder import check_run_tag, search, write_run_file
@@ -398,7 +400,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._argv, args._started = argv, time.perf_counter()
     try:
-        return args.func(args)
+        # a numpy overflow, invalid or divide is an error, not a warning: FloatingPointError
+        # is an ArithmeticError. Code that meets them on purpose sets its own errstate
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (DataError, OSError, ArithmeticError) as exc:  # ArithmeticError: training diverged
         print(f"error: {exc}", file=sys.stderr)
         return 2

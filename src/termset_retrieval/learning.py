@@ -12,9 +12,9 @@ distinct prefixes are expanded with one `expand` call and each row is
 scored over its remaining identifier terms with one `segment_logprobs`
 call. Candidate scoring and teacher forcing go through the scorer's teacher
 kernel (`sequence_logprobs`, `FeatureScorer.force`): one expand per depth
-for every row, each distinct (query, prefix) segment scored once, in
-chunks of bounded row count, the root's whole-step segments through
-`Scorer.root_logprobs`.
+for every row, each distinct (query, prefix) segment scored once, below
+the root in chunks of bounded row count, at the root through
+`Scorer.root_logprobs`, which gives only the entries the walk picks.
 
 `run_training` builds each piece of work once at the widest scope it holds
 for. Per run: the scorer's form of the training queries (`Scorer.prepare`),

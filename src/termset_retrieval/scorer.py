@@ -18,20 +18,33 @@ size), `FeatureScorer._scores`:
     (C[code] + term_weight[term] * w2) + log1p(size) * w3,
     C[code] = in_query * w0 + query_prefix4 * w1.
 
-Codes are derived from the query words' flag columns in two ways: a dense
-scatter for segments that are each a whole one-hypothesis root step
-(search's per-query term table, the teacher kernel's root chunks), and a
-lookup in the sorted keys that `FeatureScorer.prepare` makes of a query
-list for any other segments.
+Codes are derived from the query words' flag columns in two ways: search's
+per-query term table patches the base row, every term at code 0, at the
+terms of the query's stem groups (code 1) and at its own terms (code 2);
+any other segments look their codes up in the sorted keys that
+`FeatureScorer.prepare` makes of a query list.
+
+The root step is normalized without a (queries x root terms) pass. Any term
+may start an identifier, so every query's root segment is the whole root
+step, and its row differs from the base row only at the query's flagged
+stem groups and its own terms. Per read, the root's base scores are summed
+per stem group (`_group_sums`); per query, its log-sum-exp and expected
+features follow from those sums and its few flagged groups and terms
+(`_root_normalizer`), summed densely wherever a difference could lose
+bits that show in the query's sum (`DENSE_SHARE`). Search's root step,
+which sums its one query's pieces in Python floats (`_root_lse`),
+`root_logprobs` and teacher forcing all subtract this one log-sum-exp, so
+search log-likelihoods equal `sequence_logprobs` bit for bit.
 
 `FeatureScorer.force` walks a batch through the teacher kernel once and
-keeps what does not depend on the weights (`ForcedBatch`): a deeper chunk's
-int8 codes, terms and child sizes, a root chunk's query flags as (row, flag
-column) pairs, and each chunk's target feature sums. `forced_logprobs` and
-`forced_loss_and_grad` then score the batch under the weights of the
-moment, so training forces each iteration's targets once for all of its
-epochs. The gradient is four code and column sums per chunk, with no sum
-through BLAS.
+keeps what does not depend on the weights (`ForcedBatch`): the root's stem
+groups, its queries' flagged groups and terms and its target rows' codes,
+terms and log1p sizes; a deeper chunk's int8 codes, terms and child sizes;
+and every target feature sum. `forced_logprobs` and `forced_loss_and_grad`
+then score the batch under the weights of the moment, so training forces
+each iteration's targets once for all of its epochs. Per epoch: the root's
+group sums and normalizer, the deeper chunks' scores and normalization,
+and the gradient's four feature sums, none of them through BLAS.
 """
 
 from __future__ import annotations
@@ -59,10 +72,14 @@ STEP_FEATURES = (
 
 _SCORER_FORMAT = "termset-scorer/2"
 
-# Extension rows the teacher-forcing kernel scores at once. At the root every
-# query's segment holds the whole root step, so an unchunked batch would
-# build (queries x vocabulary) blocks.
+# Extension rows the teacher-forcing kernel scores at once below the root,
+# and the base `root_logprobs` per block of whole root rows.
 TEACHER_CHUNK_ROWS = 1 << 14
+
+# The root normalizer sums a (query, group), or a query's unflagged groups,
+# densely when the part it would subtract holds more than this share of
+# what it subtracts from: a difference then keeps all but one bit.
+DENSE_SHARE = 0.5
 
 _LOG1P_ONE = np.log1p(np.ones(1))
 
@@ -77,9 +94,10 @@ class Scorer(ABC):
     boundary and return each candidate term's total log-probability.
     Only segment_logprobs is required: search calls step_scorer once per
     query, whose step function defaults to one segment_logprobs call per
-    step; training calls root_logprobs at the root, which defaults to one
-    segment_logprobs call, and segment_logprobs directly below it. Every
-    kernel hands them its query list as `prepare` made it.
+    step; training calls root_logprobs at the root, which defaults to
+    segment_logprobs calls on whole root rows, and segment_logprobs
+    directly below it. Every kernel hands them its query list as `prepare`
+    made it.
     """
 
     @abstractmethod
@@ -122,17 +140,26 @@ class Scorer(ABC):
 
         return step_logprobs
 
-    def root_logprobs(self, queries, step, slots) -> np.ndarray:
-        """The root step under each query of `slots`, as a (len(slots), len(step.terms)) block.
+    def root_logprobs(self, queries, step, seg_query, seg, picks) -> np.ndarray:
+        """Root extension picks[i] under query seg_query[seg[i]] of the prepared `queries`.
 
         `step` is the depth-0 step, one hypothesis holding every root term.
-        Row i is its one segment normalized under query slots[i] of the
-        prepared `queries`, as `segment_logprobs` scores it.
+        Query seg_query[s]'s row is that one segment, normalized as
+        `segment_logprobs` scores it. The rows are scored in blocks of at
+        most TEACHER_CHUNK_ROWS extensions, or one row, and the picks are
+        gathered from each block.
         """
         width = len(step.terms)
-        ext = np.tile(np.arange(width), len(slots))
-        ptr = np.arange(len(slots) + 1) * width
-        return self.segment_logprobs(queries, step, slots, ext, ptr).reshape(len(slots), width)
+        rows = max(1, TEACHER_CHUNK_ROWS // max(width, 1))
+        out = np.empty(len(seg))
+        for a in range(0, len(seg_query), rows):
+            block = seg_query[a : a + rows]
+            ext = np.tile(np.arange(width), len(block))
+            logprobs = self.segment_logprobs(queries, step, block, ext,
+                                             np.arange(len(block) + 1) * width)
+            mine = np.flatnonzero((seg >= a) & (seg < a + rows))
+            out[mine] = logprobs[(seg[mine] - a) * width + picks[mine]]
+        return out
 
 
 class UniformScorer(Scorer):
@@ -170,6 +197,14 @@ class FeatureScorer(Scorer):
                  for t in self.terms]
         self._term_stem = np.array(stems, dtype=np.int64)
         self._width = len(self.terms) + len(self._stem_col)  # flag columns
+        # the stem groups: stem g's terms are
+        # _stem_terms[_stem_ptr[g]:_stem_ptr[g + 1]], ascending
+        stem_ids = self._term_stem - len(self.terms)
+        self._stem_terms = np.argsort(stem_ids, kind="stable")
+        self._stem_ptr = np.zeros(len(self._stem_col) + 1, dtype=np.int64)
+        np.cumsum(np.bincount(stem_ids, minlength=len(self._stem_col)), out=self._stem_ptr[1:])
+        # search's tables under the weights of the moment (`_weighted`, `_root_lse`)
+        self._weights_memo = self._root_memo = None
 
     @classmethod
     def zeros(cls, index: Index, term_weights: np.ndarray | None = None) -> "FeatureScorer":
@@ -190,38 +225,57 @@ class FeatureScorer(Scorer):
         return np.array(sorted(keys), dtype=np.int64)
 
     def step_scorer(self, query):
-        """Bit-identical to the base step function, from a per-query term table.
+        """Bit-identical to the base step function below the root, from a per-query term table.
 
         A score's first two terms, C[code] + term_weight * w2, depend only on
-        the term under the query, so `_scores` of the query's codes for every
-        term (`_code_block`) is one vocabulary-length table, gathered by term
-        id at every step. The last, log1p_postings * w3, gathers log1p(size)
-        from the searchable's `log1p_sizes`, a table of log1p(0..largest
-        posting size) bit-equal to `np.log1p`, and is added to the gathered
-        table (a sum of two floats is commutative). A `DenseStep` is scored
-        as its block of terms: every child holds one document, and every row
-        is one segment.
+        the term under the query, so they are one vocabulary-length table
+        (`_term_table`), gathered by term id at every step. The last,
+        log1p_postings * w3, gathers log1p(size) from the searchable's
+        `log1p_sizes`, a table of log1p(0..largest posting size) bit-equal to
+        `np.log1p`, and is added to the gathered table (a sum of two floats
+        is commutative). A `DenseStep` is scored as its block of terms: every
+        child holds one document, and every row is one segment. The root
+        step, whether a `DenseStep` or not, keeps these scores, its log1p
+        sizes times w3 kept with the root (`_search_root`), and subtracts the
+        root normalizer's log-sum-exp (`_root_lse`), the value that
+        `root_logprobs` subtracts.
         """
-        codes = self._code_block((0, self._columns(query)), 1, slice(len(self.terms)))[0]
-        table = self._scores(codes, self.term_weights)
+        vocab, columns = len(self.terms), set(self._columns(query))
+        stems = sorted(c - vocab for c in columns if c >= vocab)
+        own = sorted(c for c in columns if c < vocab)
+        table = self._term_table(stems, own)
         single = _LOG1P_ONE * self.weights[3]  # log1p_postings * w3 of a size-1 child
 
         def step_logprobs(step) -> np.ndarray:
             if isinstance(step, DenseStep):
-                return _row_log_softmax(table.take(step.block) + single).ravel()
-            scores = step.searchable.log1p_sizes.take(step.sizes)
-            scores *= self.weights[3]
-            scores += table.take(step.terms)
-            return _log_softmax(scores, step.offsets)
+                scores = table.take(step.block) + single
+                if step.depth:
+                    return _row_log_softmax(scores).ravel()
+            elif step.depth:
+                scores = step.searchable.log1p_sizes.take(step.sizes)
+                scores *= self.weights[3]
+                scores += table.take(step.terms)
+                return _log_softmax(scores, step.offsets)
+            root = self._search_root(step)
+            if not isinstance(step, DenseStep):
+                scores = table.take(step.terms)
+                scores += root.sized
+            scores -= self._root_lse(root, stems, own)
+            return scores.ravel()
 
         return step_logprobs
 
-    def root_logprobs(self, queries, step, slots):
-        """Bit-identical to the base root block, with the codes of one dense scatter."""
-        group, inverse = np.unique(slots, return_inverse=True)
-        codes = self._code_block(self._pairs(queries, group), len(group), step.terms)[inverse]
-        log_sizes = step.searchable.log1p_sizes.take(step.sizes)
-        return _row_log_softmax(self._scores(codes, self.term_weights[step.terms], log_sizes))
+    def root_logprobs(self, queries, step, seg_query, seg, picks):
+        """The base root method's entries from the root normalizer: each pick's
+        `_scores` minus its query's log-sum-exp, with no row built."""
+        slots, inverse = np.unique(seg_query, return_inverse=True)
+        groups = self._root_groups(step.terms, step.sizes, step.searchable.log1p_sizes)
+        flags = self._root_flags(queries, slots, groups)
+        lse = self._root_normalizer(groups, self._group_sums(groups), flags)[0]
+        terms = step.terms[picks]
+        codes = self._lookup(queries, seg_query[seg], terms, np.arange(len(picks) + 1))
+        scores = self._scores(codes, self.term_weights[terms], groups.log_sizes[picks])
+        return scores - lse[inverse[seg]]
 
     def segment_logprobs(self, queries, step, seg_query, ext, ptr):
         """All segments' codes by one key lookup, normalized segment by segment."""
@@ -230,19 +284,21 @@ class FeatureScorer(Scorer):
         log_sizes = step.searchable.log1p_sizes.take(step.sizes[ext])
         return _log_softmax(self._scores(codes, self.term_weights[terms], log_sizes), ptr)
 
+    def _code_scores(self) -> np.ndarray:
+        """C[code] = in_query * w0 + query_prefix4 * w1 of each code's two flags."""
+        w0, w1 = self.weights[:2].tolist()  # Python floats multiply as float64 does
+        return np.array([0.0 * w0 + 0.0 * w1, 0.0 * w0 + 1.0 * w1, 1.0 * w0 + 1.0 * w1])
+
     def _scores(self, codes, term_weights, log_sizes=None) -> np.ndarray:
         """The score formula, (C[code] + term_weight * w2) + log1p(size) * w3.
 
-        Each extension's code, its term's weight and its child size's log1p.
-        C[code] = in_query * w0 + query_prefix4 * w1 of the code's two flags,
+        Each extension's code, its term's weight and its child size's log1p,
         so every score is summed in STEP_FEATURES order. Without `log_sizes`,
         C[code] + term_weight * w2: search's per-query term table. Arrays
-        broadcast: a root chunk's (segments, root terms) codes take the root
-        step's term weights and log1p sizes.
+        broadcast, and a code may be one number for all.
         """
-        w0, w1, w2, w3 = self.weights.tolist()  # Python floats multiply as float64 does
-        code_scores = np.array([0.0 * w0 + 0.0 * w1, 0.0 * w0 + 1.0 * w1, 1.0 * w0 + 1.0 * w1])
-        scores = code_scores.take(codes) + term_weights * w2
+        w2, w3 = self.weights[2:].tolist()
+        scores = self._code_scores().take(codes) + term_weights * w2
         if log_sizes is not None:
             scores += log_sizes * w3
         return scores
@@ -261,7 +317,8 @@ class FeatureScorer(Scorer):
     def _pairs(self, keys, group) -> tuple[np.ndarray, np.ndarray]:
         """The word flags of queries `group` as (row, flag column) pairs, row i query group[i].
 
-        `keys` is `prepare`'s; `group` holds distinct slots, ascending.
+        `keys` is `prepare`'s; `group` holds distinct slots, ascending. The
+        pairs are in (row, column) order.
         """
         width = self._width
         lo, hi = keys.searchsorted([group[0] * width, group[-1] * width + width])
@@ -271,16 +328,35 @@ class FeatureScorer(Scorer):
         hit = row >= 0
         return row[hit], column[hit]
 
-    def _code_block(self, pairs, rows, terms) -> np.ndarray:
-        """The codes of `terms` under `rows` queries, flagged by (row, flag column) `pairs`.
+    def _term_table(self, stems, own) -> np.ndarray:
+        """Every term's C[code] + term_weight * w2 under a query of stem ids `stems`, terms `own`.
 
-        The dense scatter: the pairs are set in one (rows, flag columns) int8
-        block, and each term's code is its own column plus its stem's. A
-        (rows, len(terms)) int8 block.
+        The base row, every term at code 0, is patched at the terms of the
+        query's stem groups (code 1) and then at the query's own terms (code
+        2), each entry as `_scores` gives it for its code.
         """
-        flags = np.zeros((rows, self._width), dtype=np.int8)
-        flags[pairs] = 1
-        return flags[:, terms] + flags.take(self._term_stem[terms], axis=1)
+        _, codes, weighted, base = self._weighted()
+        table = base.copy()
+        if stems:
+            ptr = self._stem_ptr
+            grouped = np.concatenate([self._stem_terms[ptr[g] : ptr[g + 1]] for g in stems])
+            table[grouped] = weighted[grouped] + codes[1]
+        if own:
+            table[own] = weighted[own] + codes[2]
+        return table
+
+    def _weighted(self):
+        """The weights and C[code] as Python floats, term_weight * w2, and the base row.
+
+        The base row is C[0] + term_weight * w2 (a sum of two floats is
+        commutative). Kept while the weights stay the same.
+        """
+        weights = self.weights.tolist()
+        if self._weights_memo is None or self._weights_memo[0] != weights:
+            codes = self._code_scores().tolist()
+            weighted = self.term_weights * weights[2]
+            self._weights_memo = (weights, codes, weighted, weighted + codes[0])
+        return self._weights_memo
 
     def _lookup(self, keys, seg_query, terms, ptr) -> np.ndarray:
         """The code of every segment's terms[ptr[s]:ptr[s + 1]] under query seg_query[s], as int8.
@@ -294,58 +370,246 @@ class FeatureScorer(Scorer):
         codes += _find(keys, row_key + self._term_stem[terms]) >= 0
         return codes
 
+    # -- the root normalizer ------------------------------------------------
+
+    def _root_groups(self, terms, sizes, log1p_sizes) -> "_RootGroups":
+        """The root terms (ascending) grouped by stem, in the stem layout's order."""
+        if not len(terms):
+            raise DataError("empty candidate set")
+        position = np.full(len(self.terms), -1, dtype=np.int64)
+        position[terms] = np.arange(len(terms))
+        order = position[self._stem_terms]
+        order = order[order >= 0]
+        stems = self._term_stem[terms[order]] - len(self.terms)
+        heads = np.flatnonzero(np.diff(stems, prepend=-1))
+        bounds = np.append(heads, len(order))
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        group = np.arange(len(heads)).repeat(np.diff(bounds))[rank]
+        stem_group = np.full(len(self._stem_col), -1, dtype=np.int64)
+        stem_group[stems[heads]] = np.arange(len(heads))
+        return _RootGroups(terms, log1p_sizes.take(sizes), order, bounds, rank, group, position,
+                           stem_group)
+
+    def _root_flags(self, keys, slots, groups) -> "_RootFlags":
+        """The flagged groups and terms of queries `slots` (distinct, ascending) at the root."""
+        row, column = self._pairs(keys, slots)
+        vocab = len(self.terms)
+        stem = column >= vocab
+        group = groups.stem_group[column[stem] - vocab]
+        group_row, group = row[stem][group >= 0], group[group >= 0]
+        pos = groups.position[column[~stem]]
+        term_row, term_pos = row[~stem][pos >= 0], pos[pos >= 0]
+        width = len(groups.bounds) - 1  # a term's stem is flagged with it
+        term_pair = _find(group_row * width + group, term_row * width + groups.group[term_pos])
+        keys = np.sort(term_pair * len(groups.terms) + term_pos)
+        return _RootFlags(len(slots), group_row, group, term_row, term_pos, term_pair, keys)
+
+    def _group_sums(self, groups, gradient=False) -> "_GroupSums":
+        """The root's base scores, every term at code 0, summed per stem group.
+
+        Group g's largest base score top[g], and its terms' exp(base - top[g])
+        summed alone and, for the gradient, times each term's weight and
+        log1p size: one `np.add.reduceat` per sum, in the groups' order.
+        """
+        term_weights = self.term_weights[groups.terms[groups.order]]
+        log_sizes = groups.log_sizes[groups.order]
+        base = self._scores(0, term_weights, log_sizes)
+        heads = groups.bounds[:-1]
+        top = np.maximum.reduceat(base, heads)
+        exps = np.exp(base - top.repeat(np.diff(groups.bounds)))
+        exps = np.array([exps, exps * term_weights, exps * log_sizes]) if gradient else exps[None]
+        mass = np.add.reduceat(exps, heads, axis=1)
+        peak = top.max()
+        scale = np.exp(top - peak)
+        totals = (scale * mass).sum(axis=1)
+        return _GroupSums(top, exps, mass, peak, scale, totals,
+                          peak + np.log(DENSE_SHARE * totals[0]))
+
+    def _root_normalizer(self, groups, sums, flags, weight=None):
+        """Each root segment's log-sum-exp and, given `weight`, its expected features.
+
+        Segment s's row is the base row but at its flagged groups (code 1)
+        and flagged terms (code 2). Its sum of exps is a few pieces, each a
+        value times exp(offset), in this order:
+        - its unflagged groups: the base total less its flagged groups' base
+          sums, at the peak;
+        - each flagged group but its flagged terms, ascending: the group's
+          base sums less theirs, at the group's top plus C[1] - C[0];
+        - each flagged term, ascending: 1, at its `_scores` of code 2.
+        A difference loses bits when what it subtracts holds most of what it
+        subtracts from, so it is summed densely where that could reach a
+        segment's sum. A group whose flagged terms hold more than DENSE_SHARE
+        of its base mass gives each of its other terms as a last piece
+        instead (1, at its `_scores` of code 1). A segment whose sum is less
+        than DENSE_SHARE of the base row's, where the base total's rounding
+        could show, sums its unflagged groups one by one (`_unflagged`). Every
+        sum within a segment is sequential, from 0.0 in that order
+        (`np.bincount`), so a segment's log-sum-exp has the same bits in any
+        batch and as `_root_lse` finds it alone. With `weight[s]` rows
+        through segment s, the expected features (code 2, code >= 1, term
+        weight, log1p size) are summed over the segments, each one pairwise
+        `.sum()` over every piece.
+        """
+        top, mass, rows, group = sums.top, sums.mass, flags.rows, flags.group
+        codes = self._code_scores()
+        # each flagged group's flagged terms, in the group's exp(top) units
+        own = sums.exps[:, groups.rank[flags.term_pos]]
+        held = np.array([np.bincount(flags.term_pair, s, minlength=len(group)) for s in own])
+        dense = held[0] > DENSE_SHARE * mass[0, group]
+        part = ~dense
+        # every segment's unflagged groups, in exp(peak) units
+        scaled = sums.scale[group] * mass[:, group]
+        flagged = np.array([np.bincount(flags.group_row, s, minlength=rows) for s in scaled])
+        # the dense groups' terms but their flagged ones
+        spread = np.flatnonzero(dense)
+        lo, hi = groups.bounds[group[spread]], groups.bounds[group[spread] + 1]
+        pair, pos = spread.repeat(hi - lo), groups.order[_spans(lo, hi)]
+        other = _find(flags.keys, pair * len(groups.terms) + pos) < 0
+        pair, pos = pair[other], np.concatenate([flags.term_pos, pos[other]])
+        code = np.concatenate([np.full(len(flags.term_pos), 2, dtype=np.int8),
+                               np.ones(len(pair), dtype=np.int8)])
+        term_weights, log_sizes = self.term_weights[groups.terms[pos]], groups.log_sizes[pos]
+        # the pieces, segment by segment: each segment's rest comes first
+        seg = np.concatenate([np.arange(rows), flags.group_row[part], flags.term_row,
+                              flags.group_row[pair]])
+        at = np.concatenate([np.full(rows, sums.peak), top[group[part]] + (codes[1] - codes[0]),
+                             self._scores(code, term_weights, log_sizes)])
+        terms_value = [np.ones(len(pos)), term_weights, log_sizes][: len(mass)]
+        value = np.concatenate([sums.totals[:, None] - flagged,
+                                mass[:, group[part]] - held[:, part], terms_value], axis=1)
+        order = np.argsort(seg, kind="stable")
+        seg, at, value = seg[order], at[order], value[:, order]
+        counts = np.bincount(seg, minlength=rows)
+        heads = np.cumsum(counts) - counts
+        lse = _sequential_lse(seg, at, value[0], heads, rows)
+        thin = np.flatnonzero(lse < sums.floor)
+        for s, head in zip(thin.tolist(), heads[thin].tolist()):
+            at[head], value[:, head] = _unflagged(sums, group[flags.group_row == s])
+        if len(thin):
+            lse = _sequential_lse(seg, at, value[0], heads, rows)
+        if weight is None:
+            return lse, None
+        share = np.exp(at - lse[seg]) * weight[seg]
+        code_two = np.concatenate([np.zeros(rows + part.sum()), code == 2])[order]
+        code_any = np.where(order < rows, 0.0, value[0])  # every piece's mass but the rest's
+        columns = (code_two, code_any, value[1], value[2])
+        return lse, np.array([(share * column).sum() for column in columns])
+
+    def _search_root(self, step) -> "_SearchRoot":
+        """What search keeps of the root `step` under the current weights (`_SearchRoot`).
+
+        Made at a query's root step, and kept for the next query while the
+        root's terms, sizes and the weights stay the same.
+        """
+        weights = self._weighted()[0]
+        memo = self._root_memo
+        if not (memo and memo.weights is weights and _same(memo.terms, step.terms)
+                and _same(memo.sizes, step.sizes)):
+            groups = self._root_groups(step.terms, step.sizes, step.searchable.log1p_sizes)
+            sums, term_weights = self._group_sums(groups), self.term_weights[groups.terms]
+            by_term = np.column_stack([groups.group, sums.exps[0, groups.rank],
+                                       self._scores(2, term_weights, groups.log_sizes)])
+            by_group = np.column_stack([sums.top, sums.mass[0], sums.scale])
+            memo = self._root_memo = _SearchRoot(
+                step.terms, step.sizes, weights, groups, sums, by_term, by_group,
+                self._scores(1, term_weights, groups.log_sizes), groups.log_sizes * weights[3])
+        return memo
+
+    def _root_lse(self, memo, stems, own):
+        """The root normalizer's log-sum-exp of a query of stem ids `stems` and terms `own`,
+        under search's `memo` of the root, with the same bits as `_root_normalizer`.
+
+        Search calls this once per query, so the query's few pieces are
+        gathered in Python floats, whose + - * are numpy's, in the batch
+        form's order, and summed as `_sequential_lse` sums them.
+        """
+        c0, c1, _ = self._weighted()[1]
+        groups, sums = memo.groups, memo.sums
+        stems = [g for g in groups.stem_group[stems].tolist() if g >= 0]
+        terms = [p for p in groups.position[own].tolist() if p >= 0]
+        by_term = memo.by_term[terms].tolist()
+        held = dict.fromkeys(stems, 0.0)
+        for g, e, _ in by_term:
+            held[int(g)] += e
+        flagged, at, value, dense = 0.0, [sums.peak], [0.0], []
+        for g, (top, mass, scale) in zip(stems, memo.by_group[stems].tolist()):
+            flagged += scale * mass
+            if held[g] > DENSE_SHARE * mass:
+                dense.append(groups.order[groups.bounds[g] : groups.bounds[g + 1]])
+            else:
+                at.append(top + (c1 - c0))
+                value.append(mass - held[g])
+        value[0] = sums.totals[0] - flagged
+        at += [score for _, _, score in by_term]
+        if dense:
+            others = np.concatenate(dense)
+            at += memo.code1[others[~np.isin(others, terms)]].tolist()
+        value += [1.0] * (len(at) - len(value))
+        lse = _sequential_lse(None, at, value)
+        if lse < sums.floor:
+            at[0], (value[0], *_) = _unflagged(sums, stems)
+            lse = _sequential_lse(None, at, value)
+        return lse
+
     # -- training -----------------------------------------------------------
 
     def force(self, queries, qidx, sequences, searchable) -> "ForcedBatch":
         """Force every row r, sequences[r] under query qidx[r], through the teacher kernel once.
 
-        `_teacher_chunks` is walked once. A deeper chunk keeps its codes
-        (`_lookup`), terms and child sizes; a root chunk, whose every segment
-        is the whole root step, keeps its queries' flags as (row, flag
-        column) pairs, which `_code_block` scatters at each read, and the
-        root step's terms and sizes. Each chunk also keeps its target rows'
-        four feature sums, each one pairwise `.sum()` over them in order.
-        Nothing kept depends on the weights, so the batch can be read under
-        any of them.
+        `_teacher_chunks` is walked once. The root keeps its stem groups,
+        its queries' flagged groups and terms, and its target rows' codes
+        (`_lookup`), terms and log1p sizes; a deeper chunk keeps its codes,
+        terms and child sizes. Each also keeps its target rows' four feature
+        sums, each one pairwise `.sum()` over them in order. Nothing kept
+        depends on the weights, so the batch can be read under any of them.
         """
-        log1p_sizes, chunks = searchable.log1p_sizes, []
+        log1p_sizes, root, chunks = searchable.log1p_sizes, None, []
         for chunk in _teacher_chunks(searchable, qidx, sequences):
-            step, seg_query = chunk.step, chunk.seg_query
-            if chunk.ext is None:
-                pairs, terms, sizes = self._pairs(queries, seg_query), step.terms, step.sizes
-                codes = self._code_block(pairs, len(seg_query), terms)
-            else:
-                pairs, terms, sizes = None, step.terms[chunk.ext], step.sizes[chunk.ext]
-                codes = self._lookup(queries, seg_query, terms, chunk.ptr)
-            # each target row's extension: at[i] in the flat chunk, whose
-            # terms and sizes repeat per segment at the root
-            picked, pick = codes.ravel()[chunk.at], chunk.at % codes.shape[-1]
-            target = np.array([(picked == 2).sum(), (picked >= 1).sum(),
-                               self.term_weights[terms[pick]].sum(),
-                               log1p_sizes.take(sizes[pick]).sum()])
-            kept = codes if pairs is None else None
-            chunks.append(_Forced(pairs, kept, terms, sizes, *chunk[3:], target))
-        return ForcedBatch(chunks, len(sequences), log1p_sizes)
+            step = chunk.step
+            if isinstance(chunk, _RootChunk):
+                groups = self._root_groups(step.terms, step.sizes, log1p_sizes)
+                terms, log_sizes = step.terms[chunk.picks], groups.log_sizes[chunk.picks]
+                codes = self._lookup(queries, chunk.seg_query[chunk.seg], terms,
+                                     np.arange(len(terms) + 1))
+                target = _target_sums(codes, self.term_weights[terms], log_sizes)
+                root = _ForcedRoot(groups, self._root_flags(queries, chunk.seg_query, groups),
+                                   chunk.weight, chunk.rows, chunk.seg, codes, terms, log_sizes,
+                                   target)
+                continue
+            terms, sizes = step.terms[chunk.ext], step.sizes[chunk.ext]
+            codes = self._lookup(queries, chunk.seg_query, terms, chunk.ptr)
+            target = _target_sums(codes[chunk.at], self.term_weights[terms[chunk.at]],
+                                  log1p_sizes.take(sizes[chunk.at]))
+            chunks.append(_Forced(codes, terms, sizes, *chunk[3:], target))
+        return ForcedBatch(root, chunks, len(sequences), log1p_sizes)
+
+    def _read_root(self, root, gradient=False):
+        """The forced root's target log-probs, and given `gradient` its expected features."""
+        weight = root.weight if gradient else None
+        sums = self._group_sums(root.groups, gradient)
+        lse, expected = self._root_normalizer(root.groups, sums, root.flags, weight)
+        scores = self._scores(root.codes, self.term_weights[root.terms], root.log_sizes)
+        return scores - lse[root.seg], expected
 
     def _read(self, chunk, log1p_sizes):
-        """A forced chunk's codes, term weights, log1p sizes and flat log-probs."""
-        codes = chunk.codes
-        if codes is None:  # a root chunk
-            codes = self._code_block(chunk.pairs, len(chunk.weight), chunk.terms)
+        """A forced deeper chunk's term weights, log1p sizes and flat log-probs."""
         term_weights, log_sizes = self.term_weights[chunk.terms], log1p_sizes.take(chunk.sizes)
-        logprobs = _log_softmax(self._scores(codes, term_weights, log_sizes).ravel(), chunk.ptr)
-        return codes, term_weights, log_sizes, logprobs
+        logprobs = _log_softmax(self._scores(chunk.codes, term_weights, log_sizes), chunk.ptr)
+        return term_weights, log_sizes, logprobs
 
     def forced_logprobs(self, batch: "ForcedBatch") -> np.ndarray:
         """Every row's sequence log-likelihood under the current weights.
 
-        The same bits as `sequence_logprobs`: each chunk is scored as
-        `root_logprobs` or `segment_logprobs` scores it, and each row sums
-        its steps in order.
+        The same bits as `sequence_logprobs`: the root is scored as
+        `root_logprobs` scores it, each deeper chunk as `segment_logprobs`
+        does, and each row sums its steps in order.
         """
         total = np.zeros(batch.rows)
+        if batch.root is not None:
+            total[batch.root.rows] += self._read_root(batch.root)[0]
         for chunk in batch.chunks:
-            total[chunk.rows] += self._read(chunk, batch.log1p_sizes)[3][chunk.at]
+            total[chunk.rows] += self._read(chunk, batch.log1p_sizes)[2][chunk.at]
         return total
 
     def loss_and_grad(self, batch, searchable):
@@ -366,22 +630,26 @@ class FeatureScorer(Scorer):
         prefix) segment is scored once and weighted by the number of
         targets passing through it.
 
-        No sum goes through BLAS. A chunk's expected value of each feature is
-        one pairwise `.sum()` of its weighted probabilities times the feature
-        (code 2, code >= 1, term weight, log1p size), over the chunk's
-        extensions in order; its target sums were taken when it was forced.
-        Root and deeper chunks sum alike, and the chunks' differences are
-        added in chunk order.
+        No sum goes through BLAS. The root's expected features come from the
+        root normalizer (`_root_normalizer`). A deeper chunk's expected value
+        of each feature is one pairwise `.sum()` of its weighted
+        probabilities times the feature (code 2, code >= 1, term weight,
+        log1p size), over the chunk's extensions in order. The target sums
+        were taken when the batch was forced, and the differences are added
+        root first, then chunk by chunk.
         """
         if not batch.rows:
             raise DataError("empty training batch")
         total_loss = 0.0
         grad = np.zeros_like(self.weights)
+        if batch.root is not None:
+            logprobs, expected = self._read_root(batch.root, gradient=True)
+            total_loss -= logprobs.sum()
+            grad += expected - batch.root.target
         for chunk in batch.chunks:
-            codes, term_weights, log_sizes, logprobs = self._read(chunk, batch.log1p_sizes)
+            term_weights, log_sizes, logprobs = self._read(chunk, batch.log1p_sizes)
             weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
-            weighted = weighted.reshape(codes.shape)
-            columns = (codes == 2, codes >= 1, term_weights, log_sizes)
+            columns = (chunk.codes == 2, chunk.codes >= 1, term_weights, log_sizes)
             total_loss -= logprobs[chunk.at].sum()
             grad += np.array([(weighted * column).sum() for column in columns]) - chunk.target
         return total_loss / batch.rows, grad / batch.rows
@@ -433,6 +701,51 @@ def _row_log_softmax(block: np.ndarray) -> np.ndarray:
     return block - (m + np.log(np.exp(block - m).sum(axis=1, keepdims=True)))
 
 
+def _spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """The ranges lo[i]:hi[i], one after another, as one index array."""
+    counts = hi - lo
+    ends = np.cumsum(counts)
+    return np.repeat(lo - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
+
+
+def _same(kept: np.ndarray, array: np.ndarray) -> bool:
+    return kept is array or np.array_equal(kept, array)
+
+
+def _sequential_lse(seg, at, value, heads=None, rows=None):
+    """Each segment's log-sum-exp of value * exp(at), pieces in segment order.
+
+    Segment s's pieces start at heads[s] (`seg` gives each piece's); its
+    sum is sequential from 0.0, as `np.bincount` adds, after a shift by its
+    largest offset. Without `seg`, the pieces, Python lists, are one
+    segment, summed in Python floats to the same bits.
+    """
+    if seg is None:
+        peak = max(at)
+        total = 0.0
+        for v, e in zip(value, np.exp([a - peak for a in at]).tolist()):
+            total += v * e
+        return peak + np.log(total)
+    peak = np.maximum.reduceat(at, heads)
+    return peak + np.log(np.bincount(seg, value * np.exp(at - peak[seg]), minlength=rows))
+
+
+def _unflagged(sums, flagged):
+    """The offset and sums of a root's groups but `flagged`, summed group by group.
+
+    The offset is their largest top, -inf when there are none.
+    """
+    keep = np.ones(len(sums.top), dtype=bool)
+    keep[flagged] = False
+    at = sums.top[keep].max(initial=-np.inf)
+    return at, (np.exp(sums.top[keep] - at) * sums.mass[:, keep]).sum(axis=1)
+
+
+def _target_sums(codes, term_weights, log_sizes) -> np.ndarray:
+    """Target rows' four feature sums, each one pairwise `.sum()` over the rows in order."""
+    return np.array([(codes == 2).sum(), (codes >= 1).sum(), term_weights.sum(), log_sizes.sum()])
+
+
 def _query_slots(queries):
     """The distinct query objects, and each entry's slot among them."""
     slots: dict[int, int] = {}
@@ -440,38 +753,147 @@ def _query_slots(queries):
     return list({id(q): q for q in queries}.values()), qidx
 
 
-class _Chunk(NamedTuple):
-    """Whole (query, prefix) segments of one teacher-forcing step.
+class _RootGroups(NamedTuple):
+    """A root step's terms grouped by stem: what the root normalizer sums by.
 
-    Segment s scores all extensions of its prefix, ext[ptr[s]:ptr[s + 1]],
-    under query seg_query[s] of the prepared list; `weight[s]` rows pass
-    through it. Row rows[i] continues with extension ext[at[i]]. At the
-    root every segment holds the whole one-hypothesis step in order, so
-    `ext` is None: the chunk is a dense (segments x root terms) block, and
-    at[i] is the row's segment times the root terms plus its extension.
+    `terms` are the root step's, ascending, and `log_sizes` their children's
+    log1p sizes. `order` lists root positions group by group, ascending
+    within each, the groups in stem order: group g is
+    order[bounds[g]:bounds[g + 1]]. Root position p is order[rank[p]], in
+    group `group[p]`; term t is at root position `position[t]`, and stem g
+    is group `stem_group[g]`, each -1 where the root has none.
+    """
+
+    terms: np.ndarray
+    log_sizes: np.ndarray
+    order: np.ndarray
+    bounds: np.ndarray
+    rank: np.ndarray
+    group: np.ndarray
+    position: np.ndarray
+    stem_group: np.ndarray
+
+
+class _RootFlags(NamedTuple):
+    """The query flags of `rows` root segments, by the root's groups and positions.
+
+    Flagged groups are (group_row, group) pairs, and flagged terms (term_row,
+    term_pos) pairs, each ascending; flagged term i lies in flagged group
+    pair term_pair[i], and `keys` holds term_pair * root terms + term_pos,
+    sorted.
+    """
+
+    rows: int
+    group_row: np.ndarray
+    group: np.ndarray
+    term_row: np.ndarray
+    term_pos: np.ndarray
+    term_pair: np.ndarray
+    keys: np.ndarray
+
+
+class _GroupSums(NamedTuple):
+    """A root's base scores summed per stem group, under one set of weights (`_group_sums`).
+
+    `top[g]` is group g's largest base score. Row 0 of `exps` holds each
+    term's exp(base - its group's top), in `_RootGroups.order`; with the
+    gradient, rows 1 and 2 hold it times the term's weight and log1p size.
+    `mass` sums each row per group. `peak` is the largest top, `scale` is
+    exp(top - peak), and `totals` sums each row of `mass` times `scale`.
+    `floor` is DENSE_SHARE of the base row's sum of exps, as a log.
+    """
+
+    top: np.ndarray
+    exps: np.ndarray
+    mass: np.ndarray
+    peak: float
+    scale: np.ndarray
+    totals: np.ndarray
+    floor: float
+
+
+class _SearchRoot(NamedTuple):
+    """What search keeps of a root under one set of weights (`FeatureScorer._root_lse`).
+
+    The root's `terms` and `sizes`, the `weights` list, the root's `groups`
+    and group `sums`; per root term, its group, exp(base - its group's top)
+    and `_scores` at code 2 (`by_term`); per group, its top, mass and scale
+    (`by_group`); and per root term, its `_scores` at code 1 (`code1`) and
+    its log1p size times w3 (`sized`).
+    """
+
+    terms: np.ndarray
+    sizes: np.ndarray
+    weights: list
+    groups: _RootGroups
+    sums: _GroupSums
+    by_term: np.ndarray
+    by_group: np.ndarray
+    code1: np.ndarray
+    sized: np.ndarray
+
+
+class _RootChunk(NamedTuple):
+    """The root step of a teacher-forcing walk: one segment per distinct query.
+
+    Segment s is the whole root step under query seg_query[s] of the
+    prepared list; `weight[s]` rows pass through it. Row rows[i] is in
+    segment seg[i] and continues with root extension picks[i].
     """
 
     step: object
     seg_query: np.ndarray
-    ext: np.ndarray | None
+    weight: np.ndarray
+    rows: np.ndarray
+    seg: np.ndarray
+    picks: np.ndarray
+
+
+class _Chunk(NamedTuple):
+    """Whole (query, prefix) segments of one teacher-forcing step below the root.
+
+    Segment s scores all extensions of its prefix, ext[ptr[s]:ptr[s + 1]],
+    under query seg_query[s] of the prepared list; `weight[s]` rows pass
+    through it. Row rows[i] continues with extension ext[at[i]].
+    """
+
+    step: object
+    seg_query: np.ndarray
+    ext: np.ndarray
     ptr: np.ndarray
     weight: np.ndarray
     rows: np.ndarray
     at: np.ndarray
 
 
+class _ForcedRoot(NamedTuple):
+    """A `_RootChunk` with what scoring it needs that does not depend on the weights.
+
+    Its `groups`, its queries' `flags`, and its target rows' int8 `codes`,
+    `terms` and `log_sizes`; `target` holds their four feature sums.
+    `weight`, `rows` and `seg` are the chunk's.
+    """
+
+    groups: _RootGroups
+    flags: _RootFlags
+    weight: np.ndarray
+    rows: np.ndarray
+    seg: np.ndarray
+    codes: np.ndarray
+    terms: np.ndarray
+    log_sizes: np.ndarray
+    target: np.ndarray
+
+
 class _Forced(NamedTuple):
     """A `_Chunk` with what scoring it needs that does not depend on the weights.
 
-    A deeper chunk keeps its extensions' int8 `codes`, `terms` and child
-    `sizes`, `pairs` None. A root chunk keeps its queries' flags as (row,
-    flag column) `pairs` over its `len(weight)` segments, `codes` None, and
-    the root step's `terms` and `sizes`. `target` holds the target rows'
-    four feature sums. `ptr`, `weight`, `rows` and `at` are the chunk's.
+    Its extensions' int8 `codes`, `terms` and child `sizes`; `target` holds
+    the target rows' four feature sums. `ptr`, `weight`, `rows` and `at`
+    are the chunk's.
     """
 
-    pairs: tuple | None
-    codes: np.ndarray | None
+    codes: np.ndarray
     terms: np.ndarray
     sizes: np.ndarray
     ptr: np.ndarray
@@ -484,11 +906,13 @@ class _Forced(NamedTuple):
 class ForcedBatch(NamedTuple):
     """`rows` (query, sequence) rows forced through the teacher kernel (`FeatureScorer.force`).
 
-    `chunks` holds their `_Forced` chunks in `_teacher_chunks` order, read
-    by every epoch of a training iteration; `log1p_sizes` is the
-    searchable's table of log1p(child size).
+    `root` is the `_ForcedRoot`, None when no row has a term, and `chunks`
+    holds the deeper `_Forced` chunks in `_teacher_chunks` order, read by
+    every epoch of a training iteration; `log1p_sizes` is the searchable's
+    table of log1p(child size).
     """
 
+    root: _ForcedRoot | None
     chunks: list
     rows: int
     log1p_sizes: np.ndarray
@@ -500,9 +924,10 @@ def _teacher_chunks(searchable, qidx, sequences):
     Row r walks sequences[r] under query slot qidx[r]. At each depth the
     rows' distinct prefixes form one beam, expanded at once; each row's
     next term is located among its prefix's extensions (an infeasible term
-    raises DataError). The rows' distinct (query, prefix) segments are
-    yielded in `_Chunk`s of at most TEACHER_CHUNK_ROWS extensions, or one
-    segment when that alone is larger. Root chunks come first.
+    raises DataError). The root is yielded first, as one `_RootChunk`;
+    below it, the rows' distinct (query, prefix) segments are yielded in
+    `_Chunk`s of at most TEACHER_CHUNK_ROWS extensions, or one segment when
+    that alone is larger.
     """
     lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
     seqs = np.full((len(sequences), lengths.max(initial=0)), -1, dtype=np.int64)
@@ -518,7 +943,13 @@ def _teacher_chunks(searchable, qidx, sequences):
             row = rows[np.argmax(picks < 0)]
             prefix = tuple(seqs[row, :depth].tolist())
             raise DataError(f"term id {int(seqs[row, depth])} infeasible at prefix {prefix}")
-        yield from _segment_chunks(step, qidx[rows], hyp[rows], rows, picks)
+        if depth:
+            yield from _segment_chunks(step, qidx[rows], hyp[rows], rows, picks)
+        else:
+            seg_query, row_seg = np.unique(qidx[rows], return_inverse=True)
+            order = np.argsort(row_seg, kind="stable")
+            yield _RootChunk(step, seg_query, np.bincount(row_seg), rows[order], row_seg[order],
+                             picks[order])
         *beam, hyp[rows] = step.descend(picks)
 
 
@@ -537,9 +968,7 @@ def _segment_chunks(step, row_query, row_hyp, rows, picks):
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + TEACHER_CHUNK_ROWS, "right")))
         ptr = np.zeros(b - a + 1, dtype=np.int64)
         np.cumsum(sizes[a:b], out=ptr[1:])
-        ext = None
-        if step.depth:
-            ext = np.repeat(offsets[seg_hyp[a:b]] - ptr[:-1], sizes[a:b]) + np.arange(ptr[-1])
+        ext = np.repeat(offsets[seg_hyp[a:b]] - ptr[:-1], sizes[a:b]) + np.arange(ptr[-1])
         mine = order[row_bounds[a] : row_bounds[b]]
         at = ptr[row_seg[mine] - a] + picks[mine] - offsets[row_hyp[mine]]
         yield _Chunk(step, seg_query[a:b], ext, ptr, weight[a:b], rows[mine], at)
@@ -550,18 +979,18 @@ def sequence_logprobs(scorer: Scorer, queries, qidx, sequences, searchable) -> n
     """`sequence_logprob` of every row r, sequences[r] under query qidx[r], in one teacher walk.
 
     `queries` is the scorer's `prepare` of a query list. Each distinct
-    (query, prefix) step is scored once, with one `root_logprobs` call per
-    root chunk and one `segment_logprobs` call per deeper chunk, and each
-    row sums its steps in order, so the results are bit-identical to
-    scoring row by row.
+    (query, prefix) step is scored once, with one `root_logprobs` call at
+    the root and one `segment_logprobs` call per deeper chunk, and each row
+    sums its steps in order, so the results are bit-identical to scoring
+    row by row.
     """
     total = np.zeros(len(sequences))
     for chunk in _teacher_chunks(searchable, qidx, sequences):
-        if chunk.ext is None:
-            logprobs = scorer.root_logprobs(queries, chunk.step, chunk.seg_query).ravel()
+        if isinstance(chunk, _RootChunk):
+            total[chunk.rows] += scorer.root_logprobs(queries, chunk.step, chunk.seg_query,
+                                                      chunk.seg, chunk.picks)
         else:
-            logprobs = scorer.segment_logprobs(queries, *chunk[:4])
-        total[chunk.rows] += logprobs[chunk.at]
+            total[chunk.rows] += scorer.segment_logprobs(queries, *chunk[:4])[chunk.at]
     return total
 
 

@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termset_retrieval import atomic, cli
+from termset_retrieval import scorer as scorer_module
 from termset_retrieval.cli import main, parse_config_file, rerun_from_manifest
 from termset_retrieval.errors import DataError
 from termset_retrieval.importance import write_identifier_file
@@ -279,6 +280,21 @@ class TestErrors:
         err = capsys.readouterr().err
         assert "can give a non-finite step score" in err
         assert "Traceback" not in err
+        assert not (tmp_path / "run.txt").exists()
+
+    def test_a_numpy_overflow_is_data_error(self, search_inputs, tmp_path, capsys, monkeypatch):
+        """A command runs under a raising numpy errstate. `check_compatible` keeps every valid
+        input from an overflow, so the deeper steps' softmax is patched to meet one: exit 2,
+        one error line, no traceback or warning, and no run file."""
+        out, _ = search_inputs
+        monkeypatch.setattr(scorer_module, "_log_softmax",
+                            lambda scores, offsets: np.exp(scores + 1e3))
+        capsys.readouterr()
+        rc = invoke("search", "--index", out / "index.txt", "--scorer", out / "scorer.txt",
+                    "--queries", out / "queries.jsonl", "--output", tmp_path / "run.txt")
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == "error: overflow encountered in exp\n"
         assert not (tmp_path / "run.txt").exists()
 
     @pytest.mark.parametrize(

@@ -354,6 +354,10 @@ class TestRunTraining:
                 self.log1p_sizes = searchable.log1p_sizes
 
             @property
+            def root(self):
+                return force(*self.args).root
+
+            @property
             def chunks(self):
                 return force(*self.args).chunks
 
