@@ -76,9 +76,11 @@ _SCORER_FORMAT = "termset-scorer/2"
 # and the base `root_logprobs` per block of whole root rows.
 TEACHER_CHUNK_ROWS = 1 << 14
 
-# The root normalizer sums a (query, group), or a query's unflagged groups,
-# densely when the part it would subtract holds more than this share of
-# what it subtracts from: a difference then keeps all but one bit.
+# The root normalizer sums a (query, group) densely when the query's terms
+# hold more than this share of the group's base mass, and a query's
+# unflagged groups densely when its row sums to less than this share of the
+# base row's: where it subtracts, a difference keeps all but one bit of
+# what it subtracts from, or of the query's sum.
 DENSE_SHARE = 0.5
 
 _LOG1P_ONE = np.log1p(np.ones(1))
@@ -402,8 +404,7 @@ class FeatureScorer(Scorer):
         term_row, term_pos = row[~stem][pos >= 0], pos[pos >= 0]
         width = len(groups.bounds) - 1  # a term's stem is flagged with it
         term_pair = _find(group_row * width + group, term_row * width + groups.group[term_pos])
-        keys = np.sort(term_pair * len(groups.terms) + term_pos)
-        return _RootFlags(len(slots), group_row, group, term_row, term_pos, term_pair, keys)
+        return _RootFlags(len(slots), group_row, group, term_row, term_pos, term_pair)
 
     def _group_sums(self, groups, gradient=False) -> "_GroupSums":
         """The root's base scores, every term at code 0, summed per stem group.
@@ -426,6 +427,22 @@ class FeatureScorer(Scorer):
         return _GroupSums(top, exps, mass, peak, scale, totals,
                           peak + np.log(DENSE_SHARE * totals[0]))
 
+    def _dense_group(self, groups, code1, g, flagged, moments):
+        """One (segment, group) piece, summed term by term: group g's terms but `flagged`.
+
+        `code1` holds each root term's `_scores` of code 1. The offset is the
+        largest of those terms' scores (-inf when there are none), and the
+        value their exps after that shift, summed alone and, with three
+        `moments`, times each term's weight and log1p size.
+        """
+        mine = groups.order[groups.bounds[g] : groups.bounds[g + 1]]
+        mine = mine[~np.isin(mine, flagged)]
+        at = code1[mine].max(initial=-np.inf)
+        exps = np.exp(code1[mine] - at)
+        term_weights = self.term_weights[groups.terms[mine]]
+        columns = [exps, exps * term_weights, exps * groups.log_sizes[mine]]
+        return at, np.array([column.sum() for column in columns[:moments]])
+
     def _root_normalizer(self, groups, sums, flags, weight=None):
         """Each root segment's log-sum-exp and, given `weight`, its expected features.
 
@@ -440,8 +457,8 @@ class FeatureScorer(Scorer):
         A difference loses bits when what it subtracts holds most of what it
         subtracts from, so it is summed densely where that could reach a
         segment's sum. A group whose flagged terms hold more than DENSE_SHARE
-        of its base mass gives each of its other terms as a last piece
-        instead (1, at its `_scores` of code 1). A segment whose sum is less
+        of its base mass sums its other terms' `_scores` of code 1 instead,
+        one (segment, group) at a time (`_dense_group`). A segment whose sum is less
         than DENSE_SHARE of the base row's, where the base total's rounding
         could show, sums its unflagged groups one by one (`_unflagged`). Every
         sum within a segment is sequential, from 0.0 in that order
@@ -456,28 +473,25 @@ class FeatureScorer(Scorer):
         # each flagged group's flagged terms, in the group's exp(top) units
         own = sums.exps[:, groups.rank[flags.term_pos]]
         held = np.array([np.bincount(flags.term_pair, s, minlength=len(group)) for s in own])
-        dense = held[0] > DENSE_SHARE * mass[0, group]
-        part = ~dense
         # every segment's unflagged groups, in exp(peak) units
         scaled = sums.scale[group] * mass[:, group]
         flagged = np.array([np.bincount(flags.group_row, s, minlength=rows) for s in scaled])
-        # the dense groups' terms but their flagged ones
-        spread = np.flatnonzero(dense)
-        lo, hi = groups.bounds[group[spread]], groups.bounds[group[spread] + 1]
-        pair, pos = spread.repeat(hi - lo), groups.order[_spans(lo, hi)]
-        other = _find(flags.keys, pair * len(groups.terms) + pos) < 0
-        pair, pos = pair[other], np.concatenate([flags.term_pos, pos[other]])
-        code = np.concatenate([np.full(len(flags.term_pos), 2, dtype=np.int8),
-                               np.ones(len(pair), dtype=np.int8)])
+        # each flagged group but its flagged terms
+        group_at, group_value = top[group] + (codes[1] - codes[0]), mass[:, group] - held
+        dense = np.flatnonzero(held[0] > DENSE_SHARE * mass[0, group])
+        if len(dense):
+            code1 = self._scores(1, self.term_weights[groups.terms], groups.log_sizes)
+            for k in dense.tolist():
+                group_at[k], group_value[:, k] = self._dense_group(
+                    groups, code1, group[k], flags.term_pos[flags.term_pair == k], len(mass))
+        pos = flags.term_pos
         term_weights, log_sizes = self.term_weights[groups.terms[pos]], groups.log_sizes[pos]
         # the pieces, segment by segment: each segment's rest comes first
-        seg = np.concatenate([np.arange(rows), flags.group_row[part], flags.term_row,
-                              flags.group_row[pair]])
-        at = np.concatenate([np.full(rows, sums.peak), top[group[part]] + (codes[1] - codes[0]),
-                             self._scores(code, term_weights, log_sizes)])
+        seg = np.concatenate([np.arange(rows), flags.group_row, flags.term_row])
+        at = np.concatenate([np.full(rows, sums.peak), group_at,
+                             self._scores(2, term_weights, log_sizes)])
         terms_value = [np.ones(len(pos)), term_weights, log_sizes][: len(mass)]
-        value = np.concatenate([sums.totals[:, None] - flagged,
-                                mass[:, group[part]] - held[:, part], terms_value], axis=1)
+        value = np.concatenate([sums.totals[:, None] - flagged, group_value, terms_value], axis=1)
         order = np.argsort(seg, kind="stable")
         seg, at, value = seg[order], at[order], value[:, order]
         counts = np.bincount(seg, minlength=rows)
@@ -491,7 +505,7 @@ class FeatureScorer(Scorer):
         if weight is None:
             return lse, None
         share = np.exp(at - lse[seg]) * weight[seg]
-        code_two = np.concatenate([np.zeros(rows + part.sum()), code == 2])[order]
+        code_two = order >= rows + len(group)  # the flagged terms' pieces
         code_any = np.where(order < rows, 0.0, value[0])  # every piece's mass but the rest's
         columns = (code_two, code_any, value[1], value[2])
         return lse, np.array([(share * column).sum() for column in columns])
@@ -532,20 +546,18 @@ class FeatureScorer(Scorer):
         held = dict.fromkeys(stems, 0.0)
         for g, e, _ in by_term:
             held[int(g)] += e
-        flagged, at, value, dense = 0.0, [sums.peak], [0.0], []
+        flagged, at, value = 0.0, [sums.peak], [0.0]
         for g, (top, mass, scale) in zip(stems, memo.by_group[stems].tolist()):
             flagged += scale * mass
             if held[g] > DENSE_SHARE * mass:
-                dense.append(groups.order[groups.bounds[g] : groups.bounds[g + 1]])
+                top, (rest,) = self._dense_group(groups, memo.code1, g, terms, 1)
             else:
-                at.append(top + (c1 - c0))
-                value.append(mass - held[g])
+                top, rest = top + (c1 - c0), mass - held[g]
+            at.append(top)
+            value.append(rest)
         value[0] = sums.totals[0] - flagged
         at += [score for _, _, score in by_term]
-        if dense:
-            others = np.concatenate(dense)
-            at += memo.code1[others[~np.isin(others, terms)]].tolist()
-        value += [1.0] * (len(at) - len(value))
+        value += [1.0] * len(by_term)
         lse = _sequential_lse(None, at, value)
         if lse < sums.floor:
             at[0], (value[0], *_) = _unflagged(sums, stems)
@@ -701,13 +713,6 @@ def _row_log_softmax(block: np.ndarray) -> np.ndarray:
     return block - (m + np.log(np.exp(block - m).sum(axis=1, keepdims=True)))
 
 
-def _spans(lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """The ranges lo[i]:hi[i], one after another, as one index array."""
-    counts = hi - lo
-    ends = np.cumsum(counts)
-    return np.repeat(lo - ends + counts, counts) + np.arange(ends[-1] if len(ends) else 0)
-
-
 def _same(kept: np.ndarray, array: np.ndarray) -> bool:
     return kept is array or np.array_equal(kept, array)
 
@@ -779,8 +784,7 @@ class _RootFlags(NamedTuple):
 
     Flagged groups are (group_row, group) pairs, and flagged terms (term_row,
     term_pos) pairs, each ascending; flagged term i lies in flagged group
-    pair term_pair[i], and `keys` holds term_pair * root terms + term_pos,
-    sorted.
+    pair term_pair[i].
     """
 
     rows: int
@@ -789,7 +793,6 @@ class _RootFlags(NamedTuple):
     term_row: np.ndarray
     term_pos: np.ndarray
     term_pair: np.ndarray
-    keys: np.ndarray
 
 
 class _GroupSums(NamedTuple):
