@@ -908,6 +908,23 @@ class TestRootNormalizer:
             cancelled = scorer.root_logprobs(prepared, *every)
         assert np.abs(cancelled - want).max() > 0.1 and np.abs(got - want).max() < 1e-12
 
+    def test_a_query_that_flags_every_group(self):
+        """With every group flagged, the base total less the flagged groups' base sums, the
+        two summed in different orders, is zero or an ulp or so either side of it, and under
+        w1 = -50 the flagged pieces lie below that ulp: the query's sum can round to zero or
+        below. It is thin, so its unflagged groups, none, are summed densely instead, with
+        no invalid or divide-by-zero operation."""
+        cases = ((stem_registry(), "aaaa1 bbbb1 solo"),
+                 (word_registry(20, len(STEM_WORDS), 2, seed=0), " ".join(STEM_WORDS)))
+        for registry, text in cases:
+            index = build_index(registry)
+            terms, rng = index.dictionary.terms, np.random.default_rng(8)
+            for _ in range(20):
+                weights = np.array([rng.normal(0, 3), -50.0, rng.normal(0, 3), rng.normal(0, 2)])
+                scorer = FeatureScorer(weights, terms, rng.uniform(-1, 2, len(terms)))
+                with np.errstate(all="raise"):
+                    self.check(scorer, index, [text, ""])
+
     def test_an_all_out_of_vocabulary_query(self):
         index = build_index(stem_registry())
         rng = np.random.default_rng(3)
