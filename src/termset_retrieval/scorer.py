@@ -24,17 +24,20 @@ terms of the query's stem groups (code 1) and at its own terms (code 2);
 any other segments look their codes up in the sorted keys that
 `FeatureScorer.prepare` makes of a query list.
 
-The root step is normalized without a (queries x root terms) pass. Any term
-may start an identifier, so every query's root segment is the whole root
-step, and its row differs from the base row only at the query's flagged
-stem groups and its own terms. Per read, the root's base scores are summed
-per stem group (`_group_sums`); per query, its log-sum-exp and expected
-features follow from those sums and its few flagged groups and terms
-(`_root_normalizer`), summed densely wherever a difference could lose
-bits that show in the query's sum (`DENSE_SHARE`). Search's root step,
-which sums its one query's pieces in Python floats (`_root_lse`),
-`root_logprobs` and teacher forcing all subtract this one log-sum-exp, so
-search log-likelihoods equal `sequence_logprobs` bit for bit.
+Search normalizes every step, the root too, as `segment_logprobs` does: any
+term may start an identifier, so search builds each query's whole root row
+anyway and normalizes it like any segment. Training normalizes the root
+without a (queries x root terms) pass, since every query's root segment is
+the whole root step and its row differs from the base row only at the
+query's flagged stem groups and its own terms. Per read, the root's base
+scores are summed per stem group (`_group_sums`); per query, its
+log-sum-exp and expected features follow from those sums and its few
+flagged groups and terms (`_root_normalizer`), summed densely wherever a
+difference could lose bits that show in the query's sum (`DENSE_SHARE`).
+`root_logprobs` and teacher forcing subtract this log-sum-exp, which is
+within a few ulps of the dense row's that search subtracts (the tests'
+`root_bound`): one constant per query, which cannot reorder that query's
+hypotheses.
 
 `FeatureScorer.force` walks a batch through the teacher kernel once and
 keeps what does not depend on the weights (`ForcedBatch`): the root's stem
@@ -99,7 +102,10 @@ class Scorer(ABC):
     step; training calls root_logprobs at the root, which defaults to
     segment_logprobs calls on whole root rows, and segment_logprobs
     directly below it. Every kernel hands them its query list as `prepare`
-    made it.
+    made it. Overrides may sum otherwise: `FeatureScorer`'s step function
+    equals segment_logprobs bit for bit at every depth, root included,
+    while its root_logprobs, from per-stem-group sums, lies within a few
+    ulps of the root rows that segment_logprobs scores.
     """
 
     @abstractmethod
@@ -205,8 +211,8 @@ class FeatureScorer(Scorer):
         self._stem_terms = np.argsort(stem_ids, kind="stable")
         self._stem_ptr = np.zeros(len(self._stem_col) + 1, dtype=np.int64)
         np.cumsum(np.bincount(stem_ids, minlength=len(self._stem_col)), out=self._stem_ptr[1:])
-        # search's tables under the weights of the moment (`_weighted`, `_root_lse`)
-        self._weights_memo = self._root_memo = None
+        # search's tables under the weights of the moment (`_weighted`)
+        self._weights_memo = None
 
     @classmethod
     def zeros(cls, index: Index, term_weights: np.ndarray | None = None) -> "FeatureScorer":
@@ -227,7 +233,7 @@ class FeatureScorer(Scorer):
         return np.array(sorted(keys), dtype=np.int64)
 
     def step_scorer(self, query):
-        """Bit-identical to the base step function below the root, from a per-query term table.
+        """Bit-identical to the base step function at every depth, from a per-query term table.
 
         A score's first two terms, C[code] + term_weight * w2, depend only on
         the term under the query, so they are one vocabulary-length table
@@ -237,10 +243,9 @@ class FeatureScorer(Scorer):
         `np.log1p`, and is added to the gathered table (a sum of two floats
         is commutative). A `DenseStep` is scored as its block of terms: every
         child holds one document, and every row is one segment. The root
-        step, whether a `DenseStep` or not, keeps these scores, its log1p
-        sizes times w3 kept with the root (`_search_root`), and subtracts the
-        root normalizer's log-sum-exp (`_root_lse`), the value that
-        `root_logprobs` subtracts.
+        step is one segment, the whole root row, normalized like any other;
+        `root_logprobs` subtracts the root normalizer's log-sum-exp instead,
+        within a few ulps of this one's.
         """
         vocab, columns = len(self.terms), set(self._columns(query))
         stems = sorted(c - vocab for c in columns if c >= vocab)
@@ -250,20 +255,11 @@ class FeatureScorer(Scorer):
 
         def step_logprobs(step) -> np.ndarray:
             if isinstance(step, DenseStep):
-                scores = table.take(step.block) + single
-                if step.depth:
-                    return _row_log_softmax(scores).ravel()
-            elif step.depth:
-                scores = step.searchable.log1p_sizes.take(step.sizes)
-                scores *= self.weights[3]
-                scores += table.take(step.terms)
-                return _log_softmax(scores, step.offsets)
-            root = self._search_root(step)
-            if not isinstance(step, DenseStep):
-                scores = table.take(step.terms)
-                scores += root.sized
-            scores -= self._root_lse(root, stems, own)
-            return scores.ravel()
+                return _row_log_softmax(table.take(step.block) + single).ravel()
+            scores = step.searchable.log1p_sizes.take(step.sizes)
+            scores *= self.weights[3]
+            scores += table.take(step.terms)
+            return _log_softmax(scores, step.offsets)
 
         return step_logprobs
 
@@ -463,10 +459,12 @@ class FeatureScorer(Scorer):
         base total's rounding could show, sums its unflagged groups one by
         one (`_unflagged`). Every sum within a segment is sequential, from
         0.0 in that order (`np.bincount`), so a segment's log-sum-exp has the
-        same bits in any batch and as `_root_lse` finds it alone. With `weight[s]` rows
-        through segment s, the expected features (code 2, code >= 1, term
-        weight, log1p size) are summed over the segments, each one pairwise
-        `.sum()` over every piece.
+        same bits in any batch and alone. Training alone reads it: search
+        normalizes the dense root row like any segment, and this log-sum-exp
+        lies within a few ulps of that row's (the tests' `root_bound`). With
+        `weight[s]` rows through segment s, the expected features (code 2,
+        code >= 1, term weight, log1p size) are summed over the segments,
+        each one pairwise `.sum()` over every piece.
         """
         top, mass, rows, group = sums.top, sums.mass, flags.rows, flags.group
         codes = self._code_scores()
@@ -509,63 +507,6 @@ class FeatureScorer(Scorer):
         code_any = np.where(order < rows, 0.0, value[0])  # every piece's mass but the rest's
         columns = (code_two, code_any, value[1], value[2])
         return lse, np.array([(share * column).sum() for column in columns])
-
-    def _search_root(self, step) -> "_SearchRoot":
-        """What search keeps of the root `step` under the current weights (`_SearchRoot`).
-
-        Made at a query's root step, and kept for the next query while the
-        root's terms, sizes and the weights stay the same.
-        """
-        weights = self._weighted()[0]
-        memo = self._root_memo
-        if not (memo and memo.weights is weights and _same(memo.terms, step.terms)
-                and _same(memo.sizes, step.sizes)):
-            groups = self._root_groups(step.terms, step.sizes, step.searchable.log1p_sizes)
-            sums, term_weights = self._group_sums(groups), self.term_weights[groups.terms]
-            by_term = np.column_stack([groups.group, sums.exps[0, groups.rank],
-                                       self._scores(2, term_weights, groups.log_sizes)])
-            by_group = np.column_stack([sums.top, sums.mass[0], sums.scale])
-            memo = self._root_memo = _SearchRoot(
-                step.terms, step.sizes, weights, groups, sums, by_term, by_group,
-                self._scores(1, term_weights, groups.log_sizes), groups.log_sizes * weights[3])
-        return memo
-
-    def _root_lse(self, memo, stems, own):
-        """The root normalizer's log-sum-exp of a query of stem ids `stems` and terms `own`,
-        under search's `memo` of the root, with the same bits as `_root_normalizer`.
-
-        Search calls this once per query, so the query's few pieces are
-        gathered in Python floats, whose + - * are numpy's, in the batch
-        form's order, and summed as `_sequential_lse` sums them. The batch
-        form costs some 60 numpy calls for one query: as search's root step
-        it raised pipeline-bridging-1k's perfbench query_p50_ms by about half
-        (2-core host). Tests hold the two forms bit-equal.
-        """
-        c0, c1, _ = self._weighted()[1]
-        groups, sums = memo.groups, memo.sums
-        stems = [g for g in groups.stem_group[stems].tolist() if g >= 0]
-        terms = [p for p in groups.position[own].tolist() if p >= 0]
-        by_term = memo.by_term[terms].tolist()
-        held = dict.fromkeys(stems, 0.0)
-        for g, e, _ in by_term:
-            held[int(g)] += e
-        flagged, at, value = 0.0, [sums.peak], [0.0]
-        for g, (top, mass, scale) in zip(stems, memo.by_group[stems].tolist()):
-            flagged += scale * mass
-            if held[g] > DENSE_SHARE * mass:
-                top, (rest,) = self._dense_group(groups, memo.code1, g, terms, 1)
-            else:
-                top, rest = top + (c1 - c0), mass - held[g]
-            at.append(top)
-            value.append(rest)
-        value[0] = sums.totals[0] - flagged
-        at += [score for _, _, score in by_term]
-        value += [1.0] * len(by_term)
-        lse = _sequential_lse(None, at, value)
-        if lse < sums.floor:
-            at[0], (value[0], *_) = _unflagged(sums, stems)
-            lse = _sequential_lse(None, at, value)
-        return lse
 
     # -- training -----------------------------------------------------------
 
@@ -716,25 +657,14 @@ def _row_log_softmax(block: np.ndarray) -> np.ndarray:
     return block - (m + np.log(np.exp(block - m).sum(axis=1, keepdims=True)))
 
 
-def _same(kept: np.ndarray, array: np.ndarray) -> bool:
-    return kept is array or np.array_equal(kept, array)
-
-
-def _sequential_lse(seg, at, value, heads=None, rows=None):
+def _sequential_lse(seg, at, value, heads, rows):
     """Each segment's log-sum-exp of value * exp(at), pieces in segment order.
 
     Segment s's pieces start at heads[s] (`seg` gives each piece's); its
     sum is sequential from 0.0, as `np.bincount` adds, after a shift by its
     largest offset. A sum that is not positive, where a difference rounded
-    to zero or below, gives -inf. Without `seg`, the pieces, Python lists,
-    are one segment, summed in Python floats to the same bits.
+    to zero or below, gives -inf.
     """
-    if seg is None:
-        peak = max(at)
-        total = 0.0
-        for v, e in zip(value, np.exp([a - peak for a in at]).tolist()):
-            total += v * e
-        return peak + np.log(total) if total > 0.0 else -math.inf
     peak = np.maximum.reduceat(at, heads)
     total = np.bincount(seg, value * np.exp(at - peak[seg]), minlength=rows)
     return peak + np.log(total, out=np.full(rows, -np.inf), where=total > 0.0)
@@ -818,27 +748,6 @@ class _GroupSums(NamedTuple):
     scale: np.ndarray
     totals: np.ndarray
     floor: float
-
-
-class _SearchRoot(NamedTuple):
-    """What search keeps of a root under one set of weights (`FeatureScorer._root_lse`).
-
-    The root's `terms` and `sizes`, the `weights` list, the root's `groups`
-    and group `sums`; per root term, its group, exp(base - its group's top)
-    and `_scores` at code 2 (`by_term`); per group, its top, mass and scale
-    (`by_group`); and per root term, its `_scores` at code 1 (`code1`) and
-    its log1p size times w3 (`sized`).
-    """
-
-    terms: np.ndarray
-    sizes: np.ndarray
-    weights: list
-    groups: _RootGroups
-    sums: _GroupSums
-    by_term: np.ndarray
-    by_group: np.ndarray
-    code1: np.ndarray
-    sized: np.ndarray
 
 
 class _RootChunk(NamedTuple):

@@ -420,9 +420,16 @@ class TestTeacherKernel:
         rows = prepared_rows(scorer, queries)
         got = sequence_logprobs(scorer, *rows, targets, searchable)
         want = [walk_logprob(scorer, q, t, searchable) for q, t in zip(queries, targets)]
-        assert got.tolist() == want  # bit for bit
+        if isinstance(scorer, FeatureScorer):
+            # search's step function is the dense oracle's at every depth, bit for bit;
+            # training's root log-sum-exp is the root normalizer's, within the root bound
+            dense = oracle_sequence_logprobs(scorer, queries, targets, searchable)
+            assert dense.tolist() == want
+            assert within_root_bound(got, want, scorer, searchable)
+        else:
+            assert got.tolist() == want  # bit for bit
         with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", 1):
-            assert sequence_logprobs(scorer, *rows, targets, searchable).tolist() == want
+            assert sequence_logprobs(scorer, *rows, targets, searchable).tolist() == got.tolist()
         if isinstance(scorer, FeatureScorer):
             batch = list(zip(queries, targets))
             loss, grad = scorer.loss_and_grad(batch, searchable)
@@ -589,8 +596,8 @@ class TestTeacherOracle:
     @given(teacher_cases(), st.data())
     def test_root_override_equals_the_base_root_method_within_the_bound(self, case, data):
         """Any slots, repeated and out of order, and any picks score alike through both
-        root methods, within the root bound; every pick's row is as search scores it,
-        bit for bit."""
+        root methods, within the root bound; search scores every pick's row as the base
+        root method does, bit for bit."""
         searchable, _, queries, _ = case
         index = searchable.index if isinstance(searchable, SequenceView) else searchable
         rng = np.random.default_rng(data.draw(st.integers(0, 999)))
@@ -608,7 +615,7 @@ class TestTeacherOracle:
         assert got.shape == (len(seg),)
         assert (np.abs(got - want) <= root_bound(scorer, searchable)).all()
         searched = [scorer.step_scorer(slots[q])(root) for q in seg_query[seg].tolist()]
-        assert got.tobytes() == np.array([row[p] for row, p in zip(searched, picks)]).tobytes()
+        assert want.tobytes() == np.array([row[p] for row, p in zip(searched, picks)]).tobytes()
 
     def test_plug_in_scorers_take_the_default_root_method(self):
         assert UniformScorer.root_logprobs is Scorer.root_logprobs
@@ -768,9 +775,8 @@ class TestStepContract:
     @settings(max_examples=100, deadline=None)
     @given(search_cases())
     def test_fast_paths_equal_the_segment_contract_bytewise(self, case):
-        """At every depth of a search below the root, the term-table override equals one
-        `segment_logprobs` call bit for bit, and at the root within the root bound, its
-        log-sum-exp being the root normalizer's; the uniform scorer gives -log(count)."""
+        """At every depth of a search, the root included, the term-table override equals
+        one `segment_logprobs` call bit for bit; the uniform scorer gives -log(count)."""
         searchable, scorer, q, beam = case
         depths = []
 
@@ -781,10 +787,7 @@ class TestStepContract:
 
             def step_logprobs(step):
                 got = fast(step)
-                if step.depth:
-                    assert got.tobytes() == base(step).tobytes()
-                else:
-                    assert (np.abs(got - base(step)) <= root_bound(scorer, searchable)).all()
+                assert got.tobytes() == base(step).tobytes()
                 want = [-math.log(c) for c in np.diff(step.offsets).tolist() for _ in range(c)]
                 assert uniform(step).tobytes() == np.array(want).tobytes()
                 depths.append(step.depth)
@@ -801,9 +804,10 @@ class TestStepContract:
     def test_each_segment_scores_as_it_does_alone(self, case, data):
         """A hypothesis's log-probs do not depend on the rest of the beam:
         each segment of a search step equals, bit for bit, its own one-row
-        step, through `step_scorer` and through `segment_logprobs` (the
-        feature scorer's root within the root bound of the latter), and the
-        search's log-likelihoods equal `sequence_logprobs`."""
+        step, through `step_scorer` and through `segment_logprobs`. The
+        search's log-likelihoods equal the dense oracle's bit for bit, and
+        `sequence_logprobs`', whose root is the root normalizer's, within the
+        root bound."""
         searchable, feature, q, beam = case
         steps = []
 
@@ -820,7 +824,9 @@ class TestStepContract:
             seqs, lls, _ = constrained_beam_search(q, searchable, feature, beam)
         got = sequence_logprobs(feature, feature.prepare([q]), np.zeros(len(seqs), dtype=np.int64),
                                 seqs.tolist(), searchable)
-        assert got.tobytes() == lls.tobytes()
+        dense = oracle_sequence_logprobs(feature, [q] * len(seqs), seqs.tolist(), searchable)
+        assert dense.tobytes() == lls.tobytes()
+        assert within_root_bound(got, lls, feature, searchable)
         for scorer in (feature, UniformScorer()):
             for step in steps:
                 h = data.draw(st.integers(0, len(step.seqs) - 1))
@@ -831,10 +837,33 @@ class TestStepContract:
                 assert whole.tobytes() == scorer.step_scorer(q)(alone).tobytes()
                 one_segment = (np.zeros(1, dtype=np.int64), np.arange(a, b), np.array([0, b - a]))
                 segment = scorer.segment_logprobs(scorer.prepare([q]), step, *one_segment)
-                if step.depth or scorer is not feature:
-                    assert segment.tobytes() == whole.tobytes()
-                else:
-                    assert (np.abs(segment - whole) <= root_bound(feature, searchable)).all()
+                assert segment.tobytes() == whole.tobytes()
+
+    def test_search_after_an_in_place_weight_update_equals_a_fresh_scorer(self):
+        """`train_step` changes `weights` in place between validation searches: search's
+        kept term table (`_weighted`) must follow, so every search equals a fresh scorer's
+        byte for byte."""
+        index = build_index(word_registry(40, len(STEM_WORDS), 3, seed=2))
+        rng = np.random.default_rng(11)
+        scorer = FeatureScorer(rng.normal(0, 2, len(STEP_FEATURES)), index.dictionary.terms,
+                               rng.uniform(0, 2, len(index.dictionary)))
+        queries = [Query.from_text(f"q{i}", " ".join(rng.choice(STEM_WORDS, 2))) for i in range(4)]
+        batch = [(q, [int(t) for t in index.order[int(rng.integers(len(index)))]]) for q in queries]
+        forced = scorer.force(*prepared_rows(scorer, [q for q, _ in batch]),
+                              [t for _, t in batch], index)
+        before = None
+        for _ in range(3):
+            weights = scorer.weights
+            got = [constrained_beam_search(q, index, scorer, 5) for q in queries]
+            fresh = FeatureScorer(scorer.weights.copy(), scorer.terms, scorer.term_weights)
+            want = [constrained_beam_search(q, index, fresh, 5) for q in queries]
+            for one, other in zip(got, want):
+                assert all(a.tobytes() == b.tobytes() for a, b in zip(one, other))
+            assert before is None or any(a[1].tobytes() != b[1].tobytes()
+                                         for a, b in zip(got, before))
+            before = got
+            scorer.train_step(forced, lr=5.0)
+            assert scorer.weights is weights  # updated in place
 
 
 def stem_registry():
@@ -852,9 +881,10 @@ class TestRootNormalizer:
 
     @staticmethod
     def check(scorer, searchable, texts):
-        """Every root term under each query: `root_logprobs` within the root bound of the
-        dense rows, and equal bit for bit to search's root step; the loss and gradient of
-        one-term targets, the root alone, within the bound of the dense kernel's."""
+        """Every root term under each query: search's root step equal bit for bit to the
+        dense rows, and `root_logprobs` within the root bound of them; the loss and
+        gradient of one-term targets, the root alone, within the bound of the dense
+        kernel's."""
         queries = [Query.from_text(f"q{i}", text) for i, text in enumerate(texts)]
         root = searchable.expand(*root_beam(searchable))
         slots = np.arange(len(queries))
@@ -863,9 +893,9 @@ class TestRootNormalizer:
         prepared = scorer.prepare(queries)
         got = scorer.root_logprobs(prepared, root, slots, seg, picks)
         want = Scorer.root_logprobs(scorer, prepared, root, slots, seg, picks)
-        assert (np.abs(got - want) <= root_bound(scorer, searchable)).all()
         searched = np.concatenate([scorer.step_scorer(q)(root) for q in queries])
-        assert got.tobytes() == searched.tobytes()
+        assert searched.tobytes() == want.tobytes()
+        assert (np.abs(got - searched) <= root_bound(scorer, searchable)).all()
         batch = [(q, [t]) for q in queries for t in root.terms.tolist()]
         loss_and_grad = scorer.loss_and_grad(batch, searchable)
         assert forced_close(loss_and_grad, unforced_loss_and_grad(scorer, batch, searchable),
@@ -900,7 +930,7 @@ class TestRootNormalizer:
         with mock.patch.object(scorer_module, "_unflagged",
                                wraps=scorer_module._unflagged) as unflagged:
             got = self.check(scorer, index, ["aaaa1"])
-        assert unflagged.call_count >= 3  # the batch form, search, and the loss
+        assert unflagged.call_count >= 2  # the batch form and the loss
         every = (root, self.FIRST, np.zeros(len(root.terms), dtype=np.int64),
                  np.arange(len(root.terms)))
         want = Scorer.root_logprobs(scorer, prepared, *every)
