@@ -38,10 +38,16 @@ from .importance import (
     write_identifier_file,
 )
 from .index import build_index, load_index, save_index
-from .learning import TrainingConfig, make_dataset, run_training
+from .learning import INIT_POLICIES, TrainingConfig, make_dataset, run_training
 from .scorer import FeatureScorer, build_term_weights, check_compatible, load_scorer, save_scorer
 
 _MANIFEST_FORMAT = "termset-manifest/1"
+
+# the settings that `--config` may give, per command, and their defaults
+_BUILD_TERMS_DEFAULTS = {"seed": 0, "negatives": 4, "tau": 1.0, "importance_epochs": 200,
+                         "importance_lr": 0.05, "n_min": 1, "n_max": 12}
+_TRAIN_DEFAULTS = {**{f.name: f.default for f in dataclasses.fields(TrainingConfig)},
+                   "val_fraction": 0.2}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,8 +90,12 @@ def parse_config_file(path) -> dict[str, str]:
 
 
 def _settings(args, defaults: dict) -> dict:
-    """Resolve option values: explicit flag > config file > default."""
+    """Resolve option values: explicit flag > config file > default; refuse unknown keys."""
     config = parse_config_file(args.config) if args.config else {}
+    known = _BUILD_TERMS_DEFAULTS.keys() | _TRAIN_DEFAULTS.keys()
+    unknown = [key for key in config if key not in known]
+    if unknown:
+        raise DataError(f"{args.config}: unknown config key {unknown[0]!r}")
     resolved = {}
     for key, default in defaults.items():
         flag = getattr(args, key, None)
@@ -155,18 +165,7 @@ def _load_search_inputs(args):
 
 
 def cmd_build_terms(args) -> int:
-    settings = _settings(
-        args,
-        {
-            "seed": 0,
-            "negatives": 4,
-            "tau": 1.0,
-            "importance_epochs": 200,
-            "importance_lr": 0.05,
-            "n_min": 1,
-            "n_max": 12,
-        },
-    )
+    settings = _settings(args, _BUILD_TERMS_DEFAULTS)
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries)
     judgments = load_judgments(args.qrels, corpus)
@@ -210,8 +209,7 @@ def cmd_build_index(args) -> int:
 
 
 def cmd_train(args) -> int:
-    defaults = {f.name: f.default for f in dataclasses.fields(TrainingConfig)}
-    settings = _settings(args, {**defaults, "val_fraction": 0.2})
+    settings = _settings(args, _TRAIN_DEFAULTS)
     corpus = load_corpus(args.corpus)
     queries = load_queries(args.queries)
     judgments = load_judgments(args.qrels, corpus)
@@ -350,7 +348,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--iterations", type=int, default=None)
     p.add_argument("--samples", type=int, default=None)
     p.add_argument("--topk-sampling", type=int, default=None, dest="topk_sampling")
-    p.add_argument("--init", choices=("importance", "random", "likelihood"), default=None)
+    p.add_argument("--init", choices=INIT_POLICIES, default=None)
     p.add_argument("--epochs", type=int, default=None)
     p.add_argument("--lr", type=float, default=None)
     p.add_argument("--beam-eval", type=int, default=None, dest="beam_eval")

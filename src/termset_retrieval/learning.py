@@ -11,10 +11,10 @@ Sampling advances every (pair, sample) row one depth per step: the rows'
 distinct prefixes are expanded with one `expand` call and each row is
 scored over its remaining identifier terms with one `segment_logprobs`
 call. Candidate scoring and teacher forcing go through the scorer's teacher
-kernel (`sequence_logprobs`, `FeatureScorer.force`): one expand per depth
-for every row, each distinct (query, prefix) segment scored once, below
-the root in chunks of bounded row count, at the root through
-`Scorer.root_logprobs`, which gives only the entries the walk picks.
+walk (`Scorer.sequence_logprobs`, `FeatureScorer.force`): one expand per
+depth for every row, each distinct (query, prefix) segment scored once, in
+chunks of bounded row count. `FeatureScorer` forces the root as one piece
+from per-stem-group sums, with no (queries x vocabulary) row.
 
 `run_training` builds each piece of work once at the widest scope it holds
 for. Per run: the scorer's form of the training queries (`Scorer.prepare`),
@@ -36,7 +36,7 @@ from .corpus import Judgments, Query
 from .decoder import search
 from .errors import DataError, InvariantError
 from .index import Index, root_beam
-from .scorer import FeatureScorer, Scorer, _query_slots, sequence_logprobs
+from .scorer import FeatureScorer, Scorer, _query_slots
 
 INIT_POLICIES = ("importance", "random", "likelihood")
 
@@ -231,7 +231,7 @@ def _select_objectives(candidates, prepared, qidx, scorer, index):
     candidates[i] all order pair i's identifier, under query qidx[i] of the
     scorer's `prepared` query list; ties go to the lexicographically smaller
     sequence. All candidates of all pairs are scored with one
-    `sequence_logprobs` call. A pair whose every candidate has a non-finite
+    `Scorer.sequence_logprobs` call. A pair whose every candidate has a non-finite
     likelihood raises ArithmeticError.
     """
     for cands in candidates:
@@ -243,7 +243,7 @@ def _select_objectives(candidates, prepared, qidx, scorer, index):
                 raise DataError(f"candidate {seq} is not a permutation of the identifier")
     flat = [seq for cands in candidates for seq in cands]
     owner = np.repeat(np.arange(len(candidates)), [len(cands) for cands in candidates])
-    lls = sequence_logprobs(scorer, prepared, qidx[owner], flat, index)
+    lls = scorer.sequence_logprobs(prepared, qidx[owner], flat, index)
     width = max(len(seq) for seq in flat)
     seqs = np.array([list(seq) + [-1] * (width - len(seq)) for seq in flat], dtype=np.int64)
     # per pair: likelihood desc (NaN last), then the smaller sequence

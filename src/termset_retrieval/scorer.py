@@ -34,26 +34,26 @@ scores are summed per stem group (`_group_sums`); per query, its
 log-sum-exp and expected features follow from those sums and its few
 flagged groups and terms (`_root_normalizer`), summed densely wherever a
 difference could lose bits that show in the query's sum (`DENSE_SHARE`).
-`root_logprobs` and teacher forcing subtract this log-sum-exp, which is
+`FeatureScorer`'s teacher forcing subtracts this log-sum-exp, which is
 within a few ulps of the dense row's that search subtracts (the tests'
 `root_bound`): one constant per query, which cannot reorder that query's
 hypotheses.
 
-`FeatureScorer.force` walks a batch through the teacher kernel once and
-keeps what does not depend on the weights (`ForcedBatch`): the root's stem
-groups, its queries' flagged groups and terms and its target rows' codes,
-terms and log1p sizes; a deeper chunk's int8 codes, terms and child sizes;
-and every target feature sum. `forced_logprobs` and `forced_loss_and_grad`
-then score the batch under the weights of the moment, so training forces
-each iteration's targets once for all of its epochs. Per epoch: the root's
-group sums and normalizer, the deeper chunks' scores and normalization,
-and the gradient's four feature sums, none of them through BLAS.
+One teacher walk (`_teacher_walk`) treats every depth alike, the root
+included, cut into chunks by `_segment_chunks`. `FeatureScorer` forces it
+into pieces that keep what does not depend on the weights (`_forced`):
+`force` keeps them all (`ForcedBatch`), so training forces each iteration's
+targets once for all of its epochs, and `sequence_logprobs` reads each as
+it is made. Per epoch: the root's group sums and normalizer, the deeper
+chunks' scores and normalization, and the gradient's four feature sums,
+none of them through BLAS.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
+from functools import partial
 from typing import NamedTuple
 
 import numpy as np
@@ -75,8 +75,8 @@ STEP_FEATURES = (
 
 _SCORER_FORMAT = "termset-scorer/2"
 
-# Extension rows the teacher-forcing kernel scores at once below the root,
-# and the base `root_logprobs` per block of whole root rows.
+# Extension rows the teacher-forcing kernel scores at once: at the root, a
+# chunk of TEACHER_CHUNK_ROWS // V whole root rows (at least one).
 TEACHER_CHUNK_ROWS = 1 << 14
 
 # The root normalizer sums a (query, group) densely when the query's terms
@@ -99,13 +99,13 @@ class Scorer(ABC):
     boundary and return each candidate term's total log-probability.
     Only segment_logprobs is required: search calls step_scorer once per
     query, whose step function defaults to one segment_logprobs call per
-    step; training calls root_logprobs at the root, which defaults to
-    segment_logprobs calls on whole root rows, and segment_logprobs
-    directly below it. Every kernel hands them its query list as `prepare`
-    made it. Overrides may sum otherwise: `FeatureScorer`'s step function
-    equals segment_logprobs bit for bit at every depth, root included,
-    while its root_logprobs, from per-stem-group sums, lies within a few
-    ulps of the root rows that segment_logprobs scores.
+    step; training scores sequences with sequence_logprobs, which defaults
+    to segment_logprobs calls on the chunks of every depth, whole root rows
+    at the root. Every kernel hands them its query list as `prepare` made
+    it. Overrides may sum otherwise: `FeatureScorer`'s step function equals
+    segment_logprobs bit for bit at every depth, root included, while its
+    sequence_logprobs, whose root comes from per-stem-group sums, lies
+    within a few ulps of the base method's.
     """
 
     @abstractmethod
@@ -148,26 +148,19 @@ class Scorer(ABC):
 
         return step_logprobs
 
-    def root_logprobs(self, queries, step, seg_query, seg, picks) -> np.ndarray:
-        """Root extension picks[i] under query seg_query[seg[i]] of the prepared `queries`.
+    def sequence_logprobs(self, queries, qidx, sequences, searchable) -> np.ndarray:
+        """`sequence_logprob` of every row r, sequences[r] under query qidx[r], in one teacher walk.
 
-        `step` is the depth-0 step, one hypothesis holding every root term.
-        Query seg_query[s]'s row is that one segment, normalized as
-        `segment_logprobs` scores it. The rows are scored in blocks of at
-        most TEACHER_CHUNK_ROWS extensions, or one row, and the picks are
-        gathered from each block.
+        `queries` is what `prepare` made of a query list. Each distinct (query,
+        prefix) segment of every depth, the root included, is scored once, one
+        `segment_logprobs` call per chunk, and each row sums its steps in order:
+        the bits of scoring row by row.
         """
-        width = len(step.terms)
-        rows = max(1, TEACHER_CHUNK_ROWS // max(width, 1))
-        out = np.empty(len(seg))
-        for a in range(0, len(seg_query), rows):
-            block = seg_query[a : a + rows]
-            ext = np.tile(np.arange(width), len(block))
-            logprobs = self.segment_logprobs(queries, step, block, ext,
-                                             np.arange(len(block) + 1) * width)
-            mine = np.flatnonzero((seg >= a) & (seg < a + rows))
-            out[mine] = logprobs[(seg[mine] - a) * width + picks[mine]]
-        return out
+        total = np.zeros(len(sequences))
+        for step, hyp, rows, picks in _teacher_walk(searchable, sequences):
+            for chunk in _segment_chunks(step, qidx, hyp, rows, picks):
+                total[chunk.rows] += self.segment_logprobs(queries, *chunk[:4])[chunk.at]
+        return total
 
 
 class UniformScorer(Scorer):
@@ -244,7 +237,7 @@ class FeatureScorer(Scorer):
         is commutative). A `DenseStep` is scored as its block of terms: every
         child holds one document, and every row is one segment. The root
         step is one segment, the whole root row, normalized like any other;
-        `root_logprobs` subtracts the root normalizer's log-sum-exp instead,
+        teacher forcing subtracts the root normalizer's log-sum-exp instead,
         within a few ulps of this one's.
         """
         vocab, columns = len(self.terms), set(self._columns(query))
@@ -262,18 +255,6 @@ class FeatureScorer(Scorer):
             return _log_softmax(scores, step.offsets)
 
         return step_logprobs
-
-    def root_logprobs(self, queries, step, seg_query, seg, picks):
-        """The base root method's entries from the root normalizer: each pick's
-        `_scores` minus its query's log-sum-exp, with no row built."""
-        slots, inverse = np.unique(seg_query, return_inverse=True)
-        groups = self._root_groups(step.terms, step.sizes, step.searchable.log1p_sizes)
-        flags = self._root_flags(queries, slots, groups)
-        lse = self._root_normalizer(groups, self._group_sums(groups), flags)[0]
-        terms = step.terms[picks]
-        codes = self._lookup(queries, seg_query[seg], terms, np.arange(len(picks) + 1))
-        scores = self._scores(codes, self.term_weights[terms], groups.log_sizes[picks])
-        return scores - lse[inverse[seg]]
 
     def segment_logprobs(self, queries, step, seg_query, ext, ptr):
         """All segments' codes by one key lookup, normalized segment by segment."""
@@ -511,61 +492,79 @@ class FeatureScorer(Scorer):
     # -- training -----------------------------------------------------------
 
     def force(self, queries, qidx, sequences, searchable) -> "ForcedBatch":
-        """Force every row r, sequences[r] under query qidx[r], through the teacher kernel once.
+        """Every row r, sequences[r] under query qidx[r], forced once: all of `_forced`'s pieces."""
+        pieces = list(self._forced(queries, qidx, sequences, searchable))
+        root = pieces.pop(0) if pieces else None
+        return ForcedBatch(root, pieces, len(sequences))
 
-        `_teacher_chunks` is walked once. The root keeps its stem groups,
-        its queries' flagged groups and terms, and its target rows' codes
-        (`_lookup`), terms and log1p sizes; a deeper chunk keeps its codes,
-        terms and child sizes. Each also keeps its target rows' four feature
-        sums, each one pairwise `.sum()` over them in order. Nothing kept
-        depends on the weights, so the batch can be read under any of them.
-        """
-        log1p_sizes, root, chunks = searchable.log1p_sizes, None, []
-        for chunk in _teacher_chunks(searchable, qidx, sequences):
-            step = chunk.step
-            if isinstance(chunk, _RootChunk):
-                groups = self._root_groups(step.terms, step.sizes, log1p_sizes)
-                terms, log_sizes = step.terms[chunk.picks], groups.log_sizes[chunk.picks]
-                codes = self._lookup(queries, chunk.seg_query[chunk.seg], terms,
-                                     np.arange(len(terms) + 1))
-                target = _target_sums(codes, self.term_weights[terms], log_sizes)
-                root = _ForcedRoot(groups, self._root_flags(queries, chunk.seg_query, groups),
-                                   chunk.weight, chunk.rows, chunk.seg, codes, terms, log_sizes,
-                                   target)
-                continue
-            terms, sizes = step.terms[chunk.ext], step.sizes[chunk.ext]
-            codes = self._lookup(queries, chunk.seg_query, terms, chunk.ptr)
-            target = _target_sums(codes[chunk.at], self.term_weights[terms[chunk.at]],
-                                  log1p_sizes.take(sizes[chunk.at]))
-            chunks.append(_Forced(codes, terms, sizes, *chunk[3:], target))
-        return ForcedBatch(root, chunks, len(sequences), log1p_sizes)
+    def _forced(self, queries, qidx, sequences, searchable):
+        """The teacher walk's pieces as they are made: the root's (`_ForcedRoot`), then each
+        deeper chunk's (`_Forced`). No piece depends on the weights."""
+        force_chunk = partial(self._force_chunk, queries)
+        for step, hyp, rows, picks in _teacher_walk(searchable, sequences):
+            if step.depth:  # map holds no chunk while its piece is read
+                yield from map(force_chunk, _segment_chunks(step, qidx, hyp, rows, picks))
+            else:
+                yield self._force_root(queries, step, qidx[rows], rows, picks)
+
+    def _force_root(self, queries, step, row_query, rows, picks) -> "_ForcedRoot":
+        """The root step as one piece: per distinct query, ascending, one whole-step segment."""
+        seg_query, row_seg = np.unique(row_query, return_inverse=True)
+        order = np.argsort(row_seg, kind="stable")
+        seg, picks = row_seg[order], picks[order]
+        groups = self._root_groups(step.terms, step.sizes, step.searchable.log1p_sizes)
+        terms, log_sizes = step.terms[picks], groups.log_sizes[picks]
+        codes = self._lookup(queries, seg_query[seg], terms, np.arange(len(terms) + 1))
+        term_weights = self.term_weights[terms]
+        return _ForcedRoot(groups, self._root_flags(queries, seg_query, groups),
+                           np.bincount(row_seg), rows[order], seg, codes, term_weights, log_sizes,
+                           _target_sums(codes, term_weights, log_sizes))
+
+    def _force_chunk(self, queries, chunk) -> "_Forced":
+        """A deeper chunk as one piece."""
+        step, at = chunk.step, chunk.at
+        terms = step.terms[chunk.ext]
+        codes = self._lookup(queries, chunk.seg_query, terms, chunk.ptr)
+        term_weights = self.term_weights[terms]
+        log_sizes = step.searchable.log1p_sizes.take(step.sizes[chunk.ext])
+        target = _target_sums(codes[at], term_weights[at], log_sizes[at])
+        return _Forced(codes, term_weights, log_sizes, *chunk[3:], target)
 
     def _read_root(self, root, gradient=False):
         """The forced root's target log-probs, and given `gradient` its expected features."""
         weight = root.weight if gradient else None
         sums = self._group_sums(root.groups, gradient)
         lse, expected = self._root_normalizer(root.groups, sums, root.flags, weight)
-        scores = self._scores(root.codes, self.term_weights[root.terms], root.log_sizes)
+        scores = self._scores(root.codes, root.term_weights, root.log_sizes)
         return scores - lse[root.seg], expected
 
-    def _read(self, chunk, log1p_sizes):
-        """A forced deeper chunk's term weights, log1p sizes and flat log-probs."""
-        term_weights, log_sizes = self.term_weights[chunk.terms], log1p_sizes.take(chunk.sizes)
-        logprobs = _log_softmax(self._scores(chunk.codes, term_weights, log_sizes), chunk.ptr)
-        return term_weights, log_sizes, logprobs
+    def _read(self, chunk):
+        """A forced deeper chunk's flat log-probs."""
+        scores = self._scores(chunk.codes, chunk.term_weights, chunk.log_sizes)
+        return _log_softmax(scores, chunk.ptr)
 
     def forced_logprobs(self, batch: "ForcedBatch") -> np.ndarray:
-        """Every row's sequence log-likelihood under the current weights.
+        """Every row's log-likelihood under the current weights, as `sequence_logprobs` reads it."""
+        root = [] if batch.root is None else [batch.root]
+        return self._sum_rows(root + batch.chunks, batch.rows)
 
-        The same bits as `sequence_logprobs`: the root is scored as
-        `root_logprobs` scores it, each deeper chunk as `segment_logprobs`
-        does, and each row sums its steps in order.
+    def sequence_logprobs(self, queries, qidx, sequences, searchable):
+        """The base method's results, from `_forced`'s pieces, each read and dropped as made.
+
+        Below the root the bits are the base method's; the root subtracts the
+        root normalizer's log-sum-exp, within `root_bound` of the dense row's.
         """
-        total = np.zeros(batch.rows)
-        if batch.root is not None:
-            total[batch.root.rows] += self._read_root(batch.root)[0]
-        for chunk in batch.chunks:
-            total[chunk.rows] += self._read(chunk, batch.log1p_sizes)[2][chunk.at]
+        return self._sum_rows(self._forced(queries, qidx, sequences, searchable), len(sequences))
+
+    def _sum_rows(self, pieces, rows) -> np.ndarray:
+        """Each of `rows` rows' target log-probs, summed over forced `pieces` in order."""
+        total = np.zeros(rows)
+        for piece in pieces:
+            if isinstance(piece, _ForcedRoot):
+                total[piece.rows] += self._read_root(piece)[0]
+            else:
+                total[piece.rows] += self._read(piece)[piece.at]
+            del piece  # a streamed piece is not held while the next one is forced
         return total
 
     def loss_and_grad(self, batch, searchable):
@@ -603,9 +602,9 @@ class FeatureScorer(Scorer):
             total_loss -= logprobs.sum()
             grad += expected - batch.root.target
         for chunk in batch.chunks:
-            term_weights, log_sizes, logprobs = self._read(chunk, batch.log1p_sizes)
+            logprobs = self._read(chunk)
             weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
-            columns = (chunk.codes == 2, chunk.codes >= 1, term_weights, log_sizes)
+            columns = (chunk.codes == 2, chunk.codes >= 1, chunk.term_weights, chunk.log_sizes)
             total_loss -= logprobs[chunk.at].sum()
             grad += np.array([(weighted * column).sum() for column in columns]) - chunk.target
         return total_loss / batch.rows, grad / batch.rows
@@ -750,24 +749,8 @@ class _GroupSums(NamedTuple):
     floor: float
 
 
-class _RootChunk(NamedTuple):
-    """The root step of a teacher-forcing walk: one segment per distinct query.
-
-    Segment s is the whole root step under query seg_query[s] of the
-    prepared list; `weight[s]` rows pass through it. Row rows[i] is in
-    segment seg[i] and continues with root extension picks[i].
-    """
-
-    step: object
-    seg_query: np.ndarray
-    weight: np.ndarray
-    rows: np.ndarray
-    seg: np.ndarray
-    picks: np.ndarray
-
-
 class _Chunk(NamedTuple):
-    """Whole (query, prefix) segments of one teacher-forcing step below the root.
+    """Whole (query, prefix) segments of one teacher-forcing step.
 
     Segment s scores all extensions of its prefix, ext[ptr[s]:ptr[s + 1]],
     under query seg_query[s] of the prepared list; `weight[s]` rows pass
@@ -784,11 +767,12 @@ class _Chunk(NamedTuple):
 
 
 class _ForcedRoot(NamedTuple):
-    """A `_RootChunk` with what scoring it needs that does not depend on the weights.
+    """The root step, forced: what scoring it needs that does not depend on the weights.
 
-    Its `groups`, its queries' `flags`, and its target rows' int8 `codes`,
-    `terms` and `log_sizes`; `target` holds their four feature sums.
-    `weight`, `rows` and `seg` are the chunk's.
+    Segment s is the whole root step under the root's s-th distinct query;
+    `weight[s]` rows pass through it, and row rows[i] is in segment seg[i].
+    It keeps its `groups`, its queries' `flags`, and its target rows' int8
+    `codes`, `term_weights` and `log_sizes`, whose four feature sums are `target`.
     """
 
     groups: _RootGroups
@@ -797,7 +781,7 @@ class _ForcedRoot(NamedTuple):
     rows: np.ndarray
     seg: np.ndarray
     codes: np.ndarray
-    terms: np.ndarray
+    term_weights: np.ndarray
     log_sizes: np.ndarray
     target: np.ndarray
 
@@ -805,14 +789,14 @@ class _ForcedRoot(NamedTuple):
 class _Forced(NamedTuple):
     """A `_Chunk` with what scoring it needs that does not depend on the weights.
 
-    Its extensions' int8 `codes`, `terms` and child `sizes`; `target` holds
-    the target rows' four feature sums. `ptr`, `weight`, `rows` and `at`
-    are the chunk's.
+    Its extensions' int8 `codes`, `term_weights` and log1p child sizes
+    (`log_sizes`); `target` holds the target rows' four feature sums.
+    `ptr`, `weight`, `rows` and `at` are the chunk's.
     """
 
     codes: np.ndarray
-    terms: np.ndarray
-    sizes: np.ndarray
+    term_weights: np.ndarray
+    log_sizes: np.ndarray
     ptr: np.ndarray
     weight: np.ndarray
     rows: np.ndarray
@@ -821,30 +805,26 @@ class _Forced(NamedTuple):
 
 
 class ForcedBatch(NamedTuple):
-    """`rows` (query, sequence) rows forced through the teacher kernel (`FeatureScorer.force`).
+    """`rows` (query, sequence) rows forced through the teacher walk (`FeatureScorer.force`).
 
     `root` is the `_ForcedRoot`, None when no row has a term, and `chunks`
-    holds the deeper `_Forced` chunks in `_teacher_chunks` order, read by
-    every epoch of a training iteration; `log1p_sizes` is the searchable's
-    table of log1p(child size).
+    holds the deeper `_Forced` chunks in walk order, read by every epoch of
+    a training iteration.
     """
 
     root: _ForcedRoot | None
     chunks: list
     rows: int
-    log1p_sizes: np.ndarray
 
 
-def _teacher_chunks(searchable, qidx, sequences):
-    """Force every row's sequence from the root, one `expand` per depth.
+def _teacher_walk(searchable, sequences):
+    """Walk every row r's sequences[r] from the root, one `expand` per depth.
 
-    Row r walks sequences[r] under query slot qidx[r]. At each depth the
-    rows' distinct prefixes form one beam, expanded at once; each row's
-    next term is located among its prefix's extensions (an infeasible term
-    raises DataError). The root is yielded first, as one `_RootChunk`;
-    below it, the rows' distinct (query, prefix) segments are yielded in
-    `_Chunk`s of at most TEACHER_CHUNK_ROWS extensions, or one segment when
-    that alone is larger.
+    At each depth the rows' distinct prefixes form one beam, expanded at
+    once; each row's next term is located among its prefix's extensions
+    (an infeasible term raises DataError). Each depth, the root first,
+    yields (step, hyp, rows, picks): row r's prefix is hypothesis hyp[r] of
+    the step, and row rows[i] (ascending) goes on with extension picks[i].
     """
     lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
     seqs = np.full((len(sequences), lengths.max(initial=0)), -1, dtype=np.int64)
@@ -860,19 +840,17 @@ def _teacher_chunks(searchable, qidx, sequences):
             row = rows[np.argmax(picks < 0)]
             prefix = tuple(seqs[row, :depth].tolist())
             raise DataError(f"term id {int(seqs[row, depth])} infeasible at prefix {prefix}")
-        if depth:
-            yield from _segment_chunks(step, qidx[rows], hyp[rows], rows, picks)
-        else:
-            seg_query, row_seg = np.unique(qidx[rows], return_inverse=True)
-            order = np.argsort(row_seg, kind="stable")
-            yield _RootChunk(step, seg_query, np.bincount(row_seg), rows[order], row_seg[order],
-                             picks[order])
+        yield step, hyp, rows, picks
         *beam, hyp[rows] = step.descend(picks)
 
 
-def _segment_chunks(step, row_query, row_hyp, rows, picks):
-    """Group rows into (query, prefix) segments and cut them into `_Chunk`s."""
-    offsets = step.offsets
+def _segment_chunks(step, qidx, hyp, rows, picks):
+    """Group one depth's `rows` into (query, prefix) segments and cut them into `_Chunk`s.
+
+    Row r is under query slot qidx[r] at hypothesis hyp[r] of `step`. A chunk
+    holds at most TEACHER_CHUNK_ROWS extensions, or one segment if larger.
+    """
+    offsets, row_query, row_hyp = step.offsets, qidx[rows], hyp[rows]
     keys, row_seg = np.unique(row_query * len(step.seqs) + row_hyp, return_inverse=True)
     seg_query, seg_hyp = np.divmod(keys, len(step.seqs))
     sizes = offsets[seg_hyp + 1] - offsets[seg_hyp]
@@ -885,37 +863,20 @@ def _segment_chunks(step, row_query, row_hyp, rows, picks):
         b = max(a + 1, int(np.searchsorted(ends, ends[a] - sizes[a] + TEACHER_CHUNK_ROWS, "right")))
         ptr = np.zeros(b - a + 1, dtype=np.int64)
         np.cumsum(sizes[a:b], out=ptr[1:])
-        ext = np.repeat(offsets[seg_hyp[a:b]] - ptr[:-1], sizes[a:b]) + np.arange(ptr[-1])
         mine = order[row_bounds[a] : row_bounds[b]]
         at = ptr[row_seg[mine] - a] + picks[mine] - offsets[row_hyp[mine]]
-        yield _Chunk(step, seg_query[a:b], ext, ptr, weight[a:b], rows[mine], at)
+        # the chunk alone holds its extensions, so a consumer that drops it frees them
+        yield _Chunk(step, seg_query[a:b],
+                     np.repeat(offsets[seg_hyp[a:b]] - ptr[:-1], sizes[a:b]) + np.arange(ptr[-1]),
+                     ptr, weight[a:b], rows[mine], at)
         a = b
-
-
-def sequence_logprobs(scorer: Scorer, queries, qidx, sequences, searchable) -> np.ndarray:
-    """`sequence_logprob` of every row r, sequences[r] under query qidx[r], in one teacher walk.
-
-    `queries` is the scorer's `prepare` of a query list. Each distinct
-    (query, prefix) step is scored once, with one `root_logprobs` call at
-    the root and one `segment_logprobs` call per deeper chunk, and each row
-    sums its steps in order, so the results are bit-identical to scoring
-    row by row.
-    """
-    total = np.zeros(len(sequences))
-    for chunk in _teacher_chunks(searchable, qidx, sequences):
-        if isinstance(chunk, _RootChunk):
-            total[chunk.rows] += scorer.root_logprobs(queries, chunk.step, chunk.seg_query,
-                                                      chunk.seg, chunk.picks)
-        else:
-            total[chunk.rows] += scorer.segment_logprobs(queries, *chunk[:4])[chunk.at]
-    return total
 
 
 def sequence_logprob(scorer: Scorer, query: Query, term_ids, searchable) -> float:
     """Sum of step log-probabilities along a valid identifier prefix."""
     first = np.zeros(1, dtype=np.int64)  # the one row's query: slot 0
-    return float(sequence_logprobs(scorer, scorer.prepare([query]), first, [list(term_ids)],
-                                   searchable)[0])
+    return float(scorer.sequence_logprobs(scorer.prepare([query]), first, [list(term_ids)],
+                                          searchable)[0])
 
 
 def build_term_weights(index: Index, corpus: Corpus, model: ImportanceModel) -> np.ndarray:

@@ -555,6 +555,25 @@ class TestConfigFile:
         assert rc == 2
 
 
+    @pytest.mark.parametrize("command", ["build-terms", "train"])
+    def test_an_unknown_key_is_a_data_error(self, tmp_path, capsys, pipeline, command):
+        """A misspelt key exits 2 with one error line that names the file and the key, and
+        writes nothing; a key that only the other command reads is accepted."""
+        inputs = ["--corpus", DATA / "toy_corpus.jsonl", "--queries", DATA / "toy_queries.jsonl",
+                  "--qrels", DATA / "toy_qrels.tsv"]
+        if command == "train":
+            inputs += ["--index", pipeline / "index.txt"]
+        cfg = tmp_path / "typo.cfg"
+        cfg.write_text("iterations = 1\niteration = 1\nimportance_epochs = 2\n", encoding="utf-8")
+        capsys.readouterr()
+        assert invoke(command, *inputs, "--config", cfg, "--output-dir", tmp_path / "bad") == 2
+        assert capsys.readouterr().err == f"error: {cfg}: unknown config key 'iteration'\n"
+        assert not (tmp_path / "bad").exists()
+        # one file for both commands: each ignores the other's keys
+        cfg.write_text("iterations = 1\nepochs = 1\nimportance_epochs = 2\n", encoding="utf-8")
+        assert invoke(command, *inputs, "--config", cfg, "--output-dir", tmp_path / "good") == 0
+
+
 class TestPseudoPairs:
     def test_pseudo_pairs_accepted(self, pipeline, tmp_path):
         pseudo = tmp_path / "pseudo.jsonl"

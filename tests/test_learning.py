@@ -28,7 +28,6 @@ from termset_retrieval.scorer import (
     UniformScorer,
     build_term_weights,
     sequence_logprob,
-    sequence_logprobs,
 )
 from termset_retrieval.synthetic import make_bridging_corpus, split_by_wave
 
@@ -351,7 +350,6 @@ class TestRunTraining:
 
             def __init__(self, scorer, queries, qidx, sequences, searchable):
                 self.args, self.rows = (scorer, queries, qidx, sequences, searchable), len(sequences)
-                self.log1p_sizes = searchable.log1p_sizes
 
             @property
             def root(self):
@@ -379,7 +377,7 @@ class TestRunTraining:
             targets = [c[0] for c in _sample_pairs(*rows, queries, doc_ids, index, initial, 1, 1, 0)]
         else:
             targets = [init_permutation(d, index, init) for d in doc_ids]
-        lls = sequence_logprobs(initial, *rows, targets, index)
+        lls = initial.sequence_logprobs(*rows, targets, index)
         assert stats[0].mean_objective_logprob == sum(lls.tolist()) / len(targets)
 
     def test_empty_dataset_rejected(self, four_term_index):

@@ -28,7 +28,6 @@ from termset_retrieval.scorer import (
     load_scorer,
     save_scorer,
     sequence_logprob,
-    sequence_logprobs,
 )
 from termset_retrieval.synthetic import make_random_identifiers
 
@@ -418,7 +417,7 @@ class TestTeacherKernel:
     def test_matches_the_per_pair_walk(self, case):
         searchable, scorer, queries, targets = case
         rows = prepared_rows(scorer, queries)
-        got = sequence_logprobs(scorer, *rows, targets, searchable)
+        got = scorer.sequence_logprobs(*rows, targets, searchable)
         want = [walk_logprob(scorer, q, t, searchable) for q, t in zip(queries, targets)]
         if isinstance(scorer, FeatureScorer):
             # search's step function is the dense oracle's at every depth, bit for bit;
@@ -429,7 +428,7 @@ class TestTeacherKernel:
         else:
             assert got.tolist() == want  # bit for bit
         with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", 1):
-            assert sequence_logprobs(scorer, *rows, targets, searchable).tolist() == got.tolist()
+            assert scorer.sequence_logprobs(*rows, targets, searchable).tolist() == got.tolist()
         if isinstance(scorer, FeatureScorer):
             batch = list(zip(queries, targets))
             loss, grad = scorer.loss_and_grad(batch, searchable)
@@ -448,11 +447,11 @@ class TestTeacherKernel:
     def test_infeasible_term_in_a_batch_names_its_prefix(self, tiny_index):
         a, b, c, e = term_ids(tiny_index, "a", "b", "c", "e")
         with pytest.raises(DataError, match=rf"term id {e} infeasible at prefix \({a}, {b}\)"):
-            sequence_logprobs(UniformScorer(), [query()], np.zeros(2, dtype=np.int64),
-                              [[a, b, c], [a, b, e]], tiny_index)
+            UniformScorer().sequence_logprobs([query()], np.zeros(2, dtype=np.int64),
+                                              [[a, b, c], [a, b, e]], tiny_index)
         with pytest.raises(DataError, match="infeasible"):
-            sequence_logprobs(UniformScorer(), [query()], np.zeros(1, dtype=np.int64),
-                              [[len(tiny_index.dictionary)]], tiny_index)
+            UniformScorer().sequence_logprobs([query()], np.zeros(1, dtype=np.int64),
+                                              [[len(tiny_index.dictionary)]], tiny_index)
 
 
 ORACLE_CHUNK_ROWS = 1 << 13  # the teacher kernel's chunk bound when the oracle was copied
@@ -518,7 +517,7 @@ def oracle_features(scorer, queries, step, seg_query, ext, ptr):
 
 
 def oracle_sequence_logprobs(scorer, queries, sequences, searchable):
-    """`sequence_logprobs` before the root block: one `segment_logprobs` call per chunk."""
+    """`Scorer.sequence_logprobs` before the root block: one `segment_logprobs` call per chunk."""
     prepared, qidx = prepared_rows(scorer, queries)
     total = np.zeros(len(sequences))
     for step, seg_query, ext, ptr, _, rows, at in oracle_chunks(searchable, qidx, sequences):
@@ -553,7 +552,7 @@ class TestTeacherOracle:
         searchable, scorer, queries, targets = case
         rows = scorer_module.TEACHER_CHUNK_ROWS if chunk_rows is None else chunk_rows
         with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
-            got = sequence_logprobs(scorer, *prepared_rows(scorer, queries), targets, searchable)
+            got = scorer.sequence_logprobs(*prepared_rows(scorer, queries), targets, searchable)
             want = oracle_sequence_logprobs(scorer, queries, targets, searchable)
             if isinstance(scorer, FeatureScorer):
                 assert within_root_bound(got, want, scorer, searchable)
@@ -566,8 +565,9 @@ class TestTeacherOracle:
                 assert close(loss, want_loss) and close(grad, want_grad)
 
     def test_many_queries_over_several_root_chunks(self):
-        """200 rows of 60 queries on a registry of 300 documents: the base root method
-        scores the root rows in several blocks, and deeper steps come in several chunks."""
+        """200 rows of 60 queries on a registry of 300 documents: the base sequence method
+        scores the root rows in several chunks of whole rows, and deeper steps come in
+        several chunks."""
         index = build_index(word_registry(300, len(STEM_WORDS), 3, seed=4))
         rng = np.random.default_rng(8)
         scorer = FeatureScorer(rng.normal(0, 1, len(STEP_FEATURES)), index.dictionary.terms,
@@ -581,11 +581,11 @@ class TestTeacherOracle:
         for rows in (len(STEM_WORDS) * 7, scorer_module.TEACHER_CHUNK_ROWS):
             with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
                 for plug_in in (UniformScorer(), SizeScorer()):
-                    got = sequence_logprobs(plug_in, *prepared_rows(plug_in, queries), targets,
-                                            index)
+                    got = plug_in.sequence_logprobs(*prepared_rows(plug_in, queries), targets,
+                                                    index)
                     want = oracle_sequence_logprobs(plug_in, queries, targets, index)
                     assert got.tobytes() == want.tobytes()
-                got = sequence_logprobs(scorer, *prepared_rows(scorer, queries), targets, index)
+                got = scorer.sequence_logprobs(*prepared_rows(scorer, queries), targets, index)
                 want = oracle_sequence_logprobs(scorer, queries, targets, index)
                 assert within_root_bound(got, want, scorer, index)
                 loss, grad = scorer.loss_and_grad(batch, index)
@@ -595,9 +595,10 @@ class TestTeacherOracle:
     @settings(max_examples=100, deadline=None)
     @given(teacher_cases(), st.data())
     def test_root_override_equals_the_base_root_method_within_the_bound(self, case, data):
-        """Any slots, repeated and out of order, and any picks score alike through both
-        root methods, within the root bound; search scores every pick's row as the base
-        root method does, bit for bit."""
+        """One-term rows under any slots, repeated and out of order, and any root terms: the
+        override's root, the root normalizer's, lies within the root bound of the base
+        sequence method's; search scores every row's root step as the base method does,
+        bit for bit."""
         searchable, _, queries, _ = case
         index = searchable.index if isinstance(searchable, SequenceView) else searchable
         rng = np.random.default_rng(data.draw(st.integers(0, 999)))
@@ -609,37 +610,39 @@ class TestTeacherOracle:
         root = searchable.expand(*root_beam(searchable))
         seg = rng.integers(0, len(seg_query), data.draw(st.integers(0, 12)))
         picks = rng.integers(0, len(root.terms), len(seg))
-        prepared = scorer.prepare(slots)
-        got = scorer.root_logprobs(prepared, root, seg_query, seg, picks)
-        want = Scorer.root_logprobs(scorer, prepared, root, seg_query, seg, picks)
+        rows = (scorer.prepare(slots), seg_query[seg], [[t] for t in root.terms[picks].tolist()],
+                searchable)
+        got = scorer.sequence_logprobs(*rows)
+        want = Scorer.sequence_logprobs(scorer, *rows)
         assert got.shape == (len(seg),)
         assert (np.abs(got - want) <= root_bound(scorer, searchable)).all()
         searched = [scorer.step_scorer(slots[q])(root) for q in seg_query[seg].tolist()]
         assert want.tobytes() == np.array([row[p] for row, p in zip(searched, picks)]).tobytes()
 
-    def test_plug_in_scorers_take_the_default_root_method(self):
-        assert UniformScorer.root_logprobs is Scorer.root_logprobs
-        assert SizeScorer.root_logprobs is Scorer.root_logprobs
-        assert FeatureScorer.root_logprobs is not Scorer.root_logprobs
+    def test_plug_in_scorers_take_the_default_sequence_method(self):
+        assert UniformScorer.sequence_logprobs is Scorer.sequence_logprobs
+        assert SizeScorer.sequence_logprobs is Scorer.sequence_logprobs
+        assert FeatureScorer.sequence_logprobs is not Scorer.sequence_logprobs
+        assert not hasattr(Scorer, "root_logprobs")
+
+
+def teacher_chunks(searchable, qidx, sequences):
+    """The base sequence method's chunks: every depth's, the root's whole rows included."""
+    for step, hyp, rows, picks in scorer_module._teacher_walk(searchable, sequences):
+        yield from scorer_module._segment_chunks(step, qidx, hyp, rows, picks)
 
 
 def unforced_loss_and_grad(scorer, batch, searchable):
     """`FeatureScorer.loss_and_grad` before the forced batch: each call walks the
-    teacher kernel and derives every segment's features as `isin_features` does.
-    Each chunk's expected and target value of each feature is one pairwise `.sum()`
-    over its extensions, or its target rows, in order, with no sum through BLAS."""
+    teacher kernel, whose root chunks are whole root rows, and derives every
+    segment's features as `isin_features` does. Each chunk's expected and target
+    value of each feature is one pairwise `.sum()` over its extensions, or its
+    target rows, in order, with no sum through BLAS."""
     queries, qidx = _query_slots([query for query, _ in batch])
     total_loss = 0.0
     grad = np.zeros_like(scorer.weights)
-    for chunk in scorer_module._teacher_chunks(searchable, qidx, [target for _, target in batch]):
-        step = chunk.step
-        if isinstance(chunk, scorer_module._RootChunk):  # each segment is the whole root step
-            width = len(step.terms)
-            ext = np.tile(np.arange(width), len(chunk.seg_query))
-            ptr = np.arange(len(chunk.seg_query) + 1) * width
-            at = chunk.seg * width + chunk.picks
-        else:
-            ext, ptr, at = chunk.ext, chunk.ptr, chunk.at
+    for chunk in teacher_chunks(searchable, qidx, [target for _, target in batch]):
+        step, ext, ptr, at = chunk.step, chunk.ext, chunk.ptr, chunk.at
         feats = np.concatenate([
             isin_features(scorer, queries[q], step.terms[ext[a:b]], step.sizes[ext[a:b]])
             for q, a, b in zip(chunk.seg_query.tolist(), ptr[:-1], ptr[1:])
@@ -669,14 +672,18 @@ class TestForcedBatch:
     @settings(max_examples=150, deadline=None)
     @given(teacher_cases(), st.sampled_from([1, 5, 64, None]), st.integers(0, 999))
     def test_logprobs_equal_the_streamed_kernel(self, case, chunk_rows, seed):
+        """The kept batch and the streamed override read the same pieces: the same bits.
+        Both lie within the root bound of the base sequence method, the dense kernel."""
         searchable, scorer, queries, targets = feature_case(case, seed)
         rows = scorer_module.TEACHER_CHUNK_ROWS if chunk_rows is None else chunk_rows
         with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", rows):
             prepared, qidx = prepared_rows(scorer, queries)
-            want = sequence_logprobs(scorer, prepared, qidx, targets, searchable).tobytes()
+            streamed = scorer.sequence_logprobs(prepared, qidx, targets, searchable)
+            dense = Scorer.sequence_logprobs(scorer, prepared, qidx, targets, searchable)
             batch = scorer.force(prepared, qidx, targets, searchable)
-            assert scorer.forced_logprobs(batch).tobytes() == want
-            assert scorer.forced_logprobs(batch).tobytes() == want  # a list: read again
+            assert scorer.forced_logprobs(batch).tobytes() == streamed.tobytes()
+            assert scorer.forced_logprobs(batch).tobytes() == streamed.tobytes()  # read again
+            assert within_root_bound(streamed, dense, scorer, searchable)
 
     @settings(max_examples=150, deadline=None)
     @given(teacher_cases(), st.sampled_from([1, 5, 64, None]), st.integers(0, 999))
@@ -704,9 +711,10 @@ class TestForcedBatch:
     def test_no_kept_array_is_a_queries_by_vocabulary_block(self):
         """300 queries over a vocabulary of 2,000 terms. The root keeps its stem groups, one
         entry per root term, its queries' flags, one pair per distinct flagged group or term
-        of a query, and its target rows' int8 codes, terms and log1p sizes; deeper chunks
-        keep int8 codes, terms and sizes. One read allocates well under a (queries x
-        vocabulary) float block: the root is read from per-group sums."""
+        of a query, and its target rows' int8 codes, term weights and log1p sizes; deeper
+        chunks keep int8 codes, term weights and log1p sizes, one per extension, and integer
+        layouts. One read allocates well under a (queries x vocabulary) float block: the
+        root is read from per-group sums."""
         index = build_index(make_random_identifiers(3000, 2100, 3, seed=4))
         terms = index.dictionary.terms
         assert len(terms) >= 2000
@@ -722,7 +730,7 @@ class TestForcedBatch:
         root = batch.root
         assert len(root.groups.terms) == len(terms) and root.flags.rows == len(queries)
         for array in (*root.groups, *root.flags[1:], root.weight, root.rows, root.seg,
-                      root.codes, root.terms, root.log_sizes):
+                      root.codes, root.term_weights, root.log_sizes):
             assert array.ndim == 1 and array.size < block
         assert root.codes.dtype == np.int8 and len(root.codes) == len(targets)
         # one pair per distinct flagged group, and per distinct flagged term, of a query
@@ -731,9 +739,11 @@ class TestForcedBatch:
         assert len(root.flags.term_pos) == sum(len(w) for w in words)
         for chunk in batch.chunks:
             assert chunk.codes.dtype == np.int8
-            assert len(chunk.codes) == len(chunk.terms) == len(chunk.sizes) == chunk.ptr[-1]
-            for array in (chunk.codes, chunk.terms, chunk.sizes, chunk.ptr, chunk.weight,
-                          chunk.rows, chunk.at):
+            assert (len(chunk.codes) == len(chunk.term_weights) == len(chunk.log_sizes)
+                    == chunk.ptr[-1])
+            for array in (chunk.codes, chunk.term_weights, chunk.log_sizes):
+                assert array.ndim == 1 and array.size < block
+            for array in (chunk.ptr, chunk.weight, chunk.rows, chunk.at):
                 assert array.ndim == 1 and array.dtype.kind != "f" and array.size < block
             assert chunk.target.shape == (len(STEP_FEATURES),)
         tracemalloc.start()
@@ -743,6 +753,39 @@ class TestForcedBatch:
         finally:
             tracemalloc.stop()
         assert peak < block * 8 / 4  # a quarter of one (queries x vocabulary) float block
+
+    def test_the_sequence_override_holds_one_piece_at_a_time(self):
+        """With one segment per chunk, 4N rows make about four times as many chunks below the
+        root as N rows of the same registry. From N to 4N rows, the override's tracemalloc
+        peak grows by no more than a quarter over the base sequence method's, which scores
+        each chunk as it is cut and keeps none: the walk's own arrays grow with the rows in
+        both. A method that kept every forced piece before reading them grows by about
+        three times as much here."""
+        index = build_index(make_random_identifiers(1000, 300, 4, seed=3))
+        terms = index.dictionary.terms
+        rng = np.random.default_rng(5)
+        scorer = FeatureScorer(rng.normal(0, 1, len(STEP_FEATURES)), terms,
+                               rng.uniform(0, 2, len(terms)))
+        prepared = scorer.prepare([Query.from_text("q", " ".join(terms[:3]))])
+        docs = rng.permutation(len(index))
+
+        def peak(method, rows):
+            args = (prepared, np.zeros(rows, dtype=np.int64),
+                    [[int(t) for t in index.order[d]] for d in docs[:rows]], index)
+            method(*args)  # warm: the index's root arrays and tables are built once
+            tracemalloc.start()
+            try:
+                method(*args)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        def growth(method):
+            return peak(method, 400) - peak(method, 100)
+
+        with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", 1):
+            base = growth(lambda *args: Scorer.sequence_logprobs(scorer, *args))
+            assert growth(scorer.sequence_logprobs) <= 1.25 * base
 
     def test_an_empty_batch_forces_and_scores_nothing_but_has_no_loss(self, tiny_index):
         scorer = FeatureScorer.zeros(tiny_index)
@@ -806,8 +849,8 @@ class TestStepContract:
         each segment of a search step equals, bit for bit, its own one-row
         step, through `step_scorer` and through `segment_logprobs`. The
         search's log-likelihoods equal the dense oracle's bit for bit, and
-        `sequence_logprobs`', whose root is the root normalizer's, within the
-        root bound."""
+        `FeatureScorer.sequence_logprobs`', whose root is the root normalizer's,
+        within the root bound."""
         searchable, feature, q, beam = case
         steps = []
 
@@ -822,8 +865,8 @@ class TestStepContract:
 
         with mock.patch.object(feature, "step_scorer", kept):
             seqs, lls, _ = constrained_beam_search(q, searchable, feature, beam)
-        got = sequence_logprobs(feature, feature.prepare([q]), np.zeros(len(seqs), dtype=np.int64),
-                                seqs.tolist(), searchable)
+        got = feature.sequence_logprobs(feature.prepare([q]), np.zeros(len(seqs), dtype=np.int64),
+                                        seqs.tolist(), searchable)
         dense = oracle_sequence_logprobs(feature, [q] * len(seqs), seqs.tolist(), searchable)
         assert dense.tobytes() == lls.tobytes()
         assert within_root_bound(got, lls, feature, searchable)
@@ -881,18 +924,16 @@ class TestRootNormalizer:
 
     @staticmethod
     def check(scorer, searchable, texts):
-        """Every root term under each query: search's root step equal bit for bit to the
-        dense rows, and `root_logprobs` within the root bound of them; the loss and
-        gradient of one-term targets, the root alone, within the bound of the dense
-        kernel's."""
+        """Every root term under each query, as one-term rows: search's root step equal bit
+        for bit to the base sequence method's dense rows, and the override's within the
+        root bound of them; the loss and gradient of those rows, the root alone, within the
+        bound of the dense kernel's."""
         queries = [Query.from_text(f"q{i}", text) for i, text in enumerate(texts)]
         root = searchable.expand(*root_beam(searchable))
-        slots = np.arange(len(queries))
-        seg = slots.repeat(len(root.terms))
-        picks = np.tile(np.arange(len(root.terms)), len(queries))
-        prepared = scorer.prepare(queries)
-        got = scorer.root_logprobs(prepared, root, slots, seg, picks)
-        want = Scorer.root_logprobs(scorer, prepared, root, slots, seg, picks)
+        rows = (scorer.prepare(queries), np.arange(len(queries)).repeat(len(root.terms)),
+                [[t] for t in root.terms.tolist()] * len(queries), searchable)
+        got = scorer.sequence_logprobs(*rows)
+        want = Scorer.sequence_logprobs(scorer, *rows)
         searched = np.concatenate([scorer.step_scorer(q)(root) for q in queries])
         assert searched.tobytes() == want.tobytes()
         assert (np.abs(got - searched) <= root_bound(scorer, searchable)).all()
@@ -931,11 +972,11 @@ class TestRootNormalizer:
                                wraps=scorer_module._unflagged) as unflagged:
             got = self.check(scorer, index, ["aaaa1"])
         assert unflagged.call_count >= 2  # the batch form and the loss
-        every = (root, self.FIRST, np.zeros(len(root.terms), dtype=np.int64),
-                 np.arange(len(root.terms)))
-        want = Scorer.root_logprobs(scorer, prepared, *every)
+        every = (prepared, np.zeros(len(root.terms), dtype=np.int64),
+                 [[t] for t in root.terms.tolist()], index)
+        want = Scorer.sequence_logprobs(scorer, *every)
         with mock.patch.object(scorer_module, "DENSE_SHARE", math.inf):  # never the dense group
-            cancelled = scorer.root_logprobs(prepared, *every)
+            cancelled = scorer.sequence_logprobs(*every)
         assert np.abs(cancelled - want).max() > 0.1 and np.abs(got - want).max() < 1e-12
 
     def test_a_query_that_flags_every_group(self):
