@@ -105,6 +105,8 @@ def _settings(args, defaults: dict) -> dict:
             (resolved[key],) = parse_values(type(default), [config[key]], f"{args.config}: {key}")
         else:
             resolved[key] = default
+    if resolved.get("seed", 0) < 0:  # numpy's generators take no negative seed
+        raise DataError(f"seed must be >= 0, got {resolved['seed']}")
     return resolved
 
 

@@ -17,11 +17,13 @@ chunks of bounded row count. `FeatureScorer` forces the root as one piece
 from per-stem-group sums, with no (queries x vocabulary) row.
 
 `run_training` builds each piece of work once at the widest scope it holds
-for. Per run: the scorer's form of the training queries (`Scorer.prepare`),
-read by sampling, selection and teacher forcing. Per iteration: the sampled
-candidates and their selection, then the targets forced once
-(`FeatureScorer.force`). Per epoch: only what the weights change, the
-scores, their normalization and the gradient sums.
+for. Per run: each pair's registry row, which every candidate and initial
+target must equal once sorted (`_check_permutations`), and the scorer's
+form of the training queries (`Scorer.prepare`), read by sampling,
+selection and teacher forcing. Per iteration: the sampled candidates, one
+(pairs, candidates, n) int64 array, and their selection, then the (pairs,
+n) targets forced once (`FeatureScorer.force`). Per epoch: only what the
+weights change, the scores, their normalization and the gradient sums.
 """
 
 from __future__ import annotations
@@ -157,8 +159,8 @@ def init_permutation(
         if scorer is None:
             raise DataError("likelihood initialization requires a scorer")
         query = query or Query("", "", [])
-        return _sample_pairs(scorer.prepare([query]), np.zeros(1, dtype=np.int64), [query],
-                             [doc_id], index, scorer, 1, 1, 0)[0][0]
+        return tuple(_sample_pairs(scorer.prepare([query]), np.zeros(1, dtype=np.int64), [query],
+                                   [doc_id], index, scorer, 1, 1, 0)[0, 0].tolist())
     raise DataError(f"unknown init policy {policy!r}")
 
 
@@ -170,7 +172,7 @@ def _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, samples, topk
     seed its draws. At each step the distribution is restricted to the topk
     most probable of the document's remaining identifier terms and
     renormalized; topk=1 degenerates to a greedy rollout that ignores the
-    seed. Returns `samples` orderings per pair.
+    seed. Returns the orderings as a (pairs, samples, n) int64 array.
 
     All (pair, sample) rows advance one depth per step: the rows' distinct
     prefixes are expanded with one `expand` call, and each row is scored
@@ -222,42 +224,36 @@ def _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, samples, topk
         keep[rows, col] = False
         remaining = remaining[keep].reshape(len(rows), width - 1)
         *beam, hyp = step.descend(ext.reshape(len(rows), width)[rows, col])
-    return [list(map(tuple, block)) for block in out.reshape(len(doc_ids), samples, n).tolist()]
+    return out.reshape(len(doc_ids), samples, n)
 
 
-def _select_objectives(candidates, prepared, qidx, scorer, index):
+def _select_objectives(candidates, registry, prepared, qidx, scorer, index):
     """Pick each pair's candidate permutation with the highest sequence likelihood.
 
-    candidates[i] all order pair i's identifier, under query qidx[i] of the
-    scorer's `prepared` query list; ties go to the lexicographically smaller
-    sequence. All candidates of all pairs are scored with one
-    `Scorer.sequence_logprobs` call. A pair whose every candidate has a non-finite
-    likelihood raises ArithmeticError.
+    `candidates` is a (pairs, candidates, n) array; candidates[i] order pair
+    i's registry row registry[i] (`_check_permutations`), under query
+    qidx[i] of the scorer's `prepared` query list; ties go to the
+    lexicographically smaller sequence. All candidates are scored with one
+    `Scorer.sequence_logprobs` call. Returns the (pairs, n) targets and their
+    likelihoods. A pair whose every candidate has a non-finite likelihood
+    raises ArithmeticError.
     """
-    for cands in candidates:
-        if not cands:
-            raise DataError("no candidate permutations")
-        reference, n = frozenset(cands[0]), len(cands[0])
-        for seq in cands:
-            if len(seq) != n or frozenset(seq) != reference or len(set(seq)) != n:
-                raise DataError(f"candidate {seq} is not a permutation of the identifier")
-    flat = [seq for cands in candidates for seq in cands]
-    owner = np.repeat(np.arange(len(candidates)), [len(cands) for cands in candidates])
+    _check_permutations(candidates, registry)
+    pairs, k, n = candidates.shape
+    flat = candidates.reshape(-1, n)
+    owner = np.repeat(np.arange(pairs), k)
     lls = scorer.sequence_logprobs(prepared, qidx[owner], flat, index)
-    width = max(len(seq) for seq in flat)
-    seqs = np.array([list(seq) + [-1] * (width - len(seq)) for seq in flat], dtype=np.int64)
     # per pair: likelihood desc (NaN last), then the smaller sequence
-    order = np.lexsort([*seqs.T[::-1], -lls, owner])
-    best = order[np.searchsorted(owner[order], np.arange(len(candidates)))]
+    best = np.lexsort([*flat.T[::-1], -lls, owner])[::k]
     if not np.isfinite(lls[best]).all():
         raise ArithmeticError("non-finite likelihood for every candidate permutation")
-    return [flat[i] for i in best], lls[best]
+    return flat[best], lls[best]
 
 
-def _validate_target(index: Index, doc_id: str, target: tuple[int, ...]) -> None:
-    registered = frozenset(int(t) for t in index.identifier_ids(doc_id))
-    if frozenset(target) != registered or len(target) != index.n:
-        raise InvariantError(f"target for {doc_id} is not a permutation of its identifier")
+def _check_permutations(candidates, registry) -> None:
+    """Refuse a row of candidates[i] that does not order pair i's registry row (sorted)."""
+    if not (np.sort(candidates, axis=-1) == registry[:, None]).all():
+        raise InvariantError("a target is not a permutation of its document's identifier")
 
 
 def validation_recall(
@@ -295,12 +291,11 @@ def run_training(
         raise DataError("empty dataset")
     scorer = initial_scorer.copy() if initial_scorer is not None else FeatureScorer.zeros(index)
     stats: list[IterationStats] = []
-    prev_targets: list[tuple[int, ...]] | None = None
     best_scorer, best_recall = scorer, -math.inf
     num_pseudo = sum(1 for p in dataset.train if p.pseudo)
 
-    pairs = dataset.train
-    queries, doc_ids = [p.query for p in pairs], [p.doc_id for p in pairs]
+    queries, doc_ids = [p.query for p in dataset.train], [p.doc_id for p in dataset.train]
+    registry = index.sets[[index.doc_position(d) for d in doc_ids]]
     slots, qidx = _query_slots(queries)
     prepared = scorer.prepare(slots)  # once per run, for sampling, selection and forcing
     for t in range(1, config.iterations + 1):
@@ -308,20 +303,17 @@ def run_training(
             seed = _derived_seed(config.seed, t)
             samples = _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, config.samples,
                                     config.topk_sampling, seed)
-            candidates = [cands + [prev] for cands, prev in zip(samples, prev_targets)]
-            targets, lls = _select_objectives(candidates, prepared, qidx, scorer, index)
-        elif config.init == "likelihood":  # init_permutation's greedy rollout, all pairs at once
-            rollouts = _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, 1, 1, 0)
-            targets = [c[0] for c in rollouts]
+            candidates = np.concatenate([samples, prev[:, None]], axis=1)
+            targets, lls = _select_objectives(candidates, registry, prepared, qidx, scorer, index)
         else:
-            targets = [init_permutation(d, index, config.init, seed=config.seed) for d in doc_ids]
-        for pair, target in zip(pairs, targets):
-            _validate_target(index, pair.doc_id, target)
-        churn = (
-            0.0
-            if prev_targets is None
-            else sum(a != b for a, b in zip(targets, prev_targets)) / len(targets)
-        )
+            if config.init == "likelihood":  # init_permutation's greedy rollout, all pairs at once
+                initial = _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, 1, 1, 0)
+            else:
+                initial = np.array([[init_permutation(d, index, config.init, seed=config.seed)]
+                                    for d in doc_ids], dtype=np.int64)
+            _check_permutations(initial, registry)
+            targets = initial[:, 0]
+        churn = 0.0 if t == 1 else np.count_nonzero((targets != prev).any(axis=1)) / len(targets)
 
         batch = scorer.force(prepared, qidx, targets, index)  # read by every epoch
         if t == 1:
@@ -341,7 +333,7 @@ def run_training(
                 epoch_losses=epoch_losses,
             )
         )
-        prev_targets = targets
+        prev = targets
 
         if recall is not None:
             if recall > best_recall:

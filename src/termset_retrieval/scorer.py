@@ -41,12 +41,12 @@ hypotheses.
 
 One teacher walk (`_teacher_walk`) treats every depth alike, the root
 included, cut into chunks by `_segment_chunks`. `FeatureScorer` forces it
-into pieces that keep what does not depend on the weights (`_forced`):
-`force` keeps them all (`ForcedBatch`), so training forces each iteration's
-targets once for all of its epochs, and `sequence_logprobs` reads each as
-it is made. Per epoch: the root's group sums and normalizer, the deeper
-chunks' scores and normalization, and the gradient's four feature sums,
-none of them through BLAS.
+into pieces that keep what does not depend on the weights (`_forced`), the
+root's first: `force` keeps them in one list (`ForcedBatch`), so training
+forces each iteration's targets once for all of its epochs, and
+`sequence_logprobs` reads each as it is made. Per epoch: the root's group
+sums and normalizer, the deeper chunks' scores and normalization, and the
+gradient's four feature sums, none of them through BLAS.
 """
 
 from __future__ import annotations
@@ -492,10 +492,8 @@ class FeatureScorer(Scorer):
     # -- training -----------------------------------------------------------
 
     def force(self, queries, qidx, sequences, searchable) -> "ForcedBatch":
-        """Every row r, sequences[r] under query qidx[r], forced once: all of `_forced`'s pieces."""
-        pieces = list(self._forced(queries, qidx, sequences, searchable))
-        root = pieces.pop(0) if pieces else None
-        return ForcedBatch(root, pieces, len(sequences))
+        """Rows r, sequences[r] under query qidx[r], forced once: `_forced`'s pieces, root first."""
+        return ForcedBatch(list(self._forced(queries, qidx, sequences, searchable)), len(sequences))
 
     def _forced(self, queries, qidx, sequences, searchable):
         """The teacher walk's pieces as they are made: the root's (`_ForcedRoot`), then each
@@ -530,23 +528,26 @@ class FeatureScorer(Scorer):
         target = _target_sums(codes[at], term_weights[at], log_sizes[at])
         return _Forced(codes, term_weights, log_sizes, *chunk[3:], target)
 
-    def _read_root(self, root, gradient=False):
-        """The forced root's target log-probs, and given `gradient` its expected features."""
-        weight = root.weight if gradient else None
-        sums = self._group_sums(root.groups, gradient)
-        lse, expected = self._root_normalizer(root.groups, sums, root.flags, weight)
-        scores = self._scores(root.codes, root.term_weights, root.log_sizes)
-        return scores - lse[root.seg], expected
-
-    def _read(self, chunk):
-        """A forced deeper chunk's flat log-probs."""
-        scores = self._scores(chunk.codes, chunk.term_weights, chunk.log_sizes)
-        return _log_softmax(scores, chunk.ptr)
+    def _read(self, piece, gradient=False):
+        """A forced piece's target log-probs, in `piece.rows` order, and given `gradient` its
+        expected features: the root's from `_root_normalizer`, a chunk's one pairwise `.sum()` per
+        feature (code 2, code >= 1, term weight, log1p size) of its weighted probabilities."""
+        scores = self._scores(piece.codes, piece.term_weights, piece.log_sizes)
+        if isinstance(piece, _ForcedRoot):
+            sums = self._group_sums(piece.groups, gradient)
+            weight = piece.weight if gradient else None
+            lse, expected = self._root_normalizer(piece.groups, sums, piece.flags, weight)
+            return scores - lse[piece.seg], expected
+        logprobs = _log_softmax(scores, piece.ptr)
+        if not gradient:
+            return logprobs[piece.at], None
+        weighted = np.exp(logprobs) * np.repeat(piece.weight, np.diff(piece.ptr))
+        columns = (piece.codes == 2, piece.codes >= 1, piece.term_weights, piece.log_sizes)
+        return logprobs[piece.at], np.array([(weighted * column).sum() for column in columns])
 
     def forced_logprobs(self, batch: "ForcedBatch") -> np.ndarray:
         """Every row's log-likelihood under the current weights, as `sequence_logprobs` reads it."""
-        root = [] if batch.root is None else [batch.root]
-        return self._sum_rows(root + batch.chunks, batch.rows)
+        return self._sum_rows(batch.pieces, batch.rows)
 
     def sequence_logprobs(self, queries, qidx, sequences, searchable):
         """The base method's results, from `_forced`'s pieces, each read and dropped as made.
@@ -560,10 +561,7 @@ class FeatureScorer(Scorer):
         """Each of `rows` rows' target log-probs, summed over forced `pieces` in order."""
         total = np.zeros(rows)
         for piece in pieces:
-            if isinstance(piece, _ForcedRoot):
-                total[piece.rows] += self._read_root(piece)[0]
-            else:
-                total[piece.rows] += self._read(piece)[piece.at]
+            total[piece.rows] += self._read(piece)[0]
             del piece  # a streamed piece is not held while the next one is forced
         return total
 
@@ -585,28 +583,17 @@ class FeatureScorer(Scorer):
         prefix) segment is scored once and weighted by the number of
         targets passing through it.
 
-        No sum goes through BLAS. The root's expected features come from the
-        root normalizer (`_root_normalizer`). A deeper chunk's expected value
-        of each feature is one pairwise `.sum()` of its weighted
-        probabilities times the feature (code 2, code >= 1, term weight,
-        log1p size), over the chunk's extensions in order. The target sums
-        were taken when the batch was forced, and the differences are added
-        root first, then chunk by chunk.
+        No sum goes through BLAS. Each piece's expected features come from `_read`,
+        its target sums from forcing; both are added piece by piece, the root first.
         """
         if not batch.rows:
             raise DataError("empty training batch")
         total_loss = 0.0
         grad = np.zeros_like(self.weights)
-        if batch.root is not None:
-            logprobs, expected = self._read_root(batch.root, gradient=True)
+        for piece in batch.pieces:
+            logprobs, expected = self._read(piece, gradient=True)
             total_loss -= logprobs.sum()
-            grad += expected - batch.root.target
-        for chunk in batch.chunks:
-            logprobs = self._read(chunk)
-            weighted = np.exp(logprobs) * np.repeat(chunk.weight, np.diff(chunk.ptr))
-            columns = (chunk.codes == 2, chunk.codes >= 1, chunk.term_weights, chunk.log_sizes)
-            total_loss -= logprobs[chunk.at].sum()
-            grad += np.array([(weighted * column).sum() for column in columns]) - chunk.target
+            grad += expected - piece.target
         return total_loss / batch.rows, grad / batch.rows
 
     def train_step(self, batch: "ForcedBatch", lr: float) -> float:
@@ -807,13 +794,12 @@ class _Forced(NamedTuple):
 class ForcedBatch(NamedTuple):
     """`rows` (query, sequence) rows forced through the teacher walk (`FeatureScorer.force`).
 
-    `root` is the `_ForcedRoot`, None when no row has a term, and `chunks`
-    holds the deeper `_Forced` chunks in walk order, read by every epoch of
-    a training iteration.
+    `pieces` lists the forced pieces in walk order, read by every epoch of a
+    training iteration: the root's `_ForcedRoot` first, then the deeper
+    `_Forced` chunks. It is empty when no row has a term.
     """
 
-    root: _ForcedRoot | None
-    chunks: list
+    pieces: list
     rows: int
 
 

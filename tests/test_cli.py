@@ -840,3 +840,56 @@ class TestInputFileFuzz:
                 rc = invoke(*(str(a).format(**paths) for a in argv))
         assert rc in (0, 2), err.getvalue()
         assert "Traceback" not in err.getvalue()
+
+
+class TestNegativeSeed:
+    @pytest.mark.parametrize("by", ["flag", "config"])
+    @pytest.mark.parametrize("command", ["build-terms", "train"])
+    def test_a_negative_seed_is_a_data_error(self, toy_search, tmp_path, capsys, command, by):
+        """Numpy's generators refuse it with a traceback; the command refuses it first, exit 2
+        with one error line that names the seed, and writes nothing."""
+        argv = [command, *TRAIN[1:]]
+        if command == "train":
+            argv += ["--index", toy_search / "index.bin"]
+        if by == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            (tmp_path / "run.cfg").write_text("seed = -1\n", encoding="utf-8")
+            argv += ["--config", tmp_path / "run.cfg"]
+        capsys.readouterr()
+        assert invoke(*argv, "--output-dir", tmp_path / "out") == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
+        assert not (tmp_path / "out").exists()
+
+
+# the config keys that set how long a run is, pinned small; the fuzz draws every other key
+LENGTH_KEYS = "importance_epochs = 2\nn_max = 4\niterations = 1\nepochs = 1\nsamples = 1\n"
+FUZZED_KEYS = ("seed", "negatives", "tau", "importance_lr", "n_min", "lr", "topk_sampling",
+               "beam_eval", "val_fraction", "init")
+CONFIG_VALUES = st.one_of(
+    st.integers(-3, 5),
+    st.sampled_from([-(2**63), 2**31, 2**63, 2**70, 10**400]),
+    st.floats(),  # nan, infinities and subnormals included
+    st.sampled_from(["nan", "-inf", "5e-324", "1e-310", "importance", "likelihood", "random"]),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=8),
+)
+
+
+class TestConfigFuzz:
+    @settings(max_examples=60, deadline=None)
+    @given(values=st.fixed_dictionaries({}, optional={key: CONFIG_VALUES for key in FUZZED_KEYS}))
+    def test_fuzzed_config_exits_0_or_2_with_one_error_line(self, toy_search, values):
+        config = LENGTH_KEYS + "".join(f"{key} = {value}\n" for key, value in values.items())
+        with tempfile.TemporaryDirectory() as tmp:
+            (Path(tmp) / "run.cfg").write_text(config, encoding="utf-8")
+            for argv in (["build-terms", *TRAIN[1:]],
+                         [*TRAIN, "--index", toy_search / "index.bin"]):
+                err = io.StringIO()
+                with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+                    rc = invoke(*argv, "--config", Path(tmp) / "run.cfg",
+                                "--output-dir", Path(tmp) / "out")
+                assert rc in (0, 2), err.getvalue()
+                assert "Traceback" not in err.getvalue()
+                if rc:
+                    errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+                    assert len(errors) == 1, err.getvalue()

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from termset_retrieval.corpus import Query, sample_negatives
-from termset_retrieval.errors import DataError
+from termset_retrieval.errors import DataError, InvariantError
 from termset_retrieval.importance import IdentifierTable, train_importance, build_identifiers
 from termset_retrieval.index import build_index
 from termset_retrieval.learning import (
@@ -93,8 +93,8 @@ class TestSamplePermutations:
         rows = prepared_rows(scorer, [q])
         (a,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=3, topk=1, seed=1)
         (b,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=3, topk=1, seed=99)
-        assert a == b
-        assert len(set(a)) == 1
+        assert a.shape == (3, 4) and np.array_equal(a, b)
+        assert len(set(map(tuple, a.tolist()))) == 1
         terms = [four_term_index.dictionary.term_of(t) for t in a[0]]
         assert terms[0] == "house"
 
@@ -103,7 +103,7 @@ class TestSamplePermutations:
         q, scorer = query(), UniformScorer()
         (out,) = _sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], index, scorer, samples=4,
                                topk=1, seed=0)
-        assert out == [(index.dictionary.id_of("solo"),)] * 4
+        assert out.tolist() == [[index.dictionary.id_of("solo")]] * 4
 
     def test_every_sample_is_permutation(self, four_term_index):
         q, scorer = query(), UniformScorer()
@@ -132,7 +132,12 @@ class TestSamplePermutations:
         rows = prepared_rows(scorer, [q])
         (a,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 5, 3, seed=11)
         (b,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 5, 3, seed=11)
-        assert a == b
+        assert a.shape == (5, 4) and np.array_equal(a, b)
+
+
+def registry(index, *doc_ids):
+    """The registry rows (sorted term ids) of `doc_ids`, one per pair."""
+    return np.array([index.identifier_ids(d) for d in doc_ids])
 
 
 class TestSelectObjective:
@@ -145,17 +150,18 @@ class TestSelectObjective:
             [four_term_index.dictionary.id_of("house")]
             + [t for t in ordered if four_term_index.dictionary.term_of(t) != "house"]
         )
-        (best,), (ll,) = _select_objectives([[ordered, house_first]], *prepared_rows(scorer, [q]),
-                                            scorer, four_term_index)
-        assert best == house_first
+        (best,), (ll,) = _select_objectives(np.array([[ordered, house_first]]),
+                                            registry(four_term_index, "D1"),
+                                            *prepared_rows(scorer, [q]), scorer, four_term_index)
+        assert tuple(best.tolist()) == house_first
         assert ll == pytest.approx(sequence_logprob(scorer, q, house_first, four_term_index))
 
     def test_single_candidate(self, four_term_index):
         ordered = tuple(four_term_index.identifier_ids("D1", ordered=True).tolist())
         scorer = UniformScorer()
-        (best,), _ = _select_objectives([[ordered]], *prepared_rows(scorer, [query()]), scorer,
-                                        four_term_index)
-        assert best == ordered
+        (best,), _ = _select_objectives(np.array([[ordered]]), registry(four_term_index, "D1"),
+                                        *prepared_rows(scorer, [query()]), scorer, four_term_index)
+        assert tuple(best.tolist()) == ordered
 
     def test_selected_at_least_as_good_as_included_initialization(self, four_term_index):
         q = Query.from_text("q", "white house")
@@ -164,19 +170,21 @@ class TestSelectObjective:
         init = init_permutation("D1", four_term_index, "importance")
         rows = prepared_rows(scorer, [q])
         (candidates,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 6, 3, seed=2)
-        (best,), (best_ll,) = _select_objectives([candidates + [init]], *rows, scorer,
+        (best,), (best_ll,) = _select_objectives(np.vstack([candidates, [init]])[None],
+                                                 registry(four_term_index, "D1"), *rows, scorer,
                                                  four_term_index)
         init_ll = sequence_logprob(scorer, q, init, four_term_index)
         assert best_ll >= init_ll
 
     def test_rejects_non_permutation(self, four_term_index):
         ordered = tuple(four_term_index.identifier_ids("D1", ordered=True).tolist())
+        other = tuple(four_term_index.identifier_ids("D2", ordered=True).tolist())
         scorer = UniformScorer()
         rows = prepared_rows(scorer, [query()])
-        with pytest.raises(DataError, match="not a permutation"):
-            _select_objectives([[ordered, ordered[:-1]]], *rows, scorer, four_term_index)
-        with pytest.raises(DataError, match="no candidate"):
-            _select_objectives([[]], *rows, scorer, four_term_index)
+        for bad in (ordered[:-1] + ordered[:1], other):  # a repeated term; another document's row
+            with pytest.raises(InvariantError, match="not a permutation"):
+                _select_objectives(np.array([[ordered, bad]]), registry(four_term_index, "D1"),
+                                   *rows, scorer, four_term_index)
 
 
 def rollout_permutations(query, doc_id, index, scorer, samples, topk, seed=0):
@@ -248,10 +256,13 @@ class TestSamplingKernel:
         want = [rollout_permutations(q, d, index, scorer, samples, topk, seed) for q, d in pairs]
         queries, doc_ids = [q for q, _ in pairs], [d for _, d in pairs]
         rows = prepared_rows(scorer, queries)
-        assert _sample_pairs(*rows, queries, doc_ids, index, scorer, samples, topk, seed) == want
+        got = _sample_pairs(*rows, queries, doc_ids, index, scorer, samples, topk, seed)
+        assert got.shape == (len(pairs), samples, index.n) and got.dtype == np.int64
+        assert [list(map(tuple, block)) for block in got.tolist()] == want
         q, d = pairs[0]  # one pair alone
-        assert _sample_pairs(*prepared_rows(scorer, [q]), [q], [d], index, scorer, samples, topk,
-                             seed) == want[:1]
+        alone = _sample_pairs(*prepared_rows(scorer, [q]), [q], [d], index, scorer, samples, topk,
+                              seed)
+        assert [list(map(tuple, block)) for block in alone.tolist()] == want[:1]
 
     @settings(max_examples=60, deadline=None)
     @given(sampling_cases())
@@ -260,13 +271,12 @@ class TestSamplingKernel:
         queries, doc_ids = [q for q, _ in pairs], [d for _, d in pairs]
         rows = prepared_rows(scorer, queries)
         sampled = _sample_pairs(*rows, queries, doc_ids, index, scorer, samples, topk, seed)
-        candidates = [
-            cands + [tuple(int(t) for t in index.identifier_ids(d, ordered=True))]
-            for cands, d in zip(sampled, doc_ids)
-        ]
-        want = [pick_objective(c, q, scorer, index) for c, q in zip(candidates, queries)]
-        best, lls = _select_objectives(candidates, *rows, scorer, index)
-        assert best == [seq for seq, _ in want]
+        ordered = np.array([index.identifier_ids(d, ordered=True) for d in doc_ids])
+        candidates = np.concatenate([sampled, ordered[:, None]], axis=1)
+        want = [pick_objective(list(map(tuple, c)), q, scorer, index)
+                for c, q in zip(candidates.tolist(), queries)]
+        best, lls = _select_objectives(candidates, registry(index, *doc_ids), *rows, scorer, index)
+        assert list(map(tuple, best.tolist())) == [seq for seq, _ in want]
         assert lls.tolist() == [ll for _, ll in want]  # bit for bit
 
     def test_nan_scores_raise_arithmetic_error(self, four_term_index):
@@ -276,7 +286,8 @@ class TestSamplingKernel:
         ordered = tuple(four_term_index.identifier_ids("D1", ordered=True).tolist())
         rows = prepared_rows(scorer, [q])
         with pytest.raises(ArithmeticError, match="non-finite"):
-            _select_objectives([[ordered, ordered[::-1]]], *rows, scorer, four_term_index)
+            _select_objectives(np.array([[ordered, ordered[::-1]]]),
+                               registry(four_term_index, "D1"), *rows, scorer, four_term_index)
         with pytest.raises(ArithmeticError, match="non-finite"):
             _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=2, topk=2, seed=1)
 
@@ -346,18 +357,14 @@ class TestRunTraining:
         force = FeatureScorer.force
 
         class FreshBatch:
-            """Forces its rows afresh at every read of its chunks."""
+            """Forces its rows afresh at every read of its pieces."""
 
             def __init__(self, scorer, queries, qidx, sequences, searchable):
                 self.args, self.rows = (scorer, queries, qidx, sequences, searchable), len(sequences)
 
             @property
-            def root(self):
-                return force(*self.args).root
-
-            @property
-            def chunks(self):
-                return force(*self.args).chunks
+            def pieces(self):
+                return force(*self.args).pieces
 
         with mock.patch.object(FeatureScorer, "force", lambda *args: FreshBatch(*args)):
             want, want_stats = run_training(dataset, index, config, initial)
@@ -374,11 +381,43 @@ class TestRunTraining:
         queries, doc_ids = [p.query for p in dataset.train], [p.doc_id for p in dataset.train]
         rows = prepared_rows(initial, queries)
         if init == "likelihood":
-            targets = [c[0] for c in _sample_pairs(*rows, queries, doc_ids, index, initial, 1, 1, 0)]
+            targets = _sample_pairs(*rows, queries, doc_ids, index, initial, 1, 1, 0)[:, 0]
         else:
             targets = [init_permutation(d, index, init) for d in doc_ids]
         lls = initial.sequence_logprobs(*rows, targets, index)
         assert stats[0].mean_objective_logprob == sum(lls.tolist()) / len(targets)
+
+    @pytest.mark.parametrize("source, init", [("init_permutation", "importance"),
+                                              ("_sample_pairs", "likelihood"),
+                                              ("_sample_pairs", "importance")])
+    def test_a_bad_target_from_either_source_is_refused_before_it_is_forced(
+        self, four_term_index, source, init
+    ):
+        """An initial target that repeats a term, or sampled candidates that order another
+        document's identifier, raise InvariantError; no iteration forces them."""
+        from termset_retrieval import learning
+
+        q = Query.from_text("q", "white harbor")
+        dataset = learning.LearningDataset([learning.LearningPair(q, "D1"),
+                                            learning.LearningPair(q, "D2")])
+        config = TrainingConfig(iterations=2, samples=2, epochs=1, init=init)
+        if source == "init_permutation":
+            def bad(doc_id, index, *args, **kwargs):
+                first, *rest = index.identifier_ids(doc_id, ordered=True).tolist()
+                return (first, first, *rest[1:])
+        else:
+            sample = learning._sample_pairs
+
+            def bad(*args):
+                return sample(*args)[::-1]  # each pair gets the other's document
+        with mock.patch.object(learning, source, bad), \
+                mock.patch.object(FeatureScorer, "force", autospec=True,
+                                  side_effect=FeatureScorer.force) as force:
+            with pytest.raises(InvariantError, match="not a permutation"):
+                run_training(dataset, four_term_index, config,
+                             FeatureScorer.zeros(four_term_index))
+        # sampling runs at iteration 1 only under likelihood; at 2, after 1 was forced
+        assert force.call_count == (source == "_sample_pairs" and init == "importance")
 
     def test_empty_dataset_rejected(self, four_term_index):
         from termset_retrieval.learning import LearningDataset

@@ -727,7 +727,8 @@ class TestForcedBatch:
                    for _ in queries]
         block = len(queries) * len(terms)
         batch = scorer.force(*prepared_rows(scorer, queries), targets, index)
-        root = batch.root
+        root, *chunks = batch.pieces
+        assert isinstance(root, scorer_module._ForcedRoot)
         assert len(root.groups.terms) == len(terms) and root.flags.rows == len(queries)
         for array in (*root.groups, *root.flags[1:], root.weight, root.rows, root.seg,
                       root.codes, root.term_weights, root.log_sizes):
@@ -737,7 +738,7 @@ class TestForcedBatch:
         words = [set(q.terms) & set(terms) for q in queries]
         assert len(root.flags.group) == sum(len({t[:4] for t in w}) for w in words)
         assert len(root.flags.term_pos) == sum(len(w) for w in words)
-        for chunk in batch.chunks:
+        for chunk in chunks:
             assert chunk.codes.dtype == np.int8
             assert (len(chunk.codes) == len(chunk.term_weights) == len(chunk.log_sizes)
                     == chunk.ptr[-1])
@@ -790,7 +791,7 @@ class TestForcedBatch:
     def test_an_empty_batch_forces_and_scores_nothing_but_has_no_loss(self, tiny_index):
         scorer = FeatureScorer.zeros(tiny_index)
         batch = scorer.force(scorer.prepare([]), np.zeros(0, dtype=np.int64), [], tiny_index)
-        assert batch.chunks == [] and batch.rows == 0
+        assert batch.pieces == [] and batch.rows == 0
         assert scorer.forced_logprobs(batch).shape == (0,)
         with pytest.raises(DataError, match="empty training batch"):
             scorer.train_step(batch, lr=0.1)
