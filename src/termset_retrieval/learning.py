@@ -149,30 +149,38 @@ def init_permutation(
     (`_sample_pairs` with topk=1) under the supplied scorer, ties falling
     back to the stored order.
     """
-    ordered = [int(t) for t in index.identifier_ids(doc_id, ordered=True)]
+    ordered = index.identifier_ids(doc_id, ordered=True).astype(np.int64)
     if policy == "importance":
-        return tuple(ordered)
+        return tuple(ordered.tolist())
     if policy == "random":
         rng = np.random.default_rng(_derived_seed("init", seed, doc_id))
-        return tuple(ordered[i] for i in rng.permutation(len(ordered)))
+        return tuple(ordered[rng.permutation(len(ordered))].tolist())
     if policy == "likelihood":
         if scorer is None:
             raise DataError("likelihood initialization requires a scorer")
         query = query or Query("", "", [])
-        return tuple(_sample_pairs(scorer.prepare([query]), np.zeros(1, dtype=np.int64), [query],
-                                   [doc_id], index, scorer, 1, 1, 0)[0, 0].tolist())
+        one = np.zeros(1, dtype=np.int64)  # the one pair's query slot, and its ignored key
+        return tuple(_sample_pairs(scorer.prepare([query]), one, one.astype(np.uint64),
+                                   ordered[None], index, scorer, 1, 1)[0, 0].tolist())
     raise DataError(f"unknown init policy {policy!r}")
 
 
-def _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, samples, topk, seed):
+def _sample_keys(seed, queries, doc_ids) -> np.ndarray:
+    """Each (queries[i], doc_ids[i]) pair's key for `_sample_pairs`' draws, as uint64."""
+    keys = [_derived_seed("sample", seed, q.query_id, d) for q, d in zip(queries, doc_ids)]
+    return np.array(keys, dtype=np.uint64)
+
+
+def _sample_pairs(prepared, qidx, keys, ordered, index, scorer, samples, topk):
     """Sample identifier orderings of every pair stepwise from the scorer's distribution.
 
-    Pair i orders doc_ids[i]'s identifier under query qidx[i] of the
-    scorer's `prepared` query list; queries[i], that query, and doc_ids[i]
-    seed its draws. At each step the distribution is restricted to the topk
-    most probable of the document's remaining identifier terms and
-    renormalized; topk=1 degenerates to a greedy rollout that ignores the
-    seed. Returns the orderings as a (pairs, samples, n) int64 array.
+    Pair i orders ordered[i], a document's identifier terms in stored
+    order, under query qidx[i] of the scorer's `prepared` query list; its
+    key keys[i] (`_sample_keys`) seeds its draws. At each step the
+    distribution is restricted to the topk most probable of the document's
+    remaining identifier terms and renormalized; topk=1 degenerates to a
+    greedy rollout that ignores the keys. Returns the orderings as a (pairs,
+    samples, n) int64 array.
 
     All (pair, sample) rows advance one depth per step: the rows' distinct
     prefixes are expanded with one `expand` call, and each row is scored
@@ -189,14 +197,9 @@ def _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, samples, topk
         raise DataError("samples and topk must be >= 1")
     n = index.n
     uniforms = np.concatenate(
-        [
-            np.random.default_rng(_derived_seed("sample", seed, q.query_id, d)).random((samples, n))
-            for q, d in zip(queries, doc_ids)
-        ]
+        [np.random.default_rng(key).random((samples, n)) for key in keys.tolist()]
     )
-    remaining = np.array(
-        [index.identifier_ids(d, ordered=True) for d in doc_ids], dtype=np.int64
-    ).repeat(samples, axis=0)
+    remaining = ordered.repeat(samples, axis=0)
     qidx = np.repeat(qidx, samples)
     rows = np.arange(len(remaining))
     out = np.empty((len(rows), n), dtype=np.int64)
@@ -224,7 +227,7 @@ def _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, samples, topk
         keep[rows, col] = False
         remaining = remaining[keep].reshape(len(rows), width - 1)
         *beam, hyp = step.descend(ext.reshape(len(rows), width)[rows, col])
-    return out.reshape(len(doc_ids), samples, n)
+    return out.reshape(len(ordered), samples, n)
 
 
 def _select_objectives(candidates, registry, prepared, qidx, scorer, index):
@@ -295,24 +298,27 @@ def run_training(
     num_pseudo = sum(1 for p in dataset.train if p.pseudo)
 
     queries, doc_ids = [p.query for p in dataset.train], [p.doc_id for p in dataset.train]
-    registry = index.sets[[index.doc_position(d) for d in doc_ids]]
+    positions = [index.doc_position(d) for d in doc_ids]
+    ordered, registry = index.order[positions].astype(np.int64), index.sets[positions]
     slots, qidx = _query_slots(queries)
     prepared = scorer.prepare(slots)  # once per run, for sampling, selection and forcing
     for t in range(1, config.iterations + 1):
         if t > 1:
-            seed = _derived_seed(config.seed, t)
-            samples = _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, config.samples,
-                                    config.topk_sampling, seed)
+            keys = _sample_keys(_derived_seed(config.seed, t), queries, doc_ids)
+            samples = _sample_pairs(prepared, qidx, keys, ordered, index, scorer, config.samples,
+                                    config.topk_sampling)
             candidates = np.concatenate([samples, prev[:, None]], axis=1)
             targets, lls = _select_objectives(candidates, registry, prepared, qidx, scorer, index)
-        else:
-            if config.init == "likelihood":  # init_permutation's greedy rollout, all pairs at once
-                initial = _sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, 1, 1, 0)
-            else:
-                initial = np.array([[init_permutation(d, index, config.init, seed=config.seed)]
+        else:  # init_permutation's targets, all pairs at once
+            if config.init == "importance":
+                targets = ordered
+            elif config.init == "random":
+                targets = np.array([init_permutation(d, index, "random", seed=config.seed)
                                     for d in doc_ids], dtype=np.int64)
-            _check_permutations(initial, registry)
-            targets = initial[:, 0]
+            else:  # the greedy rollout, which ignores the keys
+                targets = _sample_pairs(prepared, qidx, np.zeros(len(ordered), dtype=np.uint64),
+                                        ordered, index, scorer, 1, 1)[:, 0]
+            _check_permutations(targets[:, None], registry)
         churn = 0.0 if t == 1 else np.count_nonzero((targets != prev).any(axis=1)) / len(targets)
 
         batch = scorer.force(prepared, qidx, targets, index)  # read by every epoch

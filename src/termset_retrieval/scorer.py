@@ -54,6 +54,7 @@ from __future__ import annotations
 import math
 from abc import ABC, abstractmethod
 from functools import partial
+from itertools import chain
 from typing import NamedTuple
 
 import numpy as np
@@ -157,7 +158,7 @@ class Scorer(ABC):
         the bits of scoring row by row.
         """
         total = np.zeros(len(sequences))
-        for step, hyp, rows, picks in _teacher_walk(searchable, sequences):
+        for step, hyp, rows, picks in _teacher_walk(searchable, _padded(sequences)):
             for chunk in _segment_chunks(step, qidx, hyp, rows, picks):
                 total[chunk.rows] += self.segment_logprobs(queries, *chunk[:4])[chunk.at]
         return total
@@ -499,7 +500,7 @@ class FeatureScorer(Scorer):
         """The teacher walk's pieces as they are made: the root's (`_ForcedRoot`), then each
         deeper chunk's (`_Forced`). No piece depends on the weights."""
         force_chunk = partial(self._force_chunk, queries)
-        for step, hyp, rows, picks in _teacher_walk(searchable, sequences):
+        for step, hyp, rows, picks in _teacher_walk(searchable, _padded(sequences)):
             if step.depth:  # map holds no chunk while its piece is read
                 yield from map(force_chunk, _segment_chunks(step, qidx, hyp, rows, picks))
             else:
@@ -803,8 +804,23 @@ class ForcedBatch(NamedTuple):
     rows: int
 
 
-def _teacher_walk(searchable, sequences):
-    """Walk every row r's sequences[r] from the root, one `expand` per depth.
+def _padded(sequences) -> np.ndarray:
+    """Term-id rows as the teacher walk takes them: one (rows, width) int64 array, each row
+    -1-padded. An array is taken as it is; a list of rows is padded once, as a whole."""
+    if isinstance(sequences, np.ndarray):
+        return sequences
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    flat = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=lengths.sum())
+    if (flat < 0).any():
+        raise DataError(f"term id {int(flat.min())} is negative")
+    seqs = np.full((len(sequences), lengths.max(initial=0)), -1, dtype=np.int64)
+    seqs[np.arange(seqs.shape[1]) < lengths[:, None]] = flat
+    return seqs
+
+
+def _teacher_walk(searchable, seqs):
+    """Walk every row r of `seqs` (see `_padded`), its terms before its padding, from the
+    root, one `expand` per depth.
 
     At each depth the rows' distinct prefixes form one beam, expanded at
     once; each row's next term is located among its prefix's extensions
@@ -812,10 +828,7 @@ def _teacher_walk(searchable, sequences):
     yields (step, hyp, rows, picks): row r's prefix is hypothesis hyp[r] of
     the step, and row rows[i] (ascending) goes on with extension picks[i].
     """
-    lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-    seqs = np.full((len(sequences), lengths.max(initial=0)), -1, dtype=np.int64)
-    for row, seq in zip(seqs, sequences):
-        row[: len(seq)] = seq
+    lengths = np.count_nonzero(seqs >= 0, axis=1)
     beam = root_beam(searchable)
     hyp = np.zeros(len(seqs), dtype=np.int64)  # each row's prefix in the beam
     for depth in range(seqs.shape[1]):

@@ -16,6 +16,7 @@ from termset_retrieval.index import build_index
 from termset_retrieval.learning import (
     TrainingConfig,
     _derived_seed,
+    _sample_keys,
     _sample_pairs,
     _select_objectives,
     init_permutation,
@@ -48,6 +49,14 @@ def four_term_index():
         },
     )
     return build_index(table)
+
+
+def sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, samples, topk, seed):
+    """`_sample_pairs` of the pairs (queries[i], doc_ids[i]), keyed and ordered as training
+    keys and orders them."""
+    ordered = index.order[[index.doc_position(d) for d in doc_ids]].astype(np.int64)
+    return _sample_pairs(prepared, qidx, _sample_keys(seed, queries, doc_ids), ordered, index,
+                         scorer, samples, topk)
 
 
 class TestInitPermutation:
@@ -91,8 +100,8 @@ class TestSamplePermutations:
         scorer = FeatureScorer.zeros(four_term_index)
         scorer.weights[0] = 3.0
         rows = prepared_rows(scorer, [q])
-        (a,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=3, topk=1, seed=1)
-        (b,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=3, topk=1, seed=99)
+        (a,) = sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=3, topk=1, seed=1)
+        (b,) = sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=3, topk=1, seed=99)
         assert a.shape == (3, 4) and np.array_equal(a, b)
         assert len(set(map(tuple, a.tolist()))) == 1
         terms = [four_term_index.dictionary.term_of(t) for t in a[0]]
@@ -101,13 +110,13 @@ class TestSamplePermutations:
     def test_single_term_identifier(self):
         index = build_index(IdentifierTable(1, {"D1": ["solo"], "D2": ["duo"]}))
         q, scorer = query(), UniformScorer()
-        (out,) = _sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], index, scorer, samples=4,
+        (out,) = sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], index, scorer, samples=4,
                                topk=1, seed=0)
         assert out.tolist() == [[index.dictionary.id_of("solo")]] * 4
 
     def test_every_sample_is_permutation(self, four_term_index):
         q, scorer = query(), UniformScorer()
-        (out,) = _sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], four_term_index, scorer,
+        (out,) = sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], four_term_index, scorer,
                                samples=20, topk=4, seed=3)
         expected = frozenset(four_term_index.identifier_ids("D1").tolist())
         for seq in out:
@@ -117,7 +126,7 @@ class TestSamplePermutations:
     def test_first_step_uniform_within_binomial_bounds(self, four_term_index):
         # uniform scorer, topk = n: the first sampled term is uniform over 4
         q, scorer = query(), UniformScorer()
-        (out,) = _sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], four_term_index, scorer,
+        (out,) = sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], four_term_index, scorer,
                                samples=10_000, topk=4, seed=7)
         counts = {}
         for seq in out:
@@ -130,8 +139,8 @@ class TestSamplePermutations:
     def test_seed_reproducibility(self, four_term_index):
         q, scorer = query("x"), UniformScorer()
         rows = prepared_rows(scorer, [q])
-        (a,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 5, 3, seed=11)
-        (b,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 5, 3, seed=11)
+        (a,) = sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 5, 3, seed=11)
+        (b,) = sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 5, 3, seed=11)
         assert a.shape == (5, 4) and np.array_equal(a, b)
 
 
@@ -169,7 +178,7 @@ class TestSelectObjective:
         scorer.weights[0] = 2.0
         init = init_permutation("D1", four_term_index, "importance")
         rows = prepared_rows(scorer, [q])
-        (candidates,) = _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 6, 3, seed=2)
+        (candidates,) = sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, 6, 3, seed=2)
         (best,), (best_ll,) = _select_objectives(np.vstack([candidates, [init]])[None],
                                                  registry(four_term_index, "D1"), *rows, scorer,
                                                  four_term_index)
@@ -256,11 +265,11 @@ class TestSamplingKernel:
         want = [rollout_permutations(q, d, index, scorer, samples, topk, seed) for q, d in pairs]
         queries, doc_ids = [q for q, _ in pairs], [d for _, d in pairs]
         rows = prepared_rows(scorer, queries)
-        got = _sample_pairs(*rows, queries, doc_ids, index, scorer, samples, topk, seed)
+        got = sample_pairs(*rows, queries, doc_ids, index, scorer, samples, topk, seed)
         assert got.shape == (len(pairs), samples, index.n) and got.dtype == np.int64
         assert [list(map(tuple, block)) for block in got.tolist()] == want
         q, d = pairs[0]  # one pair alone
-        alone = _sample_pairs(*prepared_rows(scorer, [q]), [q], [d], index, scorer, samples, topk,
+        alone = sample_pairs(*prepared_rows(scorer, [q]), [q], [d], index, scorer, samples, topk,
                               seed)
         assert [list(map(tuple, block)) for block in alone.tolist()] == want[:1]
 
@@ -270,7 +279,7 @@ class TestSamplingKernel:
         index, scorer, pairs, samples, topk, seed = case
         queries, doc_ids = [q for q, _ in pairs], [d for _, d in pairs]
         rows = prepared_rows(scorer, queries)
-        sampled = _sample_pairs(*rows, queries, doc_ids, index, scorer, samples, topk, seed)
+        sampled = sample_pairs(*rows, queries, doc_ids, index, scorer, samples, topk, seed)
         ordered = np.array([index.identifier_ids(d, ordered=True) for d in doc_ids])
         candidates = np.concatenate([sampled, ordered[:, None]], axis=1)
         want = [pick_objective(list(map(tuple, c)), q, scorer, index)
@@ -289,7 +298,7 @@ class TestSamplingKernel:
             _select_objectives(np.array([[ordered, ordered[::-1]]]),
                                registry(four_term_index, "D1"), *rows, scorer, four_term_index)
         with pytest.raises(ArithmeticError, match="non-finite"):
-            _sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=2, topk=2, seed=1)
+            sample_pairs(*rows, [q], ["D1"], four_term_index, scorer, samples=2, topk=2, seed=1)
 
 
 def bridging_setup(seed=0):
@@ -325,10 +334,17 @@ class TestRunTraining:
             assert np.isfinite(s.mean_objective_logprob)
 
     def test_iteration1_targets_follow_importance_order(self):
+        """Iteration 1 forces one int64 array, whose rows are `init_permutation`'s targets."""
         corpus, index, tw, dataset, _, _ = bridging_setup(seed=3)
-        pair = dataset.train[0]
-        expected = init_permutation(pair.doc_id, index, "importance")
-        assert expected == tuple(index.identifier_ids(pair.doc_id, ordered=True).tolist())
+        with mock.patch.object(FeatureScorer, "force", autospec=True,
+                               side_effect=FeatureScorer.force) as force:
+            run_training(dataset, index, TrainingConfig(iterations=1, epochs=1),
+                         FeatureScorer.zeros(index, tw))
+        (targets,) = [call.args[3] for call in force.call_args_list]
+        assert targets.dtype == np.int64
+        assert list(map(tuple, targets.tolist())) == [
+            init_permutation(pair.doc_id, index, "importance") for pair in dataset.train
+        ]
 
     def test_adaptive_objective_non_decreasing_and_recall_at_least_non_adaptive(self):
         corpus, index, tw, dataset, test_q, test_j = bridging_setup(seed=4)
@@ -381,13 +397,13 @@ class TestRunTraining:
         queries, doc_ids = [p.query for p in dataset.train], [p.doc_id for p in dataset.train]
         rows = prepared_rows(initial, queries)
         if init == "likelihood":
-            targets = _sample_pairs(*rows, queries, doc_ids, index, initial, 1, 1, 0)[:, 0]
+            targets = sample_pairs(*rows, queries, doc_ids, index, initial, 1, 1, 0)[:, 0]
         else:
             targets = [init_permutation(d, index, init) for d in doc_ids]
         lls = initial.sequence_logprobs(*rows, targets, index)
         assert stats[0].mean_objective_logprob == sum(lls.tolist()) / len(targets)
 
-    @pytest.mark.parametrize("source, init", [("init_permutation", "importance"),
+    @pytest.mark.parametrize("source, init", [("order", "importance"),
                                               ("_sample_pairs", "likelihood"),
                                               ("_sample_pairs", "importance")])
     def test_a_bad_target_from_either_source_is_refused_before_it_is_forced(
@@ -401,16 +417,16 @@ class TestRunTraining:
         dataset = learning.LearningDataset([learning.LearningPair(q, "D1"),
                                             learning.LearningPair(q, "D2")])
         config = TrainingConfig(iterations=2, samples=2, epochs=1, init=init)
-        if source == "init_permutation":
-            def bad(doc_id, index, *args, **kwargs):
-                first, *rest = index.identifier_ids(doc_id, ordered=True).tolist()
-                return (first, first, *rest[1:])
+        if source == "order":  # the importance targets are the stored order's rows
+            owner = four_term_index
+            bad = four_term_index.order.copy()
+            bad[0, 1] = bad[0, 0]  # D1's initial target repeats its first term
         else:
-            sample = learning._sample_pairs
+            owner, sample = learning, learning._sample_pairs
 
             def bad(*args):
                 return sample(*args)[::-1]  # each pair gets the other's document
-        with mock.patch.object(learning, source, bad), \
+        with mock.patch.object(owner, source, bad), \
                 mock.patch.object(FeatureScorer, "force", autospec=True,
                                   side_effect=FeatureScorer.force) as force:
             with pytest.raises(InvariantError, match="not a permutation"):

@@ -429,6 +429,13 @@ class TestTeacherKernel:
             assert got.tolist() == want  # bit for bit
         with mock.patch.object(scorer_module, "TEACHER_CHUNK_ROWS", 1):
             assert scorer.sequence_logprobs(*rows, targets, searchable).tolist() == got.tolist()
+        # the same rows as one -1-padded int64 array, as training passes them: bit for bit
+        padded = np.full((len(targets), max(map(len, targets))), -1, dtype=np.int64)
+        for row, target in zip(padded, targets):
+            row[: len(target)] = target
+        for method in (type(scorer).sequence_logprobs, Scorer.sequence_logprobs):
+            want_rows = method(scorer, *rows, targets, searchable).tolist()
+            assert method(scorer, *rows, padded, searchable).tolist() == want_rows
         if isinstance(scorer, FeatureScorer):
             batch = list(zip(queries, targets))
             loss, grad = scorer.loss_and_grad(batch, searchable)
@@ -628,7 +635,8 @@ class TestTeacherOracle:
 
 def teacher_chunks(searchable, qidx, sequences):
     """The base sequence method's chunks: every depth's, the root's whole rows included."""
-    for step, hyp, rows, picks in scorer_module._teacher_walk(searchable, sequences):
+    seqs = scorer_module._padded(sequences)
+    for step, hyp, rows, picks in scorer_module._teacher_walk(searchable, seqs):
         yield from scorer_module._segment_chunks(step, qidx, hyp, rows, picks)
 
 
