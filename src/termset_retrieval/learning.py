@@ -4,7 +4,10 @@ Each iteration re-derives a target permutation per (query, positive) pair:
 candidate orderings are sampled stepwise from the current model restricted
 to the document's remaining identifier terms, and the candidate with the
 highest overall likelihood becomes the teacher-forcing target for the next
-round. Iteration one starts from an initialization policy instead.
+round. Iteration one starts from an initialization policy instead. A
+pair's draws come from keyed SplitMix64: its key is a hash of the
+iteration's seed, its query and its document, so they do not depend on the
+rest of the batch, and every pair's are made in one vectorized pass.
 
 Training runs on the same step kernel as search, for all pairs at once.
 Sampling advances every (pair, sample) row one depth per step: the rows'
@@ -18,11 +21,13 @@ from per-stem-group sums, with no (queries x vocabulary) row.
 
 `run_training` builds each piece of work once at the widest scope it holds
 for. Per run: each pair's registry row, which every candidate and initial
-target must equal once sorted (`_check_permutations`), and the scorer's
-form of the training queries (`Scorer.prepare`), read by sampling,
-selection and teacher forcing. Per iteration: the sampled candidates, one
-(pairs, candidates, n) int64 array, and their selection, then the (pairs,
-n) targets forced once (`FeatureScorer.force`). Per epoch: only what the
+target must equal once sorted (`_check_permutations`), and its stored
+order, sampling's terms and the importance policy's targets, both gathered
+from the index as arrays; and the scorer's form of the training queries
+(`Scorer.prepare`), read by sampling, selection and teacher forcing. Per
+iteration: the pairs' keys and draws, the sampled candidates, one (pairs,
+candidates, n) int64 array, and their selection, then the (pairs, n)
+targets forced once (`FeatureScorer.force`). Per epoch: only what the
 weights change, the scores, their normalization and the gradient sums.
 """
 
@@ -171,6 +176,19 @@ def _sample_keys(seed, queries, doc_ids) -> np.ndarray:
     return np.array(keys, dtype=np.uint64)
 
 
+def _keyed_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
+    """Draws 1..count of SplitMix64 from each uint64 key, as (keys, count) doubles in [0, 1).
+
+    Draw i of key k mixes k + i * 0x9E3779B97F4A7C15 (mod 2**64) and keeps
+    its top 53 bits, so a key's draws do not depend on the other keys. The
+    arithmetic is on uint64 arrays, which wrap without a warning.
+    """
+    z = keys[:, None] + np.arange(1, count + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+    return ((z ^ (z >> np.uint64(31))) >> np.uint64(11)) * 2.0**-53
+
+
 def _sample_pairs(prepared, qidx, keys, ordered, index, scorer, samples, topk):
     """Sample identifier orderings of every pair stepwise from the scorer's distribution.
 
@@ -187,18 +205,15 @@ def _sample_pairs(prepared, qidx, keys, ordered, index, scorer, samples, topk):
     over its remaining identifier terms, in stored order, with one
     `segment_logprobs` call. A row keeps its topk most probable terms
     (stable, so stored order breaks ties), renormalizes, and picks the
-    first whose cumulative probability exceeds its uniform draw, the rule
-    of `Generator.choice`. Each pair draws its uniforms up front, one row
-    per sample and one column per depth, from its own derived seed, so the
-    draws per (pair, sample) are the ones `Generator.choice` made step by
-    step.
+    first whose cumulative probability exceeds its uniform draw (the cdf
+    rule of `Generator.choice`). Each pair's uniforms are the first samples
+    x n draws of keyed SplitMix64 from its key (`_keyed_uniforms`), one row
+    per sample and one column per depth, made for all pairs in one pass.
     """
     if samples < 1 or topk < 1:
         raise DataError("samples and topk must be >= 1")
     n = index.n
-    uniforms = np.concatenate(
-        [np.random.default_rng(key).random((samples, n)) for key in keys.tolist()]
-    )
+    uniforms = _keyed_uniforms(keys, samples * n).reshape(-1, n)
     remaining = ordered.repeat(samples, axis=0)
     qidx = np.repeat(qidx, samples)
     rows = np.arange(len(remaining))

@@ -16,6 +16,7 @@ from termset_retrieval.index import build_index
 from termset_retrieval.learning import (
     TrainingConfig,
     _derived_seed,
+    _keyed_uniforms,
     _sample_keys,
     _sample_pairs,
     _select_objectives,
@@ -196,10 +197,45 @@ class TestSelectObjective:
                                    *rows, scorer, four_term_index)
 
 
+MASK64 = (1 << 64) - 1
+
+
+def splitmix64(state, count):
+    """`count` outputs of SplitMix64 from `state`, in Python ints: the reference generator."""
+    out = []
+    for _ in range(count):
+        state = (state + 0x9E3779B97F4A7C15) & MASK64
+        z = ((state ^ (state >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        out.append(z ^ (z >> 31))
+    return out
+
+
+class TestKeyedUniforms:
+    def test_the_reference_reproduces_the_published_vector(self):
+        assert splitmix64(1234567, 5) == [6457827717110365317, 3203168211198807973,
+                                          9817491932198370423, 4593380528125082431,
+                                          16408922859458223821]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.sampled_from([0, 1, MASK64]) | st.integers(0, MASK64), max_size=6),
+           st.integers(0, 40))
+    def test_each_key_draws_the_reference_stream_in_unit_interval(self, keys, count):
+        with np.errstate(all="raise"):  # uint64 arrays wrap; nothing may overflow a float
+            got = _keyed_uniforms(np.array(keys, dtype=np.uint64), count)
+        assert got.shape == (len(keys), count) and got.dtype == np.float64
+        assert ((0.0 <= got) & (got < 1.0)).all()
+        assert got.tolist() == [[(z >> 11) * 2.0**-53 for z in splitmix64(k, count)] for k in keys]
+
+
 def rollout_permutations(query, doc_id, index, scorer, samples, topk, seed=0):
-    """The per-pair, per-sample rollout `_sample_pairs` replaced, kept as its oracle."""
+    """The per-pair, per-sample rollout `_sample_pairs` replaced, kept as its oracle.
+
+    Sample s's pick at depth d reads draw s * n + d + 1 of the reference SplitMix64 from
+    the pair's key, and takes the first term whose cumulative probability exceeds it."""
     ordered = [int(t) for t in index.identifier_ids(doc_id, ordered=True)]
-    rng = np.random.default_rng(_derived_seed("sample", seed, query.query_id, doc_id))
+    draws = splitmix64(_derived_seed("sample", seed, query.query_id, doc_id), samples * index.n)
+    uniforms = iter([(z >> 11) * 2.0**-53 for z in draws])
     out = []
     for _ in range(samples):
         remaining = list(ordered)
@@ -217,7 +253,9 @@ def rollout_permutations(query, doc_id, index, scorer, samples, topk, seed=0):
             shifted = logprobs[top] - logprobs[top].max()
             probs = np.exp(shifted)
             probs /= probs.sum()
-            pick = remaining[int(top[rng.choice(k, p=probs)])]
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            pick = remaining[int(top[np.searchsorted(cdf, next(uniforms), side="right")])]
             seq.append(pick)
             remaining.remove(pick)
         out.append(tuple(seq))
