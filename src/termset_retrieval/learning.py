@@ -4,10 +4,8 @@ Each iteration re-derives a target permutation per (query, positive) pair:
 candidate orderings are sampled stepwise from the current model restricted
 to the document's remaining identifier terms, and the candidate with the
 highest overall likelihood becomes the teacher-forcing target for the next
-round. Iteration one starts from an initialization policy instead. A
-pair's draws come from keyed SplitMix64: its key is a hash of the
-iteration's seed, its query and its document, so they do not depend on the
-rest of the batch, and every pair's are made in one vectorized pass.
+round. Iteration one starts from an initialization policy instead.
+Sampling draws from SplitMix64 keyed per pair (`_keyed_uniforms`).
 
 Training runs on the same step kernel as search, for all pairs at once.
 Sampling advances every (pair, sample) row one depth per step: the rows'
@@ -21,14 +19,13 @@ from per-stem-group sums, with no (queries x vocabulary) row.
 
 `run_training` builds each piece of work once at the widest scope it holds
 for. Per run: each pair's registry row, which every candidate and initial
-target must equal once sorted (`_check_permutations`), and its stored
-order, sampling's terms and the importance policy's targets, both gathered
-from the index as arrays; and the scorer's form of the training queries
-(`Scorer.prepare`), read by sampling, selection and teacher forcing. Per
-iteration: the pairs' keys and draws, the sampled candidates, one (pairs,
-candidates, n) int64 array, and their selection, then the (pairs, n)
-targets forced once (`FeatureScorer.force`). Per epoch: only what the
-weights change, the scores, their normalization and the gradient sums.
+target must equal once sorted (`_check_permutations`), and stored order,
+and the scorer's form of the training queries (`Scorer.prepare`), read by
+sampling, selection and teacher forcing. Per iteration: the draws, the
+sampled candidates, one (pairs, candidates, n) int64 array, and their
+selection, then the (pairs, n) targets forced once (`FeatureScorer.force`).
+Per epoch: only what the weights change, the scores, their normalization
+and the gradient sums.
 """
 
 from __future__ import annotations
@@ -170,12 +167,6 @@ def init_permutation(
     raise DataError(f"unknown init policy {policy!r}")
 
 
-def _sample_keys(seed, queries, doc_ids) -> np.ndarray:
-    """Each (queries[i], doc_ids[i]) pair's key for `_sample_pairs`' draws, as uint64."""
-    keys = [_derived_seed("sample", seed, q.query_id, d) for q, d in zip(queries, doc_ids)]
-    return np.array(keys, dtype=np.uint64)
-
-
 def _keyed_uniforms(keys: np.ndarray, count: int) -> np.ndarray:
     """Draws 1..count of SplitMix64 from each uint64 key, as (keys, count) doubles in [0, 1).
 
@@ -194,7 +185,7 @@ def _sample_pairs(prepared, qidx, keys, ordered, index, scorer, samples, topk):
 
     Pair i orders ordered[i], a document's identifier terms in stored
     order, under query qidx[i] of the scorer's `prepared` query list; its
-    key keys[i] (`_sample_keys`) seeds its draws. At each step the
+    uint64 key keys[i] seeds its draws. At each step the
     distribution is restricted to the topk most probable of the document's
     remaining identifier terms and renormalized; topk=1 degenerates to a
     greedy rollout that ignores the keys. Returns the orderings as a (pairs,
@@ -319,9 +310,10 @@ def run_training(
     prepared = scorer.prepare(slots)  # once per run, for sampling, selection and forcing
     for t in range(1, config.iterations + 1):
         if t > 1:
-            keys = _sample_keys(_derived_seed(config.seed, t), queries, doc_ids)
-            samples = _sample_pairs(prepared, qidx, keys, ordered, index, scorer, config.samples,
-                                    config.topk_sampling)
+            seed = _derived_seed(config.seed, t)
+            keys = [_derived_seed("sample", seed, q.query_id, d) for q, d in zip(queries, doc_ids)]
+            samples = _sample_pairs(prepared, qidx, np.array(keys, dtype=np.uint64), ordered, index,
+                                    scorer, config.samples, config.topk_sampling)
             candidates = np.concatenate([samples, prev[:, None]], axis=1)
             targets, lls = _select_objectives(candidates, registry, prepared, qidx, scorer, index)
         else:  # init_permutation's targets, all pairs at once

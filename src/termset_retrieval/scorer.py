@@ -152,7 +152,8 @@ class Scorer(ABC):
     def sequence_logprobs(self, queries, qidx, sequences, searchable) -> np.ndarray:
         """`sequence_logprob` of every row r, sequences[r] under query qidx[r], in one teacher walk.
 
-        `queries` is what `prepare` made of a query list. Each distinct (query,
+        `sequences` is a list of term-id rows, or their -1-padded int64
+        array (`_padded`). `queries` is what `prepare` made of a query list. Each distinct (query,
         prefix) segment of every depth, the root included, is scored once, one
         `segment_logprobs` call per chunk, and each row sums its steps in order:
         the bits of scoring row by row.
@@ -810,16 +811,13 @@ def _padded(sequences) -> np.ndarray:
     if isinstance(sequences, np.ndarray):
         return sequences
     lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
-    flat = np.fromiter(chain.from_iterable(sequences), dtype=np.int64, count=lengths.sum())
-    if (flat < 0).any():
-        raise DataError(f"term id {int(flat.min())} is negative")
     seqs = np.full((len(sequences), lengths.max(initial=0)), -1, dtype=np.int64)
-    seqs[np.arange(seqs.shape[1]) < lengths[:, None]] = flat
+    seqs[np.arange(seqs.shape[1]) < lengths[:, None]] = list(chain.from_iterable(sequences))
     return seqs
 
 
 def _teacher_walk(searchable, seqs):
-    """Walk every row r of `seqs` (see `_padded`), its terms before its padding, from the
+    """Walk every row r of `seqs` (see `_padded`), its terms but its trailing -1s, from the
     root, one `expand` per depth.
 
     At each depth the rows' distinct prefixes form one beam, expanded at
@@ -828,7 +826,7 @@ def _teacher_walk(searchable, seqs):
     yields (step, hyp, rows, picks): row r's prefix is hypothesis hyp[r] of
     the step, and row rows[i] (ascending) goes on with extension picks[i].
     """
-    lengths = np.count_nonzero(seqs >= 0, axis=1)
+    lengths = np.count_nonzero(seqs != -1, axis=1)  # any other negative id is infeasible
     beam = root_beam(searchable)
     hyp = np.zeros(len(seqs), dtype=np.int64)  # each row's prefix in the beam
     for depth in range(seqs.shape[1]):

@@ -17,7 +17,6 @@ from termset_retrieval.learning import (
     TrainingConfig,
     _derived_seed,
     _keyed_uniforms,
-    _sample_keys,
     _sample_pairs,
     _select_objectives,
     init_permutation,
@@ -55,9 +54,10 @@ def four_term_index():
 def sample_pairs(prepared, qidx, queries, doc_ids, index, scorer, samples, topk, seed):
     """`_sample_pairs` of the pairs (queries[i], doc_ids[i]), keyed and ordered as training
     keys and orders them."""
+    keys = [_derived_seed("sample", seed, q.query_id, d) for q, d in zip(queries, doc_ids)]
     ordered = index.order[[index.doc_position(d) for d in doc_ids]].astype(np.int64)
-    return _sample_pairs(prepared, qidx, _sample_keys(seed, queries, doc_ids), ordered, index,
-                         scorer, samples, topk)
+    return _sample_pairs(prepared, qidx, np.array(keys, dtype=np.uint64), ordered, index, scorer,
+                         samples, topk)
 
 
 class TestInitPermutation:
