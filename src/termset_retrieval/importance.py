@@ -41,9 +41,17 @@ class ImportanceModel:
     weights: np.ndarray
     tau: float = 1.0
 
+    def __post_init__(self):
+        _check_tau(self.tau)
+
     @classmethod
     def zeros(cls, tau: float = 1.0) -> "ImportanceModel":
         return cls(np.zeros(len(TFIDF_FEATURES)), tau)
+
+
+def _check_tau(tau: float) -> None:
+    if not 0 < tau < math.inf:  # NaN fails both comparisons
+        raise DataError(f"temperature tau must be positive and finite, got {tau}")
 
 
 @dataclass
@@ -205,9 +213,9 @@ def prepare_training_batch(pairs: list[TrainingPair], corpus: Corpus) -> _Traini
     keys = np.where(term >= 0, np.array(candidates, dtype=np.int64)[cand] * width + term, -1)
     drow = _find(docs.owner * width + docs.term, keys)
     shared = drow >= 0
-    return _TrainingBatch(
-        queries.features[qrow[shared]], docs.features[drow[shared]], cand[shared], first
-    )
+    fq, fd = queries.features[qrow[shared]], docs.features[drow[shared]]
+    # column-major, as the InfoNCE sums read them: each column one contiguous run
+    return _TrainingBatch(np.asfortranarray(fq), np.asfortranarray(fd), cand[shared], first)
 
 
 def infonce_loss_and_grad(weights: np.ndarray, batch: _TrainingBatch, tau: float):
@@ -221,8 +229,7 @@ def infonce_loss_and_grad(weights: np.ndarray, batch: _TrainingBatch, tau: float
     fd.w are `_row_sums`, and the gradient is `_column_sums`, so the trained
     weights do not depend on the CPU's BLAS kernel.
     """
-    if tau <= 0:
-        raise DataError(f"temperature must be positive, got {tau}")
+    _check_tau(tau)
     fq, fd, cand, first = batch.query_feats, batch.doc_feats, batch.cand, batch.first
     num_pairs = len(first) - 1
     if not num_pairs:
@@ -259,19 +266,19 @@ def train_importance(
     """
     if not pairs:
         raise DataError("no training pairs")
-    batch = prepare_training_batch(pairs, corpus)
     rng = np.random.default_rng(seed)
-    weights = rng.uniform(0.001, 0.01, size=len(TFIDF_FEATURES))
+    model = ImportanceModel(rng.uniform(0.001, 0.01, size=len(TFIDF_FEATURES)), tau)
+    batch = prepare_training_batch(pairs, corpus)
     for epoch in range(epochs):
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            loss, grad = infonce_loss_and_grad(weights, batch, tau)
+            loss, grad = infonce_loss_and_grad(model.weights, batch, tau)
             update = lr * grad
         if not (math.isfinite(loss) and np.isfinite(update).all()):
             raise ArithmeticError(
                 f"non-finite InfoNCE loss {loss} or update at epoch {epoch} (lr={lr}, tau={tau})"
             )
-        weights = weights - update
-    return ImportanceModel(weights, tau)
+        model.weights = model.weights - update
+    return model
 
 
 # ---------------------------------------------------------------------------

@@ -862,6 +862,23 @@ class TestNegativeSeed:
         assert not (tmp_path / "out").exists()
 
 
+class TestTemperature:
+    @pytest.mark.parametrize("tau", ["inf", "nan", "0", "-1"])
+    def test_build_terms_and_train_refuse_the_same_tau(self, toy_search, tmp_path, capsys, tau):
+        """build-terms refuses a temperature outside (0, inf) before it writes a model, and
+        train --model refuses a model file that holds it: each exits 2 with one error line
+        and writes nothing."""
+        model = tmp_path / "importance.model"
+        model.write_text(MODEL_TEXT.replace("tau\t1.0", f"tau\t{tau}"), encoding="utf-8")
+        for argv in (["build-terms", *TRAIN[1:], "--tau", tau],
+                     [*TRAIN, "--index", toy_search / "index.bin", "--model", model]):
+            capsys.readouterr()
+            assert invoke(*argv, "--output-dir", tmp_path / "out") == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and len(err.splitlines()) == 1, err
+            assert not (tmp_path / "out").exists()
+
+
 # the config keys that set how long a run is, pinned small; the fuzz draws every other key
 LENGTH_KEYS = "importance_epochs = 2\nn_max = 4\niterations = 1\nepochs = 1\nsamples = 1\n"
 FUZZED_KEYS = ("seed", "negatives", "tau", "importance_lr", "n_min", "lr", "topk_sampling",
