@@ -91,7 +91,8 @@ def _featurize(term_lists: list[list[str]], titles: list[set[str]] | None,
     in_title = np.zeros(len(keys))
     if titles is not None:
         held = [o * width + ids[t] for o, title in enumerate(titles) for t in title if t in ids]
-        in_title[np.isin(keys, held)] = 1.0
+        at = _find(keys, np.array(held, dtype=np.int64))  # not np.isin: it imports numpy.ma
+        in_title[at[at >= 0]] = 1.0
     features = np.column_stack([
         counts / length,
         idf[term],

@@ -812,7 +812,10 @@ def _padded(sequences) -> np.ndarray:
         return sequences
     lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
     seqs = np.full((len(sequences), lengths.max(initial=0)), -1, dtype=np.int64)
-    seqs[np.arange(seqs.shape[1]) < lengths[:, None]] = list(chain.from_iterable(sequences))
+    held = np.arange(seqs.shape[1]) < lengths[:, None]
+    seqs[held] = list(chain.from_iterable(sequences))
+    if (seqs[held] == -1).any():  # the walk would read it as padding
+        raise DataError("term id -1 infeasible: -1 pads a row")
     return seqs
 
 

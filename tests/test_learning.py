@@ -112,13 +112,13 @@ class TestSamplePermutations:
         index = build_index(IdentifierTable(1, {"D1": ["solo"], "D2": ["duo"]}))
         q, scorer = query(), UniformScorer()
         (out,) = sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], index, scorer, samples=4,
-                               topk=1, seed=0)
+                              topk=1, seed=0)
         assert out.tolist() == [[index.dictionary.id_of("solo")]] * 4
 
     def test_every_sample_is_permutation(self, four_term_index):
         q, scorer = query(), UniformScorer()
         (out,) = sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], four_term_index, scorer,
-                               samples=20, topk=4, seed=3)
+                              samples=20, topk=4, seed=3)
         expected = frozenset(four_term_index.identifier_ids("D1").tolist())
         for seq in out:
             assert frozenset(seq) == expected
@@ -128,7 +128,7 @@ class TestSamplePermutations:
         # uniform scorer, topk = n: the first sampled term is uniform over 4
         q, scorer = query(), UniformScorer()
         (out,) = sample_pairs(*prepared_rows(scorer, [q]), [q], ["D1"], four_term_index, scorer,
-                               samples=10_000, topk=4, seed=7)
+                              samples=10_000, topk=4, seed=7)
         counts = {}
         for seq in out:
             counts[seq[0]] = counts.get(seq[0], 0) + 1
@@ -308,7 +308,7 @@ class TestSamplingKernel:
         assert [list(map(tuple, block)) for block in got.tolist()] == want
         q, d = pairs[0]  # one pair alone
         alone = sample_pairs(*prepared_rows(scorer, [q]), [q], [d], index, scorer, samples, topk,
-                              seed)
+                             seed)
         assert [list(map(tuple, block)) for block in alone.tolist()] == want[:1]
 
     @settings(max_examples=60, deadline=None)
