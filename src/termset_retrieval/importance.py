@@ -214,9 +214,11 @@ def prepare_training_batch(pairs: list[TrainingPair], corpus: Corpus) -> _Traini
     keys = np.where(term >= 0, np.array(candidates, dtype=np.int64)[cand] * width + term, -1)
     drow = _find(docs.owner * width + docs.term, keys)
     shared = drow >= 0
-    fq, fd = queries.features[qrow[shared]], docs.features[drow[shared]]
-    # column-major, as the InfoNCE sums read them: each column one contiguous run
-    return _TrainingBatch(np.asfortranarray(fq), np.asfortranarray(fd), cand[shared], first)
+    # column-major, as the InfoNCE sums read them: each column one contiguous run. Each
+    # row-major gather is freed once copied, so at most one is held beside the batch.
+    fq = np.asfortranarray(queries.features[qrow[shared]])
+    fd = np.asfortranarray(docs.features[drow[shared]])
+    return _TrainingBatch(fq, fd, cand[shared], first)
 
 
 def infonce_loss_and_grad(weights: np.ndarray, batch: _TrainingBatch, tau: float):

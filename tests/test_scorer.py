@@ -272,13 +272,13 @@ class TestSequenceLogprob:
         with pytest.raises(DataError, match="infeasible"):
             sequence_logprob(UniformScorer(), query(), [a, e], tiny_index)
 
-    @pytest.mark.parametrize("where", ["first", "last"])
-    def test_a_minus_one_in_a_list_is_infeasible_not_padding(self, tiny_index, where):
-        """A list row is padded with -1; a -1 of its own, trailing too, is refused."""
-        (a,) = term_ids(tiny_index, "a")
+    @pytest.mark.parametrize("where", [0, 1])
+    def test_a_minus_one_term_is_infeasible_not_padding(self, tiny_index, where):
+        """A list row is padded with -1, but a -1 of its own, trailing too, is no term."""
+        ids = term_ids(tiny_index, "a")
+        ids.insert(where, -1)
         with pytest.raises(DataError, match="infeasible"):
-            sequence_logprob(UniformScorer(), query(), [-1, a] if where == "first" else [a, -1],
-                             tiny_index)
+            sequence_logprob(UniformScorer(), query(), ids, tiny_index)
 
     def test_non_increasing_along_prefix(self, tiny_index):
         ids = term_ids(tiny_index, "a", "b", "d")
