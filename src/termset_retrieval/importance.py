@@ -321,12 +321,12 @@ def _first_bad_row(sets: np.ndarray, num_terms: int) -> tuple[str, int, int] | N
     bad row: "range", every id lies in [0, num_terms); "term", no row repeats a term; "set",
     no row's set repeats an earlier row's, `earlier` being the first that holds it (else -1).
     """
-    outside = ((sets[:, :1] < 0) | (sets[:, -1:] >= num_terms)).any(axis=1)
+    outside = (sets[:, :1] < 0) | (sets[:, -1:] >= num_terms)  # one column, or none
     if outside.any():
         return "range", int(outside.argmax()), -1
-    repeats = (sets[:, 1:] == sets[:, :-1]).any(axis=1)
-    if repeats.any():
-        return "term", int(repeats.argmax()), -1
+    repeats = sets[:, 1:] == sets[:, :-1]
+    if repeats.any():  # flat: the first True in row-major order lies in the first bad row
+        return "term", int(repeats.argmax()) // repeats.shape[1], -1
     if len(sets) < 2:
         return None
     if not sets.shape[1]:  # every zero-width row holds the empty set
@@ -410,17 +410,14 @@ class IdentifierTable:
         dictionary, order, sets, bad = _encode_identifiers(rows, n)
         if bad:
             raise InvariantError(_identifier_problem(bad, doc_ids, rows, n))
-        self._keep(n, dictionary, doc_ids, order, sets)
+        self._keep(n, dictionary, *_by_doc_id(doc_ids, order, sets))
 
     @classmethod
     def _checked(cls, n, dictionary, doc_ids, order, sets) -> IdentifierTable:
-        """A table of unique doc ids and rows already checked as the constructor checks them."""
+        """A table of strictly ascending doc ids and rows checked as the constructor checks them."""
         return cls.__new__(cls)._keep(n, dictionary, doc_ids, order, sets)
 
     def _keep(self, n, dictionary, doc_ids, order, sets) -> IdentifierTable:
-        if not _strictly_ascending(doc_ids):
-            by_id = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
-            doc_ids, order, sets = [doc_ids[i] for i in by_id], order[by_id], sets[by_id]
         order.flags.writeable = sets.flags.writeable = False
         self.n, self.dictionary, self.doc_ids, self.order, self.sets = n, dictionary, doc_ids, order, sets
         return self
@@ -442,6 +439,14 @@ class IdentifierTable:
 
 def _strictly_ascending(items) -> bool:
     return all(map(operator.lt, items, islice(items, 1, None)))
+
+
+def _by_doc_id(doc_ids: list[str], order: np.ndarray, sets: np.ndarray):
+    """(doc_ids, order, sets) with the rows in ascending order of their unique doc ids."""
+    if _strictly_ascending(doc_ids):
+        return doc_ids, order, sets
+    by_id = sorted(range(len(doc_ids)), key=doc_ids.__getitem__)
+    return [doc_ids[i] for i in by_id], order[by_id], sets[by_id]
 
 
 def is_placeholder(term: str) -> bool:
@@ -624,4 +629,4 @@ def read_identifier_file(path) -> IdentifierTable:
     dictionary, order, sets, bad = _encode_identifiers(rows, n)  # in file order
     if bad:
         raise DataError(f"{path}:{linenos[bad[1]]}: {_identifier_problem(bad, doc_ids, rows, n)}")
-    return IdentifierTable._checked(n, dictionary, doc_ids, order, sets)
+    return IdentifierTable._checked(n, dictionary, *_by_doc_id(doc_ids, order, sets))

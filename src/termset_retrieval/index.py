@@ -213,12 +213,18 @@ class Index:
         self.order, self.sets = table.order, table.sets  # importance-descending, sorted
         num_docs, vocab = len(self.doc_ids), len(self.dictionary)
         # term-level postings as CSR: term t's documents are
-        # posting_docs[posting_ptr[t]:posting_ptr[t + 1]], in position
-        # order: the keys term * docs + doc are unique, so one sort orders them
-        keys = self.sets.astype(np.int64) * num_docs + np.arange(num_docs)[:, None]
-        self.posting_docs = (np.sort(keys, axis=None) % num_docs).astype(np.int32)
-        self.posting_ptr = np.zeros(vocab + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.sets.ravel(), minlength=vocab), out=self.posting_ptr[1:])
+        # posting_docs[posting_ptr[t]:posting_ptr[t + 1]], in position order.
+        # Sorted, the unique keys (term << s) | doc, s = bit_length(docs - 1),
+        # run from t << s for term t, the doc in the low s bits. Keys < V << s:
+        # int32 up to 2**31, as in `_expand` (V << s itself is never formed)
+        shift = (num_docs - 1).bit_length()
+        dtype = np.int32 if vocab << shift <= 1 << 31 else np.int64
+        keys = np.left_shift(self.sets, shift, dtype=dtype)
+        keys |= np.arange(num_docs, dtype=dtype)[:, None]
+        keys = keys.ravel()
+        keys.sort()
+        self.posting_ptr = np.append(keys.searchsorted(np.arange(vocab, dtype=dtype) << shift), len(keys))
+        self.posting_docs = np.bitwise_and(keys, (1 << shift) - 1, out=keys).astype(np.int32, copy=False)
         self.posting_sizes = np.diff(self.posting_ptr)
         self.all_docs = np.arange(num_docs, dtype=np.int32)
         self.root_feasible = terms = np.flatnonzero(self.posting_sizes > 0).astype(np.int32)
@@ -362,7 +368,7 @@ def save_index(index: Index, path) -> None:
     terms, docs = _joined(index.dictionary.terms, "term"), _joined(index.doc_ids, "document id")
     header = _HEADER.pack(index.n, len(index.doc_ids), len(index.dictionary), len(terms), len(docs))
     pad = bytes(-(_START + len(terms) + len(docs)) % 8)
-    order = index.order.astype("<i4").tobytes()
+    order = np.ascontiguousarray(index.order, dtype="<i4")  # the join copies it, once
     atomic.write_bytes(path, b"".join([_MAGIC, header, terms, docs, pad, order]))
 
 

@@ -755,6 +755,17 @@ class TestPersistence:
         assert_same_index(load_index(tmp_path / "index.bin"), build_index(table))
         assert len(calls) == 1
 
+    def test_load_walks_doc_order_once(self, tmp_path, monkeypatch):
+        """`load_index` checks that terms and doc ids ascend, then builds its table without a second walk."""
+        table = make_random_identifiers(20, 10, 3, seed=5)
+        save_index(build_index(table), tmp_path / "index.bin")
+        calls = []
+        walk = importance._strictly_ascending
+        for module in (index_module, importance):
+            monkeypatch.setattr(module, "_strictly_ascending", lambda items: calls.append(items) or walk(items))
+        assert_same_index(load_index(tmp_path / "index.bin"), build_index(table))
+        assert calls == [table.dictionary.terms, table.doc_ids]
+
 
 def oracle_load_index(path) -> Index:
     """A field-by-field `termset-index/3` reader: one string, one id, one row at a time."""
@@ -1059,8 +1070,10 @@ class TestBuildOracle:
                 array[:1] = 0
 
     @pytest.mark.parametrize("num_docs, vocab, n, seed",
-                             [(1, 3, 3, 0), (40, 10, 2, 1), (300, 40, 4, 2), (500, 25, 6, 3)])
+                             [(1, 3, 3, 0), (40, 10, 2, 1), (64, 20, 3, 4), (65, 20, 3, 5),
+                              (300, 40, 4, 2), (500, 25, 6, 3)])
     def test_postings_equal_the_stable_argsort(self, num_docs, vocab, n, seed):
+        """64 documents take 6 doc bits in the postings keys, 65 take 7."""
         table = make_random_identifiers(num_docs, vocab, n, seed=seed)
         index = build_index(table)
         want = np.array([[index.dictionary.id_of(t) for t in table.terms_by_doc[d]]
@@ -1069,6 +1082,25 @@ class TestBuildOracle:
         for name, array in argsort_postings(index).items():
             assert getattr(index, name).dtype == array.dtype, name
             assert np.array_equal(getattr(index, name), array), name
+
+    @pytest.mark.parametrize("num_docs, vocab, n, top",
+                             [(32769, 32768, 2, 1 << 31), (65537, 65537, 1, 65537 << 17)],
+                             ids=["int32-at-2**31", "int64"])
+    def test_postings_keys_at_and_past_int32(self, num_docs, vocab, n, top):
+        """The postings keys (term << s) | doc, s = bit_length(docs - 1), lie below V << s: int32 up
+        to 2**31 (the last term's run ends there), int64 past it. Row d holds the terms
+        (d + k * (1 + d // V)) % V, k < n: n distinct terms, no set twice."""
+        assert vocab << (num_docs - 1).bit_length() == top
+        docs = np.random.default_rng(6).permutation(num_docs)[:, None]
+        order = ((docs + np.arange(n) * (1 + docs // vocab)) % vocab).astype(np.int32)
+        terms = [f"t{i:05d}" for i in range(vocab)]
+        doc_ids = [f"d{i:05d}" for i in range(num_docs)]
+        table = IdentifierTable._checked(n, TermDictionary(terms), doc_ids, order, np.sort(order, 1))
+        built = build_index(table)
+        for index in (built, load_bytes(save_bytes(built))):
+            for name, array in argsort_postings(index).items():
+                assert getattr(index, name).dtype == array.dtype, name
+                assert np.array_equal(getattr(index, name), array), name
 
     def test_unused_dictionary_terms_have_empty_postings(self):
         """A loaded file's dictionary may name terms no row holds."""
