@@ -17,7 +17,7 @@ import numpy as np
 from . import atomic
 from .corpus import Query
 from .errors import DataError, InvariantError
-from .index import DenseStep, root_beam
+from .index import root_beam
 from .scorer import Scorer, sequence_logprob
 
 
@@ -58,72 +58,29 @@ def constrained_beam_search(
     order passes through children of different sizes (`log1p_postings`)
     and is normalized over different feasible sets.
 
-    The beam is held as arrays: one (hypotheses x N) array of term ids,
-    filled up to the current depth, its rows in lexicographic order, and
-    the postings as CSR (flat doc positions plus offsets). The scorer's
-    step function is made once per query (`step_scorer`). Each step
-    expands the whole beam with one `np.sort` (`expand`), scores it with
-    one call of that function and keeps the survivors with `top_k_cut`, in
-    step order, which keeps the rows in lexicographic order. Once every
-    hypothesis holds one document, the remaining depths are decoded on one
-    block (`_dense_tail`). Returns the completed hypotheses as arrays, best
-    first: their term-id sequences (one row each), log-likelihoods and
-    document positions.
+    The beam is held as arrays: one (hypotheses x depth) array of term
+    ids, its rows in lexicographic order, and the postings as CSR (flat
+    doc positions plus offsets). The scorer's step function is made once
+    per query (`step_scorer`). Only the root is `expand`ed here. Each depth
+    scores the beam's step with one call of that function, keeps the
+    survivors with `top_k_cut`, in step order, which keeps the rows in
+    lexicographic order, and makes the next step from them (`Step.next`):
+    `expand`'s, or a `DenseStep` once every hypothesis holds one document.
+    Returns the completed hypotheses as arrays, best first: their term-id
+    sequences (one row each), log-likelihoods and document positions.
     """
     if beam_size is not None and beam_size < 1:
         raise DataError(f"beam size must be >= 1, got {beam_size}")
-    _, docs, ptr = root_beam(searchable)
-    seqs = np.empty((1, searchable.n), dtype=np.int64)  # hypothesis h's terms: seqs[h, :depth]
+    step = searchable.expand(*root_beam(searchable))
     lls = np.zeros(1)
     step_logprobs = scorer.step_scorer(query)
     for depth in range(searchable.n):
-        if ptr[-1] == len(seqs):  # every hypothesis holds one document
-            return _dense_tail(searchable, step_logprobs, (seqs, lls, docs), depth, beam_size)
-        step = searchable.expand(seqs[:, :depth], docs, ptr)
         step_ll = lls[step.parents] + step_logprobs(step)
         order = top_k_cut(step, step_ll, beam_size)
         if depth + 1 < searchable.n:
             order.sort()  # step order; the last depth keeps the best first
-        docs, ptr = step.children(order)
-        seqs = seqs[step.parents[order]]
-        seqs[:, depth] = step.terms[order]
-        lls = step_ll[order]
-    held = np.diff(ptr)
-    if (held != 1).any():
-        raise InvariantError(
-            f"full-length prefix maps to {held[np.argmax(held != 1)]} documents, expected 1"
-        )
-    return seqs, lls, docs
-
-
-def _dense_tail(searchable, step_logprobs, beam, depth, beam_size):
-    """Decode from `depth` a beam (seqs, lls, docs) whose hypothesis h holds one document, docs[h].
-
-    No retrieval is left: hypothesis h may only place its document's terms
-    that its prefix lacks (`remaining`), each with child size 1 and lead
-    docs[h]. They form one block, a row per hypothesis and a column per
-    term to place, built once. Each depth scores the candidate columns
-    (`DenseStep`) and cuts as `constrained_beam_search` does, then takes
-    the kept rows without each one's picked column, in one gather: row p
-    of `drop` lists every column but p.
-    """
-    seqs, lls, docs = beam
-    block, free = searchable.remaining(seqs[:, :depth], docs)
-    cols = np.arange(block.shape[1] - 1)
-    drop = cols + (cols >= np.arange(block.shape[1])[:, None])  # drop[p]: the columns but p
-    for depth in range(depth, searchable.n):
-        width = block.shape[1] if free else 1
-        step = DenseStep(searchable, seqs[:, :depth], docs, block[:, :width])
-        step_ll = lls.repeat(width) + step_logprobs(step)
-        order = top_k_cut(step, step_ll, beam_size)
-        if depth + 1 < searchable.n:
-            order.sort()
-        parents, picked = np.divmod(order, width)
-        seqs = seqs[parents]
-        seqs[:, depth] = block[parents, picked]
-        lls, docs = step_ll[order], docs[parents]
-        block = block[parents[:, None], drop[picked, : block.shape[1] - 1]]
-    return seqs, lls, docs
+        step, lls = step.next(order), step_ll[order]
+    return step.seqs, lls, step.beam_docs
 
 
 def top_k_cut(step, step_ll, beam_size) -> np.ndarray:

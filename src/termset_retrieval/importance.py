@@ -342,13 +342,15 @@ def _repeated_sets(sets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(later, earlier): each row whose set an earlier row holds, and the row before it that does.
 
     `sets` holds each row's non-negative term ids, sorted. Equal sets hash
-    alike, so only rows that share a hash are compared exactly.
+    alike, so only rows that share a hash are compared exactly; one sort of
+    the hashes, cheaper than their argsort, finds whether any two are equal.
     """
     hashes = _row_hash(sets)
+    ascending = np.sort(hashes)
+    if not (ascending[1:] == ascending[:-1]).any():  # no two hashes equal: no two sets
+        return (np.zeros(0, dtype=np.intp),) * 2
     ranked = np.argsort(hashes)  # any order of equal hashes: the suspects are re-sorted below
     shared = hashes[ranked[1:]] == hashes[ranked[:-1]]
-    if not shared.any():
-        return ranked[:0], ranked[:0]
     suspects = np.zeros(len(sets), dtype=bool)
     suspects[ranked[1:][shared]] = suspects[ranked[:-1][shared]] = True
     rows = np.flatnonzero(suspects)  # ascending, so the exact sort below keeps row order
@@ -406,6 +408,8 @@ class IdentifierTable:
     """
 
     def __init__(self, n: int, terms_by_doc: dict[str, list[str]]):
+        if n < 1:
+            raise DataError(f"identifier size must be >= 1, got {n}")
         doc_ids, rows = list(terms_by_doc), list(terms_by_doc.values())
         dictionary, order, sets, bad = _encode_identifiers(rows, n)
         if bad:

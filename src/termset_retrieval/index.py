@@ -37,7 +37,8 @@ class Step:
     its lead, the lowest child document, is the run's first. Origins and
     leads are derived only for the extensions asked for (`origins`,
     `leads`): a step holds thousands, and the cut keeps K.
-    `offsets[h]:offsets[h + 1]` are hypothesis h's extensions.
+    `offsets[h]:offsets[h + 1]` are hypothesis h's extensions. A step makes
+    the step of the beam its kept extensions form (`next`, `descend`).
     """
 
     searchable: object
@@ -86,16 +87,33 @@ class Step:
         keys = self.parents * vocab + self.terms  # ascending: extensions go by (parent, term)
         return np.where((terms >= 0) & (terms < vocab), _find(keys, hyps * vocab + terms), -1)
 
-    def descend(self, picks: np.ndarray):
-        """The next beam: one hypothesis per distinct extension among `picks`.
-
-        Returns its prefixes, its postings (flat docs and offsets), and each
-        pick's hypothesis in it.
-        """
-        kept, inverse = np.unique(picks, return_inverse=True)
+    def next(self, kept: np.ndarray) -> Step:
+        """The step of the beam that extensions `kept` (ascending, distinct) make: a
+        `DenseStep` over the terms each child has left (`remaining`) once every child
+        is one document, else `expand`'s. At the last depth `kept` may come in any
+        order, and the step it makes holds the completed hypotheses."""
         docs, ptr = self.children(kept)
-        seqs = np.column_stack([self.seqs[self.parents[kept]], self.terms[kept]])
-        return seqs, docs, ptr, inverse
+        seqs = np.empty((len(kept), self.depth + 1), dtype=np.int64)
+        seqs[:, :-1] = self.seqs.take(self.parents.take(kept), axis=0)
+        seqs[:, -1] = self.terms.take(kept)
+        last = self.depth + 1 == self.n
+        if ptr[-1] != len(kept):  # a child holds several documents
+            if last:  # only a registry that repeats a set gets here
+                raise InvariantError("a full-length prefix maps to more than one document")
+            return self.searchable.expand(seqs, docs, ptr)
+        if last:  # the completed hypotheses: no term is left to place
+            block = np.empty((len(kept), 0), dtype=self.terms.dtype)
+            return DenseStep(self.searchable, seqs, docs, block, True, None)
+        block, free = self.searchable.remaining(seqs, docs)
+        cols = np.arange(block.shape[1] - 1)
+        drop = cols + (cols >= np.arange(block.shape[1])[:, None])  # drop[p]: the columns but p
+        return DenseStep(self.searchable, seqs, docs, block, free, drop)
+
+    def descend(self, picks: np.ndarray) -> tuple[Step, np.ndarray]:
+        """The next step, of one hypothesis per distinct extension among `picks`, and
+        each pick's hypothesis in it."""
+        kept, inverse = np.unique(picks, return_inverse=True)
+        return self.next(kept), inverse
 
 
 @dataclass
@@ -180,23 +198,37 @@ def _expand(searchable, seqs, docs, ptr, columns) -> Step:
 class DenseStep(Step):
     """The step of a beam in which hypothesis h holds one document, docs[h].
 
-    Search's dense tail builds it from `remaining`. Its extensions are
-    block[h], ascending: terms of that document, each with child size 1
-    and lead docs[h], so there are no keys. Every array follows from the
-    block's shape and is made when first read.
+    No retrieval is left: row h of `block` holds the terms of docs[h] that
+    its prefix lacks, and the extensions are its `choices`, every column if
+    `free` (any may come next), else the first. Each is a term with child
+    size 1 and lead docs[h], so there are no keys, and every array follows
+    from the choices' shape: `parents`, which every walk reads, is made with
+    the step, the rest when first read. `Step.next` builds the first
+    `DenseStep` of a beam; each makes its successor (`next`) by one gather
+    of the kept rows without each one's picked column: row p of `drop`
+    lists every column but p.
     """
 
-    def __init__(self, searchable, seqs, docs, block):
-        self.searchable, self.seqs, self.beam_docs, self.block = searchable, seqs, docs, block
+    def __init__(self, searchable, seqs, docs, block, free, drop):
+        self.searchable, self.seqs, self.beam_docs = searchable, seqs, docs
+        self.block, self.free, self.drop = block, free, drop
+        self.choices = block if free else block[:, :1]
+        self.parents = np.arange(len(block)).repeat(self.choices.shape[1])
 
-    parents = cached_property(lambda self: np.arange(len(self.block)).repeat(self.block.shape[1]))
-    terms = cached_property(lambda self: self.block.ravel())
+    terms = cached_property(lambda self: self.choices.ravel())
     sizes = cached_property(lambda self: np.ones_like(self.parents))
-    offsets = cached_property(lambda self: np.arange(len(self.block) + 1) * self.block.shape[1])
-    _leads = cached_property(lambda self: self.beam_docs.repeat(self.block.shape[1]))
+    offsets = cached_property(lambda self: np.arange(len(self.block) + 1) * self.choices.shape[1])
 
     def leads(self, rows) -> np.ndarray:
-        return self._leads[rows]
+        return self.beam_docs.take(rows // self.choices.shape[1])
+
+    def next(self, kept: np.ndarray) -> DenseStep:
+        parents, picked = np.divmod(kept, self.choices.shape[1])
+        seqs = np.empty((len(kept), self.depth + 1), dtype=np.int64)
+        seqs[:, :-1] = self.seqs.take(parents, axis=0)
+        seqs[:, -1] = self.choices.take(kept)  # flat, as the extensions go
+        block = self.block[parents[:, None], self.drop[picked, : self.block.shape[1] - 1]]
+        return DenseStep(self.searchable, seqs, self.beam_docs[parents], block, self.free, self.drop)
 
 
 class Index:
@@ -395,6 +427,8 @@ def load_index(path) -> Index:
     if len(data) < _START:
         raise DataError(f"{path}: truncated header")
     n, num_docs, num_terms, terms_size, docs_size = _HEADER.unpack_from(data, len(_MAGIC))
+    if n < 1:
+        raise DataError(f"{path}: identifier size must be >= 1, got {n}")
     docs_at = _START + terms_size
     order_at = -(-(docs_at + docs_size) // 8) * 8
     size = order_at + 4 * num_docs * n

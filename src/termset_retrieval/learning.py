@@ -7,14 +7,16 @@ highest overall likelihood becomes the teacher-forcing target for the next
 round. Iteration one starts from an initialization policy instead.
 Sampling draws from SplitMix64 keyed per pair (`_keyed_uniforms`).
 
-Training runs on the same step kernel as search, for all pairs at once.
-Sampling advances every (pair, sample) row one depth per step: the rows'
-distinct prefixes are expanded with one `expand` call and each row is
-scored over its remaining identifier terms with one `segment_logprobs`
-call. Candidate scoring and teacher forcing go through the scorer's teacher
-walk (`Scorer.sequence_logprobs`, `FeatureScorer.force`): one expand per
-depth for every row, each distinct (query, prefix) segment scored once, in
-chunks of bounded row count. `FeatureScorer` forces the root as one piece
+Training runs on the same step kernel as search, for all pairs at once,
+and steps as search does: the root is `expand`ed, and each step makes the
+next (`Step.descend`), a `DenseStep` once every row's prefix names one
+document. Sampling advances every (pair, sample) row one depth per step,
+its rows' distinct prefixes one beam, and scores each row over its
+remaining identifier terms with one `segment_logprobs` call. Candidate
+scoring and teacher forcing go through the scorer's teacher walk
+(`Scorer.sequence_logprobs`, `FeatureScorer.force`): one step per depth for
+every row, each distinct (query, prefix) segment scored once, in chunks of
+bounded row count. `FeatureScorer` forces the root as one piece
 from per-stem-group sums, with no (queries x vocabulary) row.
 
 `run_training` builds each piece of work once at the widest scope it holds
@@ -192,9 +194,10 @@ def _sample_pairs(prepared, qidx, keys, ordered, index, scorer, samples, topk):
     samples, n) int64 array.
 
     All (pair, sample) rows advance one depth per step: the rows' distinct
-    prefixes are expanded with one `expand` call, and each row is scored
-    over its remaining identifier terms, in stored order, with one
-    `segment_logprobs` call. A row keeps its topk most probable terms
+    prefixes are one beam, and its step descends to the picks
+    (`Step.descend`), a `DenseStep` once every row's prefix names one
+    document. Each row is scored over its remaining identifier terms, in
+    stored order, with one `segment_logprobs` call. A row keeps its topk most probable terms
     (stable, so stored order breaks ties), renormalizes, and picks the
     first whose cumulative probability exceeds its uniform draw (the cdf
     rule of `Generator.choice`). Each pair's uniforms are the first samples
@@ -209,11 +212,10 @@ def _sample_pairs(prepared, qidx, keys, ordered, index, scorer, samples, topk):
     qidx = np.repeat(qidx, samples)
     rows = np.arange(len(remaining))
     out = np.empty((len(rows), n), dtype=np.int64)
-    beam = root_beam(index)
+    step = index.expand(*root_beam(index))
     hyp = np.zeros(len(rows), dtype=np.int64)
     for depth in range(n):
         width = n - depth
-        step = index.expand(*beam)
         ext = step.locate(hyp.repeat(width), remaining.ravel())
         if (ext < 0).any():
             raise InvariantError("a remaining identifier term is not feasible after its prefix")
@@ -232,7 +234,7 @@ def _sample_pairs(prepared, qidx, keys, ordered, index, scorer, samples, topk):
         keep = np.ones(remaining.shape, dtype=bool)
         keep[rows, col] = False
         remaining = remaining[keep].reshape(len(rows), width - 1)
-        *beam, hyp = step.descend(ext.reshape(len(rows), width)[rows, col])
+        step, hyp = step.descend(ext.reshape(len(rows), width)[rows, col])
     return out.reshape(len(ordered), samples, n)
 
 

@@ -236,7 +236,7 @@ class FeatureScorer(Scorer):
         log1p_postings * w3, gathers log1p(size) from the searchable's
         `log1p_sizes`, a table of log1p(0..largest posting size) bit-equal to
         `np.log1p`, and is added to the gathered table (a sum of two floats
-        is commutative). A `DenseStep` is scored as its block of terms: every
+        is commutative). A `DenseStep` is scored as its block of choices: every
         child holds one document, and every row is one segment. The root
         step is one segment, the whole root row, normalized like any other;
         teacher forcing subtracts the root normalizer's log-sum-exp instead,
@@ -250,7 +250,7 @@ class FeatureScorer(Scorer):
 
         def step_logprobs(step) -> np.ndarray:
             if isinstance(step, DenseStep):
-                return _row_log_softmax(table.take(step.block) + single).ravel()
+                return _row_log_softmax(table.take(step.choices) + single).ravel()
             scores = step.searchable.log1p_sizes.take(step.sizes)
             scores *= self.weights[3]
             scores += table.take(step.terms)
@@ -821,27 +821,28 @@ def _padded(sequences) -> np.ndarray:
 
 def _teacher_walk(searchable, seqs):
     """Walk every row r of `seqs` (see `_padded`), its terms but its trailing -1s, from the
-    root, one `expand` per depth.
+    root, which is the one step `expand`ed here.
 
-    At each depth the rows' distinct prefixes form one beam, expanded at
-    once; each row's next term is located among its prefix's extensions
-    (an infeasible term raises DataError). Each depth, the root first,
-    yields (step, hyp, rows, picks): row r's prefix is hypothesis hyp[r] of
-    the step, and row rows[i] (ascending) goes on with extension picks[i].
+    At each depth the rows' distinct prefixes form one beam; each row's
+    next term is located among its prefix's extensions (an infeasible term
+    raises DataError), and the step descends to the picks (`Step.descend`),
+    a `DenseStep` once every row's prefix names one document. Each depth,
+    the root first, yields (step, hyp, rows, picks): row r's prefix is
+    hypothesis hyp[r] of the step, and row rows[i] (ascending) goes on with
+    extension picks[i].
     """
     lengths = np.count_nonzero(seqs != -1, axis=1)  # any other negative id is infeasible
-    beam = root_beam(searchable)
+    step = searchable.expand(*root_beam(searchable))
     hyp = np.zeros(len(seqs), dtype=np.int64)  # each row's prefix in the beam
     for depth in range(seqs.shape[1]):
         rows = np.flatnonzero(lengths > depth)
-        step = searchable.expand(*beam)
         picks = step.locate(hyp[rows], seqs[rows, depth])
         if (picks < 0).any():
             row = rows[np.argmax(picks < 0)]
             prefix = tuple(seqs[row, :depth].tolist())
             raise DataError(f"term id {int(seqs[row, depth])} infeasible at prefix {prefix}")
         yield step, hyp, rows, picks
-        *beam, hyp[rows] = step.descend(picks)
+        step, hyp[rows] = step.descend(picks)
 
 
 def _segment_chunks(step, qidx, hyp, rows, picks):

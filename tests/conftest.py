@@ -71,8 +71,14 @@ def one_step(searchable, prefix):
     return searchable.expand(seqs, docs, np.array([0, len(docs)]))
 
 
+def child_beam(step, kept):
+    """The beam of extensions `kept` as `expand` takes it (seqs, docs, ptr), from `children`."""
+    docs, ptr = step.children(kept)
+    return np.column_stack([step.seqs[step.parents[kept]], step.terms[kept]]), docs, ptr
+
+
 def walk(searchable, prefix):
-    """Descend from the root along `prefix` by `expand`, `locate` and `descend`.
+    """Descend from the root along `prefix` by `expand`, `locate` and `children`.
 
     Returns the one-prefix beam (seqs, docs, ptr) as `expand` takes it, or
     None once a term is not among the extensions of the prefix before it.
@@ -83,8 +89,8 @@ def walk(searchable, prefix):
         pick = step.locate(np.zeros(1, dtype=np.int64), np.array([term_id]))
         if pick[0] < 0:
             return None
-        *beam, _ = step.descend(pick)
-    return tuple(beam)
+        beam = child_beam(step, pick)
+    return beam
 
 
 # stems of at most four characters, so distinct terms often share their

@@ -214,6 +214,20 @@ class TestErrors:
                     "--queries", DATA / "toy_queries.jsonl", "--output", tmp_path / "r.txt")
         assert rc == 2
 
+    def test_zero_width_index_is_data_error(self, toy_search, tmp_path, capsys):
+        """An index file whose header gives n = 0, with one document and no terms: search
+        exits 2 naming the file, and writes no run (it once served that document with an
+        empty permutation)."""
+        index, run = tmp_path / "index.bin", tmp_path / "run.txt"
+        header = np.array([0, 1, 0, 0, 2], dtype="<u8")  # n, docs, terms and their byte sizes
+        index.write_bytes(b"termset-index/3\n" + header.tobytes() + b"D1" + bytes(6))
+        capsys.readouterr()
+        rc = invoke("search", "--index", index, "--scorer", toy_search / "scorer.txt",
+                    "--queries", DATA / "toy_queries.jsonl", "--output", run)
+        assert rc == 2
+        assert f"{index}: identifier size must be >= 1, got 0" in capsys.readouterr().err
+        assert not run.exists()
+
     @pytest.mark.parametrize("artifact", ["index.txt", "train/scorer.txt"], ids=["index", "scorer"])
     def test_version_1_file_is_refused(self, pipeline, capsys, artifact):
         path = pipeline / artifact

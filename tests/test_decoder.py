@@ -19,10 +19,10 @@ from termset_retrieval.decoder import (
     rank_documents,
     search,
 )
-from termset_retrieval.errors import DataError
+from termset_retrieval.errors import DataError, InvariantError
 from termset_retrieval.evaluation import read_run, recall_at_k
-from termset_retrieval.importance import IdentifierTable
-from termset_retrieval.index import DenseStep, SequenceView, build_index, root_beam
+from termset_retrieval.importance import IdentifierTable, TermDictionary
+from termset_retrieval.index import DenseStep, SequenceView, Step, build_index, root_beam
 from termset_retrieval.scorer import (
     STEP_FEATURES,
     FeatureScorer,
@@ -115,7 +115,7 @@ def search_cases(draw):
     """A small random registry, a searchable view of it, a scorer and a query.
 
     Identifiers run to six terms, so the deeper steps of a search mostly
-    extend prefixes that each name one document (`decoder._dense_tail`).
+    extend prefixes that each name one document (`DenseStep`).
     """
     n = draw(st.integers(1, 6))
     vocab = draw(st.integers(n + 1, 16))
@@ -236,15 +236,19 @@ class TestTopKCut:
 
 
 def record_tails(monkeypatch):
-    """Record the beam (seqs, lls, docs) and depth at which each search enters its dense tail."""
+    """Record the first `DenseStep` each search steps into: a sorted step's successor.
+
+    `DenseStep` makes its own successors, so `Step.next` builds only the first."""
     calls = []
-    dense_tail = decoder._dense_tail
+    step_next = Step.next
 
-    def recording(searchable, step_logprobs, beam, depth, beam_size):
-        calls.append((beam, depth))
-        return dense_tail(searchable, step_logprobs, beam, depth, beam_size)
+    def recording(self, kept):
+        got = step_next(self, kept)
+        if isinstance(got, DenseStep):
+            calls.append(got)
+        return got
 
-    monkeypatch.setattr(decoder, "_dense_tail", recording)
+    monkeypatch.setattr(Step, "next", recording)
     return calls
 
 
@@ -264,7 +268,8 @@ class TestDenseTail:
             dense.clear()
             with mock.patch.object(index, "expand", side_effect=counted) as calls:
                 got = constrained_beam_search(q, index, scorer, beam)
-            (_, depth), = tails
+            (tail,) = tails
+            depth = tail.depth
             assert 0 < depth < index.n, beam
             assert calls.call_count == depth and not any(dense), beam
             want = reference_beam_search(q, index, scorer, beam)
@@ -300,10 +305,10 @@ class TestDenseTail:
         for beam, kept in ((4, "abcd"), (None, "abcdef")):
             tails.clear()
             seqs, lls, docs = constrained_beam_search(query(), index, UniformScorer(), beam)
-            (entry_seqs, _, entry_docs), depth = tails[0]
-            assert depth == 1
-            assert entry_seqs[:, 0].tolist() == [ids[t] for t in kept]
-            assert entry_docs.tolist().count(0) == 3  # a, b and c each hold D1
+            (tail,) = tails
+            assert tail.depth == 1
+            assert tail.seqs[:, 0].tolist() == [ids[t] for t in kept]
+            assert tail.beam_docs.tolist().count(0) == 3  # a, b and c each hold D1
             want = reference_beam_search(query(), index, UniformScorer(), beam)
             assert seqs.tolist() == want[0].tolist()
             if beam is None:
@@ -323,7 +328,7 @@ class TestDenseTail:
         for beam in (None, 1, 3):
             tails.clear()
             got = constrained_beam_search(q, searchable, scorer, beam)
-            assert len(tails) == 1, beam
+            assert len(tails) == 1 and tails[0].depth < searchable.n, beam
             want = reference_beam_search(q, searchable, scorer, beam)
             assert ranked(searchable, got).canonical() == ranked(searchable, want).canonical()
 
@@ -377,6 +382,17 @@ class TestBeamSearch:
             if any(len(v) > 1 for v in by_set.values()):
                 seen_any_order_pair = True
         assert seen_any_order_pair
+
+    def test_a_registry_that_repeats_a_set_is_an_invariant_error(self):
+        """Tables and index files refuse one; built around their checks, its full-length
+        prefixes name two documents, which search and the teacher walk refuse."""
+        order = np.array([[0, 1], [1, 0]], dtype=np.int32)
+        index = build_index(IdentifierTable._checked(2, TermDictionary(["a", "b"]), ["D1", "D2"],
+                                                     order, np.sort(order, axis=1)))
+        with pytest.raises(InvariantError, match="full-length prefix maps to more than one"):
+            constrained_beam_search(query(), index, UniformScorer(), None)
+        with pytest.raises(InvariantError, match="full-length prefix maps to more than one"):
+            sequence_logprob(UniformScorer(), query(), [0, 1], index)
 
     def test_beam_size_validation(self, tiny_index):
         with pytest.raises(DataError, match="beam size"):

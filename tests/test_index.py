@@ -48,7 +48,7 @@ from termset_retrieval.scorer import (
 )
 from termset_retrieval.synthetic import make_random_identifiers
 
-from conftest import file_mutations, holders, outcome, term_ids, walk
+from conftest import child_beam, file_mutations, holders, outcome, term_ids, walk
 
 
 def oracle_feasible(table: IdentifierTable, prefix: set[str]) -> set[str]:
@@ -363,17 +363,33 @@ class TestDenseStep:
     @settings(max_examples=100, deadline=None)
     @given(single_document_beams())
     def test_equals_the_sort_path(self, case):
-        """The dense tail's step, from `remaining`, equals `expand`'s sorted one."""
+        """The `DenseStep` that a sorted step's `next` makes equals `expand`'s sorted
+        step of the same beam, and so does its own successor."""
         searchable, seqs, docs = case
-        remaining, free = searchable.remaining(seqs, docs)
-        assert remaining.shape == (len(docs), searchable.n - seqs.shape[1])
-        dense = DenseStep(searchable, seqs, docs, remaining if free else remaining[:, :1])
-        assert_same_step(dense, searchable.expand(seqs, docs, np.arange(len(docs) + 1)))
+        single = np.arange(len(docs) + 1)
+        parent = _expand(searchable, seqs[:, :-1], docs, single,
+                         expand_columns(searchable, seqs[:, :-1], docs))
+        kept = parent.locate(np.arange(len(docs)), seqs[:, -1])
+        assert (kept >= 0).all()
+        dense = parent.next(kept)
+        assert isinstance(dense, DenseStep)
+        assert dense.seqs.dtype == np.int64 and dense.seqs.tolist() == seqs.tolist()
+        assert dense.beam_docs.dtype == docs.dtype and dense.beam_docs.tolist() == docs.tolist()
+        assert dense.block.shape == (len(docs), searchable.n - seqs.shape[1])
+        sorted_step = searchable.expand(seqs, docs, single)
+        assert_same_step(dense, sorted_step)
         picks = np.arange(len(dense.terms))[::-1]
         child_docs, child_ptr = dense.children(picks)
         assert child_docs.dtype == docs.dtype
         assert child_docs.tolist() == dense.beam_docs[dense.parents[picks]].tolist()
         assert child_ptr.tolist() == list(range(len(picks) + 1))
+        for kept in (np.arange(len(dense.terms)), np.arange(0, len(dense.terms), 2)):
+            got, want = dense.next(kept), sorted_step.next(kept)
+            assert isinstance(got, DenseStep) and isinstance(want, DenseStep)
+            for name in ("seqs", "beam_docs", "block", "choices"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tolist() == b.tolist(), name
+            assert_same_step(got, want)
 
     def test_as_many_documents_as_hypotheses_but_not_one_each_is_sorted(self, tiny_index):
         a, b, c, d, e = term_ids(tiny_index, "a", "b", "c", "d", "e")
@@ -525,7 +541,7 @@ class TestCompleteAndPruning:
                 return
             step = index.expand(seqs, docs, ptr)
             for i in range(len(step.terms)):
-                child_seqs, child_docs, child_ptr, _ = step.descend(np.array([i]))
+                child_seqs, child_docs, child_ptr = child_beam(step, np.array([i]))
                 assert len(child_docs) >= 1
                 assert set(child_docs.tolist()) <= set(docs.tolist())
                 visit(child_seqs, child_docs, child_ptr)
@@ -649,13 +665,16 @@ class TestPersistence:
             save_index(loaded, tmp_path / "j.bin")
             assert (tmp_path / "i.bin").read_bytes() == (tmp_path / "j.bin").read_bytes()
 
-    def test_zero_width_identifier_saves(self, tmp_path):
-        save_index(build_index(IdentifierTable(0, {"a": []})), tmp_path / "index.bin")
-        data = (tmp_path / "index.bin").read_bytes()
-        assert data == MAGIC + HEADER.pack(0, 1, 0, 0, 1) + b"a" + bytes(7)
-        loaded = load_index(tmp_path / "index.bin")
-        assert (loaded.n, loaded.doc_ids, loaded.dictionary.terms) == (0, ["a"], [])
-        assert save_bytes(loaded) == data
+    def test_zero_width_identifier_is_refused(self, tmp_path):
+        """n = 0 names no document: the table refuses it, and so does a file whose
+        header gives it, whatever its document count (its rows take no bytes)."""
+        with pytest.raises(DataError, match="identifier size must be >= 1, got 0"):
+            IdentifierTable(0, {"a": []})
+        path = tmp_path / "index.bin"
+        for docs in (1, 2**40):
+            path.write_bytes(MAGIC + HEADER.pack(0, docs, 0, 0, 1) + b"a" + bytes(7))
+            with pytest.raises(DataError, match=re.escape(f"{path}: identifier size must be >= 1, got 0")):
+                load_index(path)
 
     def test_corrupted_header(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -723,12 +742,6 @@ class TestPersistence:
         with pytest.raises(DataError, match="the header (gives|counts)"):
             load_bytes(with_header(save_bytes(tiny_index), **{field: value}))
 
-    def test_inflated_document_count_of_zero_width_rows(self):
-        """With n = 0 the rows take no bytes, so the doc ids must refuse the count."""
-        data = with_header(save_bytes(build_index(IdentifierTable(0, {"a": []}))), docs=2**40)
-        with pytest.raises(DataError, match=f"the header counts {2**40} documents, the file holds 1"):
-            load_bytes(data)
-
     @pytest.mark.parametrize(
         "rows, message",
         [
@@ -775,6 +788,8 @@ def oracle_load_index(path) -> Index:
     if len(data) < START:
         raise DataError(f"{path}: truncated header")
     n, num_docs, num_terms, terms_size, docs_size = HEADER.unpack(data[len(MAGIC) : START])
+    if n < 1:
+        raise DataError(f"{path}: identifier size must be >= 1, got {n}")
     strings_end = START + terms_size + docs_size
     order_at = strings_end + (8 - strings_end % 8) % 8
     if order_at + 4 * n * num_docs != len(data):

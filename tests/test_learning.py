@@ -384,6 +384,28 @@ class TestRunTraining:
             init_permutation(pair.doc_id, index, "importance") for pair in dataset.train
         ]
 
+    def test_iteration1_targets_follow_the_random_policy(self):
+        """Under init random, iteration 1 forces `init_permutation`'s seeded shuffles."""
+        corpus, index, tw, dataset, _, _ = bridging_setup(seed=3)
+        config = TrainingConfig(iterations=1, epochs=1, init="random", seed=4)
+        with mock.patch.object(FeatureScorer, "force", autospec=True,
+                               side_effect=FeatureScorer.force) as force:
+            run_training(dataset, index, config, FeatureScorer.zeros(index, tw))
+        (targets,) = [call.args[3] for call in force.call_args_list]
+        assert targets.dtype == np.int64
+        want = [init_permutation(pair.doc_id, index, "random", seed=config.seed)
+                for pair in dataset.train]
+        assert list(map(tuple, targets.tolist())) == want
+        assert want != [init_permutation(pair.doc_id, index, "importance") for pair in dataset.train]
+
+    def test_random_init_reproducibility(self):
+        corpus, index, tw, dataset, _, _ = bridging_setup()
+        config = TrainingConfig(iterations=2, epochs=5, lr=0.5, seed=3, init="random")
+        s1, st1 = run_training(dataset, index, config, FeatureScorer.zeros(index, tw))
+        s2, st2 = run_training(dataset, index, config, FeatureScorer.zeros(index, tw))
+        assert np.array_equal(s1.weights, s2.weights)
+        assert st1 == st2
+
     def test_adaptive_objective_non_decreasing_and_recall_at_least_non_adaptive(self):
         corpus, index, tw, dataset, test_q, test_j = bridging_setup(seed=4)
         adaptive_cfg = TrainingConfig(iterations=2, epochs=8, lr=0.5, seed=5)

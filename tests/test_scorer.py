@@ -11,12 +11,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from termset_retrieval import learning
 from termset_retrieval import scorer as scorer_module
 from termset_retrieval.corpus import Query
 from termset_retrieval.decoder import constrained_beam_search
 from termset_retrieval.errors import DataError
 from termset_retrieval.importance import IdentifierTable
-from termset_retrieval.index import SequenceView, build_index, load_index, root_beam, save_index
+from termset_retrieval.index import (
+    DenseStep,
+    SequenceView,
+    build_index,
+    load_index,
+    root_beam,
+    save_index,
+)
 from termset_retrieval.scorer import (
     STEP_FEATURES,
     FeatureScorer,
@@ -24,6 +32,7 @@ from termset_retrieval.scorer import (
     UniformScorer,
     _log_softmax,
     _query_slots,
+    _teacher_walk,
     check_compatible,
     load_scorer,
     save_scorer,
@@ -33,7 +42,9 @@ from termset_retrieval.synthetic import make_random_identifiers
 
 from conftest import (
     STEM_WORDS,
+    child_beam,
     central_difference,
+    holders,
     max_relative_error,
     one_step,
     prepared_rows,
@@ -507,7 +518,8 @@ def oracle_chunks(searchable, qidx, sequences):
             at = ptr[row_seg[mine] - a] + picks[mine] - offsets[row_hyp[mine]]
             yield step, seg_query[a:b], ext, ptr, weight[a:b], rows[mine], at
             a = b
-        *beam, hyp[rows] = step.descend(picks)
+        kept, hyp[rows] = np.unique(picks, return_inverse=True)
+        beam = child_beam(step, kept)
 
 
 def oracle_features(scorer, queries, step, seg_query, ext, ptr):
@@ -639,6 +651,61 @@ class TestTeacherOracle:
         assert SizeScorer.sequence_logprobs is Scorer.sequence_logprobs
         assert FeatureScorer.sequence_logprobs is not Scorer.sequence_logprobs
         assert not hasattr(Scorer, "root_logprobs")
+
+
+class TestDenseTraining:
+    """Training steps by `descend`, as search steps by `next`: once every prefix of a beam
+    names one document, the walks step into the `DenseStep`s search uses, and the sums
+    they give stay those of the oracle that sorts every beam with `expand`."""
+
+    @pytest.mark.parametrize("sequence", [False, True])
+    def test_sampling_and_the_teacher_walk_step_into_dense_steps(self, sequence):
+        index = build_index(make_random_identifiers(40, 60, 4, seed=5))
+        searchable = SequenceView(index) if sequence else index
+        rng = np.random.default_rng(3)
+        scorer = FeatureScorer(rng.normal(0, 2, len(STEP_FEATURES)), index.dictionary.terms,
+                               rng.uniform(0, 2, len(index.dictionary)))
+        terms = index.dictionary.terms
+        pool = [Query.from_text(f"q{i}", " ".join(rng.choice(terms, 2))) for i in range(3)]
+        docs = rng.integers(0, len(index), 30)
+        queries = [pool[int(i)] for i in rng.integers(0, len(pool), len(docs))]
+        prepared, qidx = prepared_rows(scorer, queries)
+        steps, segment_logprobs, walk = [], FeatureScorer.segment_logprobs, _teacher_walk
+
+        def scored(self, queries, step, *rest):
+            steps.append(step)
+            return segment_logprobs(self, queries, step, *rest)
+
+        def walked(searchable, seqs):
+            for item in walk(searchable, seqs):
+                steps.append(item[0])
+                yield item
+
+        if sequence:  # sampling orders a set, so only the teacher walk runs on the view
+            rows = [index.order[d].tolist() for d in docs]
+        else:
+            with mock.patch.object(FeatureScorer, "segment_logprobs", scored):
+                sampled = learning._sample_pairs(prepared, qidx, docs.astype(np.uint64),
+                                                 index.order[docs].astype(np.int64), index,
+                                                 scorer, 2, 3)
+            rows = sampled.reshape(-1, index.n).tolist()
+            queries = [q for q in queries for _ in range(2)]
+        rows = [row[: int(rng.integers(1, index.n + 1))] for row in rows]  # some stop short
+        prepared, qidx = prepared_rows(scorer, queries)
+        with mock.patch.object(scorer_module, "_teacher_walk", walked):
+            forced = scorer.sequence_logprobs(prepared, qidx, rows, searchable)
+            base = Scorer.sequence_logprobs(scorer, prepared, qidx, rows, searchable)
+            plug_in = SizeScorer().sequence_logprobs(*prepared_rows(SizeScorer(), queries), rows,
+                                                     searchable)
+        for step in steps:
+            single = all(len(holders(searchable, prefix)) == 1 for prefix in step.seqs)
+            assert isinstance(step, DenseStep) == single, step.depth
+        assert any(isinstance(step, DenseStep) for step in steps)
+        want = oracle_sequence_logprobs(scorer, queries, rows, searchable)
+        assert base.tobytes() == want.tobytes()
+        assert within_root_bound(forced, want, scorer, searchable)
+        assert plug_in.tobytes() == oracle_sequence_logprobs(SizeScorer(), queries, rows,
+                                                             searchable).tobytes()
 
 
 def teacher_chunks(searchable, qidx, sequences):
