@@ -666,15 +666,13 @@ class TestPersistence:
             assert (tmp_path / "i.bin").read_bytes() == (tmp_path / "j.bin").read_bytes()
 
     def test_zero_width_identifier_is_refused(self, tmp_path):
-        """n = 0 names no document: the table refuses it, and so does a file whose
-        header gives it, whatever its document count (its rows take no bytes)."""
+        """n = 0 names no document: the table refuses it, and so does a file whose header gives it."""
         with pytest.raises(DataError, match="identifier size must be >= 1, got 0"):
             IdentifierTable(0, {"a": []})
         path = tmp_path / "index.bin"
-        for docs in (1, 2**40):
-            path.write_bytes(MAGIC + HEADER.pack(0, docs, 0, 0, 1) + b"a" + bytes(7))
-            with pytest.raises(DataError, match=re.escape(f"{path}: identifier size must be >= 1, got 0")):
-                load_index(path)
+        path.write_bytes(MAGIC + HEADER.pack(0, 1, 0, 0, 1) + b"a" + bytes(7))
+        with pytest.raises(DataError, match=re.escape(f"{path}: identifier size must be >= 1, got 0")):
+            load_index(path)
 
     def test_corrupted_header(self, tmp_path):
         path = tmp_path / "bad.bin"
@@ -741,6 +739,14 @@ class TestPersistence:
     def test_inflated_header_counts_are_data_errors(self, tiny_index, field, value):
         with pytest.raises(DataError, match="the header (gives|counts)"):
             load_bytes(with_header(save_bytes(tiny_index), **{field: value}))
+
+    def test_inflated_document_count_of_zero_width_rows(self, tmp_path):
+        """With n = 0 the rows take no bytes, so no byte count bounds the documents;
+        the file is refused for its n before any count is read."""
+        path = tmp_path / "index.bin"
+        path.write_bytes(MAGIC + HEADER.pack(0, 2**40, 0, 0, 1) + b"a" + bytes(7))
+        with pytest.raises(DataError, match=re.escape(f"{path}: identifier size must be >= 1, got 0")):
+            load_index(path)
 
     @pytest.mark.parametrize(
         "rows, message",
